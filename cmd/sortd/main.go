@@ -4,22 +4,23 @@
 // length-prefixed raw-TCP API on -tcp-addr, and the live telemetry
 // endpoint (Prometheus /metrics, expvar, pprof) on -metrics-addr.
 // Requests pass admission control (queue depth, the auxiliary-memory
-// ledger, optional per-tenant caps), small key-only requests coalesce
-// into merged batched runs, and every sort executes under the
-// SortResilient retry/fallback supervisor on pooled per-size-class
-// workspace arenas. With -spill-dir set, requests too large for the
-// memory ledger degrade onto the external disk-spilling sort (bounded by
-// the -max-spill-bytes disk ledger) instead of being rejected; without
-// it they answer 413 with a structured reason.
+// ledger, optional per-tenant caps), small key-only requests that queue
+// behind busy executors coalesce into merged batched runs (no timer: a
+// request that finds an executor idle starts at once), and every sort
+// executes under the SortResilient retry/fallback supervisor on pooled
+// per-size-class workspace arenas. With -spill-dir set, requests too
+// large for the memory ledger degrade onto the external disk-spilling
+// sort (bounded by the -max-spill-bytes disk ledger) instead of being
+// rejected; without it they answer 413 with a structured reason.
 //
 // SIGTERM or SIGINT starts a graceful drain: admission flips to
 // rejecting (503 + Retry-After, /healthz reports "draining"), queued
 // work finishes, and once -drain-timeout expires any still-running sorts
 // are cancelled through their Try*Ctx rollback.
 //
-// Exit codes: 0 clean drain, 1 runtime failure, 2 bad flags, 3 drain
-// deadline forced cancellation. See OPERATIONS.md for the full operator
-// runbook.
+// Exit codes: 0 clean drain, 1 runtime failure, 2 bad flags (including
+// the removed -batch-window), 3 drain deadline forced cancellation. See
+// OPERATIONS.md for the full operator runbook.
 //
 // Example:
 //
@@ -62,7 +63,6 @@ func run() int {
 		spillSegment = flag.Int("spill-segment", 0, "external-sort segment tuples override (0: planned)")
 		tenantCap    = flag.Int("tenant-cap", 0, "per-tenant admitted-request cap (0: uncapped)")
 		batchMax     = flag.Int("batch-max", 4096, "coalesce key-only requests up to this many keys (negative: disable)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "coalescing window")
 		autotune     = flag.Bool("autotune", false, "engage the machine-calibrated planner per sort")
 		profilePath  = flag.String("profile", "", "machine profile JSON to load (see tunecli; empty: lazy quick calibration)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget before force-cancelling running sorts")
@@ -109,7 +109,6 @@ func run() int {
 		SpillSegmentTuples: *spillSegment,
 		MaxPerTenant:       *tenantCap,
 		BatchMaxTuples:     *batchMax,
-		BatchWindow:        *batchWindow,
 		AutoTune:           *autotune,
 	})
 

@@ -32,7 +32,9 @@ type SpillPlan = tune.SpillPlan
 // keys under an auxiliary-memory budget of maxAux bytes (0: the default
 // budget of half the machine's available memory): whether the input must
 // spill at all and, if so, the segment, fanout, line, block, and merge
-// shape plus the peak resident footprint MemBytes.
+// shape plus the peak resident footprint MemBytes. MemBytes is at least
+// the planner's floor (a few hundred KiB of minimum buffers), so for tiny
+// budgets it exceeds maxAux; SortExternal then runs at MemBytes.
 func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 	return tune.PlanSpill(n, keyBits, maxAux, nil)
 }
@@ -44,6 +46,10 @@ func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 // file-backed W-way merge (prefetch overlapped with merge compute)
 // produces the sorted output in place. Inputs that fit one segment never
 // touch disk. Not stable.
+//
+// A positive MaxAuxBytes below the plan's floor (PlanSpill's MemBytes)
+// is raised to it, with or without a Workspace, so a tiny budget still
+// spills rather than failing.
 //
 // Argument problems return *ArgError, spill I/O failures *SpillError
 // (disk budget overruns unwrap to ErrSpillBudget), contained worker
@@ -66,9 +72,9 @@ func SortExternalCtx[K Key](ctx context.Context, keys, vals []K, opt *SortOption
 	if err := validateOptions(op, opt); err != nil {
 		return st, err
 	}
-	eo := externalOptions[K](opt, len(keys))
+	eo, maxAux := externalOptions[K](opt, len(keys))
 	var runErr error
-	err := tryRun(op, ctx, optWorkspace(opt), optMaxAux(opt), func(ctl *hard.Ctl) {
+	err := tryRun(op, ctx, optWorkspace(opt), maxAux, func(ctl *hard.Ctl) {
 		st, runErr = extsort.Run(ctl, keys, vals, optWorkspace(opt).internal(), eo)
 	})
 	if err != nil {
@@ -83,8 +89,9 @@ func SortExternalCtx[K Key](ctx context.Context, keys, vals []K, opt *SortOption
 // externalOptions resolves the extsort configuration: tune.PlanSpill
 // shapes every knob from the memory budget, explicit Spill* overrides
 // win, and a non-spilling plan widens the segment so the whole input
-// takes the in-memory path.
-func externalOptions[K Key](opt *SortOptions, n int) extsort.Options {
+// takes the in-memory path. It also returns the run's aux budget:
+// MaxAuxBytes raised to the plan's floor when set below it.
+func externalOptions[K Key](opt *SortOptions, n int) (extsort.Options, int64) {
 	maxAux := optMaxAux(opt)
 	var prof *tune.MachineProfile
 	threads, radixBits := 1, 0
@@ -126,7 +133,10 @@ func externalOptions[K Key](opt *SortOptions, n int) extsort.Options {
 	if b := eo.SegmentTuples / 4; b < eo.BlockTuples {
 		eo.BlockTuples = b
 	}
-	return eo
+	if maxAux > 0 {
+		maxAux = max(maxAux, plan.MemBytes)
+	}
+	return eo, maxAux
 }
 
 // wrapSpill maps an extsort error onto the public taxonomy.

@@ -209,6 +209,46 @@ func TestSortExternalWorkspace(t *testing.T) {
 	}
 }
 
+// TestSortExternalBudgetBelowPlannerFloor pins that both paths agree when
+// MaxAuxBytes is below PlanSpill's floor (its buffer clamps): with or
+// without a workspace the sort runs at the planned footprint and spills,
+// instead of the workspace ledger refusing the planner's own buffers.
+func TestSortExternalBudgetBelowPlannerFloor(t *testing.T) {
+	for _, n := range []int{1 << 14, 1 << 15, 1 << 16, 1 << 17} {
+		budget := int64(n) * 16 / 8 // an eighth of the pairs' bytes
+		if floor := PlanSpill(n, 64, budget).MemBytes; floor <= budget {
+			t.Fatalf("n=%d: budget %d is not below the planner's floor %d", n, budget, floor)
+		}
+		for _, withWS := range []bool{false, true} {
+			opt := &SortOptions{TempDir: t.TempDir(), MaxAuxBytes: budget}
+			if withWS {
+				opt.Workspace = NewWorkspace()
+			}
+			keys := gen.Uniform[uint64](n, 0, uint64(n))
+			vals := RIDs[uint64](n)
+			sumK := append([]uint64(nil), keys...)
+			sumV := append([]uint64(nil), vals...)
+
+			st, err := SortExternal(keys, vals, opt)
+			if err != nil {
+				t.Fatalf("n=%d workspace=%v: %v", n, withWS, err)
+			}
+			if !st.Spilled || !IsSorted(keys) || !SameMultiset(keys, vals, sumK, sumV) {
+				t.Fatalf("n=%d workspace=%v: spilled=%v sorted=%v", n, withWS, st.Spilled, IsSorted(keys))
+			}
+			if withWS {
+				if got := opt.Workspace.AuxBytes(); got != 0 {
+					t.Fatalf("n=%d: workspace holds %d bytes after the run", n, got)
+				}
+				opt.Workspace.Close()
+			}
+			if ents, _ := os.ReadDir(opt.TempDir); len(ents) != 0 {
+				t.Fatalf("n=%d workspace=%v: temp files leaked: %v", n, withWS, ents)
+			}
+		}
+	}
+}
+
 // TestPlanSpill checks the planner's decision boundary and that the
 // planned footprint respects the budget it was given.
 func TestPlanSpill(t *testing.T) {

@@ -54,7 +54,7 @@ type metrics struct {
 func newMetrics(reg *obs.Registry) *metrics {
 	m := &metrics{}
 	m.queueDepth = reg.Gauge(serverPrefix+"queue_depth",
-		"Admitted-but-unfinished sort requests (queued + coalescing + executing).")
+		"Admitted-but-unfinished sort requests (queued + executing).")
 	m.inflight = reg.Gauge(serverPrefix+"inflight_jobs",
 		"Jobs currently executing on the server's worker pool.")
 	m.pendingAux = reg.Gauge(serverPrefix+"pending_aux_bytes",

@@ -3,11 +3,12 @@
 // with admission control (queue depth, an auxiliary-memory ledger,
 // per-tenant in-flight caps, drain state), per-size-class workspace
 // arenas shared across tenants, coalescing of small key-only requests
-// into merged stable runs, a persistent executor pool running every job
-// under the SortResilient retry/fallback supervisor, and graceful
-// drain/cancellation reusing the Try*Ctx rollback machinery. The
-// HTTP/JSON and length-prefixed TCP front ends live in http.go and
-// tcp.go; every stage reports into the obs metrics registry (metrics.go).
+// that queue behind busy executors into merged runs, a persistent
+// executor pool running every job under the SortResilient retry/fallback
+// supervisor, and graceful drain/cancellation reusing the Try*Ctx
+// rollback machinery. The HTTP/JSON and length-prefixed TCP front ends
+// live in http.go and tcp.go; every stage reports into the obs metrics
+// registry (metrics.go).
 //
 // The decomposition mirrors the query-node/service split of distributed
 // query engines: the library kernels are the segment-level compute, this
@@ -31,8 +32,8 @@ import (
 // defaults; Normalize applies them in place.
 type Config struct {
 	// QueueDepth bounds the number of admitted-but-unfinished requests
-	// (queued + coalescing + executing). Submissions past it are rejected
-	// with a retry hint (default 256).
+	// (queued + executing). Submissions past it are rejected with a retry
+	// hint (default 256).
 	QueueDepth int
 	// Workers is the number of executor goroutines draining the job
 	// queue (default GOMAXPROCS).
@@ -70,17 +71,15 @@ type Config struct {
 	// (0: no per-tenant cap).
 	MaxPerTenant int
 	// BatchMaxTuples is the coalescing threshold: key-only requests with
-	// at most this many keys are merged into batched runs (default 4096;
-	// negative disables coalescing).
+	// at most this many keys that are queued together when an executor
+	// frees up merge into one batched run (default 4096; negative
+	// disables coalescing). A request that finds an executor idle starts
+	// at once, unbatched.
 	BatchMaxTuples int
-	// BatchWindow is how long the coalescer holds the first small
-	// request open for companions before flushing (default 2ms).
-	BatchWindow time.Duration
-	// BatchMaxRequests flushes a batch once it holds this many requests
-	// (default 64).
+	// BatchMaxRequests caps the requests one merged run takes (default
+	// 64).
 	BatchMaxRequests int
-	// BatchMaxTotal flushes a batch once its merged key count reaches
-	// this (default 1<<16).
+	// BatchMaxTotal caps one merged run's key count (default 1<<16).
 	BatchMaxTotal int
 	// ArenasPerClass is how many idle workspace arenas each size class
 	// keeps pooled (default 4; excess arenas are closed on release).
@@ -115,9 +114,6 @@ func (c *Config) Normalize() {
 	}
 	if c.BatchMaxTuples == 0 {
 		c.BatchMaxTuples = 4096
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.BatchMaxRequests <= 0 {
 		c.BatchMaxRequests = 64
@@ -261,6 +257,10 @@ type job struct {
 	width int
 	subs  []*job // non-nil: this is a merged batch container
 
+	// coalesce marks a job that may merge with queued companions of the
+	// same width (Config.coalescible).
+	coalesce bool
+
 	// external routes the job through the disk-spilling sort; spill is
 	// its estimated disk footprint charged to the spill ledger.
 	external bool
@@ -275,17 +275,19 @@ type Server struct {
 	q       *queue
 	arenas  *arenaPool
 	tenants *tenantTable
-	batch   *batcher
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
 	workerWG sync.WaitGroup
+	// popHook, when set, is called by an executor with every popped job
+	// before running it (the test seam that holds executors busy).
+	popHook func(*job)
 
 	// gate closes the admission window: Submit holds it shared from
 	// admission through enqueue, Drain takes it exclusively to flip the
-	// draining flag — so no request can slip past a flushed coalescer
-	// into a queue the executors have already finished.
+	// draining flag — so no request can slip into a queue the executors
+	// have already finished.
 	gate sync.RWMutex
 
 	seq          atomic.Uint64
@@ -307,14 +309,18 @@ type Server struct {
 	started time.Time
 }
 
-// New starts a Server: its executor workers and coalescer run until
-// Drain. The configuration is normalized in place.
-func New(cfg Config) *Server {
+// New starts a Server: its executor workers run until Drain. The
+// configuration is normalized in place.
+func New(cfg Config) *Server { return newServer(cfg, nil) }
+
+// newServer is New with an executor popHook (nil: none).
+func newServer(cfg Config, popHook func(*job)) *Server {
 	cfg.Normalize()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		q:          newQueue(),
+		q:          newQueue(cfg.BatchMaxRequests, cfg.BatchMaxTotal),
+		popHook:    popHook,
 		arenas:     newArenaPool(cfg.ArenasPerClass),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -324,7 +330,6 @@ func New(cfg Config) *Server {
 	}
 	s.met = newMetrics(cfg.Registry)
 	s.tenants = newTenantTable(cfg.Registry)
-	s.batch = newBatcher(s)
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -342,9 +347,9 @@ func estAux(n, width int) int64 {
 	return int64(n)*(4*w8+4) + (64 << 10)
 }
 
-// Submit runs one request through admission, the queue (or the
-// coalescer), and an executor, blocking until the sort finished or ctx
-// was cancelled. On success the request's slices hold the sorted
+// Submit runs one request through admission, the queue, and an executor
+// (merged with other small requests if it had to wait for one), blocking
+// until the sort finished or ctx was cancelled. On success the request's slices hold the sorted
 // columns. Errors: *partsort.ArgError (malformed request),
 // *TooLargeError, *AdmissionError (rejected, retry later), ctx.Err()
 // (caller gave up; the job is abandoned and cleaned up by its executor),
@@ -398,11 +403,8 @@ func (s *Server) Submit(ctx context.Context, req *Request) (Result, error) {
 		s.gate.RUnlock()
 		return Result{}, err
 	}
-	if !j.external && s.cfg.BatchMaxTuples > 0 && !req.hasVals() && n <= s.cfg.BatchMaxTuples {
-		s.batch.add(j)
-	} else {
-		s.q.push(j)
-	}
+	j.coalesce = s.cfg.coalescible(j)
+	s.q.push(j)
 	s.gate.RUnlock()
 
 	select {
@@ -458,6 +460,12 @@ func (s *Server) admit(j *job) error {
 	s.met.queueDepth.Set(float64(s.depth.Load()))
 	s.met.pendingAux.Set(float64(s.pendingAux.Load()))
 	return nil
+}
+
+// coalescible reports whether an admitted job may merge into a batched
+// run: key-only, in memory, and at most BatchMaxTuples keys.
+func (c *Config) coalescible(j *job) bool {
+	return !j.external && c.BatchMaxTuples > 0 && !j.req.hasVals() && j.n <= c.BatchMaxTuples
 }
 
 // spillEst bounds one external job's disk footprint, which doubles as
@@ -516,6 +524,9 @@ func (s *Server) worker() {
 		j, ok := s.q.pop()
 		if !ok {
 			return
+		}
+		if s.popHook != nil {
+			s.popHook(j)
 		}
 		s.run(j)
 	}
@@ -694,9 +705,9 @@ func (s *Server) PendingSpillBytes() int64 { return s.pendingSpill.Load() }
 // the server's workspace arenas (0 when the server is idle or drained).
 func (s *Server) AuxBytes() int64 { return s.arenas.auxBytes() }
 
-// Drain gracefully stops the server: admission flips to rejecting,
-// the coalescer flushes its pending batches, the executors finish the
-// queue, and the workspace arenas close. If ctx expires first, every
+// Drain gracefully stops the server: admission flips to rejecting, the
+// executors finish the queue (still merging what waits in it), and the
+// workspace arenas close. If ctx expires first, every
 // running job is cancelled through its Try*Ctx rollback (inputs left a
 // permutation) and Drain waits for the executors to unwind before
 // returning ctx's error. Idempotent: later calls return the first
@@ -707,7 +718,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.gate.Lock()
 		s.draining.Store(true)
 		s.gate.Unlock() // in-flight Submits have enqueued; new ones reject
-		s.batch.stop()  // flush pending batches into the queue
 		s.q.close()     // executors exit once the queue is empty
 
 		workersDone := make(chan struct{})

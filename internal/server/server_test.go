@@ -1,15 +1,17 @@
 // Lifecycle tests for the sort service: admission control under tiny
 // bounds, graceful and forced drain (no leaked goroutines, admission
 // ledger settled back to zero), coalescing correctness, and the
-// priority queue's ordering contract.
+// priority queue's ordering and gather contract.
 
 package server
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +43,32 @@ func checkSorted(t *testing.T, keys []uint64) {
 		if keys[i-1] > keys[i] {
 			t.Fatalf("keys[%d]=%d > keys[%d]=%d", i-1, keys[i-1], i, keys[i])
 		}
+	}
+}
+
+// heldServer starts a single-executor server whose executor parks on a
+// blocker request until release is called, so requests submitted in
+// between queue behind a busy executor deterministically. release frees
+// the executor and waits for the blocker's Submit to return.
+func heldServer(t *testing.T, cfg Config) (s *Server, release func()) {
+	t.Helper()
+	held, hold := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	cfg.Workers = 1
+	s = newServer(cfg, func(*job) { once.Do(func() { close(held); <-hold }) })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := s.Submit(context.Background(), &Request{
+			Tenant: "blocker", Algo: partsort.LSB, Keys64: randKeys(64, -1),
+		}); err != nil {
+			t.Errorf("blocker Submit: %v", err)
+		}
+	}()
+	<-held
+	return s, func() {
+		close(hold)
+		<-done
 	}
 }
 
@@ -145,25 +173,17 @@ func TestSubmitSortsAllWidthsAndAlgos(t *testing.T) {
 func TestAdmissionRejectsWhenQueueFull(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2
-	cfg.Workers = 1
-	// Park admitted requests in the coalescer so they hold depth slots
-	// deterministically without executing.
-	cfg.BatchWindow = time.Hour
-	cfg.BatchMaxRequests = 100
-	cfg.BatchMaxTotal = 1 << 30
-	s := New(cfg)
+	// The held blocker takes one depth slot, a queued request the other.
+	s, release := heldServer(t, cfg)
 
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			_, err := s.Submit(context.Background(), &Request{Algo: partsort.LSB, Keys64: randKeys(64, seed)})
-			if err != nil {
-				t.Errorf("held Submit: %v", err)
-			}
-		}(int64(i))
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := s.Submit(context.Background(), &Request{Algo: partsort.LSB, Keys64: randKeys(64, 1)}); err != nil {
+			t.Errorf("queued Submit: %v", err)
+		}
+	}()
 	waitFor(t, time.Second, func() bool { return s.QueueDepth() == 2 })
 
 	_, err := s.Submit(context.Background(), &Request{Algo: partsort.LSB, Keys64: randKeys(64, 99)})
@@ -175,7 +195,8 @@ func TestAdmissionRejectsWhenQueueFull(t *testing.T) {
 		t.Fatalf("queue-full rejection carries no Retry-After hint")
 	}
 
-	drainOK(t, s) // flushes the held batch; the parked Submits settle
+	release()
+	drainOK(t, s)
 	wg.Wait()
 	if got := s.PendingAuxBytes(); got != 0 {
 		t.Fatalf("ledger holds %d bytes after drain", got)
@@ -233,8 +254,7 @@ func TestAdmissionRejectsWithoutSpillDir(t *testing.T) {
 func TestAdmissionRejectsOverTenantCap(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxPerTenant = 1
-	cfg.BatchWindow = time.Hour // park the first request in the coalescer
-	s := New(cfg)
+	s, release := heldServer(t, cfg) // acme's first request queues behind the blocker
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -246,7 +266,7 @@ func TestAdmissionRejectsOverTenantCap(t *testing.T) {
 			t.Errorf("held Submit: %v", err)
 		}
 	}()
-	waitFor(t, time.Second, func() bool { return s.QueueDepth() == 1 })
+	waitFor(t, time.Second, func() bool { return s.QueueDepth() == 2 })
 
 	_, err := s.Submit(context.Background(), &Request{
 		Tenant: "acme", Algo: partsort.LSB, Keys64: randKeys(64, 2),
@@ -256,8 +276,8 @@ func TestAdmissionRejectsOverTenantCap(t *testing.T) {
 		t.Fatalf("want tenant-limit AdmissionError, got %v", err)
 	}
 
-	// A different tenant is unaffected by acme's cap. Its request joins
-	// the parked batch; drain flushes both.
+	// A different tenant is unaffected by acme's cap. Its request queues
+	// too; once the executor frees up both run as one merged batch.
 	var other sync.WaitGroup
 	other.Add(1)
 	go func() {
@@ -268,8 +288,9 @@ func TestAdmissionRejectsOverTenantCap(t *testing.T) {
 			t.Errorf("other-tenant Submit: %v", err)
 		}
 	}()
-	waitFor(t, time.Second, func() bool { return s.QueueDepth() == 2 })
+	waitFor(t, time.Second, func() bool { return s.QueueDepth() == 3 })
 
+	release()
 	drainOK(t, s)
 	wg.Wait()
 	other.Wait()
@@ -280,7 +301,6 @@ func TestDrainGracefulNoLeaks(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.Workers = 4
-	cfg.BatchWindow = time.Millisecond
 	s := New(cfg)
 
 	var wg sync.WaitGroup
@@ -315,6 +335,45 @@ func TestDrainGracefulNoLeaks(t *testing.T) {
 	var adm *AdmissionError
 	if !errors.As(err, &adm) || adm.Reason != "draining" {
 		t.Fatalf("want draining AdmissionError after drain, got %v", err)
+	}
+
+	// Small coalescible submits racing Drain: each one either sorts (alone
+	// or merged with whatever queued beside it) or is rejected as
+	// draining — none is stranded in the queue.
+	cfg = testConfig()
+	cfg.Workers = 2
+	s = New(cfg)
+	start := make(chan struct{})
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			<-start
+			keys := randKeys(256, seed)
+			_, err := s.Submit(context.Background(), &Request{Algo: partsort.LSB, Keys64: keys})
+			var adm *AdmissionError
+			switch {
+			case err == nil:
+				if !slices.IsSorted(keys) {
+					t.Errorf("request %d not sorted", seed)
+				}
+			case errors.As(err, &adm) && adm.Reason == "draining":
+			default:
+				t.Errorf("Submit racing Drain: %v", err)
+			}
+		}(int64(i))
+	}
+	close(start)
+	drainOK(t, s)
+	wg.Wait()
+	if got := s.PendingAuxBytes(); got != 0 {
+		t.Fatalf("racing drain left %d bytes on the admission ledger", got)
+	}
+	if got := s.AuxBytes(); got != 0 {
+		t.Fatalf("racing drain left %d workspace bytes", got)
+	}
+	if got := s.QueueDepth(); got != 0 {
+		t.Fatalf("racing drain left depth at %d", got)
 	}
 
 	waitFor(t, 5*time.Second, func() bool {
@@ -383,11 +442,10 @@ func TestSubmitCancellation(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return s.PendingAuxBytes() == 0 })
 }
 
+// TestCoalescingMergesSmallRequests queues small requests behind the only
+// executor: once it frees up, all of them settle as one merged run.
 func TestCoalescingMergesSmallRequests(t *testing.T) {
-	cfg := testConfig()
-	cfg.Workers = 2
-	cfg.BatchWindow = 100 * time.Millisecond
-	s := New(cfg)
+	s, release := heldServer(t, testConfig())
 	defer drainOK(t, s)
 
 	const reqs = 8
@@ -410,23 +468,36 @@ func TestCoalescingMergesSmallRequests(t *testing.T) {
 			outs[i] = out{keys: keys, res: res}
 		}(i)
 	}
+	waitFor(t, time.Second, func() bool { return s.QueueDepth() == reqs+1 })
+	release()
 	wg.Wait()
 
-	merged := 0
 	for i, o := range outs {
 		if o.keys == nil {
 			continue
 		}
 		checkSorted(t, o.keys)
-		if o.res.Batched {
-			merged++
-			if o.res.BatchRequests < 2 {
-				t.Fatalf("request %d batched with BatchRequests=%d", i, o.res.BatchRequests)
-			}
+		if !o.res.Batched || o.res.BatchRequests != reqs {
+			t.Fatalf("request %d: Batched=%v BatchRequests=%d, want one merged run of %d",
+				i, o.res.Batched, o.res.BatchRequests, reqs)
 		}
 	}
-	if merged == 0 {
-		t.Fatalf("no request coalesced under a %s window", cfg.BatchWindow)
+}
+
+// TestIdleServerRunsLoneRequestUnbatched is the work-conserving half: a
+// small request that finds an executor idle starts at once, alone.
+func TestIdleServerRunsLoneRequestUnbatched(t *testing.T) {
+	s := New(testConfig())
+	defer drainOK(t, s)
+
+	keys := randKeys(512, 1)
+	res, err := s.Submit(context.Background(), &Request{Algo: partsort.LSB, Keys64: keys})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	checkSorted(t, keys)
+	if res.Batched || res.BatchRequests != 0 {
+		t.Fatalf("lone request on an idle server: Batched=%v BatchRequests=%d", res.Batched, res.BatchRequests)
 	}
 }
 
@@ -463,25 +534,131 @@ func TestValidateRequestTable(t *testing.T) {
 	}
 }
 
+// TestQueuePriorityOrdering pins pop's contract: the head is the lowest
+// (priority, sequence) job; a coalescible head takes its queued
+// same-width coalescible companions in that order within both batch
+// caps; everything else stays queued in that order.
 func TestQueuePriorityOrdering(t *testing.T) {
-	q := newQueue()
-	for i, prio := range []int{2, 0, 1, 0, 2} {
-		q.push(&job{prio: prio, seq: uint64(i + 1)})
+	// Jobs get sequence numbers 1, 2, … in table order.
+	type spec struct {
+		prio, width, n int
+		vals, external bool
 	}
-	q.close()
-	want := []struct{ prio, seq int }{{0, 2}, {0, 4}, {1, 3}, {2, 1}, {2, 5}}
-	for i, w := range want {
-		j, ok := q.pop()
-		if !ok {
-			t.Fatalf("pop %d: queue empty early", i)
-		}
-		if j.prio != w.prio || j.seq != uint64(w.seq) {
-			t.Fatalf("pop %d: got (prio %d, seq %d), want (prio %d, seq %d)",
-				i, j.prio, j.seq, w.prio, w.seq)
-		}
+	small := func(prio, width int) spec { return spec{prio: prio, width: width, n: 100} }
+	cases := []struct {
+		name              string
+		maxReqs, maxTotal int // 0: the Config defaults
+		jobs              []spec
+		take              []uint64 // sequences the first pop returns, head first
+		rest              []uint64 // sequences left queued, in pop order
+	}{
+		{
+			name: "plain priority order",
+			jobs: []spec{{prio: 2, width: 64, n: 1, vals: true}, {prio: 0, width: 64, n: 1, vals: true},
+				{prio: 1, width: 64, n: 1, vals: true}, {prio: 0, width: 64, n: 1, vals: true}, {prio: 2, width: 64, n: 1, vals: true}},
+			take: []uint64{2},
+			rest: []uint64{4, 3, 1, 5},
+		},
+		{
+			name: "lone coalescible head runs as itself",
+			jobs: []spec{small(1, 64)},
+			take: []uint64{1},
+		},
+		{
+			name: "non-coalescible head takes no companions",
+			jobs: []spec{{prio: 0, width: 64, n: 100, vals: true}, small(1, 64), small(1, 64)},
+			take: []uint64{1},
+			rest: []uint64{2, 3},
+		},
+		{
+			name: "only the head's width merges",
+			jobs: []spec{small(1, 64), small(0, 32), small(1, 32), small(2, 64), small(0, 64)},
+			take: []uint64{2, 3},
+			rest: []uint64{5, 1, 4},
+		},
+		{
+			name: "vals, external and over-threshold jobs stay queued",
+			jobs: []spec{small(0, 64), {prio: 0, width: 64, n: 100, vals: true},
+				{prio: 0, width: 64, n: 100, external: true}, {prio: 0, width: 64, n: 4097}, small(2, 64)},
+			take: []uint64{1, 5},
+			rest: []uint64{2, 3, 4},
+		},
+		{
+			name:    "request cap takes companions in priority order",
+			maxReqs: 3,
+			jobs:    []spec{small(2, 64), small(1, 64), small(0, 64), small(1, 64), small(0, 64)},
+			take:    []uint64{3, 5, 2},
+			rest:    []uint64{4, 1},
+		},
+		{
+			name:     "key cap skips a companion that does not fit",
+			maxTotal: 1000,
+			jobs: []spec{{prio: 0, width: 64, n: 400}, {prio: 1, width: 64, n: 500},
+				{prio: 1, width: 64, n: 300}, {prio: 2, width: 64, n: 100}},
+			take: []uint64{1, 2, 4},
+			rest: []uint64{3},
+		},
 	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("closed empty queue still popping")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{BatchMaxRequests: tc.maxReqs, BatchMaxTotal: tc.maxTotal, Registry: obs.NewRegistry()}
+			cfg.Normalize()
+			q := newQueue(cfg.BatchMaxRequests, cfg.BatchMaxTotal)
+			for i, sp := range tc.jobs {
+				req := &Request{}
+				if sp.width == 64 {
+					req.Keys64 = make([]uint64, sp.n)
+					if sp.vals {
+						req.Vals64 = make([]uint64, sp.n)
+					}
+				} else {
+					req.Keys32 = make([]uint32, sp.n)
+					if sp.vals {
+						req.Vals32 = make([]uint32, sp.n)
+					}
+				}
+				j := &job{req: req, n: sp.n, prio: sp.prio, seq: uint64(i + 1), width: sp.width, external: sp.external}
+				j.coalesce = cfg.coalescible(j)
+				q.push(j)
+			}
+
+			j, ok := q.pop()
+			if !ok {
+				t.Fatal("pop on a non-empty queue reported closed")
+			}
+			var got []uint64
+			total := 0
+			if j.subs == nil {
+				got, total = []uint64{j.seq}, j.n
+			} else {
+				for _, sub := range j.subs {
+					got = append(got, sub.seq)
+					total += sub.n
+				}
+				if j.n != total || j.width != j.subs[0].width || j.prio != j.subs[0].prio || j.seq != j.subs[0].seq {
+					t.Errorf("container (n %d, width %d, prio %d, seq %d) does not match its subs (n %d, head %+v)",
+						j.n, j.width, j.prio, j.seq, total, *j.subs[0])
+				}
+			}
+			if !slices.Equal(got, tc.take) {
+				t.Fatalf("pop took %v, want %v", got, tc.take)
+			}
+			if len(got) > cfg.BatchMaxRequests || len(got) > 1 && total > cfg.BatchMaxTotal {
+				t.Fatalf("batch of %d requests, %d keys exceeds the caps", len(got), total)
+			}
+
+			var rest []uint64
+			for q.jobs.Len() > 0 {
+				rest = append(rest, heap.Pop(&q.jobs).(*job).seq)
+			}
+			if !slices.Equal(rest, tc.rest) {
+				t.Fatalf("left queued %v, want %v", rest, tc.rest)
+			}
+			q.close()
+			if _, ok := q.pop(); ok {
+				t.Fatal("closed empty queue still popping")
+			}
+		})
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,6 +42,7 @@ import (
 const (
 	tcpVersion     = 1
 	tcpMaxFrame    = 1 << 30
+	tcpReadChunk   = 1 << 20 // initial frame buffer; grows as bytes arrive
 	tcpFlagHasVals = 1 << 0
 )
 
@@ -169,8 +171,8 @@ func readTCPRequest(r io.Reader) (*Request, error) {
 	if frameLen < 10 || frameLen > tcpMaxFrame {
 		return nil, fmt.Errorf("server: tcp frame length %d out of range", frameLen)
 	}
-	buf := make([]byte, frameLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readFrame(r, int(frameLen))
+	if err != nil {
 		return nil, fmt.Errorf("server: short tcp frame: %w", err)
 	}
 	if buf[0] != tcpVersion {
@@ -215,6 +217,25 @@ func readTCPRequest(r io.Reader) (*Request, error) {
 		}
 	}
 	return req, nil
+}
+
+// readFrame reads an n-byte frame payload, growing the buffer as bytes
+// arrive (from at most tcpReadChunk up front) so a forged length prefix
+// cannot make the server allocate up to tcpMaxFrame before any payload
+// shows up.
+func readFrame(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, tcpReadChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // writeTCPResult writes one success frame from the request's sorted

@@ -46,7 +46,8 @@ type SortOptions struct {
 	// NUMA-aware layout is engaged), and the AutoTune planner budgets
 	// its algorithm choice against the same cap. Scratch the caller
 	// provides (SortCMPWithScratch, SortLSBWithScratch) is never
-	// counted. Negative is invalid.
+	// counted. SortExternal raises a cap below its planner's floor to
+	// that floor (PlanSpill's MemBytes). Negative is invalid.
 	MaxAuxBytes int64
 	// AutoTune engages the machine-calibrated adaptive planner: the sort
 	// samples the key column, prices candidate configurations with the
