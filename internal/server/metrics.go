@@ -48,6 +48,11 @@ type metrics struct {
 	sortDurs   [3]*obs.Histogram
 
 	batchesMerged *obs.Counter
+
+	// Wire codec stages per front end: body or frame decode, response
+	// encode (neither includes network reads or writes).
+	httpDecode, httpEncode *obs.Histogram
+	tcpDecode, tcpEncode   *obs.Histogram
 }
 
 // newMetrics registers (get-or-create) the server families on reg.
@@ -98,6 +103,13 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 	m.batchesMerged = reg.Counter(serverPrefix+"batches_total",
 		"Merged coalesced runs executed.")
+	stage := func(proto, stage string) *obs.Histogram {
+		return reg.Histogram(serverPrefix+"stage_seconds",
+			"Wire codec time per request by front end and stage (decode, encode).",
+			obs.L("proto", proto), obs.L("stage", stage))
+	}
+	m.httpDecode, m.httpEncode = stage("http", "decode"), stage("http", "encode")
+	m.tcpDecode, m.tcpEncode = stage("tcp", "decode"), stage("tcp", "encode")
 	return m
 }
 
