@@ -46,7 +46,7 @@ func benchPartitionVariants[K kv.Key](b *testing.B) {
 		starts, _ := part.Starts(hist)
 		b.Run(fmt.Sprintf("nip-ic/P=%d", 1<<bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				part.NonInPlaceInCache(keys, vals, dstK, dstV, fn, hist)
+				part.NonInPlaceInCache(nil, keys, vals, dstK, dstV, fn, hist)
 			}
 			reportMtps(b, benchPartN)
 		})
@@ -56,13 +56,13 @@ func benchPartitionVariants[K kv.Key](b *testing.B) {
 				copy(workK, keys)
 				copy(workV, vals)
 				b.StartTimer()
-				part.InPlaceInCache(workK, workV, fn, hist)
+				part.InPlaceInCache(nil, workK, workV, fn, hist)
 			}
 			reportMtps(b, benchPartN)
 		})
 		b.Run(fmt.Sprintf("nip-ooc/P=%d", 1<<bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				part.NonInPlaceOutOfCache(keys, vals, dstK, dstV, fn, starts)
+				part.NonInPlaceOutOfCache(nil, keys, vals, dstK, dstV, fn, starts, nil)
 			}
 			reportMtps(b, benchPartN)
 		})
@@ -72,7 +72,7 @@ func benchPartitionVariants[K kv.Key](b *testing.B) {
 				copy(workK, keys)
 				copy(workV, vals)
 				b.StartTimer()
-				part.InPlaceOutOfCache(workK, workV, fn, hist)
+				part.InPlaceOutOfCache(nil, workK, workV, fn, hist)
 			}
 			reportMtps(b, benchPartN)
 		})
@@ -101,7 +101,7 @@ func BenchmarkFig04_PartitionSkew(b *testing.B) {
 			starts, _ := part.Starts(hist)
 			b.Run(fmt.Sprintf("%s/P=%d", name, 1<<bits), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					part.NonInPlaceOutOfCache(keys, vals, dstK, dstV, fn, starts)
+					part.NonInPlaceOutOfCache(nil, keys, vals, dstK, dstV, fn, starts, nil)
 				}
 				reportMtps(b, benchPartN)
 			})
@@ -177,7 +177,7 @@ func BenchmarkFig07_PartitionThreads(b *testing.B) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("nip/threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				part.ParallelNonInPlace(keys, vals, dstK, dstV, fn, threads)
+				part.ParallelNonInPlace(nil, keys, vals, dstK, dstV, fn, threads, nil)
 			}
 			reportMtps(b, benchPartN)
 		})
@@ -187,7 +187,7 @@ func BenchmarkFig07_PartitionThreads(b *testing.B) {
 				copy(workK, keys)
 				copy(workV, vals)
 				b.StartTimer()
-				part.ParallelInPlaceSharedNothing(workK, workV, fn, threads)
+				part.ParallelInPlaceSharedNothing(nil, workK, workV, fn, threads)
 			}
 			reportMtps(b, benchPartN)
 		})
@@ -456,7 +456,7 @@ func BenchmarkAblation_InPlaceVariants(b *testing.B) {
 			copy(wk, keys)
 			copy(wv, vals)
 			b.StartTimer()
-			part.ToBlocksInPlaceParallel(wk, wv, fn, part.DefaultBlockTuples, 4)
+			part.ToBlocksInPlaceParallel(wk, wv, fn, part.DefaultBlockTuples, 4, nil)
 		}
 		reportMtps(b, benchPartN)
 	})
@@ -466,7 +466,7 @@ func BenchmarkAblation_InPlaceVariants(b *testing.B) {
 			copy(wk, keys)
 			copy(wv, vals)
 			b.StartTimer()
-			bl := part.ToBlocksInPlaceParallel(wk, wv, fn, part.DefaultBlockTuples, 4)
+			bl := part.ToBlocksInPlaceParallel(wk, wv, fn, part.DefaultBlockTuples, 4, nil)
 			part.ShuffleBlocksInPlace(bl, part.ShuffleOptions{Workers: 4})
 		}
 		reportMtps(b, benchPartN)
@@ -487,7 +487,7 @@ func BenchmarkAblation_InPlaceVariants(b *testing.B) {
 			copy(wk, keys)
 			copy(wv, vals)
 			b.StartTimer()
-			part.InPlaceInCache(wk, wv, fn, hist)
+			part.InPlaceInCache(nil, wk, wv, fn, hist)
 		}
 		reportMtps(b, benchPartN)
 	})
@@ -593,18 +593,18 @@ func BenchmarkScatterAlloc(b *testing.B) {
 	b.Run("plain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			part.NonInPlaceOutOfCache(keys, vals, dstK, dstV, fn, starts)
+			part.NonInPlaceOutOfCache(nil, keys, vals, dstK, dstV, fn, starts, nil)
 		}
 		reportMtps(b, benchPartN)
 	})
 	b.Run("workspace", func(b *testing.B) {
 		w := ws.New()
 		defer w.Close()
-		part.NonInPlaceOutOfCacheWS(w, keys, vals, dstK, dstV, fn, starts) // warm
+		part.NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, fn, starts, nil) // warm
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			part.NonInPlaceOutOfCacheWS(w, keys, vals, dstK, dstV, fn, starts)
+			part.NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, fn, starts, nil)
 		}
 		reportMtps(b, benchPartN)
 	})

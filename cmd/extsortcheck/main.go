@@ -1,12 +1,11 @@
 // Command extsortcheck drives the external (disk-spilling) sort end to
-// end and is the CI gate behind verify.sh's extsort smoke lane,
-// mirroring faultcheck for hardened execution: exit 0 means a forced
-// spill on an input several times the memory budget produced a sorted
-// permutation of the input, run formation wrote exactly one streaming
-// copy, every temp file was removed, no file descriptors or goroutines
-// leaked, and an injected fault in each extsort site was contained with
-// the spill directory cleaned behind it. It also prints the merge
-// pipeline's prefetch-effectiveness (OverlapRatio) so the lane's
+// end and is the CI gate behind verify.sh's extsort smoke lane: exit 0
+// means a forced spill on an input several times the memory budget
+// produced a sorted permutation of the input, run formation wrote exactly
+// one streaming copy, every temp file was removed, no file descriptors or
+// goroutines leaked, and an injected fault in each extsort site was
+// contained with the spill directory cleaned behind it. It also prints the
+// merge pipeline's prefetch-effectiveness (OverlapRatio) so the lane's
 // benchjson gate has an eyeball companion.
 //
 // Examples:

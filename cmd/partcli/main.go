@@ -151,21 +151,21 @@ func run[K kv.Key](n, fanout int, fnName, variant, dist string, theta float64, t
 	case "nip-ic":
 		dstK, dstV := make([]K, n), make([]K, n)
 		hist = part.Histogram(keys, fn)
-		d = timeIt(func() { part.NonInPlaceInCache(keys, vals, dstK, dstV, fnWrap[K]{fn}, hist) })
+		d = timeIt(func() { part.NonInPlaceInCache(nil, keys, vals, dstK, dstV, fnWrap[K]{fn}, hist) })
 	case "ip-ic":
 		hist = part.Histogram(keys, fn)
-		d = timeIt(func() { part.InPlaceInCache(keys, vals, fnWrap[K]{fn}, hist) })
+		d = timeIt(func() { part.InPlaceInCache(nil, keys, vals, fnWrap[K]{fn}, hist) })
 	case "nip-ooc":
 		dstK, dstV := make([]K, n), make([]K, n)
 		hist = part.Histogram(keys, fn)
 		starts, _ := part.Starts(hist)
-		d = timeIt(func() { part.NonInPlaceOutOfCache(keys, vals, dstK, dstV, fnWrap[K]{fn}, starts) })
+		d = timeIt(func() { part.NonInPlaceOutOfCache(nil, keys, vals, dstK, dstV, fnWrap[K]{fn}, starts, nil) })
 	case "ip-ooc":
 		hist = part.Histogram(keys, fn)
-		d = timeIt(func() { part.InPlaceOutOfCache(keys, vals, fnWrap[K]{fn}, hist) })
+		d = timeIt(func() { part.InPlaceOutOfCache(nil, keys, vals, fnWrap[K]{fn}, hist) })
 	case "blocks":
 		d = timeIt(func() {
-			b := part.ToBlocksInPlaceParallel(keys, vals, fnWrap[K]{fn}, part.DefaultBlockTuples, threads)
+			b := part.ToBlocksInPlaceParallel(keys, vals, fnWrap[K]{fn}, part.DefaultBlockTuples, threads, nil)
 			hist = b.Counts
 		})
 	case "sync":
@@ -173,7 +173,7 @@ func run[K kv.Key](n, fanout int, fnName, variant, dist string, theta float64, t
 		d = timeIt(func() { part.InPlaceSynchronized(keys, vals, fnWrap[K]{fn}, hist, threads) })
 	case "parallel":
 		dstK, dstV := make([]K, n), make([]K, n)
-		d = timeIt(func() { hist = part.ParallelNonInPlace(keys, vals, dstK, dstV, fnWrap[K]{fn}, threads) })
+		d = timeIt(func() { hist = part.ParallelNonInPlace(nil, keys, vals, dstK, dstV, fnWrap[K]{fn}, threads, nil) })
 	default:
 		fatal("unknown variant " + variant)
 	}

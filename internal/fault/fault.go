@@ -9,7 +9,7 @@
 //
 //   - Enable arms the classic single-shot deterministic plan: one site, a
 //     hit countdown, at most one fire — the per-cell fault matrix of
-//     faultcheck and the try tests.
+//     TestTryFaultMatrix and the other try tests.
 //   - Arm installs a chaos Schedule: every configured site carries an
 //     independent per-hit fire probability and a fire budget, decisions
 //     are a pure function of (seed, site, hit index) so a schedule is

@@ -103,7 +103,7 @@ func FigAblation(cfg Config) *Table {
 		keys := gen.Uniform[uint32](n, 0, 7)
 		vals := gen.RIDs[uint32](n)
 		d := timeIt(func() {
-			bl := part.ToBlocksInPlaceParallel(keys, vals, fn, b, cfg.Threads)
+			bl := part.ToBlocksInPlaceParallel(keys, vals, fn, b, cfg.Threads, nil)
 			part.ShuffleBlocksInPlace(bl, part.ShuffleOptions{Workers: cfg.Threads})
 		})
 		t.AddRow("block-tuples", fmt.Sprint(b), f1(mtps(n, d)))

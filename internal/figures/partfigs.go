@@ -66,17 +66,17 @@ func partitionFigure[K kv.Key](id, title string, cfg Config) *Table {
 			var d time.Duration
 			switch v {
 			case memmodel.NonInPlaceInCache:
-				d = timeIt(func() { part.NonInPlaceInCache(keys, vals, dstK, dstV, fn, hist) })
+				d = timeIt(func() { part.NonInPlaceInCache(nil, keys, vals, dstK, dstV, fn, hist) })
 			case memmodel.InPlaceInCache:
 				copy(workK, keys)
 				copy(workV, vals)
-				d = timeIt(func() { part.InPlaceInCache(workK, workV, fn, hist) })
+				d = timeIt(func() { part.InPlaceInCache(nil, workK, workV, fn, hist) })
 			case memmodel.NonInPlaceOutOfCache:
-				d = timeIt(func() { part.NonInPlaceOutOfCache(keys, vals, dstK, dstV, fn, starts) })
+				d = timeIt(func() { part.NonInPlaceOutOfCache(nil, keys, vals, dstK, dstV, fn, starts, nil) })
 			case memmodel.InPlaceOutOfCache:
 				copy(workK, keys)
 				copy(workV, vals)
-				d = timeIt(func() { part.InPlaceOutOfCache(workK, workV, fn, hist) })
+				d = timeIt(func() { part.InPlaceOutOfCache(nil, workK, workV, fn, hist) })
 			}
 			row = append(row, f1(mtps(n, d)))
 		}
@@ -116,7 +116,7 @@ func Fig4(cfg Config) *Table {
 			hist := part.Histogram(keys, fn)
 			starts, _ := part.Starts(hist)
 			ks := keys
-			d := timeIt(func() { part.NonInPlaceOutOfCache(ks, vals, dstK, dstV, fn, starts) })
+			d := timeIt(func() { part.NonInPlaceOutOfCache(nil, ks, vals, dstK, dstV, fn, starts, nil) })
 			row = append(row, f1(mtps(n, d)))
 		}
 		row = append(row,
@@ -221,10 +221,10 @@ func Fig7(cfg Config) *Table {
 	for _, tpc := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16} {
 		row := []string{fmt.Sprint(tpc)}
 		if tpc <= 8 {
-			dN := timeIt(func() { part.ParallelNonInPlace(keys, vals, dstK, dstV, fn, tpc) })
+			dN := timeIt(func() { part.ParallelNonInPlace(nil, keys, vals, dstK, dstV, fn, tpc, nil) })
 			copy(workK, keys)
 			copy(workV, vals)
-			dI := timeIt(func() { part.ParallelInPlaceSharedNothing(workK, workV, fn, tpc) })
+			dI := timeIt(func() { part.ParallelInPlaceSharedNothing(nil, workK, workV, fn, tpc) })
 			row = append(row, f1(mtps(n, dN)), f1(mtps(n, dI)))
 		} else {
 			row = append(row, "-", "-")

@@ -59,7 +59,7 @@ func GroupBy[K kv.Key](keys, vals []K, opt GroupByOptions) map[K]Agg {
 	fn := pfunc.NewHash[K](fanout)
 	pK := make([]K, len(keys))
 	pV := make([]K, len(vals))
-	hist := part.ParallelNonInPlace(keys, vals, pK, pV, fn, opt.Threads)
+	hist := part.ParallelNonInPlace(nil, keys, vals, pK, pV, fn, opt.Threads, nil)
 
 	out := make(map[K]Agg)
 	lo := 0

@@ -100,11 +100,11 @@ func HashJoin[K kv.Key](build, probe Relation[K], emit Emit[K], opt HashJoinOpti
 	sp := obs.Begin("hashjoin-partition", "join", -1)
 	bK := make([]K, build.Len())
 	bV := make([]K, build.Len())
-	bHist := part.ParallelNonInPlace(build.Keys, build.Vals, bK, bV, fn, opt.Threads)
+	bHist := part.ParallelNonInPlace(nil, build.Keys, build.Vals, bK, bV, fn, opt.Threads, nil)
 
 	pK := make([]K, probe.Len())
 	pV := make([]K, probe.Len())
-	pHist := part.ParallelNonInPlace(probe.Keys, probe.Vals, pK, pV, fn, opt.Threads)
+	pHist := part.ParallelNonInPlace(nil, probe.Keys, probe.Vals, pK, pV, fn, opt.Threads, nil)
 	sp.EndN(int64(build.Len() + probe.Len()))
 
 	sp = obs.Begin("hashjoin-probe", "join", -1)

@@ -85,7 +85,7 @@ type bpRec struct {
 }
 
 // blockPermRunner is the pooled driver object (ws.SlotBlockPerm) behind
-// BlockPermutePartitionCtl: one instance carries classify chunk workers,
+// BlockPermute: one instance carries classify chunk workers,
 // permute cycle workers, the restore state, and the park/record slices
 // whose capacity survives between calls.
 type blockPermRunner[K kv.Key, F pfunc.Func[K]] struct {
@@ -102,18 +102,18 @@ type blockPermRunner[K kv.Key, F pfunc.Func[K]] struct {
 	phase                        int
 
 	// Arena-drawn per call; released by the driver.
-	bufK, bufV   []K     // workers × fanout × b buffer blocks, worker-major
-	handK, handV []K     // workers × b in-flight hand blocks
-	bufN         [][]int // workers × fanout buffer fill levels
-	slotPart     []int32 // per-slot partition label, -1 = vacant
-	codes        []int32 // workers × permBatch staged partition codes
-	gap          []int32 // slots covered by no stripe (garbage destinations)
-	bounds       []int   // slot chunk bounds, workers+1
-	wPtr         []int   // per-chunk flush cursor (slots)
-	sLo          []int   // first stripe slot per partition
-	need         []int   // per-partition claim budget (full blocks; [f] = gap)
-	handSlot     []int   // per-worker open cycle-start slot, -1 = no hand
-	handPart     []int   // per-worker hand partition (f = vacancy)
+	bufK, bufV   []K      // workers × fanout × b buffer blocks, worker-major
+	handK, handV []K      // workers × b in-flight hand blocks
+	bufN         [][]int  // workers × fanout buffer fill levels
+	slotPart     []int32  // per-slot partition label, -1 = vacant
+	codes        []int32  // workers × permBatch staged partition codes
+	gap          []int32  // slots covered by no stripe (garbage destinations)
+	bounds       []int    // slot chunk bounds, workers+1
+	wPtr         []int    // per-chunk flush cursor (slots)
+	sLo          []int    // first stripe slot per partition
+	need         []int    // per-partition claim budget (full blocks; [f] = gap)
+	handSlot     []int    // per-worker open cycle-start slot, -1 = no hand
+	handPart     []int    // per-worker hand partition (f = vacancy)
 	used         []uint64 // per-partition atomic claim counters
 
 	flushes atomic.Uint64
@@ -579,24 +579,13 @@ func (r *blockPermRunner[K, F]) release(w *ws.Workspace) {
 	r.ctl = nil
 }
 
-// BlockPermutePartition partitions keys/vals in place under fn with the
-// block-permutation kernel, filling (and returning) starts — partition p
-// ends up on [starts[p], starts[p+1]). A nil starts is allocated. The
-// convenience wrapper over BlockPermutePartitionCtl for tests and
-// single-shot callers.
-func BlockPermutePartition[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, blockTuples, workers int, starts []int) []int {
-	if starts == nil {
-		starts = make([]int, fn.Fanout()+1)
-	}
-	BlockPermutePartitionCtl(w, keys, vals, fn, blockTuples, workers, starts, nil)
-	return starts
-}
-
-// BlockPermutePartitionCtl partitions keys/vals (vals may be nil) in place
-// under fn using `workers` concurrent goroutines and O(workers × fanout ×
-// blockTuples) arena scratch, writing the partition boundaries into starts
-// (len fanout+1, starts[fanout] = len(keys)) — the same shape
-// ShuffleBlocksInPlace returns. blockTuples ≤ 0 selects DefaultBlockTuples.
+// BlockPermute partitions keys/vals (vals may be nil) in place under fn
+// using `workers` concurrent goroutines and O(workers × fanout ×
+// blockTuples) arena scratch, writing (and returning) the partition
+// boundaries in starts (len fanout+1, starts[fanout] = len(keys); a nil
+// starts is allocated) — partition p ends up on [starts[p], starts[p+1]),
+// the same shape ShuffleBlocksInPlace returns. blockTuples ≤ 0 selects
+// DefaultBlockTuples.
 // The output is an unstable partition: tuples land inside their partition
 // in no particular order.
 //
@@ -605,9 +594,12 @@ func BlockPermutePartition[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, val
 // restore handler rebuilds a permutation of the input (except inside the
 // brief cleanup phase, whose only panic source is an internal invariant)
 // and re-raises wrapped in *hard.PanicError.
-func BlockPermutePartitionCtl[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, blockTuples, workers int, starts []int, ctl *hard.Ctl) {
+func BlockPermute[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, blockTuples, workers int, starts []int, ctl *hard.Ctl) []int {
 	n := len(keys)
 	f := fn.Fanout()
+	if starts == nil {
+		starts = make([]int, f+1)
+	}
 	if len(starts) != f+1 {
 		panic("part: starts must have fanout+1 entries")
 	}
@@ -615,7 +607,7 @@ func BlockPermutePartitionCtl[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, 
 		for i := range starts {
 			starts[i] = 0
 		}
-		return
+		return starts
 	}
 	b := blockTuples
 	if b <= 0 {
@@ -753,4 +745,11 @@ func BlockPermutePartitionCtl[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, 
 	r.phase = bpCleanup
 	r.cleanup(starts)
 	publishScatter(n, r.flushes.Load())
+	return starts
+}
+
+// BlockPermutePartition is BlockPermute with no cancellation control.
+// bench/ is its only caller.
+func BlockPermutePartition[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, blockTuples, workers int, starts []int) []int {
+	return BlockPermute(w, keys, vals, fn, blockTuples, workers, starts, nil)
 }

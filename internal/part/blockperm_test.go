@@ -24,7 +24,7 @@ func checkBlockPerm[K kv.Key, F pfunc.Func[K]](t *testing.T, w *ws.Workspace, ke
 	hist := Histogram(keys, fn)
 	wantStarts, _ := Starts(hist)
 
-	starts := BlockPermutePartition(w, keys, vals, fn, blockTuples, workers, nil)
+	starts := BlockPermute(w, keys, vals, fn, blockTuples, workers, nil, nil)
 	if len(starts) != fn.Fanout()+1 || starts[fn.Fanout()] != n {
 		t.Fatalf("starts shape wrong: len %d end %d (n=%d)", len(starts), starts[len(starts)-1], n)
 	}
@@ -96,7 +96,7 @@ func TestBlockPermuteTailOnly(t *testing.T) {
 }
 
 // TestBlockPermuteAgainstBlocksReference drives the same input through the
-// list-of-blocks reference path (ToBlocksInPlace + ShuffleBlocksInPlace)
+// list-of-blocks reference path (ToBlocksInPlaceParallel + ShuffleBlocksInPlace)
 // and the block-permutation kernel: identical partition boundaries and
 // identical per-partition content multisets (both paths are unstable, so
 // order inside a partition is free).
@@ -110,12 +110,12 @@ func TestBlockPermuteAgainstBlocksReference(t *testing.T) {
 
 			refK := append([]uint32(nil), orig...)
 			refV := gen.RIDs[uint32](n)
-			blocks := ToBlocksInPlace(refK, refV, fn, b)
+			blocks := ToBlocksInPlaceParallel(refK, refV, fn, b, 1, nil)
 			refStarts := ShuffleBlocksInPlace(blocks, ShuffleOptions{Workers: 4})
 
 			gotK := append([]uint32(nil), orig...)
 			gotV := gen.RIDs[uint32](n)
-			gotStarts := BlockPermutePartition(w, gotK, gotV, fn, b, 4, nil)
+			gotStarts := BlockPermute(w, gotK, gotV, fn, b, 4, nil, nil)
 
 			for p := 0; p <= fn.Fanout(); p++ {
 				if refStarts[p] != gotStarts[p] {
@@ -143,7 +143,7 @@ func TestBlockPermuteQuick(t *testing.T) {
 		fn := pfunc.NewRadix[uint32](0, bits)
 		keys := append([]uint32(nil), raw...)
 		vals := gen.RIDs[uint32](len(keys))
-		starts := BlockPermutePartition(w, keys, vals, fn, b, workers, nil)
+		starts := BlockPermute(w, keys, vals, fn, b, workers, nil, nil)
 		for p := 0; p < fn.Fanout(); p++ {
 			for i := starts[p]; i < starts[p+1]; i++ {
 				if fn.Partition(keys[i]) != p {
@@ -190,7 +190,7 @@ func TestBlockPermuteFaultRestore(t *testing.T) {
 							err = pe
 						}
 					}()
-					BlockPermutePartition(w, keys, vals, fn, 64, 4, nil)
+					BlockPermute(w, keys, vals, fn, 64, 4, nil, nil)
 					return nil
 				}()
 				fault.Disable()
@@ -235,7 +235,7 @@ func TestBlockPermuteCancel(t *testing.T) {
 				bailed = true
 			}
 		}()
-		BlockPermutePartitionCtl(w, keys, vals, fn, 64, 4, starts, ctl)
+		BlockPermute(w, keys, vals, fn, 64, 4, starts, ctl)
 		return false
 	}()
 	if !bailed {
@@ -258,7 +258,7 @@ func TestBlockPermuteAllocs(t *testing.T) {
 	fn := pfunc.NewRadix[uint32](0, 6)
 	starts := make([]int, fn.Fanout()+1)
 	run := func() {
-		BlockPermutePartitionCtl(w, keys, vals, fn, 64, 1, starts, nil)
+		BlockPermute(w, keys, vals, fn, 64, 1, starts, nil)
 	}
 	run() // warm the arena
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {

@@ -208,49 +208,6 @@ func (w *blockWriter[K]) drain() ([][]BlockRef, []int) {
 	return w.lists, w.cnt
 }
 
-// ToBlocks partitions srcK/srcV into block lists stored in store (the
-// non-in-place variant of Section 3.2.3). It needs no pre-computed
-// histogram. The alloc callback hands out free slots; nextSlotAllocator is
-// the usual choice.
-func ToBlocks[K kv.Key, F pfunc.Func[K]](srcK, srcV []K, fn F, store *BlockStore[K], alloc func() int32) *Blocks[K] {
-	w := newBlockWriter(store, fn.Fanout(), alloc)
-	for i, k := range srcK {
-		w.add(fn.Partition(k), k, srcV[i])
-	}
-	lists, cnt := w.drain()
-	publishScatter(len(srcK), w.flushes)
-	return &Blocks[K]{Store: store, Lists: lists, Counts: cnt}
-}
-
-// NextSlotAllocator returns an allocator handing out slots 0,1,2,... up to
-// limit, then panicking; for non-in-place block partitioning.
-func NextSlotAllocator(limit int) func() int32 {
-	next := int32(0)
-	return func() int32 {
-		if int(next) >= limit {
-			panic("part: block store exhausted")
-		}
-		n := next
-		next++
-		return n
-	}
-}
-
-// ToBlocksInPlace partitions keys/vals into block lists stored in the
-// input arrays themselves (Section 3.2.3, in-place): the first P*B tuples
-// are saved to private space, reading starts at tuple P*B, and by the time
-// any block fills, the read cursor has advanced far enough that the freed
-// prefix of the input can hold it. The saved tuples are appended through
-// the same path at the end. Extra space is O(P*B): the saved prefix plus
-// O(P) scratch block slots for the lists' tails that cannot fit in the
-// n/B primary slots.
-func ToBlocksInPlace[K kv.Key, F pfunc.Func[K]](keys, vals []K, fn F, blockTuples int) *Blocks[K] {
-	p := fn.Fanout()
-	store := NewBlockStore(keys, vals, blockTuples, 2*p+4)
-	lists, cnt := toBlocksChunk(store, keys, vals, 0, len(keys), fn, store.nPrimary, store.nPrimary, store.Slots(), nil)
-	return &Blocks[K]{Store: store, Lists: lists, Counts: cnt}
-}
-
 // toBlocksChunk runs the in-place block partitioning loop over the tuple
 // range [lo, hi) of the store's primary arrays. Primary block slots
 // [lo/b, primEnd) belong to this chunk (lo must be b-aligned); scratch
@@ -358,22 +315,25 @@ func toBlocksChunk[K kv.Key, F pfunc.Func[K]](store *BlockStore[K], keys, vals [
 	return lists, cnt
 }
 
-// ToBlocksInPlaceParallel is the multi-threaded in-place block
-// partitioning of Section 3.2.3: each worker runs the in-place scheme on
-// its own block-aligned chunk of the input (shared-nothing), and the
-// per-partition block lists are concatenated in worker order.
-func ToBlocksInPlaceParallel[K kv.Key, F pfunc.Func[K]](keys, vals []K, fn F, blockTuples, workers int) *Blocks[K] {
-	return ToBlocksInPlaceParallelCtl(keys, vals, fn, blockTuples, workers, nil)
-}
-
-// ToBlocksInPlaceParallelCtl is ToBlocksInPlaceParallel under panic
-// containment and a (possibly nil) cancellation control. A failed chunk
+// ToBlocksInPlaceParallel partitions keys/vals into block lists stored in
+// the input arrays themselves (Section 3.2.3, in-place): each worker runs
+// the in-place scheme on its own block-aligned chunk of the input
+// (shared-nothing), and the per-partition block lists are concatenated in
+// worker order. Within a chunk, the first P*B tuples are saved to private
+// space, reading starts at tuple P*B, and by the time any block fills, the
+// read cursor has advanced far enough that the freed prefix of the input
+// can hold it; the saved tuples are appended through the same path at the
+// end. Extra space is O(P*B) per worker: the saved prefix plus O(P)
+// scratch block slots for the lists' tails that cannot fit in the n/B
+// primary slots.
+//
+// Workers run under panic containment and checkpoint ctl. A failed chunk
 // restores its own segment (see toBlocksChunk); this driver additionally
 // rolls back the chunks that COMPLETED before a sibling failed — their
 // segments have been consumed into blocks, some of which live in scratch
 // space outside the input — so the whole input is a permutation again
 // before the one failure re-raises on the caller.
-func ToBlocksInPlaceParallelCtl[K kv.Key, F pfunc.Func[K]](keys, vals []K, fn F, blockTuples, workers int, ctl *hard.Ctl) *Blocks[K] {
+func ToBlocksInPlaceParallel[K kv.Key, F pfunc.Func[K]](keys, vals []K, fn F, blockTuples, workers int, ctl *hard.Ctl) *Blocks[K] {
 	if workers < 1 {
 		workers = 1
 	}

@@ -44,36 +44,6 @@ func checkBlocks[K kv.Key, F pfunc.Func[K]](t *testing.T, b *Blocks[K], origK, o
 	}
 }
 
-func TestToBlocksNonInPlace(t *testing.T) {
-	keys := gen.Uniform[uint32](10000, 0, 21)
-	vals := gen.RIDs[uint32](len(keys))
-	fn := pfunc.NewHash[uint32](16)
-	const b = 64
-	slots := (len(keys)+b-1)/b + 16
-	storeK := make([]uint32, slots*b)
-	storeV := make([]uint32, slots*b)
-	store := NewBlockStore(storeK, storeV, b, 0)
-	blocks := ToBlocks(keys, vals, fn, store, NextSlotAllocator(store.Slots()))
-	checkBlocks(t, blocks, keys, vals, fn)
-	// Stability: within a partition, payload order preserved.
-	_, vs := collect(blocks)
-	for p := range vs {
-		for i := 1; i < len(vs[p]); i++ {
-			if vs[p][i-1] >= vs[p][i] {
-				t.Fatalf("partition %d not stable", p)
-			}
-		}
-	}
-	// Only the last block of each list may be non-full.
-	for p, list := range blocks.Lists {
-		for i, ref := range list {
-			if i < len(list)-1 && int(ref.Len) != b {
-				t.Fatalf("partition %d block %d not full (%d)", p, i, ref.Len)
-			}
-		}
-	}
-}
-
 func TestToBlocksInPlace(t *testing.T) {
 	sizes := []int{0, 1, 63, 64, 65, 1000, 10000, 1 << 15}
 	for _, n := range sizes {
@@ -82,7 +52,7 @@ func TestToBlocksInPlace(t *testing.T) {
 		vals := gen.RIDs[uint32](n)
 		origV := append([]uint32(nil), vals...)
 		fn := pfunc.NewRadix[uint32](0, 3)
-		blocks := ToBlocksInPlace(keys, vals, fn, 64)
+		blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 1, nil)
 		checkBlocks(t, blocks, orig, origV, fn)
 	}
 }
@@ -94,7 +64,7 @@ func TestToBlocksInPlaceSkew(t *testing.T) {
 	orig := append([]uint32(nil), keys...)
 	origV := append([]uint32(nil), vals...)
 	fn := pfunc.NewRadix[uint32](0, 4)
-	blocks := ToBlocksInPlace(keys, vals, fn, 64)
+	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 1, nil)
 	checkBlocks(t, blocks, orig, origV, fn)
 	if blocks.Counts[5] != len(orig) {
 		t.Fatalf("partition 5 has %d tuples", blocks.Counts[5])
@@ -107,7 +77,7 @@ func TestToBlocksInPlaceZipf(t *testing.T) {
 	orig := append([]uint32(nil), keys...)
 	origV := append([]uint32(nil), vals...)
 	fn := pfunc.NewHash[uint32](32)
-	blocks := ToBlocksInPlace(keys, vals, fn, 128)
+	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 128, 1, nil)
 	checkBlocks(t, blocks, orig, origV, fn)
 }
 
@@ -118,7 +88,7 @@ func TestToBlocksInPlaceQuick(t *testing.T) {
 		fn := pfunc.NewRadix[uint32](0, bits)
 		keys := append([]uint32(nil), raw...)
 		vals := gen.RIDs[uint32](len(keys))
-		blocks := ToBlocksInPlace(keys, vals, fn, blockTuples)
+		blocks := ToBlocksInPlaceParallel(keys, vals, fn, blockTuples, 1, nil)
 		var allK, allV []uint32
 		for p := range blocks.Lists {
 			ok := true
@@ -164,25 +134,12 @@ func TestBlockStoreGeometry(t *testing.T) {
 	}
 }
 
-func TestNextSlotAllocatorExhaustion(t *testing.T) {
-	alloc := NextSlotAllocator(2)
-	if alloc() != 0 || alloc() != 1 {
-		t.Fatal("allocator sequence wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on exhaustion")
-		}
-	}()
-	alloc()
-}
-
 func TestBlocks64(t *testing.T) {
 	keys := gen.Uniform[uint64](5000, 0, 31)
 	vals := gen.RIDs[uint64](len(keys))
 	orig := append([]uint64(nil), keys...)
 	origV := append([]uint64(nil), vals...)
 	fn := pfunc.NewHash[uint64](8)
-	blocks := ToBlocksInPlace(keys, vals, fn, 64)
+	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 1, nil)
 	checkBlocks(t, blocks, orig, origV, fn)
 }

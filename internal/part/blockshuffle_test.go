@@ -15,7 +15,7 @@ func TestRepackLists(t *testing.T) {
 	keys := gen.Uniform[uint32](5000, 0, 41)
 	vals := gen.RIDs[uint32](len(keys))
 	fn := pfunc.NewHash[uint32](8)
-	blocks := ToBlocksInPlace(keys, vals, fn, 64)
+	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 1, nil)
 
 	before := make([][]uint32, len(blocks.Lists))
 	beforeV := make([][]uint32, len(blocks.Lists))
@@ -99,7 +99,7 @@ func TestShuffleBlocksInPlace(t *testing.T) {
 			vals := gen.RIDs[uint32](n)
 			origV := append([]uint32(nil), vals...)
 			fn := pfunc.NewRadix[uint32](0, 4)
-			blocks := ToBlocksInPlace(keys, vals, fn, 64)
+			blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 1, nil)
 			starts := ShuffleBlocksInPlace(blocks, ShuffleOptions{Workers: workers})
 			if starts[len(starts)-1] != n {
 				t.Fatalf("workers=%d n=%d: starts end at %d", workers, n, starts[len(starts)-1])
@@ -124,7 +124,7 @@ func TestShuffleBlocksSkew(t *testing.T) {
 	vals := gen.RIDs[uint32](len(keys))
 	origV := append([]uint32(nil), vals...)
 	fn := pfunc.NewHash[uint32](16)
-	blocks := ToBlocksInPlace(keys, vals, fn, 128)
+	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 128, 1, nil)
 	starts := ShuffleBlocksInPlace(blocks, ShuffleOptions{Workers: 4})
 	for p := 0; p < 16; p++ {
 		for i := starts[p]; i < starts[p+1]; i++ {
@@ -145,7 +145,7 @@ func TestShuffleBlocksQuick(t *testing.T) {
 		fn := pfunc.NewRadix[uint32](0, bits)
 		keys := append([]uint32(nil), raw...)
 		vals := gen.RIDs[uint32](len(keys))
-		blocks := ToBlocksInPlace(keys, vals, fn, 16)
+		blocks := ToBlocksInPlaceParallel(keys, vals, fn, 16, 1, nil)
 		starts := ShuffleBlocksInPlace(blocks, ShuffleOptions{Workers: workers})
 		for p := 0; p < fn.Fanout(); p++ {
 			for i := starts[p]; i < starts[p+1]; i++ {
@@ -168,7 +168,7 @@ func TestShuffleBlocksNUMAMetering(t *testing.T) {
 	keys := gen.Uniform[uint32](n, 0, 51)
 	vals := gen.RIDs[uint32](n)
 	fn := pfunc.NewRadix[uint32](0, 4)
-	blocks := ToBlocksInPlace(keys, vals, fn, 64)
+	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 1, nil)
 	bounds := []int{0, n / 4, n / 2, 3 * n / 4, n}
 	ShuffleBlocksInPlace(blocks, ShuffleOptions{
 		Workers: 4,

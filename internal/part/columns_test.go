@@ -28,7 +28,7 @@ func TestNonInPlaceOutOfCacheCols(t *testing.T) {
 	for c, src := range [][]uint32{colA, colB, colC} {
 		refK := make([]uint32, n)
 		refV := make([]uint32, n)
-		NonInPlaceOutOfCache(keys, src, refK, refV, fn, starts)
+		NonInPlaceOutOfCache(nil, keys, src, refK, refV, fn, starts, nil)
 		for i := range refK {
 			if dstKey[i] != refK[i] || dst[c][i] != refV[i] {
 				t.Fatalf("column %d differs from reference at %d", c, i)
@@ -114,7 +114,7 @@ func TestInterleavedPartitionEquivalence(t *testing.T) {
 
 	colK := make([]uint32, n)
 	colV := make([]uint32, n)
-	NonInPlaceInCache(keys, vals, colK, colV, fn, hist)
+	NonInPlaceInCache(nil, keys, vals, colK, colV, fn, hist)
 
 	packed := InterleaveTuples(keys, vals)
 	outPacked := make([]uint32, 2*n)

@@ -16,7 +16,7 @@ func TestToBlocksInPlaceParallelDirect(t *testing.T) {
 			vals := gen.RIDs[uint32](n)
 			origV := append([]uint32(nil), vals...)
 			fn := pfunc.NewHash[uint32](16)
-			blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, workers)
+			blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, workers, nil)
 			checkBlocks(t, blocks, orig, origV, fn)
 		}
 	}
@@ -29,40 +29,21 @@ func TestToBlocksParallelMoreWorkersThanBlocks(t *testing.T) {
 	orig := append([]uint32(nil), keys...)
 	origV := append([]uint32(nil), vals...)
 	fn := pfunc.NewRadix[uint32](0, 2)
-	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 16)
+	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 16, nil)
 	checkBlocks(t, blocks, orig, origV, fn)
-}
-
-func TestNonInPlaceInCacheCodes(t *testing.T) {
-	keys := gen.Uniform[uint32](4096, 0, 5)
-	vals := gen.RIDs[uint32](len(keys))
-	fn := pfunc.NewHash[uint32](32)
-	codes := make([]int32, len(keys))
-	hist := HistogramCodes(keys, fn, codes)
-	aK := make([]uint32, len(keys))
-	aV := make([]uint32, len(keys))
-	NonInPlaceInCacheCodes(keys, vals, aK, aV, codes, hist)
-	bK := make([]uint32, len(keys))
-	bV := make([]uint32, len(keys))
-	NonInPlaceInCache(keys, vals, bK, bV, fn, hist)
-	for i := range aK {
-		if aK[i] != bK[i] || aV[i] != bV[i] {
-			t.Fatalf("codes path differs at %d", i)
-		}
-	}
 }
 
 func TestParallelScatterMatchesParallelNonInPlace(t *testing.T) {
 	keys := gen.Uniform[uint64](1<<13, 0, 9)
 	vals := gen.RIDs[uint64](len(keys))
 	fn := pfunc.NewRadix[uint64](0, 6)
-	hists := ParallelHistograms(keys, fn, 4)
+	hists, _ := ParallelHistograms(nil, keys, fn, 4, nil)
 	aK := make([]uint64, len(keys))
 	aV := make([]uint64, len(keys))
-	ParallelScatter(keys, vals, aK, aV, fn, hists, 0)
+	ParallelScatter(nil, keys, vals, aK, aV, fn, hists, 0, nil, nil)
 	bK := make([]uint64, len(keys))
 	bV := make([]uint64, len(keys))
-	ParallelNonInPlace(keys, vals, bK, bV, fn, 4)
+	ParallelNonInPlace(nil, keys, vals, bK, bV, fn, 4, nil)
 	for i := range aK {
 		if aK[i] != bK[i] || aV[i] != bV[i] {
 			t.Fatalf("scatter differs at %d", i)
@@ -75,10 +56,10 @@ func TestParallelNonInPlaceCodesDirect(t *testing.T) {
 	vals := gen.RIDs[uint32](len(keys))
 	fn := pfunc.NewHash[uint32](64)
 	codes := make([]int32, len(keys))
-	hists := ParallelHistogramsCodes(keys, fn, codes, 3)
+	hists, _ := ParallelHistogramsCodes(nil, keys, fn, codes, 3, nil)
 	dstK := make([]uint32, len(keys))
 	dstV := make([]uint32, len(keys))
-	ParallelNonInPlaceCodes(keys, vals, dstK, dstV, codes, hists, 0)
+	ParallelNonInPlaceCodes(nil, keys, vals, dstK, dstV, codes, hists, 0, nil)
 	hist := MergeHistograms(hists)
 	starts, _ := Starts(hist)
 	for p := range hist {

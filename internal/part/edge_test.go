@@ -40,7 +40,7 @@ func TestInPlaceOutOfCacheLineBoundaries(t *testing.T) {
 			t.Fatalf("setup: hist[%d] = %d, want %d", p, hist[p], s)
 		}
 	}
-	InPlaceOutOfCache(keys, vals, fn, hist)
+	InPlaceOutOfCache(nil, keys, vals, fn, hist)
 	checkPartitioned(t, orig, origV, keys, vals, fn, hist)
 }
 
@@ -63,7 +63,7 @@ func TestInPlaceInCacheLineBoundaries(t *testing.T) {
 	origV := append([]uint32(nil), vals...)
 	fn := pfunc.Identity[uint32]{P: len(sizes)}
 	hist := Histogram(keys, fn)
-	InPlaceInCache(keys, vals, fn, hist)
+	InPlaceInCache(nil, keys, vals, fn, hist)
 	checkPartitioned(t, orig, origV, keys, vals, fn, hist)
 }
 
@@ -74,9 +74,8 @@ func TestNonInPlaceOutOfCacheUnalignedShares(t *testing.T) {
 	keys := gen.Uniform[uint32](n, 0, 3)
 	vals := gen.RIDs[uint32](n)
 	fn := pfunc.NewHash[uint32](8)
-	hists := ParallelHistograms(keys, fn, 3)
-	starts, _ := ThreadStarts(hists, 0)
-	bounds := ChunkBounds(n, 3)
+	hists, bounds := ParallelHistograms(nil, keys, fn, 3, nil)
+	starts, _ := ThreadStartsInto([][]int{make([]int, 8), make([]int, 8), make([]int, 8)}, make([]int, 8), hists, 0)
 
 	dstK := make([]uint32, n)
 	dstV := make([]uint32, n)
@@ -84,7 +83,7 @@ func TestNonInPlaceOutOfCacheUnalignedShares(t *testing.T) {
 	// outside its clip, a later share would overwrite an earlier one.
 	for t2 := 2; t2 >= 0; t2-- {
 		lo, hi := bounds[t2], bounds[t2+1]
-		NonInPlaceOutOfCache(keys[lo:hi], vals[lo:hi], dstK, dstV, fn, starts[t2])
+		NonInPlaceOutOfCache(nil, keys[lo:hi], vals[lo:hi], dstK, dstV, fn, starts[t2], nil)
 	}
 	hist := MergeHistograms(hists)
 	checkPartitioned(t, keys, vals, dstK, dstV, fn, hist)
@@ -127,7 +126,7 @@ func TestSyncPermuteMatchesInPlace(t *testing.T) {
 		a := append([]uint32(nil), raw...)
 		av := gen.RIDs[uint32](len(a))
 		hist := Histogram(a, fn)
-		InPlaceInCache(a, av, fn, hist)
+		InPlaceInCache(nil, a, av, fn, hist)
 
 		b := append([]uint32(nil), raw...)
 		bv := gen.RIDs[uint32](len(b))
@@ -170,7 +169,7 @@ func TestMultiHistogramReorderInvariant(t *testing.T) {
 	// Reorder by partitioning on an unrelated bit range.
 	vals := gen.RIDs[uint64](len(keys))
 	fn := pfunc.NewRadix[uint64](10, 14)
-	InPlaceInCache(keys, vals, fn, Histogram(keys, fn))
+	InPlaceInCache(nil, keys, vals, fn, Histogram(keys, fn))
 	after := MultiHistogram(keys, ranges)
 	for i := range before {
 		for p := range before[i] {
@@ -214,9 +213,9 @@ func TestParallelHistogramsCodesBatchPath(t *testing.T) {
 	delims := splitter.EqualDepth(gen.Uniform[uint32](4096, 0, 9), 100)
 	tree := rangeidx.NewTreeFor(delims)
 	codes1 := make([]int32, len(keys))
-	h1 := ParallelHistogramsCodes(keys, batchFunc{tree}, codes1, 4)
+	h1, _ := ParallelHistogramsCodes(nil, keys, batchFunc{tree}, codes1, 4, nil)
 	codes2 := make([]int32, len(keys))
-	h2 := ParallelHistogramsCodes(keys, treeAsFunc{tree}, codes2, 4)
+	h2, _ := ParallelHistogramsCodes(nil, keys, treeAsFunc{tree}, codes2, 4, nil)
 	for i := range codes1 {
 		if codes1[i] != codes2[i] {
 			t.Fatalf("codes differ at %d", i)
@@ -237,7 +236,7 @@ func TestBlocksAppendTo(t *testing.T) {
 	keys := gen.Uniform[uint32](3000, 0, 3)
 	vals := gen.RIDs[uint32](len(keys))
 	fn := pfunc.NewRadix[uint32](0, 2)
-	blocks := ToBlocksInPlace(keys, vals, fn, 64)
+	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 1, nil)
 	for p := 0; p < 4; p++ {
 		dstK := make([]uint32, blocks.Counts[p])
 		dstV := make([]uint32, blocks.Counts[p])

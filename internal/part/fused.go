@@ -31,17 +31,11 @@ func (r *fusedRunner[K]) RunTask(t int) {
 	m := r.m
 	h0 := r.h0[t]
 	clear(h0)
-	// The scan is read-only, so checkpointed sub-chunks (every
-	// hard.CkptTuples tuples under a live ctl) are interruption-safe.
-	step := hi - lo
-	if r.ctl != nil {
-		step = hard.CkptTuples
-	}
 	if m == 1 {
 		s0, m0 := r.shifts[0], r.masks[0]
-		for c := lo; c < hi; c += step {
+		for c := lo; c < hi; c += hard.CkptTuples {
 			r.ctl.Checkpoint()
-			for _, k := range r.keys[c:min(c+step, hi)] {
+			for _, k := range r.keys[c:min(c+hard.CkptTuples, hi)] {
 				h0[(k>>s0)&m0]++
 			}
 		}
@@ -52,9 +46,9 @@ func (r *fusedRunner[K]) RunTask(t int) {
 	for _, row := range loc {
 		clear(row)
 	}
-	for c := lo; c < hi; c += step {
+	for c := lo; c < hi; c += hard.CkptTuples {
 		r.ctl.Checkpoint()
-		for _, k := range r.keys[c:min(c+step, hi)] {
+		for _, k := range r.keys[c:min(c+hard.CkptTuples, hi)] {
 			prev := int((k >> r.shifts[0]) & r.masks[0])
 			h0[prev]++
 			for i := 1; i < m; i++ {
@@ -72,7 +66,7 @@ func (r *fusedRunner[K]) RunTask(t int) {
 // computes
 //
 //   - h0[t], the pass-0 histogram of chunk keys[bounds[t]:bounds[t+1]]
-//     (exactly what ParallelScatterBoundsWS needs for the first pass), and
+//     (exactly what ParallelScatter needs for the first pass), and
 //   - joints[k], the global joint histogram of consecutive digit pairs:
 //     joints[k][d*P_{k+1}+e] counts keys whose pass-k digit is d and whose
 //     pass-k+1 digit is e, stored flat with P_{k+1} columns.
@@ -83,15 +77,11 @@ func (r *fusedRunner[K]) RunTask(t int) {
 // naive driver. The per-digit totals (row sums of joints[k-1], or column
 // sums of joints[k]) give the global pass histograms.
 //
-// Both returned tables are pooled: release with PutMatrix (joints may be
-// nil when only one pass exists).
-func FusedHistograms[K kv.Key](w *ws.Workspace, keys []K, ranges [][2]uint, bounds []int) (h0, joints [][]int) {
-	return FusedHistogramsCtl(w, keys, ranges, bounds, nil)
-}
-
-// FusedHistogramsCtl is FusedHistograms under a cancellation control:
-// workers checkpoint every hard.CkptTuples scanned tuples.
-func FusedHistogramsCtl[K kv.Key](w *ws.Workspace, keys []K, ranges [][2]uint, bounds []int, ctl *hard.Ctl) (h0, joints [][]int) {
+// Workers checkpoint ctl every hard.CkptTuples scanned tuples (the scan is
+// read-only, so interruption anywhere is safe). Both returned tables are
+// pooled: release with PutMatrix (joints may be nil when only one pass
+// exists).
+func FusedHistograms[K kv.Key](w *ws.Workspace, keys []K, ranges [][2]uint, bounds []int, ctl *hard.Ctl) (h0, joints [][]int) {
 	m := len(ranges)
 	if m == 0 || m > MaxRadixPasses {
 		panic(fmt.Sprintf("part: %d radix ranges (max %d)", m, MaxRadixPasses))

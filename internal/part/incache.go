@@ -11,14 +11,9 @@ import (
 // random accesses per tuple (offset array and output). It is the variant of
 // choice when the working set — output plus offsets — fits in the cache.
 // hist must be the histogram of keys under fn. The output is stable: tuples
-// keep their input order within each partition.
-func NonInPlaceInCache[K kv.Key, F pfunc.Func[K]](srcK, srcV, dstK, dstV []K, fn F, hist []int) {
-	NonInPlaceInCacheWS(nil, srcK, srcV, dstK, dstV, fn, hist)
-}
-
-// NonInPlaceInCacheWS is NonInPlaceInCache with a workspace-pooled offset
-// array (zero allocations in steady state; nil workspace allocates).
-func NonInPlaceInCacheWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hist []int) {
+// keep their input order within each partition. The offset array comes
+// from w.
+func NonInPlaceInCache[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hist []int) {
 	CheckHistogram(hist, len(srcK))
 	offset, _ := StartsInto(w.Ints(len(hist)), hist)
 	if shift, mask, ok := radixParams[K](fn); ok {
@@ -43,32 +38,6 @@ func publishTuples(tuples int) {
 	if o := obs.Cur(); o != nil {
 		o.Counters.TuplesPartitioned.Add(uint64(tuples))
 	}
-}
-
-// NonInPlaceInCacheCodes is Algorithm 1 driven by precomputed partition
-// codes (one code per tuple), the data-movement path of range partitioning.
-func NonInPlaceInCacheCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, hist []int) {
-	NonInPlaceInCacheCodesWS(nil, srcK, srcV, dstK, dstV, codes, hist)
-}
-
-// NonInPlaceInCacheCodesWS is NonInPlaceInCacheCodes with a
-// workspace-pooled offset array.
-func NonInPlaceInCacheCodesWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, hist []int) {
-	CheckHistogram(hist, len(srcK))
-	offset, _ := StartsInto(w.Ints(len(hist)), hist)
-	if len(srcK) > 0 {
-		srcV := srcV[:len(srcK)]
-		codes := codes[:len(srcK)]
-		for i, k := range srcK {
-			p := codes[i]
-			o := offset[p]
-			offset[p] = o + 1
-			dstK[o] = k
-			dstV[o] = srcV[i]
-		}
-	}
-	w.PutInts(offset)
-	publishTuples(len(srcK))
 }
 
 // InPlaceInCacheLowHigh is the low-to-high swap-cycle formulation the
@@ -112,12 +81,8 @@ func InPlaceInCacheLowHigh[K kv.Key, F pfunc.Func[K]](keys, vals []K, fn F, hist
 // writing partitions high-to-low so that cycles close exactly when a
 // partition's last (lowest) slot is filled — no per-tuple branch on the
 // cycle head. Each tuple is moved exactly once. The result is not stable.
-func InPlaceInCache[K kv.Key, F pfunc.Func[K]](keys, vals []K, fn F, hist []int) {
-	InPlaceInCacheWS(nil, keys, vals, fn, hist)
-}
-
-// InPlaceInCacheWS is InPlaceInCache with a workspace-pooled cursor array.
-func InPlaceInCacheWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, hist []int) {
+// The cursor array comes from w.
+func InPlaceInCache[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, hist []int) {
 	CheckHistogram(hist, len(keys))
 	if shift, mask, ok := radixParams[K](fn); ok {
 		offset := w.Ints(len(hist))

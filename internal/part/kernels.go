@@ -11,7 +11,7 @@ package part
 //     is specialized for pfunc.Radix and computes (k>>shift)&mask inline.
 //     Dispatch happens once per kernel call via a non-escaping type
 //     assertion (any(fn).(pfunc.Radix[K]) does not allocate), the same
-//     dispatch point the *WS variants use, so the generic references keep
+//     dispatch point every kernel uses, so the generic references keep
 //     serving every other partition function.
 //   - 4x/8x unrolling with hoisted bounds: histogram accumulation indexes
 //     the bucket array at its mask first, so the compiler drops the bounds
@@ -33,7 +33,6 @@ import (
 	"repro/internal/kv"
 	"repro/internal/obs"
 	"repro/internal/pfunc"
-	"repro/internal/ws"
 )
 
 // radixParams extracts the shift/mask of a radix partition function, the
@@ -184,7 +183,7 @@ func scatterLinesCodesFast[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, 
 	buf.flushes += flushes
 }
 
-// inCacheScatterRadix is the NonInPlaceInCacheWS inner loop specialized for
+// inCacheScatterRadix is the NonInPlaceInCache inner loop specialized for
 // radix functions: direct digit extraction with the cursor array bounded
 // once. Stable, like the reference.
 func inCacheScatterRadix[K kv.Key](srcK, srcV, dstK, dstV []K, shift uint, mask K, offset []int) {
@@ -248,16 +247,13 @@ func inPlaceInCacheRadix[K kv.Key](keys, vals []K, shift uint, mask K, hist, off
 	}
 }
 
-// inPlaceOutOfCacheRadix is InPlaceOutOfCacheWS's buffered swap-cycle body
+// inPlaceOutOfCacheRadix is inPlaceOutOfCache's buffered swap-cycle body
 // specialized for radix functions: inlined digit extraction plus fixed-size
 // line loads and flushes for full lines. Same cursor discipline as the
 // generic reference, so results are bit-identical.
-func inPlaceOutOfCacheRadix[K kv.Key](w *ws.Workspace, keys, vals []K, shift uint, mask K, hist []int) {
+func inPlaceOutOfCacheRadix[K kv.Key](keys, vals []K, shift uint, mask K, hist []int, buf *lineBuffers[K], cursors []int) {
 	np := len(hist)
-	l := LineTuples[K]()
-	buf := newLineBuffers[K](w, np)
-
-	cursors := w.Ints(4 * np)
+	l := buf.l
 	base := cursors[0*np : 1*np]
 	off := cursors[1*np : 2*np]
 	lo := cursors[2*np : 3*np]
@@ -272,7 +268,7 @@ func inPlaceOutOfCacheRadix[K kv.Key](w *ws.Workspace, keys, vals []K, shift uin
 		if hist[p] == 0 {
 			continue
 		}
-		loadLine(&buf, keys, vals, base, off[p], lo, hi, p, l)
+		loadLine(buf, keys, vals, base, off[p], lo, hi, p, l)
 	}
 
 	q := 0
@@ -307,10 +303,10 @@ func inPlaceOutOfCacheRadix[K kv.Key](w *ws.Workspace, keys, vals []K, shift uin
 					copyLine(vals[lo[d]:hi[d]], bufV[b:b+l], l)
 					buf.flushes++
 				} else {
-					flushLine(&buf, keys, vals, lo[d], hi[d], d, l)
+					flushLine(buf, keys, vals, lo[d], hi[d], d, l)
 				}
 				if lo[d] > base[d] {
-					loadLine(&buf, keys, vals, base, lo[d], lo, hi, d, l)
+					loadLine(buf, keys, vals, base, lo[d], lo, hi, d, l)
 				}
 			}
 			if j == iend {
@@ -324,12 +320,9 @@ func inPlaceOutOfCacheRadix[K kv.Key](w *ws.Workspace, keys, vals []K, shift uin
 			q++
 		}
 	}
-	flushes := buf.flushes
-	buf.release(w)
-	w.PutInts(cursors)
 	if o := obs.Cur(); o != nil {
 		o.Counters.TuplesPartitioned.Add(uint64(len(keys)))
-		o.Counters.BufferFlushes.Add(flushes)
+		o.Counters.BufferFlushes.Add(buf.flushes)
 		o.Counters.SwapCycles.Add(cycles)
 	}
 }

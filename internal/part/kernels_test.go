@@ -83,8 +83,8 @@ func testScatterAgreement[K interface{ ~uint32 | ~uint64 }](t *testing.T) {
 			starts, _ := Starts(hist)
 			gotK, gotV := make([]K, n), make([]K, n)
 			wantK, wantV := make([]K, n), make([]K, n)
-			NonInPlaceOutOfCacheWS(w, keys, vals, gotK, gotV, fn, starts)
-			NonInPlaceOutOfCacheWS(w, keys, vals, wantK, wantV, ref, starts)
+			NonInPlaceOutOfCache(w, keys, vals, gotK, gotV, fn, starts, nil)
+			NonInPlaceOutOfCache(w, keys, vals, wantK, wantV, ref, starts, nil)
 			for i := range wantK {
 				if gotK[i] != wantK[i] || gotV[i] != wantV[i] {
 					t.Fatalf("fanout 2^%d n=%d: tuple %d = (%v,%v), reference (%v,%v)",
@@ -124,10 +124,10 @@ func testScatterSharesAgreement[K interface{ ~uint32 | ~uint64 }](t *testing.T) 
 	}
 	gotK, gotV := make([]K, n), make([]K, n)
 	wantK, wantV := make([]K, n), make([]K, n)
-	NonInPlaceOutOfCacheWS(w, keys[:half], vals[:half], gotK, gotV, fn, startsLo)
-	NonInPlaceOutOfCacheWS(w, keys[half:], vals[half:], gotK, gotV, fn, startsHi)
-	NonInPlaceOutOfCacheWS(w, keys[:half], vals[:half], wantK, wantV, ref, startsLo)
-	NonInPlaceOutOfCacheWS(w, keys[half:], vals[half:], wantK, wantV, ref, startsHi)
+	NonInPlaceOutOfCache(w, keys[:half], vals[:half], gotK, gotV, fn, startsLo, nil)
+	NonInPlaceOutOfCache(w, keys[half:], vals[half:], gotK, gotV, fn, startsHi, nil)
+	NonInPlaceOutOfCache(w, keys[:half], vals[:half], wantK, wantV, ref, startsLo, nil)
+	NonInPlaceOutOfCache(w, keys[half:], vals[half:], wantK, wantV, ref, startsHi, nil)
 	for i := range wantK {
 		if gotK[i] != wantK[i] || gotV[i] != wantV[i] {
 			t.Fatalf("tuple %d = (%v,%v), reference (%v,%v)", i, gotK[i], gotV[i], wantK[i], wantV[i])
@@ -205,11 +205,11 @@ func testInPlaceAgreement[K interface{ ~uint32 | ~uint64 }](t *testing.T) {
 				wantK, wantV := append([]K(nil), keys...), append([]K(nil), vals...)
 				hist := Histogram(keys, fn)
 				if inCache {
-					InPlaceInCacheWS(w, gotK, gotV, fn, hist)
-					InPlaceInCacheWS(w, wantK, wantV, ref, hist)
+					InPlaceInCache(w, gotK, gotV, fn, hist)
+					InPlaceInCache(w, wantK, wantV, ref, hist)
 				} else {
-					InPlaceOutOfCacheWS(w, gotK, gotV, fn, hist)
-					InPlaceOutOfCacheWS(w, wantK, wantV, ref, hist)
+					InPlaceOutOfCache(w, gotK, gotV, fn, hist)
+					InPlaceOutOfCache(w, wantK, wantV, ref, hist)
 				}
 				for i := range wantK {
 					if gotK[i] != wantK[i] || gotV[i] != wantV[i] {
@@ -242,8 +242,8 @@ func testInCacheScatterAgreement[K interface{ ~uint32 | ~uint64 }](t *testing.T)
 			hist := Histogram(keys, fn)
 			gotK, gotV := make([]K, n), make([]K, n)
 			wantK, wantV := make([]K, n), make([]K, n)
-			NonInPlaceInCacheWS(w, keys, vals, gotK, gotV, fn, hist)
-			NonInPlaceInCacheWS(w, keys, vals, wantK, wantV, ref, hist)
+			NonInPlaceInCache(w, keys, vals, gotK, gotV, fn, hist)
+			NonInPlaceInCache(w, keys, vals, wantK, wantV, ref, hist)
 			for i := range wantK {
 				if gotK[i] != wantK[i] || gotV[i] != wantV[i] {
 					t.Fatalf("fanout 2^%d n=%d: tuple %d = (%v,%v), reference (%v,%v)",
@@ -321,8 +321,8 @@ func FuzzScatterRadixAgreement(f *testing.F) {
 		starts, _ := Starts(hist)
 		gotK, gotV := make([]uint64, n), make([]uint64, n)
 		wantK, wantV := make([]uint64, n), make([]uint64, n)
-		NonInPlaceOutOfCacheWS(w, keys, vals, gotK, gotV, fn, starts)
-		NonInPlaceOutOfCacheWS(w, keys, vals, wantK, wantV, ref, starts)
+		NonInPlaceOutOfCache(w, keys, vals, gotK, gotV, fn, starts, nil)
+		NonInPlaceOutOfCache(w, keys, vals, wantK, wantV, ref, starts, nil)
 		for i := range wantK {
 			if gotK[i] != wantK[i] || gotV[i] != wantV[i] {
 				t.Fatalf("tuple %d = (%v,%v), reference (%v,%v)", i, gotK[i], gotV[i], wantK[i], wantV[i])

@@ -30,7 +30,7 @@ func TestObsCountersNonInPlaceOutOfCache(t *testing.T) {
 	dstK, dstV := make([]uint32, n), make([]uint32, n)
 
 	cs := withSession(t, func() {
-		NonInPlaceOutOfCache(keys, vals, dstK, dstV, fn, starts)
+		NonInPlaceOutOfCache(nil, keys, vals, dstK, dstV, fn, starts, nil)
 	})
 	if cs.TuplesPartitioned != uint64(n) {
 		t.Fatalf("TuplesPartitioned = %d, want %d", cs.TuplesPartitioned, n)
@@ -60,7 +60,7 @@ func TestObsFlushCountSinglePartition(t *testing.T) {
 	dstK, dstV := make([]uint32, n), make([]uint32, n)
 
 	cs := withSession(t, func() {
-		NonInPlaceOutOfCache(keys, vals, dstK, dstV, fn, starts)
+		NonInPlaceOutOfCache(nil, keys, vals, dstK, dstV, fn, starts, nil)
 	})
 	l := LineTuples[uint32]()
 	want := uint64((n + l - 1) / l)
@@ -76,7 +76,7 @@ func TestObsCountersInPlace(t *testing.T) {
 	keys := gen.Uniform[uint32](n, 0, 3)
 	vals := gen.Dense[uint32](n, 4)
 	cs := withSession(t, func() {
-		InPlaceInCache(keys, vals, fn, Histogram(keys, fn))
+		InPlaceInCache(nil, keys, vals, fn, Histogram(keys, fn))
 	})
 	if cs.TuplesPartitioned != uint64(n) {
 		t.Fatalf("in-cache TuplesPartitioned = %d, want %d", cs.TuplesPartitioned, n)
@@ -88,7 +88,7 @@ func TestObsCountersInPlace(t *testing.T) {
 	keys = gen.Uniform[uint32](n, 0, 5)
 	vals = gen.Dense[uint32](n, 6)
 	cs = withSession(t, func() {
-		InPlaceOutOfCache(keys, vals, fn, Histogram(keys, fn))
+		InPlaceOutOfCache(nil, keys, vals, fn, Histogram(keys, fn))
 	})
 	if cs.TuplesPartitioned != uint64(n) {
 		t.Fatalf("out-of-cache TuplesPartitioned = %d, want %d", cs.TuplesPartitioned, n)
@@ -121,7 +121,7 @@ func TestObsCountersBlocks(t *testing.T) {
 	vals := gen.Dense[uint32](n, 12)
 	fn := pfunc.NewRadix[uint32](0, 4)
 	cs := withSession(t, func() {
-		ToBlocksInPlace(keys, vals, fn, 256)
+		ToBlocksInPlaceParallel(keys, vals, fn, 256, 1, nil)
 	})
 	if cs.TuplesPartitioned != uint64(n) {
 		t.Fatalf("TuplesPartitioned = %d, want %d", cs.TuplesPartitioned, n)
@@ -137,8 +137,8 @@ func TestObsZeroTuples(t *testing.T) {
 		var keys, vals []uint32
 		hist := Histogram(keys, fn)
 		starts, _ := Starts(hist)
-		NonInPlaceOutOfCache(keys, vals, nil, nil, fn, starts)
-		InPlaceInCache(keys, vals, fn, hist)
+		NonInPlaceOutOfCache(nil, keys, vals, nil, nil, fn, starts, nil)
+		InPlaceInCache(nil, keys, vals, fn, hist)
 		InPlaceSynchronized(keys, vals, fn, hist, 2)
 	})
 	if !cs.IsZero() {
@@ -155,7 +155,7 @@ func TestObsDisabledNoCounters(t *testing.T) {
 	fn := pfunc.NewRadix[uint32](0, 4)
 	hist := Histogram(keys, fn)
 	starts, _ := Starts(hist)
-	NonInPlaceOutOfCache(keys, vals, make([]uint32, n), make([]uint32, n), fn, starts)
+	NonInPlaceOutOfCache(nil, keys, vals, make([]uint32, n), make([]uint32, n), fn, starts, nil)
 
 	s := obs.Start(nil)
 	t.Cleanup(func() { _ = obs.Stop() })
@@ -188,15 +188,15 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}{
 		{"scatter", func() {
 			s := append([]int(nil), starts...)
-			NonInPlaceOutOfCache(keys, vals, dstK, dstV, fn, s)
+			NonInPlaceOutOfCache(nil, keys, vals, dstK, dstV, fn, s, nil)
 		}},
 		{"incache", func() {
-			NonInPlaceInCacheWS(w, keys, vals, dstK, dstV, fn, hist)
+			NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist)
 		}},
 		{"inplace", func() {
 			copy(inK, keys)
 			copy(inV, vals)
-			InPlaceOutOfCacheWS(w, inK, inV, fn, hist)
+			InPlaceOutOfCache(w, inK, inV, fn, hist)
 		}},
 	}
 	for _, k := range kernels {

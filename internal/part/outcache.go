@@ -44,6 +44,14 @@ func (b *lineBuffers[K]) release(w *ws.Workspace) {
 	ws.PutKeys(w, b.vals)
 }
 
+// share returns part t of a buffer set acquired for several callers of p
+// partitions each, laid out caller-major: parallel drivers acquire every
+// worker's line buffers in one piece before the fan-out.
+func (b *lineBuffers[K]) share(t, p int) lineBuffers[K] {
+	n := p * b.l
+	return lineBuffers[K]{l: b.l, keys: b.keys[t*n : (t+1)*n], vals: b.vals[t*n : (t+1)*n]}
+}
+
 // NonInPlaceOutOfCache is Algorithm 3: non-in-place partitioning through
 // per-partition cache-line buffers. Tuples accumulate in a partition's
 // line; when the line boundary is crossed, the full line is written to the
@@ -55,49 +63,40 @@ func (b *lineBuffers[K]) release(w *ws.Workspace) {
 // starts[p] is the output offset where this caller's share of partition p
 // begins; flushes are clipped to starts[p] so parallel callers writing
 // disjoint shares of a shared output never touch each other's slots.
-// The output is stable within each caller's share.
+// The output is stable within each caller's share. The line buffers and
+// write cursors come from w.
+//
+// The scatter runs in hard.CkptTuples sub-chunks with a checkpoint of ctl
+// between them (the write cursors and line buffers persist across
+// sub-chunks, so the output does not depend on the chunking), bounding
+// cancellation latency to one sub-chunk. Interruption leaves the source
+// intact — only the destination share is partially written — so the
+// driver's restore defer can recover the permutation from src.
 //
 // Layout note: the paper stores each partition's output offset in the last
 // buffer slot so one iteration touches exactly one cache line; here
 // offsets live in a separate (cache-resident) array, because without
 // hardware cache control the trick buys nothing — the memmodel prices the
 // one-line-per-iteration layout when modeling the paper platform.
-func NonInPlaceOutOfCache[K kv.Key, F pfunc.Func[K]](srcK, srcV, dstK, dstV []K, fn F, starts []int) {
-	NonInPlaceOutOfCacheWS(nil, srcK, srcV, dstK, dstV, fn, starts)
-}
-
-// NonInPlaceOutOfCacheWS is NonInPlaceOutOfCache drawing its line buffers
-// and write cursors from the workspace: zero heap allocations in steady
-// state. A nil workspace allocates per call.
-func NonInPlaceOutOfCacheWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, starts []int) {
-	NonInPlaceOutOfCacheCtlWS(w, srcK, srcV, dstK, dstV, fn, starts, nil)
-}
-
-// NonInPlaceOutOfCacheCtlWS is NonInPlaceOutOfCacheWS under a cancellation
-// control: with a live ctl the scatter runs in hard.CkptTuples sub-chunks
-// with a checkpoint between them (the write cursors and line buffers
-// persist across sub-chunks, so the output is identical), bounding
-// cancellation latency to one sub-chunk. ctl == nil is exactly the old
-// single-call path. Interruption leaves the source intact — only the
-// disjoint destination shares are partially written — so the driver's
-// restore defer can recover the permutation from src.
-func NonInPlaceOutOfCacheCtlWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, starts []int, ctl *hard.Ctl) {
+func NonInPlaceOutOfCache[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, starts []int, ctl *hard.Ctl) {
 	p := fn.Fanout()
 	buf := newLineBuffers[K](w, p)
 	off := w.Ints(p)
-	copy(off, starts[:p])
-	if ctl == nil {
-		scatterLines(srcK, srcV, dstK, dstV, fn, &buf, off, starts)
-	} else {
-		for c := 0; c < len(srcK); c += hard.CkptTuples {
-			ctl.Checkpoint()
-			e := min(c+hard.CkptTuples, len(srcK))
-			scatterLines(srcK[c:e], srcV[c:e], dstK, dstV, fn, &buf, off, starts)
-		}
-	}
-	drainBuffers(&buf, dstK, dstV, off, starts)
+	scatterChunk(srcK, srcV, dstK, dstV, fn, &buf, off, starts, ctl)
 	buf.release(w)
 	w.PutInts(off)
+}
+
+// scatterChunk is the body of NonInPlaceOutOfCache on caller-provided line
+// buffers and write cursors (len(off) partitions).
+func scatterChunk[K kv.Key, F pfunc.Func[K]](srcK, srcV, dstK, dstV []K, fn F, buf *lineBuffers[K], off, starts []int, ctl *hard.Ctl) {
+	copy(off, starts[:len(off)])
+	for c := 0; c < len(srcK); c += hard.CkptTuples {
+		ctl.Checkpoint()
+		e := min(c+hard.CkptTuples, len(srcK))
+		scatterLines(srcK[c:e], srcV[c:e], dstK, dstV, fn, buf, off, starts)
+	}
+	drainBuffers(buf, dstK, dstV, off, starts)
 	publishScatter(len(srcK), buf.flushes)
 }
 
@@ -166,37 +165,27 @@ func publishScatter(tuples int, flushes uint64) {
 }
 
 // NonInPlaceOutOfCacheCodes is Algorithm 3 driven by precomputed partition
-// codes: the data-movement half of wide-fanout range partitioning. It
-// performs almost as fast as radix partitioning because scanning the short
-// code array is sequential (Section 4.3.2).
-func NonInPlaceOutOfCacheCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, p int, starts []int) {
-	NonInPlaceOutOfCacheCodesWS(nil, srcK, srcV, dstK, dstV, codes, p, starts)
-}
-
-// NonInPlaceOutOfCacheCodesWS is NonInPlaceOutOfCacheCodes with
-// workspace-pooled line buffers and write cursors.
-func NonInPlaceOutOfCacheCodesWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, p int, starts []int) {
-	NonInPlaceOutOfCacheCodesCtlWS(w, srcK, srcV, dstK, dstV, codes, p, starts, nil)
-}
-
-// NonInPlaceOutOfCacheCodesCtlWS is NonInPlaceOutOfCacheCodesWS under a
-// cancellation control (see NonInPlaceOutOfCacheCtlWS).
-func NonInPlaceOutOfCacheCodesCtlWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, p int, starts []int, ctl *hard.Ctl) {
+// codes (p partitions): the data-movement half of wide-fanout range
+// partitioning. It performs almost as fast as radix partitioning because
+// scanning the short code array is sequential (Section 4.3.2). Scratch and
+// cancellation behave as in NonInPlaceOutOfCache.
+func NonInPlaceOutOfCacheCodes[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, p int, starts []int, ctl *hard.Ctl) {
 	buf := newLineBuffers[K](w, p)
 	off := w.Ints(p)
-	copy(off, starts[:p])
-	if ctl == nil {
-		scatterLinesCodesFast(srcK, srcV, dstK, dstV, codes, &buf, off, starts)
-	} else {
-		for c := 0; c < len(srcK); c += hard.CkptTuples {
-			ctl.Checkpoint()
-			e := min(c+hard.CkptTuples, len(srcK))
-			scatterLinesCodesFast(srcK[c:e], srcV[c:e], dstK, dstV, codes[c:e], &buf, off, starts)
-		}
-	}
-	drainBuffers(&buf, dstK, dstV, off, starts)
+	scatterChunkCodes(srcK, srcV, dstK, dstV, codes, &buf, off, starts, ctl)
 	buf.release(w)
 	w.PutInts(off)
+}
+
+// scatterChunkCodes is scatterChunk driven by the code array.
+func scatterChunkCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, buf *lineBuffers[K], off, starts []int, ctl *hard.Ctl) {
+	copy(off, starts[:len(off)])
+	for c := 0; c < len(srcK); c += hard.CkptTuples {
+		ctl.Checkpoint()
+		e := min(c+hard.CkptTuples, len(srcK))
+		scatterLinesCodesFast(srcK[c:e], srcV[c:e], dstK, dstV, codes[c:e], buf, off, starts)
+	}
+	drainBuffers(buf, dstK, dstV, off, starts)
 	publishScatter(len(srcK), buf.flushes)
 }
 
@@ -261,23 +250,32 @@ func drainBuffers[K kv.Key](buf *lineBuffers[K], dstK, dstV []K, off, starts []i
 // streamed back to the array and the next lower line of the partition is
 // loaded. RAM is therefore touched one full line at a time — (L-1)/L of the
 // swaps run inside the cache-resident buffer and do not miss in the TLB.
-func InPlaceOutOfCache[K kv.Key, F pfunc.Func[K]](keys, vals []K, fn F, hist []int) {
-	InPlaceOutOfCacheWS(nil, keys, vals, fn, hist)
+// The line buffers and cursor arrays come from w.
+func InPlaceOutOfCache[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, hist []int) {
+	CheckHistogram(hist, len(keys))
+	buf := newLineBuffers[K](w, len(hist))
+	cursors := w.Ints(4 * len(hist))
+	inPlaceOutOfCache(keys, vals, fn, hist, &buf, cursors)
+	buf.release(w)
+	w.PutInts(cursors)
 }
 
-// InPlaceOutOfCacheWS is InPlaceOutOfCache with workspace-pooled buffers
-// and cursor arrays.
+// InPlaceOutOfCacheWS is InPlaceOutOfCache under its old name. bench/ is
+// its only caller.
 func InPlaceOutOfCacheWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, hist []int) {
-	CheckHistogram(hist, len(keys))
+	InPlaceOutOfCache(w, keys, vals, fn, hist)
+}
+
+// inPlaceOutOfCache is the body of InPlaceOutOfCache on caller-provided
+// line buffers (len(hist) partitions) and 4*len(hist) cursors; hist must
+// already be checked. Radix functions take the specialized kernel.
+func inPlaceOutOfCache[K kv.Key, F pfunc.Func[K]](keys, vals []K, fn F, hist []int, buf *lineBuffers[K], cursors []int) {
 	if shift, mask, ok := radixParams[K](fn); ok {
-		inPlaceOutOfCacheRadix(w, keys, vals, shift, mask, hist)
+		inPlaceOutOfCacheRadix(keys, vals, shift, mask, hist, buf, cursors)
 		return
 	}
 	np := len(hist)
-	l := LineTuples[K]()
-	buf := newLineBuffers[K](w, np)
-
-	cursors := w.Ints(4 * np)
+	l := buf.l
 	base := cursors[0*np : 1*np] // first slot of each partition
 	off := cursors[1*np : 2*np]  // descending write cursor (one past next slot)
 	lo := cursors[2*np : 3*np]   // low bound of the staged line
@@ -293,7 +291,7 @@ func InPlaceOutOfCacheWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals 
 		if hist[p] == 0 {
 			continue
 		}
-		loadLine(&buf, keys, vals, base, off[p], lo, hi, p, l)
+		loadLine(buf, keys, vals, base, off[p], lo, hi, p, l)
 	}
 
 	q := 0
@@ -324,9 +322,9 @@ func InPlaceOutOfCacheWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals 
 			tk, tv = bk, bv
 			if j == lo[d] {
 				// Line fully written: stream it out and stage the next one.
-				flushLine(&buf, keys, vals, lo[d], hi[d], d, l)
+				flushLine(buf, keys, vals, lo[d], hi[d], d, l)
 				if lo[d] > base[d] {
-					loadLine(&buf, keys, vals, base, lo[d], lo, hi, d, l)
+					loadLine(buf, keys, vals, base, lo[d], lo, hi, d, l)
 				}
 			}
 			if j == iend {
@@ -340,12 +338,9 @@ func InPlaceOutOfCacheWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals 
 			q++
 		}
 	}
-	flushes := buf.flushes
-	buf.release(w)
-	w.PutInts(cursors)
 	if o := obs.Cur(); o != nil {
 		o.Counters.TuplesPartitioned.Add(uint64(len(keys)))
-		o.Counters.BufferFlushes.Add(flushes)
+		o.Counters.BufferFlushes.Add(buf.flushes)
 		o.Counters.SwapCycles.Add(cycles)
 	}
 }

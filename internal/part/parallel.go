@@ -27,70 +27,10 @@ func ChunkBoundsInto(bounds []int, n int) []int {
 	return bounds
 }
 
-// histRunner is the worker-pool driver of ParallelHistograms: one object
-// reused across Runs (via ws.Scratch) so a pass costs zero allocations.
+// histRunner is the worker-pool driver of ParallelHistograms and
+// ParallelHistogramsCodes (codes != nil): one object reused across Runs
+// (via ws.Scratch) so a pass costs zero allocations.
 type histRunner[K kv.Key, F pfunc.Func[K]] struct {
-	keys   []K
-	fn     F
-	bounds []int
-	hists  [][]int
-	ctl    *hard.Ctl
-}
-
-func (r *histRunner[K, F]) RunTask(t int) {
-	lo, hi := r.bounds[t], r.bounds[t+1]
-	sp := obs.Begin("histogram", "worker", t)
-	if r.ctl == nil {
-		HistogramInto(r.hists[t], r.keys[lo:hi], r.fn)
-	} else {
-		clear(r.hists[t])
-		for c := lo; c < hi; c += hard.CkptTuples {
-			r.ctl.Checkpoint()
-			histogramAccum(r.hists[t], r.keys[c:min(c+hard.CkptTuples, hi)], r.fn)
-		}
-	}
-	sp.EndN(int64(hi - lo))
-}
-
-// ParallelHistograms computes one histogram per worker over that worker's
-// input chunk. Workers synchronize only after the histograms are built —
-// the single barrier of parallel non-in-place partitioning.
-func ParallelHistograms[K kv.Key, F pfunc.Func[K]](keys []K, fn F, workers int) [][]int {
-	hists := make([][]int, workers)
-	for t := range hists {
-		hists[t] = make([]int, fn.Fanout())
-	}
-	parallelHistogramsInto(nil, hists, ChunkBounds(len(keys), workers), keys, fn, nil)
-	return hists
-}
-
-// ParallelHistogramsWS is ParallelHistograms on the workspace's worker pool
-// with a pooled histogram matrix and chunk-bound array. The caller returns
-// them with PutMatrix and PutInts.
-func ParallelHistogramsWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, fn F, workers int) (hists [][]int, bounds []int) {
-	return ParallelHistogramsCtlWS(w, keys, fn, workers, nil)
-}
-
-// ParallelHistogramsCtlWS is ParallelHistogramsWS under a cancellation
-// control: workers checkpoint every hard.CkptTuples tuples. ctl == nil is
-// exactly the plain path.
-func ParallelHistogramsCtlWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, fn F, workers int, ctl *hard.Ctl) (hists [][]int, bounds []int) {
-	hists = w.Matrix(workers, fn.Fanout())
-	bounds = ChunkBoundsInto(w.Ints(workers+1), len(keys))
-	parallelHistogramsInto(w, hists, bounds, keys, fn, ctl)
-	return hists, bounds
-}
-
-func parallelHistogramsInto[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, hists [][]int, bounds []int, keys []K, fn F, ctl *hard.Ctl) {
-	r := ws.Scratch[histRunner[K, F]](w, ws.SlotParHist)
-	*r = histRunner[K, F]{keys: keys, fn: fn, bounds: bounds, hists: hists, ctl: ctl}
-	ws.RunWorkersCtl(w, len(hists), r, ctl)
-	*r = histRunner[K, F]{}
-	ws.PutScratch(w, ws.SlotParHist, r)
-}
-
-// histCodesRunner drives ParallelHistogramsCodes on the pool.
-type histCodesRunner[K kv.Key, F pfunc.Func[K]] struct {
 	keys   []K
 	fn     F
 	codes  []int32
@@ -99,66 +39,63 @@ type histCodesRunner[K kv.Key, F pfunc.Func[K]] struct {
 	ctl    *hard.Ctl
 }
 
-func (r *histCodesRunner[K, F]) RunTask(t int) {
+func (r *histRunner[K, F]) RunTask(t int) {
 	lo, hi := r.bounds[t], r.bounds[t+1]
-	sp := obs.Begin("histogram-codes", "worker", t)
-	clear(r.hists[t])
-	// With no ctl the whole chunk is one sub-chunk; otherwise checkpoint
-	// every hard.CkptTuples tuples (histogramming is read-only on the keys,
-	// so interruption anywhere is safe).
-	step := hi - lo
-	if r.ctl != nil {
-		step = hard.CkptTuples
+	name := "histogram"
+	if r.codes != nil {
+		name = "histogram-codes"
 	}
+	sp := obs.Begin(name, "worker", t)
+	h := r.hists[t]
+	clear(h)
 	bl, batch := any(r.fn).(BatchLookuper[K])
-	for c := lo; c < hi; c += step {
+	for c := lo; c < hi; c += hard.CkptTuples {
 		r.ctl.Checkpoint()
-		e := min(c+step, hi)
-		if batch {
-			histogramCodesBatchAccum(r.hists[t], r.keys[c:e], bl, r.codes[c:e])
-		} else {
+		e := min(c+hard.CkptTuples, hi)
+		switch {
+		case r.codes == nil:
+			histogramAccum(h, r.keys[c:e], r.fn)
+		case batch:
+			histogramCodesBatchAccum(h, r.keys[c:e], bl, r.codes[c:e])
+		default:
 			for i, k := range r.keys[c:e] {
 				p := r.fn.Partition(k)
 				r.codes[c+i] = int32(p)
-				r.hists[t][p]++
+				h[p]++
 			}
 		}
 	}
 	sp.EndN(int64(hi - lo))
 }
 
+// ParallelHistograms computes one histogram per worker over that worker's
+// input chunk. Workers synchronize only after the histograms are built —
+// the single barrier of parallel non-in-place partitioning. Workers
+// checkpoint ctl every hard.CkptTuples tuples (histogramming only reads the
+// keys, so interruption anywhere is safe). The histogram matrix and the
+// chunk bounds come from w: return them with PutMatrix and PutInts.
+func ParallelHistograms[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, fn F, workers int, ctl *hard.Ctl) (hists [][]int, bounds []int) {
+	return ParallelHistogramsCodes(w, keys, fn, nil, workers, ctl)
+}
+
+// ParallelHistogramsWS is ParallelHistograms with no cancellation control.
+// bench/ is its only caller.
+func ParallelHistogramsWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, fn F, workers int) (hists [][]int, bounds []int) {
+	return ParallelHistograms(w, keys, fn, workers, nil)
+}
+
 // ParallelHistogramsCodes is ParallelHistograms that also records each
-// tuple's partition code (for range partitioning).
-func ParallelHistogramsCodes[K kv.Key, F pfunc.Func[K]](keys []K, fn F, codes []int32, workers int) [][]int {
-	hists := make([][]int, workers)
-	for t := range hists {
-		hists[t] = make([]int, fn.Fanout())
-	}
-	parallelHistogramsCodesInto(nil, hists, ChunkBounds(len(keys), workers), keys, fn, codes, nil)
-	return hists
-}
-
-// ParallelHistogramsCodesWS is ParallelHistogramsCodes on the workspace's
-// worker pool with pooled outputs (PutMatrix/PutInts to release).
-func ParallelHistogramsCodesWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, fn F, codes []int32, workers int) (hists [][]int, bounds []int) {
-	return ParallelHistogramsCodesCtlWS(w, keys, fn, codes, workers, nil)
-}
-
-// ParallelHistogramsCodesCtlWS is ParallelHistogramsCodesWS under a
-// cancellation control (see ParallelHistogramsCtlWS).
-func ParallelHistogramsCodesCtlWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, fn F, codes []int32, workers int, ctl *hard.Ctl) (hists [][]int, bounds []int) {
+// tuple's partition code in codes (for range partitioning); a nil codes
+// records nothing.
+func ParallelHistogramsCodes[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys []K, fn F, codes []int32, workers int, ctl *hard.Ctl) (hists [][]int, bounds []int) {
 	hists = w.Matrix(workers, fn.Fanout())
 	bounds = ChunkBoundsInto(w.Ints(workers+1), len(keys))
-	parallelHistogramsCodesInto(w, hists, bounds, keys, fn, codes, ctl)
+	r := ws.Scratch[histRunner[K, F]](w, ws.SlotParHist)
+	*r = histRunner[K, F]{keys: keys, fn: fn, codes: codes, bounds: bounds, hists: hists, ctl: ctl}
+	ws.RunWorkersCtl(w, workers, r, ctl)
+	*r = histRunner[K, F]{}
+	ws.PutScratch(w, ws.SlotParHist, r)
 	return hists, bounds
-}
-
-func parallelHistogramsCodesInto[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, hists [][]int, bounds []int, keys []K, fn F, codes []int32, ctl *hard.Ctl) {
-	r := ws.Scratch[histCodesRunner[K, F]](w, ws.SlotParHistCodes)
-	*r = histCodesRunner[K, F]{keys: keys, fn: fn, codes: codes, bounds: bounds, hists: hists, ctl: ctl}
-	ws.RunWorkersCtl(w, len(hists), r, ctl)
-	*r = histCodesRunner[K, F]{}
-	ws.PutScratch(w, ws.SlotParHistCodes, r)
 }
 
 // MergeHistograms sums per-worker histograms into the global histogram.
@@ -178,23 +115,12 @@ func MergeHistogramsInto(total []int, hists [][]int) []int {
 	return total
 }
 
-// ThreadStarts turns per-worker histograms into per-worker output start
-// offsets via the prefix sum of Section 3.2.1: partition p's output is a
-// single segment at base+Σ_{q<p} total[q], and worker t's share of it
-// starts after workers 0..t-1's shares. The second return value is the
-// global per-partition start (including base).
-func ThreadStarts(hists [][]int, base int) ([][]int, []int) {
-	workers := len(hists)
-	np := len(hists[0])
-	starts := make([][]int, workers)
-	for t := range starts {
-		starts[t] = make([]int, np)
-	}
-	return ThreadStartsInto(starts, make([]int, np), hists, base)
-}
-
-// ThreadStartsInto is ThreadStarts into caller-provided (pooled) tables:
-// starts is workers x np, global has length np; both are fully overwritten.
+// ThreadStartsInto turns per-worker histograms into per-worker output
+// start offsets via the prefix sum of Section 3.2.1: partition p's output
+// is a single segment at base+Σ_{q<p} total[q], and worker t's share of it
+// starts after workers 0..t-1's shares. global receives the global
+// per-partition start (including base). starts is workers x np, global has
+// length np; both are fully overwritten.
 func ThreadStartsInto(starts [][]int, global []int, hists [][]int, base int) ([][]int, []int) {
 	workers := len(hists)
 	np := len(hists[0])
@@ -209,43 +135,72 @@ func ThreadStartsInto(starts [][]int, global []int, hists [][]int, base int) ([]
 	return starts, global
 }
 
+// scatterScratch is the coordinator-side scratch of one parallel buffered
+// scatter: the per-worker output starts plus every worker's line buffers
+// and write cursors. The coordinator acquires all of it before the fan-out
+// and releases it after, so a call's arena demand does not depend on how
+// the workers' lifetimes happen to overlap.
+type scatterScratch[K kv.Key] struct {
+	np     int
+	starts [][]int
+	global []int
+	lines  lineBuffers[K] // workers*np partitions, worker-major
+	off    []int          // workers*np write cursors, worker-major
+}
+
+func newScatterScratch[K kv.Key](w *ws.Workspace, hists [][]int, base int) scatterScratch[K] {
+	workers, np := len(hists), len(hists[0])
+	s := scatterScratch[K]{
+		np:     np,
+		starts: w.Matrix(workers, np),
+		global: w.Ints(np),
+		lines:  newLineBuffers[K](w, workers*np),
+		off:    w.Ints(workers * np),
+	}
+	ThreadStartsInto(s.starts, s.global, hists, base)
+	return s
+}
+
+// worker returns worker t's line buffers and write cursors.
+func (s *scatterScratch[K]) worker(t int) (lineBuffers[K], []int) {
+	return s.lines.share(t, s.np), s.off[t*s.np : (t+1)*s.np]
+}
+
+func (s *scatterScratch[K]) release(w *ws.Workspace) {
+	s.lines.release(w)
+	w.PutInts(s.off)
+	w.PutMatrix(s.starts)
+	w.PutInts(s.global)
+}
+
 // scatterRunner drives the data-movement half of parallel non-in-place
 // partitioning on the pool.
 type scatterRunner[K kv.Key, F pfunc.Func[K]] struct {
-	w                      *ws.Workspace
 	srcK, srcV, dstK, dstV []K
 	fn                     F
 	bounds                 []int
-	starts                 [][]int
+	sc                     scatterScratch[K]
 	ctl                    *hard.Ctl
 }
 
 func (r *scatterRunner[K, F]) RunTask(t int) {
 	lo, hi := r.bounds[t], r.bounds[t+1]
 	sp := obs.Begin("scatter", "worker", t)
-	NonInPlaceOutOfCacheCtlWS(r.w, r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.fn, r.starts[t], r.ctl)
+	buf, off := r.sc.worker(t)
+	scatterChunk(r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.fn, &buf, off, r.sc.starts[t], r.ctl)
 	sp.EndN(int64(hi - lo))
 }
 
 // ParallelNonInPlace partitions srcK/srcV into a single shared segment of
-// dstK/dstV using `workers` goroutines: per-worker histograms, one prefix-sum
+// dstK/dstV using `workers` workers: per-worker histograms, one prefix-sum
 // barrier, then each worker runs buffered non-in-place partitioning
 // (Algorithm 3) on its chunk into its disjoint output shares. The output is
-// stable. Returns the global histogram.
-func ParallelNonInPlace[K kv.Key, F pfunc.Func[K]](srcK, srcV, dstK, dstV []K, fn F, workers int) []int {
-	hists := ParallelHistograms(srcK, fn, workers)
-	ParallelScatter(srcK, srcV, dstK, dstV, fn, hists, 0)
-	return MergeHistograms(hists)
-}
-
-// ParallelNonInPlaceCtl is ParallelNonInPlace under a (possibly nil)
-// workspace and cancellation control: the error-returning TryPartition
-// path. Interruption or failure never touches src, so the caller's input
-// stays intact by construction.
-func ParallelNonInPlaceCtl[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, workers int, ctl *hard.Ctl) []int {
-	hists, bounds := ParallelHistogramsCtlWS(w, srcK, fn, workers, ctl)
+// stable. Returns the global histogram. Interruption or failure never
+// touches src, so the caller's input stays intact by construction.
+func ParallelNonInPlace[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, workers int, ctl *hard.Ctl) []int {
+	hists, bounds := ParallelHistograms(w, srcK, fn, workers, ctl)
 	ctl.Checkpoint()
-	ParallelScatterBoundsCtlWS(w, srcK, srcV, dstK, dstV, fn, hists, 0, bounds, ctl)
+	ParallelScatter(w, srcK, srcV, dstK, dstV, fn, hists, 0, bounds, ctl)
 	total := MergeHistograms(hists)
 	w.PutMatrix(hists)
 	w.PutInts(bounds)
@@ -253,114 +208,88 @@ func ParallelNonInPlaceCtl[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, src
 }
 
 // ParallelScatter is the data-movement half of ParallelNonInPlace: given
-// per-worker histograms already computed over ChunkBounds(len(srcK),
-// len(hists)) chunks, scatter the tuples into dst. Callers that need the
-// histogram and movement phases timed separately use
+// per-worker histograms hists[t] of srcK[bounds[t]:bounds[t+1]], scatter
+// the tuples into dst starting at offset base. A nil bounds means
+// ChunkBounds(len(srcK), len(hists)); the fused-histogram LSB path passes
+// explicit bounds aligned to the previous pass's digit groups. Callers that
+// need the histogram and movement phases timed separately use
 // ParallelHistograms + ParallelScatter.
-func ParallelScatter[K kv.Key, F pfunc.Func[K]](srcK, srcV, dstK, dstV []K, fn F, hists [][]int, base int) {
-	ParallelScatterWS(nil, srcK, srcV, dstK, dstV, fn, hists, base)
-}
-
-// ParallelScatterWS is ParallelScatter on the workspace's pool with pooled
-// offset tables and line buffers.
-func ParallelScatterWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hists [][]int, base int) {
-	bounds := ChunkBoundsInto(w.Ints(len(hists)+1), len(srcK))
-	ParallelScatterBoundsWS(w, srcK, srcV, dstK, dstV, fn, hists, base, bounds)
-	w.PutInts(bounds)
-}
-
-// ParallelScatterBoundsWS is ParallelScatterWS with explicit per-worker
-// input bounds (len(hists)+1 offsets): hists[t] must be the histogram of
-// srcK[bounds[t]:bounds[t+1]]. The fused-histogram LSB path uses it to
-// align worker chunks to digit-group boundaries of the previous pass.
-func ParallelScatterBoundsWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hists [][]int, base int, bounds []int) {
-	ParallelScatterBoundsCtlWS(w, srcK, srcV, dstK, dstV, fn, hists, base, bounds, nil)
-}
-
-// ParallelScatterBoundsCtlWS is ParallelScatterBoundsWS under a
-// cancellation control: scatter workers checkpoint every hard.CkptTuples
-// tuples. Interruption leaves src intact (only disjoint dst shares are
-// partially written), so the sort drivers' restore defers recover the
-// permutation from src.
-func ParallelScatterBoundsCtlWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hists [][]int, base int, bounds []int, ctl *hard.Ctl) {
+//
+// Workers checkpoint ctl every hard.CkptTuples tuples. Interruption leaves
+// src intact (only disjoint dst shares are partially written), so the sort
+// drivers' restore defers recover the permutation from src.
+func ParallelScatter[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hists [][]int, base int, bounds []int, ctl *hard.Ctl) {
 	workers := len(hists)
-	np := len(hists[0])
-	starts := w.Matrix(workers, np)
-	global := w.Ints(np)
-	ThreadStartsInto(starts, global, hists, base)
+	chunks := bounds
+	if chunks == nil {
+		chunks = ChunkBoundsInto(w.Ints(workers+1), len(srcK))
+	}
 	r := ws.Scratch[scatterRunner[K, F]](w, ws.SlotScatter)
-	*r = scatterRunner[K, F]{w: w, srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, fn: fn, bounds: bounds, starts: starts, ctl: ctl}
+	*r = scatterRunner[K, F]{srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, fn: fn, bounds: chunks, sc: newScatterScratch[K](w, hists, base), ctl: ctl}
 	ws.RunWorkersCtl(w, workers, r, ctl)
+	r.sc.release(w)
 	*r = scatterRunner[K, F]{}
 	ws.PutScratch(w, ws.SlotScatter, r)
-	w.PutMatrix(starts)
-	w.PutInts(global)
+	if bounds == nil {
+		w.PutInts(chunks)
+	}
+}
+
+// ParallelScatterWS is ParallelScatter over ChunkBounds chunks with no
+// cancellation control. bench/ is its only caller.
+func ParallelScatterWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hists [][]int, base int) {
+	ParallelScatter(w, srcK, srcV, dstK, dstV, fn, hists, base, nil, nil)
 }
 
 // scatterCodesRunner drives code-driven scatter on the pool.
 type scatterCodesRunner[K kv.Key] struct {
-	w                      *ws.Workspace
 	srcK, srcV, dstK, dstV []K
 	codes                  []int32
-	np                     int
 	bounds                 []int
-	starts                 [][]int
+	sc                     scatterScratch[K]
 	ctl                    *hard.Ctl
 }
 
 func (r *scatterCodesRunner[K]) RunTask(t int) {
 	lo, hi := r.bounds[t], r.bounds[t+1]
 	sp := obs.Begin("scatter-codes", "worker", t)
-	NonInPlaceOutOfCacheCodesCtlWS(r.w, r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.codes[lo:hi], r.np, r.starts[t], r.ctl)
+	buf, off := r.sc.worker(t)
+	scatterChunkCodes(r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.codes[lo:hi], &buf, off, r.sc.starts[t], r.ctl)
 	sp.EndN(int64(hi - lo))
 }
 
-// ParallelNonInPlaceCodes is ParallelNonInPlace for precomputed partition
+// ParallelNonInPlaceCodes is ParallelScatter for precomputed partition
 // codes (wide-fanout range partitioning). hists must be the per-worker
 // histograms previously computed by ParallelHistogramsCodes over the same
-// chunk bounds.
-func ParallelNonInPlaceCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, hists [][]int, base int) {
-	ParallelNonInPlaceCodesWS(nil, srcK, srcV, dstK, dstV, codes, hists, base)
-}
-
-// ParallelNonInPlaceCodesWS is ParallelNonInPlaceCodes on the workspace's
-// pool with pooled offset tables and line buffers.
-func ParallelNonInPlaceCodesWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, hists [][]int, base int) {
-	ParallelNonInPlaceCodesCtlWS(w, srcK, srcV, dstK, dstV, codes, hists, base, nil)
-}
-
-// ParallelNonInPlaceCodesCtlWS is ParallelNonInPlaceCodesWS under a
-// cancellation control (see ParallelScatterBoundsCtlWS).
-func ParallelNonInPlaceCodesCtlWS[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, hists [][]int, base int, ctl *hard.Ctl) {
+// chunk bounds. Cancellation behaves as in ParallelScatter.
+func ParallelNonInPlaceCodes[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, hists [][]int, base int, ctl *hard.Ctl) {
 	workers := len(hists)
-	np := len(hists[0])
 	bounds := ChunkBoundsInto(w.Ints(workers+1), len(srcK))
-	starts := w.Matrix(workers, np)
-	global := w.Ints(np)
-	ThreadStartsInto(starts, global, hists, base)
 	r := ws.Scratch[scatterCodesRunner[K]](w, ws.SlotScatterCodes)
-	*r = scatterCodesRunner[K]{w: w, srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, codes: codes, np: np, bounds: bounds, starts: starts, ctl: ctl}
+	*r = scatterCodesRunner[K]{srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, codes: codes, bounds: bounds, sc: newScatterScratch[K](w, hists, base), ctl: ctl}
 	ws.RunWorkersCtl(w, workers, r, ctl)
+	r.sc.release(w)
 	*r = scatterCodesRunner[K]{}
 	ws.PutScratch(w, ws.SlotScatterCodes, r)
-	w.PutMatrix(starts)
-	w.PutInts(global)
 	w.PutInts(bounds)
 }
 
 // inplaceChunkRunner drives shared-nothing in-place partitioning on the pool.
 type inplaceChunkRunner[K kv.Key, F pfunc.Func[K]] struct {
-	w          *ws.Workspace
 	keys, vals []K
 	fn         F
 	bounds     []int
 	hists      [][]int
+	np         int
+	lines      lineBuffers[K] // workers*np partitions, worker-major
+	cursors    []int          // workers*4*np cursors, worker-major
 }
 
 func (r *inplaceChunkRunner[K, F]) RunTask(t int) {
 	lo, hi := r.bounds[t], r.bounds[t+1]
 	sp := obs.Begin("inplace-chunk", "worker", t)
-	InPlaceOutOfCacheWS(r.w, r.keys[lo:hi], r.vals[lo:hi], r.fn, r.hists[t])
+	buf := r.lines.share(t, r.np)
+	inPlaceOutOfCache(r.keys[lo:hi], r.vals[lo:hi], r.fn, r.hists[t], &buf, r.cursors[4*t*r.np:4*(t+1)*r.np])
 	sp.EndN(int64(hi - lo))
 }
 
@@ -369,25 +298,17 @@ func (r *inplaceChunkRunner[K, F]) RunTask(t int) {
 // contiguous segments per partition — acceptable for recursive sorts, and
 // the only way to parallelize in-place partitioning with coarse
 // synchronization (Section 3.2.2). It returns the per-worker histograms and
-// chunk bounds so callers can locate each worker's segments.
-func ParallelInPlaceSharedNothing[K kv.Key, F pfunc.Func[K]](keys, vals []K, fn F, workers int) ([][]int, []int) {
-	return ParallelInPlaceSharedNothingWS(nil, keys, vals, fn, workers)
-}
-
-// ParallelInPlaceSharedNothingWS is ParallelInPlaceSharedNothing on the
-// workspace's pool; the returned histogram matrix and bound array are
-// pooled (PutMatrix/PutInts when done).
-func ParallelInPlaceSharedNothingWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, workers int) ([][]int, []int) {
-	var hists, bounds = [][]int(nil), []int(nil)
-	if w == nil {
-		hists = ParallelHistograms(keys, fn, workers)
-		bounds = ChunkBounds(len(keys), workers)
-	} else {
-		hists, bounds = ParallelHistogramsWS(w, keys, fn, workers)
-	}
+// chunk bounds so callers can locate each worker's segments; both come
+// from w (PutMatrix/PutInts when done).
+func ParallelInPlaceSharedNothing[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, workers int) ([][]int, []int) {
+	hists, bounds := ParallelHistograms(w, keys, fn, workers, nil)
+	np := fn.Fanout()
 	r := ws.Scratch[inplaceChunkRunner[K, F]](w, ws.SlotInPlaceChunk)
-	*r = inplaceChunkRunner[K, F]{w: w, keys: keys, vals: vals, fn: fn, bounds: bounds, hists: hists}
+	*r = inplaceChunkRunner[K, F]{keys: keys, vals: vals, fn: fn, bounds: bounds, hists: hists, np: np,
+		lines: newLineBuffers[K](w, workers*np), cursors: w.Ints(4 * workers * np)}
 	ws.RunWorkers(w, workers, r)
+	r.lines.release(w)
+	w.PutInts(r.cursors)
 	*r = inplaceChunkRunner[K, F]{}
 	ws.PutScratch(w, ws.SlotInPlaceChunk, r)
 	return hists, bounds

@@ -10,12 +10,17 @@
 //
 // Naming follows the paper's taxonomy (Figure 1):
 //
-//	NonInPlaceInCache    — Algorithm 1
-//	InPlaceInCache       — Algorithm 2 (high-to-low swap cycles)
-//	NonInPlaceOutOfCache — Algorithm 3 (cache-line software buffers)
-//	InPlaceOutOfCache    — Algorithm 4 (buffered swap cycles)
-//	ToBlocks             — Section 3.2.3 (list-of-blocks, optionally in place)
-//	SyncPermute          — Algorithm 5 (fetch-and-add synchronized in-place)
+//	NonInPlaceInCache       — Algorithm 1
+//	InPlaceInCache          — Algorithm 2 (high-to-low swap cycles)
+//	NonInPlaceOutOfCache    — Algorithm 3 (cache-line software buffers)
+//	InPlaceOutOfCache       — Algorithm 4 (buffered swap cycles)
+//	ToBlocksInPlaceParallel — Section 3.2.3 (list-of-blocks, in place)
+//	SyncPermute             — Algorithm 5 (fetch-and-add synchronized in-place)
+//
+// Every kernel has one exported function. A kernel that uses scratch takes
+// the *ws.Workspace first; a nil workspace allocates per call. A kernel
+// that can be interrupted takes the *hard.Ctl last; a nil ctl never
+// checkpoints.
 package part
 
 import (

@@ -105,7 +105,7 @@ func TestNonInPlaceInCache(t *testing.T) {
 			hist := Histogram(keys, fn)
 			dstK := make([]uint32, len(keys))
 			dstV := make([]uint32, len(keys))
-			NonInPlaceInCache(keys, vals, dstK, dstV, fn, hist)
+			NonInPlaceInCache(nil, keys, vals, dstK, dstV, fn, hist)
 			checkPartitioned(t, keys, vals, dstK, dstV, fn, hist)
 			checkStable(t, dstV, hist)
 		})
@@ -120,7 +120,7 @@ func TestInPlaceInCache(t *testing.T) {
 			origV := append([]uint32(nil), vals...)
 			fn := pfunc.NewHash[uint32](16)
 			hist := Histogram(keys, fn)
-			InPlaceInCache(keys, vals, fn, hist)
+			InPlaceInCache(nil, keys, vals, fn, hist)
 			checkPartitioned(t, orig, origV, keys, vals, fn, hist)
 		})
 	}
@@ -149,7 +149,7 @@ func TestInPlaceVariantsAgreePerPartition(t *testing.T) {
 
 	aK := append([]uint32(nil), keys...)
 	aV := gen.RIDs[uint32](len(keys))
-	InPlaceInCache(aK, aV, fn, hist)
+	InPlaceInCache(nil, aK, aV, fn, hist)
 	bK := append([]uint32(nil), keys...)
 	bV := gen.RIDs[uint32](len(keys))
 	InPlaceInCacheLowHigh(bK, bV, fn, hist)
@@ -170,7 +170,7 @@ func TestNonInPlaceOutOfCache(t *testing.T) {
 			starts, _ := Starts(hist)
 			dstK := make([]uint32, len(keys))
 			dstV := make([]uint32, len(keys))
-			NonInPlaceOutOfCache(keys, vals, dstK, dstV, fn, starts)
+			NonInPlaceOutOfCache(nil, keys, vals, dstK, dstV, fn, starts, nil)
 			checkPartitioned(t, keys, vals, dstK, dstV, fn, hist)
 			checkStable(t, dstV, hist)
 		})
@@ -185,7 +185,7 @@ func TestInPlaceOutOfCache(t *testing.T) {
 			origV := append([]uint32(nil), vals...)
 			fn := pfunc.NewRadix[uint32](0, 7) // 128-way
 			hist := Histogram(keys, fn)
-			InPlaceOutOfCache(keys, vals, fn, hist)
+			InPlaceOutOfCache(nil, keys, vals, fn, hist)
 			checkPartitioned(t, orig, origV, keys, vals, fn, hist)
 		})
 	}
@@ -201,19 +201,19 @@ func TestVariantsAgree64(t *testing.T) {
 
 	aK := make([]uint64, len(keys))
 	aV := make([]uint64, len(keys))
-	NonInPlaceInCache(keys, vals, aK, aV, fn, hist)
+	NonInPlaceInCache(nil, keys, vals, aK, aV, fn, hist)
 
 	bK := make([]uint64, len(keys))
 	bV := make([]uint64, len(keys))
-	NonInPlaceOutOfCache(keys, vals, bK, bV, fn, starts)
+	NonInPlaceOutOfCache(nil, keys, vals, bK, bV, fn, starts, nil)
 
 	cK := append([]uint64(nil), keys...)
 	cV := append([]uint64(nil), vals...)
-	InPlaceInCache(cK, cV, fn, hist)
+	InPlaceInCache(nil, cK, cV, fn, hist)
 
 	dK := append([]uint64(nil), keys...)
 	dV := append([]uint64(nil), vals...)
-	InPlaceOutOfCache(dK, dV, fn, hist)
+	InPlaceOutOfCache(nil, dK, dV, fn, hist)
 
 	for i := range aK {
 		if aK[i] != bK[i] || aV[i] != bV[i] {
@@ -241,11 +241,11 @@ func TestInPlaceQuick(t *testing.T) {
 		keys := append([]uint32(nil), raw...)
 		vals := gen.RIDs[uint32](len(keys))
 		hist := Histogram(keys, fn)
-		InPlaceInCache(keys, vals, fn, hist)
+		InPlaceInCache(nil, keys, vals, fn, hist)
 
 		keys2 := append([]uint32(nil), raw...)
 		vals2 := gen.RIDs[uint32](len(keys2))
-		InPlaceOutOfCache(keys2, vals2, fn, hist)
+		InPlaceOutOfCache(nil, keys2, vals2, fn, hist)
 
 		starts, _ := Starts(hist)
 		for p := range hist {
@@ -275,7 +275,7 @@ func TestNonInPlaceOutOfCacheCodes(t *testing.T) {
 	starts, _ := Starts(hist)
 	dstK := make([]uint32, len(keys))
 	dstV := make([]uint32, len(keys))
-	NonInPlaceOutOfCacheCodes(keys, vals, dstK, dstV, codes, fn.Fanout(), starts)
+	NonInPlaceOutOfCacheCodes(nil, keys, vals, dstK, dstV, codes, fn.Fanout(), starts, nil)
 	checkPartitioned(t, keys, vals, dstK, dstV, fn, hist)
 	checkStable(t, dstV, hist)
 }
@@ -287,7 +287,7 @@ func TestParallelNonInPlace(t *testing.T) {
 		fn := pfunc.NewRadix[uint32](0, 8)
 		dstK := make([]uint32, len(keys))
 		dstV := make([]uint32, len(keys))
-		hist := ParallelNonInPlace(keys, vals, dstK, dstV, fn, workers)
+		hist := ParallelNonInPlace(nil, keys, vals, dstK, dstV, fn, workers, nil)
 		checkPartitioned(t, keys, vals, dstK, dstV, fn, hist)
 		checkStable(t, dstV, hist)
 	}
@@ -301,11 +301,11 @@ func TestParallelNonInPlaceMatchesSerial(t *testing.T) {
 
 	serialK := make([]uint32, len(keys))
 	serialV := make([]uint32, len(keys))
-	NonInPlaceInCache(keys, vals, serialK, serialV, fn, hist)
+	NonInPlaceInCache(nil, keys, vals, serialK, serialV, fn, hist)
 
 	parK := make([]uint32, len(keys))
 	parV := make([]uint32, len(keys))
-	ParallelNonInPlace(keys, vals, parK, parV, fn, 4)
+	ParallelNonInPlace(nil, keys, vals, parK, parV, fn, 4, nil)
 
 	// Both are stable, so outputs must be bit-identical.
 	for i := range serialK {
@@ -320,7 +320,7 @@ func TestParallelInPlaceSharedNothing(t *testing.T) {
 	keys := append([]uint32(nil), orig...)
 	vals := gen.RIDs[uint32](len(keys))
 	fn := pfunc.NewRadix[uint32](0, 5)
-	hists, bounds := ParallelInPlaceSharedNothing(keys, vals, fn, 4)
+	hists, bounds := ParallelInPlaceSharedNothing(nil, keys, vals, fn, 4)
 	// Each worker's chunk is partitioned independently.
 	for t2 := 0; t2 < 4; t2++ {
 		lo, hi := bounds[t2], bounds[t2+1]
@@ -341,7 +341,7 @@ func TestParallelInPlaceSharedNothing(t *testing.T) {
 
 func TestThreadStarts(t *testing.T) {
 	hists := [][]int{{2, 3}, {1, 4}}
-	starts, global := ThreadStarts(hists, 10)
+	starts, global := ThreadStartsInto([][]int{make([]int, 2), make([]int, 2)}, make([]int, 2), hists, 10)
 	// layout: p0: t0 at 10 (2), t1 at 12 (1); p1: t0 at 13 (3), t1 at 16 (4).
 	if global[0] != 10 || global[1] != 13 {
 		t.Fatalf("global = %v", global)

@@ -104,9 +104,9 @@ func benchInPlaceKernel(b *testing.B, radix bool) {
 		copy(work, keys)
 		copy(workV, vals)
 		if radix {
-			InPlaceOutOfCacheWS(w, work, workV, fn, hist)
+			InPlaceOutOfCache(w, work, workV, fn, hist)
 		} else {
-			InPlaceOutOfCacheWS(w, work, workV, ref, hist)
+			InPlaceOutOfCache(w, work, workV, ref, hist)
 		}
 	}
 }

@@ -9,8 +9,19 @@ import (
 	"repro/internal/ws"
 )
 
-// wsEquiv runs the same partitioning through the plain and workspace-backed
-// entry points and verifies identical output.
+// sameTuples fails unless the two (key, payload) columns are identical.
+func sameTuples[K kv.Key](t *testing.T, what string, aK, aV, bK, bV []K) {
+	t.Helper()
+	for i := range aK {
+		if aK[i] != bK[i] || aV[i] != bV[i] {
+			t.Fatalf("%s: nil workspace and workspace diverge at %d: (%d,%d) vs (%d,%d)",
+				what, i, aK[i], aV[i], bK[i], bV[i])
+		}
+	}
+}
+
+// wsEquiv runs the same partitioning through every kernel with a nil
+// workspace and with a workspace and verifies identical output.
 func wsEquiv[K kv.Key](t *testing.T, keys []K, bits uint) {
 	t.Helper()
 	w := ws.New()
@@ -21,32 +32,33 @@ func wsEquiv[K kv.Key](t *testing.T, keys []K, bits uint) {
 
 	n := len(keys)
 	plainK, plainV := make([]K, n), make([]K, n)
-	NonInPlaceOutOfCache(keys, vals, plainK, plainV, fn, starts)
+	NonInPlaceOutOfCache(nil, keys, vals, plainK, plainV, fn, starts, nil)
 
 	wsK, wsV := make([]K, n), make([]K, n)
-	NonInPlaceOutOfCacheWS(w, keys, vals, wsK, wsV, fn, starts)
-	for i := range plainK {
-		if plainK[i] != wsK[i] || plainV[i] != wsV[i] {
-			t.Fatalf("WS scatter diverges from plain at %d: (%d,%d) vs (%d,%d)",
-				i, plainK[i], plainV[i], wsK[i], wsV[i])
-		}
-	}
+	NonInPlaceOutOfCache(w, keys, vals, wsK, wsV, fn, starts, nil)
+	sameTuples(t, "NonInPlaceOutOfCache", plainK, plainV, wsK, wsV)
 
 	inK, inV := append([]K(nil), keys...), append([]K(nil), vals...)
-	InPlaceOutOfCacheWS(w, inK, inV, fn, hist)
+	InPlaceOutOfCache(w, inK, inV, fn, hist)
 	checkPartitioned(t, keys, vals, inK, inV, fn, hist)
+	inNilK, inNilV := append([]K(nil), keys...), append([]K(nil), vals...)
+	InPlaceOutOfCache(nil, inNilK, inNilV, fn, hist)
+	sameTuples(t, "InPlaceOutOfCache", inNilK, inNilV, inK, inV)
 
 	icK, icV := append([]K(nil), keys...), append([]K(nil), vals...)
-	InPlaceInCacheWS(w, icK, icV, fn, hist)
+	InPlaceInCache(w, icK, icV, fn, hist)
 	checkPartitioned(t, keys, vals, icK, icV, fn, hist)
+	icNilK, icNilV := append([]K(nil), keys...), append([]K(nil), vals...)
+	InPlaceInCache(nil, icNilK, icNilV, fn, hist)
+	sameTuples(t, "InPlaceInCache", icNilK, icNilV, icK, icV)
 
+	// Both non-in-place kernels are stable, so they agree with each other.
 	ncK, ncV := make([]K, n), make([]K, n)
-	NonInPlaceInCacheWS(w, keys, vals, ncK, ncV, fn, hist)
-	for i := range plainK {
-		if plainK[i] != ncK[i] || plainV[i] != ncV[i] {
-			t.Fatalf("in-cache WS scatter diverges from plain at %d", i)
-		}
-	}
+	NonInPlaceInCache(w, keys, vals, ncK, ncV, fn, hist)
+	sameTuples(t, "NonInPlaceInCache", plainK, plainV, ncK, ncV)
+	ncNilK, ncNilV := make([]K, n), make([]K, n)
+	NonInPlaceInCache(nil, keys, vals, ncNilK, ncNilV, fn, hist)
+	sameTuples(t, "NonInPlaceInCache", ncNilK, ncNilV, ncK, ncV)
 }
 
 func TestWSKernelsMatchPlain(t *testing.T) {
@@ -69,17 +81,13 @@ func TestWSCodesScatterMatchesPlain(t *testing.T) {
 
 	n := len(keys)
 	plainK, plainV := make([]uint32, n), make([]uint32, n)
-	NonInPlaceOutOfCacheCodes(keys, vals, plainK, plainV, codes, len(hist), starts)
+	NonInPlaceOutOfCacheCodes(nil, keys, vals, plainK, plainV, codes, len(hist), starts, nil)
 
 	wsK, wsV := make([]uint32, n), make([]uint32, n)
-	NonInPlaceOutOfCacheCodesWS(w, keys, vals, wsK, wsV, codes, len(hist), starts)
-	for i := range plainK {
-		if plainK[i] != wsK[i] || plainV[i] != wsV[i] {
-			t.Fatalf("codes WS scatter diverges from plain at %d", i)
-		}
-	}
+	NonInPlaceOutOfCacheCodes(w, keys, vals, wsK, wsV, codes, len(hist), starts, nil)
+	sameTuples(t, "NonInPlaceOutOfCacheCodes", plainK, plainV, wsK, wsV)
 
-	// The WS variant must not mutate the caller's starts array (it copies
+	// The kernel must not mutate the caller's starts array (it copies
 	// into a pooled offset array instead).
 	again, _ := Starts(hist)
 	for p := range starts {
@@ -100,33 +108,33 @@ func TestWSScatterZeroAlloc(t *testing.T) {
 	dstK, dstV := make([]uint32, n), make([]uint32, n)
 
 	// Warm once so line buffers and offset arrays enter the arena.
-	NonInPlaceOutOfCacheWS(w, keys, vals, dstK, dstV, fn, starts)
+	NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, fn, starts, nil)
 	if a := testing.AllocsPerRun(10, func() {
-		NonInPlaceOutOfCacheWS(w, keys, vals, dstK, dstV, fn, starts)
+		NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, fn, starts, nil)
 	}); a != 0 {
-		t.Fatalf("warm NonInPlaceOutOfCacheWS allocates %v times", a)
+		t.Fatalf("warm NonInPlaceOutOfCache allocates %v times", a)
 	}
 
 	inK, inV := append([]uint32(nil), keys...), append([]uint32(nil), vals...)
-	InPlaceOutOfCacheWS(w, inK, inV, fn, hist)
+	InPlaceOutOfCache(w, inK, inV, fn, hist)
 	if a := testing.AllocsPerRun(10, func() {
-		InPlaceOutOfCacheWS(w, inK, inV, fn, hist)
+		InPlaceOutOfCache(w, inK, inV, fn, hist)
 	}); a != 0 {
-		t.Fatalf("warm InPlaceOutOfCacheWS allocates %v times", a)
+		t.Fatalf("warm InPlaceOutOfCache allocates %v times", a)
 	}
 
-	InPlaceInCacheWS(w, inK, inV, fn, hist)
+	InPlaceInCache(w, inK, inV, fn, hist)
 	if a := testing.AllocsPerRun(10, func() {
-		InPlaceInCacheWS(w, inK, inV, fn, hist)
+		InPlaceInCache(w, inK, inV, fn, hist)
 	}); a != 0 {
-		t.Fatalf("warm InPlaceInCacheWS allocates %v times", a)
+		t.Fatalf("warm InPlaceInCache allocates %v times", a)
 	}
 
-	NonInPlaceInCacheWS(w, keys, vals, dstK, dstV, fn, hist)
+	NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist)
 	if a := testing.AllocsPerRun(10, func() {
-		NonInPlaceInCacheWS(w, keys, vals, dstK, dstV, fn, hist)
+		NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist)
 	}); a != 0 {
-		t.Fatalf("warm NonInPlaceInCacheWS allocates %v times", a)
+		t.Fatalf("warm NonInPlaceInCache allocates %v times", a)
 	}
 
 	// The generic dispatch arm (non-Radix fn) must stay zero-alloc too: the
@@ -134,22 +142,22 @@ func TestWSScatterZeroAlloc(t *testing.T) {
 	hfn := pfunc.NewHash[uint32](256)
 	hh := Histogram(keys, hfn)
 	hs, _ := Starts(hh)
-	NonInPlaceOutOfCacheWS(w, keys, vals, dstK, dstV, hfn, hs)
+	NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, hfn, hs, nil)
 	if a := testing.AllocsPerRun(10, func() {
-		NonInPlaceOutOfCacheWS(w, keys, vals, dstK, dstV, hfn, hs)
+		NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, hfn, hs, nil)
 	}); a != 0 {
-		t.Fatalf("warm generic NonInPlaceOutOfCacheWS allocates %v times", a)
+		t.Fatalf("warm generic NonInPlaceOutOfCache allocates %v times", a)
 	}
 
 	// Unrolled code-driven scatter.
 	codes := make([]int32, len(keys))
 	ch := HistogramCodes(keys, fn, codes)
 	cs, _ := Starts(ch)
-	NonInPlaceOutOfCacheCodesWS(w, keys, vals, dstK, dstV, codes, len(ch), cs)
+	NonInPlaceOutOfCacheCodes(w, keys, vals, dstK, dstV, codes, len(ch), cs, nil)
 	if a := testing.AllocsPerRun(10, func() {
-		NonInPlaceOutOfCacheCodesWS(w, keys, vals, dstK, dstV, codes, len(ch), cs)
+		NonInPlaceOutOfCacheCodes(w, keys, vals, dstK, dstV, codes, len(ch), cs, nil)
 	}); a != 0 {
-		t.Fatalf("warm NonInPlaceOutOfCacheCodesWS allocates %v times", a)
+		t.Fatalf("warm NonInPlaceOutOfCacheCodes allocates %v times", a)
 	}
 }
 
@@ -189,11 +197,16 @@ func TestMergeHistogramsInto(t *testing.T) {
 	}
 }
 
+// TestThreadStartsInto checks that pooled (dirty) tables are fully
+// overwritten.
 func TestThreadStartsInto(t *testing.T) {
 	hists := [][]int{{2, 0, 3}, {1, 4, 0}}
-	wantStarts, wantGlobal := ThreadStarts(hists, 10)
-	starts := [][]int{make([]int, 3), make([]int, 3)}
-	global := make([]int, 3)
+	// p0: t0 at 10 (2), t1 at 12 (1); p1: t0 at 13 (0), t1 at 13 (4);
+	// p2: t0 at 17 (3), t1 at 20 (0).
+	wantStarts := [][]int{{10, 13, 17}, {12, 13, 20}}
+	wantGlobal := []int{10, 13, 17}
+	starts := [][]int{{-1, -1, -1}, {-1, -1, -1}}
+	global := []int{-1, -1, -1}
 	gotStarts, gotGlobal := ThreadStartsInto(starts, global, hists, 10)
 	for t2 := range wantStarts {
 		for p := range wantStarts[t2] {
@@ -236,7 +249,7 @@ func TestFusedHistograms(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			workers := 4
 			bounds := ChunkBounds(len(keys), workers)
-			h0, joints := FusedHistograms(w, keys, ranges, bounds)
+			h0, joints := FusedHistograms(w, keys, ranges, bounds, nil)
 
 			// Pass-0 per-worker histograms match direct chunk histograms.
 			fn0 := pfunc.NewRadix[uint32](ranges[0][0], ranges[0][1])
@@ -284,7 +297,7 @@ func TestFusedHistogramsSinglePass(t *testing.T) {
 	defer w.Close()
 	keys := gen.Uniform[uint32](1000, 0, 3)
 	bounds := ChunkBounds(len(keys), 2)
-	h0, joints := FusedHistograms(w, keys, [][2]uint{{0, 8}}, bounds)
+	h0, joints := FusedHistograms(w, keys, [][2]uint{{0, 8}}, bounds, nil)
 	if joints != nil {
 		t.Fatal("single pass must not build joint tables")
 	}
@@ -307,8 +320,8 @@ func TestFusedJointCells(t *testing.T) {
 	}
 }
 
-// TestParallelWSMatchesPlain drives the parallel WS front doors against
-// their allocation-heavy predecessors.
+// TestParallelWSMatchesPlain drives the parallel drivers with a workspace
+// against the same drivers with a nil (allocating) workspace.
 func TestParallelWSMatchesPlain(t *testing.T) {
 	w := ws.New()
 	defer w.Close()
@@ -318,9 +331,12 @@ func TestParallelWSMatchesPlain(t *testing.T) {
 	workers := 4
 	n := len(keys)
 
-	hists, bounds := ParallelHistogramsWS(w, keys, fn, workers)
-	plainHists := ParallelHistograms(keys, fn, workers)
+	hists, bounds := ParallelHistograms(w, keys, fn, workers, nil)
+	plainHists, plainBounds := ParallelHistograms(nil, keys, fn, workers, nil)
 	for t2 := range plainHists {
+		if bounds[t2+1] != plainBounds[t2+1] {
+			t.Fatalf("bounds = %v, want %v", bounds, plainBounds)
+		}
 		for p := range plainHists[t2] {
 			if hists[t2][p] != plainHists[t2][p] {
 				t.Fatalf("hists[%d][%d] = %d, want %d", t2, p, hists[t2][p], plainHists[t2][p])
@@ -329,24 +345,27 @@ func TestParallelWSMatchesPlain(t *testing.T) {
 	}
 
 	wsK, wsV := make([]uint32, n), make([]uint32, n)
-	ParallelScatterBoundsWS(w, keys, vals, wsK, wsV, fn, hists, 0, bounds)
+	ParallelScatter(w, keys, vals, wsK, wsV, fn, hists, 0, bounds, nil)
 	plainK, plainV := make([]uint32, n), make([]uint32, n)
-	ParallelScatter(keys, vals, plainK, plainV, fn, plainHists, 0)
-	for i := range plainK {
-		if plainK[i] != wsK[i] || plainV[i] != wsV[i] {
-			t.Fatalf("parallel WS scatter diverges at %d", i)
-		}
-	}
+	ParallelScatter(nil, keys, vals, plainK, plainV, fn, plainHists, 0, nil, nil)
+	sameTuples(t, "ParallelScatter", plainK, plainV, wsK, wsV)
 	w.PutMatrix(hists)
 	w.PutInts(bounds)
 
+	npK, npV := make([]uint32, n), make([]uint32, n)
+	ParallelNonInPlace(w, keys, vals, npK, npV, fn, workers, nil)
+	sameTuples(t, "ParallelNonInPlace", plainK, plainV, npK, npV)
+
 	ipK, ipV := append([]uint32(nil), keys...), append([]uint32(nil), vals...)
-	h2, b2 := ParallelInPlaceSharedNothingWS(w, ipK, ipV, fn, workers)
+	h2, b2 := ParallelInPlaceSharedNothing(w, ipK, ipV, fn, workers)
 	for t2 := 0; t2 < workers; t2++ {
 		seg := ipK[b2[t2]:b2[t2+1]]
 		segV := ipV[b2[t2]:b2[t2+1]]
 		checkPartitioned(t, keys[b2[t2]:b2[t2+1]], vals[b2[t2]:b2[t2+1]], seg, segV, fn, h2[t2])
 	}
+	ipNilK, ipNilV := append([]uint32(nil), keys...), append([]uint32(nil), vals...)
+	ParallelInPlaceSharedNothing(nil, ipNilK, ipNilV, fn, workers)
+	sameTuples(t, "ParallelInPlaceSharedNothing", ipNilK, ipNilV, ipK, ipV)
 	w.PutMatrix(h2)
 	w.PutInts(b2)
 }

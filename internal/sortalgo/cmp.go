@@ -104,7 +104,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		pass0 := obs.BeginPassIn("cmp", 0, -1)
 		starts := w.Ints(fanout + 1)
 		timed(st, "cmp", phPartition, func() {
-			part.BlockPermutePartitionCtl(w, keys, vals, fn, cmpBlockTuples(n, fanout, t), t, starts, ctl)
+			part.BlockPermute(w, keys, vals, fn, cmpBlockTuples(n, fanout, t), t, starts, ctl)
 		})
 		pass0.EndN(int64(n))
 		cmpRecurseAll[K](keys, vals, nil, nil, starts, ref.SingleKey, true, opt, ct)
@@ -127,10 +127,10 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		fault.Inject(fault.SiteCMPPass)
 		pass0 := obs.BeginPassIn("cmp", 0, -1)
 		timed(st, "cmp", phHistogram, func() {
-			hists, bounds = part.ParallelHistogramsCodesCtlWS(w, keys, fn, codes, t, ctl)
+			hists, bounds = part.ParallelHistogramsCodes(w, keys, fn, codes, t, ctl)
 		})
 		timed(st, "cmp", phPartition, func() {
-			part.ParallelNonInPlaceCodesCtlWS(w, keys, vals, tmpK, tmpV, codes, hists, 0, ctl)
+			part.ParallelNonInPlaceCodes(w, keys, vals, tmpK, tmpV, codes, hists, 0, ctl)
 		})
 		pass0.EndN(int64(n))
 		merged := part.MergeHistogramsInto(w.Ints(fanout), hists)
@@ -165,7 +165,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		for r := 0; r < c; r++ {
 			g.Go(func() {
 				lo, hi := inBounds[r], inBounds[r+1]
-				regionHists[r], regionChunks[r] = part.ParallelHistogramsCodesCtlWS(w, keys[lo:hi], fn, codes[lo:hi], tpr, ctl)
+				regionHists[r], regionChunks[r] = part.ParallelHistogramsCodes(w, keys[lo:hi], fn, codes[lo:hi], tpr, ctl)
 			})
 		}
 		g.Wait()
@@ -175,7 +175,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		for r := 0; r < c; r++ {
 			g.Go(func() {
 				lo, hi := inBounds[r], inBounds[r+1]
-				part.ParallelNonInPlaceCodesCtlWS(w, keys[lo:hi], vals[lo:hi], tmpK[lo:hi], tmpV[lo:hi], codes[lo:hi], regionHists[r], 0, ctl)
+				part.ParallelNonInPlaceCodes(w, keys[lo:hi], vals[lo:hi], tmpK[lo:hi], tmpV[lo:hi], codes[lo:hi], regionHists[r], 0, ctl)
 			})
 		}
 		g.Wait()
@@ -456,7 +456,7 @@ func cmpRecurse[K kv.Key](xK, xV, yK, yV []K, wantInX bool, cs *CombSorter[K], o
 	codes := w.Int32s(n)
 	hist := part.HistogramCodesBatchInto(w.Ints(fanout), xK, tree, codes)
 	starts, _ := part.StartsInto(w.Ints(fanout), hist)
-	part.NonInPlaceOutOfCacheCodesCtlWS(w, xK, xV, yK, yV, codes, fanout, starts, ctl)
+	part.NonInPlaceOutOfCacheCodes(w, xK, xV, yK, yV, codes, fanout, starts, ctl)
 	scattered = true
 	w.PutInt32s(codes)
 	w.PutInts(starts)

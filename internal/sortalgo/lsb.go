@@ -109,7 +109,7 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		for r := 0; r < c; r++ {
 			g.Go(func() {
 				seg := keys[inBounds[r]:inBounds[r+1]]
-				regionHists[r], regionChunks[r] = part.ParallelHistogramsCtlWS(w, seg, fn1, tpr, ctl)
+				regionHists[r], regionChunks[r] = part.ParallelHistograms(w, seg, fn1, tpr, ctl)
 			})
 		}
 		g.Wait()
@@ -120,7 +120,7 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		for r := 0; r < c; r++ {
 			g.Go(func() {
 				lo, hi := inBounds[r], inBounds[r+1]
-				part.ParallelScatterBoundsCtlWS(w, keys[lo:hi], vals[lo:hi], tmpK[lo:hi], tmpV[lo:hi], fn1, regionHists[r], 0, regionChunks[r], ctl)
+				part.ParallelScatter(w, keys[lo:hi], vals[lo:hi], tmpK[lo:hi], tmpV[lo:hi], fn1, regionHists[r], 0, regionChunks[r], ctl)
 			})
 		}
 		g.Wait()
@@ -360,7 +360,7 @@ func lsbSingle[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, opt Optio
 		sp := obs.BeginPassIn("lsb", int(rg[0])/opt.RadixBits, -1)
 		timed(st, "lsb", ph, func() {
 			wsp := obs.BeginIn("lsb", "scatter", "worker", 0)
-			part.NonInPlaceOutOfCacheCtlWS(w, sk, sv, dk, dv, fn, starts[:p], ctl)
+			part.NonInPlaceOutOfCache(w, sk, sv, dk, dv, fn, starts[:p], ctl)
 			wsp.EndN(int64(n))
 		})
 		sp.EndN(int64(n))
@@ -396,11 +396,11 @@ func lsbPerPass[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, opt Opti
 		var bounds []int
 		sk, sv, dk, dv := srcK, srcV, dstK, dstV
 		timed(st, "lsb", phHistogram, func() {
-			hists, bounds = part.ParallelHistogramsCtlWS(w, sk, fn, threads, ctl)
+			hists, bounds = part.ParallelHistograms(w, sk, fn, threads, ctl)
 		})
 		sp := obs.BeginPassIn("lsb", int(rg[0])/opt.RadixBits, -1)
 		timed(st, "lsb", ph, func() {
-			part.ParallelScatterBoundsCtlWS(w, sk, sv, dk, dv, fn, hists, 0, bounds, ctl)
+			part.ParallelScatter(w, sk, sv, dk, dv, fn, hists, 0, bounds, ctl)
 		})
 		sp.EndN(int64(n))
 		if st != nil {
@@ -440,7 +440,7 @@ func lsbFused[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, opt Option
 	bounds0 := part.ChunkBoundsInto(w.Ints(threads+1), n)
 	var h0, joints [][]int
 	timed(st, "lsb", phHistogram, func() {
-		h0, joints = part.FusedHistogramsCtl(w, keys, ranges, bounds0, ctl)
+		h0, joints = part.FusedHistograms(w, keys, ranges, bounds0, ctl)
 	})
 
 	runPass := func(pass int, hists [][]int, bounds []int) {
@@ -451,7 +451,7 @@ func lsbFused[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, opt Option
 		sk, sv, dk, dv := srcK, srcV, dstK, dstV
 		sp := obs.BeginPassIn("lsb", int(rg[0])/opt.RadixBits, -1)
 		timed(st, "lsb", ph, func() {
-			part.ParallelScatterBoundsCtlWS(w, sk, sv, dk, dv, fn, hists, 0, bounds, ctl)
+			part.ParallelScatter(w, sk, sv, dk, dv, fn, hists, 0, bounds, ctl)
 		})
 		sp.EndN(int64(n))
 		if st != nil {

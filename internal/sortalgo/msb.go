@@ -62,7 +62,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	// window either keys is a permutation by construction (in-place
 	// partitioning permutes at every completed step, and interruption
 	// points sit at recursion entries) or a narrower handler — the chunk
-	// rollback inside part.ToBlocksInPlaceParallelCtl — already restored.
+	// rollback inside part.ToBlocksInPlaceParallel — already restored.
 	// The shuffle itself has no interruption points (block moves are not
 	// restorable once lists go stale), so a panic there is only contained
 	// and wrapped, without a permutation guarantee.
@@ -106,7 +106,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 
 	// Steps 2+3: fan the keys out into per-range contiguous segments. The
 	// default path is the in-place block-permutation kernel
-	// (part.BlockPermutePartitionCtl): O(threads × fanout × B) scratch
+	// (part.BlockPermute): O(threads × fanout × B) scratch
 	// instead of list-of-blocks auxiliary memory plus a copy-back, which
 	// halves peak memory on large sorts. The NUMA-aware path keeps the
 	// legacy block lists + synchronized cross-region shuffle, whose block
@@ -118,7 +118,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 		pass0 := obs.BeginPassIn("msb", 0, -1)
 		starts = opt.Workspace.Ints(fn.Fanout() + 1)
 		timed(st, "msb", phPartition, func() {
-			part.BlockPermutePartitionCtl(opt.Workspace, keys, vals, fn, msbBlockTuples[K](), t, starts, ctl)
+			part.BlockPermute(opt.Workspace, keys, vals, fn, msbBlockTuples[K](), t, starts, ctl)
 		})
 		pass0.EndN(int64(n))
 		if st != nil {
@@ -128,7 +128,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 		// Step 2: range partition into blocks, in place, in parallel.
 		pass0 := obs.BeginPassIn("msb", 0, -1)
 		timed(st, "msb", phPartition, func() {
-			blocks = part.ToBlocksInPlaceParallelCtl(keys, vals, fn, msbBlockTuples[K](), t, ctl)
+			blocks = part.ToBlocksInPlaceParallel(keys, vals, fn, msbBlockTuples[K](), t, ctl)
 		})
 		inBlocks = true
 		ctl.CheckpointNow()
@@ -260,9 +260,9 @@ func msbRecurse[K kv.Key](w *ws.Workspace, keys, vals []K, hiBit, cacheT int, ct
 	fn := pfunc.NewRadix[K](uint(hiBit-b), uint(hiBit))
 	hist := part.HistogramInto(w.Ints(fn.Fanout()), keys, fn)
 	if n > cacheT {
-		part.InPlaceOutOfCacheWS(w, keys, vals, fn, hist)
+		part.InPlaceOutOfCache(w, keys, vals, fn, hist)
 	} else {
-		part.InPlaceInCacheWS(w, keys, vals, fn, hist)
+		part.InPlaceInCache(w, keys, vals, fn, hist)
 	}
 	lo := 0
 	for _, h := range hist {

@@ -195,10 +195,11 @@ func probeScatterIn[K kv.Key](w *ws.Workspace, keys []K, bits, reps int) float64
 	copy(vals, keys)
 	part.HistogramInto(hist, keys, fn)
 	const loops = 48 // ~200k tuples per measurement
-	part.NonInPlaceInCacheWS(w, keys, vals, dstK, dstV, fn, hist) // warm-up
+	// Warm-up.
+	part.NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist)
 	d := timeBest(reps, func() {
 		for l := 0; l < loops; l++ {
-			part.NonInPlaceInCacheWS(w, keys, vals, dstK, dstV, fn, hist)
+			part.NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist)
 		}
 	})
 	probeSink += uint64(dstK[0])
@@ -222,9 +223,9 @@ func probeScatterOut[K kv.Key](w *ws.Workspace, keys []K, bits, reps int) float6
 	copy(vals, keys)
 	part.HistogramInto(hist, keys, fn)
 	part.StartsInto(starts, hist)
-	part.NonInPlaceOutOfCacheWS(w, keys, vals, dstK, dstV, fn, starts) // warm-up
+	part.NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, fn, starts, nil) // warm-up
 	d := timeBest(reps, func() {
-		part.NonInPlaceOutOfCacheWS(w, keys, vals, dstK, dstV, fn, starts)
+		part.NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, fn, starts, nil)
 	})
 	probeSink += uint64(dstK[0])
 	w.PutInts(hist)

@@ -28,6 +28,7 @@ package tune
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -83,17 +84,18 @@ type MachineProfile struct {
 }
 
 // Validate reports whether the profile carries usable measurements: every
-// throughput positive and both scatter curves non-empty with positive,
-// Bits-ordered points. Load rejects profiles that fail it.
+// throughput finite and positive and both scatter curves non-empty with
+// finite, positive, Bits-ordered points. Load rejects profiles that fail
+// it.
 func (p *MachineProfile) Validate() error {
 	if p == nil {
 		return fmt.Errorf("tune: nil profile")
 	}
-	if p.SeqReadGBps <= 0 || p.ScatterGBps <= 0 {
-		return fmt.Errorf("tune: non-positive bandwidth in profile")
+	if !finitePositive(p.SeqReadGBps) || !finitePositive(p.ScatterGBps) {
+		return fmt.Errorf("tune: bandwidth in profile not finite and positive")
 	}
-	if p.Hist32MKeys <= 0 || p.Hist64MKeys <= 0 {
-		return fmt.Errorf("tune: non-positive histogram throughput in profile")
+	if !finitePositive(p.Hist32MKeys) || !finitePositive(p.Hist64MKeys) {
+		return fmt.Errorf("tune: histogram throughput in profile not finite and positive")
 	}
 	for _, curve := range [][]ScatterPoint{p.Scatter32, p.Scatter64} {
 		if len(curve) == 0 {
@@ -101,13 +103,19 @@ func (p *MachineProfile) Validate() error {
 		}
 		prev := 0
 		for _, pt := range curve {
-			if pt.Bits <= prev || pt.InCacheNs <= 0 || pt.OutCacheNs <= 0 {
+			if pt.Bits <= prev || !finitePositive(pt.InCacheNs) || !finitePositive(pt.OutCacheNs) {
 				return fmt.Errorf("tune: malformed scatter point {bits %d}", pt.Bits)
 			}
 			prev = pt.Bits
 		}
 	}
 	return nil
+}
+
+// finitePositive reports whether x is a usable measurement: x > 0 is
+// already false for NaN and -Inf, so only +Inf needs excluding.
+func finitePositive(x float64) bool {
+	return x > 0 && !math.IsInf(x, 1)
 }
 
 // Save writes the profile as indented JSON to path (the calibrate-once

@@ -1,6 +1,9 @@
 package tune
 
 import (
+	"encoding/json"
+	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -60,6 +63,89 @@ func TestLoadRejectsMalformedProfiles(t *testing.T) {
 	if _, err := Load(path); err == nil {
 		t.Fatal("profile with zero histogram throughput accepted")
 	}
+}
+
+// fixedProfile is a small valid profile with hand-picked measurements.
+func fixedProfile() *MachineProfile {
+	return &MachineProfile{
+		GoVersion: "go1.23", GOOS: "linux", GOARCH: "amd64", NumCPU: 2,
+		SeqReadGBps: 10, ScatterGBps: 4, Hist32MKeys: 900, Hist64MKeys: 700,
+		Scatter32: []ScatterPoint{{Bits: 4, InCacheNs: 1, OutCacheNs: 2}, {Bits: 8, InCacheNs: 1.5, OutCacheNs: 3}},
+		Scatter64: []ScatterPoint{{Bits: 4, InCacheNs: 1.2, OutCacheNs: 2.5}, {Bits: 8, InCacheNs: 2, OutCacheNs: 4}},
+	}
+}
+
+func TestValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(p *MachineProfile)
+		ok   bool
+	}{
+		{"valid", func(p *MachineProfile) {}, true},
+		{"zero read bandwidth", func(p *MachineProfile) { p.SeqReadGBps = 0 }, false},
+		{"negative scatter bandwidth", func(p *MachineProfile) { p.ScatterGBps = -1 }, false},
+		{"NaN read bandwidth", func(p *MachineProfile) { p.SeqReadGBps = nan }, false},
+		{"+Inf scatter bandwidth", func(p *MachineProfile) { p.ScatterGBps = inf }, false},
+		{"-Inf scatter bandwidth", func(p *MachineProfile) { p.ScatterGBps = -inf }, false},
+		{"NaN 64-bit histogram", func(p *MachineProfile) { p.Hist64MKeys = nan }, false},
+		{"+Inf 32-bit histogram", func(p *MachineProfile) { p.Hist32MKeys = inf }, false},
+		{"NaN in-cache cost", func(p *MachineProfile) { p.Scatter32[1].InCacheNs = nan }, false},
+		{"+Inf out-of-cache cost", func(p *MachineProfile) { p.Scatter64[0].OutCacheNs = inf }, false},
+		{"zero out-of-cache cost", func(p *MachineProfile) { p.Scatter64[1].OutCacheNs = 0 }, false},
+		{"unordered bits", func(p *MachineProfile) { p.Scatter32[1].Bits = 4 }, false},
+		{"empty curve", func(p *MachineProfile) { p.Scatter64 = nil }, false},
+	}
+	for _, c := range cases {
+		p := fixedProfile()
+		c.edit(p)
+		if err := p.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+	if (*MachineProfile)(nil).Validate() == nil {
+		t.Error("nil profile accepted")
+	}
+}
+
+// FuzzLoadMachineProfile feeds arbitrary bytes to Load: it must never
+// panic, and a profile it accepts must be valid and survive a Save/Load
+// round trip unchanged.
+func FuzzLoadMachineProfile(f *testing.F) {
+	valid, err := json.Marshal(fixedProfile())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"seq_read_gbps": 1e999}`))
+	f.Add([]byte(`{"scatter32": [{"bits": 1, "in_cache_ns": 1, "out_cache_ns": 1}]}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := Load(in)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Load accepted an invalid profile: %v", err)
+		}
+		out := filepath.Join(dir, "out.json")
+		if err := p.Save(out); err != nil {
+			t.Fatalf("save accepted profile: %v", err)
+		}
+		q, err := Load(out)
+		if err != nil {
+			t.Fatalf("reload saved profile: %v", err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the profile:\nloaded   %+v\nreloaded %+v", p, q)
+		}
+	})
 }
 
 func TestMemProjectsCalibratedConstants(t *testing.T) {

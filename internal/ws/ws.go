@@ -545,7 +545,6 @@ func (w *Workspace) PutMatrix(m [][]int) {
 // dropped — both are correctness-neutral.
 const (
 	SlotParHist = iota
-	SlotParHistCodes
 	SlotScatter
 	SlotScatterCodes
 	SlotInPlaceChunk

@@ -83,7 +83,7 @@ func Partition[K Key, F PartitionFunc[K]](srcKeys, srcVals, dstKeys, dstVals []K
 	if threads < 1 {
 		threads = 1
 	}
-	return part.ParallelNonInPlace(srcKeys, srcVals, dstKeys, dstVals, fn, threads)
+	return part.ParallelNonInPlace(nil, srcKeys, srcVals, dstKeys, dstVals, fn, threads, nil)
 }
 
 // PartitionInPlace partitions keys/vals in place (single goroutine) and
@@ -98,9 +98,9 @@ func PartitionInPlace[K Key, F PartitionFunc[K]](keys, vals []K, fn F, cacheTupl
 	}
 	hist := part.Histogram(keys, fn)
 	if len(keys) <= cacheTuples {
-		part.InPlaceInCache(keys, vals, fn, hist)
+		part.InPlaceInCache(nil, keys, vals, fn, hist)
 	} else {
-		part.InPlaceOutOfCache(keys, vals, fn, hist)
+		part.InPlaceOutOfCache(nil, keys, vals, fn, hist)
 	}
 	return hist
 }
@@ -165,7 +165,7 @@ func PartitionBlocks[K Key, F PartitionFunc[K]](keys, vals []K, fn F, blockTuple
 	if workers < 1 {
 		workers = 1
 	}
-	return &BlockLists[K]{b: part.ToBlocksInPlaceParallel(keys, vals, fn, blockTuples, workers)}
+	return &BlockLists[K]{b: part.ToBlocksInPlaceParallel(keys, vals, fn, blockTuples, workers, nil)}
 }
 
 // PartitionColumns stably partitions a key column plus any number of

@@ -383,7 +383,7 @@ func TryPartitionCtx[K Key, F PartitionFunc[K]](ctx context.Context, srcKeys, sr
 		if t < 1 {
 			t = 1
 		}
-		hist = part.ParallelNonInPlaceCtl(nil, srcKeys, srcVals, dstKeys, dstVals, fn, t, ctl)
+		hist = part.ParallelNonInPlace(nil, srcKeys, srcVals, dstKeys, dstVals, fn, t, ctl)
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package partsort
 import (
 	"context"
 	"errors"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -146,6 +147,25 @@ var faultMatrix = []faultCase{
 	{"cmp", fault.SiteBlockCleanup, 4, 1, 1 << 12},
 	{"cmp", fault.SiteCMPPass, 4, 2, 1 << 12},
 	{"cmp", fault.SiteShuffleStart, 4, 2, 1 << 12},
+	{"ext", fault.SiteExtSpill, 4, 1, 0},
+	{"ext", fault.SiteExtMerge, 4, 1, 0},
+}
+
+// runFaultCase runs one matrix cell's sort on k/v. The "ext" cells run
+// SortExternalCtx in a forced-spill shape — segments far below n so the
+// run leaves RAM, a real bucket fanout, and merges deep enough to reach
+// the merge site — spilling into spillDir.
+func runFaultCase(c faultCase, k, v []uint32, w *Workspace, spillDir string) error {
+	opt := &SortOptions{Threads: c.threads, Regions: c.regions, CacheTuples: c.cache, Workspace: w}
+	if c.algo != "ext" {
+		return algoByName(c.algo).run(context.Background(), k, v, opt)
+	}
+	opt.TempDir = spillDir
+	opt.SpillSegmentTuples = 1 << 12
+	opt.SpillBucketBits = 3
+	opt.SpillMergeWidth = 4
+	_, err := SortExternalCtx(context.Background(), k, v, opt)
+	return err
 }
 
 func algoByName(name string) tryAlgo {
@@ -160,13 +180,25 @@ func algoByName(name string) tryAlgo {
 // TestTryFaultMatrix arms every registered injection site against every
 // sort that declares it and proves the hardened-execution contract: the
 // panic comes back as *InternalError wrapping the injected value (never a
-// crash), no goroutine leaks, and keys/vals are left a permutation of the
-// input.
+// crash), no goroutine leaks, no temp resource outlives its sort, the
+// external sort's spill directory is left empty, and keys/vals are left a
+// permutation of the input. Every registered site must have a cell.
 func TestTryFaultMatrix(t *testing.T) {
 	defer fault.Disable()
 	n := 1 << 15
 	keys := gen.Uniform[uint32](n, 0, 3)
 	vals := RIDs[uint32](n)
+	spillDir := t.TempDir()
+
+	covered := map[fault.Site]bool{}
+	for _, c := range faultMatrix {
+		covered[c.site] = true
+	}
+	for _, s := range fault.Sites() {
+		if !covered[s] {
+			t.Fatalf("site %s has no matrix cell", s)
+		}
+	}
 
 	for _, withWS := range []bool{false, true} {
 		var w *Workspace
@@ -188,8 +220,7 @@ func TestTryFaultMatrix(t *testing.T) {
 				v := append([]uint32(nil), vals...)
 				base := runtime.NumGoroutine()
 				fault.Enable(c.site, after)
-				err := algoByName(c.algo).run(context.Background(), k, v,
-					&SortOptions{Threads: c.threads, Regions: c.regions, CacheTuples: c.cache, Workspace: w})
+				err := runFaultCase(c, k, v, w, spillDir)
 				fired := fault.Fired()
 				fault.Disable()
 				if fired {
@@ -215,6 +246,12 @@ func TestTryFaultMatrix(t *testing.T) {
 				if !SameMultiset(keys, vals, k, v) {
 					t.Fatalf("%s ws=%v after=%d fired=%v: keys/vals are not a permutation of the input",
 						name, withWS, after, fired)
+				}
+				if err := fault.CheckResources(); err != nil {
+					t.Fatalf("%s ws=%v after=%d: %v", name, withWS, after, err)
+				}
+				if ents, err := os.ReadDir(spillDir); err != nil || len(ents) != 0 {
+					t.Fatalf("%s ws=%v after=%d: spill dir holds %d entries (%v)", name, withWS, after, len(ents), err)
 				}
 				waitGoroutines(t, base)
 			}

@@ -55,12 +55,11 @@ go test -run xxx -bench ObsOverhead -benchtime 0.2s ./internal/part/ > /dev/null
 # zero-allocation record paths; shutdown must leak no goroutines.
 go run ./cmd/metricscheck -n 500000
 
-# Hardened execution: the fault-injection matrix (every site x every sort)
-# must contain worker panics as *InternalError with the input left a
-# permutation and no goroutine leaks, under the race detector too, and a
-# short context deadline must cancel a large sort promptly.
+# Hardened execution: the fault-injection matrix (every site x every sort,
+# the external sort's spill and merge included) must contain worker panics
+# as *InternalError with the input left a permutation, no goroutine or temp
+# resource leaks and an empty spill dir, under the race detector too.
 go test -race -short -count=1 -run 'TestTryFaultMatrix|TestTryCancelRace|TestTryPartitionFault' .
-go run ./cmd/faultcheck
 
 # External sort: a forced spill several times the memory budget must
 # produce a sorted permutation with exactly one streaming formation pass,
