@@ -1,6 +1,9 @@
 package memmodel
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SortAlgo enumerates the paper's three sorting algorithms.
 type SortAlgo int
@@ -56,13 +59,80 @@ type SortConfig struct {
 	ZipfTheta    float64
 }
 
-// bitsPerPass is the paper's optimal out-of-cache radix fanout
-// (10-12 bits for non-in-place, 9-10 in-place; Figure 3).
+// bitsPerPassIP is the paper's optimal out-of-cache in-place radix
+// fanout (9-10 bits; Figure 3).
 const (
-	bitsPerPassNIP = 10
-	bitsPerPassIP  = 9
-	rangeFanout    = 1000 // CMP's wide range fanout per pass
+	bitsPerPassIP = 9
+	rangeFanout   = 1000 // CMP's wide range fanout per pass
 )
+
+// The LSB digit plan's widths. Out of cache the buffered scatter stays
+// flat up to 10-12 bits (Figure 3), so wide digits buy fewer passes for
+// free; in cache Algorithm 1 runs byte-wide digits, whose offsets and
+// output stay cache-resident (Section 3.1).
+const (
+	LSBOutOfCacheBits = 11
+	LSBInCacheBits    = 8
+)
+
+// LSBDigits appends to dst the digit bit ranges [lo, hi) of an LSB
+// radix-sort over key bits [0, domainBits), least significant first, and
+// returns the extended slice. The runtime, memmodel.Sort and the planner
+// all price LSB through this one function.
+//
+// radixBits > 0 fixes every digit at that width (the last takes the
+// remainder). radixBits <= 0 selects the working-set plan:
+// LSBInCacheBits-wide digits when the sort fits in cache, otherwise
+// ceil(span/LSBOutOfCacheBits) digits of near-equal width, wider ones
+// first (22 bits: 11+11; 32: 11+11+10; 64: 4x11 + 2x10).
+//
+// ranges > 1 is the range fanout fused into the first pass (the NUMA-aware
+// first pass of Section 4.2.1). Under the plan that pass's digit narrows
+// so its total fanout, ranges times radix, stays within the flat zone of
+// LSBOutOfCacheBits+1 bits, and the rest of the span is planned anew.
+func LSBDigits(dst [][2]uint, domainBits, radixBits int, inCache bool, ranges int) [][2]uint {
+	if domainBits <= 0 {
+		return dst
+	}
+	if radixBits > 0 {
+		return lsbFixed(dst, 0, domainBits, radixBits)
+	}
+	if inCache {
+		return lsbFixed(dst, 0, domainBits, LSBInCacheBits)
+	}
+	if ranges > 1 {
+		lead := max(1, LSBOutOfCacheBits+1-bits.Len(uint(ranges-1)))
+		passes := (domainBits + LSBOutOfCacheBits - 1) / LSBOutOfCacheBits
+		if widest := (domainBits + passes - 1) / passes; widest > lead {
+			return lsbBalanced(append(dst, [2]uint{0, uint(lead)}), lead, domainBits)
+		}
+	}
+	return lsbBalanced(dst, 0, domainBits)
+}
+
+// lsbFixed appends width-bit digits covering [lo, hi).
+func lsbFixed(dst [][2]uint, lo, hi, width int) [][2]uint {
+	for ; lo < hi; lo += width {
+		dst = append(dst, [2]uint{uint(lo), uint(min(lo+width, hi))})
+	}
+	return dst
+}
+
+// lsbBalanced appends ceil((hi-lo)/LSBOutOfCacheBits) digits of near-equal
+// width covering [lo, hi), wider ones first.
+func lsbBalanced(dst [][2]uint, lo, hi int) [][2]uint {
+	span := hi - lo
+	passes := (span + LSBOutOfCacheBits - 1) / LSBOutOfCacheBits
+	for i := 0; i < passes; i++ {
+		w := span / passes
+		if i < span%passes {
+			w++
+		}
+		dst = append(dst, [2]uint{uint(lo), uint(lo + w)})
+		lo += w
+	}
+	return dst
+}
 
 // allocBW models first-touch page allocation bandwidth in GB/s (page
 // faults + zeroing).
@@ -77,8 +147,6 @@ func Sort(p Profile, cfg SortConfig) SortPhases {
 	t := cfg.Threads
 	var ph SortPhases
 	tupleBytes := float64(2 * kb)
-	cacheTuples := float64(p.L3Bytes) / float64(p.Sockets*2) / tupleBytes * float64(p.Sockets)
-	_ = cacheTuples
 
 	mode := func(first bool) NUMAMode {
 		if !cfg.NUMAAware {
@@ -96,13 +164,26 @@ func Sort(p Profile, cfg SortConfig) SortPhases {
 		if !cfg.PreAllocated {
 			ph.Alloc = float64(n) * tupleBytes / (allocBW * 1e9)
 		}
-		passes := int(math.Ceil(float64(cfg.DomainBits) / bitsPerPassNIP))
-		if passes < 1 {
-			passes = 1
+		// The digit plan the runtime executes; a single-threaded in-cache
+		// sort scatters with Algorithm 1. The NUMA-aware first pass fuses
+		// the paper's C-way range split into its digit.
+		inCache := float64(n) <= cacheTuplesFor(p, kb)
+		variant := NonInPlaceOutOfCache
+		if inCache && t == 1 {
+			variant = NonInPlaceInCache
 		}
-		for i := 0; i < passes; i++ {
-			ph.Histogram += float64(n) / Histogram(p, HistRadix, 1<<bitsPerPassNIP, kb, t)
-			sec := PassSeconds(p, NonInPlaceOutOfCache, mode(i == 0), 1<<bitsPerPassNIP, kb, t, n, cfg.ZipfTheta)
+		ranges := 1
+		if cfg.NUMAAware && p.Sockets > 1 {
+			ranges = p.Sockets
+		}
+		digits := LSBDigits(nil, max(cfg.DomainBits, 1), 0, inCache, ranges)
+		for i, d := range digits {
+			fanout := 1 << (d[1] - d[0])
+			ph.Histogram += float64(n) / Histogram(p, HistRadix, fanout, kb, t)
+			if i == 0 {
+				fanout *= ranges
+			}
+			sec := PassSeconds(p, variant, mode(i == 0), fanout, kb, t, n, cfg.ZipfTheta)
 			if i == 0 {
 				ph.Partition += sec
 			} else {

@@ -40,7 +40,7 @@ func (s *Server) runBatch(b *job) {
 	opt := &partsort.SortOptions{
 		Threads:     s.cfg.SortThreads,
 		Workspace:   arena.pub(),
-		MaxAuxBytes: estAux(b.n, b.width),
+		MaxAuxBytes: estAux(b.n, b.width, s.cfg.SortThreads),
 		AutoTune:    s.cfg.AutoTune,
 	}
 	var rs partsort.RetryStats

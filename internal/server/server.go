@@ -24,6 +24,7 @@ import (
 	"time"
 
 	partsort "repro"
+	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/tune"
 )
@@ -339,13 +340,25 @@ func newServer(cfg Config, popHook func(*job)) *Server {
 
 // estAux estimates one request's auxiliary footprint for the admission
 // ledger: the legacy two-column scratch plus a codes column plus the
-// merged-batch columns, with a fixed slack for line buffers and tables.
-// Deliberately conservative — the in-place paths use far less, and the
-// per-job SortOptions.MaxAuxBytes cap holds the run to this promise.
-func estAux(n, width int) int64 {
+// merged-batch columns, with a fixed slack for in-cache tables. A sort
+// past the 256 KiB per-worker cache budget runs LSB's out-of-cache digit
+// plan, whose tables are charged per sort worker on top. Deliberately
+// conservative — the in-place paths use far less, and the per-job
+// SortOptions.MaxAuxBytes cap holds the run to this promise.
+func estAux(n, width, threads int) int64 {
 	w8 := int64(width / 8)
-	return int64(n)*(4*w8+4) + (64 << 10)
+	est := int64(n)*(4*w8+4) + (64 << 10)
+	if int64(n)*2*w8 > 256<<10 {
+		est += int64(max(threads, 1)) * lsbPlanAux
+	}
+	return est
 }
+
+// lsbPlanAux is the pooled scratch one worker of LSB's out-of-cache digit
+// plan holds beside the tmp pair: a 64-byte line of keys and one of
+// payloads per partition, the histogram rows of up to six 2^11-bucket
+// digits (one arena class of 2^14 ints), and the starts and write cursors.
+const lsbPlanAux = 2*64<<memmodel.LSBOutOfCacheBits + 8*(1<<14+2<<memmodel.LSBOutOfCacheBits)
 
 // Submit runs one request through admission, the queue, and an executor
 // (merged with other small requests if it had to wait for one), blocking
@@ -375,7 +388,7 @@ func (s *Server) Submit(ctx context.Context, req *Request) (Result, error) {
 		req:   req,
 		ctx:   ctx,
 		n:     n,
-		est:   estAux(n, width),
+		est:   estAux(n, width, s.cfg.SortThreads),
 		prio:  req.Priority,
 		seq:   s.seq.Add(1),
 		enq:   time.Now(),

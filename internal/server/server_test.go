@@ -170,6 +170,57 @@ func TestSubmitSortsAllWidthsAndAlgos(t *testing.T) {
 	}
 }
 
+// TestAuxEstimateCoversLSBPlan pins the per-request aux budget against
+// LSB's digit plan: estAux becomes the run's MaxAuxBytes, so a plan whose
+// line buffers and histogram rows outgrow it would fail every request
+// once with a resource error and degrade it through the retry
+// supervisor. The sizes straddle the in-cache bound (16384 64-bit /
+// 32768 32-bit tuples), where the plan switches from 8-bit to 11-bit
+// digits.
+func TestAuxEstimateCoversLSBPlan(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		cfg := testConfig()
+		cfg.BatchMaxTuples = -1
+		cfg.SortThreads = threads
+		s := New(cfg)
+		submitLSBGrid(t, s, threads)
+		drainOK(t, s)
+	}
+}
+
+// submitLSBGrid runs one LSB request per size and key width through s and
+// fails unless each completes on its first attempt.
+func submitLSBGrid(t *testing.T, s *Server, threads int) {
+	t.Helper()
+	for _, n := range []int{4096, 16384, 16385, 32769, 65536, 1 << 18} {
+		for _, width := range []int{32, 64} {
+			req := &Request{Algo: partsort.LSB}
+			keys := randKeys(n, int64(n+width))
+			if width == 64 {
+				req.Keys64 = keys
+			} else {
+				req.Keys32 = make([]uint32, n)
+				for i, k := range keys {
+					req.Keys32[i] = uint32(k)
+				}
+			}
+			res, err := s.Submit(context.Background(), req)
+			if err != nil {
+				t.Fatalf("threads=%d n=%d width=%d: Submit: %v", threads, n, width, err)
+			}
+			if res.Attempts != 1 || res.Degraded {
+				t.Fatalf("threads=%d n=%d width=%d: %d attempts, degraded=%v; want one clean attempt",
+					threads, n, width, res.Attempts, res.Degraded)
+			}
+			if width == 64 {
+				checkSorted(t, req.Keys64)
+			} else if !slices.IsSorted(req.Keys32) {
+				t.Fatalf("threads=%d n=%d width=32: not sorted", threads, n)
+			}
+		}
+	}
+}
+
 func TestAdmissionRejectsWhenQueueFull(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2

@@ -119,7 +119,7 @@ func TestAllSortsAgree64(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Threads != 1 || o.RadixBits != 8 || o.RangeFanout != 360 || o.Seed == 0 {
+	if o.Threads != 1 || o.RadixBits != 0 || o.RangeFanout != 360 || o.Seed == 0 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 	if (Options{}).regions() != 1 {

@@ -4,6 +4,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hard"
 	"repro/internal/kv"
+	"repro/internal/memmodel"
 	"repro/internal/numa"
 	"repro/internal/obs"
 	"repro/internal/part"
@@ -62,13 +63,16 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		return kv.DomainBits(keys)
 	})
 
+	// The digit plan: one list of bit ranges for the whole sort, so every
+	// NUMA region runs the same passes and Stats.Passes counts them once.
+	inCache := lsbInCache(opt, n, kv.Width[K]())
 	c := opt.regions()
 	if c == 1 || opt.Oblivious {
-		lsbLocalN(keys, vals, tmpK, tmpV, 0, domainBits, opt, opt.Threads, phLocal)
+		var planArr [part.MaxRadixPasses][2]uint
+		plan := memmodel.LSBDigits(planArr[:0], domainBits, opt.RadixBits, inCache, 1)
+		lsbLocalN(keys, vals, tmpK, tmpV, plan, 0, opt, opt.Threads, phLocal, true)
 		return
 	}
-
-	b := min(opt.RadixBits, domainBits)
 
 	// Step 1: sample C-1 range delimiters that split the data evenly
 	// across the C NUMA regions, then refine duplicates: a key sampled
@@ -83,6 +87,8 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	// ranges give the grouping step the granularity to balance regions
 	// even when quantile sampling of low-entropy domains wastes splits.
 	rangeTarget := min(4*c, maxRegDelims+1)
+	plan := memmodel.LSBDigits(nil, domainBits, opt.RadixBits, inCache, rangeTarget)
+	b := int(plan[0][1])
 	var fn1 rangeRadix[K]
 	timed(st, "lsb", phHistogram, func() {
 		ref := splitter.RefineDuplicates(splitter.ForThreads(keys, rangeTarget, opt.Seed))
@@ -219,43 +225,67 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 
 	// Step 4: remaining radix passes, region-local. The regions run
 	// concurrently, so the whole step is timed once here (a per-region
-	// Stats would race and double-count overlapping wall clock).
+	// Stats would race and double-count overlapping wall clock). Regions
+	// do not skip trivial digits: one region's histogram cannot show that
+	// a digit is trivial everywhere, and every region must run the same
+	// passes for Stats.Passes to count the tuples moved.
 	regionOpt := opt
 	regionOpt.Stats = nil
+	rest := plan[1:]
 	timed(st, "lsb", phLocal, func() {
 		g := hard.NewGroup(ctl)
 		for r := 0; r < c; r++ {
 			g.Go(func() {
 				lo, hi := outBounds[r], outBounds[r+1]
-				lsbLocal(keys[lo:hi], vals[lo:hi], tmpK[lo:hi], tmpV[lo:hi], b, domainBits, regionOpt, phLocal)
+				lsbLocalN(keys[lo:hi], vals[lo:hi], tmpK[lo:hi], tmpV[lo:hi], rest, 1, regionOpt, tpr, phLocal, false)
 			})
 		}
 		g.Wait()
 	})
 	if st != nil {
-		st.Passes += (domainBits - b + opt.RadixBits - 1) / opt.RadixBits
+		st.Passes += len(rest)
 	}
 }
 
-// lsbLocal runs stable radix passes over bits [fromBit, domainBits) with
-// the data currently in keys/vals, leaving the result in keys/vals, using
-// this region's share of the worker budget.
-func lsbLocal[K kv.Key](keys, vals, tmpK, tmpV []K, fromBit, domainBits int, opt Options, ph phase) {
-	lsbLocalN(keys, vals, tmpK, tmpV, fromBit, domainBits, opt, threadsPerRegion(opt), ph)
+// lsbInCache reports whether an n-tuple LSB sort fits the per-worker cache
+// budget. Such a sort runs byte-wide digits and, single-threaded, scatters
+// with Algorithm 1, which does not checkpoint: the bound is capped at
+// hard.CkptTuples so a large CacheTuples override cannot stretch the
+// cancellation latency.
+func lsbInCache(opt Options, n, width int) bool {
+	return n <= min(cacheTuples(opt, width), hard.CkptTuples)
+}
+
+// digitTrivial reports whether the per-worker histograms of one digit put
+// all n tuples in a single bucket: the pass is then the identity
+// permutation of a stable sort and need not run.
+func digitTrivial(hists [][]int, n int) bool {
+	for d := range hists[0] {
+		s := 0
+		for _, h := range hists {
+			s += h[d]
+		}
+		if s != 0 {
+			return s == n
+		}
+	}
+	return false
 }
 
 // fusedCellBudget caps the per-worker joint-histogram cells of the fused
 // LSB path: 2^12 ints = 32 KiB, the private-cache footprint below which the
-// joint increments are effectively free. Larger joint tables (e.g. the
-// default 8-bit passes: 3 x 2^16 cells = 1.5 MiB per worker) turn every
+// joint increments are effectively free. Larger joint tables (e.g. 8-bit
+// passes: 3 x 2^16 cells = 1.5 MiB per worker) turn every
 // increment into a cache miss that costs more than the sequential per-pass
 // histogram scans they replace, so the driver falls back. On machines where
 // the scans are the bottleneck (many cores saturating memory bandwidth, the
 // paper's setting) a larger budget shifts the trade toward fusion.
 const fusedCellBudget = 1 << 12
 
-// lsbLocalN is lsbLocal with an explicit worker count. It picks among three
-// drivers:
+// lsbLocalN runs the stable radix passes of ranges over the data
+// currently in keys/vals, leaving the result in keys/vals. first is the
+// plan ordinal of ranges[0], the pass label; skip lets the drivers drop
+// digits whose histogram is trivial. It picks among three drivers:
 //
 //   - fused single-threaded (workspace only): all pass histograms in one
 //     scan (Section 4.2.1 — radix histograms are value-based, so reordering
@@ -269,32 +299,64 @@ const fusedCellBudget = 1 << 12
 //   - per-pass: re-scan for histograms before every pass — the pre-workspace
 //     behavior and the fallback whenever no workspace exists (buffers are
 //     then allocated per call, as before).
-func lsbLocalN[K kv.Key](keys, vals, tmpK, tmpV []K, fromBit, domainBits int, opt Options, threads int, ph phase) {
+//
+// A single-threaded sort that fits in cache scatters with Algorithm 1
+// (part.NonInPlaceInCache) instead of the line-buffered kernel.
+func lsbLocalN[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, first int, opt Options, threads int, ph phase, skip bool) {
 	n := len(keys)
-	if n <= 1 || fromBit >= domainBits {
+	if n <= 1 || len(ranges) == 0 {
 		return
 	}
-	if threads < 1 {
-		threads = 1
-	}
-
-	var rangesArr [part.MaxRadixPasses][2]uint
-	m := 0
-	for lo := fromBit; lo < domainBits; lo += opt.RadixBits {
-		hi := min(lo+opt.RadixBits, domainBits)
-		rangesArr[m] = [2]uint{uint(lo), uint(hi)}
-		m++
-	}
-	ranges := rangesArr[:m]
-
+	threads = max(threads, 1)
+	r := lsbPasses[K]{srcK: keys, srcV: vals, dstK: tmpK, dstV: tmpV, first: first, opt: opt, ph: ph, skip: skip,
+		inCache: threads == 1 && lsbInCache(opt, n, kv.Width[K]())}
+	defer lsbRestore(keys, vals, &r.srcK, &r.srcV)
 	switch {
 	case threads == 1 && opt.Workspace != nil:
-		lsbSingle(keys, vals, tmpK, tmpV, ranges, opt, ph)
-	case threads > 1 && opt.Workspace != nil && m > 1 && part.FusedJointCells(ranges) <= fusedCellBudget:
-		lsbFused(keys, vals, tmpK, tmpV, ranges, opt, threads, ph)
+		lsbSingle(&r, ranges)
+	case threads > 1 && opt.Workspace != nil && len(ranges) > 1 && part.FusedJointCells(ranges) <= fusedCellBudget:
+		lsbFused(&r, ranges, threads)
 	default:
-		lsbPerPass(keys, vals, tmpK, tmpV, ranges, opt, threads, ph)
+		lsbPerPass(&r, ranges, threads)
 	}
+	if &r.srcK[0] != &keys[0] {
+		timed(opt.Stats, "lsb", ph, func() {
+			copy(keys, r.srcK)
+			copy(vals, r.srcV)
+		})
+	}
+}
+
+// lsbPasses is the state the LSB pass drivers share: the ping-pong
+// between the input and the auxiliary arrays, and how to run a pass. The
+// digit ranges travel beside it, not in it: the arrays leak to the heap
+// through the kernels, and a field of the struct would drag the caller's
+// stack-held plan along.
+type lsbPasses[K kv.Key] struct {
+	srcK, srcV, dstK, dstV []K // the next pass reads src and writes dst
+	first                  int // plan ordinal of the drivers' ranges[0]
+	opt                    Options
+	ph                     phase
+	skip                   bool // drop digits whose histogram is trivial
+	inCache                bool // scatter with Algorithm 1
+}
+
+// pass runs the scatter of digit i, bits rg, from src to dst between the
+// pass's checkpoint, fault site and span, counts it, and swaps src and dst.
+func (r *lsbPasses[K]) pass(i int, rg [2]uint, scatter func(sk, sv, dk, dv []K, fn pfunc.Radix[K])) {
+	r.opt.Ctl.CheckpointNow()
+	fault.Inject(fault.SiteLSBPass)
+	fn := pfunc.NewRadix[K](rg[0], rg[1])
+	sp := obs.BeginPassIn("lsb", r.first+i, -1)
+	timed(r.opt.Stats, "lsb", r.ph, func() {
+		scatter(r.srcK, r.srcV, r.dstK, r.dstV, fn)
+	})
+	sp.EndN(int64(len(r.srcK)))
+	if r.opt.Stats != nil {
+		r.opt.Stats.Passes++
+	}
+	r.srcK, r.dstK = r.dstK, r.srcK
+	r.srcV, r.dstV = r.dstV, r.srcV
 }
 
 // lsbRestore is the shared deferred restore handler of the LSB pass
@@ -315,62 +377,44 @@ func lsbRestore[K kv.Key](keys, vals []K, srcK, srcV *[]K) {
 	panic(hard.NewPanic(e))
 }
 
-// lsbPassCopyback moves the result to keys/vals when the final swap left it
-// in the auxiliary arrays.
-func lsbPassCopyback[K kv.Key](keys, vals, srcK, srcV []K, st *Stats, ph phase) {
-	if &srcK[0] != &keys[0] {
-		timed(st, "lsb", ph, func() {
-			copy(keys, srcK)
-			copy(vals, srcV)
-		})
-	}
-}
-
 // lsbSingle is the single-threaded driver: one histogram scan for all
 // passes (accumulated into the flat padded layout so the per-pass rows stay
-// cache-set disjoint during the scan), then one buffered scatter per pass,
-// all scratch pooled. Zero heap allocations in steady state with a warm
+// cache-set disjoint during the scan), then one scatter per pass, all
+// scratch pooled. Zero heap allocations in steady state with a warm
 // workspace.
-func lsbSingle[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, opt Options, ph phase) {
-	n := len(keys)
-	st := opt.Stats
-	w := opt.Workspace
-	ctl := opt.Ctl
-	srcK, srcV := keys, vals
-	dstK, dstV := tmpK, tmpV
-	defer lsbRestore(keys, vals, &srcK, &srcV)
-	maxP := 0
-	for _, rg := range ranges {
-		maxP = max(maxP, 1<<(rg[1]-rg[0]))
-	}
+func lsbSingle[K kv.Key](r *lsbPasses[K], ranges [][2]uint) {
+	n := len(r.srcK)
+	w := r.opt.Workspace
+	ctl := r.opt.Ctl
 	var rowsArr [part.MaxRadixPasses][]int
 	rows := rowsArr[:len(ranges)]
 	flat := w.Ints(part.MultiHistogramFlatLen(ranges))
-	timed(st, "lsb", phHistogram, func() {
-		part.MultiHistogramFlatInto(rows, flat, keys, ranges)
+	timed(r.opt.Stats, "lsb", phHistogram, func() {
+		part.MultiHistogramFlatInto(rows, flat, r.srcK, ranges)
 	})
-	starts := w.Ints(maxP)
-	for pass, rg := range ranges {
-		ctl.CheckpointNow()
-		fault.Inject(fault.SiteLSBPass)
-		fn := pfunc.NewRadix[K](rg[0], rg[1])
-		p := 1 << (rg[1] - rg[0])
-		part.StartsInto(starts[:p], rows[pass])
-		sk, sv, dk, dv := srcK, srcV, dstK, dstV
-		sp := obs.BeginPassIn("lsb", int(rg[0])/opt.RadixBits, -1)
-		timed(st, "lsb", ph, func() {
+	var starts []int
+	if !r.inCache {
+		maxP := 0
+		for _, row := range rows {
+			maxP = max(maxP, len(row))
+		}
+		starts = w.Ints(maxP)
+	}
+	for i, row := range rows {
+		if r.skip && digitTrivial(rows[i:i+1], n) {
+			continue
+		}
+		r.pass(i, ranges[i], func(sk, sv, dk, dv []K, fn pfunc.Radix[K]) {
 			wsp := obs.BeginIn("lsb", "scatter", "worker", 0)
-			part.NonInPlaceOutOfCache(w, sk, sv, dk, dv, fn, starts[:p], ctl)
+			if r.inCache {
+				part.NonInPlaceInCache(w, sk, sv, dk, dv, fn, row)
+			} else {
+				part.StartsInto(starts[:len(row)], row)
+				part.NonInPlaceOutOfCache(w, sk, sv, dk, dv, fn, starts[:len(row)], ctl)
+			}
 			wsp.EndN(int64(n))
 		})
-		sp.EndN(int64(n))
-		if st != nil {
-			st.Passes++
-		}
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
 	}
-	lsbPassCopyback(keys, vals, srcK, srcV, st, ph)
 	w.PutInts(flat)
 	w.PutInts(starts)
 }
@@ -380,38 +424,29 @@ func lsbSingle[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, opt Optio
 // the data moves). With a workspace, tables and line buffers are pooled and
 // workers run on the persistent pool; without one, behavior matches the
 // pre-workspace code (fresh tables, fresh goroutines).
-func lsbPerPass[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, opt Options, threads int, ph phase) {
-	n := len(keys)
-	st := opt.Stats
-	w := opt.Workspace
-	ctl := opt.Ctl
-	srcK, srcV := keys, vals
-	dstK, dstV := tmpK, tmpV
-	defer lsbRestore(keys, vals, &srcK, &srcV)
-	for _, rg := range ranges {
-		ctl.CheckpointNow()
-		fault.Inject(fault.SiteLSBPass)
+func lsbPerPass[K kv.Key](r *lsbPasses[K], ranges [][2]uint, threads int) {
+	n := len(r.srcK)
+	w := r.opt.Workspace
+	ctl := r.opt.Ctl
+	for i, rg := range ranges {
 		fn := pfunc.NewRadix[K](rg[0], rg[1])
 		var hists [][]int
 		var bounds []int
-		sk, sv, dk, dv := srcK, srcV, dstK, dstV
-		timed(st, "lsb", phHistogram, func() {
-			hists, bounds = part.ParallelHistograms(w, sk, fn, threads, ctl)
+		timed(r.opt.Stats, "lsb", phHistogram, func() {
+			hists, bounds = part.ParallelHistograms(w, r.srcK, fn, threads, ctl)
 		})
-		sp := obs.BeginPassIn("lsb", int(rg[0])/opt.RadixBits, -1)
-		timed(st, "lsb", ph, func() {
-			part.ParallelScatter(w, sk, sv, dk, dv, fn, hists, 0, bounds, ctl)
-		})
-		sp.EndN(int64(n))
-		if st != nil {
-			st.Passes++
+		if !r.skip || !digitTrivial(hists, n) {
+			r.pass(i, rg, func(sk, sv, dk, dv []K, fn pfunc.Radix[K]) {
+				if r.inCache {
+					part.NonInPlaceInCache(w, sk, sv, dk, dv, fn, hists[0])
+				} else {
+					part.ParallelScatter(w, sk, sv, dk, dv, fn, hists, 0, bounds, ctl)
+				}
+			})
 		}
 		w.PutMatrix(hists)
 		w.PutInts(bounds)
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
 	}
-	lsbPassCopyback(keys, vals, srcK, srcV, st, ph)
 }
 
 // lsbFused is the fused-histogram parallel driver. One parallel read
@@ -421,54 +456,57 @@ func lsbPerPass[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, opt Opti
 // digit-group boundaries (balanced with the same midpoint rule as the NUMA
 // range grouping) and each worker's pass-k histogram is the sum of the
 // joint rows of the digits it owns — no re-scan. Workers process whole
-// digit groups in position order, so stability is preserved.
-func lsbFused[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, opt Options, threads int, ph phase) {
-	n := len(keys)
-	st := opt.Stats
-	w := opt.Workspace
-	ctl := opt.Ctl
-	m := len(ranges)
+// digit groups in position order, so stability is preserved. A pass that
+// follows a skipped (trivial) digit re-scans instead: the data is then not
+// grouped by that digit.
+func lsbFused[K kv.Key](r *lsbPasses[K], ranges [][2]uint, threads int) {
+	n := len(r.srcK)
+	w := r.opt.Workspace
+	ctl := r.opt.Ctl
 	maxP := 0
 	for _, rg := range ranges {
 		maxP = max(maxP, 1<<(rg[1]-rg[0]))
 	}
 
-	srcK, srcV := keys, vals
-	dstK, dstV := tmpK, tmpV
-	defer lsbRestore(keys, vals, &srcK, &srcV)
-
 	bounds0 := part.ChunkBoundsInto(w.Ints(threads+1), n)
 	var h0, joints [][]int
-	timed(st, "lsb", phHistogram, func() {
-		h0, joints = part.FusedHistograms(w, keys, ranges, bounds0, ctl)
+	timed(r.opt.Stats, "lsb", phHistogram, func() {
+		h0, joints = part.FusedHistograms(w, r.srcK, ranges, bounds0, ctl)
 	})
 
-	runPass := func(pass int, hists [][]int, bounds []int) {
-		ctl.CheckpointNow()
-		fault.Inject(fault.SiteLSBPass)
-		rg := ranges[pass]
-		fn := pfunc.NewRadix[K](rg[0], rg[1])
-		sk, sv, dk, dv := srcK, srcV, dstK, dstV
-		sp := obs.BeginPassIn("lsb", int(rg[0])/opt.RadixBits, -1)
-		timed(st, "lsb", ph, func() {
+	// runPass scatters digit i unless it is trivial, and reports whether
+	// it ran.
+	runPass := func(i int, hists [][]int, bounds []int) bool {
+		if r.skip && digitTrivial(hists, n) {
+			return false
+		}
+		r.pass(i, ranges[i], func(sk, sv, dk, dv []K, fn pfunc.Radix[K]) {
 			part.ParallelScatter(w, sk, sv, dk, dv, fn, hists, 0, bounds, ctl)
 		})
-		sp.EndN(int64(n))
-		if st != nil {
-			st.Passes++
-		}
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
+		return true
 	}
 
-	runPass(0, h0, bounds0)
+	ran := runPass(0, h0, bounds0)
 
 	totals := w.Ints(maxP)  // per-digit totals of the previous pass
 	groupOf := w.Ints(maxP) // previous-pass digit -> owning worker
 	bounds := w.Ints(threads + 1)
 	prevP := len(h0[0])
-	for k := 1; k < m; k++ {
+	for k := 1; k < len(ranges); k++ {
 		p := 1 << (ranges[k][1] - ranges[k][0])
+		if !ran {
+			fn := pfunc.NewRadix[K](ranges[k][0], ranges[k][1])
+			var hists [][]int
+			var rb []int
+			timed(r.opt.Stats, "lsb", phHistogram, func() {
+				hists, rb = part.ParallelHistograms(w, r.srcK, fn, threads, ctl)
+			})
+			ran = runPass(k, hists, rb)
+			w.PutMatrix(hists)
+			w.PutInts(rb)
+			prevP = p
+			continue
+		}
 		joint := joints[k-1] // prevP x p, flat
 		g := totals[:prevP]
 		for d := 0; d < prevP; d++ {
@@ -500,11 +538,10 @@ func lsbFused[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, opt Option
 			cur++
 			bounds[cur] = pos
 		}
-		runPass(k, hists, bounds)
+		ran = runPass(k, hists, bounds)
 		w.PutMatrix(hists)
 		prevP = p
 	}
-	lsbPassCopyback(keys, vals, srcK, srcV, st, ph)
 	w.PutMatrix(h0)
 	w.PutMatrix(joints)
 	w.PutInts(bounds0)

@@ -231,8 +231,10 @@ type Options struct {
 	// Oblivious disables the NUMA-aware layout: no range split, no shuffle
 	// — passes run over the whole array as if memory were interleaved.
 	Oblivious bool
-	// RadixBits is the per-pass fanout in bits for radix passes
-	// (default 8, the out-of-cache optimum at this scale).
+	// RadixBits fixes the per-pass fanout in bits of LSB's radix passes.
+	// Zero selects the working-set digit plan (memmodel.LSBDigits):
+	// 8-bit digits when the sort fits in cache, otherwise the fewest
+	// passes of at most 11 bits each, of near-equal width.
 	RadixBits int
 	// RangeFanout is the per-pass fanout of the comparison sort
 	// (default 360).
@@ -262,9 +264,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Threads < 1 {
 		o.Threads = 1
-	}
-	if o.RadixBits < 1 {
-		o.RadixBits = 8
 	}
 	if o.RangeFanout < 2 {
 		o.RangeFanout = 360

@@ -1,6 +1,7 @@
 package sortalgo
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
@@ -180,23 +181,28 @@ func TestWorkspaceStatsCounters(t *testing.T) {
 }
 
 // TestLSBWorkspaceZeroAlloc is the tentpole acceptance check: a warm
-// workspace-backed single-threaded LSB sort makes zero heap allocations.
+// workspace-backed single-threaded LSB sort makes zero heap allocations,
+// both in cache (8-bit digits, Algorithm 1) and out of cache (11-bit
+// digits, the line-buffered scatter).
 func TestLSBWorkspaceZeroAlloc(t *testing.T) {
-	w := ws.New()
-	defer w.Close()
-	n := 1 << 14
-	keys := gen.Uniform[uint32](n, 0, 5)
-	vals := gen.RIDs[uint32](n)
-	tmpK, tmpV := make([]uint32, n), make([]uint32, n)
-	work := make([]uint32, n)
-	opt := Options{Threads: 1, Workspace: w}
-	sortOnce := func() {
-		copy(work, keys)
-		LSB(work, vals, tmpK, tmpV, opt)
-	}
-	sortOnce() // warm the arena
-	if a := testing.AllocsPerRun(10, sortOnce); a != 0 {
-		t.Fatalf("warm workspace LSB allocates %v times per sort", a)
+	for _, n := range []int{1 << 14, 1 << 16} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			w := ws.New()
+			defer w.Close()
+			keys := gen.Uniform[uint32](n, 0, 5)
+			vals := gen.RIDs[uint32](n)
+			tmpK, tmpV := make([]uint32, n), make([]uint32, n)
+			work := make([]uint32, n)
+			opt := Options{Threads: 1, Workspace: w}
+			sortOnce := func() {
+				copy(work, keys)
+				LSB(work, vals, tmpK, tmpV, opt)
+			}
+			sortOnce() // warm the arena
+			if a := testing.AllocsPerRun(10, sortOnce); a != 0 {
+				t.Fatalf("warm workspace LSB allocates %v times per sort", a)
+			}
+		})
 	}
 }
 

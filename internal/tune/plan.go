@@ -11,6 +11,8 @@ package tune
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/memmodel"
 )
 
 // Algo names a sorting algorithm in a Plan ("LSB", "MSB", or "CMP" — the
@@ -62,8 +64,9 @@ type Plan struct {
 	// PredictedNs is the modeled wall-clock of this plan in nanoseconds.
 	PredictedNs float64 `json:"predicted_ns"`
 	// BaselineNs is the modeled wall-clock of the static default knobs
-	// (8-bit passes, single worker) for the same algorithm — the margin
-	// the tuner predicts over the untuned path.
+	// (LSB's working-set digit plan, 8-bit MSB passes, single worker) for
+	// the same algorithm — the margin the tuner predicts over the untuned
+	// path.
 	BaselineNs float64 `json:"baseline_ns"`
 	// InPlace records that the plan selects the in-place layout: always
 	// true for MSB, and true for CMP when the run is parallel or the
@@ -76,9 +79,11 @@ type Plan struct {
 }
 
 // Static default knobs (the zero-value SortOptions behavior the baseline
-// is priced against).
+// is priced against). LSB's default digits are the working-set plan,
+// radix width 0 (memmodel.LSBDigits).
 const (
 	defaultRadixBits   = 8
+	lsbPlanBits        = 0
 	defaultRangeFanout = 360
 	// stickyMargin keeps the default radix width unless a candidate beats
 	// it by more than this factor: within measurement noise of the probes,
@@ -132,8 +137,8 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 			// Recommend's dense-vs-sparse rule — on machines where
 			// out-of-cache passes are cheap, LSB's wider applicability
 			// shows up as lower modeled cost).
-			lsb, _ := bestBits(p, w, kb, threads, lsbCost)
-			msb, _ := bestBits(p, w, kb, threads, msbCost)
+			lsb, _ := bestBits(p, w, kb, threads, lsbPlanBits, lsbCost)
+			msb, _ := bestBits(p, w, kb, threads, defaultRadixBits, msbCost)
 			if lsb <= msb {
 				algo = AlgoLSB
 			} else {
@@ -164,14 +169,19 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 			plan.AuxBytes = legacy
 		}
 	case AlgoMSB:
-		plan.RadixBits, plan.Passes, plan.PredictedNs = pickBits(p, w, kb, threads, msbCost)
+		plan.RadixBits, plan.Passes, plan.PredictedNs = pickBits(p, w, kb, threads, defaultRadixBits, msbCost)
 		base, _ := msbCost(p, w, kb, defaultRadixBits, 1)
 		plan.BaselineNs = base
 		plan.InPlace = true
 		plan.AuxBytes = auxBytes(AlgoMSB, w, kb, threads, true)
 	default:
-		plan.RadixBits, plan.Passes, plan.PredictedNs = pickBits(p, w, kb, threads, lsbCost)
-		base, _ := lsbCost(p, w, kb, defaultRadixBits, 1)
+		plan.RadixBits, plan.Passes, plan.PredictedNs = pickBits(p, w, kb, threads, lsbPlanBits, lsbCost)
+		if plan.RadixBits == lsbPlanBits {
+			// The plan stays; report its widest digit, which as a fixed
+			// width runs the same number of passes.
+			plan.RadixBits = int(lsbDigits(w, kb, lsbPlanBits)[0][1])
+		}
+		base, _ := lsbCost(p, w, kb, lsbPlanBits, 1)
 		plan.BaselineNs = base
 		plan.AuxBytes = auxBytes(AlgoLSB, w, kb, threads, false)
 	}
@@ -208,28 +218,30 @@ func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int, inPlace bool) in
 type costFn func(p *MachineProfile, w WorkloadStats, keyBits, radixBits, threads int) (ns float64, passes int)
 
 // pickBits searches the radix widths for the cheapest plan, keeping the
-// static default width unless a candidate beats it by more than
+// static default width def unless a candidate beats it by more than
 // stickyMargin (probe noise should not move a knob for a modeled sliver).
-func pickBits(p *MachineProfile, w WorkloadStats, keyBits, threads int, cost costFn) (radixBits, passes int, ns float64) {
-	bestNs, bestBits := math.Inf(1), defaultRadixBits
+func pickBits(p *MachineProfile, w WorkloadStats, keyBits, threads, def int, cost costFn) (radixBits, passes int, ns float64) {
+	bestNs, bestBits := math.Inf(1), def
 	for b := minBits; b <= maxBits; b++ {
 		c, _ := cost(p, w, keyBits, b, threads)
 		if c < bestNs {
 			bestNs, bestBits = c, b
 		}
 	}
-	defNs, defPasses := cost(p, w, keyBits, defaultRadixBits, threads)
+	defNs, defPasses := cost(p, w, keyBits, def, threads)
 	if defNs <= 0 || bestNs >= stickyMargin*defNs {
-		return defaultRadixBits, defPasses, defNs
+		return def, defPasses, defNs
 	}
 	_, passes = cost(p, w, keyBits, bestBits, threads)
 	return bestBits, passes, bestNs
 }
 
-// bestBits returns the minimum modeled cost over the searched radix widths
-// (for algorithm comparison; the width itself comes from pickBits).
-func bestBits(p *MachineProfile, w WorkloadStats, keyBits, threads int, cost costFn) (ns float64, radixBits int) {
-	bestNs, best := math.Inf(1), defaultRadixBits
+// bestBits returns the minimum modeled cost over the default width def
+// and the searched radix widths (for algorithm comparison; the width
+// itself comes from pickBits).
+func bestBits(p *MachineProfile, w WorkloadStats, keyBits, threads, def int, cost costFn) (ns float64, radixBits int) {
+	bestNs, _ := cost(p, w, keyBits, def, threads)
+	best := def
 	for b := minBits; b <= maxBits; b++ {
 		if c, _ := cost(p, w, keyBits, b, threads); c < bestNs {
 			bestNs, best = c, b
@@ -252,18 +264,29 @@ func scatterFor(p *MachineProfile, keyBits, radixBits, segTuples int) float64 {
 
 // lsbCost models the LSB radix-sort (Section 4.2.1): one fused histogram
 // scan (radix histograms are value-based, so every pass's histogram comes
-// from one read), then ceil(domainBits/radixBits) full-width buffered
-// scatter passes.
+// from one read), then one full-width scatter per digit of the plan the
+// runtime runs (radixBits 0: the working-set plan), on the in-cache curve
+// when the sort fits in cache.
 func lsbCost(p *MachineProfile, w WorkloadStats, keyBits, radixBits, threads int) (float64, int) {
-	domain := w.DomainBits
-	if domain < 1 {
-		domain = 1
-	}
-	passes := ceilDiv(domain, radixBits)
+	digits := lsbDigits(w, keyBits, radixBits)
+	inCache := lsbInCache(w, keyBits)
 	n := float64(w.N)
 	ns := n * p.histNs(keyBits) // fused one-scan histogramming
-	ns += n * float64(passes) * scatterFor(p, keyBits, radixBits, w.N)
-	return ns / float64(threads), passes
+	for _, d := range digits {
+		ns += n * p.scatterNs(keyBits, int(d[1]-d[0]), inCache)
+	}
+	return ns / float64(threads), len(digits)
+}
+
+// lsbInCache mirrors the runtime's in-cache test for LSB: the input fits
+// the 256 KiB per-worker budget (cacheResidentTuples 16-byte tuples).
+func lsbInCache(w WorkloadStats, keyBits int) bool {
+	return w.N*keyBits <= cacheResidentTuples*64
+}
+
+// lsbDigits is the digit plan an LSB run of this workload executes.
+func lsbDigits(w WorkloadStats, keyBits, radixBits int) [][2]uint {
+	return memmodel.LSBDigits(nil, max(w.DomainBits, 1), radixBits, lsbInCache(w, keyBits), 1)
 }
 
 // msbCost models the MSB radix-sort (Section 4.2.2): passes cover

@@ -299,3 +299,29 @@ func TestSamplerUniformVsZipf(t *testing.T) {
 		t.Fatalf("all-equal stats %+v", s)
 	}
 }
+
+// TestLSBPricesDigitPlan pins the planner to the digits the runtime runs:
+// LSB's baseline is the working-set plan (two 11-bit passes over a 22-bit
+// domain out of cache, byte-wide digits in cache), and a plan that keeps
+// those digits reports their widest as its radix width.
+func TestLSBPricesDigitPlan(t *testing.T) {
+	for _, w := range []WorkloadStats{
+		{N: 1 << 22, DomainBits: 22, SampleSize: 1024, DistinctFrac: 1},
+		{N: 1 << 12, DomainBits: 22, SampleSize: 1024, DistinctFrac: 1},
+	} {
+		base, passes := lsbCost(quickProfile, w, 32, lsbPlanBits, 1)
+		if want := len(lsbDigits(w, 32, lsbPlanBits)); passes != want {
+			t.Fatalf("N=%d: plan priced at %d passes, runtime runs %d", w.N, passes, want)
+		}
+		plan := Choose(quickProfile, w, Requirements{KeyBits: 32, Force: AlgoLSB, MaxThreads: 1})
+		if plan.BaselineNs != base {
+			t.Fatalf("N=%d: BaselineNs %v, want the plan's %v", w.N, plan.BaselineNs, base)
+		}
+		if plan.PredictedNs == base && plan.RadixBits != int(lsbDigits(w, 32, lsbPlanBits)[0][1]) {
+			t.Fatalf("N=%d: kept plan reports RadixBits %d", w.N, plan.RadixBits)
+		}
+	}
+	if _, passes := lsbCost(quickProfile, WorkloadStats{N: 1 << 22, DomainBits: 22}, 32, lsbPlanBits, 1); passes != 2 {
+		t.Fatalf("22-bit out-of-cache plan priced at %d passes, want 2", passes)
+	}
+}

@@ -24,7 +24,11 @@ type SortOptions struct {
 	Regions int
 	// Oblivious disables the NUMA-aware layout even when Regions > 1.
 	Oblivious bool
-	// RadixBits is the per-pass radix fanout in bits (default 8).
+	// RadixBits fixes the per-pass fanout in bits of the LSB radix-sort. Zero
+	// selects the working-set digit plan: 8-bit digits, scattered with the
+	// in-cache kernel single-threaded, when the input fits the per-worker
+	// cache budget (CacheTuples); otherwise the fewest passes of at most
+	// 11 bits, of near-equal width (a 22-bit domain sorts in two passes).
 	RadixBits int
 	// RangeFanout is the comparison sort's per-pass fanout (default 360).
 	RangeFanout int
