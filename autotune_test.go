@@ -134,13 +134,13 @@ func TestAutoTuneSmallInputSkipsPlanning(t *testing.T) {
 	}
 }
 
-// TestTrySortAutoTune: the error-returning API honors AutoTune too.
+// TestTrySortAutoTune: the single hardened attempt honors AutoTune too.
 func TestTrySortAutoTune(t *testing.T) {
 	n := 1 << 14
 	keys := gen.Uniform[uint32](n, 0, 13)
 	vals := RIDs[uint32](n)
-	if err := TrySortLSB(keys, vals, &SortOptions{AutoTune: true, Profile: quickTestProfile()}); err != nil {
-		t.Fatalf("TrySortLSB with AutoTune: %v", err)
+	if err := trySort(LSB, keys, vals, &SortOptions{AutoTune: true, Profile: quickTestProfile()}); err != nil {
+		t.Fatalf("one LSB attempt with AutoTune: %v", err)
 	}
 	if !IsSorted(keys) {
 		t.Fatal("not sorted")
@@ -180,7 +180,7 @@ func TestProfilePublicRoundTrip(t *testing.T) {
 func TestOptionsProfileValidation(t *testing.T) {
 	keys := []uint32{3, 1, 2}
 	vals := []uint32{0, 1, 2}
-	err := TrySortLSB(keys, vals, &SortOptions{Profile: &MachineProfile{}})
+	err := trySort(LSB, keys, vals, &SortOptions{Profile: &MachineProfile{}})
 	var ae *ArgError
 	if !asArgError(err, &ae) || ae.Field != "Profile" {
 		t.Fatalf("want *ArgError on Profile, got %v", err)

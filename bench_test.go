@@ -615,9 +615,10 @@ func BenchmarkScatterAlloc(b *testing.B) {
 // the run's SortStats.PeakAuxBytes (the arena's checked-out high-water
 // mark) as peakaux-MB next to throughput. The in-place arms are the PR
 // defaults (block-permutation fan-out); the baseline arms are the legacy
-// layouts — CMP's linear tmp pair + codes column via the caller-scratch
-// entry point (its unmetered caller tmp added back analytically), and the
-// list-of-blocks + shuffle still taken on the NUMA paths (regions=2).
+// layouts — CMP's linear tmp pair + codes column, run by sortalgo.CMP on
+// the benchmark's own tmp pair (its unmetered tmp added back
+// analytically), and the list-of-blocks + shuffle still taken on the NUMA
+// paths (regions=2).
 // EXPERIMENTS.md records the 2^26-tuple sweep.
 func BenchmarkAuxMemory(b *testing.B) {
 	for _, n := range []int{1 << 22, 1 << 26} {
@@ -643,7 +644,8 @@ func BenchmarkAuxMemory(b *testing.B) {
 				SortCMP(keys, vals, opt)
 			}},
 			{"CMP/scratch", uint64(2 * n * 8), func(opt *SortOptions) {
-				SortCMPWithScratch(keys, vals, tmpK, tmpV, opt)
+				io, _ := opt.toInternal()
+				sortalgo.CMP(keys, vals, tmpK, tmpV, io)
 			}},
 		}
 		for _, a := range arms {

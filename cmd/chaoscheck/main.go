@@ -9,8 +9,8 @@
 // verify every logged event against the schedule's pure decision
 // function. A dedicated pressure lane proves the memory-degradation
 // path: an auxiliary budget too small for LSB's tmp columns must surface
-// as *ResourceError under NoFallback and degrade to an in-place success
-// under the full fallback chain.
+// as *ResourceError from a single attempt and degrade to an in-place
+// success under the full fallback chain.
 //
 // Examples:
 //
@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -101,7 +102,8 @@ func main() {
 			// Prime the pool so parked workers join the goroutine baseline.
 			copy(keys, ref)
 			copy(vals, rids)
-			if err := partsort.TrySortLSB(keys, vals, &partsort.SortOptions{Threads: *threads, Workspace: w}); err != nil {
+			if err := partsort.SortResilientCtx(context.Background(), partsort.LSB, keys, vals,
+				&partsort.SortOptions{Threads: *threads, Workspace: w}, &partsort.RetryPolicy{MaxAttempts: 1}); err != nil {
 				fail("lane %v: workspace warm-up failed: %v", ln.algo, err)
 			}
 		}
@@ -167,7 +169,7 @@ func chaosRun(name string, ln lane, runSeed uint64, i, threads int, ref, rids, k
 		JitterSeed:     runSeed,
 		Stats:          &st,
 	}
-	err := partsort.SortResilient(ln.algo, keys, vals,
+	err := partsort.SortResilientCtx(context.Background(), ln.algo, keys, vals,
 		&partsort.SortOptions{Threads: threads, Workspace: w}, pol)
 	fault.Disable()
 
@@ -211,25 +213,27 @@ func chaosRun(name string, ln lane, runSeed uint64, i, threads int, ref, rids, k
 }
 
 // pressureLane proves the memory-degradation path end to end: a budget
-// far below LSB's tmp-column footprint must fail typed under NoFallback
-// and degrade into an in-place stage-2 success under the full chain.
+// far below LSB's tmp-column footprint must fail typed on a single
+// attempt and degrade into an in-place stage-2 success under the full
+// chain.
 func pressureLane(n, threads int) {
 	ref := gen.Uniform[uint64](n, 0, 101)
 	keys := append([]uint64(nil), ref...)
 	vals := partsort.RIDs[uint64](n)
 	tiny := int64(n) // bytes: orders of magnitude below the 16n tmp columns
 
-	err := partsort.TrySortLSB(keys, vals, &partsort.SortOptions{Threads: threads, MaxAuxBytes: tiny})
+	err := partsort.SortResilientCtx(context.Background(), partsort.LSB, keys, vals,
+		&partsort.SortOptions{Threads: threads, MaxAuxBytes: tiny}, &partsort.RetryPolicy{MaxAttempts: 1})
 	var re *partsort.ResourceError
 	if !errors.As(err, &re) {
-		fail("pressure: TrySortLSB err = %v (%T), want *partsort.ResourceError", err, err)
+		fail("pressure: single attempt err = %v (%T), want *partsort.ResourceError", err, err)
 	}
 	if re.Budget != tiny {
 		fail("pressure: ResourceError budget = %d, want %d", re.Budget, tiny)
 	}
 
 	var st partsort.RetryStats
-	err = partsort.SortResilient(partsort.LSB, keys, vals,
+	err = partsort.SortResilientCtx(context.Background(), partsort.LSB, keys, vals,
 		&partsort.SortOptions{Threads: threads, MaxAuxBytes: tiny},
 		&partsort.RetryPolicy{InitialBackoff: 50 * time.Microsecond, Stats: &st})
 	if err != nil {

@@ -265,27 +265,19 @@ func run[K kv.Key](c cfg) {
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
+	// One hardened attempt unless -resilient engages the full supervisor.
 	var rst partsort.RetryStats
+	pol := &partsort.RetryPolicy{MaxAttempts: 1}
+	if c.resilient {
+		pol = &partsort.RetryPolicy{Stats: &rst}
+	}
 	start := time.Now()
 	for r := 0; r < max(c.repeat, 1); r++ {
 		if r > 0 {
 			copy(keys, baseK)
 			copy(vals, baseV)
 		}
-		var err error
-		if c.resilient {
-			err = partsort.SortResilientCtx(ctx, algo, keys, vals, opt, &partsort.RetryPolicy{Stats: &rst})
-		} else {
-			switch algo {
-			case partsort.LSB:
-				err = partsort.TrySortLSBCtx(ctx, keys, vals, opt)
-			case partsort.MSB:
-				err = partsort.TrySortMSBCtx(ctx, keys, vals, opt)
-			default:
-				err = partsort.TrySortCmpCtx(ctx, keys, vals, opt)
-			}
-		}
-		if err != nil {
+		if err := partsort.SortResilientCtx(ctx, algo, keys, vals, opt, pol); err != nil {
 			exitErr(err)
 		}
 	}
@@ -430,7 +422,7 @@ func bitsFor(card int) int {
 	return max(b, 1)
 }
 
-// exitErr maps a Try/supervisor error onto the documented exit codes,
+// exitErr maps a SortResilientCtx error onto the documented exit codes,
 // printing the contained worker stack for *InternalError so the failure
 // site is diagnosable from the terminal.
 func exitErr(err error) {

@@ -7,7 +7,7 @@
 // ledger, optional per-tenant caps), small key-only requests that queue
 // behind busy executors coalesce into merged batched runs (no timer: a
 // request that finds an executor idle starts at once), and every sort
-// executes under the SortResilient retry/fallback supervisor on pooled
+// executes under the SortResilientCtx retry/fallback supervisor on pooled
 // per-size-class workspace arenas. With -spill-dir set, requests too
 // large for the memory ledger degrade onto the external disk-spilling
 // sort (bounded by the -max-spill-bytes disk ledger) instead of being

@@ -3,11 +3,11 @@ package partsort
 import "fmt"
 
 // ArgError reports an invalid argument to an entry point: a malformed
-// option value or mismatched column lengths. The Try entry points return
-// it; the legacy panicking entry points panic with it, so both surfaces
-// share one validator and one error taxonomy.
+// option value or mismatched column lengths. The error-returning calls
+// return it; the panicking wrappers panic with it, so both surfaces share
+// one validator and one error taxonomy.
 type ArgError struct {
-	Func   string // entry point, e.g. "TrySortLSB"
+	Func   string // entry point, e.g. "SortResilientCtx"
 	Field  string // offending parameter or option field, e.g. "RadixBits"
 	Reason string // the violated constraint
 }
@@ -27,7 +27,7 @@ func (e *ArgError) Error() string {
 // supervisor classifies it as a degradation trigger and steers the next
 // attempt onto the in-place paths (see RetryPolicy).
 type ResourceError struct {
-	Op     string // the Try operation whose acquisition failed
+	Op     string // the entry point whose acquisition failed
 	Need   int64  // bytes the failing acquisition asked for
 	InUse  int64  // auxiliary bytes already checked out when it failed
 	Budget int64  // the budget in force
@@ -64,7 +64,7 @@ func (e *SpillError) Unwrap() error { return e.Err }
 // restored to a permutation of the input where the interruption point
 // guarantees it, and the failure surfaced here as an error.
 type InternalError struct {
-	Op    string // the Try operation that contained the panic
+	Op    string // the entry point that contained the panic
 	Value any    // the recovered panic value
 	Stack []byte // the panicking goroutine's stack, captured at the site
 }

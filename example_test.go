@@ -45,7 +45,7 @@ func ExampleNewRangeIndex() {
 	// Output: 0 1 2 3
 }
 
-func ExampleSortResilient() {
+func ExampleSortResilientCtx() {
 	keys := []uint64{9, 3, 7, 1, 5}
 	rids := partsort.RIDs[uint64](len(keys))
 

@@ -20,13 +20,13 @@
 //
 // Cancellation rides the same unwinding mechanism as containment: a
 // checkpoint that observes cancellation panics with a private bail value,
-// and the top-level recovery in the public Try entry points maps it back
+// and the top-level recovery in the public sort calls maps it back
 // to the context's error. Kernels therefore need no error plumbing — only
 // cheap nil-safe Checkpoint calls at safe points.
 //
 // Everything here is nil-safe and zero-cost when disabled: a nil *Ctl
-// checkpoint is one pointer comparison, so the plain (non-Try, non-ctx)
-// entry points pay nothing.
+// checkpoint is one pointer comparison, so kernels run outside a hardened
+// call pay nothing.
 package hard
 
 import (
@@ -118,8 +118,8 @@ const CkptTuples = 1 << 16
 // worker fails. A nil *Ctl is valid everywhere and disables all checks.
 //
 // One Ctl is shared by every goroutine of a run; it is allocated once per
-// Try call (or taken from the workspace's scratch slots) and must not be
-// reused before every goroutine of the previous run has finished.
+// hardened call (or taken from the workspace's scratch slots) and must
+// not be reused before every goroutine of the previous run has finished.
 type Ctl struct {
 	done <-chan struct{}
 	ctx  context.Context

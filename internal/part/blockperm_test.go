@@ -228,7 +228,7 @@ func TestBlockPermuteCancel(t *testing.T) {
 	ctl := hard.NewCtl(nil)
 	ctl.Stop()
 	// A stopped ctl surfaces as the hard bail sentinel (converted to a
-	// context error by the Try layer); only the restore matters here.
+	// context error by the public sort calls); only the restore matters here.
 	bailed := func() (bailed bool) {
 		defer func() {
 			if e := recover(); e != nil {

@@ -4,11 +4,11 @@
 // per-tenant in-flight caps, drain state), per-size-class workspace
 // arenas shared across tenants, coalescing of small key-only requests
 // that queue behind busy executors into merged runs, a persistent
-// executor pool running every job under the SortResilient retry/fallback
-// supervisor, and graceful drain/cancellation reusing the Try*Ctx
-// rollback machinery. The HTTP/JSON and length-prefixed TCP front ends
-// live in http.go and tcp.go; every stage reports into the obs metrics
-// registry (metrics.go).
+// executor pool running every job under the SortResilientCtx
+// retry/fallback supervisor, and graceful drain/cancellation reusing the
+// hardened attempt's rollback machinery. The HTTP/JSON and
+// length-prefixed TCP front ends live in http.go and tcp.go; every stage
+// reports into the obs metrics registry (metrics.go).
 //
 // The decomposition mirrors the query-node/service split of distributed
 // query engines: the library kernels are the segment-level compute, this

@@ -256,8 +256,9 @@ type Options struct {
 	// parallel kernels poll it between chunks of hard.CkptTuples tuples and
 	// at pass boundaries, unwinding cooperatively (with the drivers' restore
 	// handlers leaving keys/vals a permutation of the input) once it is
-	// stopped or its context is cancelled. nil — the legacy panicking entry
-	// points — costs one pointer comparison per checkpoint.
+	// stopped or its context is cancelled. nil (kernels driven directly,
+	// outside the public sort calls) costs one pointer comparison per
+	// checkpoint.
 	Ctl *hard.Ctl
 }
 

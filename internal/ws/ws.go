@@ -181,7 +181,7 @@ func (w *Workspace) miss() {
 // BudgetError is the panic value of an arena acquisition that would push
 // the checked-out scratch bytes past the workspace's budget (SetBudget).
 // It unwinds through the kernels' containment and restore layers like any
-// worker panic; the public Try entry points map it to *partsort.
+// worker panic; the public sort calls map it to *partsort.
 // ResourceError so callers can classify it (degrade, don't retry in
 // place). The buffer whose acquisition failed is abandoned to the GC; the
 // accounting never saw it, so the arena's byte ledger stays balanced.

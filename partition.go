@@ -26,9 +26,11 @@
 package partsort
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gen"
+	"repro/internal/hard"
 	"repro/internal/kv"
 	"repro/internal/part"
 	"repro/internal/pfunc"
@@ -70,20 +72,44 @@ func RIDs[K Key](n int) []K {
 // `threads` goroutines and returns the histogram. This is the paper's
 // parallel non-in-place out-of-cache variant: per-thread histograms, one
 // prefix-sum barrier, then software write-combining through per-partition
-// cache-line buffers.
+// cache-line buffers. It panics with the error TryPartitionCtx would
+// return (*ArgError or *InternalError).
 func Partition[K Key, F PartitionFunc[K]](srcKeys, srcVals, dstKeys, dstVals []K, fn F, threads int) []int {
+	hist, err := TryPartitionCtx(context.Background(), srcKeys, srcVals, dstKeys, dstVals, fn, threads)
+	mustSort(err)
+	return hist
+}
+
+// TryPartitionCtx is Partition returning errors instead of panicking,
+// under a context: cancellation is observed between chunks of the
+// parallel histogram and scatter loops. On error src is untouched (the
+// scatter only writes dst) and the returned histogram is nil.
+func TryPartitionCtx[K Key, F PartitionFunc[K]](ctx context.Context, srcKeys, srcVals, dstKeys, dstVals []K, fn F, threads int) ([]int, error) {
 	const op = "Partition"
-	mustValid(validatePairs(op, "srcKeys", "srcVals", srcKeys, srcVals))
-	mustValid(validatePairs(op, "dstKeys", "dstVals", dstKeys, dstVals))
+	if err := validatePairs(op, "srcKeys", "srcVals", srcKeys, srcVals); err != nil {
+		return nil, err
+	}
+	if err := validatePairs(op, "dstKeys", "dstVals", dstKeys, dstVals); err != nil {
+		return nil, err
+	}
 	if len(srcKeys) != len(dstKeys) {
-		mustValid(&ArgError{Func: op, Field: "dstKeys",
-			Reason: fmt.Sprintf("length %d does not match srcKeys length %d", len(dstKeys), len(srcKeys))})
+		return nil, &ArgError{Func: op, Field: "dstKeys",
+			Reason: fmt.Sprintf("length %d does not match srcKeys length %d", len(dstKeys), len(srcKeys))}
 	}
-	mustValid(validateFanout(op, fn.Fanout()))
-	if threads < 1 {
-		threads = 1
+	if err := validateThreads(op, threads); err != nil {
+		return nil, err
 	}
-	return part.ParallelNonInPlace(nil, srcKeys, srcVals, dstKeys, dstVals, fn, threads, nil)
+	if err := validateFanout(op, fn.Fanout()); err != nil {
+		return nil, err
+	}
+	var hist []int
+	err := tryRun(op, ctx, nil, 0, func(ctl *hard.Ctl) {
+		hist = part.ParallelNonInPlace(nil, srcKeys, srcVals, dstKeys, dstVals, fn, max(threads, 1), ctl)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return hist, nil
 }
 
 // PartitionInPlace partitions keys/vals in place (single goroutine) and

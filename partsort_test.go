@@ -149,19 +149,6 @@ func TestPublicSorts(t *testing.T) {
 	}
 }
 
-func TestPublicSortWithScratchAndStats(t *testing.T) {
-	n := 1 << 14
-	keys := gen.Uniform[uint32](n, 0, 11)
-	vals := RIDs[uint32](n)
-	tmpK := make([]uint32, n)
-	tmpV := make([]uint32, n)
-	var st SortStats
-	SortLSBWithScratch(keys, vals, tmpK, tmpV, &SortOptions{Threads: 2, Stats: &st})
-	if !IsSorted(keys) || st.Total() == 0 || st.Passes == 0 {
-		t.Fatalf("scratch sort failed or no stats: %+v", st)
-	}
-}
-
 func TestPublicRangeIndex(t *testing.T) {
 	delims := gen.Uniform[uint32](999, 0, 13)
 	sort.Slice(delims, func(i, j int) bool { return delims[i] < delims[j] })
@@ -212,9 +199,6 @@ func TestPublicValidation(t *testing.T) {
 		f()
 	}
 	mustPanic("mismatched pair", func() { SortLSB([]uint32{1, 2}, []uint32{1}, nil) })
-	mustPanic("short scratch", func() {
-		SortCMPWithScratch([]uint32{1, 2}, []uint32{0, 1}, []uint32{0}, []uint32{0}, nil)
-	})
 	mustPanic("mismatched dst", func() {
 		Partition([]uint32{1}, []uint32{1}, []uint32{}, []uint32{}, Hash[uint32](2), 1)
 	})

@@ -1,6 +1,7 @@
 package partsort
 
 import (
+	"context"
 	"math/bits"
 
 	"repro/internal/kv"
@@ -99,45 +100,31 @@ func Recommend(w Workload) Algorithm {
 // Recommend. With opt.AutoTune set, the static decision table is replaced
 // by the machine-calibrated planner: the key column is sampled (no full
 // scan) and the algorithm with the lowest modeled cost on this machine
-// wins, under the same needStable/spaceTight constraints.
+// wins, under the same needStable/spaceTight constraints. Failures panic
+// as SortLSB does.
 func Sort[K Key](keys, vals []K, needStable, spaceTight bool, opt *SortOptions) Algorithm {
 	mustValid(validatePairs("Sort", "keys", "vals", keys, vals))
 	mustValid(validateOptions("Sort", opt))
 	if len(keys) == 0 {
 		return LSB
 	}
-	if opt != nil && opt.AutoTune {
-		eff, plan := autotune(keys, opt, "", needStable, spaceTight)
-		if plan != nil {
-			switch plan.Algo {
-			case tune.AlgoMSB:
-				SortMSB(keys, vals, eff)
-				return MSB
-			case tune.AlgoCMP:
-				SortCMP(keys, vals, eff)
-				return CMP
-			default:
-				SortLSB(keys, vals, eff)
-				return LSB
-			}
-		}
-		opt = eff // below the planning threshold: static path, no re-plan
+	opt, plan := autotune(keys, opt, "", needStable, spaceTight)
+	a := LSB
+	switch {
+	case plan == nil: // no AutoTune, or below the planning threshold
+		a = Recommend(Workload{
+			N:          len(keys),
+			DomainBits: kv.DomainBits(keys),
+			KeyBits:    kv.Width[K](),
+			SpaceTight: spaceTight,
+			NeedStable: needStable,
+		})
+	case plan.Algo == tune.AlgoMSB:
+		a = MSB
+	case plan.Algo == tune.AlgoCMP:
+		a = CMP
 	}
-	w := Workload{
-		N:          len(keys),
-		DomainBits: kv.DomainBits(keys),
-		KeyBits:    kv.Width[K](),
-		SpaceTight: spaceTight,
-		NeedStable: needStable,
-	}
-	a := Recommend(w)
-	switch a {
-	case LSB:
-		SortLSB(keys, vals, opt)
-	case MSB:
-		SortMSB(keys, vals, opt)
-	case CMP:
-		SortCMP(keys, vals, opt)
-	}
+	// opt has AutoTune cleared, so the sort does not plan again.
+	mustSort(sortOnce(context.Background(), "Sort", a, keys, vals, opt))
 	return a
 }

@@ -2,11 +2,12 @@
 // backoff on contained worker failures, then degrade along a fallback
 // chain of ever more conservative plans, ending at a guaranteed-progress
 // single-threaded in-place sort. Retry-in-place is sound because the
-// hardened Try layer restores the columns to a permutation of the input
-// before returning any *InternalError — re-sorting a permutation yields
-// the same sorted output (stability of already-disturbed equal-key runs
-// is the one casualty; see RetryPolicy.NoFallback for callers that need
-// stability over availability).
+// hardened attempt (sortOnce) restores the columns to a permutation of
+// the input before returning any *InternalError — re-sorting a
+// permutation yields the same sorted output (stability of
+// already-disturbed equal-key runs is the one casualty; see
+// RetryPolicy.NoFallback for callers that need stability over
+// availability).
 
 package partsort
 
@@ -72,7 +73,7 @@ func ClassifyError(err error) RetryClass {
 	return RetryFatal
 }
 
-// RetryStats reports what the supervisor did on one SortResilient run,
+// RetryStats reports what the supervisor did on one SortResilientCtx run,
 // written through RetryPolicy.Stats when non-nil.
 type RetryStats struct {
 	// Attempts is the total number of sort attempts, including the
@@ -89,7 +90,7 @@ type RetryStats struct {
 	Backoff time.Duration
 }
 
-// RetryPolicy configures SortResilient. The zero value is a working
+// RetryPolicy configures SortResilientCtx. The zero value is a working
 // policy: 2 attempts per stage, the full three-stage fallback chain,
 // 1 ms initial backoff doubling to a 100 ms cap, default classifier.
 type RetryPolicy struct {
@@ -97,7 +98,8 @@ type RetryPolicy struct {
 	// before moving to the next (default 2; negative is invalid).
 	AttemptsPerStage int
 	// MaxAttempts caps total attempts across all stages (0: no cap
-	// beyond stages × AttemptsPerStage; negative is invalid).
+	// beyond stages × AttemptsPerStage; negative is invalid). 1 makes
+	// one hardened attempt with no retry, fallback, or backoff.
 	MaxAttempts int
 	// InitialBackoff is the sleep before the second attempt (default
 	// 1 ms; negative is invalid). Zero selects the default; to retry
@@ -215,18 +217,22 @@ func (p *RetryPolicy) classify(err error) RetryClass {
 	return ClassifyError(err)
 }
 
-// SortResilient sorts under the supervisor without a context deadline.
-// See SortResilientCtx.
-func SortResilient[K Key](algo Algorithm, keys, vals []K, opt *SortOptions, pol *RetryPolicy) error {
-	return SortResilientCtx(context.Background(), algo, keys, vals, opt, pol)
-}
+// resilientOp names SortResilientCtx in the errors it returns.
+const resilientOp = "SortResilientCtx"
 
 // SortResilientCtx runs the requested sort under the resilient
-// supervisor. A clean first attempt costs one extra branch over the
-// plain Try entry point and allocates nothing. On a contained worker
-// failure (*InternalError) the attempt is retried in place — sound
-// because containment restored the columns to a permutation — with
-// capped exponential backoff between attempts; after AttemptsPerStage
+// supervisor; it is the library's error-returning sort call. Each
+// attempt is one hardened run: argument problems come back as
+// *ArgError, an over-budget aux acquisition as *ResourceError, a
+// contained worker panic as *InternalError, cancellation as ctx.Err()
+// (observed at pass boundaries and between chunks of parallel loops),
+// and on any of them keys/vals hold a permutation of the input.
+// &RetryPolicy{MaxAttempts: 1} makes exactly that one attempt; with a
+// warm Workspace a clean first attempt allocates nothing. On a
+// contained worker failure (*InternalError) the attempt is retried in
+// place — sound because containment restored the columns to a
+// permutation — with capped exponential backoff between attempts; after
+// AttemptsPerStage
 // failures the supervisor degrades along the fallback chain: the
 // caller's plan, then a conservative sequential plan (parallelism,
 // NUMA layout, and tuning overrides stripped), then a single-threaded
@@ -238,18 +244,18 @@ func SortResilient[K Key](algo Algorithm, keys, vals []K, opt *SortOptions, pol 
 // in-place sort is unstable; callers that must keep equal-key payload
 // order set RetryPolicy.NoFallback and handle the error themselves.
 func SortResilientCtx[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *SortOptions, pol *RetryPolicy) error {
-	if err := pol.validate("SortResilientCtx"); err != nil {
+	if err := pol.validate(resilientOp); err != nil {
 		return err
 	}
 	switch algo {
 	case LSB, MSB, CMP:
 	default:
-		return &ArgError{Func: "SortResilientCtx", Field: "algo", Reason: "must be LSB, MSB, or CMP"}
+		return &ArgError{Func: resilientOp, Field: "algo", Reason: "must be LSB, MSB, or CMP"}
 	}
 
 	// Stage 0, attempt 1: the caller's own plan, straight through. This
 	// is the hot path — no stats, no copies, no closures.
-	err := trySortAlgo(ctx, algo, keys, vals, opt)
+	err := sortOnce(ctx, resilientOp, algo, keys, vals, opt)
 	if err == nil {
 		if pol != nil && pol.Stats != nil {
 			*pol.Stats = RetryStats{Attempts: 1}
@@ -257,18 +263,6 @@ func SortResilientCtx[K Key](ctx context.Context, algo Algorithm, keys, vals []K
 		return nil
 	}
 	return sortResilientSlow(ctx, algo, keys, vals, opt, pol, err)
-}
-
-// trySortAlgo dispatches one attempt to the hardened Try layer.
-func trySortAlgo[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *SortOptions) error {
-	switch algo {
-	case LSB:
-		return TrySortLSBCtx(ctx, keys, vals, opt)
-	case MSB:
-		return TrySortMSBCtx(ctx, keys, vals, opt)
-	default:
-		return TrySortCmpCtx(ctx, keys, vals, opt)
-	}
 }
 
 // conservativeOpt derives the stage-1 plan: single-threaded, no NUMA
@@ -311,7 +305,8 @@ func sortResilientSlow[K Key](ctx context.Context, algo Algorithm, keys, vals []
 	}()
 	perStage := pol.attemptsPerStage()
 	maxTotal := retryStages * perStage
-	if pol != nil && pol.NoFallback {
+	noFallback := pol != nil && pol.NoFallback
+	if noFallback {
 		maxTotal = perStage
 	}
 	if pol != nil && pol.MaxAttempts > 0 && pol.MaxAttempts < maxTotal {
@@ -319,58 +314,55 @@ func sortResilientSlow[K Key](ctx context.Context, algo Algorithm, keys, vals []
 	}
 	stage, inStage := 0, 1 // attempts consumed in the current stage
 	for {
-		switch pol.classify(err) {
-		case RetryFatal:
+		class := pol.classify(err)
+		// The cap is checked before any transition: a run that stops here
+		// records no fallback or degradation it never attempted.
+		if class == RetryFatal || st.Attempts >= maxTotal {
 			return err
+		}
+		next, degraded := stage, false
+		switch class {
 		case RetryDegrade:
-			obsRetry(func(c *obs.Counters) { c.MemDegrades.Add(1) })
-			if pol != nil && pol.NoFallback {
-				return err
-			}
-			if stage >= retryStages-1 {
+			if noFallback || stage >= retryStages-1 {
 				// Even the in-place stage cannot fit the budget: no
 				// further attempt can change that arithmetic.
 				return err
 			}
-			stage, inStage = retryStages-1, 0
-			st.Degraded = true
+			next, degraded = retryStages-1, true
 		case RetryTransient:
 			if inStage >= perStage {
-				if pol != nil && pol.NoFallback {
+				if noFallback || stage >= retryStages-1 {
 					return err
 				}
-				if stage >= retryStages-1 {
-					return err
-				}
-				stage++
-				inStage = 0
-				obsRetry(func(c *obs.Counters) { c.RetryFallbacks.Add(1) })
+				next++
 			}
-		}
-		if st.Attempts >= maxTotal {
-			return err
 		}
 		if serr := retrySleep(ctx, pol.backoffFor(st.Attempts), &st); serr != nil {
 			return err
 		}
-		stageOpt := opt
+		if next != stage {
+			if degraded {
+				st.Degraded = true
+				obsRetry(func(c *obs.Counters) { c.MemDegrades.Add(1) })
+			} else {
+				obsRetry(func(c *obs.Counters) { c.RetryFallbacks.Add(1) })
+			}
+			stage, inStage = next, 0
+		}
+		stageOpt, stageAlgo := opt, algo
 		switch stage {
 		case 1:
 			stageOpt = conservativeOpt(opt)
 		case 2:
-			stageOpt = inPlaceOpt(opt)
-		}
-		stageAlgo := algo
-		if stage == retryStages-1 {
 			// The guaranteed-progress terminal stage: single-threaded
 			// in-place MSB needs no linear auxiliary arrays.
-			stageAlgo = MSB
+			stageOpt, stageAlgo = inPlaceOpt(opt), MSB
 		}
 		st.Attempts++
 		inStage++
 		st.Stage = stage
 		obsRetry(func(c *obs.Counters) { c.RetryAttempts.Add(1) })
-		if err = trySortAlgo(ctx, stageAlgo, keys, vals, stageOpt); err == nil {
+		if err = sortOnce(ctx, resilientOp, stageAlgo, keys, vals, stageOpt); err == nil {
 			return nil
 		}
 	}

@@ -33,7 +33,7 @@ func TestRetryPolicyValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := SortResilient(c.algo, keys, vals, nil, c.pol)
+			err := SortResilientCtx(context.Background(), c.algo, keys, vals, nil, c.pol)
 			var ae *ArgError
 			if !errors.As(err, &ae) {
 				t.Fatalf("err = %v (%T), want *ArgError", err, err)
@@ -48,7 +48,7 @@ func TestRetryPolicyValidation(t *testing.T) {
 	for _, pol := range []*RetryPolicy{nil, {}, {Classify: nil, InitialBackoff: 0, MaxBackoff: 0}} {
 		k := []uint64{3, 1, 2}
 		v := []uint64{0, 1, 2}
-		if err := SortResilient(LSB, k, v, nil, pol); err != nil {
+		if err := SortResilientCtx(context.Background(), LSB, k, v, nil, pol); err != nil {
 			t.Fatalf("valid policy %+v: %v", pol, err)
 		}
 		if !sort.SliceIsSorted(k, func(i, j int) bool { return k[i] < k[j] }) {
@@ -66,8 +66,8 @@ func TestClassifyError(t *testing.T) {
 	}{
 		{"nil", nil, RetryFatal},
 		{"arg", &ArgError{Func: "f", Field: "x", Reason: "r"}, RetryFatal},
-		{"resource", &ResourceError{Op: "TrySortLSB"}, RetryDegrade},
-		{"internal", &InternalError{Op: "TrySortLSB", Value: "boom"}, RetryTransient},
+		{"resource", &ResourceError{Op: "SortLSB"}, RetryDegrade},
+		{"internal", &InternalError{Op: "SortLSB", Value: "boom"}, RetryTransient},
 		{"canceled", context.Canceled, RetryFatal},
 		{"deadline", context.DeadlineExceeded, RetryFatal},
 		{"unknown", errors.New("mystery"), RetryFatal},
@@ -120,7 +120,7 @@ func TestResilientRetriesTransient(t *testing.T) {
 	fault.Enable(fault.SiteLSBPass, 0)
 	var st RetryStats
 	pol := &RetryPolicy{InitialBackoff: time.Microsecond, Stats: &st}
-	err := SortResilient(LSB, keys, vals, nil, pol)
+	err := SortResilientCtx(context.Background(), LSB, keys, vals, nil, pol)
 	fault.Disable()
 	if err != nil {
 		t.Fatalf("supervised sort failed: %v", err)
@@ -150,7 +150,7 @@ func TestResilientFallbackChain(t *testing.T) {
 	}))
 	var st RetryStats
 	pol := &RetryPolicy{InitialBackoff: time.Microsecond, Stats: &st}
-	err := SortResilient(LSB, keys, vals, nil, pol)
+	err := SortResilientCtx(context.Background(), LSB, keys, vals, nil, pol)
 	fault.Disable()
 	if err != nil {
 		t.Fatalf("supervised sort failed: %v", err)
@@ -175,7 +175,7 @@ func TestResilientDegradeOnResourceError(t *testing.T) {
 	pol := &RetryPolicy{InitialBackoff: time.Microsecond, Stats: &st}
 	// 256 KiB: far below the ~1 MiB of tmp columns LSB wants for 64K
 	// 64-bit pairs, comfortably above the in-place MSB histograms.
-	err := SortResilient(LSB, keys, vals, &SortOptions{MaxAuxBytes: 256 << 10}, pol)
+	err := SortResilientCtx(context.Background(), LSB, keys, vals, &SortOptions{MaxAuxBytes: 256 << 10}, pol)
 	if err != nil {
 		t.Fatalf("supervised sort failed: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestResilientDegradeOnResourceError(t *testing.T) {
 	// The same squeeze under NoFallback must surface the *ResourceError.
 	keys2 := append([]uint64(nil), ref...)
 	vals2 := RIDs[uint64](n)
-	err = SortResilient(LSB, keys2, vals2, &SortOptions{MaxAuxBytes: 256 << 10},
+	err = SortResilientCtx(context.Background(), LSB, keys2, vals2, &SortOptions{MaxAuxBytes: 256 << 10},
 		&RetryPolicy{NoFallback: true, InitialBackoff: time.Microsecond})
 	var re *ResourceError
 	if !errors.As(err, &re) {
@@ -211,7 +211,7 @@ func TestResilientNoFallback(t *testing.T) {
 		fault.SiteLSBPass: {Prob: 1}, // unlimited budget: every attempt dies
 	}))
 	var st RetryStats
-	err := SortResilient(LSB, keys, vals, nil,
+	err := SortResilientCtx(context.Background(), LSB, keys, vals, nil,
 		&RetryPolicy{NoFallback: true, InitialBackoff: time.Microsecond, Stats: &st})
 	fault.Disable()
 	var ie *InternalError
@@ -236,7 +236,7 @@ func TestResilientMaxAttempts(t *testing.T) {
 		fault.SiteMSBRecurse: {Prob: 1},
 	}))
 	var st RetryStats
-	err := SortResilient(LSB, keys, vals, nil,
+	err := SortResilientCtx(context.Background(), LSB, keys, vals, nil,
 		&RetryPolicy{MaxAttempts: 3, InitialBackoff: time.Microsecond, Stats: &st})
 	fault.Disable()
 	if err == nil {
@@ -302,7 +302,7 @@ func TestResilientAllAlgorithms(t *testing.T) {
 			vals := RIDs[uint64](n)
 			base := runtime.NumGoroutine()
 			fault.Enable(c.site, 0)
-			err := SortResilient(c.algo, keys, vals,
+			err := SortResilientCtx(context.Background(), c.algo, keys, vals,
 				&SortOptions{Threads: 4}, &RetryPolicy{InitialBackoff: time.Microsecond})
 			fault.Disable()
 			if err != nil {
@@ -314,30 +314,94 @@ func TestResilientAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestResilientZeroAllocCleanPath: a clean first-try supervised sort
-// with a warmed workspace allocates nothing — the supervisor's happy
-// path adds no copies, closures, or stats traffic.
-func TestResilientZeroAllocCleanPath(t *testing.T) {
-	n := 1 << 12
-	w := NewWorkspace()
-	defer w.Close()
-	keys := gen.Uniform[uint64](n, 0, 31)
+// TestResilientCapBeforeTransition pins the attempt cap ahead of every
+// stage transition: a run the cap stops records no degradation or
+// fallback it never attempted, so MaxAttempts: 1 is exactly one hardened
+// attempt.
+func TestResilientCapBeforeTransition(t *testing.T) {
+	StartObservability(nil)
+	defer StopObservability()
+	defer fault.Disable()
+	n := 1 << 16
+	keys := gen.Uniform[uint64](n, 0, 43)
 	vals := RIDs[uint64](n)
-	opt := &SortOptions{Workspace: w}
-	run := func() {
-		if err := SortResilient(MSB, keys, vals, opt, nil); err != nil {
-			t.Fatal(err)
-		}
+
+	var st RetryStats
+	before := ObservedCounters()
+	err := SortResilientCtx(context.Background(), LSB, keys, vals, &SortOptions{MaxAuxBytes: 256 << 10},
+		&RetryPolicy{MaxAttempts: 1, Stats: &st})
+	var re *ResourceError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v (%T), want *ResourceError", err, err)
 	}
-	run() // warm the arena
-	if a := testing.AllocsPerRun(20, run); a != 0 {
-		t.Fatalf("clean-path supervised sort allocates %v times per run", a)
+	if st != (RetryStats{Attempts: 1}) {
+		t.Fatalf("stats = %+v, want one undegraded attempt on stage 0", st)
+	}
+	if d := ObservedCounters().MemDegrades - before.MemDegrades; d != 0 {
+		t.Fatalf("mem_degrades moved by %d with no degraded attempt", d)
+	}
+
+	fault.Arm(fault.NewSchedule(5, map[fault.Site]fault.SiteConfig{
+		fault.SiteLSBPass: {Prob: 1},
+	}))
+	before = ObservedCounters()
+	err = SortResilientCtx(context.Background(), LSB, keys, vals, nil,
+		&RetryPolicy{MaxAttempts: 2, InitialBackoff: time.Microsecond, Stats: &st})
+	fault.Disable()
+	var ie *InternalError
+	if !errors.As(err, &ie) {
+		t.Fatalf("err = %v (%T), want *InternalError", err, err)
+	}
+	if st.Attempts != 2 || st.Stage != 0 {
+		t.Fatalf("stats = %+v, want 2 attempts on stage 0", st)
+	}
+	if d := ObservedCounters().RetryFallbacks - before.RetryFallbacks; d != 0 {
+		t.Fatalf("retry_fallbacks moved by %d with no fallback attempt", d)
 	}
 }
 
-// BenchmarkResilientOverhead prices the supervisor against the bare Try
-// entry point on identical warmed-workspace sorts: the clean first-try
-// path must cost one classification branch and zero allocations.
+// TestResilientZeroAllocCleanPath: a clean first-try sort with a warmed
+// workspace allocates nothing, for every algorithm, through both the
+// supervisor and the panicking wrapper — the hardened attempt and the
+// supervisor's happy path add no copies, closures, or stats traffic.
+func TestResilientZeroAllocCleanPath(t *testing.T) {
+	n := 1 << 12
+	keys := gen.Uniform[uint64](n, 0, 31)
+	vals := RIDs[uint64](n)
+	wrappers := map[Algorithm]func(keys, vals []uint64, opt *SortOptions){
+		LSB: SortLSB[uint64], MSB: SortMSB[uint64], CMP: SortCMP[uint64],
+	}
+	for _, algo := range []Algorithm{LSB, MSB, CMP} {
+		entries := []struct {
+			name string
+			run  func(opt *SortOptions)
+		}{
+			{"SortResilientCtx", func(opt *SortOptions) {
+				if err := SortResilientCtx(context.Background(), algo, keys, vals, opt, nil); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"wrapper", func(opt *SortOptions) { wrappers[algo](keys, vals, opt) }},
+		}
+		for _, e := range entries {
+			t.Run(algo.String()+"/"+e.name, func(t *testing.T) {
+				w := NewWorkspace()
+				defer w.Close()
+				opt := &SortOptions{Workspace: w}
+				run := func() { e.run(opt) }
+				run() // warm the arena
+				if a := testing.AllocsPerRun(20, run); a != 0 {
+					t.Fatalf("clean-path sort allocates %v times per run", a)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkResilientOverhead prices the supervisor's default policy
+// against the single-attempt policy on identical warmed-workspace sorts:
+// the clean first-try path must cost one classification branch and zero
+// allocations.
 func BenchmarkResilientOverhead(b *testing.B) {
 	n := 1 << 14
 	w := NewWorkspace()
@@ -345,13 +409,13 @@ func BenchmarkResilientOverhead(b *testing.B) {
 	keys := gen.Uniform[uint64](n, 0, 37)
 	vals := RIDs[uint64](n)
 	opt := &SortOptions{Workspace: w}
-	if err := TrySortMSB(keys, vals, opt); err != nil {
+	if err := trySort(MSB, keys, vals, opt); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("try", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := TrySortMSB(keys, vals, opt); err != nil {
+			if err := trySort(MSB, keys, vals, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -359,7 +423,7 @@ func BenchmarkResilientOverhead(b *testing.B) {
 	b.Run("resilient", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := SortResilient(MSB, keys, vals, opt, nil); err != nil {
+			if err := SortResilientCtx(context.Background(), MSB, keys, vals, opt, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,9 @@
 package partsort
 
 import (
+	"context"
+
+	"repro/internal/hard"
 	"repro/internal/kv"
 	"repro/internal/numa"
 	"repro/internal/sortalgo"
@@ -43,15 +46,16 @@ type SortOptions struct {
 	// zero steady-state heap allocations. See NewWorkspace.
 	Workspace *Workspace
 	// MaxAuxBytes caps the auxiliary memory a sort may take for scratch
-	// arrays (0: half of the machine's available memory). SortCMP and
-	// TrySortCmp switch to the in-place block-permutation layout — no
-	// linear tmp arrays, no codes column — when the legacy footprint
-	// would exceed the cap (parallel runs use it regardless, unless the
-	// NUMA-aware layout is engaged), and the AutoTune planner budgets
-	// its algorithm choice against the same cap. Scratch the caller
-	// provides (SortCMPWithScratch, SortLSBWithScratch) is never
-	// counted. SortExternal raises a cap below its planner's floor to
-	// that floor (PlanSpill's MemBytes). Negative is invalid.
+	// arrays (0: half of the machine's available memory); every sort
+	// call enforces it, and an acquisition past it fails the attempt
+	// with a *ResourceError. The comparison sort switches to the
+	// in-place block-permutation layout — no linear tmp arrays, no
+	// codes column — when the legacy footprint would exceed the cap
+	// (parallel runs use it regardless, unless the NUMA-aware layout is
+	// engaged), and the AutoTune planner budgets its algorithm choice
+	// against the same cap. SortExternal raises a cap below its
+	// planner's floor to that floor (PlanSpill's MemBytes). Negative is
+	// invalid.
 	MaxAuxBytes int64
 	// AutoTune engages the machine-calibrated adaptive planner: the sort
 	// samples the key column, prices candidate configurations with the
@@ -108,50 +112,68 @@ func (o *SortOptions) toInternal() (sortalgo.Options, *numa.Topology) {
 	}, topo
 }
 
-// scratchPair takes the two auxiliary arrays from the workspace (pooled)
-// or the allocator (nil workspace).
-func scratchPair[K Key](opt *SortOptions, n int) ([]K, []K, *ws.Workspace) {
-	var w *ws.Workspace
-	if opt != nil {
-		w = opt.Workspace.internal()
+// sortOnce is the one hardened sort attempt behind every public sort
+// call: it validates the pairs and options (errors name op) and runs the
+// algorithm under tryRun. It is the only place an Algorithm maps to its
+// autotune constraints, its scratch layout (a metered tmp pair for LSB
+// and non-in-place CMP, none for MSB and in-place CMP) and its sortalgo
+// call.
+func sortOnce[K Key](ctx context.Context, op string, algo Algorithm, keys, vals []K, opt *SortOptions) error {
+	if err := validatePairs(op, "keys", "vals", keys, vals); err != nil {
+		return err
 	}
-	return ws.Keys[K](w, n), ws.Keys[K](w, n), w
+	if err := validateOptions(op, opt); err != nil {
+		return err
+	}
+	return tryRun(op, ctx, optWorkspace(opt), optMaxAux(opt), func(ctl *hard.Ctl) {
+		eff, plan := autotune(keys, opt, tune.Algo(algo.String()), algo == LSB, algo == MSB)
+		io, _ := eff.toInternal()
+		io.Ctl = ctl
+		if algo == MSB {
+			sortalgo.MSB(keys, vals, io)
+			return
+		}
+		if algo == CMP && cmpInPlace[K](eff, plan, len(keys)) {
+			sortalgo.CMP[K](keys, vals, nil, nil, io)
+			return
+		}
+		tmpK, tmpV, iw := meteredScratchPair[K](eff, len(keys))
+		defer func() {
+			ws.PutKeys(iw, tmpK)
+			ws.PutKeys(iw, tmpV)
+		}()
+		if algo == LSB {
+			sortalgo.LSB(keys, vals, tmpK, tmpV, io)
+		} else {
+			sortalgo.CMP(keys, vals, tmpK, tmpV, io)
+		}
+	})
+}
+
+// mustSort is the panicking wrappers' bridge over the error-returning
+// cores: a failure panics with the typed error itself.
+func mustSort(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // SortLSB sorts (keys, vals) by key with the stable NUMA-aware LSB
 // radix-sort (Section 4.2.1): the fastest choice for dense (compressed)
-// key domains, using one linear auxiliary array allocated internally.
-// Payloads of equal keys keep their input order.
+// key domains, using one linear auxiliary array pair (pooled from
+// opt.Workspace when set). Payloads of equal keys keep their input order.
+// It panics with the error SortResilientCtx would return under
+// &RetryPolicy{MaxAttempts: 1}; the input is then left a permutation.
 func SortLSB[K Key](keys, vals []K, opt *SortOptions) {
-	mustValid(validatePairs("SortLSB", "keys", "vals", keys, vals))
-	mustValid(validateOptions("SortLSB", opt))
-	tmpK, tmpV, w := scratchPair[K](opt, len(keys))
-	SortLSBWithScratch(keys, vals, tmpK, tmpV, opt)
-	ws.PutKeys(w, tmpK)
-	ws.PutKeys(w, tmpV)
-}
-
-// SortLSBWithScratch is SortLSB with caller-provided auxiliary arrays
-// (same length as keys), for pre-allocated pipelines.
-func SortLSBWithScratch[K Key](keys, vals, tmpKeys, tmpVals []K, opt *SortOptions) {
-	mustValid(validatePairs("SortLSBWithScratch", "keys", "vals", keys, vals))
-	mustValid(validateScratch("SortLSBWithScratch", keys, tmpKeys, tmpVals))
-	mustValid(validateOptions("SortLSBWithScratch", opt))
-	opt, _ = autotune(keys, opt, tune.AlgoLSB, true, false)
-	io, _ := opt.toInternal()
-	sortalgo.LSB(keys, vals, tmpKeys, tmpVals, io)
+	mustSort(sortOnce(context.Background(), "SortLSB", LSB, keys, vals, opt))
 }
 
 // SortMSB sorts (keys, vals) by key with the fully in-place MSB radix-sort
 // (Section 4.2.2): no linear auxiliary space, and passes proportional to
 // log n rather than the key domain width — the best choice for sparse
-// domains or when memory is tight. Not stable.
+// domains or when memory is tight. Not stable. Panics as SortLSB does.
 func SortMSB[K Key](keys, vals []K, opt *SortOptions) {
-	mustValid(validatePairs("SortMSB", "keys", "vals", keys, vals))
-	mustValid(validateOptions("SortMSB", opt))
-	opt, _ = autotune(keys, opt, tune.AlgoMSB, false, true)
-	io, _ := opt.toInternal()
-	sortalgo.MSB(keys, vals, io)
+	mustSort(sortOnce(context.Background(), "SortMSB", MSB, keys, vals, opt))
 }
 
 // SortCMP sorts (keys, vals) by key with the range-partitioning comparison
@@ -160,20 +182,9 @@ func SortMSB[K Key](keys, vals []K, opt *SortOptions) {
 // single-key partitions that skip sorting entirely. Parallel runs (and any
 // run whose linear scratch would exceed MaxAuxBytes) use the in-place
 // block-permutation layout; otherwise one linear auxiliary array pair is
-// allocated internally. Not stable.
+// taken. Not stable. Panics as SortLSB does.
 func SortCMP[K Key](keys, vals []K, opt *SortOptions) {
-	mustValid(validatePairs("SortCMP", "keys", "vals", keys, vals))
-	mustValid(validateOptions("SortCMP", opt))
-	eff, plan := autotune(keys, opt, tune.AlgoCMP, false, false)
-	io, _ := eff.toInternal()
-	if cmpInPlace[K](eff, plan, len(keys)) {
-		sortalgo.CMP[K](keys, vals, nil, nil, io)
-		return
-	}
-	tmpK, tmpV, w := scratchPair[K](eff, len(keys))
-	sortalgo.CMP(keys, vals, tmpK, tmpV, io)
-	ws.PutKeys(w, tmpK)
-	ws.PutKeys(w, tmpV)
+	mustSort(sortOnce(context.Background(), "SortCMP", CMP, keys, vals, opt))
 }
 
 // cmpInPlace decides SortCMP's layout: the in-place block-permutation
@@ -204,16 +215,6 @@ func cmpInPlace[K Key](opt *SortOptions, plan *SortPlan, n int) bool {
 	width := int64(kv.Width[K]())
 	legacy := int64(n) * (2*width/8 + 4)
 	return legacy > budget
-}
-
-// SortCMPWithScratch is SortCMP with caller-provided auxiliary arrays.
-func SortCMPWithScratch[K Key](keys, vals, tmpKeys, tmpVals []K, opt *SortOptions) {
-	mustValid(validatePairs("SortCMPWithScratch", "keys", "vals", keys, vals))
-	mustValid(validateScratch("SortCMPWithScratch", keys, tmpKeys, tmpVals))
-	mustValid(validateOptions("SortCMPWithScratch", opt))
-	opt, _ = autotune(keys, opt, tune.AlgoCMP, false, false)
-	io, _ := opt.toInternal()
-	sortalgo.CMP(keys, vals, tmpKeys, tmpVals, io)
 }
 
 // IsSorted reports whether keys are in non-decreasing order.

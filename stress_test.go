@@ -123,13 +123,13 @@ func TestStressCancelStorm(t *testing.T) {
 		run  func(ctx context.Context, k, v []uint32) error
 	}{
 		{"lsb", func(ctx context.Context, k, v []uint32) error {
-			return TrySortLSBCtx(ctx, k, v, &SortOptions{Threads: 4})
+			return SortResilientCtx(ctx, LSB, k, v, &SortOptions{Threads: 4}, once)
 		}},
 		{"msb", func(ctx context.Context, k, v []uint32) error {
-			return TrySortMSBCtx(ctx, k, v, &SortOptions{Threads: 4})
+			return SortResilientCtx(ctx, MSB, k, v, &SortOptions{Threads: 4}, once)
 		}},
 		{"cmp", func(ctx context.Context, k, v []uint32) error {
-			return TrySortCmpCtx(ctx, k, v, &SortOptions{Threads: 4, CacheTuples: 1 << 12})
+			return SortResilientCtx(ctx, CMP, k, v, &SortOptions{Threads: 4, CacheTuples: 1 << 12}, once)
 		}},
 	}
 	const lanes = 8

@@ -7,8 +7,6 @@ import (
 	"unsafe"
 
 	"repro/internal/hard"
-	"repro/internal/part"
-	"repro/internal/sortalgo"
 	"repro/internal/tune"
 	"repro/internal/ws"
 )
@@ -19,25 +17,11 @@ import (
 const maxRadixBits = 16
 
 // validatePairs checks that a key column and its payload column have equal
-// length. Every entry point — Try and legacy — routes through it.
+// length. Every entry point routes through it.
 func validatePairs[K Key](fn, keyField, valField string, keys, vals []K) *ArgError {
 	if len(keys) != len(vals) {
 		return &ArgError{Func: fn, Field: valField,
 			Reason: fmt.Sprintf("length %d does not match %s length %d", len(vals), keyField, len(keys))}
-	}
-	return nil
-}
-
-// validateScratch checks caller-provided auxiliary arrays against the
-// input length.
-func validateScratch[K Key](fn string, keys, tmpKeys, tmpVals []K) *ArgError {
-	if len(tmpKeys) != len(keys) {
-		return &ArgError{Func: fn, Field: "tmpKeys",
-			Reason: fmt.Sprintf("length %d does not match keys length %d", len(tmpKeys), len(keys))}
-	}
-	if len(tmpVals) != len(keys) {
-		return &ArgError{Func: fn, Field: "tmpVals",
-			Reason: fmt.Sprintf("length %d does not match keys length %d", len(tmpVals), len(keys))}
 	}
 	return nil
 }
@@ -136,21 +120,22 @@ func validateThreads(fn string, threads int) *ArgError {
 	return nil
 }
 
-// mustValid is the legacy entry points' bridge to the shared validator:
-// they keep their panicking contract, now raising the same typed *ArgError
-// the Try API returns.
+// mustValid is the bridge to the shared validator for the entry points
+// that validate outside sortOnce: they panic with the same typed *ArgError
+// the error-returning calls return.
 func mustValid(err *ArgError) {
 	if err != nil {
 		panic(err)
 	}
 }
 
-// tryRun is the hardened-execution harness shared by the Try entry points:
+// tryRun is the hardened-execution harness shared by every sort and
+// partition attempt:
 // it arms a (workspace-pooled) cancellation control under ctx, runs body
 // with it, and converts whatever unwinds — a cooperative cancellation bail,
 // a contained worker panic carrying its original stack, a validation panic
-// from a nested call, a workspace budget violation — into the Try API's
-// error taxonomy. The body runs with panic containment on every fan-out,
+// from a nested call, a workspace budget violation — into the error
+// taxonomy. The body runs with panic containment on every fan-out,
 // so by the time a failure reaches this frame all worker goroutines of the
 // run have finished.
 //
@@ -197,7 +182,7 @@ func tryRun(op string, ctx context.Context, w *Workspace, maxAux int64, body fun
 	return nil
 }
 
-// asTryError maps a recovered unwind value onto the Try error taxonomy.
+// asTryError maps a recovered unwind value onto the error taxonomy.
 func asTryError(op string, e any) error {
 	if cause, ok := hard.BailCause(e); ok {
 		// Cooperative cancellation: context.Canceled, DeadlineExceeded, or
@@ -223,15 +208,16 @@ func asTryError(op string, e any) error {
 	return &InternalError{Op: op, Value: e, Stack: debug.Stack()}
 }
 
-// meteredScratchPair is scratchPair for the Try bodies: when no arena is
-// metering acquisitions (opt.Workspace nil), the linear tmp columns —
-// the dominant auxiliary cost of the non-in-place sorts — are checked
-// against the run's budget here, so a budget-less allocation cannot
-// silently exceed MaxAuxBytes (or the default half-of-available budget).
-// With an arena, its own ledger enforces the budget and this is a plain
-// scratchPair.
+// meteredScratchPair takes sortOnce's two auxiliary arrays from the
+// workspace (pooled) or the allocator (nil workspace). When no arena is
+// metering acquisitions, the linear tmp columns — the dominant auxiliary
+// cost of the non-in-place sorts — are checked against the run's budget
+// here, so a budget-less allocation cannot silently exceed MaxAuxBytes
+// (or the default half-of-available budget). With an arena, its own
+// ledger enforces the budget.
 func meteredScratchPair[K Key](opt *SortOptions, n int) ([]K, []K, *ws.Workspace) {
-	if optWorkspace(opt) == nil {
+	w := optWorkspace(opt).internal()
+	if w == nil {
 		var z K
 		need := 2 * int64(n) * int64(unsafe.Sizeof(z))
 		budget := optMaxAux(opt)
@@ -242,7 +228,7 @@ func meteredScratchPair[K Key](opt *SortOptions, n int) ([]K, []K, *ws.Workspace
 			panic(&ws.BudgetError{Need: need, InUse: 0, Budget: budget})
 		}
 	}
-	return scratchPair[K](opt, n)
+	return ws.Keys[K](w, n), ws.Keys[K](w, n), w
 }
 
 // optMaxAux returns opt's auxiliary-memory cap (nil-safe).
@@ -259,134 +245,4 @@ func optWorkspace(opt *SortOptions) *Workspace {
 		return nil
 	}
 	return opt.Workspace
-}
-
-// TrySortLSB is SortLSB returning errors instead of panicking: argument
-// problems come back as *ArgError, contained worker panics as
-// *InternalError. On error keys/vals hold a permutation of the input (in
-// unspecified order) whenever the failure struck at an interruption point
-// — always the case for cancellation and injected faults.
-func TrySortLSB[K Key](keys, vals []K, opt *SortOptions) error {
-	return TrySortLSBCtx(context.Background(), keys, vals, opt)
-}
-
-// TrySortLSBCtx is TrySortLSB under a context: cancellation is observed at
-// pass boundaries and between chunks of parallel loops (bounded latency),
-// unwinds cooperatively leaving keys/vals a permutation of the input, and
-// returns ctx.Err().
-func TrySortLSBCtx[K Key](ctx context.Context, keys, vals []K, opt *SortOptions) error {
-	const op = "TrySortLSB"
-	if err := validatePairs(op, "keys", "vals", keys, vals); err != nil {
-		return err
-	}
-	if err := validateOptions(op, opt); err != nil {
-		return err
-	}
-	return tryRun(op, ctx, optWorkspace(opt), optMaxAux(opt), func(ctl *hard.Ctl) {
-		tmpK, tmpV, iw := meteredScratchPair[K](opt, len(keys))
-		defer func() {
-			ws.PutKeys(iw, tmpK)
-			ws.PutKeys(iw, tmpV)
-		}()
-		opt, _ := autotune(keys, opt, tune.AlgoLSB, true, false)
-		io, _ := opt.toInternal()
-		io.Ctl = ctl
-		sortalgo.LSB(keys, vals, tmpK, tmpV, io)
-	})
-}
-
-// TrySortMSB is SortMSB returning errors instead of panicking; see
-// TrySortLSB for the error and restore contract.
-func TrySortMSB[K Key](keys, vals []K, opt *SortOptions) error {
-	return TrySortMSBCtx(context.Background(), keys, vals, opt)
-}
-
-// TrySortMSBCtx is TrySortMSB under a context; see TrySortLSBCtx.
-func TrySortMSBCtx[K Key](ctx context.Context, keys, vals []K, opt *SortOptions) error {
-	const op = "TrySortMSB"
-	if err := validatePairs(op, "keys", "vals", keys, vals); err != nil {
-		return err
-	}
-	if err := validateOptions(op, opt); err != nil {
-		return err
-	}
-	return tryRun(op, ctx, optWorkspace(opt), optMaxAux(opt), func(ctl *hard.Ctl) {
-		opt, _ := autotune(keys, opt, tune.AlgoMSB, false, true)
-		io, _ := opt.toInternal()
-		io.Ctl = ctl
-		sortalgo.MSB(keys, vals, io)
-	})
-}
-
-// TrySortCmp is SortCMP returning errors instead of panicking; see
-// TrySortLSB for the error and restore contract.
-func TrySortCmp[K Key](keys, vals []K, opt *SortOptions) error {
-	return TrySortCmpCtx(context.Background(), keys, vals, opt)
-}
-
-// TrySortCmpCtx is TrySortCmp under a context; see TrySortLSBCtx.
-func TrySortCmpCtx[K Key](ctx context.Context, keys, vals []K, opt *SortOptions) error {
-	const op = "TrySortCmp"
-	if err := validatePairs(op, "keys", "vals", keys, vals); err != nil {
-		return err
-	}
-	if err := validateOptions(op, opt); err != nil {
-		return err
-	}
-	return tryRun(op, ctx, optWorkspace(opt), optMaxAux(opt), func(ctl *hard.Ctl) {
-		eff, plan := autotune(keys, opt, tune.AlgoCMP, false, false)
-		io, _ := eff.toInternal()
-		io.Ctl = ctl
-		if cmpInPlace[K](eff, plan, len(keys)) {
-			sortalgo.CMP[K](keys, vals, nil, nil, io)
-			return
-		}
-		tmpK, tmpV, iw := meteredScratchPair[K](eff, len(keys))
-		defer func() {
-			ws.PutKeys(iw, tmpK)
-			ws.PutKeys(iw, tmpV)
-		}()
-		sortalgo.CMP(keys, vals, tmpK, tmpV, io)
-	})
-}
-
-// TryPartition is Partition returning errors instead of panicking. On
-// error src is untouched (the scatter only writes dst) and the returned
-// histogram is nil.
-func TryPartition[K Key, F PartitionFunc[K]](srcKeys, srcVals, dstKeys, dstVals []K, fn F, threads int) ([]int, error) {
-	return TryPartitionCtx(context.Background(), srcKeys, srcVals, dstKeys, dstVals, fn, threads)
-}
-
-// TryPartitionCtx is TryPartition under a context; cancellation is
-// observed between chunks of the parallel histogram and scatter loops.
-func TryPartitionCtx[K Key, F PartitionFunc[K]](ctx context.Context, srcKeys, srcVals, dstKeys, dstVals []K, fn F, threads int) ([]int, error) {
-	const op = "TryPartition"
-	if err := validatePairs(op, "srcKeys", "srcVals", srcKeys, srcVals); err != nil {
-		return nil, err
-	}
-	if err := validatePairs(op, "dstKeys", "dstVals", dstKeys, dstVals); err != nil {
-		return nil, err
-	}
-	if len(srcKeys) != len(dstKeys) {
-		return nil, &ArgError{Func: op, Field: "dstKeys",
-			Reason: fmt.Sprintf("length %d does not match srcKeys length %d", len(dstKeys), len(srcKeys))}
-	}
-	if err := validateThreads(op, threads); err != nil {
-		return nil, err
-	}
-	if err := validateFanout(op, fn.Fanout()); err != nil {
-		return nil, err
-	}
-	var hist []int
-	err := tryRun(op, ctx, nil, 0, func(ctl *hard.Ctl) {
-		t := threads
-		if t < 1 {
-			t = 1
-		}
-		hist = part.ParallelNonInPlace(nil, srcKeys, srcVals, dstKeys, dstVals, fn, t, ctl)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return hist, nil
 }

@@ -30,16 +30,26 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-type tryAlgo struct {
-	name string
-	run  func(ctx context.Context, keys, vals []uint32, opt *SortOptions) error
+// once is the single-attempt policy: SortResilientCtx under it makes one
+// hardened sort attempt, with no retry, fallback, or backoff.
+var once = &RetryPolicy{MaxAttempts: 1}
+
+// trySort is one hardened attempt without a deadline.
+func trySort[K Key](algo Algorithm, keys, vals []K, opt *SortOptions) error {
+	return SortResilientCtx(context.Background(), algo, keys, vals, opt, once)
 }
 
-var tryAlgos = []tryAlgo{
-	{"lsb", TrySortLSBCtx[uint32]},
-	{"msb", TrySortMSBCtx[uint32]},
-	{"cmp", TrySortCmpCtx[uint32]},
+type tryAlgo struct {
+	name string
+	algo Algorithm
 }
+
+// run is one hardened attempt of the algorithm under ctx.
+func (a tryAlgo) run(ctx context.Context, keys, vals []uint32, opt *SortOptions) error {
+	return SortResilientCtx(ctx, a.algo, keys, vals, opt, once)
+}
+
+var tryAlgos = []tryAlgo{{"lsb", LSB}, {"msb", MSB}, {"cmp", CMP}}
 
 func TestTrySortSucceeds(t *testing.T) {
 	n := 1 << 15
@@ -71,13 +81,13 @@ func TestTryArgErrors(t *testing.T) {
 		field string
 		err   error
 	}{
-		{"pair", "vals", TrySortLSB(keys, short, nil)},
-		{"threads", "Threads", TrySortMSB(keys, vals, &SortOptions{Threads: -1})},
-		{"regions", "Regions", TrySortCmp(keys, vals, &SortOptions{Regions: -2})},
-		{"radix-high", "RadixBits", TrySortLSB(keys, vals, &SortOptions{RadixBits: 17})},
-		{"radix-neg", "RadixBits", TrySortLSB(keys, vals, &SortOptions{RadixBits: -3})},
-		{"fanout", "RangeFanout", TrySortCmp(keys, vals, &SortOptions{RangeFanout: -1})},
-		{"cache", "CacheTuples", TrySortMSB(keys, vals, &SortOptions{CacheTuples: -1})},
+		{"pair", "vals", trySort(LSB, keys, short, nil)},
+		{"threads", "Threads", trySort(MSB, keys, vals, &SortOptions{Threads: -1})},
+		{"regions", "Regions", trySort(CMP, keys, vals, &SortOptions{Regions: -2})},
+		{"radix-high", "RadixBits", trySort(LSB, keys, vals, &SortOptions{RadixBits: 17})},
+		{"radix-neg", "RadixBits", trySort(LSB, keys, vals, &SortOptions{RadixBits: -3})},
+		{"fanout", "RangeFanout", trySort(CMP, keys, vals, &SortOptions{RangeFanout: -1})},
+		{"cache", "CacheTuples", trySort(MSB, keys, vals, &SortOptions{CacheTuples: -1})},
 	}
 	for _, c := range cases {
 		var ae *ArgError
@@ -92,7 +102,7 @@ func TestTryArgErrors(t *testing.T) {
 	for _, opt := range []*SortOptions{nil, {}, {RadixBits: 1}, {RadixBits: 16}} {
 		k := gen.Uniform[uint32](1<<10, 0, 2)
 		v := RIDs[uint32](len(k))
-		if err := TrySortLSB(k, v, opt); err != nil {
+		if err := trySort(LSB, k, v, opt); err != nil {
 			t.Fatalf("valid options %+v: %v", opt, err)
 		}
 		if !IsSorted(k) {
@@ -101,22 +111,42 @@ func TestTryArgErrors(t *testing.T) {
 	}
 }
 
-// TestLegacyPanicsTyped pins the legacy entry points to the shared
-// validator: they still panic, and the value is the same typed *ArgError
-// the Try API returns.
+// TestLegacyPanicsTyped pins the panicking wrappers to the hardened
+// attempt: an argument problem panics with the typed *ArgError, and a
+// worker fault with the *InternalError wrapping it — never a raw
+// internal value — leaving keys/vals a permutation of the input.
 func TestLegacyPanicsTyped(t *testing.T) {
-	defer func() {
-		e := recover()
-		ae, ok := e.(*ArgError)
+	catch := func(f func()) (e any) {
+		defer func() { e = recover() }()
+		f()
+		return nil
+	}
+	e := catch(func() { SortLSB(make([]uint32, 4), make([]uint32, 4), &SortOptions{RadixBits: 99}) })
+	if ae, ok := e.(*ArgError); !ok || ae.Field != "RadixBits" {
+		t.Fatalf("legacy panic value %v (%T), want *ArgError on RadixBits", e, e)
+	}
+
+	defer fault.Disable()
+	n := 1 << 15
+	keys := gen.Uniform[uint32](n, 0, 41)
+	vals := RIDs[uint32](n)
+	for _, threads := range []int{1, 4} {
+		k := append([]uint32(nil), keys...)
+		v := append([]uint32(nil), vals...)
+		fault.Enable(fault.SiteLSBPass, 0)
+		e := catch(func() { SortLSB(k, v, &SortOptions{Threads: threads}) })
+		fault.Disable()
+		ie, ok := e.(*InternalError)
 		if !ok {
-			t.Fatalf("legacy panic value %v (%T), want *ArgError", e, e)
+			t.Fatalf("threads=%d: panic value %v (%T), want *InternalError", threads, e, e)
 		}
-		if ae.Field != "RadixBits" {
-			t.Fatalf("field %q, want RadixBits", ae.Field)
+		if !errors.Is(ie, fault.Injected{Site: fault.SiteLSBPass}) {
+			t.Fatalf("threads=%d: InternalError does not wrap the injected fault: %v", threads, ie.Value)
 		}
-	}()
-	SortLSB(make([]uint32, 4), make([]uint32, 4), &SortOptions{RadixBits: 99})
-	t.Fatal("no panic")
+		if !SameMultiset(keys, vals, k, v) {
+			t.Fatalf("threads=%d: keys/vals are not a permutation of the input", threads)
+		}
+	}
 }
 
 // faultCase is one (algorithm, site, options) cell of the injection
@@ -209,7 +239,7 @@ func TestTryFaultMatrix(t *testing.T) {
 			// the goroutine baseline, not mistaken for a leak.
 			k := append([]uint32(nil), keys...)
 			v := append([]uint32(nil), vals...)
-			if err := TrySortLSB(k, v, &SortOptions{Threads: 4, Workspace: w}); err != nil {
+			if err := trySort(LSB, k, v, &SortOptions{Threads: 4, Workspace: w}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -259,8 +289,8 @@ func TestTryFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestTryPartitionFault covers the standalone partition entry point: an
-// injected worker panic surfaces as *InternalError and src is untouched.
+// TestTryPartitionFault covers TryPartitionCtx: an injected worker panic
+// surfaces as *InternalError and src is untouched.
 func TestTryPartitionFault(t *testing.T) {
 	defer fault.Disable()
 	n := 1 << 14
@@ -272,7 +302,7 @@ func TestTryPartitionFault(t *testing.T) {
 	dstV := make([]uint32, n)
 	fn := Radix[uint32](0, 8)
 
-	hist, err := TryPartition(src, srcV, dst, dstV, fn, 4)
+	hist, err := TryPartitionCtx(context.Background(), src, srcV, dst, dstV, fn, 4)
 	if err != nil || len(hist) != 256 {
 		t.Fatalf("clean run: hist %d err %v", len(hist), err)
 	}
@@ -282,7 +312,7 @@ func TestTryPartitionFault(t *testing.T) {
 
 	base := runtime.NumGoroutine()
 	fault.Enable(fault.SiteWorkerStart, 0)
-	hist, err = TryPartition(src, srcV, dst, dstV, fn, 4)
+	hist, err = TryPartitionCtx(context.Background(), src, srcV, dst, dstV, fn, 4)
 	fired := fault.Fired()
 	fault.Disable()
 	if !fired {
@@ -302,10 +332,10 @@ func TestTryPartitionFault(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 
-	if _, err := TryPartition(src, srcV, dst[:n-1], dstV[:n-1], fn, 4); err == nil {
+	if _, err := TryPartitionCtx(context.Background(), src, srcV, dst[:n-1], dstV[:n-1], fn, 4); err == nil {
 		t.Fatal("short dst accepted")
 	}
-	if _, err := TryPartition(src, srcV, dst, dstV, fn, -1); err == nil {
+	if _, err := TryPartitionCtx(context.Background(), src, srcV, dst, dstV, fn, -1); err == nil {
 		t.Fatal("negative threads accepted")
 	}
 }
@@ -329,7 +359,7 @@ func TestTryCancelRace(t *testing.T) {
 	// Prime the pool for a stable goroutine baseline.
 	copy(work, keys)
 	copy(workV, vals)
-	if err := TrySortLSB(work, workV, &SortOptions{Threads: 4, Workspace: w}); err != nil {
+	if err := trySort(LSB, work, workV, &SortOptions{Threads: 4, Workspace: w}); err != nil {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
@@ -373,7 +403,7 @@ func TestTryCancelPrompt(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := TrySortLSBCtx(ctx, keys, vals, &SortOptions{Threads: 4})
+	err := SortResilientCtx(ctx, LSB, keys, vals, &SortOptions{Threads: 4}, once)
 	elapsed := time.Since(start)
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want nil or context.DeadlineExceeded", err)
@@ -407,8 +437,8 @@ func TestTryPreCancelled(t *testing.T) {
 }
 
 // FuzzTryOptions is the satellite no-panic fuzzer: whatever the option
-// fields, lengths and context state, the Try entry points must return an
-// error or succeed — never panic — and a nil error means a sorted
+// fields, lengths and context state, one hardened attempt (and
+// TryPartitionCtx) must return an error or succeed — never panic — and a nil error means a sorted
 // permutation.
 func FuzzTryOptions(f *testing.F) {
 	f.Add(64, 64, 4, 2, 8, 360, 0, uint8(0), false)
@@ -450,12 +480,8 @@ func FuzzTryOptions(f *testing.F) {
 		}
 		var err error
 		switch algo % 4 {
-		case 0:
-			err = TrySortLSBCtx(ctx, keys, vals, opt)
-		case 1:
-			err = TrySortMSBCtx(ctx, keys, vals, opt)
-		case 2:
-			err = TrySortCmpCtx(ctx, keys, vals, opt)
+		case 0, 1, 2:
+			err = tryAlgos[algo%4].run(ctx, keys, vals, opt)
 		case 3:
 			dstK := make([]uint32, nKeys)
 			dstV := make([]uint32, nVals)

@@ -7,10 +7,9 @@ import (
 // Workspace is a reusable arena of sorting scratch — cache-line buffers,
 // histogram and offset tables, partition codes, the persistent worker pool
 // — for server-style workloads that sort repeatedly. Pass it via
-// SortOptions.Workspace (and use the WithScratch entry points or keep the
-// auxiliary arrays alive yourself) and repeated sorts of same-shaped inputs
-// make zero steady-state heap allocations; SortStats.WorkspaceHits/Misses
-// witness the reuse.
+// SortOptions.Workspace — the sorts take their auxiliary arrays from it
+// too — and repeated sorts of same-shaped inputs make zero steady-state
+// heap allocations; SortStats.WorkspaceHits/Misses witness the reuse.
 //
 // A Workspace is safe for concurrent use; a nil *Workspace is valid and
 // means "allocate per call". It grows to the high-water scratch demand of
@@ -58,8 +57,8 @@ func (w *Workspace) AuxBytes() uint64 {
 
 // SetMaxAuxBytes installs a standing auxiliary-memory budget on the
 // arena, returning the previous one: acquisitions that would push the
-// checked-out ledger past the budget panic inside the legacy entry
-// points and surface as *ResourceError from the Try entry points. A
+// checked-out ledger past the budget fail the sort with a *ResourceError
+// (returned by SortResilientCtx, raised by the panicking wrappers). A
 // SortOptions.MaxAuxBytes cap overrides it for the duration of one sort;
 // zero removes the standing budget (the per-sort default still applies).
 func (w *Workspace) SetMaxAuxBytes(budget int64) int64 {
