@@ -41,27 +41,6 @@ func TestPublicHistogramAndColumns(t *testing.T) {
 	}
 }
 
-func TestPublicBlockListsAppendTo(t *testing.T) {
-	n := 1 << 12
-	keys := gen.Uniform[uint32](n, 0, 7)
-	vals := RIDs[uint32](n)
-	fn := Radix[uint32](0, 3)
-	bl := PartitionBlocks(keys, vals, fn, 0, 2)
-	counts := bl.Counts()
-	for p, c := range counts {
-		dstK := make([]uint32, c)
-		dstV := make([]uint32, c)
-		if got := bl.AppendTo(p, dstK, dstV); got != c {
-			t.Fatalf("AppendTo(%d) = %d, want %d", p, got, c)
-		}
-		for _, k := range dstK {
-			if fn.Partition(k) != p {
-				t.Fatal("wrong partition content")
-			}
-		}
-	}
-}
-
 func TestIsStableSortedNegativeCases(t *testing.T) {
 	if IsStableSorted([]uint32{2, 1}, []uint32{0, 1}) {
 		t.Fatal("unsorted keys accepted")

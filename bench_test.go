@@ -441,7 +441,7 @@ func BenchmarkSkew_Sorts(b *testing.B) {
 	}
 }
 
-// --- Section 3.2.3/3.2.4 ablation: block-list and synchronized variants ---
+// --- Section 3.2.3/3.2.4 ablation: block-permutation and in-place variants ---
 
 func BenchmarkAblation_InPlaceVariants(b *testing.B) {
 	keys := gen.Uniform[uint32](benchPartN, 0, 9)
@@ -450,24 +450,15 @@ func BenchmarkAblation_InPlaceVariants(b *testing.B) {
 	hist := part.Histogram(keys, fn)
 	wk := make([]uint32, benchPartN)
 	wv := make([]uint32, benchPartN)
-	b.Run("blocks", func(b *testing.B) {
+	b.Run("blockperm", func(b *testing.B) {
+		w := ws.New()
+		defer w.Close()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			copy(wk, keys)
 			copy(wv, vals)
 			b.StartTimer()
-			part.ToBlocksInPlaceParallel(wk, wv, fn, part.DefaultBlockTuples, 4, nil)
-		}
-		reportMtps(b, benchPartN)
-	})
-	b.Run("blocks+shuffle", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			copy(wk, keys)
-			copy(wv, vals)
-			b.StartTimer()
-			bl := part.ToBlocksInPlaceParallel(wk, wv, fn, part.DefaultBlockTuples, 4, nil)
-			part.ShuffleBlocksInPlace(bl, part.ShuffleOptions{Workers: 4})
+			part.BlockPermute(w, wk, wv, fn, part.DefaultBlockTuples, 4, nil, nil, nil)
 		}
 		reportMtps(b, benchPartN)
 	})
@@ -614,11 +605,9 @@ func BenchmarkScatterAlloc(b *testing.B) {
 // parallel fan-out paths: each arm runs with a warm workspace and reports
 // the run's SortStats.PeakAuxBytes (the arena's checked-out high-water
 // mark) as peakaux-MB next to throughput. The in-place arms are the PR
-// defaults (block-permutation fan-out); the baseline arms are the legacy
-// layouts — CMP's linear tmp pair + codes column, run by sortalgo.CMP on
-// the benchmark's own tmp pair (its unmetered tmp added back
-// analytically), and the list-of-blocks + shuffle still taken on the NUMA
-// paths (regions=2).
+// defaults (block-permutation fan-out); the baseline arm is CMP's legacy
+// linear tmp pair + codes column, run by sortalgo.CMP on the benchmark's
+// own tmp pair (its unmetered tmp added back analytically).
 // EXPERIMENTS.md records the 2^26-tuple sweep.
 func BenchmarkAuxMemory(b *testing.B) {
 	for _, n := range []int{1 << 22, 1 << 26} {
@@ -634,10 +623,6 @@ func BenchmarkAuxMemory(b *testing.B) {
 			run      func(opt *SortOptions)
 		}{
 			{"MSB/inplace", 0, func(opt *SortOptions) {
-				SortMSB(keys, vals, opt)
-			}},
-			{"MSB/blocks", 0, func(opt *SortOptions) {
-				opt.Regions = 2
 				SortMSB(keys, vals, opt)
 			}},
 			{"CMP/inplace", 0, func(opt *SortOptions) {

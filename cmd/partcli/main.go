@@ -164,10 +164,14 @@ func run[K kv.Key](n, fanout int, fnName, variant, dist string, theta float64, t
 		hist = part.Histogram(keys, fn)
 		d = timeIt(func() { part.InPlaceOutOfCache(nil, keys, vals, fnWrap[K]{fn}, hist) })
 	case "blocks":
+		var starts []int
 		d = timeIt(func() {
-			b := part.ToBlocksInPlaceParallel(keys, vals, fnWrap[K]{fn}, part.DefaultBlockTuples, threads, nil)
-			hist = b.Counts
+			starts = part.BlockPermute(nil, keys, vals, fnWrap[K]{fn}, part.DefaultBlockTuples, threads, nil, nil, nil)
 		})
+		hist = make([]int, len(starts)-1)
+		for p := range hist {
+			hist[p] = starts[p+1] - starts[p]
+		}
 	case "sync":
 		hist = part.Histogram(keys, fn)
 		d = timeIt(func() { part.InPlaceSynchronized(keys, vals, fnWrap[K]{fn}, hist, threads) })

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 
 	partsort "repro"
 )
@@ -96,17 +97,16 @@ func ExampleServeMetrics() {
 	// scrape status: 200
 }
 
-func ExamplePartitionBlocks() {
+func ExamplePartitionInPlaceShared() {
 	keys := []uint32{5, 1, 4, 0, 3, 2, 7, 6}
 	vals := partsort.RIDs[uint32](len(keys))
 	fn := partsort.Radix[uint32](2, 3) // 2-way on bit 2: 0-3 vs 4-7
-	bl := partsort.PartitionBlocks(keys, vals, fn, 4, 1)
-	fmt.Println(bl.Counts())
-	starts := bl.Compact(1)
-	fmt.Println(starts)
-	fmt.Println(keys[:starts[1]]) // partition 0 contiguous in place
+	hist := partsort.PartitionInPlaceShared(keys, vals, fn, 2)
+	fmt.Println(hist)
+	part0 := slices.Clone(keys[:hist[0]]) // partition 0, contiguous in place
+	slices.Sort(part0)                    // (unordered inside the partition)
+	fmt.Println(part0)
 	// Output:
 	// [4 4]
-	// [0 4 8]
-	// [1 0 3 2]
+	// [0 1 2 3]
 }

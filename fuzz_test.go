@@ -37,6 +37,9 @@ func FuzzSorts(f *testing.F) {
 		}{
 			{"LSB", true, func(k, v []uint32) { SortLSB(k, v, &SortOptions{Threads: 2, Regions: 2}) }},
 			{"MSB", false, func(k, v []uint32) { SortMSB(k, v, &SortOptions{Threads: 2, CacheTuples: 64}) }},
+			{"MSB-NUMA", false, func(k, v []uint32) {
+				SortMSB(k, v, &SortOptions{Threads: 2, Regions: 2, CacheTuples: 64})
+			}},
 			{"CMP", false, func(k, v []uint32) {
 				SortCMP(k, v, &SortOptions{Threads: 2, CacheTuples: 64, RangeFanout: 8})
 			}},

@@ -80,10 +80,10 @@ func TestPipelinePartitionThenSortPieces(t *testing.T) {
 	}
 }
 
-// TestPipelineBlocksCompactRecurse uses in-place block partitioning +
-// compaction as the first pass of a hand-rolled MSB-style sort, verifying
-// the public block API supports the paper's recursion pattern.
-func TestPipelineBlocksCompactRecurse(t *testing.T) {
+// TestPipelineInPlaceSharedRecurse uses the parallel in-place partition as
+// the first pass of a hand-rolled MSB-style sort, verifying the public
+// in-place API supports the paper's recursion pattern.
+func TestPipelineInPlaceSharedRecurse(t *testing.T) {
 	n := 1 << 14
 	keys := gen.Uniform[uint32](n, 0, 9)
 	vals := RIDs[uint32](n)
@@ -91,14 +91,14 @@ func TestPipelineBlocksCompactRecurse(t *testing.T) {
 	origV := append([]uint32(nil), vals...)
 
 	fn := Radix[uint32](28, 32) // top 4 bits
-	bl := PartitionBlocks(keys, vals, fn, 0, 4)
-	starts := bl.Compact(4)
-	for p := 0; p+1 < len(starts); p++ {
-		SortCMP(keys[starts[p]:starts[p+1]], vals[starts[p]:starts[p+1]],
-			&SortOptions{Threads: 1, CacheTuples: 512})
+	hist := PartitionInPlaceShared(keys, vals, fn, 4)
+	lo := 0
+	for _, h := range hist {
+		SortCMP(keys[lo:lo+h], vals[lo:lo+h], &SortOptions{Threads: 1, CacheTuples: 512})
+		lo += h
 	}
 	if !IsSorted(keys) {
-		t.Fatal("not sorted after block-partition + per-range sort")
+		t.Fatal("not sorted after in-place partition + per-range sort")
 	}
 	if !SameMultiset(origK, origV, keys, vals) {
 		t.Fatal("tuples lost")

@@ -48,15 +48,9 @@ const (
 	// SiteCMPPass fires at the entry of each comparison-sort range
 	// partitioning recursion, before the level's scatter begins.
 	SiteCMPPass Site = "cmp/pass"
-	// SiteWorkerStart fires when a fan-out worker begins: pool tasks,
-	// contained plain-goroutine workers, and block-partitioning chunk
-	// workers.
+	// SiteWorkerStart fires when a fan-out worker begins: pool tasks and
+	// contained plain-goroutine workers.
 	SiteWorkerStart Site = "worker/start"
-	// SiteBlockRefill fires inside block-list partitioning when a writer
-	// asks the block store for a fresh block — mid-chunk, with tuples in
-	// flight in line buffers and partially filled blocks, exercising the
-	// chunk-level rollback.
-	SiteBlockRefill Site = "blocks/refill"
 	// SiteShuffleStart fires on the coordinator immediately before the
 	// cross-region shuffle, the last point where the pre-shuffle layout is
 	// trivially restorable.
@@ -87,7 +81,6 @@ func Sites() []Site {
 		SiteMSBRecurse,
 		SiteCMPPass,
 		SiteWorkerStart,
-		SiteBlockRefill,
 		SiteShuffleStart,
 		SiteBlockPermute,
 		SiteBlockCleanup,

@@ -257,7 +257,7 @@ func TestNewScheduleValidates(t *testing.T) {
 func TestSitesCatalogueComplete(t *testing.T) {
 	want := map[Site]bool{
 		SiteLSBPass: true, SiteMSBRecurse: true, SiteCMPPass: true,
-		SiteWorkerStart: true, SiteBlockRefill: true, SiteShuffleStart: true,
+		SiteWorkerStart: true, SiteShuffleStart: true,
 		SiteBlockPermute: true, SiteBlockCleanup: true,
 		SiteExtSpill: true, SiteExtMerge: true,
 	}

@@ -69,7 +69,7 @@ func FigAblation(cfg Config) *Table {
 		Title:   "Design-choice ablations (measured on this machine)",
 		Columns: []string{"knob", "value", "Mtuples/s"},
 		Notes: []string{
-			"paper picks: 10-12 radix bits per out-of-cache pass, range fanout from the {360,1000,1800} menu, blocks large enough to amortize list hops",
+			"paper picks: 10-12 radix bits per out-of-cache pass, range fanout from the {360,1000,1800} menu, blocks large enough to amortize claim-counter traffic",
 		},
 	}
 
@@ -97,14 +97,13 @@ func FigAblation(cfg Config) *Table {
 		t.AddRow("cmp-range-fanout", fmt.Sprint(fanout), f1(mtps(n, d)))
 	}
 
-	// Block size of in-place block partitioning (+ shuffle).
+	// Block size of the parallel in-place block permutation.
 	fn := pfunc.NewRadix[uint32](0, 6)
 	for _, b := range []int{64, 256, 1024, 4096} {
 		keys := gen.Uniform[uint32](n, 0, 7)
 		vals := gen.RIDs[uint32](n)
 		d := timeIt(func() {
-			bl := part.ToBlocksInPlaceParallel(keys, vals, fn, b, cfg.Threads, nil)
-			part.ShuffleBlocksInPlace(bl, part.ShuffleOptions{Workers: cfg.Threads})
+			part.BlockPermute(nil, keys, vals, fn, b, cfg.Threads, nil, nil, nil)
 		})
 		t.AddRow("block-tuples", fmt.Sprint(b), f1(mtps(n, d)))
 	}

@@ -106,7 +106,20 @@ type Meter struct {
 
 // NewMeter returns a meter bound to t.
 func (t *Topology) NewMeter() *Meter {
-	return &Meter{topo: t, m: make([]uint64, t.c*t.c)}
+	m := new(Meter)
+	m.Bind(t)
+	return m
+}
+
+// Bind points m at t with zeroed counts, reusing m's storage when it is
+// large enough, so a pooled Meter rebinds without allocating.
+func (m *Meter) Bind(t *Topology) {
+	n := t.c * t.c
+	if cap(m.m) < n {
+		m.m = make([]uint64, n)
+	}
+	m.topo, m.m = t, m.m[:n]
+	clear(m.m)
 }
 
 // Record accounts bytes moved from src to dst locally.

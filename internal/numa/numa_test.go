@@ -66,6 +66,24 @@ func TestMeterFlushZeroes(t *testing.T) {
 	}
 }
 
+// TestMeterBind rebinds one meter across topologies: counts recorded
+// before Bind are dropped, and the reused storage fits the new size.
+func TestMeterBind(t *testing.T) {
+	var m Meter
+	a, b := NewTopology(4), NewTopology(2)
+	m.Bind(a)
+	m.Record(3, 1, 7)
+	m.Bind(b)
+	m.Record(1, 0, 2)
+	m.Flush()
+	if a.RemoteBytes() != 0 || b.RemoteBytes() != 2 {
+		t.Fatalf("remote bytes a=%d b=%d, want 0 and 2", a.RemoteBytes(), b.RemoteBytes())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.Bind(a) }); allocs != 0 {
+		t.Fatalf("rebinding to a known size allocates %v times", allocs)
+	}
+}
+
 func TestSegmentedOwnership(t *testing.T) {
 	topo := NewTopology(4)
 	a := NewSegmented[uint32](topo, 10) // segments of 3,3,2,2

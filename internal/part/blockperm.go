@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hard"
 	"repro/internal/kv"
+	"repro/internal/numa"
 	"repro/internal/obs"
 	"repro/internal/pfunc"
 	"repro/internal/ws"
@@ -14,12 +15,12 @@ import (
 
 // This file implements the in-place parallel out-of-cache partition on
 // swapped blocks (the block-permutation phase of IPS⁴o, Axtmann et al.,
-// adapted to the paper's Algorithm-5 claim-counter protocol): instead of
-// materializing per-partition block lists in auxiliary memory and copying
-// back (blocks.go + blockshuffle.go), the input array itself is treated as a
+// adapted to the paper's Algorithm-5 claim-counter protocol): the paper's
+// block-level in-place partition and block shuffle (Sections 3.2.3, 3.2.4)
+// in one pass. Instead of materializing per-partition block lists in
+// auxiliary memory and copying back, the input array itself is treated as a
 // sequence of B-tuple slots and permuted in place. Auxiliary memory is
-// O(workers × fanout × B) buffer blocks — independent of n — so peak memory
-// on the parallel MSB/CMP fan-out paths drops from ~2× the input to ~1×.
+// O(workers × fanout × B) buffer blocks — independent of n.
 //
 // Three phases over the slot array (nSlots = n/B full slots plus a < B tail):
 //
@@ -51,15 +52,31 @@ import (
 //     the writes safe: they intrude only into the next partition's already
 //     relocated head and into garbage slots.
 //
+// NUMA metering (Section 3.3.2): with a topology, tuple i belongs to its
+// region under ChunkBounds(n, regions) and a worker to the region of its
+// classify chunk. Every block move records its legs on the worker's
+// numa.Meter — hand lift, the two swap legs, hand store, parked block to
+// open slot (a parked block stays charged to its parking worker) — and
+// cleanup records each partial-buffer write and stripe-head relocation.
+// Classify moves stay inside the worker's chunk and are not metered. Each
+// block tuple is lifted at most once and stored at most once, each buffered
+// tuple written once, and at most B-1 head tuples per partition move again,
+// so remote bytes stay within (2n + fanout·(B-1)) tuples (DESIGN.md).
+//
 // Restorability (the Try/Ctx contract): the classify phase is exactly
 // undone by streaming each worker's buffers back to its write pointer; the
 // permute phase by storing in-flight hands into their recorded cycle-start
 // slots, parked blocks into their recorded open slots (any bijection works
 // — partition labels are irrelevant to being a permutation), and the
-// buffers into the remaining vacant slots plus the tail. Like the legacy
-// shuffle's pack loop, the cleanup interior is not restorable; its only
-// panic source is the lost-tuples invariant, and the blocks/cleanup fault
-// site sits immediately before the phase.
+// buffers into the remaining vacant slots plus the tail. The cleanup
+// interior is not restorable; its only panic source is the lost-tuples
+// invariant, and the blocks/cleanup fault site sits immediately before the
+// phase.
+
+// DefaultBlockTuples is the default block capacity: large enough to
+// amortize sequential writes and claim-counter traffic, small enough to
+// bound the per-worker buffer blocks (fanout × B tuples each).
+const DefaultBlockTuples = 1024
 
 // permBatch is the classification sub-batch: partition codes are staged
 // through a small per-worker code array (so radix, tree-batch and generic
@@ -76,12 +93,13 @@ const (
 )
 
 // bpRec records one parked hand: the partition of the parked block (fanout
-// means a parked vacancy), the unwritten cycle-start slot, and the
-// partition of the stripe that slot belongs to.
+// means a parked vacancy), the unwritten cycle-start slot, the partition of
+// the stripe that slot belongs to, and the parking worker's region.
 type bpRec struct {
 	part int
 	slot int
 	need int
+	reg  numa.Region
 }
 
 // blockPermRunner is the pooled driver object (ws.SlotBlockPerm) behind
@@ -97,6 +115,8 @@ type blockPermRunner[K kv.Key, F pfunc.Func[K]] struct {
 	rShift     uint
 	rMask      K
 	ctl        *hard.Ctl
+	topo       *numa.Topology // nil: no metering
+	tupleBytes uint64         // bytes per metered tuple (key, plus value when present)
 
 	n, b, f, np, nSlots, workers int
 	phase                        int
@@ -115,6 +135,7 @@ type blockPermRunner[K kv.Key, F pfunc.Func[K]] struct {
 	handSlot     []int    // per-worker open cycle-start slot, -1 = no hand
 	handPart     []int    // per-worker hand partition (f = vacancy)
 	used         []uint64 // per-partition atomic claim counters
+	regB         []int    // region tuple bounds, regions+1 (metered calls only)
 
 	flushes atomic.Uint64
 	claims  atomic.Uint64
@@ -125,6 +146,7 @@ type blockPermRunner[K kv.Key, F pfunc.Func[K]] struct {
 	parkV   []K
 	recs    []bpRec
 	fixPlan []int
+	meters  []numa.Meter // per-worker; rebound and flushed once per metered call
 }
 
 // RunTask dispatches on the current phase: classify chunk i or run permute
@@ -252,12 +274,20 @@ func (r *blockPermRunner[K, F]) chase(wi, start, startPart int) uint64 {
 	if hasVals {
 		hv = r.handV[wi*b : wi*b+b]
 	}
+	metered := r.topo != nil
+	var wr numa.Region
+	if metered {
+		wr = r.workerRegion(wi)
+	}
 	hp := f
 	if q := r.slotPart[start]; q >= 0 {
 		hp = int(q)
 		copy(hk, keys[start*b:start*b+b])
 		if hasVals {
 			copy(hv, vals[start*b:start*b+b])
+		}
+		if metered {
+			r.meter(wi, r.regionOf(start*b), wr, b)
 		}
 	}
 	r.handPart[wi] = hp
@@ -274,6 +304,9 @@ func (r *blockPermRunner[K, F]) chase(wi, start, startPart int) uint64 {
 					copy(vals[start*b:start*b+b], hv)
 				}
 				r.slotPart[start] = int32(hp)
+				if metered {
+					r.meter(wi, wr, r.regionOf(start*b), b)
+				}
 			}
 			r.handSlot[wi] = -1
 			return claims
@@ -285,7 +318,7 @@ func (r *blockPermRunner[K, F]) chase(wi, start, startPart int) uint64 {
 			if hasVals {
 				r.parkV = append(r.parkV, hv...)
 			}
-			r.recs = append(r.recs, bpRec{part: hp, slot: start, need: startPart})
+			r.recs = append(r.recs, bpRec{part: hp, slot: start, need: startPart, reg: wr})
 			r.mu.Unlock()
 			r.handSlot[wi] = -1
 			return claims
@@ -293,6 +326,10 @@ func (r *blockPermRunner[K, F]) chase(wi, start, startPart int) uint64 {
 		claims++
 		d := r.stripeSlot(hp, int(i))
 		dq := r.slotPart[d]
+		var dr numa.Region
+		if metered {
+			dr = r.regionOf(d * b)
+		}
 		switch {
 		case hp < f && dq >= 0:
 			swapBlockHand(keys[d*b:d*b+b], hk)
@@ -301,6 +338,10 @@ func (r *blockPermRunner[K, F]) chase(wi, start, startPart int) uint64 {
 			}
 			r.slotPart[d] = int32(hp)
 			hp = int(dq)
+			if metered {
+				r.meter(wi, dr, wr, b)
+				r.meter(wi, wr, dr, b)
+			}
 		case hp < f:
 			// Store into a vacant slot; the hand becomes the vacancy.
 			copy(keys[d*b:d*b+b], hk)
@@ -309,6 +350,9 @@ func (r *blockPermRunner[K, F]) chase(wi, start, startPart int) uint64 {
 			}
 			r.slotPart[d] = int32(hp)
 			hp = f
+			if metered {
+				r.meter(wi, wr, dr, b)
+			}
 		case dq >= 0:
 			// Vacant hand, live gap slot: lift the block, leave the vacancy.
 			copy(hk, keys[d*b:d*b+b])
@@ -317,6 +361,9 @@ func (r *blockPermRunner[K, F]) chase(wi, start, startPart int) uint64 {
 			}
 			r.slotPart[d] = -1
 			hp = int(dq)
+			if metered {
+				r.meter(wi, dr, wr, b)
+			}
 		default:
 			// Vacant hand into an already-vacant gap slot: nothing moves.
 		}
@@ -331,6 +378,28 @@ func (r *blockPermRunner[K, F]) stripeSlot(p, i int) int {
 		return r.sLo[p] + i
 	}
 	return int(r.gap[i])
+}
+
+// regionOf returns the region of tuple i: its position under
+// ChunkBounds(n, regions). Metered calls only.
+func (r *blockPermRunner[K, F]) regionOf(i int) numa.Region {
+	g := 0
+	for i >= r.regB[g+1] {
+		g++
+	}
+	return numa.Region(g)
+}
+
+// workerRegion returns the region of worker t's classify chunk.
+func (r *blockPermRunner[K, F]) workerRegion(t int) numa.Region {
+	return r.regionOf(r.bounds[t] * r.b)
+}
+
+// meter records m tuples moved from region src to region dst on worker
+// wi's meter (the driver's phases use meter 0). Callers test r.topo once
+// per block move.
+func (r *blockPermRunner[K, F]) meter(wi int, src, dst numa.Region, m int) {
+	r.meters[wi].Record(src, dst, uint64(m)*r.tupleBytes)
 }
 
 // swapBlockHand exchanges a slot's block with the hand, element-wise so no
@@ -380,6 +449,9 @@ func (r *blockPermRunner[K, F]) fixParked(w *ws.Workspace) {
 				copy(vals[rec.slot*b:rec.slot*b+b], r.parkV[k*b:k*b+b])
 			}
 			r.slotPart[rec.slot] = int32(p)
+			if r.topo != nil {
+				r.meter(0, r.recs[k].reg, r.regionOf(rec.slot*b), b)
+			}
 		}
 		// A parked vacancy matches a gap-stripe slot, which is already
 		// vacant: nothing to write.
@@ -396,8 +468,7 @@ func (r *blockPermRunner[K, F]) fixParked(w *ws.Workspace) {
 // straddling head to the stripe's end and appending every worker's partial
 // buffer, landing partition p exactly on [starts[p], starts[p+1]). See the
 // file comment for why descending order makes the writes safe. Not
-// restorable (like the legacy shuffle's pack loop): the only panic source
-// is the lost-tuples invariant.
+// restorable: the only panic source is the lost-tuples invariant.
 func (r *blockPermRunner[K, F]) cleanup(starts []int) {
 	b, f := r.b, r.f
 	keys, vals := r.keys, r.vals
@@ -411,6 +482,9 @@ func (r *blockPermRunner[K, F]) cleanup(starts []int) {
 				if hasVals {
 					copy(vals[lo+fb*b:lo+fb*b+head], vals[lo:lo+head])
 				}
+				if r.topo != nil {
+					r.meter(0, r.regionOf(lo), r.regionOf(lo+fb*b), head)
+				}
 			}
 			o = starts[p] + fb*b
 		}
@@ -423,6 +497,9 @@ func (r *blockPermRunner[K, F]) cleanup(starts []int) {
 			copy(keys[o:o+m], r.bufK[base:base+m])
 			if hasVals {
 				copy(vals[o:o+m], r.bufV[base:base+m])
+			}
+			if r.topo != nil {
+				r.meter(0, r.workerRegion(t), r.regionOf(o), m)
 			}
 			o += m
 		}
@@ -540,9 +617,17 @@ func (r *blockPermRunner[K, F]) restore() {
 	}
 }
 
-// release returns every arena buffer and drops the per-call references so
-// the pooled runner retains only the park/record capacity.
+// release flushes the meters, returns every arena buffer and drops the
+// per-call references so the pooled runner retains only the park/record
+// capacity and the meters.
 func (r *blockPermRunner[K, F]) release(w *ws.Workspace) {
+	if r.topo != nil {
+		for i := range r.meters[:r.workers] {
+			r.meters[i].Flush()
+		}
+		w.PutInts(r.regB)
+		r.topo, r.regB = nil, nil
+	}
 	ws.PutKeys(w, r.bufK)
 	ws.PutKeys(w, r.handK)
 	if r.vals != nil {
@@ -583,18 +668,20 @@ func (r *blockPermRunner[K, F]) release(w *ws.Workspace) {
 // using `workers` concurrent goroutines and O(workers × fanout ×
 // blockTuples) arena scratch, writing (and returning) the partition
 // boundaries in starts (len fanout+1, starts[fanout] = len(keys); a nil
-// starts is allocated) — partition p ends up on [starts[p], starts[p+1]),
-// the same shape ShuffleBlocksInPlace returns. blockTuples ≤ 0 selects
-// DefaultBlockTuples.
+// starts is allocated) — partition p ends up on [starts[p], starts[p+1]).
+// blockTuples ≤ 0 selects DefaultBlockTuples.
 // The output is an unstable partition: tuples land inside their partition
 // in no particular order.
+//
+// A non-nil topo meters every block move into topo's transfer matrix (see
+// the file comment for the region model); nil meters nothing.
 //
 // Under a live ctl the kernel checkpoints between classification
 // sub-batches and permutation hops; on cancellation or a worker panic the
 // restore handler rebuilds a permutation of the input (except inside the
 // brief cleanup phase, whose only panic source is an internal invariant)
 // and re-raises wrapped in *hard.PanicError.
-func BlockPermute[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, blockTuples, workers int, starts []int, ctl *hard.Ctl) []int {
+func BlockPermute[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, blockTuples, workers int, starts []int, topo *numa.Topology, ctl *hard.Ctl) []int {
 	n := len(keys)
 	f := fn.Fanout()
 	if starts == nil {
@@ -657,6 +744,20 @@ func BlockPermute[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn
 	r.handSlot = w.Ints(workers)
 	r.handPart = w.Ints(workers)
 	r.used = ws.Keys[uint64](w, f+1)
+	if topo != nil {
+		r.topo = topo
+		r.regB = ChunkBoundsInto(w.Ints(topo.Regions()+1), n)
+		r.tupleBytes = uint64(kv.Width[K]() / 8)
+		if hasVals {
+			r.tupleBytes *= 2
+		}
+		if len(r.meters) < workers {
+			r.meters = append(r.meters, make([]numa.Meter, workers-len(r.meters))...)
+		}
+		for i := range r.meters[:workers] {
+			r.meters[i].Bind(topo)
+		}
+	}
 	r.phase = bpClassify
 
 	defer func() {
@@ -748,8 +849,8 @@ func BlockPermute[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn
 	return starts
 }
 
-// BlockPermutePartition is BlockPermute with no cancellation control.
-// bench/ is its only caller.
+// BlockPermutePartition is BlockPermute with no metering and no
+// cancellation control. bench/ is its only caller.
 func BlockPermutePartition[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, blockTuples, workers int, starts []int) []int {
-	return BlockPermute(w, keys, vals, fn, blockTuples, workers, starts, nil)
+	return BlockPermute(w, keys, vals, fn, blockTuples, workers, starts, nil, nil)
 }

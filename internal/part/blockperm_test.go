@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hard"
 	"repro/internal/kv"
+	"repro/internal/numa"
 	"repro/internal/pfunc"
 	"repro/internal/ws"
 )
@@ -24,7 +25,7 @@ func checkBlockPerm[K kv.Key, F pfunc.Func[K]](t *testing.T, w *ws.Workspace, ke
 	hist := Histogram(keys, fn)
 	wantStarts, _ := Starts(hist)
 
-	starts := BlockPermute(w, keys, vals, fn, blockTuples, workers, nil, nil)
+	starts := BlockPermute(w, keys, vals, fn, blockTuples, workers, nil, nil, nil)
 	if len(starts) != fn.Fanout()+1 || starts[fn.Fanout()] != n {
 		t.Fatalf("starts shape wrong: len %d end %d (n=%d)", len(starts), starts[len(starts)-1], n)
 	}
@@ -95,11 +96,12 @@ func TestBlockPermuteTailOnly(t *testing.T) {
 	checkBlockPerm(t, nil, keys, pfunc.NewRadix[uint32](0, 4), 1024, 4)
 }
 
-// TestBlockPermuteAgainstBlocksReference drives the same input through the
-// list-of-blocks reference path (ToBlocksInPlaceParallel + ShuffleBlocksInPlace)
-// and the block-permutation kernel: identical partition boundaries and
-// identical per-partition content multisets (both paths are unstable, so
-// order inside a partition is free).
+// TestBlockPermuteAgainstBlocksReference drives the same input through an
+// out-of-place reference — starts from the prefix sums of Histogram,
+// content from a NonInPlaceInCache scatter — and the block-permutation
+// kernel: identical partition boundaries and identical per-partition
+// content multisets (the kernel is unstable, so order inside a partition
+// is free).
 func TestBlockPermuteAgainstBlocksReference(t *testing.T) {
 	w := ws.New()
 	defer w.Close()
@@ -108,14 +110,15 @@ func TestBlockPermuteAgainstBlocksReference(t *testing.T) {
 			orig := gen.Uniform[uint32](n, 0, uint64(n+b))
 			fn := pfunc.NewRadix[uint32](2, 6)
 
-			refK := append([]uint32(nil), orig...)
-			refV := gen.RIDs[uint32](n)
-			blocks := ToBlocksInPlaceParallel(refK, refV, fn, b, 1, nil)
-			refStarts := ShuffleBlocksInPlace(blocks, ShuffleOptions{Workers: 4})
+			hist := Histogram(orig, fn)
+			refStarts, total := Starts(hist)
+			refStarts = append(refStarts, total)
+			refK, refV := make([]uint32, n), make([]uint32, n)
+			NonInPlaceInCache(nil, orig, gen.RIDs[uint32](n), refK, refV, fn, hist)
 
 			gotK := append([]uint32(nil), orig...)
 			gotV := gen.RIDs[uint32](n)
-			gotStarts := BlockPermute(w, gotK, gotV, fn, b, 4, nil, nil)
+			gotStarts := BlockPermute(w, gotK, gotV, fn, b, 4, nil, nil, nil)
 
 			for p := 0; p <= fn.Fanout(); p++ {
 				if refStarts[p] != gotStarts[p] {
@@ -133,6 +136,60 @@ func TestBlockPermuteAgainstBlocksReference(t *testing.T) {
 	}
 }
 
+// TestShuffleBlocksNUMAMetering checks the kernel's block-shuffle metering
+// on 4 regions against the crossing bound derived in DESIGN.md: each
+// block tuple crosses at most twice on the permute legs (one lift, one
+// store), each buffered tuple once, and at most fanout·(B-1) stripe-head
+// tuples once more in cleanup. Key-only calls meter key bytes only, and an
+// unmetered call on the same pooled runner records nothing.
+func TestShuffleBlocksNUMAMetering(t *testing.T) {
+	w := ws.New()
+	defer w.Close()
+	const b = 64
+	n := 1<<14 + 37
+	for _, withVals := range []bool{true, false} {
+		for _, workers := range []int{1, 4, 8} {
+			for _, bits := range []uint{2, 4, 7} {
+				topo := numa.NewTopology(4)
+				keys := gen.Uniform[uint32](n, 0, uint64(51+bits))
+				var vals []uint32
+				tupleBytes := uint64(4)
+				if withVals {
+					vals = gen.RIDs[uint32](n)
+					tupleBytes = 8
+				}
+				fn := pfunc.NewRadix[uint32](0, bits)
+				starts := BlockPermute(w, keys, vals, fn, b, workers, nil, topo, nil)
+				for p := 0; p < fn.Fanout(); p++ {
+					for i := starts[p]; i < starts[p+1]; i++ {
+						if fn.Partition(keys[i]) != p {
+							t.Fatalf("workers=%d bits=%d: tuple at %d misplaced", workers, bits, i)
+						}
+					}
+				}
+				bound := (2*uint64(n) + uint64(fn.Fanout()*(b-1))) * tupleBytes
+				if got := topo.RemoteBytes(); got > bound {
+					t.Fatalf("vals=%v workers=%d bits=%d: remote bytes %d exceed the crossing bound %d",
+						withVals, workers, bits, got, bound)
+				}
+				if topo.RemoteBytes() == 0 {
+					t.Fatalf("vals=%v workers=%d bits=%d: no remote transfers on 4 regions",
+						withVals, workers, bits)
+				}
+			}
+		}
+	}
+
+	topo := numa.NewTopology(4)
+	keys := gen.Uniform[uint32](n, 0, 3)
+	BlockPermute(w, keys, nil, pfunc.NewRadix[uint32](0, 4), b, 4, nil, topo, nil)
+	metered := topo.RemoteBytes() + topo.LocalBytes()
+	BlockPermute(w, gen.Uniform[uint32](n, 0, 5), nil, pfunc.NewRadix[uint32](0, 4), b, 4, nil, nil, nil)
+	if got := topo.RemoteBytes() + topo.LocalBytes(); got != metered {
+		t.Fatalf("unmetered call moved the previous topology's bytes from %d to %d", metered, got)
+	}
+}
+
 func TestBlockPermuteQuick(t *testing.T) {
 	w := ws.New()
 	defer w.Close()
@@ -143,7 +200,7 @@ func TestBlockPermuteQuick(t *testing.T) {
 		fn := pfunc.NewRadix[uint32](0, bits)
 		keys := append([]uint32(nil), raw...)
 		vals := gen.RIDs[uint32](len(keys))
-		starts := BlockPermute(w, keys, vals, fn, b, workers, nil, nil)
+		starts := BlockPermute(w, keys, vals, fn, b, workers, nil, nil, nil)
 		for p := 0; p < fn.Fanout(); p++ {
 			for i := starts[p]; i < starts[p+1]; i++ {
 				if fn.Partition(keys[i]) != p {
@@ -190,7 +247,7 @@ func TestBlockPermuteFaultRestore(t *testing.T) {
 							err = pe
 						}
 					}()
-					BlockPermute(w, keys, vals, fn, 64, 4, nil, nil)
+					BlockPermute(w, keys, vals, fn, 64, 4, nil, nil, nil)
 					return nil
 				}()
 				fault.Disable()
@@ -235,7 +292,7 @@ func TestBlockPermuteCancel(t *testing.T) {
 				bailed = true
 			}
 		}()
-		BlockPermute(w, keys, vals, fn, 64, 4, starts, ctl)
+		BlockPermute(w, keys, vals, fn, 64, 4, starts, nil, ctl)
 		return false
 	}()
 	if !bailed {
@@ -258,7 +315,7 @@ func TestBlockPermuteAllocs(t *testing.T) {
 	fn := pfunc.NewRadix[uint32](0, 6)
 	starts := make([]int, fn.Fanout()+1)
 	run := func() {
-		BlockPermute(w, keys, vals, fn, 64, 1, starts, nil)
+		BlockPermute(w, keys, vals, fn, 64, 1, starts, nil, nil)
 	}
 	run() // warm the arena
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {

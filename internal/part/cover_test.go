@@ -8,31 +8,6 @@ import (
 	"repro/internal/pfunc"
 )
 
-func TestToBlocksInPlaceParallelDirect(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		for _, n := range []int{0, 100, 5000, 1 << 15} {
-			orig := gen.Uniform[uint32](n, 0, uint64(n+workers)+1)
-			keys := append([]uint32(nil), orig...)
-			vals := gen.RIDs[uint32](n)
-			origV := append([]uint32(nil), vals...)
-			fn := pfunc.NewHash[uint32](16)
-			blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, workers, nil)
-			checkBlocks(t, blocks, orig, origV, fn)
-		}
-	}
-}
-
-func TestToBlocksParallelMoreWorkersThanBlocks(t *testing.T) {
-	// 100 tuples, 64-tuple blocks: only one full block; workers clamp.
-	keys := gen.Uniform[uint32](100, 0, 7)
-	vals := gen.RIDs[uint32](100)
-	orig := append([]uint32(nil), keys...)
-	origV := append([]uint32(nil), vals...)
-	fn := pfunc.NewRadix[uint32](0, 2)
-	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 16, nil)
-	checkBlocks(t, blocks, orig, origV, fn)
-}
-
 func TestParallelScatterMatchesParallelNonInPlace(t *testing.T) {
 	keys := gen.Uniform[uint64](1<<13, 0, 9)
 	vals := gen.RIDs[uint64](len(keys))
@@ -72,15 +47,6 @@ func TestParallelNonInPlaceCodesDirect(t *testing.T) {
 	if kv.ChecksumPairs(dstK, dstV) != kv.ChecksumPairs(keys, vals) {
 		t.Fatal("multiset changed")
 	}
-}
-
-func TestNewBlockStoreValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero block size")
-		}
-	}()
-	NewBlockStore([]uint32{}, []uint32{}, 0, 1)
 }
 
 func TestChunkBoundsValidation(t *testing.T) {

@@ -231,22 +231,3 @@ type batchFunc struct{ t *rangeidx.Tree[uint32] }
 func (f batchFunc) Partition(k uint32) int               { return f.t.Partition(k) }
 func (f batchFunc) Fanout() int                          { return f.t.Fanout() }
 func (f batchFunc) LookupBatch(keys []uint32, o []int32) { f.t.LookupBatch(keys, o) }
-
-func TestBlocksAppendTo(t *testing.T) {
-	keys := gen.Uniform[uint32](3000, 0, 3)
-	vals := gen.RIDs[uint32](len(keys))
-	fn := pfunc.NewRadix[uint32](0, 2)
-	blocks := ToBlocksInPlaceParallel(keys, vals, fn, 64, 1, nil)
-	for p := 0; p < 4; p++ {
-		dstK := make([]uint32, blocks.Counts[p])
-		dstV := make([]uint32, blocks.Counts[p])
-		if got := blocks.AppendTo(p, dstK, dstV); got != blocks.Counts[p] {
-			t.Fatalf("AppendTo returned %d, want %d", got, blocks.Counts[p])
-		}
-		for _, k := range dstK {
-			if fn.Partition(k) != p {
-				t.Fatal("wrong partition content")
-			}
-		}
-	}
-}

@@ -121,13 +121,13 @@ func TestObsCountersBlocks(t *testing.T) {
 	vals := gen.Dense[uint32](n, 12)
 	fn := pfunc.NewRadix[uint32](0, 4)
 	cs := withSession(t, func() {
-		ToBlocksInPlaceParallel(keys, vals, fn, 256, 1, nil)
+		BlockPermute(nil, keys, vals, fn, 256, 1, nil, nil, nil)
 	})
 	if cs.TuplesPartitioned != uint64(n) {
 		t.Fatalf("TuplesPartitioned = %d, want %d", cs.TuplesPartitioned, n)
 	}
 	if cs.BufferFlushes == 0 {
-		t.Fatal("block writer recorded no line flushes")
+		t.Fatal("block permutation recorded no block flushes")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package part implements the paper's comprehensive menu of main-memory
 // partitioning variants (Section 3): in-cache and out-of-cache, in-place
 // and non-in-place, shared-nothing and synchronized shared-segment, plus
-// block-list partitioning and the parallel drivers used across NUMA
-// regions.
+// the parallel in-place block permutation and the parallel drivers used
+// across NUMA regions.
 //
 // All variants move columnar (key, payload) tuple pairs: keys and payloads
 // live in separate same-length arrays, and every variant moves them
@@ -10,12 +10,13 @@
 //
 // Naming follows the paper's taxonomy (Figure 1):
 //
-//	NonInPlaceInCache       — Algorithm 1
-//	InPlaceInCache          — Algorithm 2 (high-to-low swap cycles)
-//	NonInPlaceOutOfCache    — Algorithm 3 (cache-line software buffers)
-//	InPlaceOutOfCache       — Algorithm 4 (buffered swap cycles)
-//	ToBlocksInPlaceParallel — Section 3.2.3 (list-of-blocks, in place)
-//	SyncPermute             — Algorithm 5 (fetch-and-add synchronized in-place)
+//	NonInPlaceInCache    — Algorithm 1
+//	InPlaceInCache       — Algorithm 2 (high-to-low swap cycles)
+//	NonInPlaceOutOfCache — Algorithm 3 (cache-line software buffers)
+//	InPlaceOutOfCache    — Algorithm 4 (buffered swap cycles)
+//	BlockPermute         — Sections 3.2.3, 3.2.4, 3.3.2 (parallel in-place
+//	                       block permutation, NUMA-metered)
+//	SyncPermute          — Algorithm 5 (fetch-and-add synchronized in-place)
 //
 // Every kernel has one exported function. A kernel that uses scratch takes
 // the *ws.Workspace first; a nil workspace allocates per call. A kernel

@@ -11,9 +11,10 @@ import (
 )
 
 // Mover abstracts the storage permuted by SyncPermute: one item per slot
-// (a tuple, or a whole block), one in-hand item per worker, and a parking
-// area for the deadlock-avoidance protocol. Slot operations are only ever
-// invoked on slots the permuter has claimed for the calling worker, so
+// (a tuple; BlockPermute runs the same protocol on whole blocks inline),
+// one in-hand item per worker, and a parking area for the
+// deadlock-avoidance protocol. Slot operations are only ever invoked on
+// slots the permuter has claimed for the calling worker, so
 // implementations need no internal synchronization except in Park.
 type Mover interface {
 	// LoadHand lifts the content of slot into worker w's hand.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/kv"
-	"repro/internal/numa"
 	"repro/internal/pfunc"
 )
 
@@ -34,42 +33,6 @@ func TestTupleMoverParkUnpark(t *testing.T) {
 	m.Unpark(q, 2) // (30,2) -> slot 2
 	if keys[0] != 20 || vals[0] != 1 || keys[2] != 30 || vals[2] != 2 {
 		t.Fatalf("unpark wrote wrong tuples: %v %v", keys, vals)
-	}
-}
-
-func TestBlockMoverParkUnpark(t *testing.T) {
-	storeK := make([]uint32, 64)
-	storeV := make([]uint32, 64)
-	for i := range storeK {
-		storeK[i] = uint32(i)
-		storeV[i] = uint32(100 + i)
-	}
-	store := NewBlockStore(storeK, storeV, 16, 0)
-	m := &blockMover[uint32]{
-		store:    store,
-		slotPart: []int32{3, 1, 2, 0},
-		slotLen:  []int32{16, 5, 16, 0},
-		handK:    make([]uint32, 16),
-		handV:    make([]uint32, 16),
-		tmpK:     make([]uint32, 16),
-		tmpV:     make([]uint32, 16),
-		handPart: make([]int32, 1),
-		handLen:  make([]int32, 1),
-		regionOf: func(int) numa.Region { return 0 },
-		workerAt: func(int) numa.Region { return 0 },
-	}
-	m.LoadHand(0, 1) // partial block of 5 tuples, partition 1
-	if m.HandPart(0) != 1 || m.handLen[0] != 5 {
-		t.Fatalf("hand state wrong: part %d len %d", m.HandPart(0), m.handLen[0])
-	}
-	tok := m.Park(0)
-	m.Unpark(tok, 3) // deliver to the empty slot
-	if m.slotPart[3] != 1 || m.slotLen[3] != 5 {
-		t.Fatalf("slot metadata wrong after unpark: %v %v", m.slotPart, m.slotLen)
-	}
-	bk, bv := store.Block(3)
-	if bk[0] != 16 || bv[0] != 116 {
-		t.Fatalf("unparked block content wrong: %v", bk[:5])
 	}
 }
 

@@ -104,7 +104,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		pass0 := obs.BeginPassIn("cmp", 0, -1)
 		starts := w.Ints(fanout + 1)
 		timed(st, "cmp", phPartition, func() {
-			part.BlockPermute(w, keys, vals, fn, cmpBlockTuples(n, fanout, t), t, starts, ctl)
+			part.BlockPermute(w, keys, vals, fn, cmpBlockTuples(n, fanout, t), t, starts, nil, ctl)
 		})
 		pass0.EndN(int64(n))
 		cmpRecurseAll[K](keys, vals, nil, nil, starts, ref.SingleKey, true, opt, ct)

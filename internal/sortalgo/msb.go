@@ -7,7 +7,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hard"
 	"repro/internal/kv"
-	"repro/internal/numa"
 	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/pfunc"
@@ -24,13 +23,14 @@ const msbInsertionCutoff = 24
 // MSB is the fully in-place most-significant-bit radix-sort of Section
 // 4.2.2, using a different partitioning variant per memory layer:
 //
-//  1. A T+T'-way hybrid range-radix split into block lists (Section
-//     3.2.3), in place, where the sampled range delimiters guarantee load
-//     balance and the radix-boundary delimiters pin each range inside one
-//     high-bits bucket.
-//  2. A synchronized in-place block shuffle across NUMA regions
-//     (Sections 3.2.4, 3.3.2) that makes every range contiguous.
-//  3. Shared-nothing recursion per range: out-of-cache in-place
+//  1. A T+T'-way hybrid range-radix split, in place, where the sampled
+//     range delimiters guarantee load balance and the radix-boundary
+//     delimiters pin each range inside one high-bits bucket. One parallel
+//     block permutation (part.BlockPermute: the block partition and block
+//     shuffle of Sections 3.2.3, 3.2.4) makes every range contiguous,
+//     metering cross-region block moves (Section 3.3.2) when a topology
+//     is set.
+//  2. Shared-nothing recursion per range: out-of-cache in-place
 //     partitioning (Algorithm 4) while the segment exceeds the cache,
 //     in-cache in-place partitioning (Algorithm 2) below that, and
 //     insertion sort on trivial parts.
@@ -55,28 +55,9 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	ctl := opt.Ctl
 	width := kv.Width[K]()
 
-	// Permutation restore on failure: between completed block partitioning
-	// and the start of the block shuffle, tuples live partly in scratch
-	// blocks outside keys/vals; gathering every block list back into the
-	// arrays makes them a permutation of the input again. Outside that
-	// window either keys is a permutation by construction (in-place
-	// partitioning permutes at every completed step, and interruption
-	// points sit at recursion entries) or a narrower handler — the chunk
-	// rollback inside part.ToBlocksInPlaceParallel — already restored.
-	// The shuffle itself has no interruption points (block moves are not
-	// restorable once lists go stale), so a panic there is only contained
-	// and wrapped, without a permutation guarantee.
-	var blocks *part.Blocks[K]
-	inBlocks := false
-	defer func() {
-		if e := recover(); e != nil {
-			if inBlocks && blocks != nil {
-				part.RestoreFromBlocks(blocks, keys, vals)
-			}
-			panic(hard.NewPanic(e))
-		}
-	}()
-
+	// No restore handler: keys stays a permutation of the input at every
+	// interruption point — part.BlockPermute restores its own mid-kernel
+	// state, and recursion checkpoints sit where in-place steps completed.
 	domainBits := timedInt(st, "msb", phHistogram, func() int {
 		return kv.DomainBits(keys)
 	})
@@ -104,61 +85,30 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 		fn = treeBatchFunc[K]{rangeidx.NewTreeFor(ref.Delims), len(ref.Delims) + 1}
 	})
 
-	// Steps 2+3: fan the keys out into per-range contiguous segments. The
-	// default path is the in-place block-permutation kernel
-	// (part.BlockPermute): O(threads × fanout × B) scratch
-	// instead of list-of-blocks auxiliary memory plus a copy-back, which
-	// halves peak memory on large sorts. The NUMA-aware path keeps the
-	// legacy block lists + synchronized cross-region shuffle, whose block
-	// store placement and RegionOfTuple metering the permutation kernel
-	// does not model.
-	var starts []int
-	inPlaceFanOut := opt.Topo == nil || opt.Oblivious
-	if inPlaceFanOut {
-		pass0 := obs.BeginPassIn("msb", 0, -1)
-		starts = opt.Workspace.Ints(fn.Fanout() + 1)
-		timed(st, "msb", phPartition, func() {
-			part.BlockPermute(opt.Workspace, keys, vals, fn, msbBlockTuples[K](), t, starts, ctl)
-		})
-		pass0.EndN(int64(n))
+	// Fan the keys out into per-range contiguous segments with one block
+	// permutation in O(threads × fanout × B) scratch, metered across
+	// regions on the NUMA-aware path.
+	topo := opt.Topo
+	if opt.Oblivious {
+		topo = nil
+	}
+	pass0 := obs.BeginPassIn("msb", 0, -1)
+	starts := opt.Workspace.Ints(fn.Fanout() + 1)
+	timed(st, "msb", phPartition, func() {
+		part.BlockPermute(opt.Workspace, keys, vals, fn, msbBlockTuples[K](), t, starts, topo, ctl)
+	})
+	pass0.EndN(int64(n))
+	if st != nil {
+		st.Passes++
+	}
+	if topo != nil {
+		addRemoteBytes(topo.RemoteBytes())
 		if st != nil {
-			st.Passes++
-		}
-	} else {
-		// Step 2: range partition into blocks, in place, in parallel.
-		pass0 := obs.BeginPassIn("msb", 0, -1)
-		timed(st, "msb", phPartition, func() {
-			blocks = part.ToBlocksInPlaceParallel(keys, vals, fn, msbBlockTuples[K](), t, ctl)
-		})
-		inBlocks = true
-		ctl.CheckpointNow()
-		fault.Inject(fault.SiteShuffleStart)
-		inBlocks = false
-
-		// Step 3: synchronized in-place block shuffle across regions.
-		timed(st, "msb", phShuffle, func() {
-			shOpt := part.ShuffleOptions{Workers: t}
-			bounds := equalBounds(n, opt.regions())
-			shOpt.Topo = opt.Topo
-			shOpt.RegionOfTuple = func(i int) numa.Region {
-				for r := 1; r < len(bounds); r++ {
-					if i < bounds[r] {
-						return numa.Region(r - 1)
-					}
-				}
-				return numa.Region(len(bounds) - 2)
-			}
-			starts = part.ShuffleBlocksInPlace(blocks, shOpt)
-		})
-		pass0.EndN(int64(n))
-		addRemoteBytes(opt.Topo.RemoteBytes())
-		if st != nil {
-			st.Passes++
-			st.RemoteBytes = opt.Topo.RemoteBytes()
+			st.RemoteBytes = topo.RemoteBytes()
 		}
 	}
 
-	// Step 4: shared-nothing recursion per range. The union with radix
+	// Step 2: shared-nothing recursion per range. The union with radix
 	// boundaries pins each range inside one top-bits bucket, so recursion
 	// covers the remaining width-topBits bits (capped by the domain).
 	hiBit := min(width-topBits, domainBits)
@@ -176,9 +126,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 		r.ctl = nil
 		ws.PutScratch(w, ws.SlotMsbWork, r)
 	})
-	if inPlaceFanOut {
-		opt.Workspace.PutInts(starts)
-	}
+	opt.Workspace.PutInts(starts)
 }
 
 // msbWorker is the worker-pool driver of MSB's shared-nothing recursion:
@@ -217,7 +165,7 @@ func (r *msbWorker[K]) RunTask(wi int) {
 }
 
 // msbBlockTuples is the block size of the first MSB pass: a multiple of
-// the cache-line tuple count, large enough to amortize block-list hops and
+// the cache-line tuple count, large enough to amortize claim-counter
 // synchronization.
 func msbBlockTuples[K kv.Key]() int {
 	return 1024

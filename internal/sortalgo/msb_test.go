@@ -46,12 +46,16 @@ func TestMSBNUMA(t *testing.T) {
 	var st Stats
 	MSB(keys, vals, Options{Threads: 8, Topo: topo, Stats: &st})
 	checkSorted(t, orig, origV, keys, vals, false)
-	// Section 3.3.2: block shuffling crosses the interconnect at most
-	// twice per tuple.
+	// Section 3.3.2: the block permutation's permute legs cross the
+	// interconnect at most twice per tuple (the kernel's own test holds
+	// the exact bound, which adds the cleanup's stripe heads).
 	if bound := 2 * uint64(n) * 8; st.RemoteBytes > bound {
 		t.Fatalf("remote bytes %d exceed two-crossing bound %d", st.RemoteBytes, bound)
 	}
-	if st.Partition == 0 || st.Shuffle == 0 || st.LocalRadix == 0 {
+	if st.RemoteBytes == 0 {
+		t.Fatal("no remote bytes metered on 4 regions")
+	}
+	if st.Partition == 0 || st.LocalRadix == 0 {
 		t.Fatalf("phase breakdown incomplete: %+v", st)
 	}
 }

@@ -2,6 +2,7 @@ package sortalgo
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -114,16 +115,57 @@ func TestCMPWorkspace(t *testing.T) {
 func TestMSBWorkspace(t *testing.T) {
 	w := ws.New()
 	defer w.Close()
-	for _, threads := range []int{1, 4} {
+	for _, opt := range []Options{
+		{Threads: 1},
+		{Threads: 4},
+		{Threads: 8, Topo: numa.NewTopology(4)},
+	} {
+		opt.Workspace = w
 		for name, orig := range sortWorkloads32(1 << 14) {
 			t.Run(name, func(t *testing.T) {
 				keys := append([]uint32(nil), orig...)
 				vals := gen.RIDs[uint32](len(keys))
 				origV := append([]uint32(nil), vals...)
-				MSB(keys, vals, Options{Threads: threads, Workspace: w})
+				MSB(keys, vals, opt)
 				checkSorted(t, orig, origV, keys, vals, false)
 			})
 		}
+	}
+}
+
+// TestMSBNUMAWorkspaceHeap pins the NUMA-aware MSB on the workspace: with
+// a warm arena its first pass draws every buffer from the ledger, so a
+// call allocates well under the input's size on the heap, and the ledger
+// is back to zero afterwards.
+func TestMSBNUMAWorkspaceHeap(t *testing.T) {
+	w := ws.New()
+	defer w.Close()
+	n := 1 << 16
+	keys := gen.Uniform[uint32](n, 0, 31)
+	vals := gen.RIDs[uint32](n)
+	work, workV := make([]uint32, n), make([]uint32, n)
+	opt := Options{Threads: 8, Topo: numa.NewTopology(4), Workspace: w}
+	sortOnce := func() {
+		copy(work, keys)
+		copy(workV, vals)
+		MSB(work, workV, opt)
+	}
+	sortOnce()
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sortOnce()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("warm NUMA MSB allocates %d heap bytes per call, want < 64 KiB", per)
+	}
+	if !kv.IsSorted(work) {
+		t.Fatal("not sorted")
+	}
+	if aux := w.AuxBytes(); aux != 0 {
+		t.Fatalf("workspace ledger holds %d bytes after the sort, want 0", aux)
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 //   - the full menu of partitioning variants (Figure 1 of the paper):
 //     radix, hash and range partition functions; in-cache and out-of-cache
-//     data movement; non-in-place, in-place, block-list and synchronized
+//     data movement; non-in-place, in-place and synchronized
 //     shared-segment variants; and NUMA-aware drivers,
 //   - a cache-resident range index that makes range partitioning
 //     comparably fast with radix and hash,
@@ -143,55 +143,6 @@ func PartitionInPlaceShared[K Key, F PartitionFunc[K]](keys, vals []K, fn F, wor
 	hist := part.Histogram(keys, fn)
 	part.InPlaceSynchronized(keys, vals, fn, hist, workers)
 	return hist
-}
-
-// BlockLists is the result of block-list partitioning: per partition, an
-// ordered list of storage blocks whose concatenation is the partition.
-type BlockLists[K Key] struct {
-	b *part.Blocks[K]
-}
-
-// Counts returns the tuples per partition.
-func (bl *BlockLists[K]) Counts() []int {
-	return append([]int(nil), bl.b.Counts...)
-}
-
-// ForEach visits partition p's tuples block by block, in order.
-func (bl *BlockLists[K]) ForEach(p int, fn func(keys, vals []K)) {
-	bl.b.ForEach(p, fn)
-}
-
-// AppendTo copies partition p's tuples into dst slices and returns the
-// tuple count.
-func (bl *BlockLists[K]) AppendTo(p int, dstKeys, dstVals []K) int {
-	return bl.b.AppendTo(p, dstKeys, dstVals)
-}
-
-// Compact rearranges the blocks in place (synchronized block permutation +
-// pack) so every partition becomes one contiguous segment of the original
-// arrays, and returns the per-partition start offsets (len fanout+1).
-func (bl *BlockLists[K]) Compact(workers int) []int {
-	return part.ShuffleBlocksInPlace(bl.b, part.ShuffleOptions{Workers: workers})
-}
-
-// PartitionBlocks partitions keys/vals in place into block lists (Section
-// 3.2.3): no histogram pre-pass, O(fanout · blockTuples) extra space, and
-// trivially parallel. blockTuples 0 selects the default (1024); other
-// values are rounded up to a multiple of the cache-line tuple count.
-// Workers below 1 run single-threaded.
-func PartitionBlocks[K Key, F PartitionFunc[K]](keys, vals []K, fn F, blockTuples, workers int) *BlockLists[K] {
-	mustValid(validatePairs("PartitionBlocks", "keys", "vals", keys, vals))
-	mustValid(validateFanout("PartitionBlocks", fn.Fanout()))
-	if blockTuples <= 0 {
-		blockTuples = part.DefaultBlockTuples
-	}
-	if l := part.LineTuples[K](); blockTuples%l != 0 {
-		blockTuples += l - blockTuples%l
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &BlockLists[K]{b: part.ToBlocksInPlaceParallel(keys, vals, fn, blockTuples, workers, nil)}
 }
 
 // PartitionColumns stably partitions a key column plus any number of

@@ -77,45 +77,6 @@ func TestPublicPartitionInPlaceShared(t *testing.T) {
 	}
 }
 
-func TestPublicPartitionBlocks(t *testing.T) {
-	n := 1 << 14
-	keys := gen.Uniform[uint32](n, 0, 7)
-	vals := RIDs[uint32](n)
-	origK := append([]uint32(nil), keys...)
-	origV := append([]uint32(nil), vals...)
-	fn := Radix[uint32](0, 4)
-	bl := PartitionBlocks(keys, vals, fn, 256, 2)
-	counts := bl.Counts()
-	total := 0
-	var allK, allV []uint32
-	for p := range counts {
-		bl.ForEach(p, func(ks, vs []uint32) {
-			for _, k := range ks {
-				if fn.Partition(k) != p {
-					t.Fatal("misplaced tuple in block")
-				}
-			}
-			allK = append(allK, ks...)
-			allV = append(allV, vs...)
-		})
-		total += counts[p]
-	}
-	if total != n || !SameMultiset(origK, origV, allK, allV) {
-		t.Fatal("block lists lost tuples")
-	}
-	starts := bl.Compact(2)
-	if starts[len(starts)-1] != n {
-		t.Fatal("compact lost tuples")
-	}
-	for p := 0; p+1 < len(starts); p++ {
-		for i := starts[p]; i < starts[p+1]; i++ {
-			if fn.Partition(keys[i]) != p {
-				t.Fatal("misplaced tuple after compact")
-			}
-		}
-	}
-}
-
 func TestPublicSorts(t *testing.T) {
 	n := 1 << 15
 	mk := func() ([]uint32, []uint32) {

@@ -51,33 +51,6 @@ func TestStressCMP(t *testing.T) {
 	})
 }
 
-func TestStressPartitionBlocks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress test")
-	}
-	n := 4 << 20
-	keys := gen.Uniform[uint32](n, 0, 3)
-	vals := RIDs[uint32](n)
-	origK := append([]uint32(nil), keys...)
-	origV := append([]uint32(nil), vals...)
-	fn := Hash[uint32](512)
-	bl := PartitionBlocks(keys, vals, fn, 4096, 4)
-	starts := bl.Compact(4)
-	if starts[len(starts)-1] != n {
-		t.Fatal("tuples lost")
-	}
-	for p := 0; p+1 < len(starts); p++ {
-		for i := starts[p]; i < starts[p+1]; i += 997 {
-			if fn.Partition(keys[i]) != p {
-				t.Fatal("misplaced tuple")
-			}
-		}
-	}
-	if !SameMultiset(origK, origV, keys, vals) {
-		t.Fatal("multiset changed")
-	}
-}
-
 func TestStressSync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")

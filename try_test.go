@@ -169,8 +169,8 @@ var faultMatrix = []faultCase{
 	{"msb", fault.SiteWorkerStart, 4, 1, 0},
 	{"msb", fault.SiteBlockPermute, 4, 1, 0},
 	{"msb", fault.SiteBlockCleanup, 4, 1, 0},
-	{"msb", fault.SiteBlockRefill, 4, 2, 0},
-	{"msb", fault.SiteShuffleStart, 4, 2, 0},
+	{"msb", fault.SiteBlockPermute, 4, 2, 0},
+	{"msb", fault.SiteBlockCleanup, 4, 2, 0},
 	{"cmp", fault.SiteCMPPass, 4, 1, 1 << 12},
 	{"cmp", fault.SiteWorkerStart, 4, 1, 1 << 12},
 	{"cmp", fault.SiteBlockPermute, 4, 1, 1 << 12},

@@ -13,6 +13,9 @@ go test -race ./internal/part/ ./internal/sortalgo/ .
 go test -race -short ./internal/ws/
 go run ./cmd/figures -quick > /dev/null
 go run ./cmd/sortcli -n 100000 -algo lsb > /dev/null
+# NUMA-aware MSB end to end: the metered block permutation on 4 regions,
+# output checked against the input multiset.
+go run ./cmd/sortcli -n 200000 -algo msb -threads 4 -regions 4 -verify > /dev/null
 go run ./cmd/partcli -n 100000 -variant sync -threads 4 > /dev/null
 go run ./cmd/tracecli -n 65536 -fanout 512 > /dev/null
 go test -run xxx -bench 'Fig03|Fig09' -benchtime 0.2s . > /dev/null
