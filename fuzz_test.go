@@ -43,6 +43,11 @@ func FuzzSorts(f *testing.F) {
 			{"CMP", false, func(k, v []uint32) {
 				SortCMP(k, v, &SortOptions{Threads: 2, CacheTuples: 64, RangeFanout: 8})
 			}},
+			// Leaves up to 4096 tuples reach the quicksort's partition
+			// loop, not only its insertion sort.
+			{"CMP-leaf", false, func(k, v []uint32) {
+				SortCMP(k, v, &SortOptions{Threads: 2, CacheTuples: 4096})
+			}},
 		}
 		for _, r := range runs {
 			keys := append([]uint32(nil), orig...)

@@ -23,7 +23,7 @@
 // compiled into production binaries but cost nothing until a test arms
 // them. Sites sit only where every enclosing layer can restore its
 // invariants; adding one inside an unrestorable window (the legacy
-// synchronized tuple shuffle, a comb-sort leaf) would make the permutation
+// synchronized tuple shuffle, a CMP leaf sort) would make the permutation
 // guarantee a lie. The block-permutation kernel's permute loop is restorable
 // — workers park their in-flight hand blocks on unwind, so SiteBlockPermute
 // and SiteBlockCleanup sit inside it.

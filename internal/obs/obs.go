@@ -49,8 +49,7 @@ type Counters struct {
 	// SplitterSamples counts keys drawn by splitter sampling (Section
 	// 4.3.2).
 	SplitterSamples atomic.Uint64
-	// CombSortLeaves counts in-cache comb-sort leaf invocations (Section
-	// 4.3.1).
+	// CombSortLeaves counts CMP in-cache leaf sorts (Section 4.3.1).
 	CombSortLeaves atomic.Uint64
 	// WorkspaceHits / WorkspaceMisses count buffer acquisitions served from
 	// (respectively missed by) the reuse arena of internal/ws — the

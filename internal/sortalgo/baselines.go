@@ -2,6 +2,7 @@ package sortalgo
 
 import (
 	"container/heap"
+	"math/bits"
 
 	"repro/internal/kv"
 )
@@ -153,54 +154,167 @@ func mergeK[K kv.Key](srcK, srcV, dstK, dstV []K, bounds []int) {
 	}
 }
 
-// Quicksort is the in-place comparison baseline (the intro-sort family
-// used by Albutiu et al. [1], which in-place MSB radix-sort beats 2-3x on
-// 32-bit keys). Median-of-three pivot, insertion sort below 24 tuples.
+// Quicksort sorts keys and the matching payloads in place: an introsort
+// with a branchless Lomuto partition. It is CMP's in-cache leaf — Go has
+// no 128-bit min/max, so the paper's SIMD comb-sort leaf (CombSorter)
+// runs as a scalar lane emulation several times slower — and the repo's
+// quicksort baseline (the intro-sort family used by Albutiu et al. [1],
+// which in-place MSB radix-sort beats 2-3x on 32-bit keys). Not stable.
+//
+// The pivot is a median of three, or Tukey's ninther above qsNinther
+// tuples; slices of at most qsInsertion tuples are insertion-sorted; the
+// smaller side is recursed into, so the stack stays O(log n). Two rules
+// bound the worst case: after 2·⌊log2 n⌋ levels a slice falls back to
+// heapsort, and a pivot equal to the key just left of the slice (which
+// bounds the slice from below) triggers pdqsort's equal partition, which
+// strips every pivot-equal key in one linear pass, so duplicate-heavy
+// input costs O(n · distinct keys). It has no interruption points and
+// only permutes the pairs in place (swaps, and insertion sort's shifts
+// around one lifted tuple), so it needs no scratch and no restore path.
 func Quicksort[K kv.Key](keys, vals []K) {
-	for len(keys) > 24 {
-		p := qsPartition(keys, vals)
-		// Recurse into the smaller half to bound stack depth.
-		if p < len(keys)-p-1 {
-			Quicksort(keys[:p], vals[:p])
-			keys, vals = keys[p+1:], vals[p+1:]
-		} else {
-			Quicksort(keys[p+1:], vals[p+1:])
-			keys, vals = keys[:p], vals[:p]
-		}
-	}
-	InsertionSort(keys, vals)
+	n := len(keys)
+	vals = vals[:n]
+	quicksortRange(keys, vals, 0, n, 2*(bits.Len(uint(n))-1))
 }
 
-// qsPartition partitions around a median-of-three pivot and returns its
-// final index.
-func qsPartition[K kv.Key](keys, vals []K) int {
-	n := len(keys)
-	mid := n / 2
-	if keys[mid] < keys[0] {
-		keys[mid], keys[0] = keys[0], keys[mid]
-		vals[mid], vals[0] = vals[0], vals[mid]
-	}
-	if keys[n-1] < keys[0] {
-		keys[n-1], keys[0] = keys[0], keys[n-1]
-		vals[n-1], vals[0] = vals[0], vals[n-1]
-	}
-	if keys[n-1] < keys[mid] {
-		keys[n-1], keys[mid] = keys[mid], keys[n-1]
-		vals[n-1], vals[mid] = vals[mid], vals[n-1]
-	}
-	pivot := keys[mid]
-	// Move pivot out of the way.
-	keys[mid], keys[n-2] = keys[n-2], keys[mid]
-	vals[mid], vals[n-2] = vals[n-2], vals[mid]
-	i := 0
-	for j := 0; j < n-2; j++ {
-		if keys[j] < pivot || (keys[j] == pivot && j%2 == 0) {
-			keys[i], keys[j] = keys[j], keys[i]
-			vals[i], vals[j] = vals[j], vals[i]
-			i++
+const (
+	qsInsertion = 24  // insertion-sort at or below this many tuples
+	qsNinther   = 128 // ninther pivot above this many tuples
+)
+
+// quicksortRange sorts keys[lo:hi]; keys[lo-1], when lo > 0, is a lower
+// bound of the slice. limit is the remaining depth before heapsort.
+func quicksortRange[K kv.Key](keys, vals []K, lo, hi, limit int) {
+	for hi-lo > qsInsertion {
+		if limit == 0 {
+			heapsortPairs(keys[lo:hi], vals[lo:hi])
+			return
+		}
+		limit--
+		p := qsPivot(keys, lo, hi)
+		keys[lo], keys[p] = keys[p], keys[lo]
+		vals[lo], vals[p] = vals[p], vals[lo]
+		if lo > 0 && keys[lo-1] == keys[lo] {
+			// Every key is >= the pivot, so the <= side is exactly the
+			// pivot-equal keys: drop them and go on with the rest.
+			lo = qsPartition(keys[lo:hi], vals[lo:hi], true) + lo + 1
+			continue
+		}
+		m := qsPartition(keys[lo:hi], vals[lo:hi], false) + lo
+		if m-lo < hi-m {
+			quicksortRange(keys, vals, lo, m, limit)
+			lo = m + 1
+		} else {
+			quicksortRange(keys, vals, m+1, hi, limit)
+			hi = m
 		}
 	}
-	keys[i], keys[n-2] = keys[n-2], keys[i]
-	vals[i], vals[n-2] = vals[n-2], vals[i]
+	InsertionSort(keys[lo:hi], vals[lo:hi])
+}
+
+// qsPivot returns the index of the pivot for keys[lo:hi]: the median of
+// first, middle and last, or above qsNinther tuples the median of three
+// such medians over spread-out positions.
+func qsPivot[K kv.Key](keys []K, lo, hi int) int {
+	n := hi - lo
+	mid := lo + n/2
+	if n <= qsNinther {
+		return median3(keys, lo, mid, hi-1)
+	}
+	s := n / 8
+	return median3(keys,
+		median3(keys, lo, lo+s, lo+2*s),
+		median3(keys, mid-s, mid, mid+s),
+		median3(keys, hi-1-2*s, hi-1-s, hi-1))
+}
+
+// median3 returns whichever of a, b, c indexes the median key.
+func median3[K kv.Key](keys []K, a, b, c int) int {
+	if keys[b] < keys[a] {
+		a, b = b, a
+	}
+	if keys[c] < keys[b] {
+		b = c
+		if keys[b] < keys[a] {
+			b = a
+		}
+	}
+	return b
+}
+
+// qsPartition partitions keys around the pivot keys[0] with a branchless
+// Lomuto loop: each tuple is swapped with the first tuple of the right
+// side and the boundary advances by the 0/1 comparison result, so the
+// loop carries no data-dependent branch. The 0/1 is a local set under an
+// if, which the compiler lowers to SETcc; a conditional i++ compiles to a
+// branch, and a bool-to-int helper is not inlined into instantiations
+// made from other packages. With orEqual false it moves the
+// pivot to its final index m and returns m — keys[:m] < pivot <=
+// keys[m+1:]. With orEqual true it partitions by <= and returns the index
+// of the last tuple on that side, leaving the pivot at keys[0].
+func qsPartition[K kv.Key](keys, vals []K, orEqual bool) int {
+	p := keys[0]
+	vals = vals[:len(keys)]
+	i := 1
+	if orEqual {
+		for j := 1; j < len(keys); j++ {
+			k, v := keys[j], vals[j]
+			keys[j], vals[j] = keys[i], vals[i]
+			keys[i], vals[i] = k, v
+			le := 0
+			if k <= p {
+				le = 1
+			}
+			i += le
+		}
+		return i - 1
+	}
+	for j := 1; j < len(keys); j++ {
+		k, v := keys[j], vals[j]
+		keys[j], vals[j] = keys[i], vals[i]
+		keys[i], vals[i] = k, v
+		lt := 0
+		if k < p {
+			lt = 1
+		}
+		i += lt
+	}
+	i--
+	keys[0], keys[i] = keys[i], keys[0]
+	vals[0], vals[i] = vals[i], vals[0]
 	return i
+}
+
+// heapsortPairs sorts keys and the matching payloads in place with a
+// binary max-heap: Quicksort's O(n log n) fallback past its depth limit.
+func heapsortPairs[K kv.Key](keys, vals []K) {
+	n := len(keys)
+	vals = vals[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(keys, vals, i, n)
+	}
+	for end := n - 1; end > 0; end-- {
+		keys[0], keys[end] = keys[end], keys[0]
+		vals[0], vals[end] = vals[end], vals[0]
+		siftDown(keys, vals, 0, end)
+	}
+}
+
+// siftDown restores the heap property below root within keys[:end].
+func siftDown[K kv.Key](keys, vals []K, root, end int) {
+	for {
+		c := 2*root + 1
+		if c >= end {
+			return
+		}
+		if c+1 < end && keys[c] < keys[c+1] {
+			c++
+		}
+		if keys[root] >= keys[c] {
+			return
+		}
+		keys[root], keys[c] = keys[c], keys[root]
+		vals[root], vals[c] = vals[c], vals[root]
+		root = c
+	}
 }

@@ -18,12 +18,16 @@ import (
 // CMP is the comparison sort of Section 4.3: very few wide-fanout range
 // partitioning passes — the range function computed once per tuple through
 // the cache-resident index and stored as partition codes — until segments
-// are cache-resident, then SIMD comb-sort with W-way lane merging. The
-// first pass is NUMA-aware: regions partition locally and one shuffle
-// moves each tuple across the interconnect at most once. tmpK/tmpV is the
-// linear auxiliary space; passing nil tmp arrays selects the in-place
-// variant — block-permutation first pass, pooled per-partition recursion
-// scratch — which ignores the NUMA topology. Not stable.
+// are cache-resident, then an in-place leaf sort. The paper's leaf is
+// SIMD comb-sort with W-way lane merging (CombSorter); without 128-bit
+// min/max instructions that runs as a scalar lane emulation, so the leaf
+// here is Quicksort, a branchless-partition introsort. The first pass is
+// NUMA-aware: regions partition locally and one shuffle moves each tuple
+// across the interconnect at most once. tmpK/tmpV is the linear auxiliary
+// space; passing nil tmp arrays selects the in-place variant —
+// block-permutation first pass, pooled recursion scratch for partitions
+// that are not yet cache-resident — which ignores the NUMA topology. Not
+// stable.
 //
 // Unlike the radix sorts, CMP's splitters adapt to any distribution:
 // sampled delimiters balance the work under skew, and keys sampled twice
@@ -69,11 +73,9 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	if n <= ct {
 		ctl.CheckpointNow()
 		fault.Inject(fault.SiteCMPPass)
-		cs := getCombSorter[K](w, n)
 		timed(st, "cmp", phCache, func() {
-			cs.SortInto(keys, vals, keys, vals)
+			cmpLeaf(keys, vals)
 		})
-		putCombSorter(w, cs)
 		return
 	}
 
@@ -295,7 +297,6 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 	w := r.opt.Workspace
 	sp := obs.BeginIn("cmp", "cmp-recurse", "worker", wi)
 	var done int64
-	cs := getCombSorter[K](w, r.ct+r.ct/2)
 	nq := int64(len(r.starts) - 1)
 	for {
 		q := r.next.Add(1) - 1
@@ -317,7 +318,14 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 			}
 			continue
 		}
-		if r.yK == nil {
+		switch {
+		case r.yK != nil:
+			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], r.yK[lo:hi], r.yV[lo:hi], r.wantInX, r.opt, r.ct, &r.passNs, &r.leafNs)
+		case hi-lo <= r.ct:
+			// In-place mode, cache-resident partition: the leaf sorts x in
+			// place and never touches the scratch side.
+			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], nil, nil, true, r.opt, r.ct, &r.passNs, &r.leafNs)
+		default:
 			// In-place mode: draw the ping-pong scratch for this partition
 			// from the workspace pool — peak O(threads × max partition)
 			// instead of a linear tmp array. On unwind the buffers leak to
@@ -326,15 +334,12 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 			// its destination is x.
 			sk := ws.Keys[K](w, hi-lo)
 			sv := ws.Keys[K](w, hi-lo)
-			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], sk, sv, true, cs, r.opt, r.ct, &r.passNs, &r.leafNs)
+			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], sk, sv, true, r.opt, r.ct, &r.passNs, &r.leafNs)
 			ws.PutKeys(w, sk)
 			ws.PutKeys(w, sv)
-		} else {
-			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], r.yK[lo:hi], r.yV[lo:hi], r.wantInX, cs, r.opt, r.ct, &r.passNs, &r.leafNs)
 		}
 		done += int64(hi - lo)
 	}
-	putCombSorter(w, cs)
 	sp.EndN(done)
 }
 
@@ -409,9 +414,10 @@ func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool,
 // has repaired its own sub-range (its destination is this level's
 // destination sub-range, by the ping-pong argument), and the unprocessed
 // tail still sits in y — so when the destination is x, the tail is copied
-// back from y. The in-place comb-sort leaf has no interruption points, so
-// it is never left half-merged by a checkpoint or fault site.
-func cmpRecurse[K kv.Key](xK, xV, yK, yV []K, wantInX bool, cs *CombSorter[K], opt Options, ct int, passNs, leafNs *atomic.Int64) {
+// back from y. The leaf (Quicksort, in place on the destination after
+// copying x across when that is y) has no interruption points and only
+// permutes, so it never leaves the destination anything but a permutation.
+func cmpRecurse[K kv.Key](xK, xV, yK, yV []K, wantInX bool, opt Options, ct int, passNs, leafNs *atomic.Int64) {
 	n := len(xK)
 	w := opt.Workspace
 	ctl := opt.Ctl
@@ -440,11 +446,13 @@ func cmpRecurse[K kv.Key](xK, xV, yK, yV []K, wantInX bool, cs *CombSorter[K], o
 	fault.Inject(fault.SiteCMPPass)
 	if n <= ct {
 		start := time.Now()
-		if wantInX {
-			cs.SortInto(xK, xV, xK, xV)
-		} else {
-			cs.SortInto(xK, xV, yK, yV)
+		dK, dV := xK, xV
+		if !wantInX {
+			copy(yK, xK)
+			copy(yV, xV)
+			dK, dV = yK, yV
 		}
+		cmpLeaf(dK, dV)
 		leafNs.Add(int64(time.Since(start)))
 		return
 	}
@@ -474,13 +482,22 @@ func cmpRecurse[K kv.Key](xK, xV, yK, yV []K, wantInX bool, cs *CombSorter[K], o
 				}
 			} else {
 				subLo, subHi = lo, lo+h
-				cmpRecurse(yK[lo:lo+h], yV[lo:lo+h], xK[lo:lo+h], xV[lo:lo+h], !wantInX, cs, opt, ct, passNs, leafNs)
+				cmpRecurse(yK[lo:lo+h], yV[lo:lo+h], xK[lo:lo+h], xV[lo:lo+h], !wantInX, opt, ct, passNs, leafNs)
 			}
 		}
 		lo += h
 		safeLo, subLo, subHi = lo, lo, lo
 	}
 	w.PutInts(hist)
+}
+
+// cmpLeaf sorts one cache-resident segment in place and counts it as a
+// CMP leaf.
+func cmpLeaf[K kv.Key](keys, vals []K) {
+	if o := obs.Cur(); o != nil {
+		o.Counters.CombSortLeaves.Add(1)
+	}
+	Quicksort(keys, vals)
 }
 
 // cmpBlockTuples sizes the block-permutation pass's block for CMP's wide

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/kv"
 	"repro/internal/numa"
+	"repro/internal/obs"
 )
 
 func runCMP32(t *testing.T, orig []uint32, opt Options) {
@@ -59,7 +60,7 @@ func TestCMPNUMATransferBound(t *testing.T) {
 }
 
 func TestCMPSmallInput(t *testing.T) {
-	// Entirely cache-resident input: single comb-sort leaf.
+	// Entirely cache-resident input: a single leaf sort.
 	runCMP32(t, gen.Uniform[uint32](500, 0, 7), Options{Threads: 2, CacheTuples: 1024})
 }
 
@@ -103,5 +104,37 @@ func TestCMPQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCMPLeafCounter pins the combsort_leaves counter on CMP's leaf: one
+// leaf for a cache-resident input, and at most one per first-pass
+// partition when uniform keys make every partition cache-resident — in
+// both the tmp layout and the in-place one.
+func TestCMPLeafCounter(t *testing.T) {
+	leaves := func(n int, inPlace bool) uint64 {
+		keys := gen.Uniform[uint64](n, 0, 17)
+		vals := gen.RIDs[uint64](n)
+		var tmpK, tmpV []uint64
+		if !inPlace {
+			tmpK, tmpV = make([]uint64, n), make([]uint64, n)
+		}
+		obs.Start(nil)
+		defer func() { _ = obs.Stop() }()
+		var st Stats
+		CMP(keys, vals, tmpK, tmpV, Options{Threads: 2, Stats: &st})
+		if !kv.IsSorted(keys) {
+			t.Fatal("not sorted")
+		}
+		return st.Counters.CombSortLeaves
+	}
+	fanout := uint64(Options{}.withDefaults().RangeFanout)
+	for _, inPlace := range []bool{false, true} {
+		if got := leaves(1000, inPlace); got != 1 {
+			t.Fatalf("in-place=%v: cache-resident input counted %d leaves, want 1", inPlace, got)
+		}
+		if got := leaves(1<<18, inPlace); got < 1 || got > fanout {
+			t.Fatalf("in-place=%v: n=2^18 counted %d leaves, want 1..%d", inPlace, got, fanout)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package sortalgo implements the paper's three large-scale sorting
 // algorithms (Section 4) — stable LSB radix-sort, in-place MSB radix-sort,
-// and the range-partitioning comparison sort — together with the in-cache
-// SIMD comb-sort they build on and the baselines the paper compares
-// against (scalar comb-sort, insertion sort, merge sorts, quicksort).
+// and the range-partitioning comparison sort — together with the paper's
+// in-cache SIMD comb-sort (Section 4.3.1) and the baselines the paper
+// compares against (scalar comb-sort, insertion sort, merge sorts,
+// quicksort). CMP's in-cache leaf is the quicksort (see Quicksort).
 //
 // All sorts operate on columnar tuples: a key array and a same-length
 // payload array that travel together.
@@ -10,9 +11,7 @@ package sortalgo
 
 import (
 	"repro/internal/kv"
-	"repro/internal/obs"
 	"repro/internal/simd"
-	"repro/internal/ws"
 )
 
 // InsertionSort sorts keys[lo:hi] and the matching payloads in place; the
@@ -79,9 +78,11 @@ func Lanes[K kv.Key]() int {
 // independently with lane-parallel min/max (never comparing keys across
 // lanes), then merge the W interleaved sorted runs with the min-across
 // merge loop. O((n/W)·log(n/W)) vector compare-exchanges plus n·log W
-// merge comparisons.
+// merge comparisons. It is the Figure 15 kernel and MergeSortKWay's run
+// sorter; CMP's leaf is Quicksort, which beats this scalar lane emulation
+// where no 128-bit min/max instructions exist.
 //
-// A CombSorter carries a padding buffer so leaf calls do not allocate;
+// A CombSorter carries a padding buffer so repeated calls do not allocate;
 // it is not safe for concurrent use — give each worker its own.
 type CombSorter[K kv.Key] struct {
 	padK []K
@@ -95,38 +96,10 @@ func NewCombSorter[K kv.Key](capacity int) *CombSorter[K] {
 	return &CombSorter[K]{padK: make([]K, c), padV: make([]K, c)}
 }
 
-// getCombSorter returns a workspace-pooled sorter able to sort capacity
-// tuples; release with putCombSorter. The pad buffers come from (and return
-// to) the arena, so steady-state acquisition allocates nothing. The parked
-// sorter holds no pads — putCombSorter returns them to the arena freelists
-// — so the checked-out-bytes ledger is balanced between sorts and a
-// contained panic that abandons a checked-out sorter loses only bytes the
-// post-containment reconcile rolls off.
-func getCombSorter[K kv.Key](w *ws.Workspace, capacity int) *CombSorter[K] {
-	cs := ws.Scratch[CombSorter[K]](w, ws.SlotCombSorter)
-	lanes := Lanes[K]()
-	c := (capacity/lanes + 2) * lanes
-	cs.padK = ws.Keys[K](w, c)[:0]
-	cs.padV = ws.Keys[K](w, c)[:0]
-	cs.padK = cs.padK[:cap(cs.padK)]
-	cs.padV = cs.padV[:cap(cs.padV)]
-	return cs
-}
-
-func putCombSorter[K kv.Key](w *ws.Workspace, cs *CombSorter[K]) {
-	ws.PutKeys(w, cs.padK)
-	ws.PutKeys(w, cs.padV)
-	cs.padK, cs.padV = nil, nil
-	ws.PutScratch(w, ws.SlotCombSorter, cs)
-}
-
 // SortInto sorts srcK/srcV into dstK/dstV (same length). src is copied into
 // the sorter's pad buffer up front and never read again, so dst may alias
 // src.
 func (c *CombSorter[K]) SortInto(srcK, srcV, dstK, dstV []K) {
-	if o := obs.Cur(); o != nil {
-		o.Counters.CombSortLeaves.Add(1)
-	}
 	n := len(srcK)
 	w := Lanes[K]()
 	if n <= 2*w {
@@ -159,11 +132,11 @@ func (c *CombSorter[K]) SortInto(srcK, srcV, dstK, dstV []K) {
 	laneMerge(dstK, dstV, pk, pv, w, nvec, n)
 }
 
-// laneMerge is the CMP path's W-way merge: it merges the w interleaved
+// laneMerge is CombSorter's W-way merge: it merges the w interleaved
 // sorted runs in pk/pv (lane l's run occupies positions l, l+w, l+2w, ...)
 // into dstK/dstV. Pads (MaxKey) sit at run tails and are excluded by
 // per-lane counts derived from n. The merge state lives in fixed
-// lane-count arrays (W is at most 4, see Lanes) so a leaf sort allocates
+// lane-count arrays (W is at most 4, see Lanes) so a sort allocates
 // nothing. The external sort's file-backed merge generalizes this loop to
 // arbitrary fan-in over prefetching segment iterators; the shared
 // conformance suite in internal/mergetest pins both to the same contract.

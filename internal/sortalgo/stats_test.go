@@ -141,7 +141,7 @@ func TestSortsFillStatsCounters(t *testing.T) {
 			t.Cleanup(func() { _ = obs.Stop() })
 			var st Stats
 			// Small cache threshold forces msb/cmp onto the partitioning
-			// path (a cache-resident input would comb-sort directly).
+			// path (a cache-resident input would go straight to the leaf).
 			sortFn(keys, vals, make([]uint32, n), make([]uint32, n),
 				Options{Threads: 2, Stats: &st, CacheTuples: 2048})
 			if st.Counters.TuplesPartitioned < uint64(n) {

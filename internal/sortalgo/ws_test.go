@@ -112,6 +112,45 @@ func TestCMPWorkspace(t *testing.T) {
 	}
 }
 
+// TestCMPWorkspacePeakAux bounds a warm two-worker CMP's scratch high
+// water mark at n = 2^16 (64-bit pairs) in both layouts. The bounds are
+// the peaks measured when each worker still pooled a CombSorter with two
+// pad buffers of 1.5 × CacheTuples; the in-place leaf needs no scratch, so
+// a regression past them means a leaf or driver grew a buffer again.
+func TestCMPWorkspacePeakAux(t *testing.T) {
+	n := 1 << 16
+	for _, tc := range []struct {
+		inPlace bool
+		bound   uint64
+	}{
+		{false, 1318912},
+		{true, 1060864},
+	} {
+		w := ws.New()
+		var st Stats
+		for run := 0; run < 2; run++ {
+			keys := gen.Uniform[uint64](n, 0, 5)
+			vals := gen.RIDs[uint64](n)
+			var tmpK, tmpV []uint64
+			if !tc.inPlace {
+				tmpK, tmpV = make([]uint64, n), make([]uint64, n)
+			}
+			st = Stats{}
+			CMP(keys, vals, tmpK, tmpV, Options{Threads: 2, Workspace: w, Stats: &st})
+			if !kv.IsSorted(keys) {
+				t.Fatal("not sorted")
+			}
+		}
+		if st.PeakAuxBytes == 0 || st.PeakAuxBytes > tc.bound {
+			t.Errorf("in-place=%v: warm PeakAuxBytes %d, want 1..%d", tc.inPlace, st.PeakAuxBytes, tc.bound)
+		}
+		if aux := w.AuxBytes(); aux != 0 {
+			t.Errorf("in-place=%v: workspace ledger holds %d bytes after the sort, want 0", tc.inPlace, aux)
+		}
+		w.Close()
+	}
+}
+
 func TestMSBWorkspace(t *testing.T) {
 	w := ws.New()
 	defer w.Close()

@@ -551,7 +551,6 @@ const (
 	SlotFusedRead
 	SlotCmpWork
 	SlotMsbWork
-	SlotCombSorter
 	SlotCtl
 	SlotBlockPerm
 	SlotExtSort

@@ -10,7 +10,7 @@ import (
 // breakdowns of the paper's Figures 11/13. When enabled, the partitioning
 // kernels and sorting algorithms publish event counters (tuples moved,
 // write-combining buffer flushes, swap cycles, synchronized-claim and
-// park events, NUMA remote bytes, splitter samples, comb-sort leaves) and
+// park events, NUMA remote bytes, splitter samples, CMP leaf sorts) and
 // emit per-pass/per-worker spans to a pluggable sink. Disabled — the
 // default — the hooks cost one atomic load per kernel call and allocate
 // nothing.
