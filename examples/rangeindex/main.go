@@ -1,8 +1,9 @@
 // Rangeindex: the cache-resident range index of Section 3.5.2 in action —
 // computing a 1000-way range partition function over a large key column,
-// against the textbook binary-search baseline. The index replaces log2(P)
-// dependent cache loads per key with a few level-synchronous node
-// searches, which is what makes range partitioning (and therefore the
+// against the textbook binary-search baseline. The index replaces
+// binary search's unpredictable branches with ceil(log2 P) branch-free
+// compares per key and walks 8 keys at a time, so their dependent loads
+// overlap; that is what makes range partitioning (and therefore the
 // comparison sort and ordered analytics like percentile bucketing)
 // practical.
 package main

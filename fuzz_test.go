@@ -94,9 +94,14 @@ func FuzzPartitionInPlace(f *testing.F) {
 	})
 }
 
-// FuzzRangeIndex checks every index configuration against binary search.
+// FuzzRangeIndex checks the range index's single-key and batch lookups
+// against binary search over the refined delimiters.
 func FuzzRangeIndex(f *testing.F) {
 	f.Add([]byte{10, 0, 0, 0, 20, 0, 0, 0}, []byte{5, 0, 0, 0})
+	// Nine keys: one full 8-key batch plus a tail.
+	f.Add([]byte{10, 0, 0, 0, 20, 0, 0, 0, 20, 0, 0, 0}, []byte{
+		0, 0, 0, 0, 9, 0, 0, 0, 10, 0, 0, 0, 11, 0, 0, 0, 19, 0, 0, 0,
+		20, 0, 0, 0, 21, 0, 0, 0, 255, 255, 255, 255, 15, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, delimBytes, keyBytes []byte) {
 		delims := bytesToKeys(delimBytes)
 		if len(delims) > 2000 {
@@ -107,9 +112,16 @@ func FuzzRangeIndex(f *testing.F) {
 		SortLSB(delims, rids, nil)
 		ref := splitter.RefineDuplicates(delims)
 		tree := rangeidx.NewTreeFor(ref.Delims)
-		for _, k := range bytesToKeys(keyBytes) {
-			if got, want := tree.Partition(k), rangeidx.Search(ref.Delims, k); got != want {
+		keys := bytesToKeys(keyBytes)
+		out := make([]int32, len(keys))
+		tree.LookupBatch(keys, out)
+		for i, k := range keys {
+			want := rangeidx.Search(ref.Delims, k)
+			if got := tree.Partition(k); got != want {
 				t.Fatalf("Partition(%d) = %d, want %d", k, got, want)
+			}
+			if int(out[i]) != want {
+				t.Fatalf("LookupBatch[%d] (key %d) = %d, want %d", i, k, out[i], want)
 			}
 		}
 	})

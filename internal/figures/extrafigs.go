@@ -121,7 +121,7 @@ func FigAblation(cfg Config) *Table {
 		t.AddRow("mergesort-k", fmt.Sprint(k), f1(mtps(n, d)))
 	}
 
-	// Range index menu configuration at fixed P=1000 demand.
+	// Range index at 360, 1000 and 1800 partitions (9, 10 and 11 levels).
 	keys := gen.Uniform[uint32](n, 0, 3)
 	codes := make([]int32, n)
 	for _, p := range []int{360, 1000, 1800} {

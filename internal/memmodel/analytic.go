@@ -208,8 +208,10 @@ func (m HistMethod) String() string {
 	return "unknown"
 }
 
-// indexLevels returns the number of levels of the range-index menu
-// configuration covering fanout partitions (see rangeidx.ChooseFanouts).
+// indexLevels returns the number of levels of the paper's SIMD k-ary
+// range index (Section 3.5.2: 5- and 9-way nodes under an 8-way root)
+// covering fanout partitions. The model prices that index, not the
+// binary tree rangeidx runs with one-lane compares.
 func indexLevels(fanout int) float64 {
 	switch {
 	case fanout <= 9:

@@ -84,7 +84,7 @@ type BatchLookuper[K kv.Key] interface {
 }
 
 // HistogramCodesBatch is HistogramCodes using a batch lookup (the paper's
-// 4-at-a-time unrolled index walk).
+// N-at-a-time unrolled index walk).
 func HistogramCodesBatch[K kv.Key](keys []K, fn BatchLookuper[K], fanout int, codes []int32) []int {
 	return HistogramCodesBatchInto(make([]int, fanout), keys, fn, codes)
 }

@@ -5,7 +5,7 @@
 // baseline (and its branchless variant), register-resident SIMD variants
 // (horizontal and vertical), and the cache-resident pointerless tree index
 // that makes range partitioning comparably fast with hash and radix — the
-// paper's second core contribution.
+// paper's second core contribution, here with binary nodes (see Tree).
 //
 // Partition semantics, used consistently across the package: the partition
 // of key k is the number of delimiters d with d <= k, i.e. the index of the

@@ -1,11 +1,13 @@
 package rangeidx
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/kv"
 	"repro/internal/simd"
 )
 
@@ -143,50 +145,72 @@ func TestVerticalValidation(t *testing.T) {
 	NewVertical32(nil, 5)
 }
 
-func TestTreePaperExample(t *testing.T) {
-	// The paper's example: 24 delimiters in 2 levels (5-way then 5-way).
-	// First level: 5,10,15,20; second level: (1,2,3,4),(6,7,8,9),...
-	delims := make([]uint32, 24)
-	for i := range delims {
-		delims[i] = uint32(i + 1)
+func TestTreeLayout(t *testing.T) {
+	// Delimiters 1..7 fill a 3-level tree in order: the median at the root,
+	// the quartiles below it, the rest in the leaves.
+	tree := NewTreeFor([]uint32{1, 2, 3, 4, 5, 6, 7})
+	want := []uint32{4, 2, 6, 1, 3, 5, 7}
+	if len(tree.t) != 8 || !slices.Equal(tree.t[1:], want) {
+		t.Fatalf("slots = %v, want [_ %v]", tree.t, want)
 	}
-	tree := BuildTree(delims, []int{5, 5})
-	wantL0 := []uint32{5, 10, 15, 20}
-	for i, w := range wantL0 {
-		if tree.levels[0][i] != w {
-			t.Fatalf("level 0 = %v", tree.levels[0])
+	// Two delimiters pad the third slot with the maximum key.
+	tree = NewTreeFor([]uint32{10, 20})
+	if want := []uint32{20, 10, ^uint32(0)}; !slices.Equal(tree.t[1:], want) {
+		t.Fatalf("padded slots = %v, want [_ %v]", tree.t, want)
+	}
+}
+
+// treeSweepSizes is every delimiter count 0..1099 plus 2^L-2, 2^L-1 and
+// 2^L delimiters (P = 2^L-1, 2^L, 2^L+1) up to 2^13: the full, exactly
+// filled and one-over tree at every height.
+func treeSweepSizes() []int {
+	var nd []int
+	for d := 0; d < 1100; d++ {
+		nd = append(nd, d)
+	}
+	for l := 11; l <= 13; l++ {
+		nd = append(nd, 1<<l-2, 1<<l-1, 1<<l)
+	}
+	return nd
+}
+
+// checkTreeMatchesSearch checks Partition and LookupBatch against Search on
+// 0, the maximum key, every delimiter and its neighbours, and a uniform
+// sample.
+func checkTreeMatchesSearch[K kv.Key](t *testing.T, d []K, seed uint64) {
+	t.Helper()
+	tree := NewTreeFor(d)
+	if tree.Fanout() != len(d)+1 {
+		t.Fatalf("nd=%d: Fanout = %d", len(d), tree.Fanout())
+	}
+	keys := append(gen.Uniform[K](64, 0, seed), 0, kv.MaxKey[K]())
+	for _, x := range d {
+		keys = append(keys, x-1, x, x+1)
+	}
+	out := make([]int32, len(keys))
+	tree.LookupBatch(keys, out)
+	for i, k := range keys {
+		want := Search(d, k)
+		if got := tree.Partition(k); got != want {
+			t.Fatalf("nd=%d key=%d: Partition = %d, Search = %d", len(d), k, got, want)
 		}
-	}
-	wantL1 := []uint32{1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 16, 17, 18, 19, 21, 22, 23, 24}
-	for i, w := range wantL1 {
-		if tree.levels[1][i] != w {
-			t.Fatalf("level 1 = %v", tree.levels[1])
-		}
-	}
-	for key := uint32(0); key <= 25; key++ {
-		if got, want := tree.Partition(key), referencePartition(delims, key); got != want {
-			t.Fatalf("Partition(%d) = %d, want %d", key, got, want)
+		if int(out[i]) != want {
+			t.Fatalf("nd=%d key=%d: LookupBatch = %d, Search = %d", len(d), k, out[i], want)
 		}
 	}
 }
 
-func TestTreeMatchesSearchAllConfigs(t *testing.T) {
-	for _, cfg := range treeConfigs {
-		capacity := 1
-		for _, f := range cfg {
-			capacity *= f
-		}
-		for _, nd := range []int{0, 1, capacity / 2, capacity - 1} {
-			d := sortedDelims(nd, uint64(capacity+nd)+7)
-			tree := BuildTree(d, cfg)
-			keys := gen.Uniform[uint32](2000, 0, uint64(nd)+3)
-			keys = append(keys, 0, ^uint32(0))
-			for _, k := range keys {
-				if got, want := tree.Partition(k), Search(d, k); got != want {
-					t.Fatalf("cfg=%v nd=%d key=%d: tree=%d search=%d", cfg, nd, k, got, want)
-				}
-			}
-		}
+func TestTreeMatchesSearch(t *testing.T) {
+	for _, nd := range treeSweepSizes() {
+		seed := uint64(nd) + 7
+		// Full-width delimiters, then a domain of about 2·nd values so that
+		// duplicate delimiters (empty partitions) occur.
+		d32 := gen.Uniform[uint32](nd, 0, seed)
+		d64 := gen.Uniform[uint64](nd, uint64(2*nd+1), seed)
+		slices.Sort(d32)
+		slices.Sort(d64)
+		checkTreeMatchesSearch(t, d32, seed)
+		checkTreeMatchesSearch(t, d64, seed)
 	}
 }
 
@@ -205,7 +229,7 @@ func TestTree64(t *testing.T) {
 
 func TestTreeLookupBatch(t *testing.T) {
 	d := sortedDelims(359, 21)
-	tree := BuildTree(d, []int{8, 5, 9})
+	tree := NewTreeFor(d)
 	// Every length 0..17 covers all tail sizes around the 8-key unroll; the
 	// long odd length exercises the steady state.
 	lengths := []int{1003}
@@ -236,46 +260,19 @@ func TestTreeDuplicateDelimiters(t *testing.T) {
 	}
 }
 
-func TestChooseFanouts(t *testing.T) {
-	cases := []struct {
-		p    int
-		want int // minimal capacity covering p
-	}{
-		{2, 5}, {5, 5}, {6, 8}, {9, 9}, {17, 25}, {300, 360}, {360, 360},
-		{500, 1000}, {1500, 1800}, {5832, 5832}, {9000, 9000},
-	}
-	for _, c := range cases {
-		cfg := ChooseFanouts(c.p)
-		capacity := 1
-		for _, f := range cfg {
-			capacity *= f
+func TestTreeRejectsUnsorted(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for unsorted delimiters")
 		}
-		if capacity != c.want {
-			t.Errorf("ChooseFanouts(%d) = %v (cap %d), want cap %d", c.p, cfg, capacity, c.want)
-		}
-	}
-	// Beyond the menu: extended with 9-way levels.
-	cfg := ChooseFanouts(100000)
-	capacity := 1
-	for _, f := range cfg {
-		capacity *= f
-	}
-	if capacity < 100000 {
-		t.Errorf("extended config %v capacity %d < 100000", cfg, capacity)
-	}
+	}()
+	NewTreeFor([]uint32{2, 1})
 }
 
-func TestBuildTreeValidation(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		f()
+func TestNewTreeForAllocs(t *testing.T) {
+	d := sortedDelims(359, 5)
+	// One allocation for the slot array, one for the struct.
+	if a := testing.AllocsPerRun(100, func() { NewTreeFor(d) }); a > 2 {
+		t.Fatalf("NewTreeFor: %.0f allocations, want at most 2", a)
 	}
-	mustPanic("no levels", func() { BuildTree([]uint32{1}, nil) })
-	mustPanic("overflow", func() { BuildTree(make([]uint32, 25), []int{5, 5}) })
-	mustPanic("unsorted", func() { BuildTree([]uint32{2, 1}, []int{5}) })
-	mustPanic("fanout<2", func() { BuildTree([]uint32{1}, []int{1, 5}) })
 }

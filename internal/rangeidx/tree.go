@@ -1,111 +1,72 @@
 package rangeidx
 
 import (
-	"fmt"
+	"math/bits"
 
 	"repro/internal/kv"
 )
 
-// Tree is the paper's cache-resident range index (Section 3.5.2): a
-// pointerless static search tree whose levels are flat sorted arrays, with
-// an independently chosen fanout per level (of the SIMD-friendly form
-// k*W + 1), no delimiter repeated across levels, and no update support.
-// Each level access is one node search — a handful of lane-parallel
-// comparisons — so computing a range function costs `levels` cache accesses
-// instead of log2(P) dependent loads.
+// Tree is the cache-resident range index: a pointerless static search tree
+// over sorted delimiters with no update support. The paper (Section 3.5.2)
+// sizes a node as k*W+1 so that one W-lane SIMD compare searches it; Go
+// has no SIMD compare (W = 1), and with one lane the best node is binary,
+// since every scalar compare then halves the range. So the index is an
+// implicit binary tree in level (Eytzinger) order, IPS⁴o's branchless
+// splitter tree: slot b's children are slots 2b and 2b+1, and a lookup is
+// L = ceil(log2 P) steps of b = 2b + (t[b] <= k), with no data-dependent
+// branch for the predictor to miss.
 type Tree[K kv.Key] struct {
-	levels  [][]K
-	fanouts []int
-	p       int // actual fanout: len(delims)+1
-	cap     int // capacity: product of fanouts
+	// t holds 2^L slots, 1-based in level order (t[0] is unused): the
+	// sorted delimiters, padded to 2^L-1 with kv.MaxKey, laid out in order
+	// so that an in-order walk of slots 1..2^L-1 reads them sorted.
+	t  []K
+	lg int // L, the number of levels
+	p  int // fanout: len(delims)+1
 }
 
-// BuildTree constructs the index over sorted delimiters with the given
-// per-level fanouts. The product of fanouts minus one must be at least
-// len(delims); unused capacity is padded with the maximum key so padding
-// partitions stay empty.
-func BuildTree[K kv.Key](delims []K, fanouts []int) *Tree[K] {
-	if len(fanouts) == 0 {
-		panic("rangeidx: tree needs at least one level")
-	}
-	capacity := 1
-	for _, f := range fanouts {
-		if f < 2 {
-			panic(fmt.Sprintf("rangeidx: level fanout %d < 2", f))
-		}
-		capacity *= f
-	}
-	if len(delims)+1 > capacity {
-		panic(fmt.Sprintf("rangeidx: %d delimiters exceed tree capacity %d", len(delims), capacity-1))
-	}
+// NewTreeFor builds the index over sorted delimiters (duplicates allowed:
+// they produce intentionally empty partitions). The fanout is
+// len(delims)+1.
+func NewTreeFor[K kv.Key](delims []K) *Tree[K] {
 	for i := 1; i < len(delims); i++ {
 		if delims[i-1] > delims[i] {
 			panic("rangeidx: delimiters not sorted")
 		}
 	}
-	// Conceptual sorted delimiter array, padded with +inf.
-	conceptual := make([]K, capacity-1)
-	copy(conceptual, delims)
-	for i := len(delims); i < len(conceptual); i++ {
-		conceptual[i] = kv.MaxKey[K]()
-	}
-
-	t := &Tree[K]{fanouts: append([]int(nil), fanouts...), p: len(delims) + 1, cap: capacity}
-	// subCap[l] = product of fanouts[l:]; a node at level l spans
-	// subCap[l] conceptual partitions.
-	depth := len(fanouts)
-	subCap := make([]int, depth+1)
-	subCap[depth] = 1
-	for l := depth - 1; l >= 0; l-- {
-		subCap[l] = subCap[l+1] * fanouts[l]
-	}
-	t.levels = make([][]K, depth)
-	nodes := 1
-	for l := 0; l < depth; l++ {
-		f := fanouts[l]
-		level := make([]K, nodes*(f-1))
-		for n := 0; n < nodes; n++ {
-			off := n * subCap[l] // conceptual partition offset of this node
-			for i := 0; i < f-1; i++ {
-				level[n*(f-1)+i] = conceptual[off+(i+1)*subCap[l+1]-1]
+	lg := bits.Len(uint(len(delims))) // ceil(log2(len(delims)+1))
+	n := 1 << lg
+	t := &Tree[K]{t: make([]K, n), lg: lg, p: len(delims) + 1}
+	// Level l holds 2^l slots; its j-th slot is the padded delimiter of
+	// rank (2j+1)*2^(L-1-l) - 1.
+	for l := 0; l < lg; l++ {
+		half := n >> (l + 1)
+		for j := 0; j < 1<<l; j++ {
+			d := kv.MaxKey[K]()
+			if r := (2*j+1)*half - 1; r < len(delims) {
+				d = delims[r]
 			}
+			t.t[1<<l+j] = d
 		}
-		t.levels[l] = level
-		nodes *= f
 	}
 	return t
 }
 
-// nodeUpperBound returns the number of delimiters in node that are <= key.
-// A node holds at most a few lane-widths of delimiters, so this linear
-// lane-parallel count is the scalar expression of the paper's
-// cmpgt + packs + movemask + bsf sequence. The count accumulates flag-set
-// results instead of branching: every delimiter contributes one compare and
-// one add, with no data-dependent jump for the predictor to miss.
-func nodeUpperBound[K kv.Key](node []K, key K) int {
-	j := 0
-	for _, d := range node {
-		var c int
-		if d <= key {
+// Partition computes the range function for one key: the number of
+// delimiters <= key, i.e. the index of the first delimiter greater than it.
+func (t *Tree[K]) Partition(key K) int {
+	tt := t.t
+	_ = tt[0] // with len(tt) > 0 known, b&m < len(tt) drops the bounds checks
+	m := uint(len(tt) - 1)
+	b := uint(1)
+	for l := 0; l < t.lg; l++ {
+		c := uint(0)
+		if tt[b&m] <= key { // lowers to SETcc, not a branch
 			c = 1
 		}
-		j += c
+		b = 2*b + c
 	}
-	return j
-}
-
-// Partition computes the range function for one key: the index of the first
-// delimiter greater than the key.
-func (t *Tree[K]) Partition(key K) int {
-	r := 0
-	for l, f := range t.fanouts {
-		base := r * (f - 1)
-		r = r*f + nodeUpperBound(t.levels[l][base:base+f-1], key)
-	}
-	if r >= t.p {
-		r = t.p - 1
-	}
-	return r
+	// Padding is kv.MaxKey, so only key == kv.MaxKey can count a pad slot.
+	return min(int(b-uint(len(tt))), t.p-1)
 }
 
 // Fanout returns the number of partitions P.
@@ -113,109 +74,66 @@ func (t *Tree[K]) Fanout() int {
 	return t.p
 }
 
-// Capacity returns the padded tree capacity (product of level fanouts).
-func (t *Tree[K]) Capacity() int {
-	return t.cap
-}
-
-// Levels returns the per-level fanouts of the configuration.
-func (t *Tree[K]) Levels() []int {
-	return append([]int(nil), t.fanouts...)
-}
-
-// LookupBatch computes the range function for a batch of keys, walking all
-// keys through the tree level-synchronously. This is the paper's N-at-a-time
-// loop unrolling, widened from the paper's 4 to 8 in-flight keys: each key's
-// level walk is a chain of dependent loads, so with 8 independent chains the
-// node loads overlap instead of serializing — which is where most of the
-// index's speedup over binary search comes from, and scalar Go needs the
-// extra width because one "node search" is several scalar compares, not one
-// vector op. The tail (at most 7 keys) runs the scalar reference Partition,
-// so results are bit-identical at every length.
+// LookupBatch computes the range function for a batch of keys, walking 8
+// keys through the tree level-synchronously (the paper's N-at-a-time loop
+// unrolling). Each key's descent is a chain of dependent loads; with 8
+// independent chains in flight their loads overlap instead of serializing.
+// The tail (at most 7 keys) runs Partition, so results are bit-identical at
+// every length.
 func (t *Tree[K]) LookupBatch(keys []K, out []int32) {
 	if len(out) < len(keys) {
 		panic("rangeidx: output batch too small")
 	}
-	const unroll = 8
+	tt := t.t
+	_ = tt[0]
+	m := uint(len(tt) - 1)
+	lg := t.lg
+	last := t.p - 1
 	i := 0
-	var r [unroll]int
-	for ; i+unroll <= len(keys); i += unroll {
-		for u := range r {
-			r[u] = 0
-		}
-		for l, f := range t.fanouts {
-			level := t.levels[l]
-			for u := 0; u < unroll; u++ {
-				base := r[u] * (f - 1)
-				r[u] = r[u]*f + nodeUpperBound(level[base:base+f-1], keys[i+u])
+	for ; i+8 <= len(keys); i += 8 {
+		k := keys[i : i+8 : i+8]
+		b0, b1, b2, b3, b4, b5, b6, b7 := uint(1), uint(1), uint(1), uint(1), uint(1), uint(1), uint(1), uint(1)
+		for l := 0; l < lg; l++ {
+			var c0, c1, c2, c3, c4, c5, c6, c7 uint
+			if tt[b0&m] <= k[0] {
+				c0 = 1
 			}
-		}
-		for u := 0; u < unroll; u++ {
-			if r[u] >= t.p {
-				r[u] = t.p - 1
+			if tt[b1&m] <= k[1] {
+				c1 = 1
 			}
-			out[i+u] = int32(r[u])
+			if tt[b2&m] <= k[2] {
+				c2 = 1
+			}
+			if tt[b3&m] <= k[3] {
+				c3 = 1
+			}
+			if tt[b4&m] <= k[4] {
+				c4 = 1
+			}
+			if tt[b5&m] <= k[5] {
+				c5 = 1
+			}
+			if tt[b6&m] <= k[6] {
+				c6 = 1
+			}
+			if tt[b7&m] <= k[7] {
+				c7 = 1
+			}
+			b0, b1, b2, b3 = 2*b0+c0, 2*b1+c1, 2*b2+c2, 2*b3+c3
+			b4, b5, b6, b7 = 2*b4+c4, 2*b5+c5, 2*b6+c6, 2*b7+c7
 		}
+		o := out[i : i+8 : i+8]
+		n := m + 1
+		o[0] = int32(min(int(b0-n), last))
+		o[1] = int32(min(int(b1-n), last))
+		o[2] = int32(min(int(b2-n), last))
+		o[3] = int32(min(int(b3-n), last))
+		o[4] = int32(min(int(b4-n), last))
+		o[5] = int32(min(int(b5-n), last))
+		o[6] = int32(min(int(b6-n), last))
+		o[7] = int32(min(int(b7-n), last))
 	}
 	for ; i < len(keys); i++ {
 		out[i] = int32(t.Partition(keys[i]))
 	}
-}
-
-// treeConfigs is the menu of sensible fanout configurations (Section
-// 3.5.2): levels of the SIMD-friendly form k*W+1 (5-, 9-way for W=4) under
-// an 8-way vertical root, matching the paper's 360-way (8x5x9), 1000-way
-// (8x5x5x5) and 1800-way (8x5x5x9) picks, with smaller and larger
-// configurations completing the menu.
-var treeConfigs = [][]int{
-	{5},             // 5
-	{9},             // 9
-	{8},             // 8 (vertical root only)
-	{5, 5},          // 25
-	{8, 5},          // 40
-	{8, 9},          // 72
-	{5, 5, 5},       // 125
-	{8, 5, 5},       // 200
-	{8, 5, 9},       // 360
-	{8, 5, 5, 5},    // 1000
-	{8, 5, 5, 9},    // 1800
-	{8, 5, 9, 9},    // 3240
-	{8, 9, 9, 9},    // 5832
-	{8, 5, 5, 5, 9}, // 9000
-}
-
-// ChooseFanouts returns the smallest menu configuration with capacity at
-// least p partitions.
-func ChooseFanouts(p int) []int {
-	best := []int(nil)
-	bestCap := 0
-	for _, cfg := range treeConfigs {
-		c := 1
-		for _, f := range cfg {
-			c *= f
-		}
-		if c >= p && (best == nil || c < bestCap) {
-			best, bestCap = cfg, c
-		}
-	}
-	if best == nil {
-		// Extend the largest configuration with 9-way levels.
-		cfg := append([]int(nil), treeConfigs[len(treeConfigs)-1]...)
-		c := 1
-		for _, f := range cfg {
-			c *= f
-		}
-		for c < p {
-			cfg = append(cfg, 9)
-			c *= 9
-		}
-		return cfg
-	}
-	return append([]int(nil), best...)
-}
-
-// NewTreeFor builds a tree for the given delimiters using the best menu
-// configuration.
-func NewTreeFor[K kv.Key](delims []K) *Tree[K] {
-	return BuildTree(delims, ChooseFanouts(len(delims)+1))
 }

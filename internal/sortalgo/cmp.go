@@ -90,8 +90,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		ref = splitter.RefineDuplicates(sampled)
 		tree = rangeidx.NewTreeFor(ref.Delims)
 	})
-	fanout := len(ref.Delims) + 1
-	fn := treeBatchFunc[K]{tree, fanout}
+	fanout := tree.Fanout()
 
 	if tmpK == nil {
 		// In-place: the first pass fans out through the block-permutation
@@ -106,7 +105,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		pass0 := obs.BeginPassIn("cmp", 0, -1)
 		starts := w.Ints(fanout + 1)
 		timed(st, "cmp", phPartition, func() {
-			part.BlockPermute(w, keys, vals, fn, cmpBlockTuples(n, fanout, t), t, starts, nil, ctl)
+			part.BlockPermute(w, keys, vals, tree, cmpBlockTuples(n, fanout, t), t, starts, nil, ctl)
 		})
 		pass0.EndN(int64(n))
 		cmpRecurseAll[K](keys, vals, nil, nil, starts, ref.SingleKey, true, opt, ct)
@@ -129,7 +128,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		fault.Inject(fault.SiteCMPPass)
 		pass0 := obs.BeginPassIn("cmp", 0, -1)
 		timed(st, "cmp", phHistogram, func() {
-			hists, bounds = part.ParallelHistogramsCodes(w, keys, fn, codes, t, ctl)
+			hists, bounds = part.ParallelHistogramsCodes(w, keys, tree, codes, t, ctl)
 		})
 		timed(st, "cmp", phPartition, func() {
 			part.ParallelNonInPlaceCodes(w, keys, vals, tmpK, tmpV, codes, hists, 0, ctl)
@@ -167,7 +166,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		for r := 0; r < c; r++ {
 			g.Go(func() {
 				lo, hi := inBounds[r], inBounds[r+1]
-				regionHists[r], regionChunks[r] = part.ParallelHistogramsCodes(w, keys[lo:hi], fn, codes[lo:hi], tpr, ctl)
+				regionHists[r], regionChunks[r] = part.ParallelHistogramsCodes(w, keys[lo:hi], tree, codes[lo:hi], tpr, ctl)
 			})
 		}
 		g.Wait()
@@ -460,7 +459,7 @@ func cmpRecurse[K kv.Key](xK, xV, yK, yV []K, wantInX bool, opt Options, ct int,
 	sampled := splitter.ForThreads(xK, opt.RangeFanout, opt.Seed+uint64(n))
 	ref := splitter.RefineDuplicates(sampled)
 	tree := rangeidx.NewTreeFor(ref.Delims)
-	fanout := len(ref.Delims) + 1
+	fanout := tree.Fanout()
 	codes := w.Int32s(n)
 	hist := part.HistogramCodesBatchInto(w.Ints(fanout), xK, tree, codes)
 	starts, _ := part.StartsInto(w.Ints(fanout), hist)
@@ -511,25 +510,4 @@ func cmpBlockTuples(n, fanout, workers int) int {
 		b >>= 1
 	}
 	return b
-}
-
-// treeBatchFunc adapts a range tree to pfunc.Func and BatchLookuper with a
-// fixed fanout.
-type treeBatchFunc[K kv.Key] struct {
-	t *rangeidx.Tree[K]
-	p int
-}
-
-func (f treeBatchFunc[K]) Partition(k K) int {
-	q := f.t.Partition(k)
-	if q >= f.p {
-		q = f.p - 1
-	}
-	return q
-}
-
-func (f treeBatchFunc[K]) Fanout() int { return f.p }
-
-func (f treeBatchFunc[K]) LookupBatch(keys []K, out []int32) {
-	f.t.LookupBatch(keys, out)
 }

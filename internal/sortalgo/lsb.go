@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/pfunc"
-	"repro/internal/rangeidx"
 	"repro/internal/splitter"
 )
 
@@ -616,20 +615,3 @@ func (f rangeRadix[K]) Partition(k K) int {
 func (f rangeRadix[K]) Fanout() int {
 	return f.rp * f.radix.Fanout()
 }
-
-// treeFunc adapts a range tree to pfunc.Func with a fixed fanout (the tree
-// may have trailing empty partitions after delimiter padding).
-type treeFunc[K kv.Key] struct {
-	t *rangeidx.Tree[K]
-	p int
-}
-
-func (f treeFunc[K]) Partition(k K) int {
-	q := f.t.Partition(k)
-	if q >= f.p {
-		q = f.p - 1
-	}
-	return q
-}
-
-func (f treeFunc[K]) Fanout() int { return f.p }

@@ -77,12 +77,12 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 		topBits = 1
 	}
 	var ref splitter.Refined[K]
-	var fn treeBatchFunc[K]
+	var fn *rangeidx.Tree[K]
 	timed(st, "msb", phHistogram, func() {
 		sampled := splitter.ForThreads(keys, t, opt.Seed)
 		delims := splitter.Union(sampled, splitter.RadixBoundaries[K](topBits))
 		ref = splitter.RefineDuplicates(delims)
-		fn = treeBatchFunc[K]{rangeidx.NewTreeFor(ref.Delims), len(ref.Delims) + 1}
+		fn = rangeidx.NewTreeFor(ref.Delims)
 	})
 
 	// Fan the keys out into per-range contiguous segments with one block

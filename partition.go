@@ -182,10 +182,11 @@ func Histogram[K Key, F PartitionFunc[K]](keys []K, fn F) []int {
 	return part.Histogram(keys, fn)
 }
 
-// RangeIndex computes range partition functions through the paper's
-// cache-resident pointerless tree (Section 3.5.2): given P-1 sorted
-// delimiters, Lookup(k) returns the partition whose range holds k, paying
-// a few lane-parallel node searches instead of log2(P) dependent loads.
+// RangeIndex computes range partition functions through a cache-resident
+// pointerless tree (the paper's Section 3.5.2 index with binary nodes, as
+// in IPS⁴o's splitter tree): given P-1 sorted delimiters, Lookup(k)
+// returns the partition whose range holds k after ceil(log2 P)
+// branch-free compares.
 type RangeIndex[K Key] struct {
 	tree *rangeidx.Tree[K]
 }
@@ -207,8 +208,8 @@ func (ix *RangeIndex[K]) Lookup(k K) int {
 	return ix.tree.Partition(k)
 }
 
-// LookupBatch computes partitions for a batch of keys with the 4-way
-// unrolled level-synchronous walk; out must have len(keys) capacity.
+// LookupBatch computes partitions for a batch of keys, walking 8 keys
+// through the tree level-synchronously; out must have len(keys) capacity.
 func (ix *RangeIndex[K]) LookupBatch(keys []K, out []int32) {
 	ix.tree.LookupBatch(keys, out)
 }

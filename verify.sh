@@ -17,9 +17,13 @@ go run ./cmd/sortcli -n 100000 -algo lsb > /dev/null
 # output checked against the input multiset.
 go run ./cmd/sortcli -n 200000 -algo msb -threads 4 -regions 4 -verify > /dev/null
 # CMP end to end with its in-cache quicksort leaf; the Zipf lane adds
-# single-key partitions and duplicate-heavy leaves.
+# single-key partitions and duplicate-heavy leaves, and the 32-bit lane
+# runs the range index on 32-bit keys.
 go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 2 -verify > /dev/null
 go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 2 -dist zipf -verify > /dev/null
+go run ./cmd/sortcli -n 200000 -algo cmp -width 32 -threads 2 -verify > /dev/null
+# Range index: Partition and LookupBatch fuzzed against binary search.
+go test -run '^$' -fuzz '^FuzzRangeIndex$' -fuzztime 10s .
 go run ./cmd/partcli -n 100000 -variant sync -threads 4 > /dev/null
 go run ./cmd/tracecli -n 65536 -fanout 512 > /dev/null
 go test -run xxx -bench 'Fig03|Fig09' -benchtime 0.2s . > /dev/null
