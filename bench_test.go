@@ -535,12 +535,11 @@ func BenchmarkAblation_RangeIndex(b *testing.B) {
 
 // BenchmarkLSBReuse measures the server scenario the workspace exists for:
 // the same-shaped sort repeated many times. "fresh" is the workspace-less
-// path — scratch, tables, and line buffers allocated per call, histograms
-// recomputed before every pass; "workspace" serves every buffer from a warm
-// arena and fuses all pass histograms into the first read scan (one scan
-// instead of one per pass, Section 4.2.1). Threads=1 keeps both sides on
-// their single-worker drivers so the comparison isolates reuse + fusion
-// rather than goroutine scheduling.
+// path — scratch, tables, and line buffers allocated per call; "workspace"
+// serves every buffer from a warm arena. Both arms run the single-worker
+// driver, which takes every pass's histogram in one read scan (Section
+// 4.2.1), so the comparison isolates buffer reuse rather than goroutine
+// scheduling or histogramming.
 func BenchmarkLSBReuse(b *testing.B) {
 	const n = 1 << 20
 	keys := gen.Uniform[uint32](n, 0, 5)
@@ -604,33 +603,24 @@ func BenchmarkScatterAlloc(b *testing.B) {
 // BenchmarkAuxMemory measures the peak auxiliary footprint of the
 // parallel fan-out paths: each arm runs with a warm workspace and reports
 // the run's SortStats.PeakAuxBytes (the arena's checked-out high-water
-// mark) as peakaux-MB next to throughput. The in-place arms are the PR
-// defaults (block-permutation fan-out); the baseline arm is CMP's legacy
-// linear tmp pair + codes column, run by sortalgo.CMP on the benchmark's
-// own tmp pair (its unmetered tmp added back analytically).
-// EXPERIMENTS.md records the 2^26-tuple sweep.
+// mark) as peakaux-MB next to throughput. Both arms are the in-place
+// defaults (block-permutation fan-out). EXPERIMENTS.md records the
+// 2^26-tuple sweep.
 func BenchmarkAuxMemory(b *testing.B) {
 	for _, n := range []int{1 << 22, 1 << 26} {
 		baseKeys := gen.Uniform[uint64](n, 0, 77)
 		baseVals := RIDs[uint64](n)
 		keys := make([]uint64, n)
 		vals := make([]uint64, n)
-		tmpK := make([]uint64, n) // CMP/scratch baseline's caller scratch
-		tmpV := make([]uint64, n)
 		arms := []struct {
-			name     string
-			extraAux uint64 // caller-provided scratch the arena cannot see
-			run      func(opt *SortOptions)
+			name string
+			run  func(opt *SortOptions)
 		}{
-			{"MSB/inplace", 0, func(opt *SortOptions) {
+			{"MSB/inplace", func(opt *SortOptions) {
 				SortMSB(keys, vals, opt)
 			}},
-			{"CMP/inplace", 0, func(opt *SortOptions) {
+			{"CMP/inplace", func(opt *SortOptions) {
 				SortCMP(keys, vals, opt)
-			}},
-			{"CMP/scratch", uint64(2 * n * 8), func(opt *SortOptions) {
-				io, _ := opt.toInternal()
-				sortalgo.CMP(keys, vals, tmpK, tmpV, io)
 			}},
 		}
 		for _, a := range arms {
@@ -651,7 +641,7 @@ func BenchmarkAuxMemory(b *testing.B) {
 					b.StartTimer()
 					a.run(opt)
 				}
-				b.ReportMetric(float64(st.PeakAuxBytes+a.extraAux)/(1<<20), "peakaux-MB")
+				b.ReportMetric(float64(st.PeakAuxBytes)/(1<<20), "peakaux-MB")
 				reportMtps(b, n)
 			})
 		}

@@ -48,7 +48,13 @@ func (r *histRunner[K, F]) RunTask(t int) {
 	sp := obs.Begin(name, "worker", t)
 	h := r.hists[t]
 	clear(h)
-	bl, batch := any(r.fn).(BatchLookuper[K])
+	// Only the codes path can use a batch lookup; asserting on the radix
+	// path would box fn in every worker on every call.
+	var bl BatchLookuper[K]
+	batch := false
+	if r.codes != nil {
+		bl, batch = any(r.fn).(BatchLookuper[K])
+	}
 	for c := lo; c < hi; c += hard.CkptTuples {
 		r.ctl.Checkpoint()
 		e := min(c+hard.CkptTuples, hi)
@@ -209,11 +215,11 @@ func ParallelNonInPlace[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, 
 
 // ParallelScatter is the data-movement half of ParallelNonInPlace: given
 // per-worker histograms hists[t] of srcK[bounds[t]:bounds[t+1]], scatter
-// the tuples into dst starting at offset base. A nil bounds means
-// ChunkBounds(len(srcK), len(hists)); the fused-histogram LSB path passes
-// explicit bounds aligned to the previous pass's digit groups. Callers that
-// need the histogram and movement phases timed separately use
-// ParallelHistograms + ParallelScatter.
+// the tuples into dst starting at offset base. bounds is the chunking
+// ParallelHistograms returned with hists; nil means
+// ChunkBounds(len(srcK), len(hists)). Callers that need the histogram and
+// movement phases timed separately use ParallelHistograms +
+// ParallelScatter.
 //
 // Workers checkpoint ctl every hard.CkptTuples tuples. Interruption leaves
 // src intact (only disjoint dst shares are partially written), so the sort

@@ -99,26 +99,6 @@ func seamKernels[F pfunc.Func[uint32]](t *testing.T, keys, vals []uint32, fn F) 
 			w.PutMatrix(hists)
 			w.PutInts(bounds)
 		}},
-		{"FusedHistograms", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {
-			r, ok := any(fn).(pfunc.Radix[uint32])
-			if !ok {
-				t.Skip("fused histograms take radix bit ranges")
-			}
-			lo := uint(r.Shift)
-			ranges := [][2]uint{{lo, lo + 8}, {lo + 8, lo + 16}}
-			h0, joints := FusedHistograms(w, keys, ranges, chunks, ctl)
-			sameHists(t, h0, chunks)
-			want := make([]int, 1<<16)
-			next := pfunc.NewRadix[uint32](lo+8, lo+16)
-			for _, k := range keys {
-				want[fn.Partition(k)<<8+next.Partition(k)]++
-			}
-			if !slices.Equal(joints[0], want) {
-				t.Fatal("joint digit-pair histogram differs from the serial count")
-			}
-			w.PutMatrix(h0)
-			w.PutMatrix(joints)
-		}},
 		{"ParallelScatter", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {
 			hists, bounds := ParallelHistograms(w, keys, fn, workers, ctl)
 			dstK, dstV := make([]uint32, n), make([]uint32, n)

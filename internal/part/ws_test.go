@@ -239,87 +239,6 @@ func TestChunkBoundsInto(t *testing.T) {
 	}
 }
 
-// TestFusedHistograms checks the one-read-pass tables against the
-// independently computed per-pass and per-chunk histograms.
-func TestFusedHistograms(t *testing.T) {
-	w := ws.New()
-	defer w.Close()
-	ranges := [][2]uint{{0, 6}, {6, 12}, {12, 17}}
-	for name, keys := range workloads32(6000) {
-		t.Run(name, func(t *testing.T) {
-			workers := 4
-			bounds := ChunkBounds(len(keys), workers)
-			h0, joints := FusedHistograms(w, keys, ranges, bounds, nil)
-
-			// Pass-0 per-worker histograms match direct chunk histograms.
-			fn0 := pfunc.NewRadix[uint32](ranges[0][0], ranges[0][1])
-			for t2 := 0; t2 < workers; t2++ {
-				direct := Histogram(keys[bounds[t2]:bounds[t2+1]], fn0)
-				for p := range direct {
-					if h0[t2][p] != direct[p] {
-						t.Fatalf("h0[%d][%d] = %d, want %d", t2, p, h0[t2][p], direct[p])
-					}
-				}
-			}
-
-			// Joint row/column sums match global per-pass histograms.
-			multi := MultiHistogram(keys, ranges)
-			for k := 0; k+1 < len(ranges); k++ {
-				pk := 1 << (ranges[k][1] - ranges[k][0])
-				pk1 := 1 << (ranges[k+1][1] - ranges[k+1][0])
-				for d := 0; d < pk; d++ {
-					sum := 0
-					for e := 0; e < pk1; e++ {
-						sum += joints[k][d*pk1+e]
-					}
-					if sum != multi[k][d] {
-						t.Fatalf("joint[%d] row %d sums to %d, want %d", k, d, sum, multi[k][d])
-					}
-				}
-				for e := 0; e < pk1; e++ {
-					sum := 0
-					for d := 0; d < pk; d++ {
-						sum += joints[k][d*pk1+e]
-					}
-					if sum != multi[k+1][e] {
-						t.Fatalf("joint[%d] col %d sums to %d, want %d", k, e, sum, multi[k+1][e])
-					}
-				}
-			}
-			w.PutMatrix(h0)
-			w.PutMatrix(joints)
-		})
-	}
-}
-
-func TestFusedHistogramsSinglePass(t *testing.T) {
-	w := ws.New()
-	defer w.Close()
-	keys := gen.Uniform[uint32](1000, 0, 3)
-	bounds := ChunkBounds(len(keys), 2)
-	h0, joints := FusedHistograms(w, keys, [][2]uint{{0, 8}}, bounds, nil)
-	if joints != nil {
-		t.Fatal("single pass must not build joint tables")
-	}
-	merged := MergeHistograms(h0)
-	direct := Histogram(keys, pfunc.NewRadix[uint32](0, 8))
-	for p := range direct {
-		if merged[p] != direct[p] {
-			t.Fatalf("merged h0[%d] = %d, want %d", p, merged[p], direct[p])
-		}
-	}
-	w.PutMatrix(h0)
-}
-
-func TestFusedJointCells(t *testing.T) {
-	if got := FusedJointCells([][2]uint{{0, 8}}); got != 0 {
-		t.Fatalf("single pass cells = %d", got)
-	}
-	if got := FusedJointCells([][2]uint{{0, 8}, {8, 16}, {16, 20}}); got != 1<<16+1<<12 {
-		t.Fatalf("cells = %d", got)
-	}
-}
-
 // TestParallelWSMatchesPlain drives the parallel drivers with a workspace
 // against the same drivers with a nil (allocating) workspace.
 func TestParallelWSMatchesPlain(t *testing.T) {

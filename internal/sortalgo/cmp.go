@@ -21,13 +21,15 @@ import (
 // are cache-resident, then an in-place leaf sort. The paper's leaf is
 // SIMD comb-sort with W-way lane merging (CombSorter); without 128-bit
 // min/max instructions that runs as a scalar lane emulation, so the leaf
-// here is Quicksort, a branchless-partition introsort. The first pass is
-// NUMA-aware: regions partition locally and one shuffle moves each tuple
-// across the interconnect at most once. tmpK/tmpV is the linear auxiliary
-// space; passing nil tmp arrays selects the in-place variant —
-// block-permutation first pass, pooled recursion scratch for partitions
-// that are not yet cache-resident — which ignores the NUMA topology. Not
-// stable.
+// here is Quicksort, a branchless-partition introsort.
+//
+// The first pass is one of two layouts. With a topology of more than one
+// region, tmpK/tmpV given and Oblivious unset, it is NUMA-aware: regions
+// partition locally into tmp and one shuffle moves each tuple across the
+// interconnect at most once. Otherwise it permutes blocks in place
+// (part.BlockPermute); tmpK/tmpV, when given, are then only the
+// recursion's ping-pong scratch, and nil tmp arrays make the recursion
+// draw per-partition scratch from the workspace pool instead. Not stable.
 //
 // Unlike the radix sorts, CMP's splitters adapt to any distribution:
 // sampled delimiters balance the work under skew, and keys sampled twice
@@ -51,13 +53,13 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	width := kv.Width[K]()
 	ct := cacheTuples(opt, width)
 
-	// Permutation restore on failure: only the cross-region shuffle
-	// overwrites keys before the recursion takes over, and tmp then still
-	// holds every tuple of the completed first pass, so copying tmp back
-	// makes keys a permutation of the input again. Everywhere else either
-	// keys is untouched (the first-pass scatter reads keys, writes tmp) or
-	// cmpRecurseAll's own handler has already repaired the recursion's
-	// destination ranges.
+	// Permutation restore on failure: the cross-region shuffle overwrites
+	// keys while tmp still holds every tuple of the completed NUMA first
+	// pass, so copying tmp back makes keys a permutation of the input
+	// again. Everywhere else either keys is untouched (the NUMA scatter
+	// reads keys, writes tmp), or BlockPermute's handler has left keys a
+	// permutation, or cmpRecurseAll's own handler has already repaired the
+	// recursion's destination ranges.
 	inShuffle := false
 	defer func() {
 		if e := recover(); e != nil {
@@ -82,7 +84,8 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	c := opt.regions()
 	t := opt.Threads
 
-	// Pass 1: global splitters, then region-local partition + shuffle.
+	// Pass 1: global splitters, then the block permutation or the
+	// region-local partition + shuffle.
 	var ref splitter.Refined[K]
 	var tree *rangeidx.Tree[K]
 	timed(st, "cmp", phHistogram, func() {
@@ -92,14 +95,14 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	})
 	fanout := tree.Fanout()
 
-	if tmpK == nil {
-		// In-place: the first pass fans out through the block-permutation
-		// kernel (O(threads × fanout × B) scratch instead of the linear tmp
-		// arrays plus a codes column), and the recursion draws per-partition
-		// scratch from the workspace pool, bounded by the largest top-level
-		// partition per worker. The NUMA-aware layout needs tmp (the
-		// cross-region shuffle routes through it), so a nil-tmp request runs
-		// obliviously regardless of the topology.
+	if tmpK == nil || c == 1 || opt.Oblivious {
+		// The first pass fans out in place through the block-permutation
+		// kernel: O(threads × fanout × B) scratch, no codes column. The
+		// recursion ping-pongs through tmp when it is given and otherwise
+		// draws per-partition scratch from the workspace pool, bounded by
+		// the largest top-level partition per worker. The NUMA-aware layout
+		// needs tmp (the cross-region shuffle routes through it), so a
+		// nil-tmp request runs obliviously regardless of the topology.
 		ctl.CheckpointNow()
 		fault.Inject(fault.SiteCMPPass)
 		pass0 := obs.BeginPassIn("cmp", 0, -1)
@@ -108,7 +111,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 			part.BlockPermute(w, keys, vals, tree, cmpBlockTuples(n, fanout, t), t, starts, nil, ctl)
 		})
 		pass0.EndN(int64(n))
-		cmpRecurseAll[K](keys, vals, nil, nil, starts, ref.SingleKey, true, opt, ct)
+		cmpRecurseAll(keys, vals, tmpK, tmpV, starts, ref.SingleKey, opt, ct)
 		w.PutInts(starts)
 		if st != nil {
 			st.Passes++
@@ -118,37 +121,6 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 
 	codes := w.Int32s(n)
 	defer w.PutInt32s(codes)
-
-	var outBounds []int // per-region segment bounds after the shuffle
-	var starts []int    // global per-partition start offsets
-	if c == 1 || opt.Oblivious {
-		var hists [][]int
-		var bounds []int
-		ctl.CheckpointNow()
-		fault.Inject(fault.SiteCMPPass)
-		pass0 := obs.BeginPassIn("cmp", 0, -1)
-		timed(st, "cmp", phHistogram, func() {
-			hists, bounds = part.ParallelHistogramsCodes(w, keys, tree, codes, t, ctl)
-		})
-		timed(st, "cmp", phPartition, func() {
-			part.ParallelNonInPlaceCodes(w, keys, vals, tmpK, tmpV, codes, hists, 0, ctl)
-		})
-		pass0.EndN(int64(n))
-		merged := part.MergeHistogramsInto(w.Ints(fanout), hists)
-		starts = w.Ints(fanout + 1)
-		part.StartsInto(starts[:fanout], merged)
-		starts[fanout] = n
-		w.PutInts(merged)
-		w.PutMatrix(hists)
-		w.PutInts(bounds)
-		// Data is in tmp; recursion delivers results back into keys.
-		cmpRecurseAll(tmpK, tmpV, keys, vals, starts, ref.SingleKey, false, opt, ct)
-		w.PutInts(starts)
-		if st != nil {
-			st.Passes++
-		}
-		return
-	}
 
 	// NUMA-aware: each region partitions its input segment into its tmp
 	// segment, then partitions are grouped into C contiguous runs of
@@ -198,8 +170,8 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	groupOf := groupRanges(totals, n, c)
 	// Global layout: partition-major, source-region order within each.
 	dstOff := w.Matrix(c, fanout)
-	starts = w.Ints(fanout + 1)
-	outBounds = make([]int, c+1)
+	starts := w.Ints(fanout + 1)  // global per-partition start offsets
+	outBounds := make([]int, c+1) // per-region segment bounds after the shuffle
 	o := 0
 	prevGroup := 0
 	for q := 0; q < fanout; q++ {
@@ -268,7 +240,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 
 	// Recursion: data is in keys (post-shuffle); results must stay in
 	// keys, scratch is tmp.
-	cmpRecurseAll(keys, vals, tmpK, tmpV, starts, ref.SingleKey, true, opt, ct)
+	cmpRecurseAll(keys, vals, tmpK, tmpV, starts, ref.SingleKey, opt, ct)
 	w.PutInts(starts)
 }
 
@@ -280,14 +252,8 @@ type cmpWorker[K kv.Key] struct {
 	xK, xV, yK, yV []K
 	starts         []int
 	singleKey      []bool
-	wantInX        bool
 	opt            Options
 	ct             int
-	// claimed[q] is set the moment a worker claims partition q; a claimed
-	// partition's destination range is always repaired by cmpRecurse's own
-	// unwind handler, so the cmpRecurseAll coordinator only fixes unclaimed
-	// ones. nil on the legacy (no-Ctl) path.
-	claimed        []int32
 	next           atomic.Int64
 	passNs, leafNs atomic.Int64
 }
@@ -302,24 +268,14 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 		if q >= nq {
 			break
 		}
-		if r.claimed != nil {
-			r.claimed[q] = 1
-		}
 		lo, hi := r.starts[q], r.starts[q+1]
-		if hi-lo == 0 {
-			continue
-		}
 		single := int(q) < len(r.singleKey) && r.singleKey[q]
-		if single || hi-lo == 1 {
-			if !r.wantInX {
-				copy(r.yK[lo:hi], r.xK[lo:hi])
-				copy(r.yV[lo:hi], r.xV[lo:hi])
-			}
+		if single || hi-lo <= 1 {
 			continue
 		}
 		switch {
 		case r.yK != nil:
-			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], r.yK[lo:hi], r.yV[lo:hi], r.wantInX, r.opt, r.ct, &r.passNs, &r.leafNs)
+			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], r.yK[lo:hi], r.yV[lo:hi], true, r.opt, r.ct, &r.passNs, &r.leafNs)
 		case hi-lo <= r.ct:
 			// In-place mode, cache-resident partition: the leaf sorts x in
 			// place and never touches the scratch side.
@@ -343,55 +299,30 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 }
 
 // cmpRecurseAll distributes the top-level partitions over the worker pool.
-// Data sits in xK/xV at the offsets given by starts; results land in x
-// when wantInX, else in y. Leaf and pass CPU time are accumulated
+// Data sits in xK/xV at the offsets given by starts, and the results land
+// there too; yK/yV is the recursion's ping-pong scratch, or nil to draw it
+// per partition from the workspace pool. On failure every partition still
+// holds a permutation of its tuples in x: a claimed one because
+// cmpRecurse's unwind handler repairs its destination, an unclaimed one
+// because nothing has touched it. Leaf and pass CPU time are accumulated
 // separately and the measured wall clock of the whole recursion is split
 // proportionally between the LocalRadix (range passes) and CacheSort
 // phases.
-func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool, wantInX bool, opt Options, ct int) {
+func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool, opt Options, ct int) {
 	st := opt.Stats
 	w := opt.Workspace
-	ctl := opt.Ctl
-	nq := len(starts) - 1
-	// Workers claim top-level partitions in arbitrary order, so on failure
-	// the array state is: claimed partitions' destination ranges repaired by
-	// cmpRecurse's unwind handlers, unclaimed ones still holding their
-	// tuples in x. When the destination is y, copy those across to make the
-	// whole destination a permutation of the input.
-	var claimed []int32
-	if ctl != nil {
-		claimed = make([]int32, nq)
-	}
-	defer func() {
-		e := recover()
-		if e == nil {
-			return
-		}
-		if claimed != nil && !wantInX {
-			for q := 0; q < nq; q++ {
-				if claimed[q] == 0 {
-					lo, hi := starts[q], starts[q+1]
-					copy(yK[lo:hi], xK[lo:hi])
-					copy(yV[lo:hi], xV[lo:hi])
-				}
-			}
-		}
-		panic(hard.NewPanic(e))
-	}()
 	begin := time.Now()
 	r := ws.Scratch[cmpWorker[K]](w, ws.SlotCmpWork)
 	r.xK, r.xV, r.yK, r.yV = xK, xV, yK, yV
-	r.starts, r.singleKey, r.wantInX = starts, singleKey, wantInX
+	r.starts, r.singleKey = starts, singleKey
 	r.opt, r.ct = opt, ct
-	r.claimed = claimed
 	r.next.Store(0)
 	r.passNs.Store(0)
 	r.leafNs.Store(0)
-	ws.RunWorkersCtl(w, opt.Threads, r, ctl)
+	ws.RunWorkersCtl(w, opt.Threads, r, opt.Ctl)
 	p, l := r.passNs.Load(), r.leafNs.Load()
 	r.xK, r.xV, r.yK, r.yV = nil, nil, nil, nil
 	r.starts, r.singleKey = nil, nil
-	r.claimed = nil
 	r.opt = Options{}
 	ws.PutScratch(w, ws.SlotCmpWork, r)
 	if st != nil && p+l > 0 {

@@ -271,33 +271,15 @@ func digitTrivial(hists [][]int, n int) bool {
 	return false
 }
 
-// fusedCellBudget caps the per-worker joint-histogram cells of the fused
-// LSB path: 2^12 ints = 32 KiB, the private-cache footprint below which the
-// joint increments are effectively free. Larger joint tables (e.g. 8-bit
-// passes: 3 x 2^16 cells = 1.5 MiB per worker) turn every
-// increment into a cache miss that costs more than the sequential per-pass
-// histogram scans they replace, so the driver falls back. On machines where
-// the scans are the bottleneck (many cores saturating memory bandwidth, the
-// paper's setting) a larger budget shifts the trade toward fusion.
-const fusedCellBudget = 1 << 12
-
 // lsbLocalN runs the stable radix passes of ranges over the data
 // currently in keys/vals, leaving the result in keys/vals. first is the
 // plan ordinal of ranges[0], the pass label; skip lets the drivers drop
-// digits whose histogram is trivial. It picks among three drivers:
-//
-//   - fused single-threaded (workspace only): all pass histograms in one
-//     scan (Section 4.2.1 — radix histograms are value-based, so reordering
-//     between passes cannot change them), tables held in the workspace, and
-//     direct kernel calls; zero steady-state allocations;
-//   - fused parallel (workspace only): one parallel read computes pass-0
-//     per-worker histograms plus joint digit-pair histograms, from which
-//     every later pass's per-worker histograms are derived without
-//     re-scanning (Section 4.2.1 generalized to threads), gated on the
-//     joint tables staying cache-resident;
-//   - per-pass: re-scan for histograms before every pass — the pre-workspace
-//     behavior and the fallback whenever no workspace exists (buffers are
-//     then allocated per call, as before).
+// digits whose histogram is trivial. One worker runs lsbSingle: all pass
+// histograms in one scan (Section 4.2.1 — radix histograms are
+// value-based, so reordering between passes cannot change them). More
+// workers run lsbPerPass, which re-scans per-chunk histograms before every
+// pass. Both draw their tables from opt.Workspace when one is set and
+// allocate them per call otherwise.
 //
 // A single-threaded sort that fits in cache scatters with Algorithm 1
 // (part.NonInPlaceInCache) instead of the line-buffered kernel.
@@ -310,12 +292,9 @@ func lsbLocalN[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, first int
 	r := lsbPasses[K]{srcK: keys, srcV: vals, dstK: tmpK, dstV: tmpV, first: first, opt: opt, ph: ph, skip: skip,
 		inCache: threads == 1 && lsbInCache(opt, n, kv.Width[K]())}
 	defer lsbRestore(keys, vals, &r.srcK, &r.srcV)
-	switch {
-	case threads == 1 && opt.Workspace != nil:
+	if threads == 1 {
 		lsbSingle(&r, ranges)
-	case threads > 1 && opt.Workspace != nil && len(ranges) > 1 && part.FusedJointCells(ranges) <= fusedCellBudget:
-		lsbFused(&r, ranges, threads)
-	default:
+	} else {
 		lsbPerPass(&r, ranges, threads)
 	}
 	if &r.srcK[0] != &keys[0] {
@@ -379,8 +358,8 @@ func lsbRestore[K kv.Key](keys, vals []K, srcK, srcV *[]K) {
 // lsbSingle is the single-threaded driver: one histogram scan for all
 // passes (accumulated into the flat padded layout so the per-pass rows stay
 // cache-set disjoint during the scan), then one scatter per pass, all
-// scratch pooled. Zero heap allocations in steady state with a warm
-// workspace.
+// scratch drawn from the workspace. Zero heap allocations in steady state
+// with a warm workspace.
 func lsbSingle[K kv.Key](r *lsbPasses[K], ranges [][2]uint) {
 	n := len(r.srcK)
 	w := r.opt.Workspace
@@ -446,107 +425,6 @@ func lsbPerPass[K kv.Key](r *lsbPasses[K], ranges [][2]uint, threads int) {
 		w.PutMatrix(hists)
 		w.PutInts(bounds)
 	}
-}
-
-// lsbFused is the fused-histogram parallel driver. One parallel read
-// (part.FusedHistograms) yields pass-0 per-worker histograms and global
-// joint digit-pair histograms. For pass k >= 1 the data is already grouped
-// by the previous pass's digit, so worker chunks are aligned to
-// digit-group boundaries (balanced with the same midpoint rule as the NUMA
-// range grouping) and each worker's pass-k histogram is the sum of the
-// joint rows of the digits it owns — no re-scan. Workers process whole
-// digit groups in position order, so stability is preserved. A pass that
-// follows a skipped (trivial) digit re-scans instead: the data is then not
-// grouped by that digit.
-func lsbFused[K kv.Key](r *lsbPasses[K], ranges [][2]uint, threads int) {
-	n := len(r.srcK)
-	w := r.opt.Workspace
-	ctl := r.opt.Ctl
-	maxP := 0
-	for _, rg := range ranges {
-		maxP = max(maxP, 1<<(rg[1]-rg[0]))
-	}
-
-	bounds0 := part.ChunkBoundsInto(w.Ints(threads+1), n)
-	var h0, joints [][]int
-	timed(r.opt.Stats, "lsb", phHistogram, func() {
-		h0, joints = part.FusedHistograms(w, r.srcK, ranges, bounds0, ctl)
-	})
-
-	// runPass scatters digit i unless it is trivial, and reports whether
-	// it ran.
-	runPass := func(i int, hists [][]int, bounds []int) bool {
-		if r.skip && digitTrivial(hists, n) {
-			return false
-		}
-		r.pass(i, ranges[i], func(sk, sv, dk, dv []K, fn pfunc.Radix[K]) {
-			part.ParallelScatter(w, sk, sv, dk, dv, fn, hists, 0, bounds, ctl)
-		})
-		return true
-	}
-
-	ran := runPass(0, h0, bounds0)
-
-	totals := w.Ints(maxP)  // per-digit totals of the previous pass
-	groupOf := w.Ints(maxP) // previous-pass digit -> owning worker
-	bounds := w.Ints(threads + 1)
-	prevP := len(h0[0])
-	for k := 1; k < len(ranges); k++ {
-		p := 1 << (ranges[k][1] - ranges[k][0])
-		if !ran {
-			fn := pfunc.NewRadix[K](ranges[k][0], ranges[k][1])
-			var hists [][]int
-			var rb []int
-			timed(r.opt.Stats, "lsb", phHistogram, func() {
-				hists, rb = part.ParallelHistograms(w, r.srcK, fn, threads, ctl)
-			})
-			ran = runPass(k, hists, rb)
-			w.PutMatrix(hists)
-			w.PutInts(rb)
-			prevP = p
-			continue
-		}
-		joint := joints[k-1] // prevP x p, flat
-		g := totals[:prevP]
-		for d := 0; d < prevP; d++ {
-			s := 0
-			for _, c := range joint[d*p : (d+1)*p] {
-				s += c
-			}
-			g[d] = s
-		}
-		groupRangesInto(groupOf[:prevP], g, n, threads)
-		hists := w.Matrix(threads, p)
-		for t := range hists {
-			clear(hists[t])
-		}
-		bounds[0] = 0
-		pos, cur := 0, 0
-		for d := 0; d < prevP; d++ {
-			for cur < groupOf[d] {
-				cur++
-				bounds[cur] = pos
-			}
-			hrow := hists[groupOf[d]]
-			for x, c := range joint[d*p : (d+1)*p] {
-				hrow[x] += c
-			}
-			pos += g[d]
-		}
-		for cur < threads {
-			cur++
-			bounds[cur] = pos
-		}
-		ran = runPass(k, hists, bounds)
-		w.PutMatrix(hists)
-		prevP = p
-	}
-	w.PutMatrix(h0)
-	w.PutMatrix(joints)
-	w.PutInts(bounds0)
-	w.PutInts(totals)
-	w.PutInts(groupOf)
-	w.PutInts(bounds)
 }
 
 // threadsPerRegion splits opt.Threads across the topology's regions

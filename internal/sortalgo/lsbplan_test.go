@@ -101,7 +101,7 @@ func TestLSBSkipsTrivialDigits(t *testing.T) {
 		{"single", byteKeys, 1, 8, w, 3},
 		{"perpass", byteKeys, 2, 8, w, 3},
 		{"perpass-nows", byteKeys, 2, 8, nil, 3},
-		{"fused", byteKeys, 4, 4, w, 6},
+		{"fused", byteKeys, 4, 4, w, 6}, // narrow digits, per-pass on 4 workers
 		{"plan-single", planKeys, 1, 0, w, 1},
 		{"plan-perpass", planKeys, 2, 0, nil, 1},
 	}

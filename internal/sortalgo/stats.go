@@ -288,12 +288,7 @@ func (o Options) regions() int {
 // range joins the group its center of mass falls in. Monotone by
 // construction, so group boundaries preserve range order.
 func groupRanges(totals []int, n, c int) []int {
-	return groupRangesInto(make([]int, len(totals)), totals, n, c)
-}
-
-// groupRangesInto is groupRanges into a caller-provided (pooled) array of
-// len(totals).
-func groupRangesInto(groupOf, totals []int, n, c int) []int {
+	groupOf := make([]int, len(totals))
 	acc := 0
 	for rg, tot := range totals {
 		g := 0

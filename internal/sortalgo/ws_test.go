@@ -8,15 +8,13 @@ import (
 	"repro/internal/gen"
 	"repro/internal/kv"
 	"repro/internal/numa"
-	"repro/internal/part"
 	"repro/internal/ws"
 )
 
 // TestLSBWorkspaceMatchesPlain exercises the workspace-backed drivers —
-// single-thread (RadixBits 8, threads 1), per-pass parallel (RadixBits 8,
-// threads 4), and fused parallel (RadixBits 4, threads 4: the joint tables
-// are cache-resident so the budget gate engages) — against the
-// workspace-less result: sorted, stable, same multiset.
+// single-thread (RadixBits 8, threads 1) and per-pass parallel (RadixBits
+// 8 and 4, threads 4) — against the workspace-less result: sorted,
+// stable, same multiset.
 func TestLSBWorkspaceMatchesPlain(t *testing.T) {
 	w := ws.New()
 	defer w.Close()
@@ -38,9 +36,10 @@ func TestLSBWorkspaceMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestLSBFusedZeroAlloc pins the fused parallel driver itself (4-bit
-// passes engage the gate) as allocation-free on a warm workspace.
-func TestLSBFusedZeroAlloc(t *testing.T) {
+// TestLSBParallelZeroAlloc pins the per-pass parallel driver as
+// allocation-free on a warm workspace, under the working-set digit plan
+// and under narrow fixed digits (eight 4-bit passes).
+func TestLSBParallelZeroAlloc(t *testing.T) {
 	w := ws.New()
 	defer w.Close()
 	n := 1 << 14
@@ -48,34 +47,16 @@ func TestLSBFusedZeroAlloc(t *testing.T) {
 	vals := gen.RIDs[uint32](n)
 	tmpK, tmpV := make([]uint32, n), make([]uint32, n)
 	work := make([]uint32, n)
-	opt := Options{Threads: 4, RadixBits: 4, Workspace: w}
-	sortOnce := func() {
-		copy(work, keys)
-		LSB(work, vals, tmpK, tmpV, opt)
-	}
-	sortOnce()
-	if a := testing.AllocsPerRun(10, sortOnce); a != 0 {
-		t.Fatalf("warm fused LSB allocates %v times per sort", a)
-	}
-}
-
-// TestLSBFusedPathEngaged pins the budget gate: narrow passes (cache-
-// resident joint tables) take the fused driver, the default 8-bit passes
-// fall back to per-pass histogramming (their 1.5 MiB-per-worker joint
-// tables cost more than the scans they save).
-func TestLSBFusedPathEngaged(t *testing.T) {
-	// 8 passes of 4 bits: 7 joint tables of 256 cells each, L1-resident.
-	narrow := make([][2]uint, 0, 8)
-	for lo := uint(0); lo < 32; lo += 4 {
-		narrow = append(narrow, [2]uint{lo, lo + 4})
-	}
-	if part.FusedJointCells(narrow) > fusedCellBudget {
-		t.Fatal("4-bit passes exceed the fused budget; fused path untested")
-	}
-	// Default 8-bit passes must NOT fuse: 3*2^16 cells per worker.
-	wide := [][2]uint{{0, 8}, {8, 16}, {16, 24}, {24, 32}}
-	if part.FusedJointCells(wide) <= fusedCellBudget {
-		t.Fatal("8-bit passes unexpectedly within the fused budget")
+	for _, bits := range []int{0, 4} {
+		opt := Options{Threads: 4, RadixBits: bits, Workspace: w}
+		sortOnce := func() {
+			copy(work, keys)
+			LSB(work, vals, tmpK, tmpV, opt)
+		}
+		sortOnce()
+		if a := testing.AllocsPerRun(10, sortOnce); a != 0 {
+			t.Errorf("RadixBits %d: warm parallel LSB allocates %v times per sort", bits, a)
+		}
 	}
 }
 
@@ -95,17 +76,26 @@ func TestLSBWorkspaceNUMA(t *testing.T) {
 	}
 }
 
+// TestCMPWorkspace sorts with tmp given. The last two rows take the
+// block-permutation first pass with tmp as the recursion's ping-pong
+// scratch (a small CacheTuples makes partitions recurse): one worker, and
+// a topology whose NUMA-aware layout Oblivious turns off.
 func TestCMPWorkspace(t *testing.T) {
 	w := ws.New()
 	defer w.Close()
-	for _, threads := range []int{1, 4} {
+	for _, opt := range []Options{
+		{Threads: 1},
+		{Threads: 4},
+		{Threads: 1, CacheTuples: 32},
+		{Threads: 4, Topo: numa.NewTopology(4), Oblivious: true, CacheTuples: 32},
+	} {
+		opt.Workspace = w
 		for name, orig := range sortWorkloads32(1 << 14) {
 			t.Run(name, func(t *testing.T) {
 				keys := append([]uint32(nil), orig...)
 				vals := gen.RIDs[uint32](len(keys))
 				origV := append([]uint32(nil), vals...)
-				CMP(keys, vals, make([]uint32, len(keys)), make([]uint32, len(keys)),
-					Options{Threads: threads, Workspace: w})
+				CMP(keys, vals, make([]uint32, len(keys)), make([]uint32, len(keys)), opt)
 				checkSorted(t, orig, origV, keys, vals, false)
 			})
 		}

@@ -42,9 +42,9 @@ type Requirements struct {
 	MaxThreads int
 	// MaxBytes caps the auxiliary memory a plan may budget for scratch
 	// arrays (0: half of the machine's available memory, see
-	// DefaultAuxBudget). Plans whose non-in-place footprint exceeds the
-	// cap steer to the in-place variants: CMP flips Plan.InPlace, and the
-	// free algorithm choice prefers MSB over LSB.
+	// DefaultAuxBudget). When LSB's linear tmp pair exceeds the cap, the
+	// free algorithm choice takes the in-place MSB instead. It does not
+	// move CMP, which always plans in place.
 	MaxBytes int64
 }
 
@@ -69,9 +69,9 @@ type Plan struct {
 	// path.
 	BaselineNs float64 `json:"baseline_ns"`
 	// InPlace records that the plan selects the in-place layout: always
-	// true for MSB, and true for CMP when the run is parallel or the
-	// legacy two-array footprint exceeds the memory budget (the dispatch
-	// then routes through the block-permutation kernel).
+	// true for MSB and CMP, false for LSB. The planner does not see the
+	// NUMA topology; a CMP run that engages the NUMA-aware layout still
+	// takes a linear tmp pair.
 	InPlace bool `json:"in_place"`
 	// AuxBytes is the modeled peak auxiliary footprint of the chosen
 	// layout in bytes.
@@ -144,7 +144,7 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 			} else {
 				algo = AlgoMSB
 			}
-			if algo == AlgoLSB && auxBytes(AlgoLSB, w, kb, threads, false) > budget {
+			if algo == AlgoLSB && auxBytes(AlgoLSB, w, kb, threads) > budget {
 				// LSB's linear tmp pair does not fit: MSB sorts in place.
 				algo = AlgoMSB
 			}
@@ -158,22 +158,14 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 		plan.PredictedNs, plan.Passes = cmpCost(p, w, kb, threads)
 		base, _ := cmpCost(p, w, kb, 1)
 		plan.BaselineNs = base
-		legacy := auxBytes(AlgoCMP, w, kb, threads, false)
-		plan.InPlace = threads > 1 || legacy > budget
-		if plan.InPlace {
-			// The in-place first pass prices like MSB's buffered swaps:
-			// ~25% over the non-in-place scatter it replaces.
-			plan.PredictedNs += 0.25 * plan.PredictedNs / float64(max(plan.Passes, 1))
-			plan.AuxBytes = auxBytes(AlgoCMP, w, kb, threads, true)
-		} else {
-			plan.AuxBytes = legacy
-		}
+		plan.InPlace = true
+		plan.AuxBytes = auxBytes(AlgoCMP, w, kb, threads)
 	case AlgoMSB:
 		plan.RadixBits, plan.Passes, plan.PredictedNs = pickBits(p, w, kb, threads, defaultRadixBits, msbCost)
 		base, _ := msbCost(p, w, kb, defaultRadixBits, 1)
 		plan.BaselineNs = base
 		plan.InPlace = true
-		plan.AuxBytes = auxBytes(AlgoMSB, w, kb, threads, true)
+		plan.AuxBytes = auxBytes(AlgoMSB, w, kb, threads)
 	default:
 		plan.RadixBits, plan.Passes, plan.PredictedNs = pickBits(p, w, kb, threads, lsbPlanBits, lsbCost)
 		if plan.RadixBits == lsbPlanBits {
@@ -183,29 +175,25 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 		}
 		base, _ := lsbCost(p, w, kb, lsbPlanBits, 1)
 		plan.BaselineNs = base
-		plan.AuxBytes = auxBytes(AlgoLSB, w, kb, threads, false)
+		plan.AuxBytes = auxBytes(AlgoLSB, w, kb, threads)
 	}
 	return plan
 }
 
-// auxBytes models the peak auxiliary footprint of one algorithm/layout in
-// bytes: the linear tmp pair (plus CMP's codes column) for the
-// non-in-place layouts, the block-permutation buffers plus pooled
-// recursion scratch for the in-place ones.
-func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int, inPlace bool) int64 {
+// auxBytes models the peak auxiliary footprint of one algorithm's layout
+// in bytes: LSB's linear tmp pair, and the block-permutation buffers (plus
+// CMP's pooled recursion scratch) for the in-place MSB and CMP.
+func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
 	tuple := int64(2 * keyBits / 8) // one key + one payload of key width
 	n := int64(w.N)
 	t := int64(threads)
 	switch algo {
 	case AlgoCMP:
-		if inPlace {
-			// Classify buffers of the block-permutation kernel plus one
-			// in-flight per-partition ping-pong scratch per worker.
-			blocks := t * defaultRangeFanout * 1024 * tuple
-			rec := t * (n/defaultRangeFanout + 1) * tuple
-			return blocks + rec
-		}
-		return n*tuple + 4*n // tmp pair + int32 codes column
+		// Classify buffers of the block-permutation kernel plus one
+		// in-flight per-partition ping-pong scratch per worker.
+		blocks := t * defaultRangeFanout * 1024 * tuple
+		rec := t * (n/defaultRangeFanout + 1) * tuple
+		return blocks + rec
 	case AlgoMSB:
 		// Block-permutation fan-out over ~2T ranges; recursion is in place.
 		return t * (2*t + 2) * 1024 * tuple

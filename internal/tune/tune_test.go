@@ -213,6 +213,7 @@ func TestPlanKnobsAlwaysValid(t *testing.T) {
 		{KeyBits: 32, NeedStable: true},
 		{KeyBits: 64, SpaceTight: true},
 		{KeyBits: 64, Force: AlgoCMP},
+		{KeyBits: 32, Force: AlgoCMP, MaxThreads: 1, MaxBytes: 1 << 40},
 		{KeyBits: 32, Force: AlgoMSB, MaxThreads: 2},
 	}
 	for _, w := range workloads {
@@ -226,6 +227,9 @@ func TestPlanKnobsAlwaysValid(t *testing.T) {
 			}
 			if plan.PredictedNs < 0 {
 				t.Fatalf("negative predicted cost %+v", plan)
+			}
+			if want := plan.Algo != AlgoLSB; plan.InPlace != want {
+				t.Fatalf("%s plan has InPlace %v, want %v", plan.Algo, plan.InPlace, want)
 			}
 		}
 	}

@@ -548,7 +548,6 @@ const (
 	SlotScatter
 	SlotScatterCodes
 	SlotInPlaceChunk
-	SlotFusedRead
 	SlotCmpWork
 	SlotMsbWork
 	SlotCtl

@@ -164,3 +164,26 @@ func TestPublicValidation(t *testing.T) {
 		Partition([]uint32{1}, []uint32{1}, []uint32{}, []uint32{}, Hash[uint32](2), 1)
 	})
 }
+
+// TestSortCMPSingleThreadPeakAux pins single-threaded SortCMP to the
+// in-place layout: with a warm workspace, 2^18 64-bit pairs peak below
+// the 2·n·8 bytes a linear tmp pair alone would take.
+func TestSortCMPSingleThreadPeakAux(t *testing.T) {
+	const n = 1 << 18
+	w := NewWorkspace()
+	defer w.Close()
+	var st SortStats
+	opt := &SortOptions{Threads: 1, Workspace: w, Stats: &st}
+	for run := 0; run < 2; run++ { // the second run is warm
+		keys, vals := gen.Uniform[uint64](n, 0, 13), RIDs[uint64](n)
+		origK, origV := append([]uint64(nil), keys...), append([]uint64(nil), vals...)
+		st = SortStats{}
+		SortCMP(keys, vals, opt)
+		if !IsSorted(keys) || !SameMultiset(origK, origV, keys, vals) {
+			t.Fatal("SortCMP output is not a sorted permutation of its input")
+		}
+	}
+	if limit := uint64(2 * n * 8); st.PeakAuxBytes == 0 || st.PeakAuxBytes >= limit {
+		t.Fatalf("warm PeakAuxBytes %d, want 1..%d", st.PeakAuxBytes, limit-1)
+	}
+}

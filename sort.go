@@ -48,14 +48,11 @@ type SortOptions struct {
 	// MaxAuxBytes caps the auxiliary memory a sort may take for scratch
 	// arrays (0: half of the machine's available memory); every sort
 	// call enforces it, and an acquisition past it fails the attempt
-	// with a *ResourceError. The comparison sort switches to the
-	// in-place block-permutation layout — no linear tmp arrays, no
-	// codes column — when the legacy footprint would exceed the cap
-	// (parallel runs use it regardless, unless the NUMA-aware layout is
-	// engaged), and the AutoTune planner budgets its algorithm choice
-	// against the same cap. SortExternal raises a cap below its
-	// planner's floor to that floor (PlanSpill's MemBytes). Negative is
-	// invalid.
+	// with a *ResourceError. The cap does not pick the comparison sort's
+	// layout: that is in place unless the NUMA-aware layout is engaged.
+	// The AutoTune planner budgets its algorithm choice against the same
+	// cap. SortExternal raises a cap below its planner's floor to that
+	// floor (PlanSpill's MemBytes). Negative is invalid.
 	MaxAuxBytes int64
 	// AutoTune engages the machine-calibrated adaptive planner: the sort
 	// samples the key column, prices candidate configurations with the
@@ -116,7 +113,7 @@ func (o *SortOptions) toInternal() (sortalgo.Options, *numa.Topology) {
 // call: it validates the pairs and options (errors name op) and runs the
 // algorithm under tryRun. It is the only place an Algorithm maps to its
 // autotune constraints, its scratch layout (a metered tmp pair for LSB
-// and non-in-place CMP, none for MSB and in-place CMP) and its sortalgo
+// and NUMA-aware CMP, none for MSB and in-place CMP) and its sortalgo
 // call.
 func sortOnce[K Key](ctx context.Context, op string, algo Algorithm, keys, vals []K, opt *SortOptions) error {
 	if err := validatePairs(op, "keys", "vals", keys, vals); err != nil {
@@ -126,14 +123,14 @@ func sortOnce[K Key](ctx context.Context, op string, algo Algorithm, keys, vals 
 		return err
 	}
 	return tryRun(op, ctx, optWorkspace(opt), optMaxAux(opt), func(ctl *hard.Ctl) {
-		eff, plan := autotune(keys, opt, tune.Algo(algo.String()), algo == LSB, algo == MSB)
+		eff, _ := autotune(keys, opt, tune.Algo(algo.String()), algo == LSB, algo == MSB)
 		io, _ := eff.toInternal()
 		io.Ctl = ctl
 		if algo == MSB {
 			sortalgo.MSB(keys, vals, io)
 			return
 		}
-		if algo == CMP && cmpInPlace[K](eff, plan, len(keys)) {
+		if algo == CMP && cmpInPlace(eff) {
 			sortalgo.CMP[K](keys, vals, nil, nil, io)
 			return
 		}
@@ -179,42 +176,20 @@ func SortMSB[K Key](keys, vals []K, opt *SortOptions) {
 // SortCMP sorts (keys, vals) by key with the range-partitioning comparison
 // sort (Section 4.3): sampled splitters give perfect load balance and skew
 // immunity regardless of the key distribution; heavily repeated keys get
-// single-key partitions that skip sorting entirely. Parallel runs (and any
-// run whose linear scratch would exceed MaxAuxBytes) use the in-place
-// block-permutation layout; otherwise one linear auxiliary array pair is
-// taken. Not stable. Panics as SortLSB does.
+// single-key partitions that skip sorting entirely. It runs the in-place
+// block-permutation layout, with no linear auxiliary arrays, unless the
+// NUMA-aware layout is engaged (Regions > 1 without Oblivious): that
+// first pass routes through one linear auxiliary array pair. Not stable.
+// Panics as SortLSB does.
 func SortCMP[K Key](keys, vals []K, opt *SortOptions) {
 	mustSort(sortOnce(context.Background(), "SortCMP", CMP, keys, vals, opt))
 }
 
 // cmpInPlace decides SortCMP's layout: the in-place block-permutation
-// path whenever the NUMA-aware first pass (which must route through tmp)
-// is not engaged AND any of — the planner asked for it, the run is
-// parallel (the permutation kernel beats scatter+copy-back there and
-// halves peak memory), or the legacy footprint (tmp pair + codes column)
-// would exceed the auxiliary-memory budget.
-func cmpInPlace[K Key](opt *SortOptions, plan *SortPlan, n int) bool {
-	if opt != nil && opt.Regions > 1 && !opt.Oblivious {
-		return false
-	}
-	if plan != nil && plan.InPlace {
-		return true
-	}
-	var budget int64
-	threads := 1
-	if opt != nil {
-		threads = opt.Threads
-		budget = opt.MaxAuxBytes
-	}
-	if threads > 1 {
-		return true
-	}
-	if budget <= 0 {
-		budget = tune.DefaultAuxBudget()
-	}
-	width := int64(kv.Width[K]())
-	legacy := int64(n) * (2*width/8 + 4)
-	return legacy > budget
+// path unless the NUMA-aware first pass, which must route through tmp, is
+// engaged.
+func cmpInPlace(opt *SortOptions) bool {
+	return opt == nil || opt.Regions <= 1 || opt.Oblivious
 }
 
 // IsSorted reports whether keys are in non-decreasing order.

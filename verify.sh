@@ -22,6 +22,11 @@ go run ./cmd/sortcli -n 200000 -algo msb -threads 4 -regions 4 -verify > /dev/nu
 go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 2 -verify > /dev/null
 go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 2 -dist zipf -verify > /dev/null
 go run ./cmd/sortcli -n 200000 -algo cmp -width 32 -threads 2 -verify > /dev/null
+# Single-threaded CMP runs the in-place block-permutation first pass; the
+# NUMA-aware CMP (4 regions) is the one layout that still takes a tmp pair
+# and shuffles across regions.
+go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 1 -verify > /dev/null
+go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 4 -regions 4 -verify > /dev/null
 # Range index: Partition and LookupBatch fuzzed against binary search.
 go test -run '^$' -fuzz '^FuzzRangeIndex$' -fuzztime 10s .
 go run ./cmd/partcli -n 100000 -variant sync -threads 4 > /dev/null
