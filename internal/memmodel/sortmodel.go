@@ -75,6 +75,15 @@ const (
 	LSBInCacheBits    = 8
 )
 
+// MSB's out-of-cache local passes: byte-wide digits, each run as one
+// single-worker block permutation with B = MSBLocalBlockTuples. A worker's
+// buffer blocks, 2^MSBLocalBits × B tuples, are the scratch the planner
+// and sortd's admission estimate charge for them.
+const (
+	MSBLocalBits        = 8
+	MSBLocalBlockTuples = 128
+)
+
 // LSBDigits appends to dst the digit bit ranges [lo, hi) of an LSB
 // radix-sort over key bits [0, domainBits), least significant first, and
 // returns the extended slice. The runtime, memmodel.Sort and the planner
@@ -214,8 +223,9 @@ func Sort(p Profile, cfg SortConfig) SortPhases {
 		remaining := effBits - bitsPerPassIP
 		inCacheBits := int(math.Log2(cacheTuplesFor(p, kb))) - 2
 		for remaining > inCacheBits {
-			ph.Histogram += float64(n) / Histogram(p, HistRadix, 1<<bitsPerPassIP, kb, t)
-			ph.LocalRadix += PassSeconds(p, InPlaceOutOfCache, NUMALocal, 1<<bitsPerPassIP, kb, t, n, cfg.ZipfTheta)
+			// Local passes are block permutations like the first pass:
+			// their classify scan counts the histogram.
+			ph.LocalRadix += PassSeconds(p, NonInPlaceOutOfCache, NUMALocal, 1<<bitsPerPassIP, kb, t, n, cfg.ZipfTheta)
 			remaining -= bitsPerPassIP
 		}
 		if remaining > 0 {

@@ -251,6 +251,10 @@ func drainBuffers[K kv.Key](buf *lineBuffers[K], dstK, dstV []K, off, starts []i
 // loaded. RAM is therefore touched one full line at a time — (L-1)/L of the
 // swaps run inside the cache-resident buffer and do not miss in the TLB.
 // The line buffers and cursor arrays come from w.
+//
+// No sort or public partition runs it: their out-of-cache in-place passes
+// are single-worker BlockPermute calls, about twice as fast. It stays as
+// the Algorithm 4 kernel the figures (Figs. 3, 6, 7) and partcli measure.
 func InPlaceOutOfCache[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, keys, vals []K, fn F, hist []int) {
 	CheckHistogram(hist, len(keys))
 	buf := newLineBuffers[K](w, len(hist))

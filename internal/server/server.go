@@ -341,15 +341,16 @@ func newServer(cfg Config, popHook func(*job)) *Server {
 // estAux estimates one request's auxiliary footprint for the admission
 // ledger: the legacy two-column scratch plus a codes column plus the
 // merged-batch columns, with a fixed slack for in-cache tables. A sort
-// past the 256 KiB per-worker cache budget runs LSB's out-of-cache digit
-// plan, whose tables are charged per sort worker on top. Deliberately
-// conservative — the in-place paths use far less, and the per-job
-// SortOptions.MaxAuxBytes cap holds the run to this promise.
+// past the 256 KiB per-worker cache budget holds per-worker tables on top,
+// charged at the larger of the two algorithms' needs: LSB's out-of-cache
+// digit plan, or the buffer blocks of MSB's out-of-cache local passes.
+// Deliberately conservative — the in-place paths use far less, and the
+// per-job SortOptions.MaxAuxBytes cap holds the run to this promise.
 func estAux(n, width, threads int) int64 {
 	w8 := int64(width / 8)
 	est := int64(n)*(4*w8+4) + (64 << 10)
 	if int64(n)*2*w8 > 256<<10 {
-		est += int64(max(threads, 1)) * lsbPlanAux
+		est += int64(max(threads, 1)) * max(lsbPlanAux, msbLocalAux*w8)
 	}
 	return est
 }
@@ -359,6 +360,11 @@ func estAux(n, width, threads int) int64 {
 // payloads per partition, the histogram rows of up to six 2^11-bucket
 // digits (one arena class of 2^14 ints), and the starts and write cursors.
 const lsbPlanAux = 2*64<<memmodel.LSBOutOfCacheBits + 8*(1<<14+2<<memmodel.LSBOutOfCacheBits)
+
+// msbLocalAux is the scratch one worker of MSB's out-of-cache local pass
+// holds per key byte: a buffer block of keys and one of payloads per
+// partition (the classify buffers of a single-worker block permutation).
+const msbLocalAux = 2 * (memmodel.MSBLocalBlockTuples << memmodel.MSBLocalBits)
 
 // Submit runs one request through admission, the queue, and an executor
 // (merged with other small requests if it had to wait for one), blocking

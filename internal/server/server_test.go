@@ -170,31 +170,34 @@ func TestSubmitSortsAllWidthsAndAlgos(t *testing.T) {
 	}
 }
 
-// TestAuxEstimateCoversLSBPlan pins the per-request aux budget against
-// LSB's digit plan: estAux becomes the run's MaxAuxBytes, so a plan whose
-// line buffers and histogram rows outgrow it would fail every request
-// once with a resource error and degrade it through the retry
-// supervisor. The sizes straddle the in-cache bound (16384 64-bit /
-// 32768 32-bit tuples), where the plan switches from 8-bit to 11-bit
-// digits.
-func TestAuxEstimateCoversLSBPlan(t *testing.T) {
-	for _, threads := range []int{1, 2} {
-		cfg := testConfig()
-		cfg.BatchMaxTuples = -1
-		cfg.SortThreads = threads
-		s := New(cfg)
-		submitLSBGrid(t, s, threads)
-		drainOK(t, s)
+// TestAuxEstimateCoversSortPlans pins the per-request aux budget against
+// the out-of-cache scratch of LSB's digit plan and of MSB's local block
+// permutations: estAux becomes the run's MaxAuxBytes, so tables or buffer
+// blocks that outgrow it would fail every request once with a resource
+// error and degrade it through the retry supervisor. The sizes straddle
+// the in-cache bound (16384 64-bit / 32768 32-bit tuples), where LSB
+// switches from 8-bit to 11-bit digits and MSB's local passes leave
+// Algorithm 2 for the block permutation.
+func TestAuxEstimateCoversSortPlans(t *testing.T) {
+	for _, algo := range []partsort.Algorithm{partsort.LSB, partsort.MSB} {
+		for _, threads := range []int{1, 2} {
+			cfg := testConfig()
+			cfg.BatchMaxTuples = -1
+			cfg.SortThreads = threads
+			s := New(cfg)
+			submitGrid(t, s, algo, threads)
+			drainOK(t, s)
+		}
 	}
 }
 
-// submitLSBGrid runs one LSB request per size and key width through s and
+// submitGrid runs one algo request per size and key width through s and
 // fails unless each completes on its first attempt.
-func submitLSBGrid(t *testing.T, s *Server, threads int) {
+func submitGrid(t *testing.T, s *Server, algo partsort.Algorithm, threads int) {
 	t.Helper()
 	for _, n := range []int{4096, 16384, 16385, 32769, 65536, 1 << 18} {
 		for _, width := range []int{32, 64} {
-			req := &Request{Algo: partsort.LSB}
+			req := &Request{Algo: algo}
 			keys := randKeys(n, int64(n+width))
 			if width == 64 {
 				req.Keys64 = keys
@@ -206,16 +209,16 @@ func submitLSBGrid(t *testing.T, s *Server, threads int) {
 			}
 			res, err := s.Submit(context.Background(), req)
 			if err != nil {
-				t.Fatalf("threads=%d n=%d width=%d: Submit: %v", threads, n, width, err)
+				t.Fatalf("%v threads=%d n=%d width=%d: Submit: %v", algo, threads, n, width, err)
 			}
 			if res.Attempts != 1 || res.Degraded {
-				t.Fatalf("threads=%d n=%d width=%d: %d attempts, degraded=%v; want one clean attempt",
-					threads, n, width, res.Attempts, res.Degraded)
+				t.Fatalf("%v threads=%d n=%d width=%d: %d attempts, degraded=%v; want one clean attempt",
+					algo, threads, n, width, res.Attempts, res.Degraded)
 			}
 			if width == 64 {
 				checkSorted(t, req.Keys64)
 			} else if !slices.IsSorted(req.Keys32) {
-				t.Fatalf("threads=%d n=%d width=32: not sorted", threads, n)
+				t.Fatalf("%v threads=%d n=%d width=32: not sorted", algo, threads, n)
 			}
 		}
 	}

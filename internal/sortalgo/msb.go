@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hard"
 	"repro/internal/kv"
+	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/pfunc"
@@ -30,8 +31,9 @@ const msbInsertionCutoff = 24
 //     shuffle of Sections 3.2.3, 3.2.4) makes every range contiguous,
 //     metering cross-region block moves (Section 3.3.2) when a topology
 //     is set.
-//  2. Shared-nothing recursion per range: out-of-cache in-place
-//     partitioning (Algorithm 4) while the segment exceeds the cache,
+//  2. Shared-nothing recursion per range: while a segment exceeds the
+//     cache, one byte-wide block permutation on the segment's own worker
+//     (the same part.BlockPermute kernel, one worker, 128-tuple blocks);
 //     in-cache in-place partitioning (Algorithm 2) below that, and
 //     insertion sort on trivial parts.
 //
@@ -181,12 +183,16 @@ func cacheTuples(opt Options, width int) int {
 }
 
 // msbRecurse sorts one segment in place by MSB radix partitioning over the
-// bit range [0, hiBit), drawing per-level histograms (and the out-of-cache
-// variant's line buffers) from the workspace. Interruption points (the
-// cancellation checkpoint and fault site) sit only at recursion entry,
-// where every ancestor's in-place partition has completed and the arrays
-// are a permutation of the input; the in-place kernels themselves are never
-// interrupted mid-operation.
+// bit range [0, hiBit), drawing per-level starts arrays (and the block
+// permutation's buffers) from the workspace. Segments above cacheT run one
+// single-worker block permutation (part.BlockPermute) over a byte-wide
+// digit, whose classify phase also derives the histogram; its buffer
+// blocks (256 × 128 tuples, 512 KiB for 64-bit pairs) are the recursion's
+// largest scratch. Cache-resident segments run Algorithm 2 on a separate
+// histogram scan. Every interruption point keeps the arrays a permutation
+// of the input: the checkpoint and fault site at recursion entry sit where
+// every ancestor's partition has completed, and BlockPermute checkpoints
+// mid-kernel and restores its own state before re-raising.
 func msbRecurse[K kv.Key](w *ws.Workspace, keys, vals []K, hiBit, cacheT int, ctl *hard.Ctl) {
 	ctl.Checkpoint()
 	fault.Inject(fault.SiteMSBRecurse)
@@ -198,20 +204,23 @@ func msbRecurse[K kv.Key](w *ws.Workspace, keys, vals []K, hiBit, cacheT int, ct
 	if hiBit <= 0 {
 		return // all radix bits consumed: keys are equal
 	}
-	var b int
 	if n > cacheT {
-		b = min(hiBit, 8)
-	} else {
-		// In-cache: ~log n - 2 bits makes parts of average size 4-8.
-		b = min(hiBit, max(1, bits.Len(uint(n))-3))
+		b := min(hiBit, memmodel.MSBLocalBits)
+		fn := pfunc.NewRadix[K](uint(hiBit-b), uint(hiBit))
+		starts := part.BlockPermute(w, keys, vals, fn, memmodel.MSBLocalBlockTuples, 1, w.Ints(fn.Fanout()+1), nil, ctl)
+		for p := 0; p < fn.Fanout(); p++ {
+			if lo, hi := starts[p], starts[p+1]; hi-lo > 1 {
+				msbRecurse(w, keys[lo:hi], vals[lo:hi], hiBit-b, cacheT, ctl)
+			}
+		}
+		w.PutInts(starts)
+		return
 	}
+	// In-cache: ~log n - 2 bits makes parts of average size 4-8.
+	b := min(hiBit, max(1, bits.Len(uint(n))-3))
 	fn := pfunc.NewRadix[K](uint(hiBit-b), uint(hiBit))
 	hist := part.HistogramInto(w.Ints(fn.Fanout()), keys, fn)
-	if n > cacheT {
-		part.InPlaceOutOfCache(w, keys, vals, fn, hist)
-	} else {
-		part.InPlaceInCache(w, keys, vals, fn, hist)
-	}
+	part.InPlaceInCache(w, keys, vals, fn, hist)
 	lo := 0
 	for _, h := range hist {
 		if h > 1 {

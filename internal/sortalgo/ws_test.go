@@ -277,22 +277,38 @@ func TestLSBWorkspaceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMSBWorkspaceZeroAlloc pins the recursion scratch (histograms, swap
-// line buffers) as pooled on the single-threaded path.
+// TestMSBWorkspaceZeroAlloc pins the recursion scratch (histograms,
+// starts arrays, block-permutation buffers) as pooled on the
+// single-threaded path: 2^13 keys never leave cache, and a 1024-tuple
+// cache bound sends 2^16 64-bit pairs through the out-of-cache local
+// passes.
 func TestMSBWorkspaceZeroAlloc(t *testing.T) {
+	t.Run("in-cache/u32", func(t *testing.T) {
+		msbZeroAlloc(t, gen.Uniform[uint32](1<<13, 0, 5), 0)
+	})
+	t.Run("out-of-cache/u64", func(t *testing.T) {
+		msbZeroAlloc(t, gen.Uniform[uint64](1<<16, 0, 5), 1<<10)
+	})
+}
+
+// msbZeroAlloc fails unless a warm workspace sorts keys (paired with row
+// ids) through one-thread MSB without a heap allocation.
+func msbZeroAlloc[K kv.Key](t *testing.T, keys []K, cacheTuples int) {
 	w := ws.New()
 	defer w.Close()
-	n := 1 << 13
-	keys := gen.Uniform[uint32](n, 0, 5)
-	vals := gen.RIDs[uint32](n)
-	work, workV := make([]uint32, n), make([]uint32, n)
-	opt := Options{Threads: 1, Workspace: w}
+	n := len(keys)
+	vals := gen.RIDs[K](n)
+	work, workV := make([]K, n), make([]K, n)
+	opt := Options{Threads: 1, CacheTuples: cacheTuples, Workspace: w}
 	sortOnce := func() {
 		copy(work, keys)
 		copy(workV, vals)
 		MSB(work, workV, opt)
 	}
 	sortOnce()
+	if !kv.IsSorted(work) {
+		t.Fatal("not sorted")
+	}
 	if a := testing.AllocsPerRun(10, sortOnce); a != 0 {
 		t.Fatalf("warm workspace MSB allocates %v times per sort", a)
 	}

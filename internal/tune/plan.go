@@ -195,8 +195,14 @@ func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
 		rec := t * (n/defaultRangeFanout + 1) * tuple
 		return blocks + rec
 	case AlgoMSB:
-		// Block-permutation fan-out over ~2T ranges; recursion is in place.
-		return t * (2*t + 2) * 1024 * tuple
+		// Block-permutation fan-out over ~2T ranges; past the cache bound
+		// each worker's out-of-cache local passes add one buffer block
+		// per byte-digit partition.
+		aux := t * (2*t + 2) * 1024 * tuple
+		if w.N > cacheResidentTuples {
+			aux += t * (memmodel.MSBLocalBlockTuples << memmodel.MSBLocalBits) * tuple
+		}
+		return aux
 	default: // LSB
 		return n * tuple // tmp pair
 	}
@@ -280,7 +286,10 @@ func lsbDigits(w WorkloadStats, keyBits, radixBits int) [][2]uint {
 // msbCost models the MSB radix-sort (Section 4.2.2): passes cover
 // min(domainBits, log2 n) bits, segments shrink by the fanout each pass
 // (so later passes run in cache), and the cache-resident tail is finished
-// by in-cache sorting priced at a few histogram-scan equivalents.
+// by in-cache sorting priced at a few histogram-scan equivalents. The
+// first pass pays a histogram scan and the in-place surcharge; the
+// out-of-cache local passes after it are block permutations whose
+// classify scan counts the histogram, priced as a plain scatter.
 func msbCost(p *MachineProfile, w WorkloadStats, keyBits, radixBits, threads int) (float64, int) {
 	domain := w.DomainBits
 	if domain < 1 {
@@ -293,11 +302,16 @@ func msbCost(p *MachineProfile, w WorkloadStats, keyBits, radixBits, threads int
 	var ns float64
 	seg := w.N
 	for i := 0; i < passes; i++ {
-		// MSB recomputes per-segment histograms each pass (the digit
-		// changes), and the in-place buffered swaps cost ~25% over the
-		// non-in-place scatter the probes measured (extra load per slot).
-		ns += n * p.histNs(keyBits)
-		ns += n * 1.25 * scatterFor(p, keyBits, radixBits, seg)
+		if i == 0 {
+			// A separate histogram scan, and in-place swaps ~25% over the
+			// non-in-place scatter the probes measured (extra load per
+			// slot). Only the first pass can run in cache: the loop stops
+			// once segments fit.
+			ns += n * p.histNs(keyBits)
+			ns += n * 1.25 * scatterFor(p, keyBits, radixBits, seg)
+		} else {
+			ns += n * scatterFor(p, keyBits, radixBits, seg)
+		}
 		seg >>= radixBits
 		if seg <= cacheResidentTuples {
 			passes = i + 1

@@ -32,6 +32,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hard"
 	"repro/internal/kv"
+	"repro/internal/memmodel"
 	"repro/internal/part"
 	"repro/internal/pfunc"
 	"repro/internal/rangeidx"
@@ -114,19 +115,27 @@ func TryPartitionCtx[K Key, F PartitionFunc[K]](ctx context.Context, srcKeys, sr
 
 // PartitionInPlace partitions keys/vals in place (single goroutine) and
 // returns the histogram: Algorithm 2's swap cycles for cache-resident
-// inputs, Algorithm 4's buffered swap cycles above cacheTuples (pass 0 to
-// use the default 256 KiB threshold).
+// inputs (at most cacheTuples tuples; pass 0 to use the default 256 KiB
+// threshold), and above that the single-worker block permutation MSB's
+// out-of-cache passes run, whose classify scan also counts the histogram.
+// The block permutation holds fanout × 128 tuples of scratch per column.
 func PartitionInPlace[K Key, F PartitionFunc[K]](keys, vals []K, fn F, cacheTuples int) []int {
 	mustValid(validatePairs("PartitionInPlace", "keys", "vals", keys, vals))
 	mustValid(validateFanout("PartitionInPlace", fn.Fanout()))
 	if cacheTuples <= 0 {
 		cacheTuples = (256 << 10) / (2 * kv.Width[K]() / 8)
 	}
-	hist := part.Histogram(keys, fn)
 	if len(keys) <= cacheTuples {
+		hist := part.Histogram(keys, fn)
 		part.InPlaceInCache(nil, keys, vals, fn, hist)
-	} else {
-		part.InPlaceOutOfCache(nil, keys, vals, fn, hist)
+		return hist
+	}
+	starts := part.BlockPermute(nil, keys, vals, fn, memmodel.MSBLocalBlockTuples, 1, nil, nil, nil)
+	// Overwrite starts with the histogram front to back: hist[p] lands
+	// on starts[p] only after both of its bounds were read.
+	hist := starts[:fn.Fanout()]
+	for p := range hist {
+		hist[p] = starts[p+1] - starts[p]
 	}
 	return hist
 }

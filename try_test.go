@@ -289,6 +289,50 @@ func TestTryFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestTryFaultMSBLocalPass arms the block-permutation sites inside MSB's
+// out-of-cache local passes: one thread with a 1024-tuple cache bound
+// sends 2^18 keys straight into msbRecurse, whose first passes are
+// single-worker block permutations large enough to reach the permute
+// phase. Each arming must fire and come back as *InternalError with the
+// input left a permutation and no temp resource live.
+func TestTryFaultMSBLocalPass(t *testing.T) {
+	defer fault.Disable()
+	n := 1 << 18
+	keys := gen.Uniform[uint32](n, 0, 7)
+	vals := RIDs[uint32](n)
+	for _, withWS := range []bool{false, true} {
+		var w *Workspace
+		if withWS {
+			w = NewWorkspace()
+			defer w.Close()
+		}
+		for _, site := range []fault.Site{fault.SiteBlockPermute, fault.SiteBlockCleanup} {
+			for _, after := range []int{0, 3, 40} {
+				k := append([]uint32(nil), keys...)
+				v := append([]uint32(nil), vals...)
+				fault.Enable(site, after)
+				err := trySort(MSB, k, v, &SortOptions{Threads: 1, CacheTuples: 1 << 10, Workspace: w})
+				fired := fault.Fired()
+				fault.Disable()
+				if !fired {
+					t.Fatalf("%s ws=%v after=%d: site never reached", site, withWS, after)
+				}
+				var ie *InternalError
+				if !errors.As(err, &ie) || !errors.Is(err, fault.Injected{Site: site}) {
+					t.Fatalf("%s ws=%v after=%d: err = %v (%T), want *InternalError wrapping the fault",
+						site, withWS, after, err, err)
+				}
+				if !SameMultiset(keys, vals, k, v) {
+					t.Fatalf("%s ws=%v after=%d: keys/vals are not a permutation of the input", site, withWS, after)
+				}
+				if err := fault.CheckResources(); err != nil {
+					t.Fatalf("%s ws=%v after=%d: %v", site, withWS, after, err)
+				}
+			}
+		}
+	}
+}
+
 // TestTryPartitionFault covers TryPartitionCtx: an injected worker panic
 // surfaces as *InternalError and src is untouched.
 func TestTryPartitionFault(t *testing.T) {

@@ -16,6 +16,11 @@ go run ./cmd/sortcli -n 100000 -algo lsb > /dev/null
 # NUMA-aware MSB end to end: the metered block permutation on 4 regions,
 # output checked against the input multiset.
 go run ./cmd/sortcli -n 200000 -algo msb -threads 4 -regions 4 -verify > /dev/null
+# MSB past the cache bound on one worker and on two: every local pass
+# over a segment above 16384 64-bit / 32768 32-bit tuples is a
+# single-worker block permutation.
+go run ./cmd/sortcli -n 2000000 -algo msb -width 64 -threads 1 -verify > /dev/null
+go run ./cmd/sortcli -n 2000000 -algo msb -width 32 -threads 2 -verify > /dev/null
 # CMP end to end with its in-cache quicksort leaf; the Zipf lane adds
 # single-key partitions and duplicate-heavy leaves, and the 32-bit lane
 # runs the range index on 32-bit keys.
@@ -75,7 +80,7 @@ go run ./cmd/metricscheck -n 500000
 # the external sort's spill and merge included) must contain worker panics
 # as *InternalError with the input left a permutation, no goroutine or temp
 # resource leaks and an empty spill dir, under the race detector too.
-go test -race -short -count=1 -run 'TestTryFaultMatrix|TestTryCancelRace|TestTryPartitionFault' .
+go test -race -short -count=1 -run 'TestTryFaultMatrix|TestTryFaultMSBLocalPass|TestTryCancelRace|TestTryPartitionFault' .
 
 # External sort: a forced spill several times the memory budget must
 # produce a sorted permutation with exactly one streaming formation pass,
