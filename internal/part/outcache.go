@@ -164,20 +164,11 @@ func publishScatter(tuples int, flushes uint64) {
 	}
 }
 
-// NonInPlaceOutOfCacheCodes is Algorithm 3 driven by precomputed partition
-// codes (p partitions): the data-movement half of wide-fanout range
-// partitioning. It performs almost as fast as radix partitioning because
-// scanning the short code array is sequential (Section 4.3.2). Scratch and
-// cancellation behave as in NonInPlaceOutOfCache.
-func NonInPlaceOutOfCacheCodes[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, p int, starts []int, ctl *hard.Ctl) {
-	buf := newLineBuffers[K](w, p)
-	off := w.Ints(p)
-	scatterChunkCodes(srcK, srcV, dstK, dstV, codes, &buf, off, starts, ctl)
-	buf.release(w)
-	w.PutInts(off)
-}
-
-// scatterChunkCodes is scatterChunk driven by the code array.
+// scatterChunkCodes is scatterChunk driven by precomputed partition codes:
+// the data-movement half of wide-fanout range partitioning
+// (ParallelNonInPlaceCodes). It performs almost as fast as radix
+// partitioning because scanning the short code array is sequential
+// (Section 4.3.2).
 func scatterChunkCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, buf *lineBuffers[K], off, starts []int, ctl *hard.Ctl) {
 	copy(off, starts[:len(off)])
 	for c := 0; c < len(srcK); c += hard.CkptTuples {

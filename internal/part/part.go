@@ -86,22 +86,16 @@ type BatchLookuper[K kv.Key] interface {
 // HistogramCodesBatch is HistogramCodes using a batch lookup (the paper's
 // N-at-a-time unrolled index walk).
 func HistogramCodesBatch[K kv.Key](keys []K, fn BatchLookuper[K], fanout int, codes []int32) []int {
-	return HistogramCodesBatchInto(make([]int, fanout), keys, fn, codes)
-}
-
-// HistogramCodesBatchInto is HistogramCodesBatch into a caller-provided
-// bucket array of length fanout, cleared here.
-func HistogramCodesBatchInto[K kv.Key](hist []int, keys []K, fn BatchLookuper[K], codes []int32) []int {
 	if len(codes) < len(keys) {
 		panic("part: codes buffer smaller than input")
 	}
-	clear(hist)
+	hist := make([]int, fanout)
 	histogramCodesBatchAccum(hist, keys, fn, codes)
 	return hist
 }
 
-// histogramCodesBatchAccum is the accumulate half of
-// HistogramCodesBatchInto (see histogramAccum).
+// histogramCodesBatchAccum is the accumulate half of HistogramCodesBatch
+// (see histogramAccum).
 func histogramCodesBatchAccum[K kv.Key](hist []int, keys []K, fn BatchLookuper[K], codes []int32) {
 	fn.LookupBatch(keys, codes)
 	for _, c := range codes[:len(keys)] {

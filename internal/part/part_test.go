@@ -266,16 +266,18 @@ func TestInPlaceQuick(t *testing.T) {
 	}
 }
 
-func TestNonInPlaceOutOfCacheCodes(t *testing.T) {
+// TestParallelNonInPlaceCodesOneWorker runs the codes-driven scatter on
+// one worker, whose histogram is the serial one: the output must be the
+// stable partition.
+func TestParallelNonInPlaceCodesOneWorker(t *testing.T) {
 	keys := gen.Uniform[uint32](1<<13, 0, 11)
 	vals := gen.RIDs[uint32](len(keys))
 	fn := pfunc.NewHash[uint32](64)
 	codes := make([]int32, len(keys))
 	hist := HistogramCodes(keys, fn, codes)
-	starts, _ := Starts(hist)
 	dstK := make([]uint32, len(keys))
 	dstV := make([]uint32, len(keys))
-	NonInPlaceOutOfCacheCodes(nil, keys, vals, dstK, dstV, codes, fn.Fanout(), starts, nil)
+	ParallelNonInPlaceCodes(nil, keys, vals, dstK, dstV, codes, [][]int{hist}, 0, nil)
 	checkPartitioned(t, keys, vals, dstK, dstV, fn, hist)
 	checkStable(t, dstV, hist)
 }

@@ -78,9 +78,9 @@ func seamKernels[F pfunc.Func[uint32]](t *testing.T, keys, vals []uint32, fn F) 
 			NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, fn, starts, ctl)
 			sameOutput(t, dstK, dstV)
 		}},
-		{"NonInPlaceOutOfCacheCodes", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {
+		{"ParallelNonInPlaceCodes", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {
 			dstK, dstV := make([]uint32, n), make([]uint32, n)
-			NonInPlaceOutOfCacheCodes(w, keys, vals, dstK, dstV, refCodes, fn.Fanout(), starts, ctl)
+			ParallelNonInPlaceCodes(w, keys, vals, dstK, dstV, refCodes, [][]int{hist}, 0, ctl)
 			sameOutput(t, dstK, dstV)
 		}},
 		{"ParallelHistograms", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {

@@ -1,6 +1,7 @@
 package part
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -77,23 +78,20 @@ func TestWSCodesScatterMatchesPlain(t *testing.T) {
 	fn := pfunc.NewHash[uint32](128)
 	codes := make([]int32, len(keys))
 	hist := HistogramCodes(keys, fn, codes)
-	starts, _ := Starts(hist)
+	hists := [][]int{slices.Clone(hist)}
 
 	n := len(keys)
 	plainK, plainV := make([]uint32, n), make([]uint32, n)
-	NonInPlaceOutOfCacheCodes(nil, keys, vals, plainK, plainV, codes, len(hist), starts, nil)
+	ParallelNonInPlaceCodes(nil, keys, vals, plainK, plainV, codes, hists, 0, nil)
 
 	wsK, wsV := make([]uint32, n), make([]uint32, n)
-	NonInPlaceOutOfCacheCodes(w, keys, vals, wsK, wsV, codes, len(hist), starts, nil)
-	sameTuples(t, "NonInPlaceOutOfCacheCodes", plainK, plainV, wsK, wsV)
+	ParallelNonInPlaceCodes(w, keys, vals, wsK, wsV, codes, hists, 0, nil)
+	sameTuples(t, "ParallelNonInPlaceCodes", plainK, plainV, wsK, wsV)
 
-	// The kernel must not mutate the caller's starts array (it copies
-	// into a pooled offset array instead).
-	again, _ := Starts(hist)
-	for p := range starts {
-		if starts[p] != again[p] {
-			t.Fatalf("starts[%d] mutated: %d vs %d", p, starts[p], again[p])
-		}
+	// The kernel must not mutate the caller's histogram (it derives its
+	// write cursors into pooled arrays instead).
+	if !slices.Equal(hists[0], hist) {
+		t.Fatal("ParallelNonInPlaceCodes mutated the caller's histogram")
 	}
 }
 
@@ -151,13 +149,12 @@ func TestWSScatterZeroAlloc(t *testing.T) {
 
 	// Unrolled code-driven scatter.
 	codes := make([]int32, len(keys))
-	ch := HistogramCodes(keys, fn, codes)
-	cs, _ := Starts(ch)
-	NonInPlaceOutOfCacheCodes(w, keys, vals, dstK, dstV, codes, len(ch), cs, nil)
+	ch := [][]int{HistogramCodes(keys, fn, codes)}
+	ParallelNonInPlaceCodes(w, keys, vals, dstK, dstV, codes, ch, 0, nil)
 	if a := testing.AllocsPerRun(10, func() {
-		NonInPlaceOutOfCacheCodes(w, keys, vals, dstK, dstV, codes, len(ch), cs, nil)
+		ParallelNonInPlaceCodes(w, keys, vals, dstK, dstV, codes, ch, 0, nil)
 	}); a != 0 {
-		t.Fatalf("warm NonInPlaceOutOfCacheCodes allocates %v times", a)
+		t.Fatalf("warm one-worker ParallelNonInPlaceCodes allocates %v times", a)
 	}
 }
 

@@ -16,20 +16,21 @@ import (
 )
 
 // CMP is the comparison sort of Section 4.3: very few wide-fanout range
-// partitioning passes — the range function computed once per tuple through
-// the cache-resident index and stored as partition codes — until segments
-// are cache-resident, then an in-place leaf sort. The paper's leaf is
-// SIMD comb-sort with W-way lane merging (CombSorter); without 128-bit
-// min/max instructions that runs as a scalar lane emulation, so the leaf
-// here is Quicksort, a branchless-partition introsort.
+// partitioning passes — the range function computed once per tuple
+// through the cache-resident index — until segments are cache-resident,
+// then an in-place leaf sort. The paper's leaf is SIMD comb-sort with
+// W-way lane merging (CombSorter); without 128-bit min/max instructions
+// that runs as a scalar lane emulation, so the leaf here is Quicksort, a
+// branchless-partition introsort.
 //
 // The first pass is one of two layouts. With a topology of more than one
 // region, tmpK/tmpV given and Oblivious unset, it is NUMA-aware: regions
 // partition locally into tmp and one shuffle moves each tuple across the
-// interconnect at most once. Otherwise it permutes blocks in place
-// (part.BlockPermute); tmpK/tmpV, when given, are then only the
-// recursion's ping-pong scratch, and nil tmp arrays make the recursion
-// draw per-partition scratch from the workspace pool instead. Not stable.
+// interconnect at most once; tmpK/tmpV are read nowhere else. Otherwise
+// it permutes blocks in place (part.BlockPermute) and tmp goes unused.
+// Every later range pass is a single-worker block permutation of one
+// partition in place, so beyond the NUMA pass's tmp and codes column the
+// sort needs only O(threads × fanout × B) scratch. Not stable.
 //
 // Unlike the radix sorts, CMP's splitters adapt to any distribution:
 // sampled delimiters balance the work under skew, and keys sampled twice
@@ -58,8 +59,8 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	// pass, so copying tmp back makes keys a permutation of the input
 	// again. Everywhere else either keys is untouched (the NUMA scatter
 	// reads keys, writes tmp), or BlockPermute's handler has left keys a
-	// permutation, or cmpRecurseAll's own handler has already repaired the
-	// recursion's destination ranges.
+	// permutation, or the recursion — which only permutes partitions in
+	// place — has.
 	inShuffle := false
 	defer func() {
 		if e := recover(); e != nil {
@@ -98,11 +99,9 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	if tmpK == nil || c == 1 || opt.Oblivious {
 		// The first pass fans out in place through the block-permutation
 		// kernel: O(threads × fanout × B) scratch, no codes column. The
-		// recursion ping-pongs through tmp when it is given and otherwise
-		// draws per-partition scratch from the workspace pool, bounded by
-		// the largest top-level partition per worker. The NUMA-aware layout
-		// needs tmp (the cross-region shuffle routes through it), so a
-		// nil-tmp request runs obliviously regardless of the topology.
+		// NUMA-aware layout needs tmp (the cross-region shuffle routes
+		// through it), so a nil-tmp request runs obliviously regardless of
+		// the topology.
 		ctl.CheckpointNow()
 		fault.Inject(fault.SiteCMPPass)
 		pass0 := obs.BeginPassIn("cmp", 0, -1)
@@ -111,7 +110,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 			part.BlockPermute(w, keys, vals, tree, cmpBlockTuples(n, fanout, t), t, starts, nil, ctl)
 		})
 		pass0.EndN(int64(n))
-		cmpRecurseAll(keys, vals, tmpK, tmpV, starts, ref.SingleKey, opt, ct)
+		cmpRecurseAll(keys, vals, starts, ref.SingleKey, opt, ct)
 		w.PutInts(starts)
 		if st != nil {
 			st.Passes++
@@ -238,18 +237,17 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		st.RegionBounds = append([]int(nil), outBounds...)
 	}
 
-	// Recursion: data is in keys (post-shuffle); results must stay in
-	// keys, scratch is tmp.
-	cmpRecurseAll(keys, vals, tmpK, tmpV, starts, ref.SingleKey, opt, ct)
+	// Recursion: in place on keys (post-shuffle); tmp is no longer read.
+	cmpRecurseAll(keys, vals, starts, ref.SingleKey, opt, ct)
 	w.PutInts(starts)
 }
 
 // cmpWorker is the worker-pool driver of cmpRecurseAll: workers claim
-// top-level partitions off an atomic cursor (the same dynamic balancing as
-// the old channel feed, without the channel) and recurse. Reused via
-// ws.Scratch so a steady-state run allocates no driver state.
+// top-level partitions off an atomic cursor and recurse into each in
+// place. Reused via ws.Scratch so a steady-state run allocates no driver
+// state.
 type cmpWorker[K kv.Key] struct {
-	xK, xV, yK, yV []K
+	keys, vals     []K
 	starts         []int
 	singleKey      []bool
 	opt            Options
@@ -259,7 +257,6 @@ type cmpWorker[K kv.Key] struct {
 }
 
 func (r *cmpWorker[K]) RunTask(wi int) {
-	w := r.opt.Workspace
 	sp := obs.BeginIn("cmp", "cmp-recurse", "worker", wi)
 	var done int64
 	nq := int64(len(r.starts) - 1)
@@ -269,51 +266,26 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 			break
 		}
 		lo, hi := r.starts[q], r.starts[q+1]
-		single := int(q) < len(r.singleKey) && r.singleKey[q]
-		if single || hi-lo <= 1 {
-			continue
+		if hi-lo <= 1 || int(q) < len(r.singleKey) && r.singleKey[q] {
+			continue // a lone tuple or a single-key partition: already sorted
 		}
-		switch {
-		case r.yK != nil:
-			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], r.yK[lo:hi], r.yV[lo:hi], true, r.opt, r.ct, &r.passNs, &r.leafNs)
-		case hi-lo <= r.ct:
-			// In-place mode, cache-resident partition: the leaf sorts x in
-			// place and never touches the scratch side.
-			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], nil, nil, true, r.opt, r.ct, &r.passNs, &r.leafNs)
-		default:
-			// In-place mode: draw the ping-pong scratch for this partition
-			// from the workspace pool — peak O(threads × max partition)
-			// instead of a linear tmp array. On unwind the buffers leak to
-			// the collector (never back to the pool half-filled); the
-			// segment itself is repaired by cmpRecurse's own handler, since
-			// its destination is x.
-			sk := ws.Keys[K](w, hi-lo)
-			sv := ws.Keys[K](w, hi-lo)
-			cmpRecurse(r.xK[lo:hi], r.xV[lo:hi], sk, sv, true, r.opt, r.ct, &r.passNs, &r.leafNs)
-			ws.PutKeys(w, sk)
-			ws.PutKeys(w, sv)
-		}
+		cmpRecurse(r.keys[lo:hi], r.vals[lo:hi], r.opt, r.ct, &r.passNs, &r.leafNs)
 		done += int64(hi - lo)
 	}
 	sp.EndN(done)
 }
 
-// cmpRecurseAll distributes the top-level partitions over the worker pool.
-// Data sits in xK/xV at the offsets given by starts, and the results land
-// there too; yK/yV is the recursion's ping-pong scratch, or nil to draw it
-// per partition from the workspace pool. On failure every partition still
-// holds a permutation of its tuples in x: a claimed one because
-// cmpRecurse's unwind handler repairs its destination, an unclaimed one
-// because nothing has touched it. Leaf and pass CPU time are accumulated
-// separately and the measured wall clock of the whole recursion is split
-// proportionally between the LocalRadix (range passes) and CacheSort
-// phases.
-func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool, opt Options, ct int) {
+// cmpRecurseAll distributes the top-level partitions — keys/vals at the
+// offsets given by starts — over the worker pool, each sorted in place.
+// Leaf and pass CPU time are accumulated separately and the measured wall
+// clock of the whole recursion is split proportionally between the
+// LocalRadix (range passes) and CacheSort phases.
+func cmpRecurseAll[K kv.Key](keys, vals []K, starts []int, singleKey []bool, opt Options, ct int) {
 	st := opt.Stats
 	w := opt.Workspace
 	begin := time.Now()
 	r := ws.Scratch[cmpWorker[K]](w, ws.SlotCmpWork)
-	r.xK, r.xV, r.yK, r.yV = xK, xV, yK, yV
+	r.keys, r.vals = keys, vals
 	r.starts, r.singleKey = starts, singleKey
 	r.opt, r.ct = opt, ct
 	r.next.Store(0)
@@ -321,7 +293,7 @@ func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool,
 	r.leafNs.Store(0)
 	ws.RunWorkersCtl(w, opt.Threads, r, opt.Ctl)
 	p, l := r.passNs.Load(), r.leafNs.Load()
-	r.xK, r.xV, r.yK, r.yV = nil, nil, nil, nil
+	r.keys, r.vals = nil, nil
 	r.starts, r.singleKey = nil, nil
 	r.opt = Options{}
 	ws.PutScratch(w, ws.SlotCmpWork, r)
@@ -332,93 +304,41 @@ func cmpRecurseAll[K kv.Key](xK, xV, yK, yV []K, starts []int, singleKey []bool,
 	}
 }
 
-// cmpRecurse sorts one segment: data in x, scratch y, result in x when
-// wantInX else in y. Codes, histogram, and offsets come from the
-// workspace; only the adaptive splitter sampling still allocates.
+// cmpRecurse sorts one segment in place. A segment above ct runs one
+// range pass over freshly sampled splitters as a single-worker block
+// permutation (part.BlockPermute), then recurses into each partition that
+// is neither a single-key partition nor a lone tuple; a cache-resident
+// segment is a leaf. The starts array and the kernel's buffers come from
+// the workspace; only the adaptive splitter sampling still allocates.
 //
-// Unwind contract: whenever cmpRecurse unwinds from a panic or bail, the
-// segment's DESTINATION side holds a permutation of the segment's tuples.
-// Before the scatter completes, x is untouched, so copying x across (when
-// the destination is y) restores. After the scatter, the processed prefix
-// of the destination is already correct, the in-flight recursive sub-call
-// has repaired its own sub-range (its destination is this level's
-// destination sub-range, by the ping-pong argument), and the unprocessed
-// tail still sits in y — so when the destination is x, the tail is copied
-// back from y. The leaf (Quicksort, in place on the destination after
-// copying x across when that is y) has no interruption points and only
-// permutes, so it never leaves the destination anything but a permutation.
-func cmpRecurse[K kv.Key](xK, xV, yK, yV []K, wantInX bool, opt Options, ct int, passNs, leafNs *atomic.Int64) {
-	n := len(xK)
-	w := opt.Workspace
-	ctl := opt.Ctl
-	scattered := false
-	safeLo := 0          // destination prefix [0, safeLo) already correct
-	subLo, subHi := 0, 0 // in-flight recursive sub-range (repairs itself)
-	defer func() {
-		e := recover()
-		if e == nil {
-			return
-		}
-		if !scattered {
-			if !wantInX {
-				copy(yK, xK)
-				copy(yV, xV)
-			}
-		} else if wantInX {
-			copy(xK[safeLo:subLo], yK[safeLo:subLo])
-			copy(xV[safeLo:subLo], yV[safeLo:subLo])
-			copy(xK[subHi:], yK[subHi:])
-			copy(xV[subHi:], yV[subHi:])
-		}
-		panic(hard.NewPanic(e))
-	}()
-	ctl.Checkpoint()
+// Every interruption point leaves the segment a permutation of its tuples:
+// the checkpoint and fault site at entry sit where every ancestor's pass
+// has completed, BlockPermute restores its own state before re-raising,
+// and the leaf (Quicksort) has no interruption points and only permutes.
+func cmpRecurse[K kv.Key](keys, vals []K, opt Options, ct int, passNs, leafNs *atomic.Int64) {
+	opt.Ctl.Checkpoint()
 	fault.Inject(fault.SiteCMPPass)
+	n := len(keys)
+	start := time.Now()
 	if n <= ct {
-		start := time.Now()
-		dK, dV := xK, xV
-		if !wantInX {
-			copy(yK, xK)
-			copy(yV, xV)
-			dK, dV = yK, yV
-		}
-		cmpLeaf(dK, dV)
+		cmpLeaf(keys, vals)
 		leafNs.Add(int64(time.Since(start)))
 		return
 	}
-	start := time.Now()
-	sampled := splitter.ForThreads(xK, opt.RangeFanout, opt.Seed+uint64(n))
+	w := opt.Workspace
+	sampled := splitter.ForThreads(keys, opt.RangeFanout, opt.Seed+uint64(n))
 	ref := splitter.RefineDuplicates(sampled)
 	tree := rangeidx.NewTreeFor(ref.Delims)
 	fanout := tree.Fanout()
-	codes := w.Int32s(n)
-	hist := part.HistogramCodesBatchInto(w.Ints(fanout), xK, tree, codes)
-	starts, _ := part.StartsInto(w.Ints(fanout), hist)
-	part.NonInPlaceOutOfCacheCodes(w, xK, xV, yK, yV, codes, fanout, starts, ctl)
-	scattered = true
-	w.PutInt32s(codes)
-	w.PutInts(starts)
+	starts := part.BlockPermute(w, keys, vals, tree, cmpBlockTuples(n, fanout, 1), 1, w.Ints(fanout+1), nil, opt.Ctl)
 	passNs.Add(int64(time.Since(start)))
-	lo := 0
-	for q, h := range hist {
-		if h > 0 {
-			single := (q < len(ref.SingleKey) && ref.SingleKey[q]) || h == 1
-			if single {
-				if wantInX {
-					start := time.Now()
-					copy(xK[lo:lo+h], yK[lo:lo+h])
-					copy(xV[lo:lo+h], yV[lo:lo+h])
-					passNs.Add(int64(time.Since(start)))
-				}
-			} else {
-				subLo, subHi = lo, lo+h
-				cmpRecurse(yK[lo:lo+h], yV[lo:lo+h], xK[lo:lo+h], xV[lo:lo+h], !wantInX, opt, ct, passNs, leafNs)
-			}
+	for q := 0; q < fanout; q++ {
+		lo, hi := starts[q], starts[q+1]
+		if hi-lo > 1 && !(q < len(ref.SingleKey) && ref.SingleKey[q]) {
+			cmpRecurse(keys[lo:hi], vals[lo:hi], opt, ct, passNs, leafNs)
 		}
-		lo += h
-		safeLo, subLo, subHi = lo, lo, lo
 	}
-	w.PutInts(hist)
+	w.PutInts(starts)
 }
 
 // cmpLeaf sorts one cache-resident segment in place and counts it as a

@@ -103,39 +103,47 @@ func TestCMPWorkspace(t *testing.T) {
 }
 
 // TestCMPWorkspacePeakAux bounds a warm two-worker CMP's scratch high
-// water mark at n = 2^16 (64-bit pairs) in both layouts. The bounds are
-// the peaks measured when each worker still pooled a CombSorter with two
-// pad buffers of 1.5 × CacheTuples; the in-place leaf needs no scratch, so
-// a regression past them means a leaf or driver grew a buffer again.
+// water mark (64-bit pairs). The two 2^16 rows never recurse past the
+// first pass; their bounds are the peaks measured when each worker still
+// pooled a CombSorter with two pad buffers of 1.5 × CacheTuples, and the
+// in-place leaf needs no scratch, so a regression past them means a leaf
+// or driver grew a buffer again. The 2^18 row recurses (RangeFanout 16,
+// CacheTuples 1024 leave ~16k-tuple partitions, each a further range
+// pass): those passes draw only one worker's block buffers each (~0.57 MB
+// peak measured), so scratch sized by the partition breaks the bound.
 func TestCMPWorkspacePeakAux(t *testing.T) {
-	n := 1 << 16
 	for _, tc := range []struct {
+		n       int
 		inPlace bool
+		opt     Options
 		bound   uint64
 	}{
-		{false, 1318912},
-		{true, 1060864},
+		{1 << 16, false, Options{}, 1318912},
+		{1 << 16, true, Options{}, 1060864},
+		{1 << 18, true, Options{RangeFanout: 16, CacheTuples: 1024}, 600000},
 	} {
 		w := ws.New()
 		var st Stats
 		for run := 0; run < 2; run++ {
-			keys := gen.Uniform[uint64](n, 0, 5)
-			vals := gen.RIDs[uint64](n)
+			keys := gen.Uniform[uint64](tc.n, 0, 5)
+			vals := gen.RIDs[uint64](tc.n)
 			var tmpK, tmpV []uint64
 			if !tc.inPlace {
-				tmpK, tmpV = make([]uint64, n), make([]uint64, n)
+				tmpK, tmpV = make([]uint64, tc.n), make([]uint64, tc.n)
 			}
 			st = Stats{}
-			CMP(keys, vals, tmpK, tmpV, Options{Threads: 2, Workspace: w, Stats: &st})
+			opt := tc.opt
+			opt.Threads, opt.Workspace, opt.Stats = 2, w, &st
+			CMP(keys, vals, tmpK, tmpV, opt)
 			if !kv.IsSorted(keys) {
 				t.Fatal("not sorted")
 			}
 		}
 		if st.PeakAuxBytes == 0 || st.PeakAuxBytes > tc.bound {
-			t.Errorf("in-place=%v: warm PeakAuxBytes %d, want 1..%d", tc.inPlace, st.PeakAuxBytes, tc.bound)
+			t.Errorf("n=%d in-place=%v: warm PeakAuxBytes %d, want 1..%d", tc.n, tc.inPlace, st.PeakAuxBytes, tc.bound)
 		}
 		if aux := w.AuxBytes(); aux != 0 {
-			t.Errorf("in-place=%v: workspace ledger holds %d bytes after the sort, want 0", tc.inPlace, aux)
+			t.Errorf("n=%d in-place=%v: workspace ledger holds %d bytes after the sort, want 0", tc.n, tc.inPlace, aux)
 		}
 		w.Close()
 	}

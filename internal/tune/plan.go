@@ -181,19 +181,19 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 }
 
 // auxBytes models the peak auxiliary footprint of one algorithm's layout
-// in bytes: LSB's linear tmp pair, and the block-permutation buffers (plus
-// CMP's pooled recursion scratch) for the in-place MSB and CMP.
+// in bytes: LSB's linear tmp pair, and the block-permutation buffers for
+// the in-place MSB and CMP.
 func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
 	tuple := int64(2 * keyBits / 8) // one key + one payload of key width
 	n := int64(w.N)
 	t := int64(threads)
 	switch algo {
 	case AlgoCMP:
-		// Classify buffers of the block-permutation kernel plus one
-		// in-flight per-partition ping-pong scratch per worker.
-		blocks := t * defaultRangeFanout * 1024 * tuple
-		rec := t * (n/defaultRangeFanout + 1) * tuple
-		return blocks + rec
+		// Classify buffers of the first pass's block permutation. Each
+		// later range pass is a one-worker permutation at the same
+		// fanout cap and a block no larger, so T of them in flight fit
+		// the same bound.
+		return t * defaultRangeFanout * 1024 * tuple
 	case AlgoMSB:
 		// Block-permutation fan-out over ~2T ranges; past the cache bound
 		// each worker's out-of-cache local passes add one buffer block
@@ -326,7 +326,7 @@ func msbCost(p *MachineProfile, w WorkloadStats, keyBits, radixBits, threads int
 // cmpCost models the range-partitioning comparison sort (Section 4.3):
 // range passes of fanout defaultRangeFanout until segments are
 // cache-resident (range lookups cost ~3x a radix histogram probe), then
-// in-cache comb-sort priced per key-log.
+// the in-cache Quicksort leaves priced per key-log.
 func cmpCost(p *MachineProfile, w WorkloadStats, keyBits, threads int) (float64, int) {
 	n := float64(w.N)
 	passes := 0

@@ -176,11 +176,11 @@ func SortMSB[K Key](keys, vals []K, opt *SortOptions) {
 // SortCMP sorts (keys, vals) by key with the range-partitioning comparison
 // sort (Section 4.3): sampled splitters give perfect load balance and skew
 // immunity regardless of the key distribution; heavily repeated keys get
-// single-key partitions that skip sorting entirely. It runs the in-place
-// block-permutation layout, with no linear auxiliary arrays, unless the
-// NUMA-aware layout is engaged (Regions > 1 without Oblivious): that
-// first pass routes through one linear auxiliary array pair. Not stable.
-// Panics as SortLSB does.
+// single-key partitions that skip sorting entirely. Every range pass is
+// an in-place block permutation, with no linear auxiliary arrays, unless
+// the NUMA-aware layout is engaged (Regions > 1 without Oblivious): that
+// first pass routes through one linear auxiliary array pair, and the
+// passes after it run in place. Not stable. Panics as SortLSB does.
 func SortCMP[K Key](keys, vals []K, opt *SortOptions) {
 	mustSort(sortOnce(context.Background(), "SortCMP", CMP, keys, vals, opt))
 }

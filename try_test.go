@@ -3,6 +3,7 @@ package partsort
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -289,46 +290,61 @@ func TestTryFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestTryFaultMSBLocalPass arms the block-permutation sites inside MSB's
-// out-of-cache local passes: one thread with a 1024-tuple cache bound
-// sends 2^18 keys straight into msbRecurse, whose first passes are
-// single-worker block permutations large enough to reach the permute
-// phase. Each arming must fire and come back as *InternalError with the
-// input left a permutation and no temp resource live.
+// TestTryFaultMSBLocalPass arms the block-permutation sites inside the
+// out-of-cache local passes of MSB and CMP: one thread with a 1024-tuple
+// cache bound sends 2^18 keys into msbRecurse or cmpRecurse, whose passes
+// are single-worker block permutations large enough to reach the permute
+// phase. MSB's first pass is already local; CMP's rows (RangeFanout 16)
+// count past every hit of the top-level pass (256 blocks, one cleanup),
+// so they fire only inside the recursion. Each arming must fire and come
+// back as *InternalError with the input left a permutation and no temp
+// resource live.
 func TestTryFaultMSBLocalPass(t *testing.T) {
 	defer fault.Disable()
 	n := 1 << 18
 	keys := gen.Uniform[uint32](n, 0, 7)
 	vals := RIDs[uint32](n)
-	for _, withWS := range []bool{false, true} {
-		var w *Workspace
-		if withWS {
-			w = NewWorkspace()
-			defer w.Close()
-		}
-		for _, site := range []fault.Site{fault.SiteBlockPermute, fault.SiteBlockCleanup} {
-			for _, after := range []int{0, 3, 40} {
+	for _, c := range []struct {
+		algo  Algorithm
+		opt   SortOptions
+		site  fault.Site
+		after []int
+	}{
+		{MSB, SortOptions{}, fault.SiteBlockPermute, []int{0, 3, 40}},
+		{MSB, SortOptions{}, fault.SiteBlockCleanup, []int{0, 3, 40}},
+		{CMP, SortOptions{RangeFanout: 16}, fault.SiteBlockPermute, []int{300, 600, 900}},
+		{CMP, SortOptions{RangeFanout: 16}, fault.SiteBlockCleanup, []int{1, 8, 15}},
+	} {
+		for _, withWS := range []bool{false, true} {
+			var w *Workspace
+			if withWS {
+				w = NewWorkspace()
+			}
+			for _, after := range c.after {
+				name := fmt.Sprintf("%v %s ws=%v after=%d", c.algo, c.site, withWS, after)
 				k := append([]uint32(nil), keys...)
 				v := append([]uint32(nil), vals...)
-				fault.Enable(site, after)
-				err := trySort(MSB, k, v, &SortOptions{Threads: 1, CacheTuples: 1 << 10, Workspace: w})
+				opt := c.opt
+				opt.Threads, opt.CacheTuples, opt.Workspace = 1, 1<<10, w
+				fault.Enable(c.site, after)
+				err := trySort(c.algo, k, v, &opt)
 				fired := fault.Fired()
 				fault.Disable()
 				if !fired {
-					t.Fatalf("%s ws=%v after=%d: site never reached", site, withWS, after)
+					t.Fatalf("%s: site never reached", name)
 				}
 				var ie *InternalError
-				if !errors.As(err, &ie) || !errors.Is(err, fault.Injected{Site: site}) {
-					t.Fatalf("%s ws=%v after=%d: err = %v (%T), want *InternalError wrapping the fault",
-						site, withWS, after, err, err)
+				if !errors.As(err, &ie) || !errors.Is(err, fault.Injected{Site: c.site}) {
+					t.Fatalf("%s: err = %v (%T), want *InternalError wrapping the fault", name, err, err)
 				}
 				if !SameMultiset(keys, vals, k, v) {
-					t.Fatalf("%s ws=%v after=%d: keys/vals are not a permutation of the input", site, withWS, after)
+					t.Fatalf("%s: keys/vals are not a permutation of the input", name)
 				}
 				if err := fault.CheckResources(); err != nil {
-					t.Fatalf("%s ws=%v after=%d: %v", site, withWS, after, err)
+					t.Fatalf("%s: %v", name, err)
 				}
 			}
+			w.Close()
 		}
 	}
 }

@@ -32,6 +32,12 @@ go run ./cmd/sortcli -n 200000 -algo cmp -width 32 -threads 2 -verify > /dev/nul
 # and shuffles across regions.
 go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 1 -verify > /dev/null
 go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 4 -regions 4 -verify > /dev/null
+# CMP past one range pass: 6M keys leave ~16.7k-tuple top-level
+# partitions at fanout 360, above the 16384-tuple cache bound, so most
+# take a second pass, a single-worker in-place block permutation. The
+# NUMA lane recurses on keys after the cross-region shuffle.
+go run ./cmd/sortcli -n 6000000 -algo cmp -width 64 -threads 2 -verify > /dev/null
+go run ./cmd/sortcli -n 6000000 -algo cmp -width 64 -threads 4 -regions 4 -verify > /dev/null
 # Range index: Partition and LookupBatch fuzzed against binary search.
 go test -run '^$' -fuzz '^FuzzRangeIndex$' -fuzztime 10s .
 go run ./cmd/partcli -n 100000 -variant sync -threads 4 > /dev/null
