@@ -43,6 +43,11 @@ import (
 	"repro/internal/server"
 )
 
+// readHeaderTimeout bounds how long the HTTP API waits for a client's
+// request headers, so a client that opens a connection and never
+// finishes its headers cannot hold the connection open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(run())
 }
@@ -117,7 +122,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sortd: listen:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.Serve(httpLis) }()
 	fmt.Fprintf(os.Stderr, "sortd: serving HTTP API on %s\n", httpLis.Addr())

@@ -15,7 +15,7 @@ func TestParallelScatterMatchesParallelNonInPlace(t *testing.T) {
 	hists, _ := ParallelHistograms(nil, keys, fn, 4, nil)
 	aK := make([]uint64, len(keys))
 	aV := make([]uint64, len(keys))
-	ParallelScatter(nil, keys, vals, aK, aV, fn, hists, 0, nil, nil)
+	ParallelScatter(nil, keys, vals, aK, aV, fn, nil, hists, 0, nil, nil)
 	bK := make([]uint64, len(keys))
 	bV := make([]uint64, len(keys))
 	ParallelNonInPlace(nil, keys, vals, bK, bV, fn, 4, nil)
@@ -26,7 +26,7 @@ func TestParallelScatterMatchesParallelNonInPlace(t *testing.T) {
 	}
 }
 
-func TestParallelNonInPlaceCodesDirect(t *testing.T) {
+func TestParallelScatterCodesDirect(t *testing.T) {
 	keys := gen.Uniform[uint32](1<<13, 0, 11)
 	vals := gen.RIDs[uint32](len(keys))
 	fn := pfunc.NewHash[uint32](64)
@@ -34,7 +34,7 @@ func TestParallelNonInPlaceCodesDirect(t *testing.T) {
 	hists, _ := ParallelHistogramsCodes(nil, keys, fn, codes, 3, nil)
 	dstK := make([]uint32, len(keys))
 	dstV := make([]uint32, len(keys))
-	ParallelNonInPlaceCodes(nil, keys, vals, dstK, dstV, codes, hists, 0, nil)
+	ParallelScatter(nil, keys, vals, dstK, dstV, fn, codes, hists, 0, nil, nil)
 	hist := MergeHistograms(hists)
 	starts, _ := Starts(hist)
 	for p := range hist {

@@ -166,7 +166,7 @@ func publishScatter(tuples int, flushes uint64) {
 
 // scatterChunkCodes is scatterChunk driven by precomputed partition codes:
 // the data-movement half of wide-fanout range partitioning
-// (ParallelNonInPlaceCodes). It performs almost as fast as radix
+// (ParallelScatter with a codes column). It performs almost as fast as radix
 // partitioning because scanning the short code array is sequential
 // (Section 4.3.2).
 func scatterChunkCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, buf *lineBuffers[K], off, starts []int, ctl *hard.Ctl) {

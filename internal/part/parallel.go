@@ -180,10 +180,12 @@ func (s *scatterScratch[K]) release(w *ws.Workspace) {
 }
 
 // scatterRunner drives the data-movement half of parallel non-in-place
-// partitioning on the pool.
+// partitioning on the pool: fn classifies each tuple, or codes, when set,
+// holds its precomputed partition.
 type scatterRunner[K kv.Key, F pfunc.Func[K]] struct {
 	srcK, srcV, dstK, dstV []K
 	fn                     F
+	codes                  []int32
 	bounds                 []int
 	sc                     scatterScratch[K]
 	ctl                    *hard.Ctl
@@ -191,9 +193,17 @@ type scatterRunner[K kv.Key, F pfunc.Func[K]] struct {
 
 func (r *scatterRunner[K, F]) RunTask(t int) {
 	lo, hi := r.bounds[t], r.bounds[t+1]
-	sp := obs.Begin("scatter", "worker", t)
+	name := "scatter"
+	if r.codes != nil {
+		name = "scatter-codes"
+	}
+	sp := obs.Begin(name, "worker", t)
 	buf, off := r.sc.worker(t)
-	scatterChunk(r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.fn, &buf, off, r.sc.starts[t], r.ctl)
+	if r.codes != nil {
+		scatterChunkCodes(r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.codes[lo:hi], &buf, off, r.sc.starts[t], r.ctl)
+	} else {
+		scatterChunk(r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.fn, &buf, off, r.sc.starts[t], r.ctl)
+	}
 	sp.EndN(int64(hi - lo))
 }
 
@@ -206,7 +216,7 @@ func (r *scatterRunner[K, F]) RunTask(t int) {
 func ParallelNonInPlace[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, workers int, ctl *hard.Ctl) []int {
 	hists, bounds := ParallelHistograms(w, srcK, fn, workers, ctl)
 	ctl.Checkpoint()
-	ParallelScatter(w, srcK, srcV, dstK, dstV, fn, hists, 0, bounds, ctl)
+	ParallelScatter(w, srcK, srcV, dstK, dstV, fn, nil, hists, 0, bounds, ctl)
 	total := MergeHistograms(hists)
 	w.PutMatrix(hists)
 	w.PutInts(bounds)
@@ -221,17 +231,23 @@ func ParallelNonInPlace[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, 
 // movement phases timed separately use ParallelHistograms +
 // ParallelScatter.
 //
+// A nil codes evaluates fn per tuple. A non-nil codes is the column
+// ParallelHistogramsCodes recorded over the same chunks, and the scatter
+// reads each tuple's partition from it instead (wide-fanout range
+// partitioning: scanning the short code array is sequential, Section
+// 4.3.2); fn is then used for nothing.
+//
 // Workers checkpoint ctl every hard.CkptTuples tuples. Interruption leaves
 // src intact (only disjoint dst shares are partially written), so the sort
 // drivers' restore defers recover the permutation from src.
-func ParallelScatter[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hists [][]int, base int, bounds []int, ctl *hard.Ctl) {
+func ParallelScatter[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, codes []int32, hists [][]int, base int, bounds []int, ctl *hard.Ctl) {
 	workers := len(hists)
 	chunks := bounds
 	if chunks == nil {
 		chunks = ChunkBoundsInto(w.Ints(workers+1), len(srcK))
 	}
 	r := ws.Scratch[scatterRunner[K, F]](w, ws.SlotScatter)
-	*r = scatterRunner[K, F]{srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, fn: fn, bounds: chunks, sc: newScatterScratch[K](w, hists, base), ctl: ctl}
+	*r = scatterRunner[K, F]{srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, fn: fn, codes: codes, bounds: chunks, sc: newScatterScratch[K](w, hists, base), ctl: ctl}
 	ws.RunWorkersCtl(w, workers, r, ctl)
 	r.sc.release(w)
 	*r = scatterRunner[K, F]{}
@@ -242,42 +258,9 @@ func ParallelScatter[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dst
 }
 
 // ParallelScatterWS is ParallelScatter over ChunkBounds chunks with no
-// cancellation control. bench/ is its only caller.
+// codes column and no cancellation control. bench/ is its only caller.
 func ParallelScatterWS[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hists [][]int, base int) {
-	ParallelScatter(w, srcK, srcV, dstK, dstV, fn, hists, base, nil, nil)
-}
-
-// scatterCodesRunner drives code-driven scatter on the pool.
-type scatterCodesRunner[K kv.Key] struct {
-	srcK, srcV, dstK, dstV []K
-	codes                  []int32
-	bounds                 []int
-	sc                     scatterScratch[K]
-	ctl                    *hard.Ctl
-}
-
-func (r *scatterCodesRunner[K]) RunTask(t int) {
-	lo, hi := r.bounds[t], r.bounds[t+1]
-	sp := obs.Begin("scatter-codes", "worker", t)
-	buf, off := r.sc.worker(t)
-	scatterChunkCodes(r.srcK[lo:hi], r.srcV[lo:hi], r.dstK, r.dstV, r.codes[lo:hi], &buf, off, r.sc.starts[t], r.ctl)
-	sp.EndN(int64(hi - lo))
-}
-
-// ParallelNonInPlaceCodes is ParallelScatter for precomputed partition
-// codes (wide-fanout range partitioning). hists must be the per-worker
-// histograms previously computed by ParallelHistogramsCodes over the same
-// chunk bounds. Cancellation behaves as in ParallelScatter.
-func ParallelNonInPlaceCodes[K kv.Key](w *ws.Workspace, srcK, srcV, dstK, dstV []K, codes []int32, hists [][]int, base int, ctl *hard.Ctl) {
-	workers := len(hists)
-	bounds := ChunkBoundsInto(w.Ints(workers+1), len(srcK))
-	r := ws.Scratch[scatterCodesRunner[K]](w, ws.SlotScatterCodes)
-	*r = scatterCodesRunner[K]{srcK: srcK, srcV: srcV, dstK: dstK, dstV: dstV, codes: codes, bounds: bounds, sc: newScatterScratch[K](w, hists, base), ctl: ctl}
-	ws.RunWorkersCtl(w, workers, r, ctl)
-	r.sc.release(w)
-	*r = scatterCodesRunner[K]{}
-	ws.PutScratch(w, ws.SlotScatterCodes, r)
-	w.PutInts(bounds)
+	ParallelScatter(w, srcK, srcV, dstK, dstV, fn, nil, hists, base, nil, nil)
 }
 
 // inplaceChunkRunner drives shared-nothing in-place partitioning on the pool.

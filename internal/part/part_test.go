@@ -266,10 +266,10 @@ func TestInPlaceQuick(t *testing.T) {
 	}
 }
 
-// TestParallelNonInPlaceCodesOneWorker runs the codes-driven scatter on
+// TestParallelScatterCodesOneWorker runs the codes-driven scatter on
 // one worker, whose histogram is the serial one: the output must be the
 // stable partition.
-func TestParallelNonInPlaceCodesOneWorker(t *testing.T) {
+func TestParallelScatterCodesOneWorker(t *testing.T) {
 	keys := gen.Uniform[uint32](1<<13, 0, 11)
 	vals := gen.RIDs[uint32](len(keys))
 	fn := pfunc.NewHash[uint32](64)
@@ -277,7 +277,7 @@ func TestParallelNonInPlaceCodesOneWorker(t *testing.T) {
 	hist := HistogramCodes(keys, fn, codes)
 	dstK := make([]uint32, len(keys))
 	dstV := make([]uint32, len(keys))
-	ParallelNonInPlaceCodes(nil, keys, vals, dstK, dstV, codes, [][]int{hist}, 0, nil)
+	ParallelScatter(nil, keys, vals, dstK, dstV, fn, codes, [][]int{hist}, 0, nil, nil)
 	checkPartitioned(t, keys, vals, dstK, dstV, fn, hist)
 	checkStable(t, dstV, hist)
 }

@@ -78,9 +78,9 @@ func seamKernels[F pfunc.Func[uint32]](t *testing.T, keys, vals []uint32, fn F) 
 			NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, fn, starts, ctl)
 			sameOutput(t, dstK, dstV)
 		}},
-		{"ParallelNonInPlaceCodes", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {
+		{"ParallelScatterCodes", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {
 			dstK, dstV := make([]uint32, n), make([]uint32, n)
-			ParallelNonInPlaceCodes(w, keys, vals, dstK, dstV, refCodes, [][]int{hist}, 0, ctl)
+			ParallelScatter(w, keys, vals, dstK, dstV, fn, refCodes, [][]int{hist}, 0, nil, ctl)
 			sameOutput(t, dstK, dstV)
 		}},
 		{"ParallelHistograms", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {
@@ -102,10 +102,10 @@ func seamKernels[F pfunc.Func[uint32]](t *testing.T, keys, vals []uint32, fn F) 
 		{"ParallelScatter", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {
 			hists, bounds := ParallelHistograms(w, keys, fn, workers, ctl)
 			dstK, dstV := make([]uint32, n), make([]uint32, n)
-			ParallelScatter(w, keys, vals, dstK, dstV, fn, hists, 0, nil, ctl)
+			ParallelScatter(w, keys, vals, dstK, dstV, fn, nil, hists, 0, nil, ctl)
 			sameOutput(t, dstK, dstV)
 			clear(dstK)
-			ParallelScatter(w, keys, vals, dstK, dstV, fn, hists, 0, bounds, ctl)
+			ParallelScatter(w, keys, vals, dstK, dstV, fn, nil, hists, 0, bounds, ctl)
 			sameOutput(t, dstK, dstV)
 			w.PutMatrix(hists)
 			w.PutInts(bounds)

@@ -82,16 +82,16 @@ func TestWSCodesScatterMatchesPlain(t *testing.T) {
 
 	n := len(keys)
 	plainK, plainV := make([]uint32, n), make([]uint32, n)
-	ParallelNonInPlaceCodes(nil, keys, vals, plainK, plainV, codes, hists, 0, nil)
+	ParallelScatter(nil, keys, vals, plainK, plainV, fn, codes, hists, 0, nil, nil)
 
 	wsK, wsV := make([]uint32, n), make([]uint32, n)
-	ParallelNonInPlaceCodes(w, keys, vals, wsK, wsV, codes, hists, 0, nil)
-	sameTuples(t, "ParallelNonInPlaceCodes", plainK, plainV, wsK, wsV)
+	ParallelScatter(w, keys, vals, wsK, wsV, fn, codes, hists, 0, nil, nil)
+	sameTuples(t, "ParallelScatter with codes", plainK, plainV, wsK, wsV)
 
 	// The kernel must not mutate the caller's histogram (it derives its
 	// write cursors into pooled arrays instead).
 	if !slices.Equal(hists[0], hist) {
-		t.Fatal("ParallelNonInPlaceCodes mutated the caller's histogram")
+		t.Fatal("ParallelScatter with codes mutated the caller's histogram")
 	}
 }
 
@@ -150,11 +150,11 @@ func TestWSScatterZeroAlloc(t *testing.T) {
 	// Unrolled code-driven scatter.
 	codes := make([]int32, len(keys))
 	ch := [][]int{HistogramCodes(keys, fn, codes)}
-	ParallelNonInPlaceCodes(w, keys, vals, dstK, dstV, codes, ch, 0, nil)
+	ParallelScatter(w, keys, vals, dstK, dstV, fn, codes, ch, 0, nil, nil)
 	if a := testing.AllocsPerRun(10, func() {
-		ParallelNonInPlaceCodes(w, keys, vals, dstK, dstV, codes, ch, 0, nil)
+		ParallelScatter(w, keys, vals, dstK, dstV, fn, codes, ch, 0, nil, nil)
 	}); a != 0 {
-		t.Fatalf("warm one-worker ParallelNonInPlaceCodes allocates %v times", a)
+		t.Fatalf("warm one-worker ParallelScatter with codes allocates %v times", a)
 	}
 }
 
@@ -261,9 +261,9 @@ func TestParallelWSMatchesPlain(t *testing.T) {
 	}
 
 	wsK, wsV := make([]uint32, n), make([]uint32, n)
-	ParallelScatter(w, keys, vals, wsK, wsV, fn, hists, 0, bounds, nil)
+	ParallelScatter(w, keys, vals, wsK, wsV, fn, nil, hists, 0, bounds, nil)
 	plainK, plainV := make([]uint32, n), make([]uint32, n)
-	ParallelScatter(nil, keys, vals, plainK, plainV, fn, plainHists, 0, nil, nil)
+	ParallelScatter(nil, keys, vals, plainK, plainV, fn, nil, plainHists, 0, nil, nil)
 	sameTuples(t, "ParallelScatter", plainK, plainV, wsK, wsV)
 	w.PutMatrix(hists)
 	w.PutInts(bounds)

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/hard"
 	"repro/internal/kv"
-	"repro/internal/numa"
 	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/rangeidx"
@@ -24,10 +22,12 @@ import (
 // branchless-partition introsort.
 //
 // The first pass is one of two layouts. With a topology of more than one
-// region, tmpK/tmpV given and Oblivious unset, it is NUMA-aware: regions
-// partition locally into tmp and one shuffle moves each tuple across the
-// interconnect at most once; tmpK/tmpV are read nowhere else. Otherwise
-// it permutes blocks in place (part.BlockPermute) and tmp goes unused.
+// region, tmpK/tmpV given and Oblivious unset, it is the NUMA-aware first
+// pass CMP shares with LSB (numaFirstPass): regions partition locally
+// into tmp through a codes column, so the tree is still evaluated once
+// per tuple, and one shuffle moves each tuple across the interconnect at
+// most once; tmpK/tmpV are read nowhere else. Otherwise it permutes
+// blocks in place (part.BlockPermute) and tmp goes unused.
 // Every later range pass is a single-worker block permutation of one
 // partition in place, so beyond the NUMA pass's tmp and codes column the
 // sort needs only O(threads × fanout × B) scratch. Not stable.
@@ -53,24 +53,6 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	ctl := opt.Ctl
 	width := kv.Width[K]()
 	ct := cacheTuples(opt, width)
-
-	// Permutation restore on failure: the cross-region shuffle overwrites
-	// keys while tmp still holds every tuple of the completed NUMA first
-	// pass, so copying tmp back makes keys a permutation of the input
-	// again. Everywhere else either keys is untouched (the NUMA scatter
-	// reads keys, writes tmp), or BlockPermute's handler has left keys a
-	// permutation, or the recursion — which only permutes partitions in
-	// place — has.
-	inShuffle := false
-	defer func() {
-		if e := recover(); e != nil {
-			if inShuffle {
-				copy(keys, tmpK)
-				copy(vals, tmpV)
-			}
-			panic(hard.NewPanic(e))
-		}
-	}()
 
 	w := opt.Workspace
 	if n <= ct {
@@ -118,124 +100,14 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		return
 	}
 
-	codes := w.Int32s(n)
-	defer w.PutInt32s(codes)
-
-	// NUMA-aware: each region partitions its input segment into its tmp
-	// segment, then partitions are grouped into C contiguous runs of
-	// near-equal tuple count and shuffled to their destination region.
-	topo := opt.Topo
-	inBounds := equalBounds(n, c)
-	tpr := threadsPerRegion(opt)
-	regionHists := make([][][]int, c)
-	regionChunks := make([][]int, c)
+	// NUMA-aware: the shared first pass partitions each region's segment
+	// into tmp through a codes column, so the tree is evaluated once per
+	// tuple, and shuffles every partition to its region group.
 	ctl.CheckpointNow()
 	fault.Inject(fault.SiteCMPPass)
-	pass0 := obs.BeginPassIn("cmp", 0, -1)
-	timed(st, "cmp", phHistogram, func() {
-		g := hard.NewGroup(ctl)
-		for r := 0; r < c; r++ {
-			g.Go(func() {
-				lo, hi := inBounds[r], inBounds[r+1]
-				regionHists[r], regionChunks[r] = part.ParallelHistogramsCodes(w, keys[lo:hi], tree, codes[lo:hi], tpr, ctl)
-			})
-		}
-		g.Wait()
-	})
-	timed(st, "cmp", phPartition, func() {
-		g := hard.NewGroup(ctl)
-		for r := 0; r < c; r++ {
-			g.Go(func() {
-				lo, hi := inBounds[r], inBounds[r+1]
-				part.ParallelNonInPlaceCodes(w, keys[lo:hi], vals[lo:hi], tmpK[lo:hi], tmpV[lo:hi], codes[lo:hi], regionHists[r], 0, ctl)
-			})
-		}
-		g.Wait()
-	})
-
-	perRegion := w.Matrix(c, fanout)
-	for r := 0; r < c; r++ {
-		part.MergeHistogramsInto(perRegion[r], regionHists[r])
-		w.PutMatrix(regionHists[r])
-		w.PutInts(regionChunks[r])
-	}
-	totals := make([]int, fanout)
-	for r := 0; r < c; r++ {
-		for q := 0; q < fanout; q++ {
-			totals[q] += perRegion[r][q]
-		}
-	}
-	// Group partitions into C contiguous runs of near-equal tuple count.
-	groupOf := groupRanges(totals, n, c)
-	// Global layout: partition-major, source-region order within each.
-	dstOff := w.Matrix(c, fanout)
-	starts := w.Ints(fanout + 1)  // global per-partition start offsets
-	outBounds := make([]int, c+1) // per-region segment bounds after the shuffle
-	o := 0
-	prevGroup := 0
-	for q := 0; q < fanout; q++ {
-		starts[q] = o
-		for gg := prevGroup + 1; gg <= groupOf[q]; gg++ {
-			outBounds[gg] = o
-		}
-		prevGroup = groupOf[q]
-		for r := 0; r < c; r++ {
-			dstOff[r][q] = o
-			o += perRegion[r][q]
-		}
-	}
-	starts[fanout] = n
-	for gg := prevGroup + 1; gg <= c; gg++ {
-		outBounds[gg] = n
-	}
-	outBounds[c] = n
-
-	ctl.CheckpointNow()
-	fault.Inject(fault.SiteShuffleStart)
-	inShuffle = true
-	timed(st, "cmp", phShuffle, func() {
-		numa.RunPerRegion(topo, tpr, func(w numa.Worker) {
-			meter := topo.NewMeter()
-			dst := int(w.Region)
-			// Rotated all-to-all schedule ([10], Section 3.3): step s reads
-			// from region (dst+s) mod C, balancing interconnect use.
-			srcStarts := opt.Workspace.Ints(fanout)
-			for s := 0; s < c; s++ {
-				src := (dst + s) % c
-				part.StartsInto(srcStarts, perRegion[src])
-				for q := 0; q < fanout; q++ {
-					if groupOf[q] != dst || q%tpr != w.Index {
-						continue
-					}
-					cnt := perRegion[src][q]
-					if cnt == 0 {
-						continue
-					}
-					// Interrupting between partition copies is safe: tmp
-					// stays intact, and the cmpRun restore handler rebuilds
-					// keys from it.
-					ctl.Checkpoint()
-					so := inBounds[src] + srcStarts[q]
-					do := dstOff[src][q]
-					copy(keys[do:do+cnt], tmpK[so:so+cnt])
-					copy(vals[do:do+cnt], tmpV[so:so+cnt])
-					meter.Record(numa.Region(src), w.Region, uint64(cnt*2*width/8))
-				}
-			}
-			opt.Workspace.PutInts(srcStarts)
-			meter.Flush()
-		})
-	})
-	inShuffle = false
-	w.PutMatrix(perRegion)
-	w.PutMatrix(dstOff)
-	pass0.EndN(int64(n))
-	addRemoteBytes(topo.RemoteBytes())
-	if st != nil {
-		st.Passes++
-		st.RemoteBytes = topo.RemoteBytes()
-		st.RegionBounds = append([]int(nil), outBounds...)
-	}
+	codes := w.Int32s(n)
+	starts, _ := numaFirstPass("cmp", keys, vals, tmpK, tmpV, tree, codes, 0, opt)
+	w.PutInt32s(codes)
 
 	// Recursion: in place on keys (post-shuffle); tmp is no longer read.
 	cmpRecurseAll(keys, vals, starts, ref.SingleKey, opt, ct)

@@ -5,7 +5,6 @@ import (
 	"repro/internal/hard"
 	"repro/internal/kv"
 	"repro/internal/memmodel"
-	"repro/internal/numa"
 	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/pfunc"
@@ -13,10 +12,12 @@ import (
 )
 
 // LSB is the stable least-significant-bit radix-sort of Section 4.2.1,
-// NUMA-aware: the first pass partitions by a hybrid range-radix function —
-// a C-way range split (sampled delimiters, perfect load balance across
+// NUMA-aware: with a topology of more than one region (Oblivious unset)
+// the first pass is the NUMA-aware first pass LSB shares with CMP
+// (numaFirstPass), partitioning by a hybrid range-radix function — a
+// C-way range split (sampled delimiters, perfect load balance across
 // regions regardless of the key distribution) concatenated with low-order
-// radix bits — after which one shuffle moves every tuple across the NUMA
+// radix bits — so one shuffle moves every tuple across the NUMA
 // interconnect at most once; all later passes are region-local radix
 // partitioning. Sorting is stable: payloads of equal keys keep their input
 // order.
@@ -39,24 +40,6 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	}
 	st := opt.Stats
 	ctl := opt.Ctl
-
-	// Permutation restore on failure: during the cross-region shuffle keys
-	// is progressively overwritten from tmp, which still holds every tuple
-	// of the completed first pass, so copying tmp back makes keys a
-	// permutation of the input again. In every other window either keys is
-	// untouched (the first-pass scatter reads keys and writes tmp) or a
-	// narrower handler — the per-region local drivers — has already restored
-	// its own segment before the panic reaches this frame.
-	inShuffle := false
-	defer func() {
-		if e := recover(); e != nil {
-			if inShuffle {
-				copy(keys, tmpK)
-				copy(vals, tmpV)
-			}
-			panic(hard.NewPanic(e))
-		}
-	}()
 
 	domainBits := timedInt(st, "lsb", phHistogram, func() int {
 		return kv.DomainBits(keys)
@@ -97,130 +80,14 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		}
 		fn1 = newRangeRadix(delims, len(delims)+1, pfunc.NewRadix[K](0, uint(b)))
 	})
-	rr := fn1.rp // number of ranges R (>= C when heavy keys were isolated)
 
-	// Step 2: range-radix partition locally on each NUMA region into the
-	// region's own segment of the auxiliary array.
-	topo := opt.Topo
-	w := opt.Workspace
-	inBounds := equalBounds(n, c)
-	tpr := threadsPerRegion(opt)
-	regionHists := make([][][]int, c) // [region][thread][partition], pooled
-	regionChunks := make([][]int, c)  // per-region worker bounds, pooled
+	// Steps 2-3: the shared NUMA-aware first pass partitions each region's
+	// segment into tmp by the hybrid function, then shuffles the R ranges
+	// (2^b radix partitions each) to their region groups.
 	ctl.CheckpointNow()
 	fault.Inject(fault.SiteLSBPass)
-	timed(st, "lsb", phHistogram, func() {
-		g := hard.NewGroup(ctl)
-		for r := 0; r < c; r++ {
-			g.Go(func() {
-				seg := keys[inBounds[r]:inBounds[r+1]]
-				regionHists[r], regionChunks[r] = part.ParallelHistograms(w, seg, fn1, tpr, ctl)
-			})
-		}
-		g.Wait()
-	})
-	pass0 := obs.BeginPassIn("lsb", 0, -1)
-	timed(st, "lsb", phPartition, func() {
-		g := hard.NewGroup(ctl)
-		for r := 0; r < c; r++ {
-			g.Go(func() {
-				lo, hi := inBounds[r], inBounds[r+1]
-				part.ParallelScatter(w, keys[lo:hi], vals[lo:hi], tmpK[lo:hi], tmpV[lo:hi], fn1, regionHists[r], 0, regionChunks[r], ctl)
-			})
-		}
-		g.Wait()
-	})
-
-	// Step 3: shuffle the ranges across regions: partition-major global
-	// layout, pieces ordered by source region for stability. The R ranges
-	// are grouped into C contiguous runs of near-equal tuple count (range
-	// order preserved, so the global order stays a concatenation), and the
-	// destination region of partition pid is its range's group.
-	np := fn1.Fanout()
-	perRegion := w.Matrix(c, np) // merged per-region histograms
-	for r := 0; r < c; r++ {
-		part.MergeHistogramsInto(perRegion[r], regionHists[r])
-		w.PutMatrix(regionHists[r])
-		w.PutInts(regionChunks[r])
-	}
-	rangeTotals := make([]int, rr)
-	for r := 0; r < c; r++ {
-		for pid, h := range perRegion[r] {
-			rangeTotals[pid>>b] += h
-		}
-	}
-	groupOf := groupRanges(rangeTotals, n, c)
-	// dstOff[r][pid]: where region r's piece of pid lands in the output.
-	dstOff := w.Matrix(c, np)
-	outBounds := make([]int, c+1) // output segment bounds per region group
-	o := 0
-	prevGroup := 0
-	for pid := 0; pid < np; pid++ {
-		if pid%(1<<b) == 0 {
-			for gg := prevGroup + 1; gg <= groupOf[pid>>b]; gg++ {
-				outBounds[gg] = o
-			}
-			prevGroup = groupOf[pid>>b]
-		}
-		for r := 0; r < c; r++ {
-			dstOff[r][pid] = o
-			o += perRegion[r][pid]
-		}
-	}
-	for gg := prevGroup + 1; gg <= c; gg++ {
-		outBounds[gg] = n
-	}
-	outBounds[c] = n
-	ctl.CheckpointNow()
-	fault.Inject(fault.SiteShuffleStart)
-	inShuffle = true
-	timed(st, "lsb", phShuffle, func() {
-		numa.RunPerRegion(topo, tpr, func(w numa.Worker) {
-			meter := topo.NewMeter()
-			dst := int(w.Region)
-			// Rotate the source order per destination (the all-to-all
-			// schedule of [10], Section 3.3): in step s, region r reads
-			// from region (r+s) mod C, so no source region is hammered by
-			// every destination at once.
-			srcStarts := opt.Workspace.Ints(np)
-			for s := 0; s < c; s++ {
-				src := (dst + s) % c
-				part.StartsInto(srcStarts, perRegion[src])
-				for pid := 0; pid < np; pid++ {
-					// Round-robin partitions among the destination
-					// region's threads.
-					if groupOf[pid>>b] != dst || pid%tpr != w.Index {
-						continue
-					}
-					cnt := perRegion[src][pid]
-					if cnt == 0 {
-						continue
-					}
-					// Interrupting between partition copies is safe: tmp
-					// stays intact, and the lsbRun restore handler rebuilds
-					// keys from it.
-					ctl.Checkpoint()
-					so := inBounds[src] + srcStarts[pid]
-					do := dstOff[src][pid]
-					copy(keys[do:do+cnt], tmpK[so:so+cnt])
-					copy(vals[do:do+cnt], tmpV[so:so+cnt])
-					meter.Record(numa.Region(src), w.Region, uint64(cnt*2*kv.Width[K]()/8))
-				}
-			}
-			opt.Workspace.PutInts(srcStarts)
-			meter.Flush()
-		})
-	})
-	inShuffle = false
-	w.PutMatrix(perRegion)
-	w.PutMatrix(dstOff)
-	pass0.EndN(int64(n))
-	addRemoteBytes(topo.RemoteBytes())
-	if st != nil {
-		st.Passes++
-		st.RemoteBytes = topo.RemoteBytes()
-		st.RegionBounds = append([]int(nil), outBounds...)
-	}
+	starts, outBounds := numaFirstPass("lsb", keys, vals, tmpK, tmpV, fn1, nil, b, opt)
+	opt.Workspace.PutInts(starts)
 
 	// Step 4: remaining radix passes, region-local. The regions run
 	// concurrently, so the whole step is timed once here (a per-region
@@ -231,6 +98,7 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 	regionOpt := opt
 	regionOpt.Stats = nil
 	rest := plan[1:]
+	tpr := threadsPerRegion(opt)
 	timed(st, "lsb", phLocal, func() {
 		g := hard.NewGroup(ctl)
 		for r := 0; r < c; r++ {
@@ -291,7 +159,7 @@ func lsbLocalN[K kv.Key](keys, vals, tmpK, tmpV []K, ranges [][2]uint, first int
 	threads = max(threads, 1)
 	r := lsbPasses[K]{srcK: keys, srcV: vals, dstK: tmpK, dstV: tmpV, first: first, opt: opt, ph: ph, skip: skip,
 		inCache: threads == 1 && lsbInCache(opt, n, kv.Width[K]())}
-	defer lsbRestore(keys, vals, &r.srcK, &r.srcV)
+	defer restoreKeys(keys, vals, &r.srcK, &r.srcV)
 	if threads == 1 {
 		lsbSingle(&r, ranges)
 	} else {
@@ -337,13 +205,13 @@ func (r *lsbPasses[K]) pass(i int, rg [2]uint, scatter func(sk, sv, dk, dv []K, 
 	r.srcV, r.dstV = r.dstV, r.srcV
 }
 
-// lsbRestore is the shared deferred restore handler of the LSB pass
-// drivers. On panic the in-flight scatter's destination is partial but its
-// source is untouched and still holds every tuple, so when the last
-// completed pass left the data in the auxiliary arrays (*srcK aliases tmp,
-// not keys) copying the source back makes keys a permutation of the input
+// restoreKeys is the deferred restore handler of a step that overwrites
+// keys/vals from a source that still holds every tuple: the LSB pass
+// drivers (the in-flight scatter's source is untouched) and the NUMA-aware
+// first pass's shuffle (tmp is intact). On panic, when *srcK is not keys
+// itself, copying the source back makes keys a permutation of the input
 // again before the wrapped panic re-raises.
-func lsbRestore[K kv.Key](keys, vals []K, srcK, srcV *[]K) {
+func restoreKeys[K kv.Key](keys, vals []K, srcK, srcV *[]K) {
 	e := recover()
 	if e == nil {
 		return
@@ -418,28 +286,13 @@ func lsbPerPass[K kv.Key](r *lsbPasses[K], ranges [][2]uint, threads int) {
 				if r.inCache {
 					part.NonInPlaceInCache(w, sk, sv, dk, dv, fn, hists[0])
 				} else {
-					part.ParallelScatter(w, sk, sv, dk, dv, fn, hists, 0, bounds, ctl)
+					part.ParallelScatter(w, sk, sv, dk, dv, fn, nil, hists, 0, bounds, ctl)
 				}
 			})
 		}
 		w.PutMatrix(hists)
 		w.PutInts(bounds)
 	}
-}
-
-// threadsPerRegion splits opt.Threads across the topology's regions
-// (at least 1 each).
-func threadsPerRegion(opt Options) int {
-	t := opt.Threads / opt.regions()
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-// equalBounds splits n into c near-equal contiguous segments.
-func equalBounds(n, c int) []int {
-	return part.ChunkBounds(n, c)
 }
 
 // rangeRadix is the hybrid range-radix partition function of the sorts'

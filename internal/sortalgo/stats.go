@@ -282,24 +282,3 @@ func (o Options) regions() int {
 	}
 	return o.Topo.Regions()
 }
-
-// groupRanges assigns each of len(totals) contiguous ranges to one of c
-// contiguous groups of near-equal tuple count, by the midpoint rule: a
-// range joins the group its center of mass falls in. Monotone by
-// construction, so group boundaries preserve range order.
-func groupRanges(totals []int, n, c int) []int {
-	groupOf := make([]int, len(totals))
-	acc := 0
-	for rg, tot := range totals {
-		g := 0
-		if n > 0 {
-			g = (acc + tot/2) * c / n
-		}
-		if g > c-1 {
-			g = c - 1
-		}
-		groupOf[rg] = g
-		acc += tot
-	}
-	return groupOf
-}

@@ -13,6 +13,7 @@ import (
 	"math/bits"
 
 	"repro/internal/memmodel"
+	"repro/internal/ws"
 )
 
 // Algo names a sorting algorithm in a Plan ("LSB", "MSB", or "CMP" — the
@@ -181,31 +182,45 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 }
 
 // auxBytes models the peak auxiliary footprint of one algorithm's layout
-// in bytes: LSB's linear tmp pair, and the block-permutation buffers for
+// in bytes: LSB's linear tmp pair, and the block-permutation scratch of
 // the in-place MSB and CMP.
 func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
 	tuple := int64(2 * keyBits / 8) // one key + one payload of key width
-	n := int64(w.N)
-	t := int64(threads)
 	switch algo {
 	case AlgoCMP:
-		// Classify buffers of the first pass's block permutation. Each
-		// later range pass is a one-worker permutation at the same
-		// fanout cap and a block no larger, so T of them in flight fit
-		// the same bound.
-		return t * defaultRangeFanout * 1024 * tuple
+		// The first pass's block permutation. Each later range pass is a
+		// one-worker permutation of one partition at the same fanout cap,
+		// its block shrunk until the buffers fit a quarter of the
+		// partition, so T of them in flight stay below it.
+		return blockPermAux(w.N, defaultRangeFanout, 1024, threads, tuple)
 	case AlgoMSB:
 		// Block-permutation fan-out over ~2T ranges; past the cache bound
-		// each worker's out-of-cache local passes add one buffer block
-		// per byte-digit partition.
-		aux := t * (2*t + 2) * 1024 * tuple
+		// each worker's out-of-cache local passes add a one-worker
+		// permutation per byte digit over its share of the input.
+		aux := blockPermAux(w.N, 2*threads+2, 1024, threads, tuple)
 		if w.N > cacheResidentTuples {
-			aux += t * (memmodel.MSBLocalBlockTuples << memmodel.MSBLocalBits) * tuple
+			local := blockPermAux(ceilDiv(w.N, threads), 1<<memmodel.MSBLocalBits, memmodel.MSBLocalBlockTuples, 1, tuple)
+			aux += int64(threads) * local
 		}
 		return aux
 	default: // LSB
-		return n * tuple // tmp pair
+		return int64(w.N) * tuple // tmp pair
 	}
+}
+
+// blockPermAux prices the scratch of one block permutation of n tuples
+// at fanout f with b-tuple blocks (the sorts' first passes use
+// part.DefaultBlockTuples, 1024) on t workers, at the capacity the
+// workspace arena hands each buffer out (ws.Capacity): the classify
+// buffers and hand blocks of both columns, the per-slot partition
+// column, t histogram rows plus eight more fanout-sized tables (cursors,
+// the used mask, the fix-up lists and gap column, the caller's starts),
+// and a 256-code batch per worker.
+func blockPermAux(n, f, b, t int, tuple int64) int64 {
+	buffers := int64(ws.Capacity(t*f*b)+ws.Capacity(t*b)) * tuple
+	slots := int64(ws.Capacity(ceilDiv(n, b))) * 4
+	tables := int64((t+8)*ws.Capacity(f+1))*8 + int64(ws.Capacity(256*t))*4
+	return buffers + slots + tables
 }
 
 // costFn models one algorithm's wall-clock in ns at a given radix width.

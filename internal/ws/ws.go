@@ -65,6 +65,21 @@ func classSize(c int) int {
 	return 1 << (c + minClassShift)
 }
 
+// Capacity returns the capacity in elements of the buffer the arena hands
+// out for an n-element request: its power-of-two size class (at least
+// 64), or n itself past the largest class, which is allocated exactly.
+// The arena meters that capacity, so aux models price requests through
+// it. Ints may lend a buffer up to spillClasses classes larger.
+func Capacity(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	if c := classFor(n); c >= 0 {
+		return classSize(c)
+	}
+	return n
+}
+
 // spillClasses is how many classes above the requested one an acquisition
 // may borrow from: a sort whose early wide-fanout passes pooled large
 // histogram/offset buffers serves later narrow-fanout passes from those
@@ -546,7 +561,6 @@ func (w *Workspace) PutMatrix(m [][]int) {
 const (
 	SlotParHist = iota
 	SlotScatter
-	SlotScatterCodes
 	SlotInPlaceChunk
 	SlotCmpWork
 	SlotMsbWork

@@ -114,7 +114,11 @@ func (o *SortOptions) toInternal() (sortalgo.Options, *numa.Topology) {
 // algorithm under tryRun. It is the only place an Algorithm maps to its
 // autotune constraints, its scratch layout (a metered tmp pair for LSB
 // and NUMA-aware CMP, none for MSB and in-place CMP) and its sortalgo
-// call.
+// call. With Regions > 1, LSB and CMP hand the tmp pair to the one
+// NUMA-aware first pass they share (LSB's later passes ping-pong through
+// it too); that pass copies tmp back itself when interrupted
+// mid-shuffle, so the input is left a permutation without a restore
+// here.
 func sortOnce[K Key](ctx context.Context, op string, algo Algorithm, keys, vals []K, opt *SortOptions) error {
 	if err := validatePairs(op, "keys", "vals", keys, vals); err != nil {
 		return err

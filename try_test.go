@@ -403,6 +403,9 @@ func TestTryPartitionFault(t *testing.T) {
 // TestTryCancelRace cancels 4-thread sorts mid-flight, many times, with
 // scattered timing: the sort must return promptly with ctx.Err() (or
 // finish clean), leave keys/vals a permutation, and leak no goroutines.
+// The rotation runs every algorithm on one region, then LSB and CMP on
+// two, where cancellation can land in the NUMA-aware first pass's
+// shuffle and its restore from tmp.
 func TestTryCancelRace(t *testing.T) {
 	iters := 1000
 	if testing.Short() {
@@ -416,39 +419,61 @@ func TestTryCancelRace(t *testing.T) {
 	work := make([]uint32, n)
 	workV := make([]uint32, n)
 
-	// Prime the pool for a stable goroutine baseline.
-	copy(work, keys)
-	copy(workV, vals)
-	if err := trySort(LSB, work, workV, &SortOptions{Threads: 4, Workspace: w}); err != nil {
-		t.Fatal(err)
+	type cell struct {
+		a       tryAlgo
+		regions int
+		cache   int           // CacheTuples; CMP needs it so 1<<15 tuples leave the cache-resident path
+		span    time.Duration // cancellation delays spread over [0, span)
+	}
+	var cells []cell
+	for _, a := range tryAlgos {
+		cells = append(cells, cell{a: a, regions: 1})
+	}
+	cells = append(cells, cell{a: algoByName("lsb"), regions: 2}, cell{a: algoByName("cmp"), regions: 2, cache: 1 << 12})
+	opt := func(c cell) *SortOptions {
+		return &SortOptions{Threads: 4, Regions: c.regions, CacheTuples: c.cache, Workspace: w}
+	}
+
+	// Prime the pool for a stable goroutine baseline, and time one clean
+	// run per cell: its cancellations are spread over 1.25x that run (at
+	// least 800µs), so they land in every phase — the 2-region sorts'
+	// shuffle sits past the first millisecond — and some after the sort
+	// already finished.
+	for i := range cells {
+		copy(work, keys)
+		copy(workV, vals)
+		start := time.Now()
+		if err := cells[i].a.run(context.Background(), work, workV, opt(cells[i])); err != nil {
+			t.Fatal(err)
+		}
+		cells[i].span = max(800*time.Microsecond, time.Since(start)*5/4)
 	}
 	base := runtime.NumGoroutine()
 
+	perCell := iters / len(cells)
 	for i := 0; i < iters; i++ {
-		a := tryAlgos[i%len(tryAlgos)]
+		c := cells[i%len(cells)]
+		a := c.a
 		copy(work, keys)
 		copy(workV, vals)
 		ctx, cancel := context.WithCancel(context.Background())
-		// Spread the cancellation across the run: sometimes before the
-		// first checkpoint, sometimes mid-pass, sometimes after the sort
-		// already finished.
-		delay := time.Duration(i%40) * 20 * time.Microsecond
+		delay := c.span * time.Duration((i/len(cells))%perCell) / time.Duration(perCell)
 		go func() {
 			if delay > 0 {
 				time.Sleep(delay)
 			}
 			cancel()
 		}()
-		err := a.run(ctx, work, workV, &SortOptions{Threads: 4, Workspace: w})
+		err := a.run(ctx, work, workV, opt(c))
 		cancel()
 		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("iter %d %s: err = %v, want nil or context.Canceled", i, a.name, err)
+			t.Fatalf("iter %d %s regions=%d: err = %v, want nil or context.Canceled", i, a.name, c.regions, err)
 		}
 		if err == nil && !IsSorted(work) {
-			t.Fatalf("iter %d %s: clean return but not sorted", i, a.name)
+			t.Fatalf("iter %d %s regions=%d: clean return but not sorted", i, a.name, c.regions)
 		}
 		if !SameMultiset(keys, vals, work, workV) {
-			t.Fatalf("iter %d %s (err=%v): keys/vals are not a permutation of the input", i, a.name, err)
+			t.Fatalf("iter %d %s regions=%d (err=%v): keys/vals are not a permutation of the input", i, a.name, c.regions, err)
 		}
 	}
 	waitGoroutines(t, base)

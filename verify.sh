@@ -28,10 +28,14 @@ go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 2 -verify > /dev/nul
 go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 2 -dist zipf -verify > /dev/null
 go run ./cmd/sortcli -n 200000 -algo cmp -width 32 -threads 2 -verify > /dev/null
 # Single-threaded CMP runs the in-place block-permutation first pass; the
-# NUMA-aware CMP (4 regions) is the one layout that still takes a tmp pair
-# and shuffles across regions.
+# NUMA-aware CMP (4 regions) is CMP's one layout that still takes a tmp
+# pair: its first pass is the NUMA-aware partition + cross-region shuffle
+# it shares with LSB, driven by a codes column.
 go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 1 -verify > /dev/null
 go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 4 -regions 4 -verify > /dev/null
+# The same shared first pass under NUMA-aware LSB (hybrid range-radix
+# function, no codes column), then region-local radix passes.
+go run ./cmd/sortcli -n 2000000 -algo lsb -threads 4 -regions 4 -verify > /dev/null
 # CMP past one range pass: 6M keys leave ~16.7k-tuple top-level
 # partitions at fanout 360, above the 16384-tuple cache bound, so most
 # take a second pass, a single-worker in-place block permutation. The
