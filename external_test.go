@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"os"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
+	"repro/internal/kv"
 )
 
 // extTestOpt forces the spill path at unit-test sizes.
@@ -23,18 +24,26 @@ func extTestOpt(t *testing.T) *SortOptions {
 }
 
 // TestSortExternalForcedSpill sorts an input four times the configured
-// memory budget through the spill path and checks the full contract:
-// sorted, a permutation of the input, spill stats populated, temp dir
-// clean.
+// memory budget through the spill path, at both key widths, and checks
+// the full contract: sorted, a permutation of the input, spill stats
+// populated, run formation one streaming pass (it writes each pair
+// exactly once), and nothing left behind: no goroutine, descriptor, temp
+// resource or spill file.
 func TestSortExternalForcedSpill(t *testing.T) {
-	n := 1 << 16 // 1 MiB of pairs
-	opt := extTestOpt(t)
-	opt.MaxAuxBytes = 256 << 10 // input is 4x this budget
-	keys := gen.Uniform[uint64](n, 0, 1)
-	vals := RIDs[uint64](n)
-	sumK := append([]uint64(nil), keys...)
-	sumV := append([]uint64(nil), vals...)
+	t.Run("uint64", func(t *testing.T) { forcedSpill[uint64](t, 1<<16) }) // 1 MiB of pairs
+	t.Run("uint32", func(t *testing.T) { forcedSpill[uint32](t, 1<<17) })
+}
 
+func forcedSpill[K Key](t *testing.T, n int) {
+	opt := extTestOpt(t)
+	pairBytes := int64(2 * kv.Width[K]() / 8)
+	opt.MaxAuxBytes = int64(n) * pairBytes / 4 // input is 4x this budget
+	keys := gen.Uniform[K](n, 0, 1)
+	vals := RIDs[K](n)
+	sumK := append([]K(nil), keys...)
+	sumV := append([]K(nil), vals...)
+
+	base := fault.TakeBaseline()
 	st, err := SortExternal(keys, vals, opt)
 	if err != nil {
 		t.Fatalf("SortExternal: %v", err)
@@ -51,10 +60,10 @@ func TestSortExternalForcedSpill(t *testing.T) {
 	if st.SpillBytes == 0 || st.ReadBytes == 0 || st.RunsWritten == 0 {
 		t.Fatalf("spill stats empty: %+v", st)
 	}
-	ents, _ := os.ReadDir(opt.TempDir)
-	if len(ents) != 0 {
-		t.Fatalf("temp files leaked: %v", ents)
+	if want := int64(n) * pairBytes; st.FormationBytes != want {
+		t.Fatalf("formation wrote %d bytes, want exactly one streaming pass = %d", st.FormationBytes, want)
 	}
+	base.Verify(t, nil, opt.TempDir)
 }
 
 // TestSortExternalInMemory checks that small inputs under a roomy budget
@@ -64,6 +73,7 @@ func TestSortExternalInMemory(t *testing.T) {
 	keys := gen.Uniform[uint64](n, 1, 1)
 	vals := RIDs[uint64](n)
 	opt := &SortOptions{TempDir: t.TempDir()}
+	base := fault.TakeBaseline()
 	st, err := SortExternal(keys, vals, opt)
 	if err != nil {
 		t.Fatalf("SortExternal: %v", err)
@@ -74,33 +84,50 @@ func TestSortExternalInMemory(t *testing.T) {
 	if !IsSorted(keys) {
 		t.Fatal("output not sorted")
 	}
-	ents, _ := os.ReadDir(opt.TempDir)
-	if len(ents) != 0 {
-		t.Fatalf("in-memory path touched the temp dir: %v", ents)
-	}
+	base.Verify(t, nil, opt.TempDir)
 }
 
-// TestSortExternalCancel checks cooperative cancellation: ctx.Err() comes
-// back, the input is a permutation, and no temp files remain.
+// TestSortExternalCancel checks cooperative cancellation, before the call
+// starts and by a deadline that expires during run formation: the
+// context's error comes back, the input is a permutation, and nothing is
+// left behind. A sort that outruns the deadline skips its row.
 func TestSortExternalCancel(t *testing.T) {
 	n := 1 << 15
-	opt := extTestOpt(t)
-	keys := gen.Uniform[uint64](n, 0, 2)
-	vals := RIDs[uint64](n)
-	sumK := append([]uint64(nil), keys...)
-	sumV := append([]uint64(nil), vals...)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := SortExternalCtx(ctx, keys, vals, opt)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if !SameMultiset(keys, vals, sumK, sumV) {
-		t.Fatal("input not a permutation after cancellation")
-	}
-	ents, _ := os.ReadDir(opt.TempDir)
-	if len(ents) != 0 {
-		t.Fatalf("temp files leaked on cancel: %v", ents)
+	for _, c := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"before-start", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx, cancel
+		}, context.Canceled},
+		{"mid-spill", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 500*time.Microsecond)
+		}, context.DeadlineExceeded},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opt := extTestOpt(t)
+			keys := gen.Uniform[uint64](n, 0, 2)
+			vals := RIDs[uint64](n)
+			sumK := append([]uint64(nil), keys...)
+			sumV := append([]uint64(nil), vals...)
+			base := fault.TakeBaseline()
+			ctx, cancel := c.ctx()
+			_, err := SortExternalCtx(ctx, keys, vals, opt)
+			cancel()
+			if err == nil && c.want == context.DeadlineExceeded {
+				t.Skip("sort outran the deadline")
+			}
+			if !errors.Is(err, c.want) {
+				t.Fatalf("err = %v, want %v", err, c.want)
+			}
+			if !SameMultiset(keys, vals, sumK, sumV) {
+				t.Fatal("input not a permutation after cancellation")
+			}
+			base.Verify(t, nil, opt.TempDir)
+		})
 	}
 }
 
@@ -135,6 +162,7 @@ func TestSortExternalSpillBudget(t *testing.T) {
 	vals := RIDs[uint64](n)
 	sumK := append([]uint64(nil), keys...)
 	sumV := append([]uint64(nil), vals...)
+	base := fault.TakeBaseline()
 	_, err := SortExternal(keys, vals, opt)
 	var se *SpillError
 	if !errors.As(err, &se) || !errors.Is(err, ErrSpillBudget) {
@@ -143,41 +171,45 @@ func TestSortExternalSpillBudget(t *testing.T) {
 	if !SameMultiset(keys, vals, sumK, sumV) {
 		t.Fatal("input changed on budget refusal")
 	}
-	ents, _ := os.ReadDir(opt.TempDir)
-	if len(ents) != 0 {
-		t.Fatalf("temp files leaked: %v", ents)
-	}
+	base.Verify(t, nil, opt.TempDir)
 }
 
-// TestSortExternalFaultInjection checks that injected spill faults
-// surface as *InternalError wrapping fault.Injected, with the resource
-// ledger drained.
+// TestSortExternalFaultInjection checks that injected spill and merge
+// faults surface as *InternalError wrapping fault.Injected, with the input
+// a permutation and nothing left behind: no goroutine, descriptor, temp
+// resource or spill file.
 func TestSortExternalFaultInjection(t *testing.T) {
-	n := 1 << 15
-	opt := extTestOpt(t)
-	keys := gen.Uniform[uint64](n, 0, 4)
-	vals := RIDs[uint64](n)
-	sumK := append([]uint64(nil), keys...)
-	sumV := append([]uint64(nil), vals...)
-	fault.Enable(fault.SiteExtSpill, 10)
 	defer fault.Disable()
-	_, err := SortExternal(keys, vals, opt)
-	var ie *InternalError
-	if !errors.As(err, &ie) {
-		t.Fatalf("err = %v, want *InternalError", err)
-	}
-	if !errors.Is(err, fault.Injected{Site: fault.SiteExtSpill}) {
-		t.Fatalf("err does not wrap the injected site: %v", err)
-	}
-	if !SameMultiset(keys, vals, sumK, sumV) {
-		t.Fatal("input not a permutation after containment")
-	}
-	if err := fault.CheckResources(); err != nil {
-		t.Fatalf("resource ledger: %v", err)
-	}
-	ents, _ := os.ReadDir(opt.TempDir)
-	if len(ents) != 0 {
-		t.Fatalf("temp files leaked: %v", ents)
+	n := 1 << 15
+	for _, c := range []struct {
+		site  fault.Site
+		after int
+	}{
+		{fault.SiteExtSpill, 10},
+		{fault.SiteExtMerge, 0},
+	} {
+		t.Run(string(c.site), func(t *testing.T) {
+			opt := extTestOpt(t)
+			keys := gen.Uniform[uint64](n, 0, 4)
+			vals := RIDs[uint64](n)
+			sumK := append([]uint64(nil), keys...)
+			sumV := append([]uint64(nil), vals...)
+			base := fault.TakeBaseline()
+			fault.Enable(c.site, c.after)
+			_, err := SortExternal(keys, vals, opt)
+			fault.Disable()
+			var ie *InternalError
+			if !errors.As(err, &ie) {
+				t.Fatalf("err = %v, want *InternalError", err)
+			}
+			if !errors.Is(err, fault.Injected{Site: c.site}) {
+				t.Fatalf("err does not wrap the injected site: %v", err)
+			}
+			if !SameMultiset(keys, vals, sumK, sumV) {
+				t.Fatal("input not a permutation after containment")
+			}
+			base.Verify(t, nil, opt.TempDir)
+		})
 	}
 }
 
@@ -229,6 +261,7 @@ func TestSortExternalBudgetBelowPlannerFloor(t *testing.T) {
 			sumK := append([]uint64(nil), keys...)
 			sumV := append([]uint64(nil), vals...)
 
+			base := fault.TakeBaseline()
 			st, err := SortExternal(keys, vals, opt)
 			if err != nil {
 				t.Fatalf("n=%d workspace=%v: %v", n, withWS, err)
@@ -236,15 +269,10 @@ func TestSortExternalBudgetBelowPlannerFloor(t *testing.T) {
 			if !st.Spilled || !IsSorted(keys) || !SameMultiset(keys, vals, sumK, sumV) {
 				t.Fatalf("n=%d workspace=%v: spilled=%v sorted=%v", n, withWS, st.Spilled, IsSorted(keys))
 			}
-			if withWS {
-				if got := opt.Workspace.AuxBytes(); got != 0 {
-					t.Fatalf("n=%d: workspace holds %d bytes after the run", n, got)
-				}
-				opt.Workspace.Close()
+			if err := base.Check(opt.Workspace, opt.TempDir); err != nil {
+				t.Fatalf("n=%d workspace=%v: %v", n, withWS, err)
 			}
-			if ents, _ := os.ReadDir(opt.TempDir); len(ents) != 0 {
-				t.Fatalf("n=%d workspace=%v: temp files leaked: %v", n, withWS, ents)
-			}
+			opt.Workspace.Close()
 		}
 	}
 }

@@ -3,10 +3,7 @@ package extsort
 import (
 	"errors"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/kv"
@@ -66,6 +63,7 @@ func TestRunForcedSpill(t *testing.T) {
 			fillDist(dist, keys, vals)
 			want := kv.ChecksumPairs(keys, vals)
 
+			base := fault.TakeBaseline()
 			st, err := Run(nil, keys, vals, nil, opt)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -89,7 +87,7 @@ func TestRunForcedSpill(t *testing.T) {
 				t.Fatalf("formation made %d writes for %d tuples; write-combining should cap it at %d",
 					st.FormationWrites, n, maxWrites)
 			}
-			assertNoTempLeaks(t, opt.TempDir)
+			base.Verify(t, nil, opt.TempDir)
 		})
 	}
 }
@@ -106,6 +104,7 @@ func TestRunUint32(t *testing.T) {
 		vals[i] = uint32(i)
 	}
 	want := kv.ChecksumPairs(keys, vals)
+	base := fault.TakeBaseline()
 	st, err := Run(nil, keys, vals, nil, opt)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -116,7 +115,7 @@ func TestRunUint32(t *testing.T) {
 	if wantB := int64(n) * 8; st.FormationBytes != wantB {
 		t.Fatalf("formation wrote %d bytes, want %d", st.FormationBytes, wantB)
 	}
-	assertNoTempLeaks(t, opt.TempDir)
+	base.Verify(t, nil, opt.TempDir)
 }
 
 // TestRunInMemoryShortcut checks that inputs at most one segment long
@@ -125,6 +124,7 @@ func TestRunInMemoryShortcut(t *testing.T) {
 	opt := testOpt(t)
 	keys := []uint64{3, 1, 2}
 	vals := []uint64{30, 10, 20}
+	base := fault.TakeBaseline()
 	st, err := Run(nil, keys, vals, nil, opt)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -135,10 +135,7 @@ func TestRunInMemoryShortcut(t *testing.T) {
 	if !kv.IsSorted(keys) || vals[0] != 10 {
 		t.Fatalf("in-memory shortcut mis-sorted: %v %v", keys, vals)
 	}
-	ents, err := os.ReadDir(opt.TempDir)
-	if err != nil || len(ents) != 0 {
-		t.Fatalf("in-memory shortcut touched the temp dir: %v %v", ents, err)
-	}
+	base.Verify(t, nil, opt.TempDir)
 }
 
 // TestDiskBudget checks that crossing MaxSpillBytes surfaces as an
@@ -152,6 +149,7 @@ func TestDiskBudget(t *testing.T) {
 	vals := make([]uint64, n)
 	fillDist("uniform", keys, vals)
 	want := kv.ChecksumPairs(keys, vals)
+	base := fault.TakeBaseline()
 	_, err := Run(nil, keys, vals, nil, opt)
 	if !errors.Is(err, ErrDiskBudget) {
 		t.Fatalf("err = %v, want ErrDiskBudget", err)
@@ -163,7 +161,7 @@ func TestDiskBudget(t *testing.T) {
 	if kv.ChecksumPairs(keys, vals) != want {
 		t.Fatalf("input multiset changed on budget failure")
 	}
-	assertNoTempLeaks(t, opt.TempDir)
+	base.Verify(t, nil, opt.TempDir)
 }
 
 // TestFaultContainment arms each extsort injection site at depths that
@@ -193,7 +191,7 @@ func TestFaultContainment(t *testing.T) {
 			fillDist("uniform", keys, vals)
 			want := kv.ChecksumPairs(keys, vals)
 
-			before := runtime.NumGoroutine()
+			base := fault.TakeBaseline()
 			fault.Enable(tc.site, tc.after)
 			fired := false
 			func() {
@@ -212,16 +210,7 @@ func TestFaultContainment(t *testing.T) {
 			if kv.ChecksumPairs(keys, vals) != want {
 				t.Fatalf("input not a permutation after containment")
 			}
-			if err := fault.CheckResources(); err != nil {
-				t.Fatalf("leaked resources: %v", err)
-			}
-			assertNoTempLeaks(t, opt.TempDir)
-			for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-				time.Sleep(time.Millisecond)
-			}
-			if g := runtime.NumGoroutine(); g > before {
-				t.Fatalf("goroutines leaked: %d -> %d", before, g)
-			}
+			base.Verify(t, nil, opt.TempDir)
 		})
 	}
 }
@@ -241,6 +230,7 @@ func TestWorkspaceReuse(t *testing.T) {
 	if _, err := Run(nil, keys, vals, w, opt); err != nil {
 		t.Fatalf("warm-up run: %v", err)
 	}
+	base := fault.TakeBaseline()
 	_, missesBefore := w.Counters()
 	fillDist("dup-heavy", keys, vals)
 	if _, err := Run(nil, keys, vals, w, opt); err != nil {
@@ -250,7 +240,7 @@ func TestWorkspaceReuse(t *testing.T) {
 	if missesAfter != missesBefore {
 		t.Fatalf("steady-state run missed the pool %d times", missesAfter-missesBefore)
 	}
-	assertNoTempLeaks(t, opt.TempDir)
+	base.Verify(t, w, opt.TempDir)
 }
 
 // TestSealDetectsCorruption flips a byte of a sealed run on disk and
@@ -373,23 +363,4 @@ func FuzzBucketBoundaries(f *testing.F) {
 				n, seg, bbits, width, st.Spilled, kv.IsSorted(keys))
 		}
 	})
-}
-
-// assertNoTempLeaks fails the test if the run left anything in dir.
-func assertNoTempLeaks(t *testing.T, dir string) {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading temp dir: %v", err)
-	}
-	if len(ents) != 0 {
-		names := make([]string, 0, len(ents))
-		for _, e := range ents {
-			names = append(names, e.Name())
-		}
-		t.Fatalf("temp files leaked: %v", names)
-	}
-	if live := fault.LiveResources(TempResource); live != 0 {
-		t.Fatalf("resource ledger shows %d live temp files", live)
-	}
 }

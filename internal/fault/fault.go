@@ -15,8 +15,8 @@
 //     are a pure function of (seed, site, hit index) so a schedule is
 //     reproducible, sites fire repeatedly until their budget runs out,
 //     and every fire is recorded in an event log. This is what
-//     cmd/chaoscheck drives to exercise the retry supervisor under
-//     compound, randomized failure.
+//     TestResilientChaosMatrix drives to exercise the retry supervisor
+//     under compound, randomized failure.
 //
 // Like internal/obs, the disabled path is paid for with a single atomic
 // pointer load and a nil check — no build tags, so the injection sites are

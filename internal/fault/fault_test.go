@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -270,4 +273,37 @@ func TestSitesCatalogueComplete(t *testing.T) {
 			t.Errorf("unexpected site %q", s)
 		}
 	}
+}
+
+// auxMeter is a fixed AuxLedger reading.
+type auxMeter uint64
+
+func (a auxMeter) AuxBytes() uint64 { return uint64(a) }
+
+// TestBaselineCheck leaves one of each non-goroutine leak behind — an
+// open descriptor, a live temp resource, checked-out aux bytes and a
+// spill file — and checks that Check names every one, then passes once
+// each is cleaned up.
+func TestBaselineCheck(t *testing.T) {
+	dir := t.TempDir()
+	base := TakeBaseline()
+	f, err := os.Create(filepath.Join(dir, "spill"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	AcquireResource("test/tempfile")
+	err = base.Check(auxMeter(64), dir)
+	wants := []string{"test/tempfile=1", "64 aux bytes", "[spill]"}
+	if openFDs() >= 0 {
+		wants = append(wants, "fd leak")
+	}
+	for _, want := range wants {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Check = %v, want it to name %q", err, want)
+		}
+	}
+	f.Close()
+	os.Remove(f.Name())
+	ReleaseResource("test/tempfile")
+	base.Verify(t, auxMeter(0), dir)
 }

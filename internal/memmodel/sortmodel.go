@@ -84,6 +84,22 @@ const (
 	MSBLocalBlockTuples = 128
 )
 
+// CMPBlockTuples sizes the block of one CMP range pass, a block
+// permutation of n tuples at the given fanout on workers workers. The
+// classify buffers hold workers × fanout × b tuples, so b starts at the
+// kernel's default block (1024, part.DefaultBlockTuples) and halves,
+// floored at 16, until they fit in a quarter of the input; otherwise a
+// small sort's scratch would exceed the input itself and the whole pass
+// would degenerate into the cleanup path. The sort and the planner's
+// aux model both size CMP's blocks through this one rule.
+func CMPBlockTuples(n, fanout, workers int) int {
+	b := 1024
+	for b > 16 && workers*fanout*b > n/4 {
+		b >>= 1
+	}
+	return b
+}
+
 // LSBDigits appends to dst the digit bit ranges [lo, hi) of an LSB
 // radix-sort over key bits [0, domainBits), least significant first, and
 // returns the extended slice. The runtime, memmodel.Sort and the planner

@@ -126,8 +126,8 @@ func spanFamily(k spanKey) (name string, labels []Label, withTuples bool) {
 
 // SpanStat is the compact per-(category, name) summary of an aggregated
 // span family: sample count, duration total, and quantile estimates —
-// the machine-readable form sortcli emits and tracecheck reconciles
-// against the trace file.
+// the machine-readable form sortcli emits, reconciled against the trace
+// by the root package's TestTraceReconcilesSpanHist.
 type SpanStat struct {
 	Count uint64 `json:"count"`
 	SumNs uint64 `json:"sum_ns"`

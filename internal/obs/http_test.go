@@ -5,11 +5,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"runtime"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 func get(t *testing.T, url string) string {
@@ -72,7 +73,7 @@ func TestServeMetricsEndpoints(t *testing.T) {
 // TestShutdownLeaksNoGoroutines is the satellite-1 gate: server plus
 // sampler must fully unwind on Shutdown.
 func TestShutdownLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	base := fault.TakeBaseline()
 	for i := 0; i < 3; i++ {
 		srv, err := ServeMetrics("127.0.0.1:0", nil)
 		if err != nil {
@@ -91,15 +92,7 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 			t.Fatal("Done not closed after Shutdown")
 		}
 	}
-	// Allow http's idle machinery to settle before counting.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: %d before, %d after three server lifecycles", before, runtime.NumGoroutine())
+	base.Verify(t, nil, "")
 }
 
 func TestShutdownOnSignal(t *testing.T) {

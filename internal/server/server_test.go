@@ -10,13 +10,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	partsort "repro"
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -351,7 +351,7 @@ func TestAdmissionRejectsOverTenantCap(t *testing.T) {
 }
 
 func TestDrainGracefulNoLeaks(t *testing.T) {
-	before := runtime.NumGoroutine()
+	base := fault.TakeBaseline()
 
 	cfg := testConfig()
 	cfg.Workers = 4
@@ -430,14 +430,11 @@ func TestDrainGracefulNoLeaks(t *testing.T) {
 		t.Fatalf("racing drain left depth at %d", got)
 	}
 
-	waitFor(t, 5*time.Second, func() bool {
-		runtime.GC()
-		return runtime.NumGoroutine() <= before
-	})
+	base.Verify(t, nil, "")
 }
 
 func TestDrainDeadlineForceCancels(t *testing.T) {
-	before := runtime.NumGoroutine()
+	base := fault.TakeBaseline()
 
 	cfg := testConfig()
 	cfg.Workers = 1
@@ -473,10 +470,7 @@ func TestDrainDeadlineForceCancels(t *testing.T) {
 	if got := s.AuxBytes(); got != 0 {
 		t.Fatalf("forced drain left %d workspace bytes", got)
 	}
-	waitFor(t, 5*time.Second, func() bool {
-		runtime.GC()
-		return runtime.NumGoroutine() <= before
-	})
+	base.Verify(t, nil, "")
 }
 
 func TestSubmitCancellation(t *testing.T) {

@@ -51,11 +51,6 @@ func TestAllSortsAgree32(t *testing.T) {
 					tv := make([]uint32, len(k))
 					CMP(k, v, tk, tv, Options{Threads: 3, Topo: topo, CacheTuples: 512})
 				}},
-				{"mergesort2", true, func(k, v []uint32) {
-					tk := make([]uint32, len(k))
-					tv := make([]uint32, len(k))
-					MergeSort2Way(k, v, tk, tv)
-				}},
 				{"mergesortK", false, func(k, v []uint32) {
 					tk := make([]uint32, len(k))
 					tv := make([]uint32, len(k))

@@ -7,45 +7,6 @@ import (
 	"repro/internal/kv"
 )
 
-// MergeSort2Way is the classical bottom-up stable merge sort baseline
-// (Section 2's merge-sort competitors do 2-way merging per pass, each pass
-// bounded by RAM bandwidth — the weakness wide-fanout range partitioning
-// avoids). tmp must match keys in length.
-func MergeSort2Way[K kv.Key](keys, vals, tmpK, tmpV []K) {
-	n := len(keys)
-	if n <= 1 {
-		return
-	}
-	srcK, srcV := keys, vals
-	dstK, dstV := tmpK, tmpV
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := min(lo+width, n)
-			hi := min(lo+2*width, n)
-			mergeRuns(srcK, srcV, dstK, dstV, lo, mid, hi)
-		}
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
-	}
-	if &srcK[0] != &keys[0] && n > 0 {
-		copy(keys, srcK)
-		copy(vals, srcV)
-	}
-}
-
-func mergeRuns[K kv.Key](srcK, srcV, dstK, dstV []K, lo, mid, hi int) {
-	i, j := lo, mid
-	for o := lo; o < hi; o++ {
-		if i < mid && (j >= hi || srcK[i] <= srcK[j]) {
-			dstK[o], dstV[o] = srcK[i], srcV[i]
-			i++
-		} else {
-			dstK[o], dstV[o] = srcK[j], srcV[j]
-			j++
-		}
-	}
-}
-
 // runHead is one run's cursor in the k-way merge heap.
 type runHead[K kv.Key] struct {
 	key  K

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/kv"
+	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/rangeidx"
@@ -89,7 +90,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		pass0 := obs.BeginPassIn("cmp", 0, -1)
 		starts := w.Ints(fanout + 1)
 		timed(st, "cmp", phPartition, func() {
-			part.BlockPermute(w, keys, vals, tree, cmpBlockTuples(n, fanout, t), t, starts, nil, ctl)
+			part.BlockPermute(w, keys, vals, tree, memmodel.CMPBlockTuples(n, fanout, t), t, starts, nil, ctl)
 		})
 		pass0.EndN(int64(n))
 		cmpRecurseAll(keys, vals, starts, ref.SingleKey, opt, ct)
@@ -202,7 +203,7 @@ func cmpRecurse[K kv.Key](keys, vals []K, opt Options, ct int, passNs, leafNs *a
 	ref := splitter.RefineDuplicates(sampled)
 	tree := rangeidx.NewTreeFor(ref.Delims)
 	fanout := tree.Fanout()
-	starts := part.BlockPermute(w, keys, vals, tree, cmpBlockTuples(n, fanout, 1), 1, w.Ints(fanout+1), nil, opt.Ctl)
+	starts := part.BlockPermute(w, keys, vals, tree, memmodel.CMPBlockTuples(n, fanout, 1), 1, w.Ints(fanout+1), nil, opt.Ctl)
 	passNs.Add(int64(time.Since(start)))
 	for q := 0; q < fanout; q++ {
 		lo, hi := starts[q], starts[q+1]
@@ -220,17 +221,4 @@ func cmpLeaf[K kv.Key](keys, vals []K) {
 		o.Counters.CombSortLeaves.Add(1)
 	}
 	Quicksort(keys, vals)
-}
-
-// cmpBlockTuples sizes the block-permutation pass's block for CMP's wide
-// fanout: the classify buffers hold workers × fanout × b tuples, so b
-// shrinks (in powers of two, floored at 16) until they fit in a quarter
-// of the input — otherwise a small sort's scratch would exceed the input
-// itself and the whole pass would degenerate into the cleanup path.
-func cmpBlockTuples(n, fanout, workers int) int {
-	b := part.DefaultBlockTuples
-	for b > 16 && workers*fanout*b > n/4 {
-		b >>= 1
-	}
-	return b
 }

@@ -113,20 +113,6 @@ func TestLanes(t *testing.T) {
 	}
 }
 
-func TestMergeSort2Way(t *testing.T) {
-	for name, orig := range sortWorkloads32(3000) {
-		keys := append([]uint32(nil), orig...)
-		vals := gen.RIDs[uint32](len(keys))
-		origV := append([]uint32(nil), vals...)
-		tmpK := make([]uint32, len(keys))
-		tmpV := make([]uint32, len(keys))
-		MergeSort2Way(keys, vals, tmpK, tmpV)
-		t.Run(name, func(t *testing.T) {
-			checkSorted(t, orig, origV, keys, vals, true)
-		})
-	}
-}
-
 func TestMergeSortKWay(t *testing.T) {
 	for _, k := range []int{2, 4, 16} {
 		for name, orig := range sortWorkloads32(5000) {

@@ -97,7 +97,7 @@ func TestStatsCountersZeroWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestLSBCounterReconciliation pins the tracecheck invariant: LSB scatters
+// TestLSBCounterReconciliation pins the trace invariant: LSB scatters
 // all n tuples exactly once per pass, so TuplesPartitioned == passes * n —
 // for single-region and NUMA runs alike.
 func TestLSBCounterReconciliation(t *testing.T) {

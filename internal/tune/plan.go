@@ -188,11 +188,13 @@ func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
 	tuple := int64(2 * keyBits / 8) // one key + one payload of key width
 	switch algo {
 	case AlgoCMP:
-		// The first pass's block permutation. Each later range pass is a
-		// one-worker permutation of one partition at the same fanout cap,
-		// its block shrunk until the buffers fit a quarter of the
-		// partition, so T of them in flight stay below it.
-		return blockPermAux(w.N, defaultRangeFanout, 1024, threads, tuple)
+		// The first pass's block permutation, its block sized by the
+		// sort's own rule. Each later range pass is a one-worker
+		// permutation of one partition at the same fanout cap, its block
+		// shrunk until the buffers fit a quarter of the partition, so T of
+		// them in flight stay below it.
+		b := memmodel.CMPBlockTuples(w.N, defaultRangeFanout, threads)
+		return blockPermAux(w.N, defaultRangeFanout, b, threads, tuple)
 	case AlgoMSB:
 		// Block-permutation fan-out over ~2T ranges; past the cache bound
 		// each worker's out-of-cache local passes add a one-worker

@@ -3,7 +3,8 @@ package partsort
 import (
 	"context"
 	"errors"
-	"runtime"
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -163,8 +164,9 @@ func TestResilientFallbackChain(t *testing.T) {
 
 // TestResilientDegradeOnResourceError squeezes the auxiliary budget so
 // the LSB plan (which needs linear tmp columns) fails with a
-// *ResourceError, and proves the supervisor skips straight to the
-// in-place stage instead of burning retries on a plan that cannot fit.
+// *ResourceError naming that budget, and proves the supervisor skips
+// straight to the in-place stage instead of burning retries on a plan
+// that cannot fit.
 func TestResilientDegradeOnResourceError(t *testing.T) {
 	n := 1 << 16
 	ref := gen.Uniform[uint64](n, 0, 13)
@@ -193,8 +195,8 @@ func TestResilientDegradeOnResourceError(t *testing.T) {
 	err = SortResilientCtx(context.Background(), LSB, keys2, vals2, &SortOptions{MaxAuxBytes: 256 << 10},
 		&RetryPolicy{NoFallback: true, InitialBackoff: time.Microsecond})
 	var re *ResourceError
-	if !errors.As(err, &re) {
-		t.Fatalf("NoFallback err = %v (%T), want *ResourceError", err, err)
+	if !errors.As(err, &re) || re.Budget != 256<<10 {
+		t.Fatalf("NoFallback err = %v (%T), want *ResourceError on the 256 KiB budget", err, err)
 	}
 }
 
@@ -300,7 +302,7 @@ func TestResilientAllAlgorithms(t *testing.T) {
 			ref := gen.Uniform[uint64](n, 0, 29)
 			keys := append([]uint64(nil), ref...)
 			vals := RIDs[uint64](n)
-			base := runtime.NumGoroutine()
+			base := fault.TakeBaseline()
 			fault.Enable(c.site, 0)
 			err := SortResilientCtx(context.Background(), c.algo, keys, vals,
 				&SortOptions{Threads: 4}, &RetryPolicy{InitialBackoff: time.Microsecond})
@@ -309,8 +311,107 @@ func TestResilientAllAlgorithms(t *testing.T) {
 				t.Fatalf("supervised %v failed: %v", c.algo, err)
 			}
 			checkSortedPermutation(t, keys, vals, ref)
-			waitGoroutines(t, base)
+			base.Verify(t, nil, "")
 		})
+	}
+}
+
+// TestResilientChaosMatrix runs seeded chaos schedules across {LSB, MSB,
+// CMP} × {workspace, none}. Each schedule arms the sites a lane's sorts
+// reach, the supervisor's MSB fallback included, at a fire probability
+// cycling through 0.02, 0.2 and 1 with a bounded per-site budget; every
+// seventh schedule is unbounded certain death on one site. Every
+// supervised run must end in a success or a cleanly classified typed
+// error, leave a permutation, log only events the schedule's decision
+// function agrees with, and leave no goroutine, descriptor, temp resource
+// or workspace byte behind. Even-numbered runs are single-threaded and
+// must replay a byte-identical event log from the same seed; odd ones
+// run on 4 threads.
+func TestResilientChaosMatrix(t *testing.T) {
+	defer fault.Disable()
+	schedules := 240
+	if testing.Short() {
+		schedules = 48
+	}
+	n := 1 << 15
+	ref := gen.Uniform[uint64](n, 0, 97)
+	rids := RIDs[uint64](n)
+	keys := make([]uint64, n)
+	vals := make([]uint64, n)
+	sites := map[Algorithm][]fault.Site{
+		LSB: {fault.SiteLSBPass, fault.SiteWorkerStart, fault.SiteMSBRecurse},
+		MSB: {fault.SiteMSBRecurse, fault.SiteWorkerStart, fault.SiteBlockPermute},
+		CMP: {fault.SiteCMPPass, fault.SiteWorkerStart, fault.SiteMSBRecurse},
+	}
+	// run sorts under the i-th schedule of a lane, checks the run, and
+	// returns the schedule's event log.
+	run := func(algo Algorithm, w *Workspace, seed uint64, i, threads int) []fault.Event {
+		name := fmt.Sprintf("%v ws=%v seed=%d threads=%d", algo, w != nil, seed, threads)
+		cfg := map[fault.Site]fault.SiteConfig{}
+		for _, s := range sites[algo] {
+			cfg[s] = fault.SiteConfig{Prob: []float64{0.02, 0.2, 1}[i%3], Budget: 1 + i%4}
+		}
+		if i%7 == 6 {
+			cfg[sites[algo][0]] = fault.SiteConfig{Prob: 1}
+		}
+		sched := fault.NewSchedule(seed, cfg)
+		copy(keys, ref)
+		copy(vals, rids)
+		base := fault.TakeBaseline()
+		fault.Arm(sched)
+		err := SortResilientCtx(context.Background(), algo, keys, vals, &SortOptions{Threads: threads, Workspace: w},
+			&RetryPolicy{InitialBackoff: 50 * time.Microsecond, MaxBackoff: 200 * time.Microsecond, JitterSeed: seed})
+		fault.Disable()
+		var ie *InternalError
+		var re *ResourceError
+		if err != nil && !errors.As(err, &ie) && !errors.As(err, &re) {
+			t.Fatalf("%s: unclassified error %v (%T)", name, err, err)
+		}
+		if err == nil && !IsSorted(keys) {
+			t.Fatalf("%s: supervised success left keys unsorted", name)
+		}
+		if !SameMultiset(ref, rids, keys, vals) {
+			t.Fatalf("%s: keys/vals are not a permutation of the input (err=%v)", name, err)
+		}
+		if err := base.Check(w, ""); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		log := sched.Events()
+		for _, ev := range log {
+			if !sched.WouldFire(ev.Site, ev.Hit) {
+				t.Fatalf("%s: logged event %+v contradicts the decision function", name, ev)
+			}
+		}
+		return log
+	}
+
+	lane := 0
+	for _, algo := range []Algorithm{LSB, MSB, CMP} {
+		for _, withWS := range []bool{false, true} {
+			var w *Workspace
+			if withWS {
+				// Prime the pool so its parked workers join the baseline.
+				w = NewWorkspace()
+				copy(keys, ref)
+				copy(vals, rids)
+				if err := trySort(LSB, keys, vals, &SortOptions{Threads: 4, Workspace: w}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < schedules/6; i++ {
+				seed := 1 + uint64(lane)*1_000_003 + uint64(i)
+				if i%2 == 1 {
+					run(algo, w, seed, i, 4)
+					continue
+				}
+				first := run(algo, w, seed, i, 1)
+				if replay := run(algo, w, seed, i, 1); !slices.Equal(first, replay) {
+					t.Fatalf("%v ws=%v seed=%d: replay logged %v, first run %v", algo, withWS, seed, replay, first)
+				}
+			}
+			w.Close()
+			lane++
+		}
 	}
 }
 

@@ -3,11 +3,11 @@ package partsort
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/gen"
 )
 
@@ -108,7 +108,7 @@ func TestStressCancelStorm(t *testing.T) {
 	const lanes = 8
 	for _, a := range algos {
 		t.Run(a.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			base := fault.TakeBaseline()
 			var wg sync.WaitGroup
 			errs := make([]error, lanes)
 			cols := make([][2][]uint32, lanes)
@@ -141,7 +141,7 @@ func TestStressCancelStorm(t *testing.T) {
 					t.Fatalf("lane %d: completed sort left keys unsorted", l)
 				}
 			}
-			waitGoroutines(t, base)
+			base.Verify(t, nil, "")
 		})
 	}
 }

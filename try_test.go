@@ -4,32 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
 )
-
-// waitGoroutines waits (with a deadline) for the goroutine count to settle
-// back to the baseline: contained failures reap workers synchronously, but
-// the runtime may take a moment to retire exited goroutines.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d live, baseline %d", runtime.NumGoroutine(), base)
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // once is the single-attempt policy: SortResilientCtx under it makes one
 // hardened sort attempt, with no retry, fallback, or backoff.
@@ -249,7 +229,7 @@ func TestTryFaultMatrix(t *testing.T) {
 				name := c.algo + "/" + string(c.site)
 				k := append([]uint32(nil), keys...)
 				v := append([]uint32(nil), vals...)
-				base := runtime.NumGoroutine()
+				base := fault.TakeBaseline()
 				fault.Enable(c.site, after)
 				err := runFaultCase(c, k, v, w, spillDir)
 				fired := fault.Fired()
@@ -278,13 +258,9 @@ func TestTryFaultMatrix(t *testing.T) {
 					t.Fatalf("%s ws=%v after=%d fired=%v: keys/vals are not a permutation of the input",
 						name, withWS, after, fired)
 				}
-				if err := fault.CheckResources(); err != nil {
+				if err := base.Check(w, spillDir); err != nil {
 					t.Fatalf("%s ws=%v after=%d: %v", name, withWS, after, err)
 				}
-				if ents, err := os.ReadDir(spillDir); err != nil || len(ents) != 0 {
-					t.Fatalf("%s ws=%v after=%d: spill dir holds %d entries (%v)", name, withWS, after, len(ents), err)
-				}
-				waitGoroutines(t, base)
 			}
 		}
 	}
@@ -370,7 +346,7 @@ func TestTryPartitionFault(t *testing.T) {
 		t.Fatal("clean run: multiset changed")
 	}
 
-	base := runtime.NumGoroutine()
+	base := fault.TakeBaseline()
 	fault.Enable(fault.SiteWorkerStart, 0)
 	hist, err = TryPartitionCtx(context.Background(), src, srcV, dst, dstV, fn, 4)
 	fired := fault.Fired()
@@ -390,7 +366,7 @@ func TestTryPartitionFault(t *testing.T) {
 			t.Fatal("src mutated by a failed partition")
 		}
 	}
-	waitGoroutines(t, base)
+	base.Verify(t, nil, "")
 
 	if _, err := TryPartitionCtx(context.Background(), src, srcV, dst[:n-1], dstV[:n-1], fn, 4); err == nil {
 		t.Fatal("short dst accepted")
@@ -448,7 +424,7 @@ func TestTryCancelRace(t *testing.T) {
 		}
 		cells[i].span = max(800*time.Microsecond, time.Since(start)*5/4)
 	}
-	base := runtime.NumGoroutine()
+	base := fault.TakeBaseline()
 
 	perCell := iters / len(cells)
 	for i := 0; i < iters; i++ {
@@ -476,7 +452,7 @@ func TestTryCancelRace(t *testing.T) {
 			t.Fatalf("iter %d %s regions=%d (err=%v): keys/vals are not a permutation of the input", i, a.name, c.regions, err)
 		}
 	}
-	waitGoroutines(t, base)
+	base.Verify(t, w, "")
 }
 
 // TestTryCancelPrompt bounds the cancellation latency: a deadline that

@@ -47,7 +47,7 @@ func (w *Workspace) Counters() (hits, misses uint64) {
 // AuxBytes returns the auxiliary scratch bytes currently checked out of
 // the arena. It is zero between balanced sorts; a persistent nonzero
 // reading after every sort has returned indicates leaked buffers (the
-// chaoscheck gate asserts this after each contained failure).
+// fault-matrix and chaos tests assert this after each contained failure).
 func (w *Workspace) AuxBytes() uint64 {
 	if w == nil {
 		return 0
