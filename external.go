@@ -20,8 +20,9 @@ type ExternalStats = extsort.Stats
 // sort would exceed SortOptions.MaxSpillBytes of disk.
 var ErrSpillBudget = extsort.ErrDiskBudget
 
-// ErrSpillCorrupt is wrapped by the *SpillError returned when a sealed
-// run read back from disk fails its count or checksum seal.
+// ErrSpillCorrupt is wrapped by the *SpillError returned when spill data
+// read back from disk fails its seal: a formation bucket's CRC32C, or a
+// sealed run's count or checksum.
 var ErrSpillCorrupt = extsort.ErrCorrupt
 
 // SpillPlan is the external-sort shape PlanSpill derives from an input
@@ -41,11 +42,13 @@ func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 
 // SortExternal sorts (keys, vals) by key even when the working set
 // exceeds the auxiliary-memory budget, by spilling to disk: one
-// counting-free streaming pass forms key-range runs in a temp directory,
-// each run is sorted in memory at segment granularity, and a pipelined
-// file-backed W-way merge (prefetch overlapped with merge compute)
-// produces the sorted output in place. Inputs that fit one segment never
-// touch disk. Not stable.
+// counting-free streaming pass scatters the input into key-range buckets
+// in a temp directory, planned so that each fits half an in-memory
+// segment; each bucket is read back once and sorted in memory straight
+// into its output range. A bucket that skew pushes past one segment is
+// cut into sorted runs that a pipelined file-backed W-way merge (prefetch
+// overlapped with merge compute) puts back in order. Inputs that fit one
+// segment never touch disk. Not stable.
 //
 // A positive MaxAuxBytes below the plan's floor (PlanSpill's MemBytes)
 // is raised to it, with or without a Workspace, so a tiny budget still
@@ -54,7 +57,11 @@ func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 // Argument problems return *ArgError, spill I/O failures *SpillError
 // (disk budget overruns unwrap to ErrSpillBudget), contained worker
 // panics *InternalError. On error keys/vals hold a permutation of the
-// input and every temp file has been removed.
+// input and every temp file has been removed — except when a formation
+// bucket fails its seal or its read after delivery has overwritten part
+// of the input: that bucket's tuples then exist nowhere intact, its
+// output range is wrong (every other range is restored), and the error
+// says that the permutation restore failed.
 func SortExternal[K Key](keys, vals []K, opt *SortOptions) (ExternalStats, error) {
 	return SortExternalCtx(context.Background(), keys, vals, opt)
 }

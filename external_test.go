@@ -66,6 +66,68 @@ func forcedSpill[K Key](t *testing.T, n int) {
 	base.Verify(t, nil, opt.TempDir)
 }
 
+// TestSortExternalOnePassPlan pins the planner's one-pass shape: uniform
+// 64-bit pairs under an eighth of their bytes, with no Spill* overrides,
+// spill and read back each byte once (no sealed run, no merge), and the
+// run reserves at most 1.25× the formation bytes of disk: MaxSpillBytes
+// refuses it past that. The second row's domain sits just above a power
+// of two, where a digit taken by shifting alone would fill half the
+// buckets to twice the planned fill.
+func TestSortExternalOnePassPlan(t *testing.T) {
+	for _, domain := range []uint64{0, 1<<40 + 1<<33} {
+		n := 1 << 20
+		in := int64(n) * 16
+		keys := gen.Uniform[uint64](n, domain, 11)
+		vals := RIDs[uint64](n)
+		sumK := append([]uint64(nil), keys...)
+		sumV := append([]uint64(nil), vals...)
+		opt := &SortOptions{TempDir: t.TempDir(), MaxAuxBytes: in / 8, MaxSpillBytes: in + in/4, Threads: 2}
+
+		base := fault.TakeBaseline()
+		st, err := SortExternal(keys, vals, opt)
+		if err != nil {
+			t.Fatalf("domain %#x: SortExternal: %v", domain, err)
+		}
+		if !st.Spilled || !IsSorted(keys) || !SameMultiset(keys, vals, sumK, sumV) {
+			t.Fatalf("domain %#x: spilled=%v sorted=%v", domain, st.Spilled, IsSorted(keys))
+		}
+		if st.FormationBytes != in || st.SpillBytes != in || st.ReadBytes != in {
+			t.Fatalf("domain %#x: formation %d, spilled %d, read %d bytes; want each byte once (%d)",
+				domain, st.FormationBytes, st.SpillBytes, st.ReadBytes, in)
+		}
+		if st.RunsWritten != 0 || st.MergeRounds != 0 {
+			t.Fatalf("domain %#x: %d buckets sealed %d runs in %d merges; the plan should deliver every bucket in one pass",
+				domain, st.Buckets, st.RunsWritten, st.MergeRounds)
+		}
+		base.Verify(t, nil, opt.TempDir)
+	}
+}
+
+// TestSortExternalSkewMerges keeps the merge path covered under planner
+// defaults: Zipf θ = 1 keys give the hottest key about 7% of the input,
+// far past one segment, so its bucket is cut into sealed runs and merged.
+func TestSortExternalSkewMerges(t *testing.T) {
+	n := 1 << 20
+	keys := gen.ZipfKeys[uint64](n, 1<<20, 1.0, 12)
+	vals := RIDs[uint64](n)
+	sumK := append([]uint64(nil), keys...)
+	sumV := append([]uint64(nil), vals...)
+	opt := &SortOptions{TempDir: t.TempDir(), MaxAuxBytes: int64(n) * 16 / 8, Threads: 2}
+
+	base := fault.TakeBaseline()
+	st, err := SortExternal(keys, vals, opt)
+	if err != nil {
+		t.Fatalf("SortExternal: %v", err)
+	}
+	if !st.Spilled || !IsSorted(keys) || !SameMultiset(keys, vals, sumK, sumV) {
+		t.Fatalf("spilled=%v sorted=%v", st.Spilled, IsSorted(keys))
+	}
+	if st.MergeRounds == 0 || st.RunsWritten == 0 {
+		t.Fatalf("no bucket overflowed its segment: %+v", st)
+	}
+	base.Verify(t, nil, opt.TempDir)
+}
+
 // TestSortExternalInMemory checks that small inputs under a roomy budget
 // never touch disk, and still sort.
 func TestSortExternalInMemory(t *testing.T) {

@@ -3,25 +3,30 @@
 // spilling to disk and merging back, in three phases.
 //
 //  1. Run formation (one streaming pass, counting-free): tuples are
-//     classified by their top radix digit into key-range buckets whose
-//     file extents are reserved on first touch — the Wassenberg & Sanders
+//     classified by their place in the sampled key domain, scaled onto
+//     the fanout, into equal-width key-range buckets whose file extents
+//     are reserved on first touch — the Wassenberg & Sanders
 //     bucket-reservation trick translated from virtual memory to file
 //     space, so no separate histogram pass precedes the scatter. Each
 //     bucket owns a small write-combining line buffer; only full lines
-//     (and the final drain) reach the spill file.
-//  2. Delivery: buckets are read back in key order. A bucket that fits
-//     one segment is deinterleaved straight into its output range and
-//     sorted in place by the in-memory MSB kernel; a larger bucket is cut
-//     into segment-sized chunks, each sorted in memory and sealed as a
-//     checksummed sorted run.
+//     (and the final drain) reach the spill file, and each bucket keeps a
+//     CRC32C of every byte it wrote.
+//  2. Delivery: buckets are read back in key order and checked against
+//     their CRC32C before any of their tuples reach the output. A bucket
+//     that fits one segment — every bucket of a uniform input under the
+//     planned fanout — is deinterleaved straight into its output range
+//     and sorted in place by the in-memory MSB kernel; a larger bucket is
+//     cut into segment-sized chunks, each sorted in memory and sealed as
+//     a checksummed sorted run.
 //  3. Merge: a bucket's sealed segments are merged W at a time by the
 //     file-backed generalization of the CMP lane merge — double-buffered
 //     segment iterators whose prefetch goroutines overlap disk reads with
 //     merge compute.
 //
 // Every buffer comes from the workspace arena (steady-state buffer
-// acquisition allocates nothing), panics unwind through a restore handler
-// that rebuilds the input permutation from the phase-1 extents, and every
+// acquisition allocates nothing), panics and errors unwind through a
+// restore handler that rebuilds the input permutation from the phase-1
+// extents once delivery has overwritten part of the input, and every
 // temp file is registered on the fault package's resource ledger so a
 // containment that leaks one fails tests.
 package extsort
@@ -35,6 +40,7 @@ import (
 	"repro/internal/kv"
 	"repro/internal/obs"
 	"repro/internal/sortalgo"
+	"repro/internal/tune"
 	"repro/internal/ws"
 )
 
@@ -134,17 +140,20 @@ func (e *IOError) Unwrap() error { return e.Err }
 // space would cross Options.MaxSpillBytes.
 var ErrDiskBudget = fmt.Errorf("disk spill budget exceeded")
 
-// ErrCorrupt is wrapped by the IOError returned when a sealed segment
-// read back from disk fails its count or checksum seal.
-var ErrCorrupt = fmt.Errorf("segment failed its seal check")
+// ErrCorrupt is wrapped by the IOError returned when spill data read back
+// from disk fails its seal: a formation bucket its CRC32C, a sealed
+// segment its count or pair checksum.
+var ErrCorrupt = fmt.Errorf("spill data failed its seal check")
 
 // Run sorts keys/vals (same length) through the external pipeline under
 // the given control and workspace (both may be nil). It returns the run's
 // stats and the first I/O error; injected faults, budget overruns, and
 // cancellation unwind as panics for the caller's containment, after the
 // deferred handler here restored the permutation from the phase-1 extents
-// and removed the temp files.
-func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) (Stats, error) {
+// and removed the temp files. A bucket whose extents fail on the way back
+// cannot be restored; the error, or the re-raised unwind value, then says
+// so (restoreFailed).
+func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) (_ Stats, err error) {
 	n := len(keys)
 	if opt.SegmentTuples < 1 {
 		opt.SegmentTuples = 1 << 20
@@ -159,24 +168,28 @@ func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) 
 	opt = opt.clamped()
 
 	s := getSorter[K](w, n, opt)
-	var err error
 	defer func() {
 		r := recover()
+		var rerr error
 		if r != nil || err != nil {
-			// Once formation completed, parts of keys/vals have been
-			// overwritten by delivery; every tuple is still on disk in the
-			// bucket extents, so read them all back. Before that point the
-			// formation pass only read the input, which is still intact.
+			// Once delivery has written an output range, parts of
+			// keys/vals have been overwritten; every tuple is still on
+			// disk in the bucket extents, so read them all back. Before
+			// that point the pipeline only read the input, which is still
+			// intact.
+			// A bucket that fails on the way back leaves its own output
+			// range wrong; the error (or the unwind value) says so.
 			if s.phase >= phaseDeliver {
-				if rerr := s.restore(keys, vals); rerr != nil && err != nil {
-					err = fmt.Errorf("%w (and permutation restore failed: %v)", err, rerr)
-				}
+				rerr = s.restore(keys, vals)
+			}
+			if rerr != nil && r == nil {
+				err = fmt.Errorf("%w (and permutation restore failed: %w)", err, rerr)
 			}
 		}
 		s.cleanup()
 		putSorter(w, s)
 		if r != nil {
-			panic(hard.NewPanic(r))
+			panic(restoreFailed(hard.NewPanic(r), rerr))
 		}
 	}()
 
@@ -186,7 +199,6 @@ func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) 
 	if err = s.formRuns(ctl, keys, vals); err != nil {
 		return s.stats, err
 	}
-	s.phase = phaseDeliver
 	if err = s.deliver(ctl, keys, vals); err != nil {
 		return s.stats, err
 	}
@@ -195,13 +207,30 @@ func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) 
 	return s.stats, nil
 }
 
+// restoreFailed folds a failed permutation restore (nil: none) into the
+// value an unwind re-raises, so a cancellation or contained panic that
+// lost tuples says so: a bail keeps its cause (still a context error for
+// errors.Is) with the restore error wrapped beside it; a PanicError gets a
+// value that wraps both. A budget panic is then no longer a resource
+// shortage to degrade from: the input is gone, not too large.
+func restoreFailed(p any, rerr error) any {
+	if rerr == nil {
+		return p
+	}
+	if cause, ok := hard.BailCause(p); ok {
+		return hard.NewBail(fmt.Errorf("%w (and permutation restore failed: %w)", cause, rerr))
+	}
+	pe := p.(*hard.PanicError)
+	return &hard.PanicError{Val: fmt.Errorf("%v (and permutation restore failed: %w)", pe.Val, rerr), Stack: pe.Stack}
+}
+
 // clamped sanitizes the option fields extsort derives sizes from.
 func (o Options) clamped() Options {
 	if o.BucketBits < 1 {
 		o.BucketBits = 1
 	}
-	if o.BucketBits > 16 {
-		o.BucketBits = 16
+	if o.BucketBits > tune.MaxBucketBits {
+		o.BucketBits = tune.MaxBucketBits
 	}
 	if o.LineTuples < 16 {
 		o.LineTuples = 16
@@ -226,7 +255,8 @@ func (o Options) clamped() Options {
 const maxMergeWidth = 16
 
 // Pipeline phases, recorded so the unwind handler knows whether the
-// output arrays have been partially overwritten.
+// output arrays have been partially overwritten: phaseDeliver starts at
+// delivery's first write into keys/vals, not at the end of formation.
 const (
 	phaseForm = iota + 1
 	phaseDeliver

@@ -1,11 +1,16 @@
 package extsort
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/hard"
 	"repro/internal/kv"
 	"repro/internal/mergetest"
 	"repro/internal/ws"
@@ -363,4 +368,174 @@ func FuzzBucketBoundaries(f *testing.F) {
 				n, seg, bbits, width, st.Spilled, kv.IsSorted(keys))
 		}
 	})
+}
+
+// damage applies one fuzz-chosen fault to a spill file at rest: flip the
+// byte at at (mode 0), zero val+1 bytes from there (mode 1), or truncate
+// the file there (mode 2). Offsets wrap modulo the file size.
+func damage(t *testing.T, f *os.File, mode uint8, at uint32, val uint8) {
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		return
+	}
+	pos := int64(at) % fi.Size()
+	switch mode % 3 {
+	case 0:
+		b := []byte{0}
+		if _, err := f.ReadAt(b, pos); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= val | 1
+		_, err = f.WriteAt(b, pos)
+	case 1:
+		_, err = f.WriteAt(make([]byte, min(int64(val)+1, fi.Size()-pos)), pos)
+	case 2:
+		err = f.Truncate(pos)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzSpillReadback damages spill data between its write and its first
+// read back: the formation file when delivery starts, or, on a shape
+// whose two buckets each overflow their segment, either file (the runs
+// file before the first merge). Every call must end in ErrCorrupt or in a
+// sorted permutation of the input (the damage missed every byte read
+// back), never in a panic, a wrong sort or a leaked temp file. Damage to
+// a sealed run is rolled back from the formation extents, so the input is
+// then a permutation again; damage to a formation extent is too, unless
+// the error reports that the restore failed.
+func FuzzSpillReadback(f *testing.F) {
+	f.Add(false, false, uint8(0), uint32(100), uint8(1), uint64(1))
+	f.Add(false, false, uint8(1), uint32(70000), uint8(200), uint64(2))
+	f.Add(false, false, uint8(2), uint32(40000), uint8(0), uint64(3))
+	f.Add(true, true, uint8(0), uint32(5000), uint8(0x80), uint64(4))
+	f.Add(true, true, uint8(1), uint32(0), uint8(31), uint64(5))
+	f.Add(true, true, uint8(2), uint32(70000), uint8(0), uint64(6))
+	f.Add(true, false, uint8(0), uint32(90000), uint8(4), uint64(7))
+	f.Add(true, false, uint8(2), uint32(20000), uint8(0), uint64(8))
+	f.Fuzz(func(t *testing.T, overflow, runs bool, mode uint8, at uint32, val uint8, seed uint64) {
+		opt := testOpt(t)
+		opt.BucketBits = 4 // 8192 uniform tuples fill each bucket to half a segment
+		n := 1 << 13
+		keys := make([]uint64, n)
+		vals := make([]uint64, n)
+		r := rand.New(rand.NewSource(int64(seed)))
+		for i := range keys {
+			keys[i] = r.Uint64()
+			if overflow {
+				keys[i] %= 2 // two buckets of four segments each
+			}
+			vals[i] = uint64(i)
+		}
+		if overflow {
+			opt.MergeWidth = 2 // four segments reduce through an intermediate round
+		}
+		runs = runs && overflow
+		want := kv.ChecksumPairs(keys, vals)
+		target := "buckets.spill"
+		if runs {
+			target = "runs.spill"
+		}
+		hit := false
+		readbackHook = func(f *os.File) {
+			if !hit && filepath.Base(f.Name()) == target {
+				hit = true
+				damage(t, f, mode, at, val)
+			}
+		}
+		defer func() { readbackHook = nil }()
+
+		base := fault.TakeBaseline()
+		_, err := Run(nil, keys, vals, nil, opt)
+		if !hit {
+			t.Fatalf("%s was never read back", target)
+		}
+		switch {
+		case err == nil:
+			if !kv.IsSorted(keys) || kv.ChecksumPairs(keys, vals) != want {
+				t.Fatalf("damaged %s: clean return with a wrong sort", target)
+			}
+		case !errors.Is(err, ErrCorrupt):
+			t.Fatalf("damaged %s: err = %v, want ErrCorrupt", target, err)
+		case kv.ChecksumPairs(keys, vals) != want && (runs || !strings.Contains(err.Error(), "restore failed")):
+			t.Fatalf("damaged %s: input not a permutation and no failed restore reported: %v", target, err)
+		}
+		base.Verify(t, nil, opt.TempDir)
+	})
+}
+
+// TestRunUnwindReportsLostBucket damages the second of two overflowing
+// buckets, then unwinds Run from inside delivery, after the first bucket's
+// output was written (at its merge). The restore cannot give the damaged
+// bucket back, and the re-raised value must say so: a cancellation keeps
+// its context cause with ErrCorrupt beside it, a contained panic carries
+// both in its value. The first bucket's range is restored all the same,
+// and nothing is left behind.
+func TestRunUnwindReportsLostBucket(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		unwind func()
+		check  func(t *testing.T, r any)
+	}{
+		{"cancel", func() { hard.Bail(context.Canceled) }, func(t *testing.T, r any) {
+			cause, ok := hard.BailCause(r)
+			if !ok || !errors.Is(cause, context.Canceled) || !errors.Is(cause, ErrCorrupt) ||
+				!strings.Contains(cause.Error(), "permutation restore failed") {
+				t.Fatalf("unwind value %v: want a bail whose cause is context.Canceled and ErrCorrupt, reporting the failed restore", r)
+			}
+		}},
+		{"panic", func() { panic("injected") }, func(t *testing.T, r any) {
+			pe, ok := r.(*hard.PanicError)
+			if !ok || !errors.Is(pe, ErrCorrupt) || !strings.Contains(pe.Error(), "injected") ||
+				!strings.Contains(pe.Error(), "permutation restore failed") {
+				t.Fatalf("unwind value %v: want a PanicError naming the panic, wrapping ErrCorrupt and reporting the failed restore", r)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opt := testOpt(t)
+			n := 1 << 13
+			keys := make([]uint64, n)
+			vals := make([]uint64, n)
+			for i := range keys {
+				keys[i] = uint64(2 * i / n) // bucket 0 flushes all its lines first
+				vals[i] = uint64(i)
+			}
+			var spill *os.File
+			readbackHook = func(f *os.File) {
+				if filepath.Base(f.Name()) == "buckets.spill" {
+					spill = f
+					return
+				}
+				fi, err := spill.Stat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := spill.WriteAt([]byte{0xff}, fi.Size()-1); err != nil {
+					t.Fatal(err)
+				}
+				c.unwind()
+			}
+			defer func() { readbackHook = nil }()
+
+			base := fault.TakeBaseline()
+			var r any
+			func() {
+				defer func() { r = recover() }()
+				Run(nil, keys, vals, nil, opt)
+			}()
+			c.check(t, r)
+			for i := range n / 2 {
+				if keys[i] != 0 || vals[i] != uint64(i) {
+					t.Fatalf("position %d holds (%d, %d) after the restore, want (0, %d)", i, keys[i], vals[i], i)
+				}
+			}
+			base.Verify(t, nil, opt.TempDir)
+		})
+	}
 }

@@ -100,7 +100,7 @@ func (it *segIter[K]) start(s *sorter[K], sg segment) {
 			}
 			nb := np * pairB
 			t0 := time.Now()
-			_, err := f.ReadAt(asBytes(b)[:nb], off)
+			err := readAt(f, asBytes(b)[:nb], off)
 			it.ioNs.Add(int64(time.Since(t0)))
 			if err == nil {
 				obs.AddExtReadBytes(nb)
@@ -176,7 +176,7 @@ func (it *segIter[K]) refill(f *os.File) error {
 		it.st.BlocksStalled++
 	}
 	if blk.err != nil {
-		return ioErr("read", f, blk.err)
+		return blk.err
 	}
 	if blk.n == 0 {
 		it.eof = true

@@ -3,12 +3,18 @@
 // write-combining line, and flush full lines into file extents reserved
 // on first touch. Delivery walks the buckets in key order, sorting
 // one-segment buckets straight into their output range and cutting larger
-// ones into sealed segments for the merge.
+// ones into sealed segments for the merge. Every bucket is sealed by a
+// CRC32C of the bytes formation wrote; delivery and restore recompute it
+// on the way back, so a corrupt extent fails with ErrCorrupt before any of
+// its tuples reach the output.
 
 package extsort
 
 import (
 	"fmt"
+	"hash/crc32"
+	"math/bits"
+	"os"
 
 	"repro/internal/fault"
 	"repro/internal/hard"
@@ -16,7 +22,7 @@ import (
 	"repro/internal/obs"
 )
 
-// sampleStride bounds the digit-shift sample: a strided probe of at most
+// sampleKeys bounds the digit-plan sample: a strided probe of at most
 // this many keys estimates the key domain without a counting pass.
 // Underestimates only cost balance — the top bucket absorbs the clamp —
 // never correctness, because the digit stays monotone in the key.
@@ -53,8 +59,12 @@ func (s *sorter[K]) formRuns(ctl *hard.Ctl, keys, vals []K) error {
 	return nil
 }
 
-// planDigit picks the digit shift from a strided key sample, so the
-// fanout covers the observed domain instead of the full key width.
+// planDigit scales the sampled key domain [0, max] onto the fanout, so
+// every bucket covers an equal share of it whatever its size: keys are
+// shifted down to at most 32 significant bits, then multiplied by
+// fanout/(top+1) in 32.32 fixed point. A bare shift by the domain's bit
+// length would give a domain just above a power of two only half the
+// buckets, each filled to twice what the planner sized them for.
 func (s *sorter[K]) planDigit(keys []K) {
 	stride := len(keys) / sampleKeys
 	if stride < 1 {
@@ -66,26 +76,26 @@ func (s *sorter[K]) planDigit(keys []K) {
 			max = keys[i]
 		}
 	}
-	bits := 1
-	for max>>bits != 0 && bits < kv.Width[K]() {
-		bits++
-	}
 	s.shift = 0
-	if bits > s.opt.BucketBits {
-		s.shift = uint(bits - s.opt.BucketBits)
+	if b := bits.Len64(uint64(max)); b > 32 {
+		s.shift = uint(b - 32)
 	}
-	s.maxDig = (1 << s.opt.BucketBits) - 1
+	s.top = uint64(max) >> s.shift
+	fanout := uint64(1) << s.opt.BucketBits
+	s.scale = fanout << 32 / (s.top + 1)
+	s.maxDig = int(fanout) - 1
 }
 
-// digit maps a key to its bucket. Clamping keeps keys above the sampled
-// domain in the top bucket; the map stays monotone, so concatenating
-// sorted buckets in index order yields a sorted array.
+// digit maps a key to its bucket. Keys above the sampled domain go to the
+// top bucket; the map stays monotone, so concatenating sorted buckets in
+// index order yields a sorted array. For x <= top, x·scale stays below
+// fanout·2^32, so the product cannot overflow and the digit stays in range.
 func (s *sorter[K]) digit(k K) int {
-	d := int(k >> s.shift)
-	if d > s.maxDig {
-		d = s.maxDig
+	x := uint64(k) >> s.shift
+	if x > s.top {
+		return s.maxDig
 	}
-	return d
+	return int(x * s.scale >> 32)
 }
 
 // flushLine spills bucket d's line buffer into its extent chain,
@@ -99,10 +109,11 @@ func (s *sorter[K]) flushLine(d int) error {
 	}
 	fault.Inject(fault.SiteExtSpill)
 	L := s.opt.LineTuples
-	line := s.slab[d*2*L : d*2*L+b.line*2]
-	if _, err := s.spillF.WriteAt(asBytes(line)[:nb], e.off+e.used); err != nil {
+	line := asBytes(s.slab[d*2*L : d*2*L+b.line*2])[:nb]
+	if _, err := s.spillF.WriteAt(line, e.off+e.used); err != nil {
 		return ioErr("write", s.spillF, err)
 	}
+	b.crc = crc32.Update(b.crc, castagnoli, line)
 	e.used += nb
 	b.count += int64(b.line)
 	b.line = 0
@@ -122,10 +133,7 @@ func (s *sorter[K]) extentFor(b *bucketState, nb int64) (*extent, error) {
 			return e, nil
 		}
 	}
-	size := int64(s.opt.ExtentTuples()) * s.pairB
-	if size < nb {
-		size = nb
-	}
+	size := max(s.extentB, nb)
 	if err := s.reserve(size, s.spillF); err != nil {
 		return nil, err
 	}
@@ -134,22 +142,24 @@ func (s *sorter[K]) extentFor(b *bucketState, nb int64) (*extent, error) {
 	return &b.extents[len(b.extents)-1], nil
 }
 
-// ExtentTuples derives the reservation unit: half a segment, but at least
-// 16 lines so the chain bookkeeping stays negligible.
-func (o Options) ExtentTuples() int {
-	ext := o.SegmentTuples / 2
-	if min := 16 * o.LineTuples; ext < min {
-		ext = min
-	}
-	return ext
-}
+// readbackHook, when non-nil, runs with a spill file just before the
+// sorter first reads back what it wrote there: the formation file when
+// delivery starts, the runs file before each merge. Only tests set it, to
+// damage spill data at rest.
+var readbackHook func(f *os.File)
 
 // deliver is phases 2 and 3: walk buckets in key order, sort each back
 // into its slice of the output, sealing and merging segments where a
-// bucket exceeds one.
+// bucket exceeds one. A bucket's CRC is checked once all of it has been
+// read and before its output range is written; the phase turns to
+// phaseDeliver (the unwind then restores the input from the extents) only
+// at the first such write.
 func (s *sorter[K]) deliver(ctl *hard.Ctl, keys, vals []K) error {
 	seg := s.opt.SegmentTuples
 	pos := 0
+	if readbackHook != nil {
+		readbackHook(s.spillF)
+	}
 	for d := range s.buckets {
 		b := &s.buckets[d]
 		c := int(b.count)
@@ -169,6 +179,10 @@ func (s *sorter[K]) deliver(ctl *hard.Ctl, keys, vals []K) error {
 			if err := r.read(asBytes(pairs)[:int64(c)*s.pairB]); err != nil {
 				return err
 			}
+			if err := r.checkSeal(b.crc); err != nil {
+				return err
+			}
+			s.phase = phaseDeliver
 			deinterleave(pairs, outK, outV)
 			sortChunk(ctl, outK, outV, s.w, s.opt)
 		} else {
@@ -191,6 +205,13 @@ func (s *sorter[K]) deliver(ctl *hard.Ctl, keys, vals []K) error {
 				}
 				s.segs = append(s.segs, sg)
 				done += cn
+			}
+			if err := r.checkSeal(b.crc); err != nil {
+				return err
+			}
+			s.phase = phaseDeliver
+			if readbackHook != nil {
+				readbackHook(s.runsF)
 			}
 			if err := s.mergeRounds(ctl, outK, outV); err != nil {
 				return err

@@ -6,12 +6,16 @@
 package extsort
 
 import (
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 
 	"repro/internal/fault"
 	"repro/internal/kv"
 	"repro/internal/obs"
+	"repro/internal/tune"
 	"repro/internal/ws"
 )
 
@@ -24,13 +28,18 @@ type extent struct {
 }
 
 // bucketState is one formation bucket: its write-combining line fill, its
-// tuple count (a by-product of the scatter, not a pre-pass), and its
-// extent chain.
+// tuple count (a by-product of the scatter, not a pre-pass), its extent
+// chain, and the CRC32C seal of every byte written to that chain.
 type bucketState struct {
 	count   int64
 	line    int
+	crc     uint32
 	extents []extent
 }
+
+// castagnoli is the CRC32C table; hash/crc32 computes it with the SSE4.2
+// instruction where the CPU has one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segment is one sealed sorted run: a contiguous pair region of the runs
 // file plus the seal (count and order-independent pair checksum) verified
@@ -53,10 +62,13 @@ type sorter[K kv.Key] struct {
 	runsF     *os.File // phase 2+: sealed segments
 	spillTail int64    // next unreserved byte of spillF
 	runsTail  int64    // next unreserved byte of runsF
+	extentB   int64    // formation extent reservation unit in bytes
 
 	buckets []bucketState
-	slab    []K // fanout × line pairs: the write-combining buffers
-	shift   uint
+	slab    []K    // fanout × line pairs: the write-combining buffers
+	shift   uint   // digit plan (planDigit): key >> shift,
+	top     uint64 // clamped to top,
+	scale   uint64 // times scale >> 32
 	maxDig  int
 
 	readBuf []K // one segment of interleaved pairs
@@ -78,6 +90,7 @@ func getSorter[K kv.Key](w *ws.Workspace, n int, opt Options) *sorter[K] {
 	s.opt = opt
 	s.n = n
 	s.pairB = 2 * int64(kv.Width[K]()/8)
+	s.extentB = int64(tune.ExtentTuples(n, opt.BucketBits, opt.LineTuples)) * s.pairB
 	s.phase = phaseForm
 	s.stats = Stats{}
 	s.spillTail, s.runsTail = 0, 0
@@ -91,7 +104,7 @@ func getSorter[K kv.Key](w *ws.Workspace, n int, opt Options) *sorter[K] {
 	s.buckets = s.buckets[:fanout]
 	for i := range s.buckets {
 		b := &s.buckets[i]
-		b.count, b.line = 0, 0
+		b.count, b.line, b.crc = 0, 0, 0
 		b.extents = b.extents[:0]
 	}
 	s.slab = ws.Keys[K](w, fanout*2*opt.LineTuples)
@@ -174,39 +187,55 @@ func (s *sorter[K]) cleanup() {
 // restore rebuilds keys/vals as a permutation of the input from the
 // phase-1 bucket extents — the containment rollback once delivery has
 // started overwriting the output ranges. It deliberately bypasses
-// checkpoints and injection sites: it runs during an unwind.
+// checkpoints and injection sites: it runs during an unwind. A bucket
+// that fails its read or its CRC cannot give its tuples back; restore
+// still walks every other bucket, so only that bucket's output range is
+// wrong, and returns the first such failure.
 func (s *sorter[K]) restore(keys, vals []K) error {
+	var first error
 	pos := 0
 	for d := range s.buckets {
 		b := &s.buckets[d]
-		rem := b.count
-		r := extentReader{f: s.spillF, exts: b.extents}
-		for rem > 0 {
-			cn := int64(len(s.chunkK))
-			if cn > rem {
-				cn = rem
-			}
-			pairs := s.readBuf[:2*cn]
-			if err := r.read(asBytes(pairs)[:cn*s.pairB]); err != nil {
-				return err
-			}
-			deinterleave(pairs, keys[pos:pos+int(cn)], vals[pos:pos+int(cn)])
-			pos += int(cn)
-			rem -= cn
+		c := int(b.count)
+		if pos+c > s.n {
+			break
 		}
+		if err := s.restoreBucket(b, keys[pos:pos+c], vals[pos:pos+c]); err != nil && first == nil {
+			first = err
+		}
+		pos += c
 	}
-	if pos != s.n {
-		return fmt.Errorf("extsort: restore recovered %d of %d tuples", pos, s.n)
+	if first == nil && pos != s.n {
+		first = fmt.Errorf("extsort: restore recovered %d of %d tuples", pos, s.n)
 	}
-	return nil
+	return first
 }
 
-// extentReader streams the used bytes of an extent chain in order.
+// restoreBucket reads bucket b's tuples back into keys/vals (b.count
+// long) and checks its seal.
+func (s *sorter[K]) restoreBucket(b *bucketState, keys, vals []K) error {
+	r := extentReader{f: s.spillF, exts: b.extents}
+	for pos, rem := int64(0), b.count; rem > 0; {
+		cn := min(int64(len(s.chunkK)), rem)
+		pairs := s.readBuf[:2*cn]
+		if err := r.read(asBytes(pairs)[:cn*s.pairB]); err != nil {
+			return err
+		}
+		deinterleave(pairs, keys[pos:pos+cn], vals[pos:pos+cn])
+		pos += cn
+		rem -= cn
+	}
+	return r.checkSeal(b.crc)
+}
+
+// extentReader streams the used bytes of an extent chain in order,
+// folding them into a CRC32C for checkSeal.
 type extentReader struct {
 	f    *os.File
 	exts []extent
 	ei   int
 	off  int64  // bytes consumed of exts[ei]
+	crc  uint32 // CRC32C of the bytes read so far
 	st   *Stats // nil during restore, which runs off the books
 }
 
@@ -227,15 +256,38 @@ func (r *extentReader) read(dst []byte) error {
 		if n > avail {
 			n = avail
 		}
-		if _, err := r.f.ReadAt(dst[:n], e.off+r.off); err != nil {
-			return ioErr("read", r.f, err)
+		if err := readAt(r.f, dst[:n], e.off+r.off); err != nil {
+			return err
 		}
+		r.crc = crc32.Update(r.crc, castagnoli, dst[:n])
 		obs.AddExtReadBytes(n)
 		if r.st != nil {
 			r.st.ReadBytes += n
 		}
 		r.off += n
 		dst = dst[n:]
+	}
+	return nil
+}
+
+// checkSeal compares the CRC32C of the bytes read so far with want, the
+// CRC formation fed while writing them.
+func (r *extentReader) checkSeal(want uint32) error {
+	if r.crc != want {
+		return ioErr("seal", r.f, fmt.Errorf("%w: bucket CRC32C %08x, formation wrote %08x", ErrCorrupt, r.crc, want))
+	}
+	return nil
+}
+
+// readAt fills dst from f at off. A spill file that ends before the bytes
+// the sorter wrote there is corrupt (truncated), not a plain read error.
+func readAt(f *os.File, dst []byte, off int64) error {
+	_, err := f.ReadAt(dst, off)
+	if errors.Is(err, io.EOF) {
+		err = fmt.Errorf("%w: file ends before byte %d", ErrCorrupt, off+int64(len(dst)))
+	}
+	if err != nil {
+		return ioErr("read", f, err)
 	}
 	return nil
 }

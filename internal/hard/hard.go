@@ -85,10 +85,16 @@ type bail struct{ err error }
 // Bail unwinds the calling goroutine with a cancellation bail carrying
 // err. Fan-out recoveries treat bails as cancellations, not failures.
 func Bail(err error) {
+	panic(NewBail(err))
+}
+
+// NewBail returns the panic value Bail raises, for a recovering handler
+// that re-raises a cancellation with more context in its cause.
+func NewBail(err error) any {
 	if err == nil {
 		err = ErrSiblingStop
 	}
-	panic(bail{err})
+	return bail{err}
 }
 
 // BailCause reports whether a recovered panic value is a cancellation

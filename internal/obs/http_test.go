@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -31,6 +32,11 @@ func get(t *testing.T, url string) string {
 }
 
 func TestServeMetricsEndpoints(t *testing.T) {
+	// The phase histograms live in the process-wide registry and outlast
+	// the session, so the span count is asserted as a delta: the test
+	// passes however often it runs in one process.
+	const phaseCount = `partsort_phase_duration_seconds_count{algo="lsb",phase="local"} `
+	before := seriesValue(t, DefaultRegistry(), phaseCount)
 	Start(NewMetricsSink(nil, nil))
 	defer Stop()
 	Cur().Counters.TuplesPartitioned.Add(42)
@@ -48,7 +54,7 @@ func TestServeMetricsEndpoints(t *testing.T) {
 	for _, want := range []string{
 		`partsort_events_total{event="tuples_partitioned"} 42`,
 		"# TYPE partsort_phase_duration_seconds histogram",
-		`partsort_phase_duration_seconds_count{algo="lsb",phase="local"} 1`,
+		phaseCount + strconv.FormatUint(before+1, 10),
 		"# TYPE partsort_goroutines gauge",
 		"partsort_heap_alloc_bytes",
 	} {
@@ -68,6 +74,26 @@ func TestServeMetricsEndpoints(t *testing.T) {
 	if body := get(t, srv.URL()+"/debug/pprof/goroutine?debug=1"); !strings.Contains(body, "goroutine") {
 		t.Fatal("/debug/pprof/goroutine not serving")
 	}
+}
+
+// seriesValue returns the value of the series whose exposition line
+// starts with prefix in reg, or 0 when reg has no such series yet.
+func seriesValue(t *testing.T, reg *Registry, prefix string) uint64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("series %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
 }
 
 // TestShutdownLeaksNoGoroutines is the satellite-1 gate: server plus

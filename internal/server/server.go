@@ -489,10 +489,11 @@ func (c *Config) coalescible(j *job) bool {
 
 // spillEst bounds one external job's disk footprint, which doubles as
 // its per-run hard cap (SortOptions.MaxSpillBytes): the formation copy
-// of the input plus up to one reserved-but-unfilled extent per bucket,
-// the sealed segments, and three merge rounds of re-spill (fan-in up to
-// MergeWidth³ per bucket — far past what the planner's two-segment
-// buckets produce).
+// of the input plus up to one part-filled extent per bucket
+// (tune.ExtentTuples), and room for the worst skew, where every bucket
+// overflows its segment: the sealed segments and three merge rounds of
+// re-spill (fan-in up to MergeWidth³ per bucket). The planner's one-pass
+// fanout leaves a uniform input at the formation copy alone.
 func spillEst(n, width int, pl tune.SpillPlan) int64 {
 	pair := int64(width / 4)
 	extentSlack := (int64(1) << pl.BucketBits) * int64(pl.ExtentTuples) * pair

@@ -9,6 +9,7 @@
 package splitter
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/gen"
@@ -42,7 +43,7 @@ func EqualDepth[K kv.Key](sample []K, p int) []K {
 	if p == 1 || len(sample) == 0 {
 		return nil
 	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
+	slices.Sort(sample)
 	delims := make([]K, p-1)
 	for i := 1; i < p; i++ {
 		idx := i * len(sample) / p

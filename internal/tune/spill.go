@@ -3,7 +3,9 @@
 // the sort must leave RAM at all and, if so, shapes the external pipeline
 // — segment granularity, run-formation fanout, merge fan-in, and buffer
 // sizes — so the whole pipeline's peak memory stays inside the budget the
-// in-memory planner would have refused.
+// in-memory planner would have refused. The fanout aims at one pass:
+// every byte is spilled and read back once unless skew overflows a
+// bucket past its segment.
 
 package tune
 
@@ -13,16 +15,23 @@ import (
 )
 
 // Spill-plan clamps. Segments below minSegmentTuples would make the merge
-// fan-in explode for no memory win; extents hold at least minLinesPerExtent
-// write-combined lines so the per-extent reservation overhead stays small.
+// fan-in explode for no memory win; a write-combining line below
+// minLineTuples turns formation into small writes; extents hold at least
+// minLinesPerExtent lines so the per-extent bookkeeping stays small.
 const (
 	minSegmentTuples  = 1 << 10
 	maxSegmentTuples  = 1 << 26
-	maxBucketBits     = 8
+	minLineTuples     = 64
 	maxMergeWidth     = 16
 	minLinesPerExtent = 16
 	spillSlackBytes   = 64 << 10
 )
+
+// MaxBucketBits is the widest run-formation fanout, in bits, that the
+// planner picks and the external sort accepts (wider requests are clamped
+// to it). The formation slab budget caps the fanout long before it on any
+// real budget.
+const MaxBucketBits = 16
 
 // SpillPlan is the external sort's shape: how the one streaming
 // run-formation pass fans out, how large the in-memory sorted segments
@@ -38,15 +47,18 @@ type SpillPlan struct {
 	SegmentTuples int `json:"segment_tuples"`
 	// BucketBits is the run-formation fanout in bits: one streaming pass
 	// scatters tuples into 1<<BucketBits key-range buckets whose file
-	// extents are reserved on first touch (no counting pre-pass).
+	// extents are reserved on first touch (no counting pre-pass). It is
+	// sized so the expected bucket fill is at most half a segment: a
+	// uniform input is then delivered without sealed runs or merges.
 	BucketBits int `json:"bucket_bits"`
-	// MergeWidth caps the file-backed merge fan-in; wider buckets merge in
-	// rounds.
+	// MergeWidth caps the file-backed merge fan-in of a bucket that
+	// overflows one segment; wider ones merge in rounds.
 	MergeWidth int `json:"merge_width"`
 	// LineTuples is the per-bucket write-combining buffer in tuples; only
 	// full lines (and the final drain) reach the spill file.
 	LineTuples int `json:"line_tuples"`
-	// ExtentTuples is the bucket extent reservation unit in tuples.
+	// ExtentTuples is the bucket extent reservation unit in tuples
+	// (see ExtentTuples).
 	ExtentTuples int `json:"extent_tuples"`
 	// BlockTuples is each merge iterator's prefetch block in tuples (two
 	// blocks per iterator: one draining, one loading).
@@ -92,24 +104,24 @@ func PlanSpill(n, keyBits int, maxAux int64, p *MachineProfile) SpillPlan {
 	pl.SegmentTuples = int(seg)
 
 	// Write-combining line: 8 KiB of interleaved pairs per bucket.
-	line := clampInt64((8<<10)/pair, 64, 4096)
+	line := clampInt64((8<<10)/pair, minLineTuples, 4096)
 
-	// Fanout: target buckets of ~2 segments so the common merge fan-in
-	// stays small; the extent chains absorb skew.
-	buckets := int64(1)
-	if n > 0 {
-		buckets = ceilDiv64(int64(n), 2*seg)
-	}
-	bbits := bits.Len64(uint64(buckets - 1))
-	pl.BucketBits = clampInt(bbits, 1, maxBucketBits)
+	// Fanout: aim for one formation pass. The expected bucket fill gets
+	// variance headroom under one segment (at most seg/2), so delivery
+	// sorts each bucket straight into its output range and only buckets
+	// that skew overflows are cut into sealed runs and merged. The cap is
+	// the formation slab (fanout × line × pair), which must fit an eighth
+	// of the budget with lines of at least minLineTuples.
+	buckets := ceilDiv64(max(int64(n), 1), max(seg/2, 1))
+	capBits := bits.Len64(uint64(maxAux/(8*minLineTuples*pair))) - 1
+	pl.BucketBits = clampInt(bits.Len64(uint64(buckets-1)), 1, clampInt(capBits, 1, MaxBucketBits))
 
-	// Shrink the line until the formation slab (fanout × line × pair)
-	// fits an eighth of the budget.
-	for line > 64 && (int64(1)<<pl.BucketBits)*line*pair > maxAux/8 {
+	// Shrink the line until the slab fits its eighth.
+	for line > minLineTuples && (int64(1)<<pl.BucketBits)*line*pair > maxAux/8 {
 		line /= 2
 	}
 	pl.LineTuples = int(line)
-	pl.ExtentTuples = int(clampInt64(seg/2, int64(minLinesPerExtent)*line, 1<<20))
+	pl.ExtentTuples = ExtentTuples(n, pl.BucketBits, pl.LineTuples)
 
 	// Merge: W iterators × 2 prefetch blocks × block pairs ≤ half the
 	// budget. The calibrated CPU count bounds useful prefetch concurrency.
@@ -136,6 +148,19 @@ func PlanSpill(n, keyBits int, maxAux int64, p *MachineProfile) SpillPlan {
 	mergeMem := int64(w) * 4 * block * w8
 	pl.MemBytes = formation + delivery + mergeMem + spillSlackBytes
 	return pl
+}
+
+// ExtentTuples is the formation extent rule, the one reservation unit for
+// n tuples scattered over 1<<bucketBits buckets through lineTuples-tuple
+// lines: a quarter of the expected bucket fill, in whole lines, and at
+// least minLinesPerExtent lines. A bucket leaves at most its last extent
+// part-filled, so reserved spill bytes stay within 1.25× the formation
+// bytes (plus a line per bucket) whenever the minimum does not bind.
+func ExtentTuples(n, bucketBits, lineTuples int) int {
+	line := max(int64(lineTuples), 1)
+	fill := ceilDiv64(max(int64(n), 1), int64(1)<<clampInt(bucketBits, 0, MaxBucketBits))
+	lines := max(ceilDiv64(fill, 4*line), minLinesPerExtent)
+	return int(lines * line)
 }
 
 // ceilDiv64 is ceil(a/b) for positive b.

@@ -67,9 +67,9 @@ func validateOptions(fn string, opt *SortOptions) *ArgError {
 		return &ArgError{Func: fn, Field: "SpillSegmentTuples",
 			Reason: fmt.Sprintf("%d; must be non-negative (0 selects the planned size)", opt.SpillSegmentTuples)}
 	}
-	if opt.SpillBucketBits < 0 || opt.SpillBucketBits > 16 {
+	if opt.SpillBucketBits < 0 || opt.SpillBucketBits > tune.MaxBucketBits {
 		return &ArgError{Func: fn, Field: "SpillBucketBits",
-			Reason: fmt.Sprintf("%d; must be in [1, 16] (0 selects the planned fanout)", opt.SpillBucketBits)}
+			Reason: fmt.Sprintf("%d; must be in [1, %d] (0 selects the planned fanout)", opt.SpillBucketBits, tune.MaxBucketBits)}
 	}
 	if opt.SpillMergeWidth < 0 || opt.SpillMergeWidth > 16 {
 		return &ArgError{Func: fn, Field: "SpillMergeWidth",

@@ -46,6 +46,10 @@ go run ./cmd/sortcli -n 6000000 -algo cmp -width 64 -threads 2 -verify > /dev/nu
 go run ./cmd/sortcli -n 6000000 -algo cmp -width 64 -threads 4 -regions 4 -verify > /dev/null
 # Range index: Partition and LookupBatch fuzzed against binary search.
 go test -run '^$' -fuzz '^FuzzRangeIndex$' -fuzztime 10s .
+# Spill read-back: flipped, zeroed or truncated bytes in a formation
+# extent or a sealed run end in ErrCorrupt or a correct sort, never in a
+# panic, a wrong sort or a leaked temp file.
+go test -run '^$' -fuzz '^FuzzSpillReadback$' -fuzztime 10s ./internal/extsort
 go run ./cmd/partcli -n 100000 -variant sync -threads 4 > /dev/null
 go run ./cmd/tracecli -n 65536 -fanout 512 > /dev/null
 go test -run xxx -bench 'Fig03|Fig09' -benchtime 0.2s . > /dev/null
