@@ -245,8 +245,18 @@ func Sort(p Profile, cfg SortConfig) SortPhases {
 			remaining -= bitsPerPassIP
 		}
 		if remaining > 0 {
-			// In-cache radix passes + insertion sort on 4-8 tuple parts.
-			ph.CacheSort = float64(n) * (6*p.ScalarOpNs + 2*p.L1Lat) / float64(p.threadScale(t, 0.4)) / 1e9 * float64((remaining+bitsPerPassIP-1)/bitsPerPassIP+1)
+			// One in-cache level: a histogram scan, then an Algorithm 1
+			// scatter over ~log n - 2 bits into a buffer pair of the
+			// segment's size, whose copy-back insertion-sorts the 4-8
+			// tuple parts (a read, a write and ~2 branch-free
+			// compare-exchanges per tuple). The buffer spans no more
+			// pages than the cache, so unlike PassSeconds' RAM-sized
+			// output the scatter takes no page walks.
+			fanout := 1 << max(1, remaining-2)
+			lat := mlpInCache * p.randomAccessLat(2*float64(fanout))
+			perTuple := 16*p.ScalarOpNs + lat + p.L1Lat
+			ph.CacheSort = float64(n)/Histogram(p, HistRadix, fanout, kb, t) +
+				float64(n)*perTuple/p.threadScale(t, lat/perTuple)/1e9
 		}
 
 	case SortCMP:

@@ -402,12 +402,17 @@ func (r *blockPermRunner[K, F]) meter(wi int, src, dst numa.Region, m int) {
 	r.meters[wi].Record(src, dst, uint64(m)*r.tupleBytes)
 }
 
-// swapBlockHand exchanges a slot's block with the hand, element-wise so no
-// temporary block is needed.
+// swapBlockHand exchanges a slot's block with the hand through a 64-tuple
+// stack chunk, three block copies per chunk, so no temporary block is
+// needed.
 func swapBlockHand[K kv.Key](slot, hand []K) {
+	var tmp [64]K
 	slot = slot[:len(hand)]
-	for i := range hand {
-		slot[i], hand[i] = hand[i], slot[i]
+	for len(hand) > 0 {
+		c := copy(tmp[:], hand)
+		copy(hand, slot[:c])
+		copy(slot, tmp[:c])
+		hand, slot = hand[c:], slot[c:]
 	}
 }
 

@@ -105,7 +105,9 @@ func TestBlockPermuteTailOnly(t *testing.T) {
 func TestBlockPermuteAgainstBlocksReference(t *testing.T) {
 	w := ws.New()
 	defer w.Close()
-	for _, b := range []int{16, 64, 256} {
+	// 1, 63, 65 and 100 are not multiples of swapBlockHand's 64-tuple
+	// chunk: a partial chunk alone, and after full ones.
+	for _, b := range []int{1, 16, 63, 64, 65, 100, 256} {
 		for _, n := range []int{0, 1, 997, 1 << 14, 1<<14 + 11} {
 			orig := gen.Uniform[uint32](n, 0, uint64(n+b))
 			fn := pfunc.NewRadix[uint32](2, 6)

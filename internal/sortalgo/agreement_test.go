@@ -167,7 +167,7 @@ func TestMSBRecurseBitExhaustion(t *testing.T) {
 	for i := range keys {
 		keys[i] = 0xABCD0000 // all equal
 	}
-	msbRecurse(nil, keys, vals, 32, 128, nil)
+	msbRecurse(nil, new(msbTail[uint32]), keys, vals, 32, 128, nil)
 	for _, k := range keys {
 		if k != 0xABCD0000 {
 			t.Fatal("keys changed")

@@ -34,11 +34,13 @@ const msbInsertionCutoff = 24
 //  2. Shared-nothing recursion per range: while a segment exceeds the
 //     cache, one byte-wide block permutation on the segment's own worker
 //     (the same part.BlockPermute kernel, one worker, 128-tuple blocks);
-//     in-cache in-place partitioning (Algorithm 2) below that, and
-//     insertion sort on trivial parts.
+//     below that, Algorithm 1 into a buffer pair of the segment's size
+//     (the paper's in-cache choice, Figs. 2-3), whose copy-back
+//     insertion-sorts the trivial parts.
 //
 // MSB is not stable; unlike LSB it covers log n bits instead of log D, so
-// it wins on sparse key domains, and it needs no linear auxiliary array.
+// it wins on sparse key domains, and it needs no linear auxiliary array:
+// its scratch is O(threads × (fanout × B + cache bound)).
 func MSB[K kv.Key](keys, vals []K, opt Options) {
 	opt = opt.withDefaults()
 	primePool(opt)
@@ -67,7 +69,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	t := opt.Threads
 	if t == 1 && opt.regions() == 1 {
 		timed(st, "msb", phLocal, func() {
-			msbRecurse(opt.Workspace, keys, vals, domainBits, cacheTuples(opt, width), ctl)
+			msbRecurse(opt.Workspace, new(msbTail[K]), keys, vals, domainBits, cacheTuples(opt, width), ctl)
 		})
 		return
 	}
@@ -148,6 +150,7 @@ type msbWorker[K kv.Key] struct {
 func (r *msbWorker[K]) RunTask(wi int) {
 	sp := obs.BeginIn("msb", "msb-recurse", "worker", wi)
 	var done int64
+	var tail msbTail[K]
 	for {
 		q := int(r.next.Add(1) - 1)
 		if q >= r.nq {
@@ -160,7 +163,7 @@ func (r *msbWorker[K]) RunTask(wi int) {
 		if q < len(r.singleKey) && r.singleKey[q] {
 			continue // single-key partition: already sorted
 		}
-		msbRecurse(r.w, r.keys[r.starts[q]:r.starts[q+1]], r.vals[r.starts[q]:r.starts[q+1]], r.hiBit, r.ct, r.ctl)
+		msbRecurse(r.w, &tail, r.keys[r.starts[q]:r.starts[q+1]], r.vals[r.starts[q]:r.starts[q+1]], r.hiBit, r.ct, r.ctl)
 		done += int64(seg)
 	}
 	sp.EndN(done)
@@ -188,12 +191,18 @@ func cacheTuples(opt Options, width int) int {
 // single-worker block permutation (part.BlockPermute) over a byte-wide
 // digit, whose classify phase also derives the histogram; its buffer
 // blocks (256 × 128 tuples, 512 KiB for 64-bit pairs) are the recursion's
-// largest scratch. Cache-resident segments run Algorithm 2 on a separate
-// histogram scan. Every interruption point keeps the arrays a permutation
-// of the input: the checkpoint and fault site at recursion entry sit where
-// every ancestor's partition has completed, and BlockPermute checkpoints
-// mid-kernel and restores its own state before re-raising.
-func msbRecurse[K kv.Key](w *ws.Workspace, keys, vals []K, hiBit, cacheT int, ctl *hard.Ctl) {
+// largest scratch. A cache-resident segment of n tuples takes a separate
+// histogram scan and Algorithm 1 (part.NonInPlaceInCache) into a
+// workspace buffer pair of n tuples; the copy-back insertion-sorts each
+// part of at most msbInsertionCutoff tuples into place and copies larger
+// ones verbatim, and the buffers go back before the recursion into the
+// larger parts (without a workspace, the pair is the worker's tail, kept
+// across its segments). Every interruption point keeps the arrays a
+// permutation of the input: the checkpoint and fault site at recursion
+// entry sit where every ancestor's partition (the in-cache copy-back
+// included) has completed, and BlockPermute checkpoints mid-kernel and
+// restores its own state before re-raising.
+func msbRecurse[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals []K, hiBit, cacheT int, ctl *hard.Ctl) {
 	ctl.Checkpoint()
 	fault.Inject(fault.SiteMSBRecurse)
 	n := len(keys)
@@ -210,7 +219,7 @@ func msbRecurse[K kv.Key](w *ws.Workspace, keys, vals []K, hiBit, cacheT int, ct
 		starts := part.BlockPermute(w, keys, vals, fn, memmodel.MSBLocalBlockTuples, 1, w.Ints(fn.Fanout()+1), nil, ctl)
 		for p := 0; p < fn.Fanout(); p++ {
 			if lo, hi := starts[p], starts[p+1]; hi-lo > 1 {
-				msbRecurse(w, keys[lo:hi], vals[lo:hi], hiBit-b, cacheT, ctl)
+				msbRecurse(w, tail, keys[lo:hi], vals[lo:hi], hiBit-b, cacheT, ctl)
 			}
 		}
 		w.PutInts(starts)
@@ -220,13 +229,81 @@ func msbRecurse[K kv.Key](w *ws.Workspace, keys, vals []K, hiBit, cacheT int, ct
 	b := min(hiBit, max(1, bits.Len(uint(n))-3))
 	fn := pfunc.NewRadix[K](uint(hiBit-b), uint(hiBit))
 	hist := part.HistogramInto(w.Ints(fn.Fanout()), keys, fn)
-	part.InPlaceInCache(w, keys, vals, fn, hist)
+	// Algorithm 1 into a buffer pair, then copy each part back: trivial
+	// parts insertion-sorted on the way, larger ones verbatim. No
+	// interruption point until every part is back in place.
+	bufK, bufV := tail.get(w, n, cacheT)
+	part.NonInPlaceInCache(w, keys, vals, bufK, bufV, fn, hist)
 	lo := 0
 	for _, h := range hist {
-		if h > 1 {
-			msbRecurse(w, keys[lo:lo+h], vals[lo:lo+h], hiBit-b, cacheT, ctl)
+		hi := lo + h
+		if h <= msbInsertionCutoff {
+			insertionSortFrom(keys[lo:hi], vals[lo:hi], bufK[lo:hi], bufV[lo:hi])
+		} else {
+			copy(keys[lo:hi], bufK[lo:hi])
+			copy(vals[lo:hi], bufV[lo:hi])
+		}
+		lo = hi
+	}
+	tail.put(w, bufK, bufV)
+	lo = 0
+	for _, h := range hist {
+		if h > msbInsertionCutoff {
+			msbRecurse(w, tail, keys[lo:lo+h], vals[lo:lo+h], hiBit-b, cacheT, ctl)
 		}
 		lo += h
 	}
 	w.PutInts(hist)
+}
+
+// msbTail is one worker's in-cache buffer pair. With a workspace each
+// segment draws the pair from the arena and returns it, so the ledger
+// sees it; without one the pair is kept here, grown geometrically up to
+// the cache bound and resliced for every later segment, instead of two
+// allocations per segment. A segment puts its pair back before recursing,
+// so one pair serves the worker's whole recursion.
+type msbTail[K kv.Key] struct {
+	keys, vals []K
+}
+
+// get returns a key and a payload buffer of n ≤ cacheT tuples.
+func (t *msbTail[K]) get(w *ws.Workspace, n, cacheT int) ([]K, []K) {
+	if w != nil {
+		return ws.Keys[K](w, n), ws.Keys[K](w, n)
+	}
+	if cap(t.keys) < n {
+		c := min(max(n, 2*cap(t.keys)), cacheT)
+		t.keys, t.vals = make([]K, c), make([]K, c)
+	}
+	return t.keys[:n], t.vals[:n]
+}
+
+// put releases a pair obtained from get.
+func (t *msbTail[K]) put(w *ws.Workspace, bufK, bufV []K) {
+	ws.PutKeys(w, bufK)
+	ws.PutKeys(w, bufV)
+}
+
+// insertionSortFrom insertion-sorts the pairs of srcK/srcV into
+// dstK/dstV, which have the same length: each source tuple is carried up
+// through the sorted prefix of dst, so the copy and the sort are one pass.
+// The carry runs the whole prefix instead of stopping at the insertion
+// point; its compare-exchange compiles to conditional moves, and on the
+// 4-8 tuple parts of random keys this beats the early exit, whose branch
+// mispredicts about once per tuple.
+func insertionSortFrom[K kv.Key](dstK, dstV, srcK, srcV []K) {
+	n := len(srcK)
+	dstK, dstV, srcV = dstK[:n], dstV[:n], srcV[:n]
+	for i, k := range srcK {
+		v := srcV[i]
+		for j := range i {
+			a, av := dstK[j], dstV[j]
+			if a > k {
+				a, k = k, a
+				av, v = v, av
+			}
+			dstK[j], dstV[j] = a, av
+		}
+		dstK[i], dstV[i] = k, v
+	}
 }

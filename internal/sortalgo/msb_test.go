@@ -1,12 +1,14 @@
 package sortalgo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
 	"repro/internal/kv"
 	"repro/internal/numa"
+	"repro/internal/ws"
 )
 
 func TestMSBSerial(t *testing.T) {
@@ -114,4 +116,40 @@ func TestMSBSmallDomain(t *testing.T) {
 	origV := append([]uint32(nil), vals...)
 	MSB(keys, vals, Options{Threads: 4, CacheTuples: 256})
 	checkSorted(t, orig, origV, keys, vals, false)
+}
+
+// BenchmarkMSBInCacheTail times msbRecurse on cache-resident segments of
+// 56-bit uniform 64-bit pairs on one worker with a warm workspace, in
+// ns/tuple. 1365 tuples is the segment a 2^21-pair sort on 2 threads
+// hands the in-cache branch (2^21 over ~6 first-pass ranges over one
+// byte-wide local pass); 16384 is the 64-bit cache bound. Each round
+// sorts 2^18 tuples of consecutive segments, refilled untimed.
+func BenchmarkMSBInCacheTail(b *testing.B) {
+	const total = 1 << 18
+	const hiBit = 56
+	for _, seg := range []int{1365, 8192, 16384} {
+		b.Run(fmt.Sprintf("seg=%d", seg), func(b *testing.B) {
+			segs := total / seg
+			src := gen.Uniform[uint64](segs*seg, 1<<hiBit, 1)
+			srcV := gen.RIDs[uint64](len(src))
+			keys, vals := make([]uint64, len(src)), make([]uint64, len(src))
+			w := ws.New()
+			defer w.Close()
+			ct := cacheTuples(Options{}, 64)
+			var tail msbTail[uint64]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % segs
+				if j == 0 {
+					b.StopTimer()
+					copy(keys, src)
+					copy(vals, srcV)
+					b.StartTimer()
+				}
+				lo, hi := j*seg, (j+1)*seg
+				msbRecurse(w, &tail, keys[lo:hi], vals[lo:hi], hiBit, ct, nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*seg), "ns/tuple")
+		})
+	}
 }

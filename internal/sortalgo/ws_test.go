@@ -206,6 +206,33 @@ func TestMSBNUMAWorkspaceHeap(t *testing.T) {
 	}
 }
 
+// TestMSBNilWorkspaceHeap pins MSB without a workspace: each worker
+// keeps one in-cache buffer pair for all its segments, so a one-thread
+// sort of 2^18 64-bit pairs, which takes 256 in-cache segments, allocates
+// well under half the input's bytes on the heap rather than a fresh pair
+// per segment (about 1.4 times the input).
+func TestMSBNilWorkspaceHeap(t *testing.T) {
+	n := 1 << 18
+	keys := gen.Uniform[uint64](n, 0, 31)
+	vals := gen.RIDs[uint64](n)
+	work, workV := make([]uint64, n), make([]uint64, n)
+	copy(work, keys)
+	copy(workV, vals)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	MSB(work, workV, Options{Threads: 1})
+	runtime.ReadMemStats(&after)
+	input := uint64(n) * 16
+	if heap := after.TotalAlloc - before.TotalAlloc; heap >= input/2 {
+		t.Fatalf("MSB without a workspace allocates %d heap bytes for a %d-byte input, want < half", heap, input)
+	} else {
+		t.Logf("%d heap bytes for a %d-byte input", heap, input)
+	}
+	if !kv.IsSorted(work) {
+		t.Fatal("not sorted")
+	}
+}
+
 func TestWorkspace64(t *testing.T) {
 	w := ws.New()
 	defer w.Close()

@@ -59,3 +59,52 @@ func TestCMPAuxCoversMeasuredPeak(t *testing.T) {
 		t.Logf("n=%d %d-bit: modeled %d B, measured peak %d B", c.n, c.keyBits, plan.AuxBytes, peak)
 	}
 }
+
+// msbPeakAux sorts n uniform keys of K with MSB on the given workers over
+// a fresh workspace and returns the run's measured peak aux bytes.
+func msbPeakAux[K kv.Key](n, threads int) int64 {
+	keys := gen.Uniform[K](n, 0, 1)
+	vals := gen.RIDs[K](n)
+	w := ws.New()
+	defer w.Close()
+	var st sortalgo.Stats
+	sortalgo.MSB(keys, vals, sortalgo.Options{Threads: threads, Workspace: w, Stats: &st})
+	return int64(st.PeakAuxBytes)
+}
+
+// TestMSBAuxCoversMeasuredPeak checks that the aux model covers MSB's
+// measured peak on both sides of the cache bound (16384 64-bit, 32768
+// 32-bit tuples) and on one and two workers. Below the bound the peak is
+// the in-cache branch's buffer pair: one thread at 8192 64-bit pairs
+// holds 128 KiB of it beside 32 KiB of histogram and cursors. The model
+// is read at the sort's own thread count; the planner would run the
+// smaller rows on one worker. Past the bound a worker holds either its
+// local pass's blocks or its in-cache pair, never both, so on the
+// one-worker 2^21 rows, whose peak does not hang on how two workers'
+// recursions overlap, the model may not overshoot the peak by half.
+func TestMSBAuxCoversMeasuredPeak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sorts 2M pairs")
+	}
+	for _, n := range []int{4096, 8192, 16384, 1 << 21} {
+		for _, threads := range []int{1, 2} {
+			for _, keyBits := range []int{32, 64} {
+				var peak int64
+				if keyBits == 32 {
+					peak = msbPeakAux[uint32](n, threads)
+				} else {
+					peak = msbPeakAux[uint64](n, threads)
+				}
+				wl := tune.WorkloadStats{N: n, SampleSize: 1024, DomainBits: keyBits, DistinctFrac: 1}
+				model := tune.AuxBytes(tune.AlgoMSB, wl, keyBits, threads)
+				if model < peak {
+					t.Errorf("n=%d threads=%d %d-bit: modeled aux %d B below the measured peak %d B", n, threads, keyBits, model, peak)
+				}
+				if n == 1<<21 && threads == 1 && model > peak*3/2 {
+					t.Errorf("n=%d threads=%d %d-bit: modeled aux %d B over 1.5 × the measured peak %d B", n, threads, keyBits, model, peak)
+				}
+				t.Logf("n=%d threads=%d %d-bit: modeled %d B, measured peak %d B", n, threads, keyBits, model, peak)
+			}
+		}
+	}
+}

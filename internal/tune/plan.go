@@ -196,15 +196,23 @@ func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
 		b := memmodel.CMPBlockTuples(w.N, defaultRangeFanout, threads)
 		return blockPermAux(w.N, defaultRangeFanout, b, threads, tuple)
 	case AlgoMSB:
-		// Block-permutation fan-out over ~2T ranges; past the cache bound
-		// each worker's out-of-cache local passes add a one-worker
-		// permutation per byte digit over its share of the input.
+		// Block-permutation fan-out over ~2T ranges, plus each worker's
+		// larger holding of two. Its in-cache segments, m tuples up to the
+		// sort's cache bound (256 KiB of tuples), scatter through a key
+		// and a payload buffer of m tuples with a histogram and a cursor
+		// table of at most m/4 counts; a first-pass range may exceed n/T,
+		// so they are priced at m = min(n, bound). Past the cache bound
+		// its out-of-cache local passes run a one-worker permutation per
+		// byte digit over its share of the input. A worker never holds
+		// both: BlockPermute returns its blocks before the recursion, and
+		// the pair goes back before the in-cache branch recurses.
 		aux := blockPermAux(w.N, 2*threads+2, 1024, threads, tuple)
+		m := min(w.N, cacheResidentTuples*16/int(tuple))
+		worker := int64(ws.Capacity(m))*tuple + 2*int64(ws.Capacity(max(1, m/4)))*8
 		if w.N > cacheResidentTuples {
-			local := blockPermAux(ceilDiv(w.N, threads), 1<<memmodel.MSBLocalBits, memmodel.MSBLocalBlockTuples, 1, tuple)
-			aux += int64(threads) * local
+			worker = max(worker, blockPermAux(ceilDiv(w.N, threads), 1<<memmodel.MSBLocalBits, memmodel.MSBLocalBlockTuples, 1, tuple))
 		}
-		return aux
+		return aux + int64(threads)*worker
 	default: // LSB
 		return int64(w.N) * tuple // tmp pair
 	}

@@ -266,31 +266,52 @@ func TestTryFaultMatrix(t *testing.T) {
 	}
 }
 
+// inCacheBucketKeys returns n 32-bit keys whose top four of 30 bits take
+// 16 values over a low part below 2^15. One-thread MSB on n ≤ its cache
+// bound (32768 32-bit tuples) runs the in-cache branch from the top: the
+// first digit's 16 parts, and at n = 8192 each one's 8 parts too, are
+// larger than the insertion cutoff, so they are copied back verbatim and
+// recursed into.
+func inCacheBucketKeys(n int) []uint32 {
+	r := gen.NewRNG(11)
+	keys := make([]uint32, n)
+	for i := range keys {
+		keys[i] = uint32(r.Uint64n(16))<<26 | uint32(r.Uint64n(1<<15))
+	}
+	return keys
+}
+
 // TestTryFaultMSBLocalPass arms the block-permutation sites inside the
 // out-of-cache local passes of MSB and CMP: one thread with a 1024-tuple
 // cache bound sends 2^18 keys into msbRecurse or cmpRecurse, whose passes
 // are single-worker block permutations large enough to reach the permute
 // phase. MSB's first pass is already local; CMP's rows (RangeFanout 16)
 // count past every hit of the top-level pass (256 blocks, one cleanup),
-// so they fire only inside the recursion. Each arming must fire and come
-// back as *InternalError with the input left a permutation and no temp
-// resource live.
+// so they fire only inside the recursion. The MSB recursion rows sort
+// 8192 inCacheBucketKeys under the default cache bound, so the fault
+// fires in a recursive call made by the in-cache branch, after its
+// scatter and copy-back. Each arming must fire and come back as
+// *InternalError with the input left a permutation and nothing left
+// behind.
 func TestTryFaultMSBLocalPass(t *testing.T) {
 	defer fault.Disable()
 	n := 1 << 18
-	keys := gen.Uniform[uint32](n, 0, 7)
-	vals := RIDs[uint32](n)
+	uniform := gen.Uniform[uint32](n, 0, 7)
+	inCache := inCacheBucketKeys(1 << 13)
 	for _, c := range []struct {
 		algo  Algorithm
 		opt   SortOptions
 		site  fault.Site
 		after []int
+		keys  []uint32
 	}{
-		{MSB, SortOptions{}, fault.SiteBlockPermute, []int{0, 3, 40}},
-		{MSB, SortOptions{}, fault.SiteBlockCleanup, []int{0, 3, 40}},
-		{CMP, SortOptions{RangeFanout: 16}, fault.SiteBlockPermute, []int{300, 600, 900}},
-		{CMP, SortOptions{RangeFanout: 16}, fault.SiteBlockCleanup, []int{1, 8, 15}},
+		{MSB, SortOptions{CacheTuples: 1 << 10}, fault.SiteBlockPermute, []int{0, 3, 40}, uniform},
+		{MSB, SortOptions{CacheTuples: 1 << 10}, fault.SiteBlockCleanup, []int{0, 3, 40}, uniform},
+		{MSB, SortOptions{}, fault.SiteMSBRecurse, []int{1, 3, 10}, inCache},
+		{CMP, SortOptions{CacheTuples: 1 << 10, RangeFanout: 16}, fault.SiteBlockPermute, []int{300, 600, 900}, uniform},
+		{CMP, SortOptions{CacheTuples: 1 << 10, RangeFanout: 16}, fault.SiteBlockCleanup, []int{1, 8, 15}, uniform},
 	} {
+		vals := RIDs[uint32](len(c.keys))
 		for _, withWS := range []bool{false, true} {
 			var w *Workspace
 			if withWS {
@@ -298,10 +319,11 @@ func TestTryFaultMSBLocalPass(t *testing.T) {
 			}
 			for _, after := range c.after {
 				name := fmt.Sprintf("%v %s ws=%v after=%d", c.algo, c.site, withWS, after)
-				k := append([]uint32(nil), keys...)
+				k := append([]uint32(nil), c.keys...)
 				v := append([]uint32(nil), vals...)
 				opt := c.opt
-				opt.Threads, opt.CacheTuples, opt.Workspace = 1, 1<<10, w
+				opt.Threads, opt.Workspace = 1, w
+				base := fault.TakeBaseline()
 				fault.Enable(c.site, after)
 				err := trySort(c.algo, k, v, &opt)
 				fired := fault.Fired()
@@ -313,10 +335,10 @@ func TestTryFaultMSBLocalPass(t *testing.T) {
 				if !errors.As(err, &ie) || !errors.Is(err, fault.Injected{Site: c.site}) {
 					t.Fatalf("%s: err = %v (%T), want *InternalError wrapping the fault", name, err, err)
 				}
-				if !SameMultiset(keys, vals, k, v) {
+				if !SameMultiset(c.keys, vals, k, v) {
 					t.Fatalf("%s: keys/vals are not a permutation of the input", name)
 				}
-				if err := fault.CheckResources(); err != nil {
+				if err := base.Check(w, ""); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
@@ -376,16 +398,18 @@ func TestTryPartitionFault(t *testing.T) {
 	}
 }
 
-// TestTryCancelRace cancels 4-thread sorts mid-flight, many times, with
-// scattered timing: the sort must return promptly with ctx.Err() (or
-// finish clean), leave keys/vals a permutation, and leak no goroutines.
-// The rotation runs every algorithm on one region, then LSB and CMP on
+// TestTryCancelRace cancels sorts mid-flight, many times, with scattered
+// timing: the sort must return promptly with ctx.Err() (or finish clean),
+// leave keys/vals a permutation, and leak no goroutines. The rotation
+// runs every algorithm on one region and 4 threads, then LSB and CMP on
 // two, where cancellation can land in the NUMA-aware first pass's
-// shuffle and its restore from tmp.
+// shuffle and its restore from tmp, and last one-thread MSB on
+// inCacheBucketKeys, where it lands between the in-cache branch's
+// recursive calls.
 func TestTryCancelRace(t *testing.T) {
-	iters := 1000
+	perCell := 200 // cancellation delays per cell
 	if testing.Short() {
-		iters = 100
+		perCell = 20
 	}
 	w := NewWorkspace()
 	defer w.Close()
@@ -399,6 +423,8 @@ func TestTryCancelRace(t *testing.T) {
 		a       tryAlgo
 		regions int
 		cache   int           // CacheTuples; CMP needs it so 1<<15 tuples leave the cache-resident path
+		threads int           // 0: 4 workers
+		keys    []uint32      // nil: the uniform input
 		span    time.Duration // cancellation delays spread over [0, span)
 	}
 	var cells []cell
@@ -406,8 +432,21 @@ func TestTryCancelRace(t *testing.T) {
 		cells = append(cells, cell{a: a, regions: 1})
 	}
 	cells = append(cells, cell{a: algoByName("lsb"), regions: 2}, cell{a: algoByName("cmp"), regions: 2, cache: 1 << 12})
+	// One-thread MSB sorting wholly in its in-cache branch, whose parts
+	// above the insertion cutoff are copied back and recursed into.
+	cells = append(cells, cell{a: algoByName("msb"), regions: 1, threads: 1, keys: inCacheBucketKeys(n)})
 	opt := func(c cell) *SortOptions {
-		return &SortOptions{Threads: 4, Regions: c.regions, CacheTuples: c.cache, Workspace: w}
+		threads := c.threads
+		if threads == 0 {
+			threads = 4
+		}
+		return &SortOptions{Threads: threads, Regions: c.regions, CacheTuples: c.cache, Workspace: w}
+	}
+	input := func(c cell) []uint32 {
+		if c.keys != nil {
+			return c.keys
+		}
+		return keys
 	}
 
 	// Prime the pool for a stable goroutine baseline, and time one clean
@@ -416,7 +455,7 @@ func TestTryCancelRace(t *testing.T) {
 	// shuffle sits past the first millisecond — and some after the sort
 	// already finished.
 	for i := range cells {
-		copy(work, keys)
+		copy(work, input(cells[i]))
 		copy(workV, vals)
 		start := time.Now()
 		if err := cells[i].a.run(context.Background(), work, workV, opt(cells[i])); err != nil {
@@ -426,11 +465,11 @@ func TestTryCancelRace(t *testing.T) {
 	}
 	base := fault.TakeBaseline()
 
-	perCell := iters / len(cells)
+	iters := perCell * len(cells)
 	for i := 0; i < iters; i++ {
 		c := cells[i%len(cells)]
 		a := c.a
-		copy(work, keys)
+		copy(work, input(c))
 		copy(workV, vals)
 		ctx, cancel := context.WithCancel(context.Background())
 		delay := c.span * time.Duration((i/len(cells))%perCell) / time.Duration(perCell)
@@ -448,7 +487,7 @@ func TestTryCancelRace(t *testing.T) {
 		if err == nil && !IsSorted(work) {
 			t.Fatalf("iter %d %s regions=%d: clean return but not sorted", i, a.name, c.regions)
 		}
-		if !SameMultiset(keys, vals, work, workV) {
+		if !SameMultiset(input(c), vals, work, workV) {
 			t.Fatalf("iter %d %s regions=%d (err=%v): keys/vals are not a permutation of the input", i, a.name, c.regions, err)
 		}
 	}

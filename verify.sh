@@ -23,6 +23,11 @@ go run ./cmd/sortcli -n 200000 -algo msb -threads 4 -regions 4 -verify > /dev/nu
 # single-worker block permutation.
 go run ./cmd/sortcli -n 2000000 -algo msb -width 64 -threads 1 -verify > /dev/null
 go run ./cmd/sortcli -n 2000000 -algo msb -width 32 -threads 2 -verify > /dev/null
+# MSB wholly in its in-cache branch on one worker: 16000 64-bit Zipf keys
+# stay below the 16384-tuple cache bound, and the heavy keys make parts
+# above the insertion cutoff, which are copied back from the scatter
+# buffer and recursed into.
+go run ./cmd/sortcli -n 16000 -algo msb -width 64 -threads 1 -dist zipf -verify > /dev/null
 # CMP end to end with its in-cache quicksort leaf; the Zipf lane adds
 # single-key partitions and duplicate-heavy leaves, and the 32-bit lane
 # runs the range index on 32-bit keys.
@@ -95,6 +100,8 @@ go test -run xxx -bench ObsOverhead -benchtime 0.2s ./internal/part/ > /dev/null
 # the external sort's spill and merge included) must contain worker panics
 # as *InternalError with the input left a permutation, no goroutine or temp
 # resource leaks and an empty spill dir, under the race detector too.
+# TestTryFaultMSBLocalPass and TestTryCancelRace include one-thread MSB
+# rows that fault or cancel inside the in-cache branch's recursion.
 go test -race -short -count=1 -run 'TestTryFaultMatrix|TestTryFaultMSBLocalPass|TestTryCancelRace|TestTryPartitionFault' .
 
 # External sort: a forced spill several times the memory budget must
