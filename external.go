@@ -31,13 +31,16 @@ type SpillPlan = tune.SpillPlan
 
 // PlanSpill plans the external-sort decision for n tuples of keyBits-bit
 // keys under an auxiliary-memory budget of maxAux bytes (0: the default
-// budget of half the machine's available memory): whether the input must
-// spill at all and, if so, the segment, fanout, line, block, and merge
-// shape plus the peak resident footprint MemBytes. MemBytes is at least
-// the planner's floor (a few hundred KiB of minimum buffers), so for tiny
+// budget of half the machine's available memory), for one worker
+// (SortOptions' default Threads; SortExternal plans for its own Threads):
+// whether the input must spill at all and, if so, the segment, fanout,
+// line, block, and merge shape plus the peak resident footprint MemBytes,
+// the largest of the pipeline's three phases (the sorter holds each
+// phase's buffers only while that phase runs). MemBytes is at least the
+// planner's floor (a few hundred KiB of minimum buffers), so for tiny
 // budgets it exceeds maxAux; SortExternal then runs at MemBytes.
 func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
-	return tune.PlanSpill(n, keyBits, maxAux, nil)
+	return tune.PlanSpill(n, keyBits, maxAux, 1, nil)
 }
 
 // SortExternal sorts (keys, vals) by key even when the working set
@@ -49,6 +52,12 @@ func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 // cut into sorted runs that a pipelined file-backed W-way merge (prefetch
 // overlapped with merge compute) puts back in order. Inputs that fit one
 // segment never touch disk. Not stable.
+//
+// Threads parallelizes both phases: formation scatters Threads slices of
+// the input, each through its own line buffers, and delivery sorts
+// Threads buckets at once, one thread each; the sorted runs of overflowing
+// buckets are cut and sorted on all Threads. The plan (PlanSpill's shape
+// at that worker count) prices the widest phase.
 //
 // A positive MaxAuxBytes below the plan's floor (PlanSpill's MemBytes)
 // is raised to it, with or without a Workspace, so a tiny budget still
@@ -109,7 +118,7 @@ func externalOptions[K Key](opt *SortOptions, n int) (extsort.Options, int64) {
 		eo.TempDir = opt.TempDir
 		eo.MaxSpillBytes = opt.MaxSpillBytes
 	}
-	plan := tune.PlanSpill(n, kv.Width[K](), maxAux, prof)
+	plan := tune.PlanSpill(n, kv.Width[K](), maxAux, threads, prof)
 	eo.SegmentTuples = plan.SegmentTuples
 	eo.BucketBits = plan.BucketBits
 	eo.MergeWidth = plan.MergeWidth

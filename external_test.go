@@ -10,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/kv"
+	"repro/internal/tune"
 )
 
 // extTestOpt forces the spill path at unit-test sizes.
@@ -309,7 +310,7 @@ func TestSortExternalWorkspace(t *testing.T) {
 // instead of the workspace ledger refusing the planner's own buffers.
 func TestSortExternalBudgetBelowPlannerFloor(t *testing.T) {
 	for _, n := range []int{1 << 14, 1 << 15, 1 << 16, 1 << 17} {
-		budget := int64(n) * 16 / 8 // an eighth of the pairs' bytes
+		budget := int64(n) * 16 / 16 // a sixteenth of the pairs' bytes
 		if floor := PlanSpill(n, 64, budget).MemBytes; floor <= budget {
 			t.Fatalf("n=%d: budget %d is not below the planner's floor %d", n, budget, floor)
 		}
@@ -356,5 +357,51 @@ func TestPlanSpill(t *testing.T) {
 	}
 	if big.SegmentTuples < 1 || big.MergeWidth < 2 || big.BucketBits < 1 {
 		t.Fatalf("degenerate plan: %+v", big)
+	}
+}
+
+// TestSpillPlanCoversMeasuredPeak sorts uniform and Zipf θ = 1 pairs
+// through SortExternal on 1, 2 and 4 threads, each on a fresh workspace,
+// under a budget of an eighth of the pairs' bytes, and requires the
+// workspace's measured peak of checked-out bytes to stay within the plan's
+// MemBytes, and MemBytes within the budget. The Zipf rows send the hot
+// buckets down the overflow path (chunk sorts on all threads, then the
+// merge); the uniform rows deliver every bucket in one piece. The 2^23
+// rows run only in full-length builds without the race detector.
+func TestSpillPlanCoversMeasuredPeak(t *testing.T) {
+	sizes := []int{1 << 20, 1 << 23}
+	if testing.Short() || raceBuild {
+		sizes = sizes[:1]
+	}
+	for _, n := range sizes {
+		budget := int64(n) * 16 / 8
+		for _, dist := range []string{"uniform", "zipf"} {
+			for _, threads := range []int{1, 2, 4} {
+				plan := tune.PlanSpill(n, 64, budget, threads, nil)
+				if plan.MemBytes > budget {
+					t.Fatalf("n=%d T=%d: MemBytes %d over the budget %d", n, threads, plan.MemBytes, budget)
+				}
+				keys := gen.Uniform[uint64](n, 0, 21)
+				if dist == "zipf" {
+					keys = gen.ZipfKeys[uint64](n, 1<<20, 1.0, 22)
+				}
+				vals := RIDs[uint64](n)
+				want := kv.ChecksumPairs(keys, vals)
+				w := NewWorkspace()
+				st, err := SortExternal(keys, vals, &SortOptions{Threads: threads, Workspace: w, MaxAuxBytes: budget, TempDir: t.TempDir()})
+				peak := int64(w.internal().PeakAuxBytes())
+				w.Close()
+				if err != nil {
+					t.Fatalf("n=%d %s T=%d: %v", n, dist, threads, err)
+				}
+				if !st.Spilled || !IsSorted(keys) || kv.ChecksumPairs(keys, vals) != want {
+					t.Fatalf("n=%d %s T=%d: spilled=%v sorted=%v", n, dist, threads, st.Spilled, IsSorted(keys))
+				}
+				if peak > plan.MemBytes {
+					t.Fatalf("n=%d %s T=%d: measured peak %d B over the plan's MemBytes %d B", n, dist, threads, peak, plan.MemBytes)
+				}
+				t.Logf("n=%d %s T=%d: peak %d B, MemBytes %d B, budget %d B, merges %d", n, dist, threads, peak, plan.MemBytes, budget, st.MergeRounds)
+			}
+		}
 	}
 }

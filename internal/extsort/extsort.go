@@ -1,39 +1,45 @@
 // Package extsort breaks the in-memory ceiling: it sorts key/payload
 // columns whose working set exceeds the auxiliary-memory budget by
-// spilling to disk and merging back, in three phases.
+// spilling to disk and merging back, in three phases, each on
+// Options.Threads workers.
 //
-//  1. Run formation (one streaming pass, counting-free): tuples are
-//     classified by their place in the sampled key domain, scaled onto
-//     the fanout, into equal-width key-range buckets whose file extents
-//     are reserved on first touch — the Wassenberg & Sanders
-//     bucket-reservation trick translated from virtual memory to file
-//     space, so no separate histogram pass precedes the scatter. Each
-//     bucket owns a small write-combining line buffer; only full lines
-//     (and the final drain) reach the spill file, and each bucket keeps a
-//     CRC32C of every byte it wrote.
-//  2. Delivery: buckets are read back in key order and checked against
-//     their CRC32C before any of their tuples reach the output. A bucket
-//     that fits one segment — every bucket of a uniform input under the
-//     planned fanout — is deinterleaved straight into its output range
-//     and sorted in place by the in-memory MSB kernel; a larger bucket is
-//     cut into segment-sized chunks, each sorted in memory and sealed as
-//     a checksummed sorted run.
+//  1. Run formation (one streaming pass, counting-free): each worker
+//     classifies its contiguous slice of the input by the keys' place in
+//     the sampled key domain, scaled onto the fanout, into equal-width
+//     key-range buckets. Every worker keeps its own chain per bucket:
+//     a small write-combining line in its private slab (only full lines,
+//     and the final drain, reach the spill file), file extents reserved
+//     on first touch — the Wassenberg & Sanders bucket-reservation trick
+//     translated from virtual memory to file space, so no histogram pass
+//     precedes the scatter — and a CRC32C of every byte it wrote. Only
+//     the reservation against the file tail and the disk budget is
+//     shared. A bucket is the concatenation of its workers' chains.
+//  2. Delivery: every bucket's output range is the prefix sum of the
+//     bucket counts. A bucket that fits one segment — every bucket of a
+//     uniform input under the planned fanout — goes to the next free
+//     worker, which reads it back, checks each chain's CRC32C, then
+//     deinterleaves it straight into its output range and sorts it there
+//     with the in-memory MSB kernel on one thread. Afterwards each larger
+//     bucket is cut into segment-sized chunks, each sorted in memory on
+//     all threads and sealed as a checksummed sorted run.
 //  3. Merge: a bucket's sealed segments are merged W at a time by the
 //     file-backed generalization of the CMP lane merge — double-buffered
 //     segment iterators whose prefetch goroutines overlap disk reads with
 //     merge compute.
 //
-// Every buffer comes from the workspace arena (steady-state buffer
-// acquisition allocates nothing), panics and errors unwind through a
-// restore handler that rebuilds the input permutation from the phase-1
-// extents once delivery has overwritten part of the input, and every
-// temp file is registered on the fault package's resource ledger so a
-// containment that leaks one fails tests.
+// Every buffer comes from the workspace arena, held only during its phase
+// (steady-state buffer acquisition allocates nothing). A worker's error
+// stops its siblings at their next checkpoint and is returned as is.
+// Panics and errors unwind through a restore handler that rebuilds the
+// input permutation from the phase-1 chains once delivery has overwritten
+// part of the input, and every temp file is registered on the fault
+// package's resource ledger so a containment that leaks one fails tests.
 package extsort
 
 import (
 	"fmt"
 	"os"
+	"time"
 	"unsafe"
 
 	"repro/internal/hard"
@@ -68,7 +74,10 @@ type Options struct {
 	BlockTuples int
 	// MaxSpillBytes caps total reserved spill-file bytes (0: unlimited).
 	MaxSpillBytes int64
-	// Threads and RadixBits configure the in-memory chunk sorts.
+	// Threads is the worker count of both phases: formation scatters
+	// Threads input slices, delivery sorts Threads one-segment buckets at
+	// once (one thread each), and the chunk sorts of larger buckets run on
+	// all Threads. RadixBits configures the in-memory sorts.
 	Threads   int
 	RadixBits int
 }
@@ -106,6 +115,10 @@ type Stats struct {
 	// pipeline fills and prefetch misses.
 	BlocksReady   int64
 	BlocksStalled int64
+	// FormNs and DeliverNs are the wall time of run formation and of
+	// delivery (one-segment buckets, then sealed runs and their merges).
+	FormNs    int64
+	DeliverNs int64
 }
 
 // OverlapRatio is the prefetch-effectiveness of the merge pipeline: the
@@ -147,12 +160,12 @@ var ErrCorrupt = fmt.Errorf("spill data failed its seal check")
 
 // Run sorts keys/vals (same length) through the external pipeline under
 // the given control and workspace (both may be nil). It returns the run's
-// stats and the first I/O error; injected faults, budget overruns, and
-// cancellation unwind as panics for the caller's containment, after the
-// deferred handler here restored the permutation from the phase-1 extents
-// and removed the temp files. A bucket whose extents fail on the way back
-// cannot be restored; the error, or the re-raised unwind value, then says
-// so (restoreFailed).
+// stats and the first I/O error, that of whichever worker hit it first;
+// injected faults, budget overruns, and cancellation unwind as panics for
+// the caller's containment, after the deferred handler here restored the
+// permutation from the phase-1 chains and removed the temp files. A
+// bucket whose extents fail on the way back cannot be restored; the
+// error, or the re-raised unwind value, then says so (restoreFailed).
 func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) (_ Stats, err error) {
 	n := len(keys)
 	if opt.SegmentTuples < 1 {
@@ -168,19 +181,25 @@ func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) 
 	opt = opt.clamped()
 
 	s := getSorter[K](w, n, opt)
+	if ctl == nil {
+		// Workers still need a stop flag for their siblings' failures.
+		s.own.Reset(nil)
+		ctl = &s.own
+	}
+	s.ctl, s.keys, s.vals = ctl, keys, vals
 	defer func() {
 		r := recover()
 		var rerr error
 		if r != nil || err != nil {
 			// Once delivery has written an output range, parts of
 			// keys/vals have been overwritten; every tuple is still on
-			// disk in the bucket extents, so read them all back. Before
+			// disk in the bucket chains, so read them all back. Before
 			// that point the pipeline only read the input, which is still
 			// intact.
 			// A bucket that fails on the way back leaves its own output
 			// range wrong; the error (or the unwind value) says so.
-			if s.phase >= phaseDeliver {
-				rerr = s.restore(keys, vals)
+			if s.phase.Load() >= phaseDeliver {
+				rerr = s.restore()
 			}
 			if rerr != nil && r == nil {
 				err = fmt.Errorf("%w (and permutation restore failed: %w)", err, rerr)
@@ -196,10 +215,16 @@ func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) 
 	if err = s.open(); err != nil {
 		return s.stats, err
 	}
-	if err = s.formRuns(ctl, keys, vals); err != nil {
+	t0 := time.Now()
+	err = s.formRuns()
+	s.stats.FormNs = int64(time.Since(t0))
+	if err != nil {
 		return s.stats, err
 	}
-	if err = s.deliver(ctl, keys, vals); err != nil {
+	t0 = time.Now()
+	err = s.deliver()
+	s.stats.DeliverNs = int64(time.Since(t0))
+	if err != nil {
 		return s.stats, err
 	}
 	s.stats.Spilled = true
@@ -256,14 +281,15 @@ const maxMergeWidth = 16
 
 // Pipeline phases, recorded so the unwind handler knows whether the
 // output arrays have been partially overwritten: phaseDeliver starts at
-// delivery's first write into keys/vals, not at the end of formation.
+// delivery's first write into keys/vals by any worker, not at the end of
+// formation.
 const (
 	phaseForm = iota + 1
 	phaseDeliver
 )
 
-// sortChunk runs the in-memory MSB kernel over one chunk with the
-// external sort's thread/workspace/control configuration.
+// sortChunk runs the in-memory MSB kernel over one chunk on all of the
+// external sort's threads, with its workspace and control.
 func sortChunk[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) {
 	sortalgo.MSB(keys, vals, sortalgo.Options{
 		Threads:   opt.Threads,

@@ -87,7 +87,9 @@ func TestRunForcedSpill(t *testing.T) {
 			if wantB := int64(n) * 16; st.FormationBytes != wantB {
 				t.Fatalf("formation wrote %d bytes, want exactly one pass = %d", st.FormationBytes, wantB)
 			}
-			maxWrites := int64(n/opt.LineTuples) + int64(1<<opt.BucketBits)
+			// Full lines, plus at most one partial line per bucket drained
+			// by each of the Threads workers.
+			maxWrites := int64(n/opt.LineTuples) + int64(opt.Threads<<opt.BucketBits)
 			if st.FormationWrites > maxWrites {
 				t.Fatalf("formation made %d writes for %d tuples; write-combining should cap it at %d",
 					st.FormationWrites, n, maxWrites)
@@ -179,8 +181,9 @@ func TestFaultContainment(t *testing.T) {
 		site  fault.Site
 		after int
 	}{
-		// Formation makes between n/L = 512 and 512+fanout flushes; 522
-		// lands the third case in the writeSegment calls of delivery.
+		// Formation makes between n/L = 512 and 512 + Threads·fanout
+		// flushes, 518 on this input; 522 lands the third case in the
+		// writeSegment calls of delivery.
 		{"spill-first-flush", fault.SiteExtSpill, 0},
 		{"spill-mid-formation", fault.SiteExtSpill, 50},
 		{"spill-segment-write", fault.SiteExtSpill, 522},
@@ -257,6 +260,7 @@ func TestSealDetectsCorruption(t *testing.T) {
 	if err := s.open(); err != nil {
 		t.Fatal(err)
 	}
+	s.holdOverflow()
 	ck := make([]uint64, 1024)
 	cv := make([]uint64, 1024)
 	for i := range ck {
@@ -307,6 +311,7 @@ func fileMerge(runsK, runsV [][]uint64) ([]uint64, []uint64, error) {
 	if err := s.open(); err != nil {
 		return nil, nil, err
 	}
+	s.holdOverflow()
 	for i := range runsK {
 		sg, err := s.writeSegment(runsK[i], runsV[i])
 		if err != nil {
@@ -442,7 +447,7 @@ func FuzzSpillReadback(f *testing.F) {
 			target = "runs.spill"
 		}
 		hit := false
-		readbackHook = func(f *os.File) {
+		readbackHook = func(f *os.File, _ func(int) [][2]int64) {
 			if !hit && filepath.Base(f.Name()) == target {
 				hit = true
 				damage(t, f, mode, at, val)
@@ -503,20 +508,23 @@ func TestRunUnwindReportsLostBucket(t *testing.T) {
 			keys := make([]uint64, n)
 			vals := make([]uint64, n)
 			for i := range keys {
-				keys[i] = uint64(2 * i / n) // bucket 0 flushes all its lines first
+				keys[i] = uint64(2 * i / n)
 				vals[i] = uint64(i)
 			}
 			var spill *os.File
-			readbackHook = func(f *os.File) {
+			readbackHook = func(f *os.File, spans func(int) [][2]int64) {
 				if filepath.Base(f.Name()) == "buckets.spill" {
 					spill = f
 					return
 				}
-				fi, err := spill.Stat()
-				if err != nil {
-					t.Fatal(err)
+				// The last byte of the top non-empty bucket, key 1's.
+				var last [2]int64
+				for d := range 1 << opt.BucketBits {
+					if sp := spans(d); len(sp) > 0 {
+						last = sp[len(sp)-1]
+					}
 				}
-				if _, err := spill.WriteAt([]byte{0xff}, fi.Size()-1); err != nil {
+				if _, err := spill.WriteAt([]byte{0xff}, last[0]+last[1]-1); err != nil {
 					t.Fatal(err)
 				}
 				c.unwind()

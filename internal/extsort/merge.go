@@ -364,13 +364,13 @@ func (o *segOut[K]) flush() error {
 	}
 	s := o.s
 	nb := int64(o.i) * s.pairB
-	if err := s.reserve(nb, s.runsF); err != nil {
+	off, err := s.reserve(nb, s.runsF)
+	if err != nil {
 		return err
 	}
-	if _, err := s.runsF.WriteAt(asBytes(s.readBuf)[:nb], s.runsTail); err != nil {
+	if _, err := s.runsF.WriteAt(asBytes(s.readBuf)[:nb], off); err != nil {
 		return ioErr("write", s.runsF, err)
 	}
-	s.runsTail += nb
 	o.count += int64(o.i)
 	s.stats.SpillBytes += nb
 	obs.AddExtSpillBytes(nb)

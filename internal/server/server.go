@@ -412,9 +412,9 @@ func (s *Server) Submit(ctx context.Context, req *Request) (Result, error) {
 		// plan, not the input: charge the ledger what the run will
 		// actually hold, planned against half the budget so one spilling
 		// job cannot starve the in-memory traffic.
-		plan := tune.PlanSpill(n, width, s.cfg.MaxAuxBytes/2, nil)
+		plan := tune.PlanSpill(n, width, s.cfg.MaxAuxBytes/2, s.cfg.SortThreads, nil)
 		j.external = true
-		j.spill = spillEst(n, width, plan)
+		j.spill = spillEst(n, width, s.cfg.SortThreads, plan)
 		j.est = plan.MemBytes
 	}
 	s.gate.RLock()
@@ -489,14 +489,15 @@ func (c *Config) coalescible(j *job) bool {
 
 // spillEst bounds one external job's disk footprint, which doubles as
 // its per-run hard cap (SortOptions.MaxSpillBytes): the formation copy
-// of the input plus up to one part-filled extent per bucket
-// (tune.ExtentTuples), and room for the worst skew, where every bucket
+// of the input plus up to one part-filled extent per chain (each of the
+// threads formation workers fills its own chain per bucket;
+// tune.ExtentTuples), and room for the worst skew, where every bucket
 // overflows its segment: the sealed segments and three merge rounds of
 // re-spill (fan-in up to MergeWidth³ per bucket). The planner's one-pass
 // fanout leaves a uniform input at the formation copy alone.
-func spillEst(n, width int, pl tune.SpillPlan) int64 {
+func spillEst(n, width, threads int, pl tune.SpillPlan) int64 {
 	pair := int64(width / 4)
-	extentSlack := (int64(1) << pl.BucketBits) * int64(pl.ExtentTuples) * pair
+	extentSlack := int64(max(threads, 1)) << pl.BucketBits * int64(pl.ExtentTuples) * pair
 	return 5*int64(n)*pair + extentSlack
 }
 

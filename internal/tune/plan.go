@@ -196,7 +196,10 @@ func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
 		b := memmodel.CMPBlockTuples(w.N, defaultRangeFanout, threads)
 		return blockPermAux(w.N, defaultRangeFanout, b, threads, tuple)
 	case AlgoMSB:
-		// Block-permutation fan-out over ~2T ranges, plus each worker's
+		// With more than one worker, a block-permutation fan-out over the
+		// union of T−1 sampled delimiters and the 2^⌈log2 T⌉−1 radix
+		// boundaries of the top bits, on at most one worker per block of
+		// the input; one worker runs no first pass. Then each worker's
 		// larger holding of two. Its in-cache segments, m tuples up to the
 		// sort's cache bound (256 KiB of tuples), scatter through a key
 		// and a payload buffer of m tuples with a histogram and a cursor
@@ -206,7 +209,11 @@ func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
 		// byte digit over its share of the input. A worker never holds
 		// both: BlockPermute returns its blocks before the recursion, and
 		// the pair goes back before the in-cache branch recurses.
-		aux := blockPermAux(w.N, 2*threads+2, 1024, threads, tuple)
+		var aux int64
+		if threads > 1 {
+			fanout := threads + 1<<bits.Len(uint(threads-1)) - 1
+			aux = blockPermAux(w.N, fanout, 1024, min(threads, max(1, w.N/1024)), tuple)
+		}
 		m := min(w.N, cacheResidentTuples*16/int(tuple))
 		worker := int64(ws.Capacity(m))*tuple + 2*int64(ws.Capacity(max(1, m/4)))*8
 		if w.N > cacheResidentTuples {

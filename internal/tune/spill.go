@@ -12,6 +12,8 @@ package tune
 import (
 	"math/bits"
 	"runtime"
+
+	"repro/internal/ws"
 )
 
 // Spill-plan clamps. Segments below minSegmentTuples would make the merge
@@ -23,7 +25,7 @@ const (
 	maxSegmentTuples  = 1 << 26
 	minLineTuples     = 64
 	maxMergeWidth     = 16
-	minLinesPerExtent = 16
+	minLinesPerExtent = 8
 	spillSlackBytes   = 64 << 10
 )
 
@@ -41,9 +43,9 @@ type SpillPlan struct {
 	// false means the in-memory paths fit and the external pipeline is
 	// unnecessary.
 	Spill bool `json:"spill"`
-	// SegmentTuples is the sealed-run granularity: each segment is sorted
-	// in memory, so its columns (plus the interleaved read buffer) bound
-	// the delivery phase's footprint.
+	// SegmentTuples is the sealed-run granularity and the largest bucket
+	// delivered in one piece: a delivery worker's pair buffer, and the
+	// overflow path's sort columns and read buffer, are a segment each.
 	SegmentTuples int `json:"segment_tuples"`
 	// BucketBits is the run-formation fanout in bits: one streaming pass
 	// scatters tuples into 1<<BucketBits key-range buckets whose file
@@ -64,44 +66,60 @@ type SpillPlan struct {
 	// blocks per iterator: one draining, one loading).
 	BlockTuples int `json:"block_tuples"`
 	// MemBytes is the planned peak auxiliary footprint of the external
-	// pipeline — what an admission ledger should charge for the run.
+	// pipeline, its largest phase's — what an admission ledger should
+	// charge for the run.
 	MemBytes int64 `json:"mem_bytes"`
 }
 
 // PlanSpill shapes the external pipeline for n tuples of keyBits-bit keys
-// under an auxiliary budget of maxAux bytes (<=0: DefaultAuxBudget). The
-// profile contributes the merge width via its calibrated CPU count; a nil
-// profile falls back to the live GOMAXPROCS. The returned plan keeps
-// MemBytes within the budget even when the budget is far below the input
-// — only degenerate budgets (below ~512 KiB, where the buffer clamps
-// dominate) are clamped up. MemBytes sums the formation slab, the
-// delivery buffers, and the merge iterator blocks: the sorter checks all
-// three out of the arena for the life of the run, so the phases'
-// footprints coexist rather than peaking one at a time.
-func PlanSpill(n, keyBits int, maxAux int64, p *MachineProfile) SpillPlan {
+// sorted by threads workers under an auxiliary budget of maxAux bytes
+// (<=0: DefaultAuxBudget). The profile contributes the merge width via its
+// calibrated CPU count; a nil profile falls back to the live GOMAXPROCS.
+// The returned plan keeps MemBytes within the budget even when the budget
+// is far below the input — only degenerate budgets (below ~512 KiB, where
+// the buffer clamps dominate) are clamped up.
+//
+// MemBytes is the largest of the three phases' footprints, because the
+// sorter holds each phase's buffers only during that phase: formation's
+// T line slabs; one-segment delivery's T pair buffers, each beside a
+// one-worker MSB sort of its bucket; and the overflow path's read buffer
+// and chunk columns beside either a T-worker chunk sort or the merge
+// blocks. When the widest phase does not fit, the segment halves (and the
+// fanout grows with it) until it does.
+func PlanSpill(n, keyBits int, maxAux int64, threads int, p *MachineProfile) SpillPlan {
 	if maxAux <= 0 {
 		maxAux = DefaultAuxBudget()
 	}
+	threads = max(threads, 1)
 	w8 := int64(keyBits / 8)
-	pair := 2 * w8
+	ncpu := runtime.GOMAXPROCS(0)
+	if p != nil && p.NumCPU > 0 {
+		ncpu = p.NumCPU
+	}
 
-	var pl SpillPlan
-	// The in-memory paths budget roughly two extra columns per input
-	// column (scratch ping-pong plus codes); spill once that cannot fit.
-	pl.Spill = int64(n)*2*pair > maxAux
-
-	// Segment size: the delivery phase holds one interleaved read buffer
+	// Segment size: the overflow path holds one interleaved read buffer
 	// (segment pairs) plus the two deinterleaved sort columns — 4·seg·w8
-	// bytes — held for the whole run alongside the formation slab and the
-	// merge blocks, so it gets at most a quarter of the budget.
+	// bytes — so it starts at a quarter of the budget.
 	seg := clampInt64(maxAux/(16*w8), minSegmentTuples, maxSegmentTuples)
 	if int64(n) < seg {
-		seg = int64(n)
-		if seg < 1 {
-			seg = 1
-		}
+		seg = max(int64(n), 1)
 	}
-	pl.SegmentTuples = int(seg)
+	pl := spillShape(n, keyBits, maxAux, threads, ncpu, seg)
+	for pl.MemBytes > maxAux && seg > minSegmentTuples {
+		seg = max(seg/2, minSegmentTuples)
+		pl = spillShape(n, keyBits, maxAux, threads, ncpu, seg)
+	}
+	// The in-memory paths budget roughly two extra columns per input
+	// column (scratch ping-pong plus codes); spill once that cannot fit.
+	pl.Spill = int64(n)*4*w8 > maxAux
+	return pl
+}
+
+// spillShape is PlanSpill at a fixed segment size.
+func spillShape(n, keyBits int, maxAux int64, threads, ncpu int, seg int64) SpillPlan {
+	w8 := int64(keyBits / 8)
+	pair := 2 * w8
+	pl := SpillPlan{SegmentTuples: int(seg)}
 
 	// Write-combining line: 8 KiB of interleaved pairs per bucket.
 	line := clampInt64((8<<10)/pair, minLineTuples, 4096)
@@ -110,25 +128,24 @@ func PlanSpill(n, keyBits int, maxAux int64, p *MachineProfile) SpillPlan {
 	// variance headroom under one segment (at most seg/2), so delivery
 	// sorts each bucket straight into its output range and only buckets
 	// that skew overflows are cut into sealed runs and merged. The cap is
-	// the formation slab (fanout × line × pair), which must fit an eighth
-	// of the budget with lines of at least minLineTuples.
+	// each worker's formation slab (fanout × line × pair), which must fit
+	// an eighth of the budget (1/(2T) of it past four workers) with lines
+	// of at least minLineTuples.
+	slabAux := maxAux / int64(max(8, 2*threads))
 	buckets := ceilDiv64(max(int64(n), 1), max(seg/2, 1))
-	capBits := bits.Len64(uint64(maxAux/(8*minLineTuples*pair))) - 1
+	capBits := bits.Len64(uint64(slabAux/(minLineTuples*pair))) - 1
 	pl.BucketBits = clampInt(bits.Len64(uint64(buckets-1)), 1, clampInt(capBits, 1, MaxBucketBits))
+	fanout := int64(1) << pl.BucketBits
 
-	// Shrink the line until the slab fits its eighth.
-	for line > minLineTuples && (int64(1)<<pl.BucketBits)*line*pair > maxAux/8 {
+	// Shrink the line until the slab fits its share.
+	for line > minLineTuples && fanout*line*pair > slabAux {
 		line /= 2
 	}
 	pl.LineTuples = int(line)
-	pl.ExtentTuples = ExtentTuples(n, pl.BucketBits, pl.LineTuples)
+	pl.ExtentTuples = ExtentTuples(n, pl.BucketBits, pl.LineTuples, threads)
 
 	// Merge: W iterators × 2 prefetch blocks × block pairs ≤ half the
 	// budget. The calibrated CPU count bounds useful prefetch concurrency.
-	ncpu := runtime.GOMAXPROCS(0)
-	if p != nil && p.NumCPU > 0 {
-		ncpu = p.NumCPU
-	}
 	w := clampInt(ncpu, 4, maxMergeWidth)
 	block := clampInt64(seg/4, 1<<10, 1<<16)
 	for block > 1<<10 && int64(w)*4*block*w8 > maxAux/2 {
@@ -140,25 +157,29 @@ func PlanSpill(n, keyBits int, maxAux int64, p *MachineProfile) SpillPlan {
 	pl.MergeWidth = w
 	pl.BlockTuples = int(block)
 
-	// The slab, the delivery buffers, and the merge blocks are all checked
-	// out of the arena for the life of the run: the peak is their sum
-	// (quarter + eighth + half of the budget at most), not their max.
-	formation := (int64(1) << pl.BucketBits) * line * pair
-	delivery := 4 * seg * w8
-	mergeMem := int64(w) * 4 * block * w8
-	pl.MemBytes = formation + delivery + mergeMem + spillSlackBytes
+	// Every buffer is priced at the capacity the workspace arena hands
+	// out for it (ws.Capacity), which is what its ledger meters.
+	capB := func(elems int64) int64 { return int64(ws.Capacity(int(elems))) * w8 }
+	T := int64(threads)
+	msb := func(m int64, t int) int64 { return auxBytes(AlgoMSB, WorkloadStats{N: int(m)}, keyBits, t) }
+	formation := T * capB(fanout*2*line)
+	delivery := T * (capB(2*seg) + msb(seg, 1))
+	overflow := capB(2*seg) + 2*capB(seg) + max(msb(seg, threads), int64(w)*capB(4*block))
+	pl.MemBytes = max(formation, delivery, overflow) + spillSlackBytes
 	return pl
 }
 
 // ExtentTuples is the formation extent rule, the one reservation unit for
 // n tuples scattered over 1<<bucketBits buckets through lineTuples-tuple
-// lines: a quarter of the expected bucket fill, in whole lines, and at
-// least minLinesPerExtent lines. A bucket leaves at most its last extent
+// lines by threads workers, each of which fills its own extent chain per
+// bucket: a quarter of a chain's expected fill, in whole lines, and at
+// least minLinesPerExtent lines. A chain leaves at most its last extent
 // part-filled, so reserved spill bytes stay within 1.25× the formation
-// bytes (plus a line per bucket) whenever the minimum does not bind.
-func ExtentTuples(n, bucketBits, lineTuples int) int {
+// bytes (plus a line per chain) whenever the minimum does not bind.
+func ExtentTuples(n, bucketBits, lineTuples, threads int) int {
 	line := max(int64(lineTuples), 1)
-	fill := ceilDiv64(max(int64(n), 1), int64(1)<<clampInt(bucketBits, 0, MaxBucketBits))
+	chains := int64(max(threads, 1)) << clampInt(bucketBits, 0, MaxBucketBits)
+	fill := ceilDiv64(max(int64(n), 1), chains)
 	lines := max(ceilDiv64(fill, 4*line), minLinesPerExtent)
 	return int(lines * line)
 }

@@ -13,6 +13,10 @@ go run ./cmd/doccheck -ops OPERATIONS.md
 go test ./...
 go test -race ./internal/part/ ./internal/sortalgo/ .
 go test -race -short ./internal/ws/
+# The external sort runs formation and delivery on concurrent workers:
+# its own tests (forced spills, faults, corrupt extents, cancels) under
+# the race detector.
+go test -race -short -count=1 ./internal/extsort/
 go run ./cmd/figures -quick > /dev/null
 go run ./cmd/sortcli -n 100000 -algo lsb > /dev/null
 # NUMA-aware MSB end to end: the metered block permutation on 4 regions,
