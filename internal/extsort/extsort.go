@@ -17,9 +17,12 @@
 //  2. Delivery: every bucket's output range is the prefix sum of the
 //     bucket counts. A bucket that fits one segment — every bucket of a
 //     uniform input under the planned fanout — goes to the next free
-//     worker, which reads it back, checks each chain's CRC32C, then
-//     deinterleaves it straight into its output range and sorts it there
-//     with the in-memory MSB kernel on one thread. Afterwards each larger
+//     worker, which reads it back, checks each chain's CRC32C, then sorts
+//     it on one thread from that read buffer into its output range
+//     (sortalgo.MSBPairs): the buffer is the spare array of the bucket's
+//     first radix pass, run out of place on the digits below the key
+//     prefix the whole bucket shares, and of its in-cache levels, so the
+//     sort holds no block-permutation buffers. Afterwards each larger
 //     bucket is cut into segment-sized chunks, each sorted in memory on
 //     all threads and sealed as a checksummed sorted run.
 //  3. Merge: a bucket's sealed segments are merged W at a time by the
@@ -163,9 +166,10 @@ var ErrCorrupt = fmt.Errorf("spill data failed its seal check")
 // stats and the first I/O error, that of whichever worker hit it first;
 // injected faults, budget overruns, and cancellation unwind as panics for
 // the caller's containment, after the deferred handler here restored the
-// permutation from the phase-1 chains and removed the temp files. A
-// bucket whose extents fail on the way back cannot be restored; the
-// error, or the re-raised unwind value, then says so (restoreFailed).
+// permutation from the phase-1 chains and removed the temp files. On
+// either path the workspace's checked-out bytes go back to their level at
+// entry. A bucket whose extents fail on the way back cannot be restored;
+// the error, or the re-raised unwind value, then says so (restoreFailed).
 func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) (_ Stats, err error) {
 	n := len(keys)
 	if opt.SegmentTuples < 1 {
@@ -180,6 +184,7 @@ func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) 
 	}
 	opt = opt.clamped()
 
+	preAux := int64(w.AuxBytes())
 	s := getSorter[K](w, n, opt)
 	if ctl == nil {
 		// Workers still need a stop flag for their siblings' failures.
@@ -207,6 +212,12 @@ func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) 
 		}
 		s.cleanup()
 		putSorter(w, s)
+		if r != nil || err != nil {
+			// A worker error stops its siblings wherever they are, and
+			// the buffers they held then are abandoned to the GC: take
+			// them off the ledger, as the public calls do for a panic.
+			w.ReconcileAux(preAux)
+		}
 		if r != nil {
 			panic(restoreFailed(hard.NewPanic(r), rerr))
 		}

@@ -5,12 +5,12 @@
 // into its own extent chain for the bucket, extents reserved on first
 // touch; only the reservation against the file tail and the disk budget is
 // shared. Delivery sorts the buckets that fit one segment T at a time, one
-// worker and one thread each, straight into their output ranges, and then
-// cuts the buckets skew pushed past a segment into sealed segments for the
-// merge. Every chain is sealed by a CRC32C of the bytes formation wrote;
-// delivery and restore recompute it on the way back, so a corrupt extent
-// fails with ErrCorrupt before any of its bucket's tuples reach the
-// output.
+// worker and one thread each, from their read buffers straight into their
+// output ranges, and then cuts the buckets skew pushed past a segment into
+// sealed segments for the merge. Every chain is sealed by a CRC32C of the
+// bytes formation wrote; delivery and restore recompute it on the way
+// back, so a corrupt extent fails with ErrCorrupt before any of its
+// bucket's tuples reach the output.
 
 package extsort
 
@@ -215,8 +215,8 @@ func (s *sorter[K]) extentFor(b *bucketState, nb int64) (*extent, error) {
 var readbackHook func(f *os.File, spans func(d int) [][2]int64)
 
 // deliver is phases 2 and 3. The buckets that fit one segment go to the
-// workers one at a time; each is read back, CRC-checked, deinterleaved
-// into its output range and sorted there on one thread, so a bucket sort
+// workers one at a time; each is read back, CRC-checked and sorted from
+// its read buffer into its output range on one thread, so a bucket sort
 // never re-enters the pool and builds no range tree. The buckets skew
 // pushed past one segment follow in key order on the chunk → seal →
 // merge path, with the run's full thread count in the chunk sorts. Each
@@ -287,8 +287,9 @@ func (r deliverRunner[K]) RunTask(t int) {
 }
 
 // deliverBucket reads bucket d into the worker's pair buffer, checks its
-// seals, deinterleaves it into its output range and sorts it there on one
-// thread.
+// seals, and sorts it from there into its output range on one thread:
+// the pair buffer is the spare array of the bucket sort's out-of-place
+// passes (sortalgo.MSBPairs).
 func (s *sorter[K]) deliverBucket(wk *worker[K], d int) error {
 	lo, hi := s.starts[d], s.starts[d+1]
 	c := hi - lo
@@ -301,14 +302,7 @@ func (s *sorter[K]) deliverBucket(wk *worker[K], d int) error {
 		return err
 	}
 	s.phase.Store(phaseDeliver)
-	outK, outV := s.keys[lo:hi], s.vals[lo:hi]
-	deinterleave(pairs, outK, outV)
-	sortalgo.MSB(outK, outV, sortalgo.Options{
-		Threads:   1,
-		RadixBits: s.opt.RadixBits,
-		Workspace: s.w,
-		Ctl:       s.ctl,
-	})
+	sortalgo.MSBPairs(pairs, s.keys[lo:hi], s.vals[lo:hi], sortalgo.Options{Workspace: s.w, Ctl: s.ctl})
 	return nil
 }
 

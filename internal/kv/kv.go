@@ -47,6 +47,23 @@ func DomainBits[K Key](s []K) int {
 	return b
 }
 
+// SpanBits returns the number of low-order bits in which the keys of s
+// differ: bits.Len(or ^ and) over s, which equals bits.Len(min ^ max).
+// Every bit at or above it is the same in all keys, and it is 0 for an
+// empty or all-equal input. MSB radix-sort starts its digits below it.
+func SpanBits[K Key](s []K) int {
+	if len(s) == 0 {
+		return 0
+	}
+	var or K
+	and := ^K(0)
+	for _, k := range s {
+		or |= k
+		and &= k
+	}
+	return bits.Len64(uint64(or ^ and))
+}
+
 // Checksum is an order-independent fingerprint of a key multiset, used by
 // tests and verification helpers to show that a partitioning or sorting pass
 // permuted its input rather than corrupting it.

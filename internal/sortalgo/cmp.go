@@ -170,11 +170,7 @@ func cmpRecurseAll[K kv.Key](keys, vals []K, starts []int, singleKey []bool, opt
 	r.starts, r.singleKey = nil, nil
 	r.opt = Options{}
 	ws.PutScratch(w, ws.SlotCmpWork, r)
-	if st != nil && p+l > 0 {
-		wall := time.Since(begin)
-		st.add(phLocal, time.Duration(int64(wall)*p/(p+l)))
-		st.add(phCache, time.Duration(int64(wall)*l/(p+l)))
-	}
+	st.splitLocal(time.Since(begin), p+l, l)
 }
 
 // cmpRecurse sorts one segment in place. A segment above ct runs one

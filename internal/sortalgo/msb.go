@@ -3,6 +3,7 @@ package sortalgo
 import (
 	"math/bits"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/hard"
@@ -38,6 +39,13 @@ const msbInsertionCutoff = 24
 //     (the paper's in-cache choice, Figs. 2-3), whose copy-back
 //     insertion-sorts the trivial parts.
 //
+// The digits start below the key prefix that every input key shares (the
+// highest bit of or ^ and over the keys, found in one scan), not below
+// the maximum's bit length, so keys confined to a narrow high range pay
+// no pass on their common bits. With Stats set, the time of each
+// cache-resident subtree goes to CacheSort and the rest of the
+// recursion's to LocalRadix.
+//
 // MSB is not stable; unlike LSB it covers log n bits instead of log D, so
 // it wins on sparse key domains, and it needs no linear auxiliary array:
 // its scratch is O(threads × (fanout × B + cache bound)).
@@ -47,6 +55,61 @@ func MSB[K kv.Key](keys, vals []K, opt Options) {
 	instrumentWS(opt.Stats, opt.Workspace, "msb", func() {
 		msbRun(keys, vals, opt)
 	})
+}
+
+// MSBPairs is MSB on one thread for a caller that already holds a spare
+// array: the external sort's bucket, read back as interleaved key/payload
+// pairs (pairs holds 2·len(keys) of them). It deinterleaves pairs into
+// keys/vals, finding the keys' shared prefix in the same scan, runs the
+// first radix pass out of place from keys/vals into the two halves of
+// pairs through line buffers (Algorithm 3, which checkpoints every
+// hard.CkptTuples tuples), and copies the parts back, insertion-sorting
+// the trivial ones. The larger parts recurse as in MSB, their in-cache
+// levels scattering through pairs as well, so the sort draws from the
+// workspace only its line buffers, tables and, for a part that skew
+// leaves above the cache bound, a block permutation's buffers. pairs is
+// garbage afterwards. Every interruption point leaves keys/vals a
+// permutation of the pairs.
+func MSBPairs[K kv.Key](pairs, keys, vals []K, opt Options) {
+	instrumentWS(opt.Stats, opt.Workspace, "msb", func() {
+		msbPairs(pairs, keys, vals, opt)
+	})
+}
+
+// msbPairs is MSBPairs after instrumentation setup.
+func msbPairs[K kv.Key](pairs, keys, vals []K, opt Options) {
+	n := len(keys)
+	hiBit := deinterleaveSpan(pairs, keys, vals)
+	opt.Ctl.Checkpoint()
+	fault.Inject(fault.SiteMSBRecurse)
+	if n <= msbInsertionCutoff {
+		InsertionSort(keys, vals)
+		return
+	}
+	if hiBit == 0 {
+		return // all keys equal
+	}
+	ct := cacheTuples(opt, kv.Width[K]())
+	tail := msbTail[K]{keys: pairs[:n], vals: pairs[n : 2*n]}
+	msbScatterBack(opt.Workspace, &tail, keys, vals, tail.keys, tail.vals, hiBit, msbDigitBits(n, hiBit, ct), ct, true, opt.Ctl)
+}
+
+// deinterleaveSpan splits pairs (k0 v0 k1 v1 ...) into keys/vals and
+// returns kv.SpanBits of the keys, computed in the same scan.
+func deinterleaveSpan[K kv.Key](pairs, keys, vals []K) int {
+	if len(keys) == 0 {
+		return 0
+	}
+	pairs, vals = pairs[:2*len(keys)], vals[:len(keys)]
+	var or K
+	and := ^K(0)
+	for i := range keys {
+		k := pairs[2*i]
+		keys[i], vals[i] = k, pairs[2*i+1]
+		or |= k
+		and &= k
+	}
+	return bits.Len64(uint64(or ^ and))
 }
 
 // msbRun is MSB after defaults and instrumentation setup.
@@ -62,15 +125,20 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	// No restore handler: keys stays a permutation of the input at every
 	// interruption point — part.BlockPermute restores its own mid-kernel
 	// state, and recursion checkpoints sit where in-place steps completed.
-	domainBits := timedInt(st, "msb", phHistogram, func() int {
-		return kv.DomainBits(keys)
+	span := timedInt(st, "msb", phHistogram, func() int {
+		return kv.SpanBits(keys)
 	})
 
 	t := opt.Threads
+	ct := cacheTuples(opt, width)
 	if t == 1 && opt.regions() == 1 {
-		timed(st, "msb", phLocal, func() {
-			msbRecurse(opt.Workspace, new(msbTail[K]), keys, vals, domainBits, cacheTuples(opt, width), ctl)
+		tail := msbTail[K]{timed: st != nil}
+		begin := time.Now()
+		timed(nil, "msb", phLocal, func() {
+			msbEnter(opt.Workspace, &tail, keys, vals, span, ct, ctl)
 		})
+		wall := time.Since(begin)
+		st.splitLocal(wall, int64(wall), tail.cacheNs)
 		return
 	}
 
@@ -113,44 +181,55 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	}
 
 	// Step 2: shared-nothing recursion per range. The union with radix
-	// boundaries pins each range inside one top-bits bucket, so recursion
-	// covers the remaining width-topBits bits (capped by the domain).
-	hiBit := min(width-topBits, domainBits)
-	ct := cacheTuples(opt, width)
-	timed(st, "msb", phLocal, func() {
-		w := opt.Workspace
-		r := ws.Scratch[msbWorker[K]](w, ws.SlotMsbWork)
-		r.w, r.keys, r.vals = w, keys, vals
-		r.starts, r.singleKey = starts, ref.SingleKey
-		r.hiBit, r.ct, r.nq = hiBit, ct, fn.Fanout()
-		r.ctl = ctl
-		r.next.Store(0)
+	// boundaries pins each range inside one top-bits bucket, and every
+	// key shares the bits from span up, so recursion covers the bits
+	// below both.
+	hiBit := min(width-topBits, span)
+	w := opt.Workspace
+	r := ws.Scratch[msbWorker[K]](w, ws.SlotMsbWork)
+	r.w, r.keys, r.vals = w, keys, vals
+	r.starts, r.singleKey = starts, ref.SingleKey
+	r.hiBit, r.ct, r.nq = hiBit, ct, fn.Fanout()
+	r.ctl, r.timed = ctl, st != nil
+	r.next.Store(0)
+	r.busyNs.Store(0)
+	r.cacheNs.Store(0)
+	begin := time.Now()
+	timed(nil, "msb", phLocal, func() {
 		ws.RunWorkersCtl(w, t, r, ctl)
-		r.w, r.keys, r.vals, r.starts, r.singleKey = nil, nil, nil, nil, nil
-		r.ctl = nil
-		ws.PutScratch(w, ws.SlotMsbWork, r)
 	})
+	st.splitLocal(time.Since(begin), r.busyNs.Load(), r.cacheNs.Load())
+	r.w, r.keys, r.vals, r.starts, r.singleKey = nil, nil, nil, nil, nil
+	r.ctl = nil
+	ws.PutScratch(w, ws.SlotMsbWork, r)
 	opt.Workspace.PutInts(starts)
 }
 
 // msbWorker is the worker-pool driver of MSB's shared-nothing recursion:
 // workers claim ranges off an atomic cursor (dynamic balancing without a
-// work channel) and recurse independently.
+// work channel) and recurse independently. With timed set, each worker
+// adds its busy time and the part of it spent in cache-resident subtrees.
 type msbWorker[K kv.Key] struct {
-	w          *ws.Workspace
-	keys, vals []K
-	starts     []int
-	singleKey  []bool
-	hiBit, ct  int
-	nq         int
-	ctl        *hard.Ctl
-	next       atomic.Int64
+	w               *ws.Workspace
+	keys, vals      []K
+	starts          []int
+	singleKey       []bool
+	hiBit, ct       int
+	nq              int
+	ctl             *hard.Ctl
+	timed           bool
+	next            atomic.Int64
+	busyNs, cacheNs atomic.Int64
 }
 
 func (r *msbWorker[K]) RunTask(wi int) {
 	sp := obs.BeginIn("msb", "msb-recurse", "worker", wi)
+	var begin time.Time
+	if r.timed {
+		begin = time.Now()
+	}
 	var done int64
-	var tail msbTail[K]
+	tail := msbTail[K]{timed: r.timed}
 	for {
 		q := int(r.next.Add(1) - 1)
 		if q >= r.nq {
@@ -163,8 +242,12 @@ func (r *msbWorker[K]) RunTask(wi int) {
 		if q < len(r.singleKey) && r.singleKey[q] {
 			continue // single-key partition: already sorted
 		}
-		msbRecurse(r.w, &tail, r.keys[r.starts[q]:r.starts[q+1]], r.vals[r.starts[q]:r.starts[q+1]], r.hiBit, r.ct, r.ctl)
+		msbEnter(r.w, &tail, r.keys[r.starts[q]:r.starts[q+1]], r.vals[r.starts[q]:r.starts[q+1]], r.hiBit, r.ct, r.ctl)
 		done += int64(seg)
+	}
+	if r.timed {
+		r.busyNs.Add(int64(time.Since(begin)))
+		r.cacheNs.Add(tail.cacheNs)
 	}
 	sp.EndN(done)
 }
@@ -185,23 +268,44 @@ func cacheTuples(opt Options, width int) int {
 	return (256 << 10) / (2 * width / 8)
 }
 
+// msbDigitBits is the digit width of an MSB pass over n tuples whose
+// keys differ only below hiBit: a byte above the cache bound cacheT, and
+// ~log n - 2 bits in cache, which makes parts of average size 4-8.
+func msbDigitBits(n, hiBit, cacheT int) int {
+	if n > cacheT {
+		return min(hiBit, memmodel.MSBLocalBits)
+	}
+	return min(hiBit, max(1, bits.Len(uint(n))-3))
+}
+
+// msbEnter is msbRecurse for a segment entered from above the cache
+// bound: from the top of the sort, a first-pass range, or a local pass
+// over a larger segment. When the tail is timed and the segment is
+// cache-resident, the time of its whole subtree goes to the tail's
+// cacheNs, so each in-cache subtree is timed once.
+func msbEnter[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals []K, hiBit, cacheT int, ctl *hard.Ctl) {
+	if !tail.timed || len(keys) > cacheT {
+		msbRecurse(w, tail, keys, vals, hiBit, cacheT, ctl)
+		return
+	}
+	begin := time.Now()
+	msbRecurse(w, tail, keys, vals, hiBit, cacheT, ctl)
+	tail.cacheNs += int64(time.Since(begin))
+}
+
 // msbRecurse sorts one segment in place by MSB radix partitioning over the
 // bit range [0, hiBit), drawing per-level starts arrays (and the block
 // permutation's buffers) from the workspace. Segments above cacheT run one
 // single-worker block permutation (part.BlockPermute) over a byte-wide
 // digit, whose classify phase also derives the histogram; its buffer
 // blocks (256 × 128 tuples, 512 KiB for 64-bit pairs) are the recursion's
-// largest scratch. A cache-resident segment of n tuples takes a separate
-// histogram scan and Algorithm 1 (part.NonInPlaceInCache) into a
-// workspace buffer pair of n tuples; the copy-back insertion-sorts each
-// part of at most msbInsertionCutoff tuples into place and copies larger
-// ones verbatim, and the buffers go back before the recursion into the
-// larger parts (without a workspace, the pair is the worker's tail, kept
-// across its segments). Every interruption point keeps the arrays a
-// permutation of the input: the checkpoint and fault site at recursion
-// entry sit where every ancestor's partition (the in-cache copy-back
-// included) has completed, and BlockPermute checkpoints mid-kernel and
-// restores its own state before re-raising.
+// largest scratch. A cache-resident segment of n tuples takes one
+// out-of-place level (msbScatterBack) through the tail's buffer pair of n
+// tuples. Every interruption point keeps the arrays a permutation of the
+// input: the checkpoint and fault site at recursion entry sit where every
+// ancestor's partition (the in-cache copy-back included) has completed,
+// and BlockPermute checkpoints mid-kernel and restores its own state
+// before re-raising.
 func msbRecurse[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals []K, hiBit, cacheT int, ctl *hard.Ctl) {
 	ctl.Checkpoint()
 	fault.Inject(fault.SiteMSBRecurse)
@@ -213,27 +317,41 @@ func msbRecurse[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals []K, hiB
 	if hiBit <= 0 {
 		return // all radix bits consumed: keys are equal
 	}
+	b := msbDigitBits(n, hiBit, cacheT)
 	if n > cacheT {
-		b := min(hiBit, memmodel.MSBLocalBits)
 		fn := pfunc.NewRadix[K](uint(hiBit-b), uint(hiBit))
 		starts := part.BlockPermute(w, keys, vals, fn, memmodel.MSBLocalBlockTuples, 1, w.Ints(fn.Fanout()+1), nil, ctl)
 		for p := 0; p < fn.Fanout(); p++ {
 			if lo, hi := starts[p], starts[p+1]; hi-lo > 1 {
-				msbRecurse(w, tail, keys[lo:hi], vals[lo:hi], hiBit-b, cacheT, ctl)
+				msbEnter(w, tail, keys[lo:hi], vals[lo:hi], hiBit-b, cacheT, ctl)
 			}
 		}
 		w.PutInts(starts)
 		return
 	}
-	// In-cache: ~log n - 2 bits makes parts of average size 4-8.
-	b := min(hiBit, max(1, bits.Len(uint(n))-3))
+	bufK, bufV := tail.get(w, n, cacheT)
+	msbScatterBack(w, tail, keys, vals, bufK, bufV, hiBit, b, cacheT, false, ctl)
+}
+
+// msbScatterBack runs one out-of-place level over the b bits below hiBit:
+// a histogram scan, a scatter of keys/vals into bufK/bufV — Algorithm 3
+// through line buffers when lines is set (it checkpoints every
+// hard.CkptTuples tuples and leaves keys/vals intact until it returns),
+// else Algorithm 1 — and a copy-back that insertion-sorts each part of at
+// most msbInsertionCutoff tuples into place and copies larger ones
+// verbatim. No interruption point lies between the scatter's end and the
+// last part's copy-back. The buffers then go back to the tail, and the
+// larger parts recurse.
+func msbScatterBack[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals, bufK, bufV []K, hiBit, b, cacheT int, lines bool, ctl *hard.Ctl) {
 	fn := pfunc.NewRadix[K](uint(hiBit-b), uint(hiBit))
 	hist := part.HistogramInto(w.Ints(fn.Fanout()), keys, fn)
-	// Algorithm 1 into a buffer pair, then copy each part back: trivial
-	// parts insertion-sorted on the way, larger ones verbatim. No
-	// interruption point until every part is back in place.
-	bufK, bufV := tail.get(w, n, cacheT)
-	part.NonInPlaceInCache(w, keys, vals, bufK, bufV, fn, hist)
+	if lines {
+		starts, _ := part.StartsInto(w.Ints(len(hist)), hist)
+		part.NonInPlaceOutOfCache(w, keys, vals, bufK, bufV, fn, starts, ctl)
+		w.PutInts(starts)
+	} else {
+		part.NonInPlaceInCache(w, keys, vals, bufK, bufV, fn, hist)
+	}
 	lo := 0
 	for _, h := range hist {
 		hi := lo + h
@@ -256,32 +374,40 @@ func msbRecurse[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals []K, hiB
 	w.PutInts(hist)
 }
 
-// msbTail is one worker's in-cache buffer pair. With a workspace each
-// segment draws the pair from the arena and returns it, so the ledger
-// sees it; without one the pair is kept here, grown geometrically up to
-// the cache bound and resliced for every later segment, instead of two
-// allocations per segment. A segment puts its pair back before recursing,
-// so one pair serves the worker's whole recursion.
+// msbTail is one worker's in-cache buffer pair and, when its sort keeps
+// Stats (timed), the time its cache-resident subtrees took. A tail that
+// starts out holding a pair (MSBPairs's spare array) serves every
+// segment from it. Otherwise, with a workspace each segment draws the
+// pair from the arena and returns it, so the ledger sees it; without one
+// the pair is kept here, grown geometrically up to the cache bound and
+// resliced for every later segment, instead of two allocations per
+// segment. A segment puts its pair back before recursing, so one pair
+// serves the worker's whole recursion.
 type msbTail[K kv.Key] struct {
 	keys, vals []K
+	timed      bool
+	cacheNs    int64
 }
 
 // get returns a key and a payload buffer of n ≤ cacheT tuples.
 func (t *msbTail[K]) get(w *ws.Workspace, n, cacheT int) ([]K, []K) {
-	if w != nil {
-		return ws.Keys[K](w, n), ws.Keys[K](w, n)
-	}
 	if cap(t.keys) < n {
+		if w != nil {
+			return ws.Keys[K](w, n), ws.Keys[K](w, n)
+		}
 		c := min(max(n, 2*cap(t.keys)), cacheT)
 		t.keys, t.vals = make([]K, c), make([]K, c)
 	}
 	return t.keys[:n], t.vals[:n]
 }
 
-// put releases a pair obtained from get.
+// put releases a pair obtained from get: arena buffers go back, the
+// tail's own pair stays.
 func (t *msbTail[K]) put(w *ws.Workspace, bufK, bufV []K) {
-	ws.PutKeys(w, bufK)
-	ws.PutKeys(w, bufV)
+	if t.keys == nil {
+		ws.PutKeys(w, bufK)
+		ws.PutKeys(w, bufV)
+	}
 }
 
 // insertionSortFrom insertion-sorts the pairs of srcK/srcV into

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/kv"
 	"repro/internal/numa"
+	"repro/internal/obs"
 	"repro/internal/ws"
 )
 
@@ -152,4 +153,153 @@ func BenchmarkMSBInCacheTail(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*seg), "ns/tuple")
 		})
 	}
+}
+
+// TestMSBSharedPrefix sorts keys that share a high prefix at 1 and 2
+// threads: uniform keys below 2^57 OR'd with 127<<57 (64-bit) and below
+// 2^25 OR'd with 127<<25 (32-bit), seven shared bits each. The output is sorted and a permutation,
+// and the partitioning kernels move exactly as many tuples as for the
+// same keys without the prefix: MSB's digits start below the bits every
+// key shares, not below the maximum's bit length.
+func TestMSBSharedPrefix(t *testing.T) {
+	for _, n := range []int{1 << 16, 1 << 21} {
+		for _, threads := range []int{1, 2} {
+			t.Run(fmt.Sprintf("n=%d/T=%d/64", n, threads), func(t *testing.T) {
+				checkPrefixNeutral(t, gen.Uniform[uint64](n, 1<<57, 5), 127<<57, threads)
+			})
+			t.Run(fmt.Sprintf("n=%d/T=%d/32", n, threads), func(t *testing.T) {
+				checkPrefixNeutral(t, gen.Uniform[uint32](n, 1<<25, 6), 127<<25, threads)
+			})
+		}
+	}
+}
+
+// checkPrefixNeutral sorts keys and keys | prefix and compares the
+// tuples each sort partitioned.
+func checkPrefixNeutral[K kv.Key](t *testing.T, keys []K, prefix K, threads int) {
+	plain := msbTuplesPartitioned(t, keys, threads)
+	pk := make([]K, len(keys))
+	for i, k := range keys {
+		pk[i] = k | prefix
+	}
+	if got := msbTuplesPartitioned(t, pk, threads); got != plain {
+		t.Fatalf("tuples partitioned with the prefix %d, without %d", got, plain)
+	}
+}
+
+// msbTuplesPartitioned sorts a copy of orig with RIDs as payloads,
+// checks the result, and returns the tuples-partitioned counter.
+func msbTuplesPartitioned[K kv.Key](t *testing.T, orig []K, threads int) uint64 {
+	t.Helper()
+	keys := append([]K(nil), orig...)
+	vals := gen.RIDs[K](len(keys))
+	origV := append([]K(nil), vals...)
+	obs.Start(nil)
+	defer func() { _ = obs.Stop() }()
+	var st Stats
+	MSB(keys, vals, Options{Threads: threads, Stats: &st})
+	checkSorted(t, orig, origV, keys, vals, false)
+	return st.Counters.TuplesPartitioned
+}
+
+// TestMSBStatsSplitsCache checks that MSB's Stats put the in-cache
+// subtrees under CacheSort and the local passes above the cache bound
+// under LocalRadix: 2^18 64-bit pairs, above the 16384-tuple bound, on 1
+// and 2 threads.
+func TestMSBStatsSplitsCache(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		t.Run(fmt.Sprintf("T=%d", threads), func(t *testing.T) {
+			keys := gen.Uniform[uint64](1<<18, 0, 8)
+			vals := gen.RIDs[uint64](len(keys))
+			var st Stats
+			MSB(keys, vals, Options{Threads: threads, Stats: &st})
+			if !kv.IsSorted(keys) {
+				t.Fatal("not sorted")
+			}
+			if st.CacheSort <= 0 || st.LocalRadix <= 0 {
+				t.Fatalf("local %v, cache %v: want both positive", st.LocalRadix, st.CacheSort)
+			}
+		})
+	}
+}
+
+// TestMSBPairs sorts interleaved pairs through MSBPairs, with and without
+// a workspace, on the shapes the external sort's buckets take: empty, one
+// tuple, at most the insertion cutoff, all equal, a shared high prefix,
+// more than hard.CkptTuples uniform keys, and a first-pass part above the
+// cache bound. The output is sorted and a permutation of the pairs.
+func TestMSBPairs(t *testing.T) {
+	skewed := gen.Uniform[uint64](40000, 1<<16, 3)
+	skewed[0] = 1 << 23 // first pass on bits 16-23: one part of 39999
+	prefixed := gen.Uniform[uint64](1<<16, 1<<50, 4)
+	for i := range prefixed {
+		prefixed[i] |= 127 << 57
+	}
+	shapes := map[string][]uint64{
+		"empty":      nil,
+		"one":        {7},
+		"cutoff":     gen.Uniform[uint64](msbInsertionCutoff, 0, 1),
+		"equal":      gen.AllEqual[uint64](5000, 42),
+		"prefix":     prefixed,
+		"above-ckpt": gen.Uniform[uint64](70000, 0, 2),
+		"skewed":     skewed,
+	}
+	for name, keys := range shapes {
+		for _, w := range []*ws.Workspace{nil, ws.New()} {
+			t.Run(fmt.Sprintf("%s/ws=%v", name, w != nil), func(t *testing.T) {
+				checkMSBPairs(t, keys, w)
+				w.Close()
+			})
+		}
+	}
+	t.Run("u32", func(t *testing.T) {
+		checkMSBPairs(t, gen.Uniform[uint32](70000, 0, 5), nil)
+	})
+}
+
+// checkMSBPairs interleaves keys with row ids, sorts them with MSBPairs
+// and checks the result.
+func checkMSBPairs[K kv.Key](t *testing.T, keys []K, w *ws.Workspace) {
+	t.Helper()
+	n := len(keys)
+	vals := gen.RIDs[K](n)
+	pairs := make([]K, 2*n)
+	for i := range keys {
+		pairs[2*i], pairs[2*i+1] = keys[i], vals[i]
+	}
+	outK, outV := make([]K, n), make([]K, n)
+	MSBPairs(pairs, outK, outV, Options{Workspace: w})
+	checkSorted(t, keys, vals, outK, outV, false)
+}
+
+// TestMSBPairsScratch pins what a bucket sort draws from a warm
+// workspace: for 2^16 uniform 64-bit pairs, whose first pass leaves
+// in-cache parts of ~256 tuples, only the first pass's line buffers and
+// tables (under 64 KiB), no block permutation and no buffer pair, and no
+// heap allocation.
+func TestMSBPairsScratch(t *testing.T) {
+	const n = 1 << 16
+	keys := gen.Uniform[uint64](n, 0, 9)
+	pairs := make([]uint64, 2*n)
+	outK, outV := make([]uint64, n), make([]uint64, n)
+	w := ws.New()
+	defer w.Close()
+	sortOnce := func() {
+		for i, k := range keys {
+			pairs[2*i], pairs[2*i+1] = k, uint64(i)
+		}
+		MSBPairs(pairs, outK, outV, Options{Workspace: w})
+	}
+	sortOnce()
+	w.ResetPeakAux()
+	if a := testing.AllocsPerRun(5, sortOnce); a != 0 {
+		t.Fatalf("warm workspace MSBPairs allocates %v times per sort", a)
+	}
+	if !kv.IsSorted(outK) {
+		t.Fatal("not sorted")
+	}
+	if p := w.PeakAuxBytes(); p > 64<<10 {
+		t.Fatalf("peak aux %d B, want at most 64 KiB", p)
+	}
+	t.Logf("peak aux %d B", w.PeakAuxBytes())
 }

@@ -116,6 +116,19 @@ func (s *Stats) add(p phase, d time.Duration) {
 	}
 }
 
+// splitLocal charges wall, the wall clock of a sort's recursion below its
+// first pass, to LocalRadix and CacheSort in the proportion of its
+// workers' busy time outside and inside cache-resident subtrees (busy and
+// cache, in ns). Nil-safe; a recursion with no busy time charges nothing.
+func (s *Stats) splitLocal(wall time.Duration, busy, cache int64) {
+	if s == nil || busy <= 0 {
+		return
+	}
+	c := time.Duration(float64(wall) * float64(min(cache, busy)) / float64(busy))
+	s.LocalRadix += wall - c
+	s.CacheSort += c
+}
+
 // timed runs fn and charges its wall clock to phase p of s (nil-safe).
 // When an obs session is active it additionally emits a phase span —
 // tagged with the owning algorithm so the metrics sink aggregates a

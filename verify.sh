@@ -17,6 +17,10 @@ go test -race -short ./internal/ws/
 # its own tests (forced spills, faults, corrupt extents, cancels) under
 # the race detector.
 go test -race -short -count=1 ./internal/extsort/
+# MSB under the race detector on its own, uncached: the shared-prefix
+# digits at 1 and 2 threads, the local/cache split of its stats, and the
+# out-of-place bucket sort the external sort's delivery workers run.
+go test -race -short -count=1 -run 'MSB' ./internal/sortalgo/
 go run ./cmd/figures -quick > /dev/null
 go run ./cmd/sortcli -n 100000 -algo lsb > /dev/null
 # NUMA-aware MSB end to end: the metered block permutation on 4 regions,
