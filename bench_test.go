@@ -494,7 +494,7 @@ func BenchmarkAblation_InPlaceVariants(b *testing.B) {
 	})
 }
 
-// --- Range index ablation: configurations and register variants ---
+// --- Range index ablation: tree configurations by fanout ---
 
 func BenchmarkAblation_RangeIndex(b *testing.B) {
 	keys := gen.Uniform[uint32](benchPartN, 0, 7)
@@ -509,26 +509,6 @@ func BenchmarkAblation_RangeIndex(b *testing.B) {
 			reportMtps(b, benchPartN)
 		})
 	}
-	d16 := splitter.EqualDepth(gen.Uniform[uint32](1<<16, 0, 3), 17)
-	horiz := rangeidx.NewHorizontal17x32(d16)
-	b.Run("horizontal17", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, k := range keys {
-				out[0] = int32(horiz.Partition(k))
-			}
-		}
-		reportMtps(b, benchPartN)
-	})
-	d7 := splitter.EqualDepth(gen.Uniform[uint32](1<<16, 0, 3), 8)
-	vert := rangeidx.NewVertical32(d7, 3)
-	b.Run("vertical8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, k := range keys {
-				out[0] = int32(vert.Partition(k))
-			}
-		}
-		reportMtps(b, benchPartN)
-	})
 }
 
 // --- Zero-allocation hot paths: workspace reuse (Sections 3.2, 4.2.1) ---

@@ -40,13 +40,9 @@ import (
 	"time"
 
 	partsort "repro"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
-
-// readHeaderTimeout bounds how long the HTTP API waits for a client's
-// request headers, so a client that opens a connection and never
-// finishes its headers cannot hold the connection open indefinitely.
-const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	os.Exit(run())
@@ -122,7 +118,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sortd: listen:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.Serve(httpLis) }()
 	fmt.Fprintf(os.Stderr, "sortd: serving HTTP API on %s\n", httpLis.Addr())

@@ -31,6 +31,12 @@ type MetricsServer struct {
 	serveErr chan error
 }
 
+// ReadHeaderTimeout bounds how long an HTTP listener of this program (the
+// metrics endpoint here, sortd's API port) waits for a client's request
+// headers, so a client that opens a connection and never finishes its
+// headers cannot hold the connection open indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
+
 // expvarPublish guards the process-wide expvar registration (expvar
 // panics on duplicate names; servers may start and stop many times).
 var expvarPublish sync.Once
@@ -66,7 +72,7 @@ func ServeMetrics(addr string, reg *Registry) (*MetricsServer, error) {
 
 	s := &MetricsServer{
 		reg:      reg,
-		srv:      &http.Server{Handler: mux},
+		srv:      &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout},
 		lis:      lis,
 		sampler:  startRuntimeSampler(reg, time.Second),
 		done:     make(chan struct{}),

@@ -14,9 +14,16 @@ import (
 	"repro/internal/fault"
 )
 
-func get(t *testing.T, url string) string {
+// newClient returns a client with a transport of its own. A test closes
+// its idle keep-alive connections before it shuts the server down: the
+// client end closes at once, and Shutdown closes the idle server end, so
+// no connection is still winding down when a leak check, or the next
+// test's baseline, counts descriptors.
+func newClient() *http.Client { return &http.Client{Transport: &http.Transport{}} }
+
+func get(t *testing.T, c *http.Client, url string) string {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := c.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +56,10 @@ func TestServeMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown(context.Background())
+	c := newClient()
+	defer c.CloseIdleConnections()
 
-	body := get(t, srv.URL()+"/metrics")
+	body := get(t, c, srv.URL()+"/metrics")
 	for _, want := range []string{
 		`partsort_events_total{event="tuples_partitioned"} 42`,
 		"# TYPE partsort_phase_duration_seconds histogram",
@@ -64,14 +73,14 @@ func TestServeMetricsEndpoints(t *testing.T) {
 	}
 
 	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(get(t, srv.URL()+"/debug/vars")), &vars); err != nil {
+	if err := json.Unmarshal([]byte(get(t, c, srv.URL()+"/debug/vars")), &vars); err != nil {
 		t.Fatalf("/debug/vars is not JSON: %v", err)
 	}
 	if _, ok := vars["partsort"]; !ok {
 		t.Fatal("/debug/vars missing the partsort export")
 	}
 
-	if body := get(t, srv.URL()+"/debug/pprof/goroutine?debug=1"); !strings.Contains(body, "goroutine") {
+	if body := get(t, c, srv.URL()+"/debug/pprof/goroutine?debug=1"); !strings.Contains(body, "goroutine") {
 		t.Fatal("/debug/pprof/goroutine not serving")
 	}
 }
@@ -96,8 +105,22 @@ func seriesValue(t *testing.T, reg *Registry, prefix string) uint64 {
 	return 0
 }
 
-// TestShutdownLeaksNoGoroutines is the satellite-1 gate: server plus
-// sampler must fully unwind on Shutdown.
+// TestServeMetricsBoundsHeaderReads checks the metrics server bounds
+// header reads like sortd's API port, so a client that never finishes its
+// headers cannot hold a connection open indefinitely.
+func TestServeMetricsBoundsHeaderReads(t *testing.T) {
+	srv, err := ServeMetrics("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	if got := srv.srv.ReadHeaderTimeout; got != ReadHeaderTimeout || got <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", got, ReadHeaderTimeout)
+	}
+}
+
+// TestShutdownLeaksNoGoroutines checks server plus sampler fully unwind on
+// Shutdown: no goroutine or descriptor outlives it.
 func TestShutdownLeaksNoGoroutines(t *testing.T) {
 	base := fault.TakeBaseline()
 	for i := 0; i < 3; i++ {
@@ -105,7 +128,9 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		get(t, srv.URL()+"/metrics")
+		c := newClient()
+		get(t, c, srv.URL()+"/metrics")
+		c.CloseIdleConnections()
 		if err := srv.Shutdown(context.Background()); err != nil {
 			t.Fatalf("Shutdown: %v", err)
 		}

@@ -72,28 +72,3 @@ func NonInPlaceOutOfCacheCols[K kv.Key, F pfunc.Func[K]](srcKey []K, srcCols [][
 		}
 	}
 }
-
-// InterleaveTuples packs a key column and one payload column into a single
-// interleaved array (key, payload, key, payload, ...), the alternative
-// layout the paper evaluates for buffering: one wide tuple per slot
-// instead of one line per column. DeinterleaveTuples reverses it.
-func InterleaveTuples[K kv.Key](keys, vals []K) []K {
-	out := make([]K, 2*len(keys))
-	for i, k := range keys {
-		out[2*i] = k
-		out[2*i+1] = vals[i]
-	}
-	return out
-}
-
-// DeinterleaveTuples splits an interleaved array back into columns.
-func DeinterleaveTuples[K kv.Key](packed []K) (keys, vals []K) {
-	n := len(packed) / 2
-	keys = make([]K, n)
-	vals = make([]K, n)
-	for i := 0; i < n; i++ {
-		keys[i] = packed[2*i]
-		vals[i] = packed[2*i+1]
-	}
-	return keys, vals
-}

@@ -2,7 +2,6 @@ package part
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/gen"
 	"repro/internal/kv"
@@ -79,58 +78,4 @@ func TestColsValidation(t *testing.T) {
 	mustPanic("length mismatch", func() {
 		NonInPlaceOutOfCacheCols(keys, [][]uint32{{1}}, make([]uint32, 2), [][]uint32{make([]uint32, 2)}, fn, starts)
 	})
-}
-
-func TestInterleaveRoundTrip(t *testing.T) {
-	f := func(raw []uint32) bool {
-		keys := raw
-		vals := gen.RIDs[uint32](len(raw))
-		packed := InterleaveTuples(keys, vals)
-		if len(packed) != 2*len(keys) {
-			return false
-		}
-		k2, v2 := DeinterleaveTuples(packed)
-		for i := range keys {
-			if k2[i] != keys[i] || v2[i] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInterleavedPartitionEquivalence(t *testing.T) {
-	// Partitioning the interleaved layout with a wide "tuple" equals
-	// partitioning columns separately: the paper's two buffering layouts
-	// agree on the result.
-	n := 1 << 12
-	keys := gen.Uniform[uint32](n, 0, 11)
-	vals := gen.RIDs[uint32](n)
-	fn := pfunc.NewRadix[uint32](0, 5)
-	hist := Histogram(keys, fn)
-
-	colK := make([]uint32, n)
-	colV := make([]uint32, n)
-	NonInPlaceInCache(nil, keys, vals, colK, colV, fn, hist)
-
-	packed := InterleaveTuples(keys, vals)
-	outPacked := make([]uint32, 2*n)
-	// Partition the packed pairs using the key of each pair.
-	off, _ := Starts(hist)
-	for i := 0; i < n; i++ {
-		p := fn.Partition(packed[2*i])
-		o := off[p]
-		off[p] = o + 1
-		outPacked[2*o] = packed[2*i]
-		outPacked[2*o+1] = packed[2*i+1]
-	}
-	k2, v2 := DeinterleaveTuples(outPacked)
-	for i := range colK {
-		if k2[i] != colK[i] || v2[i] != colV[i] {
-			t.Fatalf("layouts disagree at %d", i)
-		}
-	}
 }

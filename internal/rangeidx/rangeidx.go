@@ -1,11 +1,11 @@
 // Package rangeidx computes range partition functions: given P-1 sorted
 // delimiters, map a key to the partition whose range contains it.
 //
-// It provides the paper's full menu (Section 3.5): the scalar binary-search
-// baseline (and its branchless variant), register-resident SIMD variants
-// (horizontal and vertical), and the cache-resident pointerless tree index
-// that makes range partitioning comparably fast with hash and radix — the
-// paper's second core contribution, here with binary nodes (see Tree).
+// Its range function is the cache-resident pointerless tree index (Section
+// 3.5.2), the paper's second core contribution, here with binary nodes
+// (see Tree): it is what makes range partitioning comparably fast with hash
+// and radix. Search, the scalar binary-search baseline, is the tree's test
+// oracle and the baseline of the histogram figures.
 //
 // Partition semantics, used consistently across the package: the partition
 // of key k is the number of delimiters d with d <= k, i.e. the index of the
@@ -30,24 +30,4 @@ func Search[K kv.Key](delims []K, key K) int {
 		}
 	}
 	return lo
-}
-
-// SearchBranchless is the conditional-move formulation of Search. The paper
-// measured it to perform even worse than the branching version, evidence
-// that the bottleneck is the chain of dependent cache loads, not branch
-// mispredictions; it is kept as a benchmark baseline.
-func SearchBranchless[K kv.Key](delims []K, key K) int {
-	base := 0
-	n := len(delims)
-	for n > 1 {
-		half := n / 2
-		if delims[base+half-1] <= key { // compiles to a conditional move
-			base += half
-		}
-		n -= half
-	}
-	if n == 1 && base < len(delims) && delims[base] <= key {
-		base++
-	}
-	return base
 }

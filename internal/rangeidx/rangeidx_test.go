@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/kv"
-	"repro/internal/simd"
 )
 
 // referencePartition is the specification: number of delimiters <= key.
@@ -39,17 +38,6 @@ func TestSearchMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSearchBranchlessMatchesSearch(t *testing.T) {
-	f := func(raw []uint32, key uint32) bool {
-		d := append([]uint32(nil), raw...)
-		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-		return SearchBranchless(d, key) == Search(d, key)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSearchEdgeCases(t *testing.T) {
 	if Search([]uint32{}, 5) != 0 {
 		t.Error("empty delimiters")
@@ -71,78 +59,6 @@ func TestSearchEdgeCases(t *testing.T) {
 	if got := Search(dup, 10); got != 2 {
 		t.Errorf("Search(dup,10) = %d, want 2", got)
 	}
-}
-
-func TestHorizontal17x32(t *testing.T) {
-	for _, nd := range []int{0, 1, 4, 7, 15, 16} {
-		d := sortedDelims(nd, uint64(nd)+1)
-		h := NewHorizontal17x32(d)
-		if h.Fanout() != nd+1 {
-			t.Fatalf("Fanout = %d", h.Fanout())
-		}
-		f := func(key uint32) bool {
-			return h.Partition(key) == referencePartition(d, key)
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Fatalf("nd=%d: %v", nd, err)
-		}
-		// MaxKey must land in the last real partition.
-		if got := h.Partition(^uint32(0)); got != nd {
-			t.Fatalf("nd=%d: Partition(max) = %d", nd, got)
-		}
-	}
-}
-
-func TestHorizontalRejectsTooMany(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for 17 delimiters")
-		}
-	}()
-	NewHorizontal17x32(make([]uint32, 17))
-}
-
-func TestVertical32(t *testing.T) {
-	for _, depth := range []int{1, 2, 3, 4} {
-		maxD := 1<<depth - 1
-		for _, nd := range []int{0, 1, maxD / 2, maxD} {
-			d := sortedDelims(nd, uint64(depth*100+nd)+1)
-			v := NewVertical32(d, depth)
-			if v.Fanout() != nd+1 {
-				t.Fatalf("Fanout = %d", v.Fanout())
-			}
-			f := func(key uint32) bool {
-				return v.Partition(key) == referencePartition(d, key)
-			}
-			if err := quick.Check(f, nil); err != nil {
-				t.Fatalf("depth=%d nd=%d: %v", depth, nd, err)
-			}
-		}
-	}
-}
-
-func TestVertical32Batch(t *testing.T) {
-	d := sortedDelims(7, 99)
-	v := NewVertical32(d, 3)
-	keys := gen.Uniform[uint32](4096, 0, 5)
-	for i := 0; i+4 <= len(keys); i += 4 {
-		got := v.Partition4(simd.Load4x32(keys[i : i+4]))
-		for l := 0; l < 4; l++ {
-			want := referencePartition(d, keys[i+l])
-			if got[l] != want {
-				t.Fatalf("lane %d key %d: got %d want %d", l, keys[i+l], got[l], want)
-			}
-		}
-	}
-}
-
-func TestVerticalValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for depth 5")
-		}
-	}()
-	NewVertical32(nil, 5)
 }
 
 func TestTreeLayout(t *testing.T) {

@@ -1,82 +1,13 @@
 package sortalgo
 
-import (
-	"repro/internal/kv"
-	"repro/internal/simd"
-)
-
-// Lane-wise comb-sort inner loops written against the simd vector
-// substrate: the key exchange is the paper's pair of min/max instructions,
-// and payloads follow their keys through mask blends. One specialization
-// per key width (the lane count differs); the generic scalar fallback in
-// combsort.go covers any other ~uint32/~uint64 type.
-
-// combLanes32 comb-sorts the W=4 lanes of the padded vector array.
-func combLanes32(pk, pv []uint32, nvec int) {
-	gap := nvec
-	for {
-		gap = combGap(gap)
-		swapped := false
-		limit := (nvec - gap) * 4
-		for i := 0; i < limit; i += 4 {
-			j := i + gap*4
-			x := simd.Load4x32(pk[i : i+4])
-			y := simd.Load4x32(pk[j : j+4])
-			m := x.CmpGt(y) // lanes where the pair is out of order
-			if m.Movemask() == 0 {
-				continue
-			}
-			swapped = true
-			x.Min(y).Store(pk[i : i+4])
-			x.Max(y).Store(pk[j : j+4])
-			vx := simd.Load4x32(pv[i : i+4])
-			vy := simd.Load4x32(pv[j : j+4])
-			vx.Blend(vy, m).Store(pv[i : i+4])
-			vy.Blend(vx, m).Store(pv[j : j+4])
-		}
-		if gap == 1 && !swapped {
-			return
-		}
-	}
-}
-
-// combLanes64 comb-sorts the W=2 lanes of the padded vector array.
-func combLanes64(pk, pv []uint64, nvec int) {
-	gap := nvec
-	for {
-		gap = combGap(gap)
-		swapped := false
-		limit := (nvec - gap) * 2
-		for i := 0; i < limit; i += 2 {
-			j := i + gap*2
-			x := simd.Load2x64(pk[i : i+2])
-			y := simd.Load2x64(pk[j : j+2])
-			m := x.CmpGt(y)
-			if m.Movemask() == 0 {
-				continue
-			}
-			swapped = true
-			x.Min(y).Store(pk[i : i+2])
-			x.Max(y).Store(pk[j : j+2])
-			vx := simd.Load2x64(pv[i : i+2])
-			vy := simd.Load2x64(pv[j : j+2])
-			vx.Blend(vy, m).Store(pv[i : i+2])
-			vy.Blend(vx, m).Store(pv[j : j+2])
-		}
-		if gap == 1 && !swapped {
-			return
-		}
-	}
-}
+import "repro/internal/kv"
 
 // combLanes runs the lane-wise comb sort: the two lane counts that exist
-// (W=2 for 64-bit keys, W=4 for 32-bit) dispatch to branch-free unrolled
-// kernels below; the scalar-lane loop at the bottom is their reference (and
-// the path for any other w). Routing each exchange through the simd vector
-// types above would cost ~4x in function-call and copy overhead, so the
-// explicit-vector formulations exist as the structural reference (tests
-// assert they produce byte-identical results) and as the shape the memmodel
-// prices for the paper's hardware.
+// (W=2 for 64-bit keys, W=4 for 32-bit) dispatch to the branch-free
+// unrolled kernels below, which stand in for the paper's min/max pair and
+// payload blends one lane at a time; the scalar-lane loop combLanesGeneric
+// is their reference (and the path for any other w). The memmodel prices
+// the same pass shape on 128-bit vector hardware.
 func combLanes[K kv.Key](pk, pv []K, nvec, w int) {
 	switch w {
 	case 2:
@@ -89,7 +20,7 @@ func combLanes[K kv.Key](pk, pv []K, nvec, w int) {
 }
 
 // combLanesGeneric is the scalar reference lane loop for any lane count;
-// kernels_test.go asserts the unrolled kernels above match it byte for
+// combsimd_test.go asserts the unrolled kernels below match it byte for
 // byte.
 func combLanesGeneric[K kv.Key](pk, pv []K, nvec, w int) {
 	gap := nvec
@@ -116,7 +47,7 @@ func combLanesGeneric[K kv.Key](pk, pv []K, nvec, w int) {
 // laneMask turns an out-of-order comparison into an all-ones/all-zero key
 // mask without a branch (the compiler lowers the conditional assignment to
 // a flag-set, and the negation spreads it): the scalar stand-in for the
-// cmpgt lane mask the SIMD formulation feeds to its payload blends.
+// cmpgt lane mask a vector unit feeds to its payload blends.
 func laneMask[K kv.Key](gt bool) K {
 	var m K
 	if gt {

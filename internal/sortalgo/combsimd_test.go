@@ -7,63 +7,6 @@ import (
 	"repro/internal/gen"
 )
 
-// TestCombLanesVectorEquivalence32 shows the explicit-vector formulation
-// (min/max + payload blends, the paper's instruction sequence) computes
-// exactly what the scalar-lane loop computes.
-func TestCombLanesVectorEquivalence32(t *testing.T) {
-	f := func(seed uint64, sz uint16) bool {
-		nvec := int(sz%512) + 2
-		n := nvec * 4
-		keys := gen.Uniform[uint32](n, 0, seed)
-		vals := gen.RIDs[uint32](n)
-
-		ak := append([]uint32(nil), keys...)
-		av := append([]uint32(nil), vals...)
-		combLanes(ak, av, nvec, 4)
-
-		bk := append([]uint32(nil), keys...)
-		bv := append([]uint32(nil), vals...)
-		combLanes32(bk, bv, nvec)
-
-		for i := range ak {
-			if ak[i] != bk[i] || av[i] != bv[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCombLanesVectorEquivalence64(t *testing.T) {
-	f := func(seed uint64, sz uint16) bool {
-		nvec := int(sz%512) + 2
-		n := nvec * 2
-		keys := gen.Uniform[uint64](n, 0, seed)
-		vals := gen.RIDs[uint64](n)
-
-		ak := append([]uint64(nil), keys...)
-		av := append([]uint64(nil), vals...)
-		combLanes(ak, av, nvec, 2)
-
-		bk := append([]uint64(nil), keys...)
-		bv := append([]uint64(nil), vals...)
-		combLanes64(bk, bv, nvec)
-
-		for i := range ak {
-			if ak[i] != bk[i] || av[i] != bv[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // testCombLanesBranchFreeAgreement asserts the unrolled branch-free lane
 // kernels (combLanes2/combLanes4) match combLanesGeneric byte for byte —
 // same passes, same exchanges — for one key width and lane count.
@@ -109,12 +52,26 @@ func TestCombLanes4Agreement32(t *testing.T) { testCombLanesBranchFreeAgreement[
 func TestCombLanes4Agreement64(t *testing.T) { testCombLanesBranchFreeAgreement[uint64](t, 4) }
 
 // TestCombLanesSortsEachLane verifies the post-comb invariant the W-way
-// merge depends on: every lane is independently sorted.
+// merge depends on: after the production dispatcher runs, every lane is
+// independently sorted and every payload still rides with its key, at
+// both lane counts the sort uses (W=4 on 32-bit keys, W=2 on 64-bit keys).
 func TestCombLanesSortsEachLane(t *testing.T) {
-	const nvec, w = 257, 4
-	keys := gen.Uniform[uint32](nvec*w, 0, 3)
-	vals := gen.RIDs[uint32](nvec * w)
-	combLanes32(keys, vals, nvec)
+	t.Run("W=4/uint32", func(t *testing.T) { testCombLanesSortsEachLane[uint32](t) })
+	t.Run("W=2/uint64", func(t *testing.T) { testCombLanesSortsEachLane[uint64](t) })
+}
+
+func testCombLanesSortsEachLane[K interface{ ~uint32 | ~uint64 }](t *testing.T) {
+	const nvec = 257
+	w := Lanes[K]()
+	keys := gen.Uniform[K](nvec*w, 0, 3)
+	vals := gen.RIDs[K](nvec * w)
+	orig := append([]K(nil), keys...)
+	combLanes(keys, vals, nvec, w)
+	for i, v := range vals {
+		if keys[i] != orig[v] {
+			t.Fatalf("payload %d at %d does not follow its key", v, i)
+		}
+	}
 	for l := 0; l < w; l++ {
 		for v := 1; v < nvec; v++ {
 			if keys[(v-1)*w+l] > keys[v*w+l] {

@@ -9,10 +9,7 @@
 // payload array that travel together.
 package sortalgo
 
-import (
-	"repro/internal/kv"
-	"repro/internal/simd"
-)
+import "repro/internal/kv"
 
 // InsertionSort sorts keys[lo:hi] and the matching payloads in place; the
 // base case for trivially small partitions (Section 4.2.2 sorts 4-8 tuple
@@ -68,9 +65,9 @@ func CombSortScalar[K kv.Key](keys, vals []K) {
 // and 2 for 64-bit keys, matching the paper's 128-bit SSE registers.
 func Lanes[K kv.Key]() int {
 	if kv.Width[K]() == 32 {
-		return simd.W32
+		return 4
 	}
-	return simd.W64
+	return 2
 }
 
 // CombSorter is the in-cache SIMD sorter of Section 4.3.1 (after Inoue et

@@ -11,6 +11,9 @@ test -z "$(gofmt -l .)"
 # every registered metric family present in the operator runbook.
 go run ./cmd/doccheck -ops OPERATIONS.md
 go test ./...
+# Repeatability: the obs tests share the process-wide registry and count
+# descriptors against a leak baseline, so run them twice in one process.
+go test -count=2 -short ./internal/obs/
 go test -race ./internal/part/ ./internal/sortalgo/ .
 go test -race -short ./internal/ws/
 # The external sort runs formation and delivery on concurrent workers:
