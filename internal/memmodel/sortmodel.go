@@ -59,12 +59,8 @@ type SortConfig struct {
 	ZipfTheta    float64
 }
 
-// bitsPerPassIP is the paper's optimal out-of-cache in-place radix
-// fanout (9-10 bits; Figure 3).
-const (
-	bitsPerPassIP = 9
-	rangeFanout   = 1000 // CMP's wide range fanout per pass
-)
+// rangeFanout is CMP's wide range fanout per pass.
+const rangeFanout = 1000
 
 // The LSB digit plan's widths. Out of cache the buffered scatter stays
 // flat up to 10-12 bits (Figure 3), so wide digits buy fewer passes for
@@ -78,26 +74,60 @@ const (
 // MSB's out-of-cache local passes: byte-wide digits, each run as one
 // single-worker block permutation with B = MSBLocalBlockTuples. A worker's
 // buffer blocks, 2^MSBLocalBits × B tuples, are the scratch the planner
-// and sortd's admission estimate charge for them.
+// and sortd's admission estimate charge for them. MSB's parallel first
+// pass (MSBFirstPass) uses the same block, over a digit of up to
+// MSBFirstMaxBits.
 const (
 	MSBLocalBits        = 8
 	MSBLocalBlockTuples = 128
+	MSBFirstMaxBits     = 11
 )
 
-// CMPBlockTuples sizes the block of one CMP range pass, a block
-// permutation of n tuples at the given fanout on workers workers. The
-// classify buffers hold workers × fanout × b tuples, so b starts at the
-// kernel's default block (1024, part.DefaultBlockTuples) and halves,
-// floored at 16, until they fit in a quarter of the input; otherwise a
-// small sort's scratch would exceed the input itself and the whole pass
-// would degenerate into the cleanup path. The sort and the planner's
-// aux model both size CMP's blocks through this one rule.
-func CMPBlockTuples(n, fanout, workers int) int {
-	b := 1024
-	for b > 16 && workers*fanout*b > n/4 {
+// RangeBlockTuples is the largest block of a range pass over a sampled
+// splitter tree (CMP's passes and MSB's skew fallback): large enough to
+// amortize the claim counters of a narrow fanout
+// (part.DefaultBlockTuples).
+const RangeBlockTuples = 1024
+
+// minBlockTuples floors BlockTuples: below it the claim counters and
+// slot labels cost more than the block moves they schedule.
+const minBlockTuples = 16
+
+// BlockTuples sizes the block of one block permutation of n tuples at the
+// given fanout on workers workers, starting from maxBlock. The classify
+// buffers hold workers × fanout × b tuples, so b halves, floored at 16,
+// until they fit in a quarter of the input; otherwise a small sort's
+// scratch would exceed the input itself and the whole pass would
+// degenerate into the cleanup path. Every block permutation of the sorts
+// (CMP's range passes, MSB's first pass) and the planner's aux model size
+// their blocks through this one rule.
+func BlockTuples(n, fanout, workers, maxBlock int) int {
+	b := maxBlock
+	for b > minBlockTuples && workers*fanout*b > n/4 {
 		b >>= 1
 	}
 	return b
+}
+
+// MSBFirstPass returns the digit width and block size of MSB's parallel
+// first pass over n tuples whose keys differ only in their low span bits,
+// on workers workers with a per-worker cache bound of cacheT tuples. The
+// digit is sized from n, as IPS⁴o sizes its fanout (Axtmann et al.):
+// bits.Len(n/cacheT), clamped to [MSBLocalBits, MSBFirstMaxBits], leaves
+// buckets of about half the cache bound, so most inputs reach the
+// in-cache tail after this one shared pass. The block is
+// MSBLocalBlockTuples, shrunk by BlockTuples at small n; when even the
+// 16-tuple floor does not fit a quarter of the input, the digit narrows,
+// down to ⌈log2 workers⌉+1 bits. The digit never exceeds span. The sort,
+// memmodel.Sort and the planner take the first pass from this function.
+func MSBFirstPass(n, span, cacheT, workers int) (digitBits, blockTuples int) {
+	d := min(max(bits.Len(uint(n/max(cacheT, 1))), MSBLocalBits), MSBFirstMaxBits)
+	floor := bits.Len(uint(workers-1)) + 1
+	for d > floor && workers<<d*minBlockTuples > n/4 {
+		d--
+	}
+	d = max(min(d, span), 0)
+	return d, BlockTuples(n, 1<<d, workers, MSBLocalBlockTuples)
 }
 
 // LSBDigits appends to dst the digit bit ranges [lo, hi) of an LSB
@@ -225,9 +255,17 @@ func Sort(p Profile, cfg SortConfig) SortPhases {
 		if lb := int(math.Ceil(math.Log2(float64(n + 1)))); lb < effBits {
 			effBits = lb // MSB covers log n bits, not log D (Section 4.2.2)
 		}
-		// First pass: range split in blocks + synchronized block shuffle.
-		ph.Histogram += float64(n) / Histogram(p, HistRadix, 1<<bitsPerPassIP, kb, t)
-		ph.Partition += PassSeconds(p, NonInPlaceOutOfCache, NUMALocal, 2*t, kb, t, n, cfg.ZipfTheta)
+		// First pass: with more than one worker, one parallel block
+		// permutation over the digit MSBFirstPass sizes from n (the
+		// NUMA-aware run's range split is priced the same); one worker
+		// starts with a local pass.
+		cacheT := cacheTuplesFor(p, kb)
+		first := min(MSBLocalBits, effBits)
+		if t > 1 {
+			first, _ = MSBFirstPass(n, effBits, int(cacheT), t)
+		}
+		ph.Histogram += float64(n) / Histogram(p, HistRadix, 1<<first, kb, t)
+		ph.Partition += PassSeconds(p, NonInPlaceOutOfCache, NUMALocal, 1<<first, kb, t, n, cfg.ZipfTheta)
 		if cfg.NUMAAware && p.Sockets > 1 {
 			// Block shuffle: up to 2 crossings per tuple (Section 3.3.2),
 			// expected (2x^2-3x+1)/x^2 = 1.3125 on 4 regions — 75% more
@@ -236,13 +274,13 @@ func Sort(p Profile, cfg SortConfig) SortPhases {
 			crossings := (2*x*x - 3*x + 1) / (x * x)
 			ph.Shuffle = float64(n) * tupleBytes * crossings / (0.8 * p.WriteBW * 1e9)
 		}
-		remaining := effBits - bitsPerPassIP
-		inCacheBits := int(math.Log2(cacheTuplesFor(p, kb))) - 2
+		remaining := effBits - first
+		inCacheBits := int(math.Log2(cacheT)) - 2
 		for remaining > inCacheBits {
-			// Local passes are block permutations like the first pass:
-			// their classify scan counts the histogram.
-			ph.LocalRadix += PassSeconds(p, NonInPlaceOutOfCache, NUMALocal, 1<<bitsPerPassIP, kb, t, n, cfg.ZipfTheta)
-			remaining -= bitsPerPassIP
+			// Local passes are byte-wide block permutations like the
+			// first pass: their classify scan counts the histogram.
+			ph.LocalRadix += PassSeconds(p, NonInPlaceOutOfCache, NUMALocal, 1<<MSBLocalBits, kb, t, n, cfg.ZipfTheta)
+			remaining -= MSBLocalBits
 		}
 		if remaining > 0 {
 			// One in-cache level: a histogram scan, then an Algorithm 1

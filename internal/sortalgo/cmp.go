@@ -90,7 +90,7 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 		pass0 := obs.BeginPassIn("cmp", 0, -1)
 		starts := w.Ints(fanout + 1)
 		timed(st, "cmp", phPartition, func() {
-			part.BlockPermute(w, keys, vals, tree, memmodel.CMPBlockTuples(n, fanout, t), t, starts, nil, ctl)
+			part.BlockPermute(w, keys, vals, tree, memmodel.BlockTuples(n, fanout, t, memmodel.RangeBlockTuples), t, starts, nil, ctl)
 		})
 		pass0.EndN(int64(n))
 		cmpRecurseAll(keys, vals, starts, ref.SingleKey, opt, ct)
@@ -199,7 +199,7 @@ func cmpRecurse[K kv.Key](keys, vals []K, opt Options, ct int, passNs, leafNs *a
 	ref := splitter.RefineDuplicates(sampled)
 	tree := rangeidx.NewTreeFor(ref.Delims)
 	fanout := tree.Fanout()
-	starts := part.BlockPermute(w, keys, vals, tree, memmodel.CMPBlockTuples(n, fanout, 1), 1, w.Ints(fanout+1), nil, opt.Ctl)
+	starts := part.BlockPermute(w, keys, vals, tree, memmodel.BlockTuples(n, fanout, 1, memmodel.RangeBlockTuples), 1, w.Ints(fanout+1), nil, opt.Ctl)
 	passNs.Add(int64(time.Since(start)))
 	for q := 0; q < fanout; q++ {
 		lo, hi := starts[q], starts[q+1]

@@ -2,6 +2,7 @@ package sortalgo
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -25,19 +26,24 @@ const msbInsertionCutoff = 24
 // MSB is the fully in-place most-significant-bit radix-sort of Section
 // 4.2.2, using a different partitioning variant per memory layer:
 //
-//  1. A T+T'-way hybrid range-radix split, in place, where the sampled
-//     range delimiters guarantee load balance and the radix-boundary
-//     delimiters pin each range inside one high-bits bucket. One parallel
-//     block permutation (part.BlockPermute: the block partition and block
-//     shuffle of Sections 3.2.3, 3.2.4) makes every range contiguous,
-//     metering cross-region block moves (Section 3.3.2) when a topology
-//     is set.
-//  2. Shared-nothing recursion per range: while a segment exceeds the
-//     cache, one byte-wide block permutation on the segment's own worker
-//     (the same part.BlockPermute kernel, one worker, 128-tuple blocks);
-//     below that, Algorithm 1 into a buffer pair of the segment's size
-//     (the paper's in-cache choice, Figs. 2-3), whose copy-back
-//     insertion-sorts the trivial parts.
+//  1. With more than one worker, one parallel in-place block permutation
+//     (part.BlockPermute: the block partition and block shuffle of
+//     Sections 3.2.3, 3.2.4) over one radix digit just below the keys'
+//     shared prefix, its width sized from n (memmodel.MSBFirstPass:
+//     8 bits at 2^21 64-bit pairs up to 11 at 2^24), so that most inputs
+//     reach the in-cache tail after this one shared pass. A sample of 64
+//     keys per worker is read as a skew test: when one digit bucket holds
+//     more than 1/(T+1) of it, or a topology is set, the pass splits on
+//     sampled range delimiters instead, unioned with the boundaries of
+//     the top ⌈log2 T⌉ bits and refined so a heavy key gets a single-key
+//     partition; that range pass meters cross-region block moves
+//     (Section 3.3.2) when a topology is set.
+//  2. Shared-nothing recursion per bucket or range: while a segment
+//     exceeds the cache, one byte-wide block permutation on the segment's
+//     own worker (the same part.BlockPermute kernel, one worker, 128-tuple
+//     blocks); below that, Algorithm 1 into a buffer pair of the
+//     segment's size (the paper's in-cache choice, Figs. 2-3), whose
+//     copy-back insertion-sorts the trivial parts. One worker starts here.
 //
 // The digits start below the key prefix that every input key shares (the
 // highest bit of or ^ and over the keys, found in one scan), not below
@@ -48,7 +54,9 @@ const msbInsertionCutoff = 24
 //
 // MSB is not stable; unlike LSB it covers log n bits instead of log D, so
 // it wins on sparse key domains, and it needs no linear auxiliary array:
-// its scratch is O(threads × (fanout × B + cache bound)).
+// its scratch is O(threads × (fanout × B + cache bound)), the first
+// pass's buffers shrinking with the block at small n to a quarter of the
+// input.
 func MSB[K kv.Key](keys, vals []K, opt Options) {
 	opt = opt.withDefaults()
 	primePool(opt)
@@ -112,7 +120,11 @@ func deinterleaveSpan[K kv.Key](pairs, keys, vals []K) int {
 	return bits.Len64(uint64(or ^ and))
 }
 
-// msbRun is MSB after defaults and instrumentation setup.
+// msbRun is MSB after defaults and instrumentation setup: one worker
+// recurses from the top; more run the shared first pass over the digit
+// and block of memmodel.MSBFirstPass, or over the sampled range split
+// when a topology is set or msbSkewed fires, and then recurse per
+// segment on a worker pool.
 func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	n := len(keys)
 	if n <= 1 {
@@ -142,33 +154,57 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 		return
 	}
 
-	// Step 1: T-1 sampled delimiters unioned with the boundaries of the
-	// top log2(T') bits, then duplicate refinement for heavy keys.
-	topBits := bits.Len(uint(t - 1)) // ceil(log2(T)), >= 1 for T >= 2
-	if topBits < 1 {
-		topBits = 1
+	if span == 0 {
+		return // all keys equal
 	}
-	var ref splitter.Refined[K]
-	var fn *rangeidx.Tree[K]
-	timed(st, "msb", phHistogram, func() {
-		sampled := splitter.ForThreads(keys, t, opt.Seed)
-		delims := splitter.Union(sampled, splitter.RadixBoundaries[K](topBits))
-		ref = splitter.RefineDuplicates(delims)
-		fn = rangeidx.NewTreeFor(ref.Delims)
-	})
 
-	// Fan the keys out into per-range contiguous segments with one block
-	// permutation in O(threads × fanout × B) scratch, metered across
-	// regions on the NUMA-aware path.
+	// Step 1: one parallel block permutation over a radix digit sized from
+	// n, unless a topology asks for metered region moves or the sample
+	// finds a digit bucket too heavy for the other workers to help with;
+	// then the range split.
 	topo := opt.Topo
 	if opt.Oblivious {
 		topo = nil
 	}
-	pass0 := obs.BeginPassIn("msb", 0, -1)
-	starts := opt.Workspace.Ints(fn.Fanout() + 1)
-	timed(st, "msb", phPartition, func() {
-		part.BlockPermute(opt.Workspace, keys, vals, fn, msbBlockTuples[K](), t, starts, topo, ctl)
+	digit, block := memmodel.MSBFirstPass(n, span, ct, t)
+	var ref splitter.Refined[K]
+	var tree *rangeidx.Tree[K]
+	topBits := max(bits.Len(uint(t-1)), 1) // ceil(log2(T)), >= 1
+	timed(st, "msb", phHistogram, func() {
+		sample := splitter.Draw(keys, min(msbSamplePerThread*t, n), opt.Seed)
+		if topo == nil && !msbSkewed(sample, span-digit, t) {
+			return
+		}
+		splitter.Count(len(sample))
+		sampled := splitter.EqualDepth(sample, msbRangesPerThread*t)
+		ref = splitter.RefineDuplicates(splitter.Union(sampled, splitter.RadixBoundaries[K](topBits)))
+		tree = rangeidx.NewTreeFor(ref.Delims)
 	})
+
+	// Fan the keys out into contiguous segments in O(threads × fanout × B)
+	// scratch. A radix bucket's keys share the bits from span-digit up. A
+	// range lies inside one top-bits bucket (the union with the radix
+	// boundaries), and every key shares the bits from span up, so a
+	// range's keys share the bits above both.
+	w := opt.Workspace
+	pass0 := obs.BeginPassIn("msb", 0, -1)
+	var starts []int
+	var hiBit int
+	if tree == nil {
+		fn := pfunc.NewRadix[K](uint(span-digit), uint(span))
+		starts = w.Ints(fn.Fanout() + 1)
+		timed(st, "msb", phPartition, func() {
+			part.BlockPermute(w, keys, vals, fn, block, t, starts, nil, ctl)
+		})
+		hiBit = span - digit
+	} else {
+		starts = w.Ints(tree.Fanout() + 1)
+		block = memmodel.BlockTuples(n, tree.Fanout(), t, memmodel.RangeBlockTuples)
+		timed(st, "msb", phPartition, func() {
+			part.BlockPermute(w, keys, vals, tree, block, t, starts, topo, ctl)
+		})
+		hiBit = min(width-topBits, span)
+	}
 	pass0.EndN(int64(n))
 	if st != nil {
 		st.Passes++
@@ -180,16 +216,12 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 		}
 	}
 
-	// Step 2: shared-nothing recursion per range. The union with radix
-	// boundaries pins each range inside one top-bits bucket, and every
-	// key shares the bits from span up, so recursion covers the bits
-	// below both.
-	hiBit := min(width-topBits, span)
-	w := opt.Workspace
+	// Step 2: shared-nothing recursion per segment over the bits below
+	// hiBit.
 	r := ws.Scratch[msbWorker[K]](w, ws.SlotMsbWork)
 	r.w, r.keys, r.vals = w, keys, vals
 	r.starts, r.singleKey = starts, ref.SingleKey
-	r.hiBit, r.ct, r.nq = hiBit, ct, fn.Fanout()
+	r.hiBit, r.ct, r.nq = hiBit, ct, len(starts)-1
 	r.ctl, r.timed = ctl, st != nil
 	r.next.Store(0)
 	r.busyNs.Store(0)
@@ -202,7 +234,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	r.w, r.keys, r.vals, r.starts, r.singleKey = nil, nil, nil, nil, nil
 	r.ctl = nil
 	ws.PutScratch(w, ws.SlotMsbWork, r)
-	opt.Workspace.PutInts(starts)
+	w.PutInts(starts)
 }
 
 // msbWorker is the worker-pool driver of MSB's shared-nothing recursion:
@@ -252,11 +284,35 @@ func (r *msbWorker[K]) RunTask(wi int) {
 	sp.EndN(done)
 }
 
-// msbBlockTuples is the block size of the first MSB pass: a multiple of
-// the cache-line tuple count, large enough to amortize claim-counter
-// synchronization.
-func msbBlockTuples[K kv.Key]() int {
-	return 1024
+// The first pass's sample: msbSamplePerThread keys per worker, read as a
+// skew test (msbSkewed) and, when it sends the pass to the range split,
+// cut into msbRangesPerThread ranges per worker — 16 sample keys a range,
+// so a key that trips the skew test (over 1/(T+1) of the sample, at least
+// 33 keys) fills two delimiter slots and gets a single-key partition.
+const (
+	msbSamplePerThread = 64
+	msbRangesPerThread = 4
+)
+
+// msbSkewed sorts the sample and reports whether one bucket of the first
+// pass's radix digit (the key bits from shift up; every key shares those
+// above the digit) holds more than 1/(t+1) of it: a bucket near one
+// worker's share, whose recursion the other workers could not help with.
+// A heavy key trips it too, since it fills its own bucket.
+func msbSkewed[K kv.Key](sample []K, shift, t int) bool {
+	slices.Sort(sample)
+	run := 0
+	for i, k := range sample {
+		if i > 0 && k>>shift == sample[i-1]>>shift {
+			run++
+		} else {
+			run = 1
+		}
+		if run*(t+1) > len(sample) {
+			return true
+		}
+	}
+	return false
 }
 
 // cacheTuples returns the per-worker cache-resident segment size in

@@ -177,19 +177,19 @@ func TestMSBSharedPrefix(t *testing.T) {
 // checkPrefixNeutral sorts keys and keys | prefix and compares the
 // tuples each sort partitioned.
 func checkPrefixNeutral[K kv.Key](t *testing.T, keys []K, prefix K, threads int) {
-	plain := msbTuplesPartitioned(t, keys, threads)
+	plain := msbCounters(t, keys, threads).TuplesPartitioned
 	pk := make([]K, len(keys))
 	for i, k := range keys {
 		pk[i] = k | prefix
 	}
-	if got := msbTuplesPartitioned(t, pk, threads); got != plain {
+	if got := msbCounters(t, pk, threads).TuplesPartitioned; got != plain {
 		t.Fatalf("tuples partitioned with the prefix %d, without %d", got, plain)
 	}
 }
 
-// msbTuplesPartitioned sorts a copy of orig with RIDs as payloads,
-// checks the result, and returns the tuples-partitioned counter.
-func msbTuplesPartitioned[K kv.Key](t *testing.T, orig []K, threads int) uint64 {
+// msbCounters sorts a copy of orig with RIDs as payloads, checks the
+// result, and returns the run's counter delta.
+func msbCounters[K kv.Key](t *testing.T, orig []K, threads int) obs.CounterSnapshot {
 	t.Helper()
 	keys := append([]K(nil), orig...)
 	vals := gen.RIDs[K](len(keys))
@@ -199,7 +199,44 @@ func msbTuplesPartitioned[K kv.Key](t *testing.T, orig []K, threads int) uint64 
 	var st Stats
 	MSB(keys, vals, Options{Threads: threads, Stats: &st})
 	checkSorted(t, orig, origV, keys, vals, false)
-	return st.Counters.TuplesPartitioned
+	return st.Counters
+}
+
+// TestMSBFirstPassRadix checks that two workers sort 2^21 uniform 64-bit
+// pairs with one shared radix pass after which every bucket is
+// cache-resident: the kernels move at most 2n tuples (the first pass and
+// the in-cache scatters), and the sample, read only as a skew test,
+// counts no splitter samples.
+func TestMSBFirstPassRadix(t *testing.T) {
+	n := 1 << 21
+	c := msbCounters(t, gen.Uniform[uint64](n, 0, 12), 2)
+	if c.TuplesPartitioned > 2*uint64(n) {
+		t.Fatalf("tuples partitioned %d, want at most 2n = %d", c.TuplesPartitioned, 2*n)
+	}
+	if c.SplitterSamples != 0 {
+		t.Fatalf("splitter samples %d on the radix path, want 0", c.SplitterSamples)
+	}
+}
+
+// TestMSBFirstPassSkew checks the range-split fallback: when half of the
+// keys are one value, the skew test sends two workers' first pass to the
+// sampled split (splitter samples counted), which gives the heavy key a
+// single-key partition that the recursion skips. Were that partition
+// recursed, its n/2 equal keys would take a byte pass per digit below
+// the split, about 3.5n more tuples; skipped, the rest costs under 2n.
+func TestMSBFirstPassSkew(t *testing.T) {
+	n := 1 << 18
+	keys := gen.Uniform[uint64](n, 0, 13)
+	for i := 0; i < n; i += 2 {
+		keys[i] = 0x5555_5555_5555_5555
+	}
+	c := msbCounters(t, keys, 2)
+	if c.SplitterSamples == 0 {
+		t.Fatal("no splitter samples: the skewed input did not take the range split")
+	}
+	if c.TuplesPartitioned >= 3*uint64(n) {
+		t.Fatalf("tuples partitioned %d, want under 3n = %d: the heavy key's partition was recursed", c.TuplesPartitioned, 3*n)
+	}
 }
 
 // TestMSBStatsSplitsCache checks that MSB's Stats put the in-cache

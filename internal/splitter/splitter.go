@@ -18,8 +18,18 @@ import (
 )
 
 // Sample draws size keys uniformly (with replacement) from keys, using a
-// deterministic generator. An empty input yields an empty sample.
+// deterministic generator, and counts them as splitter samples. An empty
+// input yields an empty sample.
 func Sample[K kv.Key](keys []K, size int, seed uint64) []K {
+	s := Draw(keys, size, seed)
+	Count(len(s))
+	return s
+}
+
+// Draw is Sample without the splitter_samples counter, for a caller that
+// may read the sample only as a skew test and count it (Count) once it
+// picks splitters from it.
+func Draw[K kv.Key](keys []K, size int, seed uint64) []K {
 	if len(keys) == 0 || size <= 0 {
 		return nil
 	}
@@ -28,10 +38,14 @@ func Sample[K kv.Key](keys []K, size int, seed uint64) []K {
 	for i := range s {
 		s[i] = keys[r.Uint64n(uint64(len(keys)))]
 	}
-	if o := obs.Cur(); o != nil {
+	return s
+}
+
+// Count adds size keys to the splitter_samples counter.
+func Count(size int) {
+	if o := obs.Cur(); o != nil && size > 0 {
 		o.Counters.SplitterSamples.Add(uint64(size))
 	}
-	return s
 }
 
 // EqualDepth extracts p-1 delimiters from the sample that split it into p
@@ -150,23 +164,22 @@ func RadixBoundaries[K kv.Key](bits int) []K {
 	return out
 }
 
-// Union merges two sorted delimiter sets, dropping duplicates.
+// Union merges two sorted delimiter sets. A value of b already present
+// is dropped, but repeats within a stay, so RefineDuplicates over the
+// result still isolates a key that a (the sampled delimiters) repeats.
 func Union[K kv.Key](a, b []K) []K {
 	out := make([]K, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
-		var v K
-		switch {
-		case j == len(b) || (i < len(a) && a[i] <= b[j]):
-			v = a[i]
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			out = append(out, a[i])
 			i++
-		default:
-			v = b[j]
-			j++
+			continue
 		}
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
+		if len(out) == 0 || out[len(out)-1] != b[j] {
+			out = append(out, b[j])
 		}
+		j++
 	}
 	return out
 }

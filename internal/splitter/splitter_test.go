@@ -1,6 +1,7 @@
 package splitter
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -186,5 +187,20 @@ func TestUnionMerge(t *testing.T) {
 	}
 	if got := Union(nil, b); len(got) != 3 {
 		t.Fatalf("Union(nil,b) = %v", got)
+	}
+}
+
+// TestUnionKeepsSampledRepeats checks that a key the sampled delimiters
+// repeat survives the union with radix boundaries, one of them equal to
+// it, so RefineDuplicates still gives it a single-key partition.
+func TestUnionKeepsSampledRepeats(t *testing.T) {
+	u := Union([]uint32{1 << 30, 3 << 30, 3 << 30}, RadixBoundaries[uint32](2))
+	want := []uint32{1 << 30, 2 << 30, 3 << 30, 3 << 30}
+	if !slices.Equal(u, want) {
+		t.Fatalf("Union = %v, want %v", u, want)
+	}
+	ref := RefineDuplicates(u)
+	if !slices.Equal(ref.Delims, []uint32{1 << 30, 2 << 30, 3 << 30, 3<<30 + 1}) || !ref.SingleKey[3] {
+		t.Fatalf("RefineDuplicates = %v, single %v: 3<<30 not isolated", ref.Delims, ref.SingleKey)
 	}
 }

@@ -74,37 +74,50 @@ func msbPeakAux[K kv.Key](n, threads int) int64 {
 
 // TestMSBAuxCoversMeasuredPeak checks that the aux model covers MSB's
 // measured peak on both sides of the cache bound (16384 64-bit, 32768
-// 32-bit tuples) and on one and two workers. Below the bound the peak is
-// the in-cache branch's buffer pair: one thread at 8192 64-bit pairs
-// holds 128 KiB of it beside 32 KiB of histogram and cursors. The model
-// is read at the sort's own thread count; the planner would run the
-// smaller rows on one worker. Past the bound a worker holds either its
-// local pass's blocks or its in-cache pair, never both, so on the
-// one-worker 2^21 rows, whose peak does not hang on how two workers'
-// recursions overlap, the model may not overshoot the peak by half.
+// 32-bit tuples) and on one and two workers. Below the bound one worker's
+// peak is the in-cache branch's buffer pair: at 8192 64-bit pairs it
+// holds 128 KiB of it beside 32 KiB of histogram and cursors. Two workers
+// run the parallel first pass (memmodel.MSBFirstPass), whose block and
+// digit shrink at small n, and then the recursion over its buckets; the
+// model is read at the sort's own thread count, although the planner
+// would run the smaller rows on one worker. Past the bound a worker holds
+// either its local pass's blocks or its in-cache pair, never both, so on
+// the one-worker 2^21 rows, whose peak does not hang on how two workers'
+// recursions overlap, the model may not overshoot the peak by half, and
+// on every two-worker row, the 2^23 and 2^24 64-bit ones with their 10-
+// and 11-bit first digits included, not by more than twice.
 func TestMSBAuxCoversMeasuredPeak(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sorts 2M pairs")
+		t.Skip("sorts up to 16M pairs")
 	}
+	type row struct{ n, threads, keyBits int }
+	var rows []row
 	for _, n := range []int{4096, 8192, 16384, 1 << 21} {
 		for _, threads := range []int{1, 2} {
 			for _, keyBits := range []int{32, 64} {
-				var peak int64
-				if keyBits == 32 {
-					peak = msbPeakAux[uint32](n, threads)
-				} else {
-					peak = msbPeakAux[uint64](n, threads)
-				}
-				wl := tune.WorkloadStats{N: n, SampleSize: 1024, DomainBits: keyBits, DistinctFrac: 1}
-				model := tune.AuxBytes(tune.AlgoMSB, wl, keyBits, threads)
-				if model < peak {
-					t.Errorf("n=%d threads=%d %d-bit: modeled aux %d B below the measured peak %d B", n, threads, keyBits, model, peak)
-				}
-				if n == 1<<21 && threads == 1 && model > peak*3/2 {
-					t.Errorf("n=%d threads=%d %d-bit: modeled aux %d B over 1.5 × the measured peak %d B", n, threads, keyBits, model, peak)
-				}
-				t.Logf("n=%d threads=%d %d-bit: modeled %d B, measured peak %d B", n, threads, keyBits, model, peak)
+				rows = append(rows, row{n, threads, keyBits})
 			}
 		}
+	}
+	rows = append(rows, row{1 << 23, 2, 64}, row{1 << 24, 2, 64})
+	for _, r := range rows {
+		var peak int64
+		if r.keyBits == 32 {
+			peak = msbPeakAux[uint32](r.n, r.threads)
+		} else {
+			peak = msbPeakAux[uint64](r.n, r.threads)
+		}
+		wl := tune.WorkloadStats{N: r.n, SampleSize: 1024, DomainBits: r.keyBits, DistinctFrac: 1}
+		model := tune.AuxBytes(tune.AlgoMSB, wl, r.keyBits, r.threads)
+		if model < peak {
+			t.Errorf("n=%d threads=%d %d-bit: modeled aux %d B below the measured peak %d B", r.n, r.threads, r.keyBits, model, peak)
+		}
+		if r.n == 1<<21 && r.threads == 1 && model > peak*3/2 {
+			t.Errorf("n=%d threads=%d %d-bit: modeled aux %d B over 1.5 × the measured peak %d B", r.n, r.threads, r.keyBits, model, peak)
+		}
+		if r.threads == 2 && model > peak*2 {
+			t.Errorf("n=%d threads=%d %d-bit: modeled aux %d B over 2 × the measured peak %d B", r.n, r.threads, r.keyBits, model, peak)
+		}
+		t.Logf("n=%d threads=%d %d-bit: modeled %d B, measured peak %d B", r.n, r.threads, r.keyBits, model, peak)
 	}
 }

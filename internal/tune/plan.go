@@ -193,50 +193,60 @@ func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
 		// permutation of one partition at the same fanout cap, its block
 		// shrunk until the buffers fit a quarter of the partition, so T of
 		// them in flight stay below it.
-		b := memmodel.CMPBlockTuples(w.N, defaultRangeFanout, threads)
+		b := memmodel.BlockTuples(w.N, defaultRangeFanout, threads, memmodel.RangeBlockTuples)
 		return blockPermAux(w.N, defaultRangeFanout, b, threads, tuple)
 	case AlgoMSB:
-		// With more than one worker, a block-permutation fan-out over the
-		// union of T−1 sampled delimiters and the 2^⌈log2 T⌉−1 radix
-		// boundaries of the top bits, on at most one worker per block of
-		// the input; one worker runs no first pass. Then each worker's
-		// larger holding of two. Its in-cache segments, m tuples up to the
-		// sort's cache bound (256 KiB of tuples), scatter through a key
-		// and a payload buffer of m tuples with a histogram and a cursor
-		// table of at most m/4 counts; a first-pass range may exceed n/T,
-		// so they are priced at m = min(n, bound). Past the cache bound
-		// its out-of-cache local passes run a one-worker permutation per
-		// byte digit over its share of the input. A worker never holds
-		// both: BlockPermute returns its blocks before the recursion, and
-		// the pair goes back before the in-cache branch recurses.
-		var aux int64
+		// With more than one worker, the first pass: a block permutation
+		// over the digit and block of memmodel.MSBFirstPass, whose buffers
+		// go back before the recursion starts. Then each worker's larger
+		// holding of two, beside the pass's starts. Its in-cache segments,
+		// m tuples up to the sort's cache bound (256 KiB of tuples),
+		// scatter through a key and a payload buffer of m tuples with a
+		// histogram and a cursor table of at most m/4 counts. One worker
+		// starts there with m = min(n, bound); past the first pass m is
+		// the larger of twice the mean digit bucket and a range of the
+		// skew fallback's split (n/4T). A segment past the cache bound
+		// runs a one-worker permutation per byte digit over its share of
+		// the input. A worker never holds both: BlockPermute returns its
+		// blocks before the recursion, and the pair goes back before the
+		// in-cache branch recurses.
+		bound := cacheResidentTuples * 16 / int(tuple)
+		seg, pass, starts := w.N, int64(0), int64(0)
 		if threads > 1 {
-			fanout := threads + 1<<bits.Len(uint(threads-1)) - 1
-			aux = blockPermAux(w.N, fanout, 1024, min(threads, max(1, w.N/1024)), tuple)
+			span := keyBits
+			if w.DomainBits > 0 {
+				span = min(span, w.DomainBits)
+			}
+			digit, block := memmodel.MSBFirstPass(w.N, span, bound, threads)
+			pass = blockPermAux(w.N, 1<<digit, block, min(threads, max(1, w.N/block)), tuple)
+			seg = max(2*w.N>>digit, ceilDiv(w.N, 4*threads))
+			starts = int64(ws.Capacity(1<<digit+1)) * 8
 		}
-		m := min(w.N, cacheResidentTuples*16/int(tuple))
+		m := min(seg, bound)
 		worker := int64(ws.Capacity(m))*tuple + 2*int64(ws.Capacity(max(1, m/4)))*8
-		if w.N > cacheResidentTuples {
+		if seg > bound {
 			worker = max(worker, blockPermAux(ceilDiv(w.N, threads), 1<<memmodel.MSBLocalBits, memmodel.MSBLocalBlockTuples, 1, tuple))
 		}
-		return aux + int64(threads)*worker
+		return max(pass, starts+int64(threads)*worker)
 	default: // LSB
 		return int64(w.N) * tuple // tmp pair
 	}
 }
 
 // blockPermAux prices the scratch of one block permutation of n tuples
-// at fanout f with b-tuple blocks (the sorts' first passes use
-// part.DefaultBlockTuples, 1024) on t workers, at the capacity the
-// workspace arena hands each buffer out (ws.Capacity): the classify
-// buffers and hand blocks of both columns, the per-slot partition
-// column, t histogram rows plus eight more fanout-sized tables (cursors,
-// the used mask, the fix-up lists and gap column, the caller's starts),
-// and a 256-code batch per worker.
+// at fanout f with b-tuple blocks (memmodel.BlockTuples) on t workers, at
+// the capacity the workspace arena hands each buffer out (ws.Capacity):
+// the classify buffers and hand blocks of both columns, the per-slot
+// partition column, t histogram rows plus ten more tables of fanout or
+// worker size (chunk bounds, flush and hand cursors, stripe starts, claim
+// budgets and counters, the caller's starts, the parked-block fix-up's
+// two lists), a 256-code batch per worker, and the gap column of slots
+// no stripe covers — at most one per partial buffer and stripe head.
 func blockPermAux(n, f, b, t int, tuple int64) int64 {
 	buffers := int64(ws.Capacity(t*f*b)+ws.Capacity(t*b)) * tuple
-	slots := int64(ws.Capacity(ceilDiv(n, b))) * 4
-	tables := int64((t+8)*ws.Capacity(f+1))*8 + int64(ws.Capacity(256*t))*4
+	nSlots := ceilDiv(n, b)
+	slots := int64(ws.Capacity(nSlots)+ws.Capacity(min(nSlots, (t+1)*f))) * 4
+	tables := int64((t+10)*ws.Capacity(f+1))*8 + int64(ws.Capacity(256*t))*4
 	return buffers + slots + tables
 }
 
@@ -319,9 +329,11 @@ func lsbDigits(w WorkloadStats, keyBits, radixBits int) [][2]uint {
 // min(domainBits, log2 n) bits, segments shrink by the fanout each pass
 // (so later passes run in cache), and the cache-resident tail is finished
 // by in-cache sorting priced at a few histogram-scan equivalents. The
-// first pass pays a histogram scan and the in-place surcharge; the
-// out-of-cache local passes after it are block permutations whose
-// classify scan counts the histogram, priced as a plain scatter.
+// first pass pays a histogram scan and the in-place surcharge; with more
+// than one worker its digit is the sort's own (memmodel.MSBFirstPass),
+// with one it is a radixBits-wide local pass. The out-of-cache local
+// passes after it are block permutations whose classify scan counts the
+// histogram, priced as a plain scatter.
 func msbCost(p *MachineProfile, w WorkloadStats, keyBits, radixBits, threads int) (float64, int) {
 	domain := w.DomainBits
 	if domain < 1 {
@@ -329,26 +341,21 @@ func msbCost(p *MachineProfile, w WorkloadStats, keyBits, radixBits, threads int
 	}
 	logN := bits.Len(uint(max(w.N, 2) - 1))
 	effBits := min(domain, logN)
-	passes := ceilDiv(effBits, radixBits)
+	first := radixBits
+	if threads > 1 {
+		first, _ = memmodel.MSBFirstPass(w.N, effBits, cacheResidentTuples*64/keyBits, threads)
+	}
 	n := float64(w.N)
-	var ns float64
-	seg := w.N
-	for i := 0; i < passes; i++ {
-		if i == 0 {
-			// A separate histogram scan, and in-place swaps ~25% over the
-			// non-in-place scatter the probes measured (extra load per
-			// slot). Only the first pass can run in cache: the loop stops
-			// once segments fit.
-			ns += n * p.histNs(keyBits)
-			ns += n * 1.25 * scatterFor(p, keyBits, radixBits, seg)
-		} else {
-			ns += n * scatterFor(p, keyBits, radixBits, seg)
-		}
+	// A separate histogram scan, and in-place swaps ~25% over the
+	// non-in-place scatter the probes measured (extra load per slot).
+	// Only the first pass can run in cache: the loop stops once segments
+	// fit.
+	ns := n*p.histNs(keyBits) + n*1.25*scatterFor(p, keyBits, first, w.N)
+	passes := 1
+	for bitsLeft, seg := effBits-first, w.N>>first; bitsLeft > 0 && seg > cacheResidentTuples; bitsLeft -= radixBits {
+		ns += n * scatterFor(p, keyBits, radixBits, seg)
 		seg >>= radixBits
-		if seg <= cacheResidentTuples {
-			passes = i + 1
-			break
-		}
+		passes++
 	}
 	// In-cache finishing of the remaining bits (comb/insertion leaves).
 	ns += n * 3 * p.histNs(keyBits)

@@ -31,9 +31,15 @@ go run ./cmd/sortcli -n 100000 -algo lsb > /dev/null
 go run ./cmd/sortcli -n 200000 -algo msb -threads 4 -regions 4 -verify > /dev/null
 # MSB past the cache bound on one worker and on two: every local pass
 # over a segment above 16384 64-bit / 32768 32-bit tuples is a
-# single-worker block permutation.
+# single-worker block permutation. On two workers the 32-bit lane's
+# 8-bit first pass leaves cache-resident buckets.
 go run ./cmd/sortcli -n 2000000 -algo msb -width 64 -threads 1 -verify > /dev/null
 go run ./cmd/sortcli -n 2000000 -algo msb -width 32 -threads 2 -verify > /dev/null
+# MSB's parallel first pass on one radix digit sized from n: 2^22 64-bit
+# pairs take a 9-bit digit on two workers; the Zipf lane's heavy keys
+# leave buckets past the cache bound, which take local passes.
+go run ./cmd/sortcli -n 4194304 -algo msb -width 64 -threads 2 -verify > /dev/null
+go run ./cmd/sortcli -n 2097152 -algo msb -width 64 -threads 2 -dist zipf -verify > /dev/null
 # MSB wholly in its in-cache branch on one worker: 16000 64-bit Zipf keys
 # stay below the 16384-tuple cache bound, and the heavy keys make parts
 # above the insertion cutoff, which are copied back from the scatter
