@@ -104,7 +104,8 @@ func SortExternalCtx[K Key](ctx context.Context, keys, vals []K, opt *SortOption
 
 // externalOptions resolves the extsort configuration: tune.PlanSpill
 // shapes every knob from the memory budget, explicit Spill* overrides
-// win, and a non-spilling plan widens the segment so the whole input
+// win (an overridden fanout gets the line tune.SpillLineTuples sizes for
+// it), and a non-spilling plan widens the segment so the whole input
 // takes the in-memory path. It also returns the run's aux budget:
 // MaxAuxBytes raised to the plan's floor when set below it.
 func externalOptions[K Key](opt *SortOptions, n int) (extsort.Options, int64) {
@@ -136,6 +137,7 @@ func externalOptions[K Key](opt *SortOptions, n int) (extsort.Options, int64) {
 		}
 		if opt.SpillBucketBits > 0 {
 			eo.BucketBits = opt.SpillBucketBits
+			eo.LineTuples = tune.SpillLineTuples(eo.BucketBits, kv.Width[K](), maxAux, threads)
 		}
 		if opt.SpillMergeWidth > 0 {
 			eo.MergeWidth = opt.SpillMergeWidth

@@ -19,58 +19,28 @@ import (
 )
 
 // runBatch executes one merged batch container and settles every
-// coalesced request.
+// coalesced request. The merged run is one LSB sort of b.n keys, charged
+// and capped like a request of that size. Its requests' charges need not
+// add up to it — the digit plan's tables do not shrink with n, and the
+// arena rounds the tmp pair up to a power of two — so the ledger holds
+// the difference while it runs.
 func (s *Server) runBatch(b *job) {
-	subs := b.subs
-	s.met.batchSize.Observe(uint64(len(subs)), 0)
+	s.met.batchSize.Observe(uint64(len(b.subs)), 0)
 	s.met.batchesMerged.Inc()
 	now := time.Now()
-	for _, sub := range subs {
+	held := -2 * int64(b.n) * int64(b.width/8) // the merged columns' shares
+	for _, sub := range b.subs {
 		s.met.queueWait.ObserveDuration(now.Sub(sub.enq), 0)
+		held += sub.est
 	}
-	if s.baseCtx.Err() != nil {
-		s.settleBatch(b, Result{}, context.Canceled)
-		return
-	}
-	ctx, release := s.runCtx(b)
-	defer release()
-
-	arena := s.arenas.acquire(b.n)
-	defer s.arenas.release(arena)
-	opt := &partsort.SortOptions{
-		Threads:     s.cfg.SortThreads,
-		Workspace:   arena.pub(),
-		MaxAuxBytes: estAux(b.n, b.width, s.cfg.SortThreads),
-		AutoTune:    s.cfg.AutoTune,
-	}
-	var rs partsort.RetryStats
-	pol := s.retryPolicy(&rs)
-
-	start := time.Now()
-	var err error
-	if b.width == 64 {
-		cols := make([][]uint64, len(subs))
-		for i, sub := range subs {
-			cols[i] = sub.req.Keys64
-		}
-		err = batchSort(ctx, cols, opt, pol)
-	} else {
-		cols := make([][]uint32, len(subs))
-		for i, sub := range subs {
-			cols[i] = sub.req.Keys32
-		}
-		err = batchSort(ctx, cols, opt, pol)
-	}
-	dur := time.Since(start)
-	s.met.sortDur(partsort.LSB).ObserveDuration(dur, 0)
-	s.settleBatch(b, Result{
-		SortTime:      dur,
-		Attempts:      rs.Attempts,
-		Stage:         rs.Stage,
-		Degraded:      rs.Degraded,
-		Batched:       true,
-		BatchRequests: len(subs),
-	}, err)
+	b.req = &Request{Algo: partsort.LSB} // what the run sorts with
+	b.est = s.charge(partsort.LSB, b.n, b.width)
+	top := max(0, b.est-held)
+	s.pendingAux.Add(top)
+	res, err := s.execute(b)
+	s.pendingAux.Add(-top)
+	res.Batched, res.BatchRequests = true, len(b.subs)
+	s.settleBatch(b, res, err)
 }
 
 // settleBatch finishes every request of a batch container with a shared

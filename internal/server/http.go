@@ -73,7 +73,7 @@ type ErrorJSON struct {
 	Code  string `json:"code"`
 	// Reason refines "over-budget" rejections: "spill-disabled" (the
 	// server has no spill directory) or "disk-budget" (the request's
-	// spill estimate exceeds the disk ledger).
+	// disk charge exceeds the disk ledger).
 	Reason string `json:"reason,omitempty"`
 }
 

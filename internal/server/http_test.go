@@ -165,7 +165,7 @@ func TestHTTPAdmissionRejectionCarriesRetryAfter(t *testing.T) {
 }
 
 // TestHTTPOverBudget413 is the structured-reason table: a request whose
-// estimated aux exceeds the memory ledger and cannot spill answers 413
+// aux charge exceeds the memory ledger and cannot spill answers 413
 // with code "over-budget" and the reason that closed the door.
 func TestHTTPOverBudget413(t *testing.T) {
 	cases := []struct {
@@ -191,8 +191,9 @@ func TestHTTPOverBudget413(t *testing.T) {
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
-			// 8192 keys: est ≈ 36·n + 64 KiB overflows both ledgers above.
-			keys := make([]string, 8192)
+			// 16384 keys are charged 327,680 B (one-thread MSB's tail
+			// pair), which overflows both ledgers above.
+			keys := make([]string, 16384)
 			for i := range keys {
 				keys[i] = strconv.Itoa(len(keys) - i)
 			}
@@ -229,7 +230,7 @@ func TestHTTPSpillDegradation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const n = 8192
+	const n = 16384 // charged 327,680 B, past the 256 KiB ledger
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = strconv.Itoa((i*2654435761 + 7) % 1000003)

@@ -63,9 +63,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 	m.inflight = reg.Gauge(serverPrefix+"inflight_jobs",
 		"Jobs currently executing on the server's worker pool.")
 	m.pendingAux = reg.Gauge(serverPrefix+"pending_aux_bytes",
-		"Admission ledger: estimated auxiliary bytes of all admitted requests.")
+		"Admission ledger: auxiliary bytes charged to all admitted requests.")
 	m.pendingSpill = reg.Gauge(serverPrefix+"pending_spill_bytes",
-		"Disk ledger: estimated spill-file bytes of all admitted external (over-budget) jobs.")
+		"Disk ledger: spill-file bytes charged to all admitted external (over-budget) jobs.")
 
 	adm := func(outcome string) *obs.Counter {
 		return reg.Counter(serverPrefix+"admissions_total",

@@ -16,6 +16,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -24,7 +25,6 @@ import (
 	"time"
 
 	partsort "repro"
-	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/tune"
 )
@@ -42,31 +42,33 @@ type Config struct {
 	// SortThreads is the worker count of each individual sort (default 1:
 	// parallelism comes from concurrent requests, not from splitting one).
 	SortThreads int
-	// MaxAuxBytes is the admission ledger: the sum of the estimated
-	// auxiliary footprints of all admitted requests may not exceed it
-	// (default: the machine's half-of-available budget). Each admitted
-	// job also carries its own estimate as SortOptions.MaxAuxBytes, so a
-	// run that outgrows its admission promise degrades onto the in-place
-	// paths instead of overdrawing the ledger.
+	// MaxAuxBytes is the admission ledger: the sum of the auxiliary
+	// charges of all admitted requests may not exceed it (default: the
+	// machine's half-of-available budget). A request's charge is the
+	// largest tune.Footprint among the stages the retry supervisor can
+	// run it on, and its run carries the same number as
+	// SortOptions.MaxAuxBytes, so a run that outgrew it would fail its
+	// attempt instead of overdrawing the ledger.
 	MaxAuxBytes int64
 	// MaxTuples caps a single request's key count (default 1<<26);
 	// larger submissions are rejected as too large, never queued.
 	MaxTuples int
-	// SpillDir enables over-budget degradation: a request whose estimated
-	// auxiliary footprint exceeds MaxAuxBytes runs through the external
+	// SpillDir enables over-budget degradation: a request whose auxiliary
+	// charge exceeds MaxAuxBytes runs through the external
 	// (disk-spilling) sort under this directory instead of being rejected.
 	// "" (the default) disables spilling; such requests fail with an
 	// *OverBudgetError.
 	SpillDir string
 	// MaxSpillBytes is the disk ledger shared by every spilling request
-	// (0: unlimited): the summed spill estimates of admitted external jobs
-	// may not exceed it. Requests past it are rejected with an
+	// (0: unlimited): the summed disk charges (tune.SpillPlan.DiskBytes)
+	// of admitted external jobs may not exceed it. Requests past it are rejected with an
 	// *OverBudgetError, never queued — disk, unlike the queue, does not
 	// drain on a retry-later timescale.
 	MaxSpillBytes int64
 	// SpillSegmentTuples overrides the external sort's sealed-run
-	// granularity (0: planned from the per-job memory budget). Mostly a
-	// test hook to force deep file-backed merges on small inputs.
+	// granularity (0: the admitted plan's). Mostly a test hook to force
+	// deep file-backed merges on small inputs; a smaller segment only
+	// shrinks the run below its charge.
 	SpillSegmentTuples int
 	// MaxPerTenant caps one tenant's admitted-but-unfinished requests
 	// (0: no per-tenant cap).
@@ -217,8 +219,8 @@ func (e *TooLargeError) Error() string {
 	return fmt.Sprintf("server: request of %d tuples exceeds the %d-tuple cap", e.N, e.Max)
 }
 
-// OverBudgetError is a submission whose estimated auxiliary footprint
-// exceeds the memory ledger and cannot degrade to the external (spill)
+// OverBudgetError is a submission whose auxiliary charge exceeds the
+// memory ledger and cannot degrade to the external (spill)
 // path. Unlike *AdmissionError it carries no retry hint: the request can
 // never fit this configuration. Front ends translate it to 413 with the
 // structured reason.
@@ -228,7 +230,7 @@ type OverBudgetError struct {
 	Need, Budget int64
 	// Reason is "spill-disabled" (no Config.SpillDir, so the memory
 	// ledger is the hard cap) or "disk-budget" (spilling is enabled but
-	// the request's disk estimate does not fit Config.MaxSpillBytes).
+	// the request's disk charge does not fit Config.MaxSpillBytes).
 	Reason string
 }
 
@@ -250,7 +252,7 @@ type job struct {
 	req   *Request
 	ctx   context.Context
 	n     int   // key count (batch: merged count)
-	est   int64 // admission ledger estimate in bytes
+	est   int64 // admission ledger charge in bytes, and the run's aux cap
 	prio  int
 	seq   uint64
 	enq   time.Time
@@ -262,10 +264,11 @@ type job struct {
 	// same width (Config.coalescible).
 	coalesce bool
 
-	// external routes the job through the disk-spilling sort; spill is
-	// its estimated disk footprint charged to the spill ledger.
+	// external routes the job through the disk-spilling sort on plan,
+	// the shape it was admitted on; plan.DiskBytes is its disk ledger
+	// charge and cap.
 	external bool
-	spill    int64
+	plan     tune.SpillPlan
 }
 
 // Server is the sort service. Create with New, submit with Submit (or
@@ -294,8 +297,8 @@ type Server struct {
 	seq          atomic.Uint64
 	depth        atomic.Int64 // admitted-but-unfinished requests
 	inflight     atomic.Int64 // requests currently executing
-	pendingAux   atomic.Int64 // admission ledger: estimated aux bytes admitted
-	pendingSpill atomic.Int64 // disk ledger: estimated spill bytes admitted
+	pendingAux   atomic.Int64 // admission ledger: aux bytes charged
+	pendingSpill atomic.Int64 // disk ledger: spill bytes charged
 	draining     atomic.Bool
 
 	cancelMu sync.Mutex
@@ -338,33 +341,16 @@ func newServer(cfg Config, popHook func(*job)) *Server {
 	return s
 }
 
-// estAux estimates one request's auxiliary footprint for the admission
-// ledger: the legacy two-column scratch plus a codes column plus the
-// merged-batch columns, with a fixed slack for in-cache tables. A sort
-// past the 256 KiB per-worker cache budget holds per-worker tables on top,
-// charged at the larger of the two algorithms' needs: LSB's out-of-cache
-// digit plan, or the buffer blocks of MSB's out-of-cache local passes.
-// Deliberately conservative — the in-place paths use far less, and the
-// per-job SortOptions.MaxAuxBytes cap holds the run to this promise.
-func estAux(n, width, threads int) int64 {
-	w8 := int64(width / 8)
-	est := int64(n)*(4*w8+4) + (64 << 10)
-	if int64(n)*2*w8 > 256<<10 {
-		est += int64(max(threads, 1)) * max(lsbPlanAux, msbLocalAux*w8)
-	}
-	return est
+// charge is the most one in-memory sort of n width-bit keys holds under
+// the retry supervisor: the largest tune.Footprint among the stages
+// SortResilientCtx can run it on — algo on SortThreads, algo on one
+// thread, and one-thread MSB. It is the job's ledger entry and its run's
+// MaxAuxBytes.
+func (s *Server) charge(algo partsort.Algorithm, n, width int) int64 {
+	a := tune.Algo(algo.String())
+	return max(tune.Footprint(a, n, width, s.cfg.SortThreads), tune.Footprint(a, n, width, 1),
+		tune.Footprint(tune.AlgoMSB, n, width, 1))
 }
-
-// lsbPlanAux is the pooled scratch one worker of LSB's out-of-cache digit
-// plan holds beside the tmp pair: a 64-byte line of keys and one of
-// payloads per partition, the histogram rows of up to six 2^11-bucket
-// digits (one arena class of 2^14 ints), and the starts and write cursors.
-const lsbPlanAux = 2*64<<memmodel.LSBOutOfCacheBits + 8*(1<<14+2<<memmodel.LSBOutOfCacheBits)
-
-// msbLocalAux is the scratch one worker of MSB's out-of-cache local pass
-// holds per key byte: a buffer block of keys and one of payloads per
-// partition (the classify buffers of a single-worker block permutation).
-const msbLocalAux = 2 * (memmodel.MSBLocalBlockTuples << memmodel.MSBLocalBits)
 
 // Submit runs one request through admission, the queue, and an executor
 // (merged with other small requests if it had to wait for one), blocking
@@ -394,12 +380,17 @@ func (s *Server) Submit(ctx context.Context, req *Request) (Result, error) {
 		req:   req,
 		ctx:   ctx,
 		n:     n,
-		est:   estAux(n, width, s.cfg.SortThreads),
+		est:   s.charge(req.Algo, n, width),
 		prio:  req.Priority,
 		seq:   s.seq.Add(1),
 		enq:   time.Now(),
 		done:  make(chan jobResult, 1),
 		width: width,
+	}
+	if j.coalesce = s.cfg.coalescible(j); j.coalesce {
+		// Its share of a merged run's key and request-index columns,
+		// which the batch allocates outside the arena.
+		j.est += 2 * int64(n) * int64(width/8)
 	}
 	if j.est > s.cfg.MaxAuxBytes {
 		// Too big for the memory ledger even alone: degrade to the
@@ -412,17 +403,15 @@ func (s *Server) Submit(ctx context.Context, req *Request) (Result, error) {
 		// plan, not the input: charge the ledger what the run will
 		// actually hold, planned against half the budget so one spilling
 		// job cannot starve the in-memory traffic.
-		plan := tune.PlanSpill(n, width, s.cfg.MaxAuxBytes/2, s.cfg.SortThreads, nil)
-		j.external = true
-		j.spill = spillEst(n, width, s.cfg.SortThreads, plan)
-		j.est = plan.MemBytes
+		j.plan = tune.PlanSpill(n, width, s.cfg.MaxAuxBytes/2, s.cfg.SortThreads, nil)
+		j.external, j.coalesce = true, false
+		j.est = j.plan.MemBytes
 	}
 	s.gate.RLock()
 	if err := s.admit(j); err != nil {
 		s.gate.RUnlock()
 		return Result{}, err
 	}
-	j.coalesce = s.cfg.coalescible(j)
 	s.q.push(j)
 	s.gate.RUnlock()
 
@@ -455,19 +444,19 @@ func (s *Server) admit(j *job) error {
 		s.met.rejectedMemory.Inc()
 		return &AdmissionError{Reason: "memory", RetryAfter: s.retryAfter()}
 	}
-	if j.spill > 0 {
-		if sp := s.pendingSpill.Add(j.spill); s.cfg.MaxSpillBytes > 0 && sp > s.cfg.MaxSpillBytes {
-			s.pendingSpill.Add(-j.spill)
+	if disk := j.plan.DiskBytes; disk > 0 {
+		if sp := s.pendingSpill.Add(disk); s.cfg.MaxSpillBytes > 0 && sp > s.cfg.MaxSpillBytes {
+			s.pendingSpill.Add(-disk)
 			s.pendingAux.Add(-j.est)
 			s.depth.Add(-1)
 			s.met.rejectedOverBudget.Inc()
-			return &OverBudgetError{Need: j.spill, Budget: s.cfg.MaxSpillBytes, Reason: "disk-budget"}
+			return &OverBudgetError{Need: disk, Budget: s.cfg.MaxSpillBytes, Reason: "disk-budget"}
 		}
 		s.met.pendingSpill.Set(float64(s.pendingSpill.Load()))
 	}
 	if !s.tenants.acquire(j.req.Tenant, s.cfg.MaxPerTenant) {
-		if j.spill > 0 {
-			s.pendingSpill.Add(-j.spill)
+		if disk := j.plan.DiskBytes; disk > 0 {
+			s.pendingSpill.Add(-disk)
 			s.met.pendingSpill.Set(float64(s.pendingSpill.Load()))
 		}
 		s.pendingAux.Add(-j.est)
@@ -481,24 +470,10 @@ func (s *Server) admit(j *job) error {
 	return nil
 }
 
-// coalescible reports whether an admitted job may merge into a batched
-// run: key-only, in memory, and at most BatchMaxTuples keys.
+// coalescible reports whether a job may merge into a batched run:
+// key-only, in memory, and at most BatchMaxTuples keys.
 func (c *Config) coalescible(j *job) bool {
 	return !j.external && c.BatchMaxTuples > 0 && !j.req.hasVals() && j.n <= c.BatchMaxTuples
-}
-
-// spillEst bounds one external job's disk footprint, which doubles as
-// its per-run hard cap (SortOptions.MaxSpillBytes): the formation copy
-// of the input plus up to one part-filled extent per chain (each of the
-// threads formation workers fills its own chain per bucket;
-// tune.ExtentTuples), and room for the worst skew, where every bucket
-// overflows its segment: the sealed segments and three merge rounds of
-// re-spill (fan-in up to MergeWidth³ per bucket). The planner's one-pass
-// fanout leaves a uniform input at the formation copy alone.
-func spillEst(n, width, threads int, pl tune.SpillPlan) int64 {
-	pair := int64(width / 4)
-	extentSlack := int64(max(threads, 1)) << pl.BucketBits * int64(pl.ExtentTuples) * pair
-	return 5*int64(n)*pair + extentSlack
 }
 
 // retryAfter scales the client backoff hint with queue pressure: an
@@ -516,8 +491,8 @@ func (s *Server) retryAfter() time.Duration {
 // and the submitter's done channel.
 func (s *Server) finish(j *job, res Result, err error) {
 	s.pendingAux.Add(-j.est)
-	if j.spill > 0 {
-		s.pendingSpill.Add(-j.spill)
+	if disk := j.plan.DiskBytes; disk > 0 {
+		s.pendingSpill.Add(-disk)
 		s.met.pendingSpill.Set(float64(s.pendingSpill.Load()))
 	}
 	s.depth.Add(-1)
@@ -603,9 +578,9 @@ func (s *Server) forceCancelAll() {
 	s.cancelMu.Unlock()
 }
 
-// execute runs one single-request job: over-budget jobs through the
-// external spill pipeline, everything else under the resilient
-// supervisor. Both draw scratch from a pooled arena.
+// execute runs one job on a pooled arena under its charge: a batch
+// container as one merged LSB run, an external job through the
+// disk-spilling sort, anything else under the resilient supervisor.
 func (s *Server) execute(j *job) (Result, error) {
 	if s.baseCtx.Err() != nil {
 		return Result{}, context.Canceled
@@ -616,97 +591,72 @@ func (s *Server) execute(j *job) (Result, error) {
 	arena := s.arenas.acquire(j.n)
 	defer s.arenas.release(arena)
 
-	if j.external {
-		return s.executeExternal(j, ctx, arena)
-	}
-
-	opt := &partsort.SortOptions{
-		Threads:     s.cfg.SortThreads,
-		Workspace:   arena.pub(),
-		MaxAuxBytes: j.est,
-		AutoTune:    s.cfg.AutoTune,
-	}
-	var rs partsort.RetryStats
-	pol := s.retryPolicy(&rs)
-
-	start := time.Now()
-	var err error
-	if j.width == 64 {
-		vals := j.req.Vals64
-		if vals == nil {
-			vals = partsort.RIDs[uint64](j.n)
-		}
-		err = partsort.SortResilientCtx(ctx, j.req.Algo, j.req.Keys64, vals, opt, pol)
-	} else {
-		vals := j.req.Vals32
-		if vals == nil {
-			vals = partsort.RIDs[uint32](j.n)
-		}
-		err = partsort.SortResilientCtx(ctx, j.req.Algo, j.req.Keys32, vals, opt, pol)
-	}
-	dur := time.Since(start)
-	s.met.sortDur(j.req.Algo).ObserveDuration(dur, 0)
-	res := Result{
-		SortTime: dur,
-		Attempts: rs.Attempts,
-		Stage:    rs.Stage,
-		Degraded: rs.Degraded,
-	}
-	if err != nil && j.ctx != nil && j.ctx.Err() != nil {
-		err = j.ctx.Err()
-	}
-	return res, err
-}
-
-// executeExternal runs one over-budget job through the disk-spilling
-// sort. The retry supervisor does not apply: the external pipeline has
-// its own containment (permutation restore, temp-file cleanup), and an
-// input this size has no in-memory fallback to degrade onto.
-func (s *Server) executeExternal(j *job, ctx context.Context, arena *arena) (Result, error) {
-	opt := &partsort.SortOptions{
-		Threads:            s.cfg.SortThreads,
-		Workspace:          arena.pub(),
-		MaxAuxBytes:        j.est,
-		TempDir:            s.cfg.SpillDir,
-		MaxSpillBytes:      j.spill, // the run may not exceed its ledger charge
-		SpillSegmentTuples: s.cfg.SpillSegmentTuples,
-	}
-	start := time.Now()
-	var st partsort.ExternalStats
-	var err error
-	if j.width == 64 {
-		vals := j.req.Vals64
-		if vals == nil {
-			vals = partsort.RIDs[uint64](j.n)
-		}
-		st, err = partsort.SortExternalCtx(ctx, j.req.Keys64, vals, opt)
-	} else {
-		vals := j.req.Vals32
-		if vals == nil {
-			vals = partsort.RIDs[uint32](j.n)
-		}
-		st, err = partsort.SortExternalCtx(ctx, j.req.Keys32, vals, opt)
-	}
-	dur := time.Since(start)
-	s.met.sortDur(j.req.Algo).ObserveDuration(dur, 0)
-	if err == nil && st.Spilled {
-		s.met.spilled.Inc()
-	}
-	res := Result{SortTime: dur, Attempts: 1, Spilled: st.Spilled}
-	if err != nil && j.ctx != nil && j.ctx.Err() != nil {
-		err = j.ctx.Err()
-	}
-	return res, err
-}
-
-// retryPolicy instantiates the per-job policy from the config template.
-func (s *Server) retryPolicy(rs *partsort.RetryStats) *partsort.RetryPolicy {
+	opt := s.options(j, arena.pub())
 	var pol partsort.RetryPolicy
 	if s.cfg.Retry != nil {
 		pol = *s.cfg.Retry
 	}
-	pol.Stats = rs
-	return &pol
+	rs := partsort.RetryStats{Attempts: 1} // the external sort runs once
+	pol.Stats = &rs
+	start := time.Now()
+	var spilled bool
+	var err error
+	if j.width == 64 {
+		spilled, err = sortJob(ctx, j, opt, &pol, func(r *Request) ([]uint64, []uint64) { return r.Keys64, r.Vals64 })
+	} else {
+		spilled, err = sortJob(ctx, j, opt, &pol, func(r *Request) ([]uint32, []uint32) { return r.Keys32, r.Vals32 })
+	}
+	dur := time.Since(start)
+	s.met.sortDur(j.req.Algo).ObserveDuration(dur, 0)
+	if err == nil && spilled {
+		s.met.spilled.Inc()
+	}
+	if err != nil && j.ctx != nil && j.ctx.Err() != nil {
+		err = j.ctx.Err()
+	}
+	return Result{SortTime: dur, Attempts: rs.Attempts, Stage: rs.Stage, Degraded: rs.Degraded, Spilled: spilled}, err
+}
+
+// options builds the SortOptions a job runs under. Its charge is its
+// aux cap. An external job runs the spill plan it was admitted on — its
+// segment, fanout and merge width — capped at that plan's DiskBytes; the
+// retry supervisor does not apply to it (the external pipeline has its
+// own containment, and an input this size has no in-memory fallback).
+func (s *Server) options(j *job, w *partsort.Workspace) *partsort.SortOptions {
+	opt := &partsort.SortOptions{Threads: s.cfg.SortThreads, Workspace: w, MaxAuxBytes: j.est}
+	if !j.external {
+		opt.AutoTune = s.cfg.AutoTune
+		return opt
+	}
+	opt.TempDir = s.cfg.SpillDir
+	opt.MaxSpillBytes = j.plan.DiskBytes
+	opt.SpillSegmentTuples = cmp.Or(s.cfg.SpillSegmentTuples, j.plan.SegmentTuples)
+	opt.SpillBucketBits = j.plan.BucketBits
+	opt.SpillMergeWidth = j.plan.MergeWidth
+	return opt
+}
+
+// sortJob runs j on the key and payload columns cols picks out of a
+// request: a batch container's merged run, an external job's spill sort,
+// or one supervised in-memory sort, with row ids as the payload of a
+// key-only request. It reports whether the external sort spilled.
+func sortJob[K partsort.Key](ctx context.Context, j *job, opt *partsort.SortOptions, pol *partsort.RetryPolicy, cols func(*Request) (keys, vals []K)) (bool, error) {
+	if j.subs != nil {
+		merged := make([][]K, len(j.subs))
+		for i, sub := range j.subs {
+			merged[i], _ = cols(sub.req)
+		}
+		return false, batchSort(ctx, merged, opt, pol)
+	}
+	keys, vals := cols(j.req)
+	if vals == nil {
+		vals = partsort.RIDs[K](len(keys))
+	}
+	if j.external {
+		st, err := partsort.SortExternalCtx(ctx, keys, vals, opt)
+		return st.Spilled, err
+	}
+	return false, partsort.SortResilientCtx(ctx, j.req.Algo, keys, vals, opt, pol)
 }
 
 // Draining reports whether the server has stopped admitting requests.
@@ -719,7 +669,7 @@ func (s *Server) QueueDepth() int { return int(s.depth.Load()) }
 func (s *Server) PendingAuxBytes() int64 { return s.pendingAux.Load() }
 
 // PendingSpillBytes returns the disk ledger's current charge: the summed
-// spill estimates of admitted external jobs.
+// disk charges of admitted external jobs.
 func (s *Server) PendingSpillBytes() int64 { return s.pendingSpill.Load() }
 
 // AuxBytes returns the auxiliary scratch bytes currently checked out of

@@ -94,7 +94,7 @@ func TestSubmitSpillsOverBudgetRequest(t *testing.T) {
 	s := New(cfg)
 	defer drainOK(t, s)
 
-	const n = 16384 // est ≈ 36·n + 64 KiB, well past the 256 KiB ledger
+	const n = 16384 // charged 327,680 B (one-thread MSB's tail pair), past the 256 KiB ledger
 	keys := randKeys(n, 99)
 	vals := make([]uint64, n)
 	for i, k := range keys {
@@ -167,60 +167,6 @@ func TestSubmitSortsAllWidthsAndAlgos(t *testing.T) {
 	// Empty request short-circuits without touching the queue.
 	if _, err := s.Submit(context.Background(), &Request{Algo: partsort.LSB, Keys64: []uint64{}}); err != nil {
 		t.Fatalf("empty Submit: %v", err)
-	}
-}
-
-// TestAuxEstimateCoversSortPlans pins the per-request aux budget against
-// the out-of-cache scratch of LSB's digit plan and of MSB's local block
-// permutations: estAux becomes the run's MaxAuxBytes, so tables or buffer
-// blocks that outgrow it would fail every request once with a resource
-// error and degrade it through the retry supervisor. The sizes straddle
-// the in-cache bound (16384 64-bit / 32768 32-bit tuples), where LSB
-// switches from 8-bit to 11-bit digits and MSB's local passes leave
-// Algorithm 2 for the block permutation.
-func TestAuxEstimateCoversSortPlans(t *testing.T) {
-	for _, algo := range []partsort.Algorithm{partsort.LSB, partsort.MSB} {
-		for _, threads := range []int{1, 2} {
-			cfg := testConfig()
-			cfg.BatchMaxTuples = -1
-			cfg.SortThreads = threads
-			s := New(cfg)
-			submitGrid(t, s, algo, threads)
-			drainOK(t, s)
-		}
-	}
-}
-
-// submitGrid runs one algo request per size and key width through s and
-// fails unless each completes on its first attempt.
-func submitGrid(t *testing.T, s *Server, algo partsort.Algorithm, threads int) {
-	t.Helper()
-	for _, n := range []int{4096, 16384, 16385, 32769, 65536, 1 << 18} {
-		for _, width := range []int{32, 64} {
-			req := &Request{Algo: algo}
-			keys := randKeys(n, int64(n+width))
-			if width == 64 {
-				req.Keys64 = keys
-			} else {
-				req.Keys32 = make([]uint32, n)
-				for i, k := range keys {
-					req.Keys32[i] = uint32(k)
-				}
-			}
-			res, err := s.Submit(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%v threads=%d n=%d width=%d: Submit: %v", algo, threads, n, width, err)
-			}
-			if res.Attempts != 1 || res.Degraded {
-				t.Fatalf("%v threads=%d n=%d width=%d: %d attempts, degraded=%v; want one clean attempt",
-					algo, threads, n, width, res.Attempts, res.Degraded)
-			}
-			if width == 64 {
-				checkSorted(t, req.Keys64)
-			} else if !slices.IsSorted(req.Keys32) {
-				t.Fatalf("%v threads=%d n=%d width=32: not sorted", algo, threads, n)
-			}
-		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"math/bits"
 
 	"repro/internal/memmodel"
+	"repro/internal/part"
 	"repro/internal/ws"
 )
 
@@ -43,8 +44,9 @@ type Requirements struct {
 	MaxThreads int
 	// MaxBytes caps the auxiliary memory a plan may budget for scratch
 	// arrays (0: half of the machine's available memory, see
-	// DefaultAuxBudget). When LSB's linear tmp pair exceeds the cap, the
-	// free algorithm choice takes the in-place MSB instead. It does not
+	// DefaultAuxBudget). When LSB's Footprint exceeds the cap, the free
+	// algorithm choice takes the in-place MSB instead, and a forced LSB
+	// keeps its working-set digits unless tuned ones fit. It does not
 	// move CMP, which always plans in place.
 	MaxBytes int64
 }
@@ -75,7 +77,7 @@ type Plan struct {
 	// takes a linear tmp pair.
 	InPlace bool `json:"in_place"`
 	// AuxBytes is the modeled peak auxiliary footprint of the chosen
-	// layout in bytes.
+	// layout in bytes (Footprint).
 	AuxBytes int64 `json:"aux_bytes"`
 }
 
@@ -145,8 +147,8 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 			} else {
 				algo = AlgoMSB
 			}
-			if algo == AlgoLSB && auxBytes(AlgoLSB, w, kb, threads) > budget {
-				// LSB's linear tmp pair does not fit: MSB sorts in place.
+			if algo == AlgoLSB && Footprint(AlgoLSB, w.N, kb, threads) > budget {
+				// LSB's tmp pair and tables do not fit: MSB sorts in place.
 				algo = AlgoMSB
 			}
 		}
@@ -160,15 +162,21 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 		base, _ := cmpCost(p, w, kb, 1)
 		plan.BaselineNs = base
 		plan.InPlace = true
-		plan.AuxBytes = auxBytes(AlgoCMP, w, kb, threads)
+		plan.AuxBytes = Footprint(AlgoCMP, w.N, kb, threads)
 	case AlgoMSB:
 		plan.RadixBits, plan.Passes, plan.PredictedNs = pickBits(p, w, kb, threads, defaultRadixBits, msbCost)
 		base, _ := msbCost(p, w, kb, defaultRadixBits, 1)
 		plan.BaselineNs = base
 		plan.InPlace = true
-		plan.AuxBytes = auxBytes(AlgoMSB, w, kb, threads)
+		plan.AuxBytes = Footprint(AlgoMSB, w.N, kb, threads)
 	default:
 		plan.RadixBits, plan.Passes, plan.PredictedNs = pickBits(p, w, kb, threads, lsbPlanBits, lsbCost)
+		if plan.RadixBits != lsbPlanBits && lsbFootprint(w.N, kb, max(threads, req.MaxThreads), plan.RadixBits) > budget {
+			// The tuned digits' tables do not fit at the worker count the
+			// run may use; the working-set plan's fit if its Footprint does.
+			plan.RadixBits = lsbPlanBits
+			plan.PredictedNs, plan.Passes = lsbCost(p, w, kb, lsbPlanBits, threads)
+		}
 		if plan.RadixBits == lsbPlanBits {
 			// The plan stays; report its widest digit, which as a fixed
 			// width runs the same number of passes.
@@ -176,25 +184,34 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 		}
 		base, _ := lsbCost(p, w, kb, lsbPlanBits, 1)
 		plan.BaselineNs = base
-		plan.AuxBytes = auxBytes(AlgoLSB, w, kb, threads)
+		plan.AuxBytes = lsbFootprint(w.N, kb, threads, plan.RadixBits)
 	}
 	return plan
 }
 
-// auxBytes models the peak auxiliary footprint of one algorithm's layout
-// in bytes: LSB's linear tmp pair, and the block-permutation scratch of
-// the in-place MSB and CMP.
-func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
-	tuple := int64(2 * keyBits / 8) // one key + one payload of key width
+// Footprint is the one in-memory footprint model: the peak auxiliary
+// bytes of a sort of n tuples of keyBits-bit keys on threads workers,
+// every buffer priced at the capacity the arena meters (ws.Capacity) and
+// the key span taken as the full width. The planner, PlanSpill's phases
+// and sortd's admission charge all read it.
+func Footprint(algo Algo, n, keyBits, threads int) int64 {
+	w8 := int64(keyBits / 8)
+	tuple := 2 * w8                                // one key + one payload of key width
+	bound := cacheResidentTuples * 16 / int(tuple) // the sorts' cache bound in tuples
+	capI := func(elems int) int64 { return int64(ws.Capacity(elems)) * 8 }
 	switch algo {
 	case AlgoCMP:
-		// The first pass's block permutation, its block sized by the
+		// An input within the cache bound is one in-place leaf. Above it,
+		// the first pass's block permutation, its block sized by the
 		// sort's own rule. Each later range pass is a one-worker
 		// permutation of one partition at the same fanout cap, its block
 		// shrunk until the buffers fit a quarter of the partition, so T of
 		// them in flight stay below it.
-		b := memmodel.BlockTuples(w.N, defaultRangeFanout, threads, memmodel.RangeBlockTuples)
-		return blockPermAux(w.N, defaultRangeFanout, b, threads, tuple)
+		if n <= bound {
+			return 0
+		}
+		b := memmodel.BlockTuples(n, defaultRangeFanout, threads, memmodel.RangeBlockTuples)
+		return blockPermAux(n, defaultRangeFanout, b, threads, tuple)
 	case AlgoMSB:
 		// With more than one worker, the first pass: a block permutation
 		// over the digit and block of memmodel.MSBFirstPass, whose buffers
@@ -209,28 +226,52 @@ func auxBytes(algo Algo, w WorkloadStats, keyBits, threads int) int64 {
 		// runs a one-worker permutation per byte digit over its share of
 		// the input. A worker never holds both: BlockPermute returns its
 		// blocks before the recursion, and the pair goes back before the
-		// in-cache branch recurses.
-		bound := cacheResidentTuples * 16 / int(tuple)
-		seg, pass, starts := w.N, int64(0), int64(0)
+		// in-cache branch recurses. A narrower span narrows the digit.
+		seg, pass, starts := n, int64(0), int64(0)
 		if threads > 1 {
-			span := keyBits
-			if w.DomainBits > 0 {
-				span = min(span, w.DomainBits)
-			}
-			digit, block := memmodel.MSBFirstPass(w.N, span, bound, threads)
-			pass = blockPermAux(w.N, 1<<digit, block, min(threads, max(1, w.N/block)), tuple)
-			seg = max(2*w.N>>digit, ceilDiv(w.N, 4*threads))
-			starts = int64(ws.Capacity(1<<digit+1)) * 8
+			digit, block := memmodel.MSBFirstPass(n, keyBits, bound, threads)
+			pass = blockPermAux(n, 1<<digit, block, min(threads, max(1, n/block)), tuple)
+			seg = max(2*n>>digit, ceilDiv(n, 4*threads))
+			starts = capI(1<<digit + 1)
 		}
 		m := min(seg, bound)
-		worker := int64(ws.Capacity(m))*tuple + 2*int64(ws.Capacity(max(1, m/4)))*8
+		worker := int64(ws.Capacity(m))*tuple + 2*capI(max(1, m/4))
 		if seg > bound {
-			worker = max(worker, blockPermAux(ceilDiv(w.N, threads), 1<<memmodel.MSBLocalBits, memmodel.MSBLocalBlockTuples, 1, tuple))
+			worker = max(worker, blockPermAux(ceilDiv(n, threads), 1<<memmodel.MSBLocalBits, memmodel.MSBLocalBlockTuples, 1, tuple))
 		}
 		return max(pass, starts+int64(threads)*worker)
-	default: // LSB
-		return int64(w.N) * tuple // tmp pair
+	default:
+		return lsbFootprint(n, keyBits, threads, lsbPlanBits)
 	}
+}
+
+// lsbFootprint is Footprint's LSB arm for radixBits-wide digits (0: the
+// working-set plan): the tmp pair and the tables of the widest digit's
+// fanout f. One worker holds every digit's histogram row in one flat
+// buffer, and in cache Algorithm 1's offsets, out of cache Algorithm 3's
+// starts, cursors and a 64-byte line per partition and column. More
+// workers hold per pass a histogram and a starts row each, the chunk
+// bounds, the global starts, and every worker's lines and cursors.
+func lsbFootprint(n, keyBits, threads, radixBits int) int64 {
+	w8 := int64(keyBits / 8)
+	inCache := lsbInCache(WorkloadStats{N: n}, keyBits)
+	var plan [part.MaxRadixPasses][2]uint
+	digits := memmodel.LSBDigits(plan[:0], keyBits, radixBits, inCache, 1)
+	f := 0
+	for _, d := range digits {
+		f = max(f, 1<<(d[1]-d[0]))
+	}
+	capI := func(elems int) int64 { return int64(ws.Capacity(elems)) * 8 }
+	lines := func(t int) int64 { return 2 * int64(ws.Capacity(t*f*64/int(w8))) * w8 }
+	pair := 2 * int64(ws.Capacity(n)) * w8
+	if threads > 1 {
+		return pair + 2*int64(threads)*capI(f) + capI(threads+1) + capI(f) + capI(threads*f) + lines(threads)
+	}
+	pair += capI(part.MultiHistogramFlatLen(digits))
+	if inCache {
+		return pair + capI(f)
+	}
+	return pair + 2*capI(f) + lines(1)
 }
 
 // blockPermAux prices the scratch of one block permutation of n tuples

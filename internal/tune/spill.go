@@ -69,6 +69,12 @@ type SpillPlan struct {
 	// pipeline, its largest phase's — what an admission ledger should
 	// charge for the run.
 	MemBytes int64 `json:"mem_bytes"`
+	// DiskBytes bounds a run's spill files — what a disk ledger should
+	// charge and cap it at: one part-filled extent per worker's chain per
+	// bucket, and five copies of the input: formation's, and under the
+	// worst skew the sealed segments and three merge rounds of re-spill.
+	// A uniform input writes the formation copy alone.
+	DiskBytes int64 `json:"disk_bytes"`
 }
 
 // PlanSpill shapes the external pipeline for n tuples of keyBits-bit keys
@@ -112,6 +118,7 @@ func PlanSpill(n, keyBits int, maxAux int64, threads int, p *MachineProfile) Spi
 	// The in-memory paths budget roughly two extra columns per input
 	// column (scratch ping-pong plus codes); spill once that cannot fit.
 	pl.Spill = int64(n)*4*w8 > maxAux
+	pl.DiskBytes = (5*int64(n) + int64(threads)<<pl.BucketBits*int64(pl.ExtentTuples)) * 2 * w8
 	return pl
 }
 
@@ -121,9 +128,6 @@ func spillShape(n, keyBits int, maxAux int64, threads, ncpu int, seg int64) Spil
 	pair := 2 * w8
 	pl := SpillPlan{SegmentTuples: int(seg)}
 
-	// Write-combining line: 8 KiB of interleaved pairs per bucket.
-	line := clampInt64((8<<10)/pair, minLineTuples, 4096)
-
 	// Fanout: aim for one formation pass. The expected bucket fill gets
 	// variance headroom under one segment (at most seg/2), so delivery
 	// sorts each bucket straight into its output range and only buckets
@@ -131,17 +135,12 @@ func spillShape(n, keyBits int, maxAux int64, threads, ncpu int, seg int64) Spil
 	// each worker's formation slab (fanout × line × pair), which must fit
 	// an eighth of the budget (1/(2T) of it past four workers) with lines
 	// of at least minLineTuples.
-	slabAux := maxAux / int64(max(8, 2*threads))
 	buckets := ceilDiv64(max(int64(n), 1), max(seg/2, 1))
-	capBits := bits.Len64(uint64(slabAux/(minLineTuples*pair))) - 1
+	capBits := bits.Len64(uint64(maxAux/int64(max(8, 2*threads))/(minLineTuples*pair))) - 1
 	pl.BucketBits = clampInt(bits.Len64(uint64(buckets-1)), 1, clampInt(capBits, 1, MaxBucketBits))
 	fanout := int64(1) << pl.BucketBits
-
-	// Shrink the line until the slab fits its share.
-	for line > minLineTuples && fanout*line*pair > slabAux {
-		line /= 2
-	}
-	pl.LineTuples = int(line)
+	pl.LineTuples = SpillLineTuples(pl.BucketBits, keyBits, maxAux, threads)
+	line := int64(pl.LineTuples)
 	pl.ExtentTuples = ExtentTuples(n, pl.BucketBits, pl.LineTuples, threads)
 
 	// Merge: W iterators × 2 prefetch blocks × block pairs ≤ half the
@@ -161,12 +160,29 @@ func spillShape(n, keyBits int, maxAux int64, threads, ncpu int, seg int64) Spil
 	// out for it (ws.Capacity), which is what its ledger meters.
 	capB := func(elems int64) int64 { return int64(ws.Capacity(int(elems))) * w8 }
 	T := int64(threads)
-	msb := func(m int64, t int) int64 { return auxBytes(AlgoMSB, WorkloadStats{N: int(m)}, keyBits, t) }
+	msb := func(m int64, t int) int64 { return Footprint(AlgoMSB, int(m), keyBits, t) }
 	formation := T * capB(fanout*2*line)
 	delivery := T * (capB(2*seg) + msb(seg, 1))
 	overflow := capB(2*seg) + 2*capB(seg) + max(msb(seg, threads), int64(w)*capB(4*block))
 	pl.MemBytes = max(formation, delivery, overflow) + spillSlackBytes
 	return pl
+}
+
+// SpillLineTuples is the formation line rule for 1<<bucketBits buckets of
+// keyBits-bit pairs under maxAux bytes (<=0: DefaultAuxBudget) on threads
+// workers: 8 KiB of pairs per bucket, halved down to 64 tuples until one
+// worker's slab fits its share of the budget. SortExternal applies it to
+// an overridden fanout too.
+func SpillLineTuples(bucketBits, keyBits int, maxAux int64, threads int) int {
+	if maxAux <= 0 {
+		maxAux = DefaultAuxBudget()
+	}
+	pair := int64(keyBits / 4)
+	line := clampInt64((8<<10)/pair, minLineTuples, 4096)
+	for line > minLineTuples && int64(1)<<bucketBits*line*pair > maxAux/int64(max(8, 2*threads)) {
+		line /= 2
+	}
+	return int(line)
 }
 
 // ExtentTuples is the formation extent rule, the one reservation unit for

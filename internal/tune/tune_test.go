@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/memmodel"
 )
 
 // quickProfile calibrates once per test binary (quick budget).
@@ -327,5 +328,27 @@ func TestLSBPricesDigitPlan(t *testing.T) {
 	}
 	if _, passes := lsbCost(quickProfile, WorkloadStats{N: 1 << 22, DomainBits: 22}, 32, lsbPlanBits, 1); passes != 2 {
 		t.Fatalf("22-bit out-of-cache plan priced at %d passes, want 2", passes)
+	}
+}
+
+// TestLSBTunedDigitsFitBudget checks that the planner tunes LSB's digits
+// only within its budget: on a profile whose flat scatter curve makes
+// two 14-bit passes over a 28-bit domain beat three working-set passes,
+// the free plan takes the wide digits, and a budget of the working-set
+// plan's Footprint keeps that plan, whose tables fit it. sortd charges
+// an auto-tuned request that Footprint, so its run never outgrows it.
+func TestLSBTunedDigitsFitBudget(t *testing.T) {
+	p := fixedProfile()
+	p.Scatter32 = []ScatterPoint{{Bits: 4, InCacheNs: 2, OutCacheNs: 2}, {Bits: 14, InCacheNs: 2, OutCacheNs: 2}}
+	w := WorkloadStats{N: 1 << 17, SampleSize: 1024, DomainBits: 28, DistinctFrac: 1}
+	budget := Footprint(AlgoLSB, w.N, 32, 2)
+	free := Choose(p, w, Requirements{KeyBits: 32, Force: AlgoLSB, MaxThreads: 2})
+	if free.RadixBits <= memmodel.LSBOutOfCacheBits || free.AuxBytes <= budget {
+		t.Fatalf("free plan: %d-bit digits, %d B; want wider than the working-set plan and over %d B",
+			free.RadixBits, free.AuxBytes, budget)
+	}
+	tight := Choose(p, w, Requirements{KeyBits: 32, Force: AlgoLSB, MaxThreads: 2, MaxBytes: budget})
+	if tight.RadixBits > memmodel.LSBOutOfCacheBits || tight.AuxBytes > budget {
+		t.Fatalf("budgeted plan: %d-bit digits, %d B over a %d-B budget", tight.RadixBits, tight.AuxBytes, budget)
 	}
 }

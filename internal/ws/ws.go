@@ -69,7 +69,10 @@ func classSize(c int) int {
 // out for an n-element request: its power-of-two size class (at least
 // 64), or n itself past the largest class, which is allocated exactly.
 // The arena meters that capacity, so aux models price requests through
-// it. Ints may lend a buffer up to spillClasses classes larger.
+// it. Without a budget, Ints may lend a buffer up to spillClasses classes
+// larger and Matrix may keep a pooled row of a larger class; under a
+// budget (SetBudget) every acquisition is metered at exactly this
+// capacity, so a run's peak in a warm arena is its peak in a fresh one.
 func Capacity(n int) int {
 	if n <= 0 {
 		return 0
@@ -80,12 +83,13 @@ func Capacity(n int) int {
 	return n
 }
 
-// spillClasses is how many classes above the requested one an acquisition
-// may borrow from: a sort whose early wide-fanout passes pooled large
-// histogram/offset buffers serves later narrow-fanout passes from those
-// same buffers (re-sliced; a returned buffer still pools under its true
-// capacity class) instead of taking an allocation miss. Bounded so a tiny
-// request can waste at most 16x its size, and so the scan stays O(1).
+// spillClasses is how many classes above the requested one an
+// unbudgeted acquisition may borrow from: a sort whose early wide-fanout
+// passes pooled large histogram/offset buffers serves later narrow-fanout
+// passes from those same buffers (re-sliced; a returned buffer still pools
+// under its true capacity class) instead of taking an allocation miss.
+// Bounded so a tiny request can waste at most 16x its size, and so the
+// scan stays O(1).
 const spillClasses = 4
 
 // spillLimit returns the last class an acquisition of class c may borrow
@@ -385,7 +389,8 @@ func (w *Workspace) putU64(s []uint64) {
 }
 
 // Ints returns an []int of length n (contents undefined; callers that need
-// zeros clear it). Allocates plainly when w is nil.
+// zeros clear it). Allocates plainly when w is nil. Only an arena without
+// a budget lends a buffer of a larger class (see Capacity).
 func (w *Workspace) Ints(n int) []int {
 	if n == 0 {
 		return nil
@@ -395,8 +400,12 @@ func (w *Workspace) Ints(n int) []int {
 	}
 	c := classFor(n)
 	if c >= 0 {
+		last := c
+		if w.auxBudget.Load() <= 0 {
+			last = spillLimit(c)
+		}
 		w.mu.Lock()
-		for cc := c; cc <= spillLimit(c); cc++ {
+		for cc := c; cc <= last; cc++ {
 			if l := w.ints[cc]; len(l) > 0 {
 				b := l[len(l)-1]
 				w.ints[cc] = l[:len(l)-1]
@@ -426,6 +435,12 @@ func (w *Workspace) PutInts(s []int) {
 		return
 	}
 	w.auxRelease(intSize * cap(s))
+	w.poolInts(s)
+}
+
+// poolInts files an unmetered buffer under its capacity class (dropping
+// capacities no class has).
+func (w *Workspace) poolInts(s []int) {
 	c := classFor(cap(s))
 	if c < 0 || classSize(c) != cap(s) {
 		return
@@ -498,7 +513,9 @@ func (w *Workspace) ResizeInts(row []int, n int) []int {
 
 // Matrix returns a rows x cols [][]int (contents undefined): the shape of
 // per-worker histogram and offset tables. The spine and the rows are both
-// pooled; return the whole matrix with PutMatrix.
+// pooled; return the whole matrix with PutMatrix. A pooled row too small
+// for cols, or under a budget of another class than cols needs, goes back
+// to the Ints classes for a row of the right one.
 func (w *Workspace) Matrix(rows, cols int) [][]int {
 	if rows == 0 {
 		return nil
@@ -524,15 +541,19 @@ func (w *Workspace) Matrix(rows, cols int) [][]int {
 			w.hit()
 		}
 	}
+	exact := w != nil && w.auxBudget.Load() > 0
 	for i := range m {
-		if cap(m[i]) >= cols {
+		if c := cap(m[i]); c >= cols && (!exact || c == Capacity(cols)) {
 			m[i] = m[i][:cols]
 			if w != nil {
-				w.auxAcquire(intSize * cap(m[i]))
+				w.auxAcquire(intSize * c)
 			}
-		} else {
-			m[i] = w.Ints(cols)
+			continue
 		}
+		if w != nil && cap(m[i]) > 0 {
+			w.poolInts(m[i])
+		}
+		m[i] = w.Ints(cols)
 	}
 	return m
 }

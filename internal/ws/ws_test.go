@@ -82,6 +82,32 @@ func TestIntsSpillReuse(t *testing.T) {
 	}
 }
 
+// TestBudgetMetersExactClasses checks that a budgeted arena meters every
+// acquisition at ws.Capacity of its request, so a model priced by
+// Capacity bounds a run in a warm arena too: Ints lends no larger pooled
+// class, and a pooled matrix row of a larger class goes back to the Ints
+// classes for one of the request's. Both still reuse what fits exactly.
+func TestBudgetMetersExactClasses(t *testing.T) {
+	w := New()
+	w.SetBudget(1 << 20)
+	w.PutInts(w.Ints(4096))
+	if narrow := w.Ints(256); cap(narrow) != 256 || w.AuxBytes() != uint64(256*intSize) {
+		t.Fatalf("budgeted narrow request: cap %d, %d B metered; want 256 ints", cap(narrow), w.AuxBytes())
+	} else {
+		w.PutInts(narrow)
+	}
+	w.PutMatrix(w.Matrix(2, 4096))
+	m := w.Matrix(2, 256)
+	if cap(m[0]) != 256 || cap(m[1]) != 256 || w.AuxBytes() != uint64(2*256*intSize) {
+		t.Fatalf("budgeted narrow matrix: row caps %d/%d, %d B metered; want 256 ints a row",
+			cap(m[0]), cap(m[1]), w.AuxBytes())
+	}
+	w.PutMatrix(m)
+	if wide := w.Ints(4096); cap(wide) != 4096 {
+		t.Fatalf("the re-pooled 4096-int row was not reused: cap %d", cap(wide))
+	}
+}
+
 func TestPutRejectsForeignBuffers(t *testing.T) {
 	w := New()
 	w.PutInts(make([]int, 100)) // cap 100 is not a class size: dropped

@@ -77,7 +77,8 @@ type SortOptions struct {
 	// segment long are sorted in memory without touching disk.
 	SpillSegmentTuples int
 	// SpillBucketBits overrides the external run-formation fanout in bits
-	// (0: planned; at most 16).
+	// (0: planned; at most 16). The write-combining lines are sized for
+	// the overridden fanout, so formation stays within MaxAuxBytes.
 	SpillBucketBits int
 	// SpillMergeWidth overrides the external merge fan-in cap (0:
 	// planned; at most 16).

@@ -157,9 +157,11 @@ go run ./cmd/tunecli -load "$obsdir/profile.json" -plan-maxbytes 1048576 > /dev/
 # failing unless the server families are being served), then SIGTERM —
 # a clean drain (ledger and arenas at zero) is sortd exit code 0. The
 # daemon runs with a 4 MiB memory ledger and a spill dir, and roughly
-# one request in eight is a 131072-key -large request that overflows the
-# ledger — exercising the over-budget degradation onto the external
-# sort under concurrent load (every response still verified sorted).
+# one request in eight is a 262144-key -large LSB request, charged its
+# ~4.6 MB footprint, that overflows the ledger — exercising the
+# over-budget degradation onto the external sort under concurrent load
+# (every response still verified sorted). The lane fails unless at
+# least one large response came back spilled.
 go test ./internal/server/
 go build -o "$obsdir/sortd" ./cmd/sortd
 go build -o "$obsdir/sortload" ./cmd/sortload
@@ -168,8 +170,10 @@ mkdir -p "$obsdir/spill"
     -max-aux 4194304 -spill-dir "$obsdir/spill" -drain-timeout 30s &
 sortd_pid=$!
 "$obsdir/sortload" -addr 127.0.0.1:18070 -clients 16 -requests 400 -n 2048 \
-    -large-n 131072 -large-every 8 \
-    -wait 15s -metrics-url http://127.0.0.1:18090/metrics
+    -large-n 262144 -large-every 8 \
+    -wait 15s -metrics-url http://127.0.0.1:18090/metrics > "$obsdir/sortload.out"
+cat "$obsdir/sortload.out"
+grep -Eq '^sortload: \[large\] .* [1-9][0-9]* spilled in ' "$obsdir/sortload.out"
 kill -TERM "$sortd_pid"
 wait "$sortd_pid"
 # A drained daemon leaves no spill files behind.
