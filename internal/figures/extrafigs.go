@@ -70,6 +70,7 @@ func FigAblation(cfg Config) *Table {
 		Columns: []string{"knob", "value", "Mtuples/s"},
 		Notes: []string{
 			"paper picks: 10-12 radix bits per out-of-cache pass, range fanout from the {360,1000,1800} menu, blocks large enough to amortize claim-counter traffic",
+			"cmp-range-fanout is the cap: each CMP pass sizes its fanout as ceil(4n/cacheTuples) below it, so caps above that size run the same sort",
 		},
 	}
 
@@ -85,8 +86,9 @@ func FigAblation(cfg Config) *Table {
 		t.AddRow("lsb-radix-bits", fmt.Sprint(bits), f1(mtps(n, d)))
 	}
 
-	// CMP range fanout.
-	for _, fanout := range []int{72, 360, 1000, 1800} {
+	// CMP range fanout cap, at and below the fanout the first pass sizes
+	// from n (128 at the default 1M 32-bit tuples).
+	for _, fanout := range []int{16, 64, 360} {
 		keys := gen.Uniform[uint32](n, 0, 5)
 		vals := gen.RIDs[uint32](n)
 		tmpK := make([]uint32, n)

@@ -37,14 +37,35 @@ func TestBlockTuples(t *testing.T) {
 	cases := []struct {
 		n, fanout, workers, max, want int
 	}{
-		{6_000_000, 360, 2, RangeBlockTuples, 1024},
-		{2_000_000, 360, 2, RangeBlockTuples, 512},
+		{6_000_000, 360, 2, MSBLocalBlockTuples, 128},
+		{2_000_000, 360, 2, MSBLocalBlockTuples, 128},
+		{1 << 17, 360, 2, MSBLocalBlockTuples, 32},
 		{1 << 21, 256, 2, MSBLocalBlockTuples, 128},
 		{1 << 15, 256, 4, MSBLocalBlockTuples, 16},
 	}
 	for _, c := range cases {
 		if got := BlockTuples(c.n, c.fanout, c.workers, c.max); got != c.want {
 			t.Errorf("BlockTuples(%d, %d, %d, %d) = %d, want %d", c.n, c.fanout, c.workers, c.max, got, c.want)
+		}
+	}
+}
+
+// TestCMPFanout pins CMP's per-pass fanout, ⌈4n/cacheT⌉ within [2, cap],
+// on 64-bit pairs (cacheT 16384): capped at 2^21 and for the first pass
+// of 2^23, small for the second pass of 2^23 (a ~23k-tuple partition),
+// and the floor just past the cache bound and under a small cap.
+func TestCMPFanout(t *testing.T) {
+	cases := []struct{ n, cacheT, cap, want int }{
+		{1 << 21, 16384, RangeFanout, 360},
+		{1 << 23, 16384, RangeFanout, 360},
+		{(1 << 23) / 360, 16384, RangeFanout, 6},
+		{1 << 18, 16384, RangeFanout, 64},
+		{16385, 16384, RangeFanout, 5},
+		{1 << 14, 128, 2, 2},
+	}
+	for _, c := range cases {
+		if got := CMPFanout(c.n, c.cacheT, c.cap); got != c.want {
+			t.Errorf("CMPFanout(%d, %d, %d) = %d, want %d", c.n, c.cacheT, c.cap, got, c.want)
 		}
 	}
 }

@@ -59,8 +59,10 @@ type SortConfig struct {
 	ZipfTheta    float64
 }
 
-// rangeFanout is CMP's wide range fanout per pass.
-const rangeFanout = 1000
+// RangeFanout caps the fanout of a CMP range pass (CMPFanout): the
+// default of sortalgo.Options.RangeFanout, and the cap the planner and
+// the sort model price.
+const RangeFanout = 360
 
 // The LSB digit plan's widths. Out of cache the buffered scatter stays
 // flat up to 10-12 bits (Figure 3), so wide digits buy fewer passes for
@@ -74,20 +76,15 @@ const (
 // MSB's out-of-cache local passes: byte-wide digits, each run as one
 // single-worker block permutation with B = MSBLocalBlockTuples. A worker's
 // buffer blocks, 2^MSBLocalBits × B tuples, are the scratch the planner
-// and sortd's admission estimate charge for them. MSB's parallel first
-// pass (MSBFirstPass) uses the same block, over a digit of up to
-// MSBFirstMaxBits.
+// and sortd's admission estimate charge for them. MSBLocalBlockTuples is
+// also the largest block of every other block permutation of the sorts
+// (BlockTuples): MSB's parallel first pass (MSBFirstPass, over a digit of
+// up to MSBFirstMaxBits), its range split and CMP's range passes.
 const (
 	MSBLocalBits        = 8
 	MSBLocalBlockTuples = 128
 	MSBFirstMaxBits     = 11
 )
-
-// RangeBlockTuples is the largest block of a range pass over a sampled
-// splitter tree (CMP's passes and MSB's skew fallback): large enough to
-// amortize the claim counters of a narrow fanout
-// (part.DefaultBlockTuples).
-const RangeBlockTuples = 1024
 
 // minBlockTuples floors BlockTuples: below it the claim counters and
 // slot labels cost more than the block moves they schedule.
@@ -99,8 +96,11 @@ const minBlockTuples = 16
 // until they fit in a quarter of the input; otherwise a small sort's
 // scratch would exceed the input itself and the whole pass would
 // degenerate into the cleanup path. Every block permutation of the sorts
-// (CMP's range passes, MSB's first pass) and the planner's aux model size
-// their blocks through this one rule.
+// (CMP's range passes, MSB's first pass and range split) and the
+// planner's footprint model size their blocks through this one rule,
+// from maxBlock = MSBLocalBlockTuples: at CMP's 360-way cap and 16-byte
+// tuples a worker's buffers are then 360 × 128 × 16 B = 720 KiB, within
+// a 2 MiB L2, where 1024-tuple blocks held 5.6 MiB.
 func BlockTuples(n, fanout, workers, maxBlock int) int {
 	b := maxBlock
 	for b > minBlockTuples && workers*fanout*b > n/4 {
@@ -128,6 +128,18 @@ func MSBFirstPass(n, span, cacheT, workers int) (digitBits, blockTuples int) {
 	}
 	d = max(min(d, span), 0)
 	return d, BlockTuples(n, 1<<d, workers, MSBLocalBlockTuples)
+}
+
+// CMPFanout returns the fanout of one CMP range pass over a segment of n
+// tuples with a per-worker cache bound of cacheT tuples, sized from n as
+// IPS⁴o sizes its fanout (Axtmann et al.): ⌈4n/cacheT⌉, at least 2 and
+// at most maxFanout. The pass leaves partitions of about a quarter of the
+// cache bound, so a segment within maxFanout × cacheT/4 tuples reaches
+// its leaves in one pass, and a larger one takes a capped pass and then
+// one small pass per partition. The sort, memmodel.Sort and the planner
+// all take each pass's fanout from this function.
+func CMPFanout(n, cacheT, maxFanout int) int {
+	return min(maxFanout, max(2, (4*n+cacheT-1)/cacheT))
 }
 
 // LSBDigits appends to dst the digit bit ranges [lo, hi) of an LSB
@@ -301,31 +313,28 @@ func Sort(p Profile, cfg SortConfig) SortPhases {
 		if !cfg.PreAllocated {
 			ph.Alloc = float64(n) * tupleBytes / (allocBW * 1e9)
 		}
-		cacheT := cacheTuplesFor(p, kb)
-		passes := 0
-		rem := float64(n) // segment size shrinks by the fanout each pass
-		for rem > cacheT {
-			passes++
-			rem /= rangeFanout
-		}
-		if passes < 1 {
-			passes = 1
-		}
-		// Skew makes CMP faster twice over (Section 4.3.2 / Section 5):
+		// Range passes until the segments are cache-resident, each at
+		// the fanout CMPFanout sizes from its segment; an input within the
+		// cache bound is one leaf. Skew makes CMP faster twice over
+		// (Section 4.3.2 / Section 5):
 		// heavy keys land in single-key partitions after the first pass,
 		// which need no further passes and no in-cache sorting; and the
 		// Zipf caching effect speeds the remaining partitioning.
+		cacheT := int(cacheTuplesFor(p, kb))
 		dup := 0.0
 		if cfg.ZipfTheta >= 0.9 {
 			dup = clamp01(1.25 * (cfg.ZipfTheta - 0.8))
 		}
-		for i := 0; i < passes; i++ {
+		seg := n
+		for i := 0; seg > cacheT; i++ {
+			fanout := CMPFanout(seg, cacheT, RangeFanout)
 			frac := 1.0
 			if i > 0 {
 				frac = 1 - dup
 			}
-			ph.Histogram += frac * float64(n) / Histogram(p, HistRangeIndex, rangeFanout, kb, t)
-			ph.Partition += frac * PassSeconds(p, NonInPlaceOutOfCache, mode(i == 0), rangeFanout, kb, t, n, cfg.ZipfTheta)
+			ph.Histogram += frac * float64(n) / Histogram(p, HistRangeIndex, fanout, kb, t)
+			ph.Partition += frac * PassSeconds(p, NonInPlaceOutOfCache, mode(i == 0), fanout, kb, t, n, cfg.ZipfTheta)
+			seg = (seg + fanout - 1) / fanout
 		}
 		if cfg.NUMAAware && p.Sockets > 1 {
 			ph.Shuffle = PassSeconds(p, NonInPlaceOutOfCache, NUMAShuffle, p.Sockets, kb, t, n, 0)

@@ -18,10 +18,11 @@ package part
 //     check on every masked increment (verify with
 //     go build -gcflags='-d=ssa/check_bce' ./internal/part), and the
 //     remainder tail is a straight scalar loop of at most unroll-1 steps.
-//   - fixed-size line moves: a 64-byte line flush through copy() pays a
-//     runtime.memmove call; copyLine compiles to straight-line vector moves
-//     for the two line shapes that exist (8 tuples for 64-bit keys, 16 for
-//     32-bit).
+//   - unclipped line flushes: a full line whose partition share holds all
+//     of it is one copy() per column, skipping flushLineAt's clipping. The
+//     copy is a runtime.memmove call; a fixed-size array assignment of the
+//     64-byte line compiles to the same call, and unrolled word moves that
+//     avoid it measured no faster.
 //
 // Every kernel in this file has a scalar reference in part.go, incache.go,
 // or outcache.go, and kernels_test.go asserts bit-identical results across
@@ -62,22 +63,9 @@ func histogramRadixAccum[K kv.Key](hist []int, keys []K, shift uint, mask K) {
 	}
 }
 
-// copyLine moves one full line of tuples with a fixed-size assignment.
-// Only two line shapes exist (LineTuples: 8 tuples for 64-bit keys, 16 for
-// 32-bit), so both compile to straight-line moves instead of a
-// runtime.memmove call — at 64 bytes the call overhead is the dominant
-// cost. dst and src must both hold exactly l elements.
-func copyLine[K kv.Key](dst, src []K, l int) {
-	if l == 8 {
-		*(*[8]K)(dst) = *(*[8]K)(src)
-		return
-	}
-	*(*[16]K)(dst) = *(*[16]K)(src)
-}
-
 // scatterLinesRadix is scatterLines specialized for radix functions:
 // direct digit extraction, cursor array bounded once, and full (unclipped)
-// line flushes routed to the fixed-size copyLine. The clipped head line of
+// line flushes as one copy per column. The clipped head line of
 // each partition share still goes through flushLineAt, so outputs are
 // bit-identical to the generic reference.
 func scatterLinesRadix[K kv.Key](srcK, srcV, dstK, dstV []K, shift uint, mask K, buf *lineBuffers[K], off, starts []int) {
@@ -102,8 +90,8 @@ func scatterLinesRadix[K kv.Key](srcK, srcV, dstK, dstV []K, shift uint, mask K,
 			lo := o + 1 - l
 			if lo >= starts[p] {
 				b := p * l
-				copyLine(dstK[lo:o+1], bufK[b:b+l], l)
-				copyLine(dstV[lo:o+1], bufV[b:b+l], l)
+				copy(dstK[lo:o+1], bufK[b:b+l])
+				copy(dstV[lo:o+1], bufV[b:b+l])
 			} else {
 				flushLineAt(bufK, bufV, dstK, dstV, starts, p, o, l)
 			}
@@ -143,8 +131,8 @@ func scatterLinesCodesFast[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, 
 			lo := o + 1 - l
 			if lo >= starts[p0] {
 				b := p0 * l
-				copyLine(dstK[lo:o+1], bufK[b:b+l], l)
-				copyLine(dstV[lo:o+1], bufV[b:b+l], l)
+				copy(dstK[lo:o+1], bufK[b:b+l])
+				copy(dstV[lo:o+1], bufV[b:b+l])
 			} else {
 				flushLineAt(bufK, bufV, dstK, dstV, starts, p0, o, l)
 			}
@@ -160,8 +148,8 @@ func scatterLinesCodesFast[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, 
 			lo := o + 1 - l
 			if lo >= starts[p1] {
 				b := p1 * l
-				copyLine(dstK[lo:o+1], bufK[b:b+l], l)
-				copyLine(dstV[lo:o+1], bufV[b:b+l], l)
+				copy(dstK[lo:o+1], bufK[b:b+l])
+				copy(dstV[lo:o+1], bufV[b:b+l])
 			} else {
 				flushLineAt(bufK, bufV, dstK, dstV, starts, p1, o, l)
 			}
@@ -248,8 +236,8 @@ func inPlaceInCacheRadix[K kv.Key](keys, vals []K, shift uint, mask K, hist, off
 }
 
 // inPlaceOutOfCacheRadix is inPlaceOutOfCache's buffered swap-cycle body
-// specialized for radix functions: inlined digit extraction plus fixed-size
-// line loads and flushes for full lines. Same cursor discipline as the
+// specialized for radix functions: inlined digit extraction, and a full
+// line flushed by one copy per column. Same cursor discipline as the
 // generic reference, so results are bit-identical.
 func inPlaceOutOfCacheRadix[K kv.Key](keys, vals []K, shift uint, mask K, hist []int, buf *lineBuffers[K], cursors []int) {
 	np := len(hist)
@@ -299,8 +287,8 @@ func inPlaceOutOfCacheRadix[K kv.Key](keys, vals []K, shift uint, mask K, hist [
 				// Line fully written: stream it out and stage the next one.
 				if hi[d]-lo[d] == l {
 					b := d * l
-					copyLine(keys[lo[d]:hi[d]], bufK[b:b+l], l)
-					copyLine(vals[lo[d]:hi[d]], bufV[b:b+l], l)
+					copy(keys[lo[d]:hi[d]], bufK[b:b+l])
+					copy(vals[lo[d]:hi[d]], bufV[b:b+l])
 					buf.flushes++
 				} else {
 					flushLine(buf, keys, vals, lo[d], hi[d], d, l)

@@ -199,7 +199,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 		hiBit = span - digit
 	} else {
 		starts = w.Ints(tree.Fanout() + 1)
-		block = memmodel.BlockTuples(n, tree.Fanout(), t, memmodel.RangeBlockTuples)
+		block = memmodel.BlockTuples(n, tree.Fanout(), t, memmodel.MSBLocalBlockTuples)
 		timed(st, "msb", phPartition, func() {
 			part.BlockPermute(w, keys, vals, tree, block, t, starts, topo, ctl)
 		})

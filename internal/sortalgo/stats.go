@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/hard"
+	"repro/internal/memmodel"
 	"repro/internal/numa"
 	"repro/internal/obs"
 	"repro/internal/tune"
@@ -249,8 +250,9 @@ type Options struct {
 	// 8-bit digits when the sort fits in cache, otherwise the fewest
 	// passes of at most 11 bits each, of near-equal width.
 	RadixBits int
-	// RangeFanout is the per-pass fanout of the comparison sort
-	// (default 360).
+	// RangeFanout caps the per-pass fanout of the comparison sort, which
+	// sizes each pass from its segment (memmodel.CMPFanout; default cap
+	// memmodel.RangeFanout, 360).
 	RangeFanout int
 	// CacheTuples overrides the cache-resident segment size in tuples used
 	// to switch to in-cache variants (default: 256 KiB worth of tuples).
@@ -280,7 +282,7 @@ func (o Options) withDefaults() Options {
 		o.Threads = 1
 	}
 	if o.RangeFanout < 2 {
-		o.RangeFanout = 360
+		o.RangeFanout = memmodel.RangeFanout
 	}
 	if o.Seed == 0 {
 		o.Seed = 0x5EED

@@ -58,7 +58,7 @@ type Plan struct {
 	Algo Algo `json:"algo"`
 	// RadixBits is the per-pass radix fanout in bits.
 	RadixBits int `json:"radix_bits"`
-	// RangeFanout is the comparison sort's per-pass fanout.
+	// RangeFanout caps the comparison sort's per-pass fanout (memmodel.CMPFanout).
 	RangeFanout int `json:"range_fanout"`
 	// Threads is the planned worker count.
 	Threads int `json:"threads"`
@@ -85,9 +85,8 @@ type Plan struct {
 // is priced against). LSB's default digits are the working-set plan,
 // radix width 0 (memmodel.LSBDigits).
 const (
-	defaultRadixBits   = 8
-	lsbPlanBits        = 0
-	defaultRangeFanout = 360
+	defaultRadixBits = 8
+	lsbPlanBits      = 0
 	// stickyMargin keeps the default radix width unless a candidate beats
 	// it by more than this factor: within measurement noise of the probes,
 	// matching the static path exactly is worth more than a modeled sliver.
@@ -154,7 +153,7 @@ func Choose(p *MachineProfile, w WorkloadStats, req Requirements) Plan {
 		}
 	}
 
-	plan := Plan{Algo: algo, RangeFanout: defaultRangeFanout, Threads: threads}
+	plan := Plan{Algo: algo, RangeFanout: memmodel.RangeFanout, Threads: threads}
 	switch algo {
 	case AlgoCMP:
 		plan.RadixBits = defaultRadixBits
@@ -202,16 +201,23 @@ func Footprint(algo Algo, n, keyBits, threads int) int64 {
 	switch algo {
 	case AlgoCMP:
 		// An input within the cache bound is one in-place leaf. Above it,
-		// the first pass's block permutation, its block sized by the
-		// sort's own rule. Each later range pass is a one-worker
-		// permutation of one partition at the same fanout cap, its block
-		// shrunk until the buffers fit a quarter of the partition, so T of
-		// them in flight stay below it.
+		// the first pass's block permutation at the fanout and block the
+		// sort sizes from n. Its starts stay held while T workers recurse,
+		// each through a one-worker pass sized from its partition when
+		// that partition is past the cache bound; a partition is priced
+		// at twice the mean.
 		if n <= bound {
 			return 0
 		}
-		b := memmodel.BlockTuples(n, defaultRangeFanout, threads, memmodel.RangeBlockTuples)
-		return blockPermAux(n, defaultRangeFanout, b, threads, tuple)
+		f := memmodel.CMPFanout(n, bound, memmodel.RangeFanout)
+		pass := blockPermAux(n, f, memmodel.BlockTuples(n, f, threads, memmodel.MSBLocalBlockTuples), threads, tuple)
+		m := 2 * ceilDiv(n, f)
+		if m <= bound {
+			return pass
+		}
+		f2 := memmodel.CMPFanout(m, bound, memmodel.RangeFanout)
+		rec := blockPermAux(m, f2, memmodel.BlockTuples(m, f2, 1, memmodel.MSBLocalBlockTuples), 1, tuple)
+		return max(pass, capI(f+1)+int64(threads)*rec)
 	case AlgoMSB:
 		// With more than one worker, the first pass: a block permutation
 		// over the digit and block of memmodel.MSBFirstPass, whose buffers
@@ -247,11 +253,12 @@ func Footprint(algo Algo, n, keyBits, threads int) int64 {
 
 // lsbFootprint is Footprint's LSB arm for radixBits-wide digits (0: the
 // working-set plan): the tmp pair and the tables of the widest digit's
-// fanout f. One worker holds every digit's histogram row in one flat
-// buffer, and in cache Algorithm 1's offsets, out of cache Algorithm 3's
-// starts, cursors and a 64-byte line per partition and column. More
-// workers hold per pass a histogram and a starts row each, the chunk
-// bounds, the global starts, and every worker's lines and cursors.
+// fanout f. One worker, which also runs every in-cache sort, holds every
+// digit's histogram row in one flat buffer, and in cache Algorithm 1's
+// offsets, out of cache Algorithm 3's starts, cursors and a 64-byte line
+// per partition and column. More workers hold per pass a histogram and a
+// starts row each, the chunk bounds, the global starts, and every
+// worker's lines and cursors.
 func lsbFootprint(n, keyBits, threads, radixBits int) int64 {
 	w8 := int64(keyBits / 8)
 	inCache := lsbInCache(WorkloadStats{N: n}, keyBits)
@@ -264,7 +271,7 @@ func lsbFootprint(n, keyBits, threads, radixBits int) int64 {
 	capI := func(elems int) int64 { return int64(ws.Capacity(elems)) * 8 }
 	lines := func(t int) int64 { return 2 * int64(ws.Capacity(t*f*64/int(w8))) * w8 }
 	pair := 2 * int64(ws.Capacity(n)) * w8
-	if threads > 1 {
+	if threads > 1 && !inCache {
 		return pair + 2*int64(threads)*capI(f) + capI(threads+1) + capI(f) + capI(threads*f) + lines(threads)
 	}
 	pair += capI(part.MultiHistogramFlatLen(digits))
@@ -343,10 +350,13 @@ func scatterFor(p *MachineProfile, keyBits, radixBits, segTuples int) float64 {
 // scan (radix histograms are value-based, so every pass's histogram comes
 // from one read), then one full-width scatter per digit of the plan the
 // runtime runs (radixBits 0: the working-set plan), on the in-cache curve
-// when the sort fits in cache.
+// and on one worker when the sort fits in cache.
 func lsbCost(p *MachineProfile, w WorkloadStats, keyBits, radixBits, threads int) (float64, int) {
 	digits := lsbDigits(w, keyBits, radixBits)
 	inCache := lsbInCache(w, keyBits)
+	if inCache {
+		threads = 1
+	}
 	n := float64(w.N)
 	ns := n * p.histNs(keyBits) // fused one-scan histogramming
 	for _, d := range digits {
@@ -404,31 +414,30 @@ func msbCost(p *MachineProfile, w WorkloadStats, keyBits, radixBits, threads int
 }
 
 // cmpCost models the range-partitioning comparison sort (Section 4.3):
-// range passes of fanout defaultRangeFanout until segments are
-// cache-resident (range lookups cost ~3x a radix histogram probe), then
-// the in-cache Quicksort leaves priced per key-log.
+// range passes until segments are cache-resident, each at the fanout f
+// memmodel.CMPFanout sizes from its segment and priced as a range lookup
+// (~3x a radix histogram probe at 9 tree levels, so per level a third)
+// plus an out-of-cache scatter of log2 f bits; then the in-cache
+// Quicksort leaves, priced per key-log of the segment the passes leave.
 func cmpCost(p *MachineProfile, w WorkloadStats, keyBits, threads int) (float64, int) {
 	n := float64(w.N)
-	passes := 0
-	for seg := float64(w.N); seg > cacheResidentTuples; seg /= defaultRangeFanout {
-		passes++
-	}
-	if passes < 1 {
-		passes = 1
-	}
+	bound := cacheResidentTuples * 64 / keyBits
 	// Skewed inputs place their heavy keys in single-key partitions after
 	// the first pass; that fraction needs no further passes or sorting.
 	dup := w.HeadMass
-	scatter := p.scatterNs(keyBits, 9, false) // fanout 360 ~ 2^8.5
 	var ns float64
-	for i := 0; i < passes; i++ {
+	passes := 0
+	seg := w.N
+	for ; seg > bound; passes++ {
+		f := memmodel.CMPFanout(seg, bound, memmodel.RangeFanout)
+		levels := bits.Len(uint(f - 1))
 		frac := 1.0
-		if i > 0 {
+		if passes > 0 {
 			frac -= dup
 		}
-		ns += frac * n * (3*p.histNs(keyBits) + scatter)
+		ns += frac * n * (float64(levels)/3*p.histNs(keyBits) + p.scatterNs(keyBits, levels, false))
+		seg = ceilDiv(seg, f)
 	}
-	logChunk := math.Log2(cacheResidentTuples)
-	ns += (1 - dup) * n * logChunk * p.histNs(keyBits) / 2
-	return ns / float64(threads), passes
+	ns += (1 - dup) * n * math.Log2(float64(max(seg, 2))) * p.histNs(keyBits) / 2
+	return ns / float64(threads), max(passes, 1)
 }

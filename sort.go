@@ -29,11 +29,14 @@ type SortOptions struct {
 	Oblivious bool
 	// RadixBits fixes the per-pass fanout in bits of the LSB radix-sort. Zero
 	// selects the working-set digit plan: 8-bit digits, scattered with the
-	// in-cache kernel single-threaded, when the input fits the per-worker
+	// in-cache kernel on one worker, when the input fits the per-worker
 	// cache budget (CacheTuples); otherwise the fewest passes of at most
 	// 11 bits, of near-equal width (a 22-bit domain sorts in two passes).
 	RadixBits int
-	// RangeFanout is the comparison sort's per-pass fanout (default 360).
+	// RangeFanout caps the comparison sort's per-pass fanout (default
+	// 360). Each range pass takes its fanout from the segment it
+	// partitions, about 4 × its tuples / CacheTuples, so the cap binds
+	// only on segments past RangeFanout × CacheTuples / 4 tuples.
 	RangeFanout int
 	// CacheTuples overrides the cache-resident threshold in tuples.
 	CacheTuples int

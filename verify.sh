@@ -61,11 +61,16 @@ go run ./cmd/sortcli -n 200000 -algo cmp -width 64 -threads 4 -regions 4 -verify
 # function, no codes column), then region-local radix passes.
 go run ./cmd/sortcli -n 2000000 -algo lsb -threads 4 -regions 4 -verify > /dev/null
 # CMP past one range pass: 6M keys leave ~16.7k-tuple top-level
-# partitions at fanout 360, above the 16384-tuple cache bound, so most
-# take a second pass, a single-worker in-place block permutation. The
-# NUMA lane recurses on keys after the cross-region shuffle.
+# partitions at the 360-way fanout cap, about the 16384-tuple cache
+# bound, so about two thirds take a second pass: a single-worker in-place
+# block permutation whose fanout (5-way) and sample are sized from the
+# partition. The NUMA lane recurses on keys after the cross-region
+# shuffle. At 2^23, the shape that ran at half of CMP's 2^21 throughput
+# while every second pass was 360-way and sampled 64 keys a partition,
+# most ~23k-tuple partitions take a small second pass.
 go run ./cmd/sortcli -n 6000000 -algo cmp -width 64 -threads 2 -verify > /dev/null
 go run ./cmd/sortcli -n 6000000 -algo cmp -width 64 -threads 4 -regions 4 -verify > /dev/null
+go run ./cmd/sortcli -n 8388608 -algo cmp -width 64 -threads 2 -verify > /dev/null
 # Range index: Partition and LookupBatch fuzzed against binary search.
 go test -run '^$' -fuzz '^FuzzRangeIndex$' -fuzztime 10s .
 # Spill read-back: flipped, zeroed or truncated bytes in a formation
