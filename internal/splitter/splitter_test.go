@@ -33,7 +33,7 @@ func TestSampleDeterministicAndInRange(t *testing.T) {
 func TestEqualDepthBalances(t *testing.T) {
 	const n, p = 1 << 16, 16
 	keys := gen.Uniform[uint32](n, 0, 5)
-	delims := ForThreads(keys, p, 9)
+	delims := Delimiters(keys, p, 64, 9)
 	if len(delims) != p-1 {
 		t.Fatalf("got %d delimiters", len(delims))
 	}
