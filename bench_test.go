@@ -46,7 +46,7 @@ func benchPartitionVariants[K kv.Key](b *testing.B) {
 		starts, _ := part.Starts(hist)
 		b.Run(fmt.Sprintf("nip-ic/P=%d", 1<<bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				part.NonInPlaceInCache(nil, keys, vals, dstK, dstV, fn, hist)
+				part.NonInPlaceInCache(nil, keys, vals, dstK, dstV, fn, hist, nil)
 			}
 			reportMtps(b, benchPartN)
 		})

@@ -151,7 +151,7 @@ func run[K kv.Key](n, fanout int, fnName, variant, dist string, theta float64, t
 	case "nip-ic":
 		dstK, dstV := make([]K, n), make([]K, n)
 		hist = part.Histogram(keys, fn)
-		d = timeIt(func() { part.NonInPlaceInCache(nil, keys, vals, dstK, dstV, fnWrap[K]{fn}, hist) })
+		d = timeIt(func() { part.NonInPlaceInCache(nil, keys, vals, dstK, dstV, fnWrap[K]{fn}, hist, nil) })
 	case "ip-ic":
 		hist = part.Histogram(keys, fn)
 		d = timeIt(func() { part.InPlaceInCache(nil, keys, vals, fnWrap[K]{fn}, hist) })

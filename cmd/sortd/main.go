@@ -33,14 +33,12 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	partsort "repro"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -118,7 +116,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sortd: listen:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: obs.ReadHeaderTimeout}
+	httpSrv := srv.HTTPServer()
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.Serve(httpLis) }()
 	fmt.Fprintf(os.Stderr, "sortd: serving HTTP API on %s\n", httpLis.Addr())

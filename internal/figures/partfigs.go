@@ -66,7 +66,7 @@ func partitionFigure[K kv.Key](id, title string, cfg Config) *Table {
 			var d time.Duration
 			switch v {
 			case memmodel.NonInPlaceInCache:
-				d = timeIt(func() { part.NonInPlaceInCache(nil, keys, vals, dstK, dstV, fn, hist) })
+				d = timeIt(func() { part.NonInPlaceInCache(nil, keys, vals, dstK, dstV, fn, hist, nil) })
 			case memmodel.InPlaceInCache:
 				copy(workK, keys)
 				copy(workV, vals)

@@ -116,7 +116,7 @@ func TestBlockPermuteAgainstBlocksReference(t *testing.T) {
 			refStarts, total := Starts(hist)
 			refStarts = append(refStarts, total)
 			refK, refV := make([]uint32, n), make([]uint32, n)
-			NonInPlaceInCache(nil, orig, gen.RIDs[uint32](n), refK, refV, fn, hist)
+			NonInPlaceInCache(nil, orig, gen.RIDs[uint32](n), refK, refV, fn, hist, nil)
 
 			gotK := append([]uint32(nil), orig...)
 			gotV := gen.RIDs[uint32](n)

@@ -13,7 +13,8 @@ import (
 // "one cache line per column" extension.
 
 // NonInPlaceOutOfCacheCols is Algorithm 3 over a key column and any number
-// of payload columns. starts follows the NonInPlaceOutOfCache contract.
+// of payload columns. starts follows the NonInPlaceOutOfCache contract;
+// full lines go out as streaming stores, fenced before the call returns.
 func NonInPlaceOutOfCacheCols[K kv.Key, F pfunc.Func[K]](srcKey []K, srcCols [][]K, dstKey []K, dstCols [][]K, fn F, starts []int) {
 	nc := len(srcCols)
 	if len(dstCols) != nc {
@@ -34,6 +35,7 @@ func NonInPlaceOutOfCacheCols[K kv.Key, F pfunc.Func[K]](srcKey []K, srcCols [][
 		buf[c] = make([]K, p*l)
 	}
 	off := append([]int(nil), starts...)
+	defer storeFence()
 	for i, k := range srcKey {
 		q := fn.Partition(k)
 		o := off[q]
@@ -45,9 +47,14 @@ func NonInPlaceOutOfCacheCols[K kv.Key, F pfunc.Func[K]](srcKey []K, srcCols [][
 		off[q] = o + 1
 		if s == l-1 {
 			lo := o + 1 - l
-			if lo < starts[q] {
-				lo = starts[q]
+			if lo >= starts[q] {
+				streamCol(dstKey[lo:o+1], bufKey[q*l:q*l+l])
+				for c := 0; c < nc; c++ {
+					streamCol(dstCols[c][lo:o+1], buf[c][q*l:q*l+l])
+				}
+				continue
 			}
+			lo = starts[q]
 			bs := lo & (l - 1)
 			copy(dstKey[lo:o+1], bufKey[q*l+bs:q*l+l])
 			for c := 0; c < nc; c++ {

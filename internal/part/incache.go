@@ -1,6 +1,7 @@
 package part
 
 import (
+	"repro/internal/hard"
 	"repro/internal/kv"
 	"repro/internal/obs"
 	"repro/internal/pfunc"
@@ -13,23 +14,42 @@ import (
 // hist must be the histogram of keys under fn. The output is stable: tuples
 // keep their input order within each partition. The offset array comes
 // from w.
-func NonInPlaceInCache[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hist []int) {
+//
+// The scatter runs in hard.CkptTuples sub-chunks with a checkpoint of ctl
+// between them (the offsets persist across sub-chunks), so an in-cache
+// scatter of at most that many tuples, MSB's tail, pays no checkpoint of
+// its own. Interruption leaves the source intact, only the destination
+// partially written.
+func NonInPlaceInCache[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV, dstK, dstV []K, fn F, hist []int, ctl *hard.Ctl) {
 	CheckHistogram(hist, len(srcK))
 	offset, _ := StartsInto(w.Ints(len(hist)), hist)
-	if shift, mask, ok := radixParams[K](fn); ok {
-		inCacheScatterRadix(srcK, srcV, dstK, dstV, shift, mask, offset)
-	} else if len(srcK) > 0 {
-		srcV := srcV[:len(srcK)]
-		for i, k := range srcK {
-			p := fn.Partition(k)
-			o := offset[p]
-			offset[p] = o + 1
-			dstK[o] = k
-			dstV[o] = srcV[i]
+	shift, mask, radix := radixParams[K](fn)
+	for c := 0; c < len(srcK); c += hard.CkptTuples {
+		if c > 0 {
+			ctl.Checkpoint()
+		}
+		e := min(c+hard.CkptTuples, len(srcK))
+		if radix {
+			inCacheScatterRadix(srcK[c:e], srcV[c:e], dstK, dstV, shift, mask, offset)
+		} else {
+			inCacheScatter(srcK[c:e], srcV[c:e], dstK, dstV, fn, offset)
 		}
 	}
 	w.PutInts(offset)
 	publishTuples(len(srcK))
+}
+
+// inCacheScatter is the generic Algorithm 1 loop, the scalar reference of
+// inCacheScatterRadix (kernels.go).
+func inCacheScatter[K kv.Key, F pfunc.Func[K]](srcK, srcV, dstK, dstV []K, fn F, offset []int) {
+	srcV = srcV[:len(srcK)]
+	for i, k := range srcK {
+		p := fn.Partition(k)
+		o := offset[p]
+		offset[p] = o + 1
+		dstK[o] = k
+		dstV[o] = srcV[i]
+	}
 }
 
 // publishTuples credits tuples moved by an unbuffered kernel to the obs

@@ -18,11 +18,14 @@ package part
 //     check on every masked increment (verify with
 //     go build -gcflags='-d=ssa/check_bce' ./internal/part), and the
 //     remainder tail is a straight scalar loop of at most unroll-1 steps.
-//   - unclipped line flushes: a full line whose partition share holds all
-//     of it is one copy() per column, skipping flushLineAt's clipping. The
-//     copy is a runtime.memmove call; a fixed-size array assignment of the
-//     64-byte line compiles to the same call, and unrolled word moves that
-//     avoid it measured no faster.
+//   - streaming line flushes: a full line whose partition share holds all
+//     of it goes out as one streamLine per column, eight non-temporal
+//     stores (MOVNTI, stream_amd64.s) that skip flushLineAt's clipping and
+//     never read the destination line for ownership. That read was the
+//     scatter's largest cost: with plain copies, a 1M-tuple 256-way radix
+//     scatter of 64-bit pairs took over twice as long (EXPERIMENTS.md).
+//     The clipped head line of a share and the partial lines
+//     drainBuffers writes stay copies.
 //
 // Every kernel in this file has a scalar reference in part.go, incache.go,
 // or outcache.go, and kernels_test.go asserts bit-identical results across
@@ -65,7 +68,7 @@ func histogramRadixAccum[K kv.Key](hist []int, keys []K, shift uint, mask K) {
 
 // scatterLinesRadix is scatterLines specialized for radix functions:
 // direct digit extraction, cursor array bounded once, and full (unclipped)
-// line flushes as one copy per column. The clipped head line of
+// line flushes as one streamLine per column. The clipped head line of
 // each partition share still goes through flushLineAt, so outputs are
 // bit-identical to the generic reference.
 func scatterLinesRadix[K kv.Key](srcK, srcV, dstK, dstV []K, shift uint, mask K, buf *lineBuffers[K], off, starts []int) {
@@ -90,8 +93,8 @@ func scatterLinesRadix[K kv.Key](srcK, srcV, dstK, dstV []K, shift uint, mask K,
 			lo := o + 1 - l
 			if lo >= starts[p] {
 				b := p * l
-				copy(dstK[lo:o+1], bufK[b:b+l])
-				copy(dstV[lo:o+1], bufV[b:b+l])
+				streamCol(dstK[lo:o+1], bufK[b:b+l])
+				streamCol(dstV[lo:o+1], bufV[b:b+l])
 			} else {
 				flushLineAt(bufK, bufV, dstK, dstV, starts, p, o, l)
 			}
@@ -131,8 +134,8 @@ func scatterLinesCodesFast[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, 
 			lo := o + 1 - l
 			if lo >= starts[p0] {
 				b := p0 * l
-				copy(dstK[lo:o+1], bufK[b:b+l])
-				copy(dstV[lo:o+1], bufV[b:b+l])
+				streamCol(dstK[lo:o+1], bufK[b:b+l])
+				streamCol(dstV[lo:o+1], bufV[b:b+l])
 			} else {
 				flushLineAt(bufK, bufV, dstK, dstV, starts, p0, o, l)
 			}
@@ -148,8 +151,8 @@ func scatterLinesCodesFast[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, 
 			lo := o + 1 - l
 			if lo >= starts[p1] {
 				b := p1 * l
-				copy(dstK[lo:o+1], bufK[b:b+l])
-				copy(dstV[lo:o+1], bufV[b:b+l])
+				streamCol(dstK[lo:o+1], bufK[b:b+l])
+				streamCol(dstV[lo:o+1], bufV[b:b+l])
 			} else {
 				flushLineAt(bufK, bufV, dstK, dstV, starts, p1, o, l)
 			}

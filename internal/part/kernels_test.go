@@ -242,8 +242,8 @@ func testInCacheScatterAgreement[K interface{ ~uint32 | ~uint64 }](t *testing.T)
 			hist := Histogram(keys, fn)
 			gotK, gotV := make([]K, n), make([]K, n)
 			wantK, wantV := make([]K, n), make([]K, n)
-			NonInPlaceInCache(w, keys, vals, gotK, gotV, fn, hist)
-			NonInPlaceInCache(w, keys, vals, wantK, wantV, ref, hist)
+			NonInPlaceInCache(w, keys, vals, gotK, gotV, fn, hist, nil)
+			NonInPlaceInCache(w, keys, vals, wantK, wantV, ref, hist, nil)
 			for i := range wantK {
 				if gotK[i] != wantK[i] || gotV[i] != wantV[i] {
 					t.Fatalf("fanout 2^%d n=%d: tuple %d = (%v,%v), reference (%v,%v)",

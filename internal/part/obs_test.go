@@ -191,7 +191,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			NonInPlaceOutOfCache(nil, keys, vals, dstK, dstV, fn, s, nil)
 		}},
 		{"incache", func() {
-			NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist)
+			NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist, nil)
 		}},
 		{"inplace", func() {
 			copy(inK, keys)

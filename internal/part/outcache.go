@@ -1,6 +1,8 @@
 package part
 
 import (
+	"unsafe"
+
 	"repro/internal/hard"
 	"repro/internal/kv"
 	"repro/internal/obs"
@@ -13,11 +15,12 @@ import (
 // variants buffer L tuples per partition per column and write them back a
 // full line at a time, the software write-combining of Section 3.2.1.
 //
-// Substitution note: Go cannot issue non-temporal stores, so the "bypass
-// the cache on write-back" part of the technique is modeled by
-// internal/memmodel rather than executed; the buffering itself — which is
-// what eliminates TLB thrashing by keeping the working set at one line per
-// partition — is real.
+// Algorithm 3 writes each full line back with non-temporal stores
+// (streamLine: MOVNTI on amd64, stream_amd64.s), as the paper does, so an
+// output line is never read for ownership before it is overwritten; a
+// plain copy stands in on other architectures and under the race
+// detector. Algorithm 4 (InPlaceOutOfCache) reloads the lines it flushes,
+// so its flushes stay cached copies.
 func LineTuples[K kv.Key]() int {
 	return 64 / (kv.Width[K]() / 8)
 }
@@ -71,7 +74,8 @@ func (b *lineBuffers[K]) share(t, p int) lineBuffers[K] {
 // sub-chunks, so the output does not depend on the chunking), bounding
 // cancellation latency to one sub-chunk. Interruption leaves the source
 // intact — only the destination share is partially written — so the
-// driver's restore defer can recover the permutation from src.
+// driver's restore defer can recover the permutation from src. Full lines
+// go out as streaming stores, fenced before the call returns or unwinds.
 //
 // Layout note: the paper stores each partition's output offset in the last
 // buffer slot so one iteration touches exactly one cache line; here
@@ -88,8 +92,11 @@ func NonInPlaceOutOfCache[K kv.Key, F pfunc.Func[K]](w *ws.Workspace, srcK, srcV
 }
 
 // scatterChunk is the body of NonInPlaceOutOfCache on caller-provided line
-// buffers and write cursors (len(off) partitions).
+// buffers and write cursors (len(off) partitions). It fences its
+// streaming stores before it returns, on the unwind path too: the worker
+// that issued them is the one that must fence.
 func scatterChunk[K kv.Key, F pfunc.Func[K]](srcK, srcV, dstK, dstV []K, fn F, buf *lineBuffers[K], off, starts []int, ctl *hard.Ctl) {
+	defer storeFence()
 	copy(off, starts[:len(off)])
 	for c := 0; c < len(srcK); c += hard.CkptTuples {
 		ctl.Checkpoint()
@@ -142,16 +149,29 @@ func scatterLinesGeneric[K kv.Key, F pfunc.Func[K]](srcK, srcV, dstK, dstV []K, 
 }
 
 // flushLineAt writes partition p's full line ending at offset o (inclusive)
-// to the output, clipped at the caller's own start so the first (unaligned)
+// to the output: streamed when the caller's share holds all of it, else
+// clipped at the caller's own start by a copy, so the first (unaligned)
 // line never writes below its share.
 func flushLineAt[K kv.Key](bufK, bufV, dstK, dstV []K, starts []int, p, o, l int) {
 	lo := o + 1 - l
-	if lo < starts[p] {
-		lo = starts[p]
+	if lo >= starts[p] {
+		b := p * l
+		streamCol(dstK[lo:o+1], bufK[b:b+l])
+		streamCol(dstV[lo:o+1], bufV[b:b+l])
+		return
 	}
+	lo = starts[p]
 	bs := lo & (l - 1)
 	copy(dstK[lo:o+1], bufK[p*l+bs:p*l+l])
 	copy(dstV[lo:o+1], bufV[p*l+bs:p*l+l])
+}
+
+// streamCol writes one full line of a column with streamLine. dst and src
+// are one line each, LineTuples elements or 64 bytes: the callers' slice
+// expressions bound the destination line, so the stores stay inside the
+// column.
+func streamCol[K kv.Key](dst, src []K) {
+	streamLine(unsafe.Pointer(unsafe.SliceData(dst)), unsafe.Pointer(unsafe.SliceData(src)))
 }
 
 // publishScatter credits one buffered scatter call to the obs counters;
@@ -168,8 +188,10 @@ func publishScatter(tuples int, flushes uint64) {
 // the data-movement half of wide-fanout range partitioning
 // (ParallelScatter with a codes column). It performs almost as fast as radix
 // partitioning because scanning the short code array is sequential
-// (Section 4.3.2).
+// (Section 4.3.2). Like scatterChunk, it fences its streaming stores
+// before it returns or unwinds.
 func scatterChunkCodes[K kv.Key](srcK, srcV, dstK, dstV []K, codes []int32, buf *lineBuffers[K], off, starts []int, ctl *hard.Ctl) {
+	defer storeFence()
 	copy(off, starts[:len(off)])
 	for c := 0; c < len(srcK); c += hard.CkptTuples {
 		ctl.Checkpoint()

@@ -105,7 +105,7 @@ func TestNonInPlaceInCache(t *testing.T) {
 			hist := Histogram(keys, fn)
 			dstK := make([]uint32, len(keys))
 			dstV := make([]uint32, len(keys))
-			NonInPlaceInCache(nil, keys, vals, dstK, dstV, fn, hist)
+			NonInPlaceInCache(nil, keys, vals, dstK, dstV, fn, hist, nil)
 			checkPartitioned(t, keys, vals, dstK, dstV, fn, hist)
 			checkStable(t, dstV, hist)
 		})
@@ -201,7 +201,7 @@ func TestVariantsAgree64(t *testing.T) {
 
 	aK := make([]uint64, len(keys))
 	aV := make([]uint64, len(keys))
-	NonInPlaceInCache(nil, keys, vals, aK, aV, fn, hist)
+	NonInPlaceInCache(nil, keys, vals, aK, aV, fn, hist, nil)
 
 	bK := make([]uint64, len(keys))
 	bV := make([]uint64, len(keys))
@@ -303,7 +303,7 @@ func TestParallelNonInPlaceMatchesSerial(t *testing.T) {
 
 	serialK := make([]uint32, len(keys))
 	serialV := make([]uint32, len(keys))
-	NonInPlaceInCache(nil, keys, vals, serialK, serialV, fn, hist)
+	NonInPlaceInCache(nil, keys, vals, serialK, serialV, fn, hist, nil)
 
 	parK := make([]uint32, len(keys))
 	parV := make([]uint32, len(keys))

@@ -78,6 +78,11 @@ func seamKernels[F pfunc.Func[uint32]](t *testing.T, keys, vals []uint32, fn F) 
 			NonInPlaceOutOfCache(w, keys, vals, dstK, dstV, fn, starts, ctl)
 			sameOutput(t, dstK, dstV)
 		}},
+		{"NonInPlaceInCache", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {
+			dstK, dstV := make([]uint32, n), make([]uint32, n)
+			NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist, ctl)
+			sameOutput(t, dstK, dstV)
+		}},
 		{"ParallelScatterCodes", func(t *testing.T, w *ws.Workspace, ctl *hard.Ctl) {
 			dstK, dstV := make([]uint32, n), make([]uint32, n)
 			ParallelScatter(w, keys, vals, dstK, dstV, fn, refCodes, [][]int{hist}, 0, nil, ctl)

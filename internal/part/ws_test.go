@@ -55,10 +55,10 @@ func wsEquiv[K kv.Key](t *testing.T, keys []K, bits uint) {
 
 	// Both non-in-place kernels are stable, so they agree with each other.
 	ncK, ncV := make([]K, n), make([]K, n)
-	NonInPlaceInCache(w, keys, vals, ncK, ncV, fn, hist)
+	NonInPlaceInCache(w, keys, vals, ncK, ncV, fn, hist, nil)
 	sameTuples(t, "NonInPlaceInCache", plainK, plainV, ncK, ncV)
 	ncNilK, ncNilV := make([]K, n), make([]K, n)
-	NonInPlaceInCache(nil, keys, vals, ncNilK, ncNilV, fn, hist)
+	NonInPlaceInCache(nil, keys, vals, ncNilK, ncNilV, fn, hist, nil)
 	sameTuples(t, "NonInPlaceInCache", ncNilK, ncNilV, ncK, ncV)
 }
 
@@ -128,9 +128,9 @@ func TestWSScatterZeroAlloc(t *testing.T) {
 		t.Fatalf("warm InPlaceInCache allocates %v times", a)
 	}
 
-	NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist)
+	NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist, nil)
 	if a := testing.AllocsPerRun(10, func() {
-		NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist)
+		NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist, nil)
 	}); a != 0 {
 		t.Fatalf("warm NonInPlaceInCache allocates %v times", a)
 	}

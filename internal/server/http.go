@@ -102,6 +102,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// HTTPServer returns an http.Server for the API (Handler) that bounds how
+// long a request may take to arrive: its headers and the whole request,
+// from its first byte to its body's last, each by obs.ReadHeaderTimeout,
+// so a client that trickles its body cannot hold a connection and its
+// read buffer indefinitely. net/http also closes a keep-alive connection
+// left idle that long (it applies ReadTimeout when IdleTimeout is unset).
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{Handler: s.Handler(), ReadHeaderTimeout: s.readTimeout, ReadTimeout: s.readTimeout}
+}
+
 // handleSort decodes, submits, and encodes one sort request.
 func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

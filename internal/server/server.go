@@ -287,6 +287,9 @@ type Server struct {
 	// popHook, when set, is called by an executor with every popped job
 	// before running it (the test seam that holds executors busy).
 	popHook func(*job)
+	// readTimeout bounds the time from a request's first byte to its last
+	// on both front ends: obs.ReadHeaderTimeout, shortened only by tests.
+	readTimeout time.Duration
 
 	// gate closes the admission window: Submit holds it shared from
 	// admission through enqueue, Drain takes it exclusively to flip the
@@ -322,15 +325,16 @@ func newServer(cfg Config, popHook func(*job)) *Server {
 	cfg.Normalize()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		q:          newQueue(cfg.BatchMaxRequests, cfg.BatchMaxTotal),
-		popHook:    popHook,
-		arenas:     newArenaPool(cfg.ArenasPerClass),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		cancels:    make(map[uint64]context.CancelFunc),
-		drained:    make(chan struct{}),
-		started:    time.Now(),
+		cfg:         cfg,
+		q:           newQueue(cfg.BatchMaxRequests, cfg.BatchMaxTotal),
+		popHook:     popHook,
+		readTimeout: obs.ReadHeaderTimeout,
+		arenas:      newArenaPool(cfg.ArenasPerClass),
+		baseCtx:     ctx,
+		baseCancel:  cancel,
+		cancels:     make(map[uint64]context.CancelFunc),
+		drained:     make(chan struct{}),
+		started:     time.Now(),
 	}
 	s.met = newMetrics(cfg.Registry)
 	s.tenants = newTenantTable(cfg.Registry)

@@ -117,10 +117,14 @@ func (c *connSet) closeAll() {
 	c.mu.Unlock()
 }
 
-// serveTCPConn runs one connection's frame loop.
+// serveTCPConn runs one connection's frame loop. Each frame must arrive
+// within s.readTimeout of its first byte; between frames the connection
+// may stay idle indefinitely.
 func (s *Server) serveTCPConn(conn net.Conn) {
+	fr := &frameReader{conn: conn, limit: s.readTimeout}
 	for {
-		buf, err := readTCPPayload(conn)
+		fr.next()
+		buf, err := readTCPPayload(fr)
 		if err != nil {
 			if err != io.EOF {
 				writeTCPError(conn, TCPStatusBadReq, err.Error())
@@ -167,6 +171,33 @@ func (s *Server) serveTCPFrame(conn net.Conn, req *Request) error {
 	payload := encodeTCPResult(req)
 	s.met.tcpEncode.ObserveDuration(time.Since(start), 0)
 	return writeTCPFrame(conn, payload)
+}
+
+// frameReader reads one request frame at a time from a connection: it
+// waits for a frame's first byte with no deadline, so an idle connection
+// stays open, then bounds the rest of the frame by limit from that byte,
+// so a client that trickles a frame cannot hold the connection.
+type frameReader struct {
+	conn  net.Conn
+	limit time.Duration
+	armed bool
+}
+
+// next clears the bound before the connection waits for the next frame.
+func (r *frameReader) next() {
+	r.armed = false
+	_ = r.conn.SetReadDeadline(time.Time{})
+}
+
+// Read reads from the connection and arms the frame's deadline once its
+// first byte has arrived.
+func (r *frameReader) Read(p []byte) (int, error) {
+	n, err := r.conn.Read(p)
+	if n > 0 && !r.armed {
+		r.armed = true
+		_ = r.conn.SetReadDeadline(time.Now().Add(r.limit))
+	}
+	return n, err
 }
 
 // readTCPPayload reads one request frame's payload (io.EOF when the

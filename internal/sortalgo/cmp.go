@@ -124,13 +124,20 @@ func cmpRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 // place. Reused via ws.Scratch so a steady-state run allocates no driver
 // state.
 type cmpWorker[K kv.Key] struct {
-	keys, vals     []K
-	starts         []int
-	singleKey      []bool
-	opt            Options
-	ct             int
-	next           atomic.Int64
-	passNs, leafNs atomic.Int64
+	keys, vals []K
+	starts     []int
+	singleKey  []bool
+	opt        Options
+	ct         int
+	next       atomic.Int64
+	tally      cmpTally
+}
+
+// cmpTally is what the recursion under one first pass reports: the CPU
+// time of its range passes and of its leaves, and the deepest level of
+// range passes any partition took.
+type cmpTally struct {
+	passNs, leafNs, deepest atomic.Int64
 }
 
 func (r *cmpWorker[K]) RunTask(wi int) {
@@ -146,7 +153,7 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 		if hi-lo <= 1 || int(q) < len(r.singleKey) && r.singleKey[q] {
 			continue // a lone tuple or a single-key partition: already sorted
 		}
-		cmpRecurse(r.keys[lo:hi], r.vals[lo:hi], r.opt, r.ct, &r.passNs, &r.leafNs)
+		cmpRecurse(r.keys[lo:hi], r.vals[lo:hi], r.opt, r.ct, 1, &r.tally)
 		done += int64(hi - lo)
 	}
 	sp.EndN(done)
@@ -156,7 +163,9 @@ func (r *cmpWorker[K]) RunTask(wi int) {
 // offsets given by starts — over the worker pool, each sorted in place.
 // Leaf and pass CPU time are accumulated separately and the measured wall
 // clock of the whole recursion is split proportionally between the
-// LocalRadix (range passes) and CacheSort phases.
+// LocalRadix (range passes) and CacheSort phases. Stats.Passes gains the
+// deepest level of range passes below the first pass: the number of
+// passes the most-partitioned tuple took.
 func cmpRecurseAll[K kv.Key](keys, vals []K, starts []int, singleKey []bool, opt Options, ct int) {
 	st := opt.Stats
 	w := opt.Workspace
@@ -166,10 +175,14 @@ func cmpRecurseAll[K kv.Key](keys, vals []K, starts []int, singleKey []bool, opt
 	r.starts, r.singleKey = starts, singleKey
 	r.opt, r.ct = opt, ct
 	r.next.Store(0)
-	r.passNs.Store(0)
-	r.leafNs.Store(0)
+	r.tally.passNs.Store(0)
+	r.tally.leafNs.Store(0)
+	r.tally.deepest.Store(0)
 	ws.RunWorkersCtl(w, opt.Threads, r, opt.Ctl)
-	p, l := r.passNs.Load(), r.leafNs.Load()
+	p, l := r.tally.passNs.Load(), r.tally.leafNs.Load()
+	if st != nil {
+		st.Passes += int(r.tally.deepest.Load())
+	}
 	r.keys, r.vals = nil, nil
 	r.starts, r.singleKey = nil, nil
 	r.opt = Options{}
@@ -181,7 +194,8 @@ func cmpRecurseAll[K kv.Key](keys, vals []K, starts []int, singleKey []bool, opt
 // range pass over freshly sampled splitters (cmpSplitters, sized from the
 // segment) as a single-worker block permutation (part.BlockPermute), then
 // recurses into each partition that is neither a single-key partition
-// nor a lone tuple; a cache-resident segment is a leaf. The starts array
+// nor a lone tuple; a cache-resident segment is a leaf. depth is the
+// level such a pass runs at (1 below the first pass). The starts array
 // and the kernel's buffers come from the workspace; only the adaptive
 // splitter sampling still allocates.
 //
@@ -189,25 +203,26 @@ func cmpRecurseAll[K kv.Key](keys, vals []K, starts []int, singleKey []bool, opt
 // the checkpoint and fault site at entry sit where every ancestor's pass
 // has completed, BlockPermute restores its own state before re-raising,
 // and the leaf (Quicksort) has no interruption points and only permutes.
-func cmpRecurse[K kv.Key](keys, vals []K, opt Options, ct int, passNs, leafNs *atomic.Int64) {
+func cmpRecurse[K kv.Key](keys, vals []K, opt Options, ct, depth int, tally *cmpTally) {
 	opt.Ctl.Checkpoint()
 	fault.Inject(fault.SiteCMPPass)
 	n := len(keys)
 	start := time.Now()
 	if n <= ct {
 		cmpLeaf(keys, vals)
-		leafNs.Add(int64(time.Since(start)))
+		tally.leafNs.Add(int64(time.Since(start)))
 		return
 	}
+	storeMax(&tally.deepest, int64(depth))
 	w := opt.Workspace
 	ref, tree := cmpSplitters(keys, opt, ct, opt.Seed+uint64(n))
 	fanout := tree.Fanout()
 	starts := part.BlockPermute(w, keys, vals, tree, memmodel.BlockTuples(n, fanout, 1, memmodel.MSBLocalBlockTuples), 1, w.Ints(fanout+1), nil, opt.Ctl)
-	passNs.Add(int64(time.Since(start)))
+	tally.passNs.Add(int64(time.Since(start)))
 	for q := 0; q < fanout; q++ {
 		lo, hi := starts[q], starts[q+1]
 		if hi-lo > 1 && !(q < len(ref.SingleKey) && ref.SingleKey[q]) {
-			cmpRecurse(keys[lo:hi], vals[lo:hi], opt, ct, passNs, leafNs)
+			cmpRecurse(keys[lo:hi], vals[lo:hi], opt, ct, depth+1, tally)
 		}
 	}
 	w.PutInts(starts)

@@ -116,12 +116,10 @@ func lsbRun[K kv.Key](keys, vals, tmpK, tmpV []K, opt Options) {
 }
 
 // lsbInCache reports whether an n-tuple LSB sort fits the per-worker cache
-// budget. Such a sort runs byte-wide digits and, single-threaded, scatters
-// with Algorithm 1, which does not checkpoint: the bound is capped at
-// hard.CkptTuples so a large CacheTuples override cannot stretch the
-// cancellation latency.
+// budget. Such a sort runs byte-wide digits on one worker and scatters
+// with Algorithm 1.
 func lsbInCache(opt Options, n, width int) bool {
-	return n <= min(cacheTuples(opt, width), hard.CkptTuples)
+	return n <= cacheTuples(opt, width)
 }
 
 // digitTrivial reports whether the per-worker histograms of one digit put
@@ -259,7 +257,7 @@ func lsbSingle[K kv.Key](r *lsbPasses[K], ranges [][2]uint) {
 		r.pass(i, ranges[i], func(sk, sv, dk, dv []K, fn pfunc.Radix[K]) {
 			wsp := obs.BeginIn("lsb", "scatter", "worker", 0)
 			if r.inCache {
-				part.NonInPlaceInCache(w, sk, sv, dk, dv, fn, row)
+				part.NonInPlaceInCache(w, sk, sv, dk, dv, fn, row, ctl)
 			} else {
 				part.StartsInto(starts[:len(row)], row)
 				part.NonInPlaceOutOfCache(w, sk, sv, dk, dv, fn, starts[:len(row)], ctl)
@@ -289,11 +287,7 @@ func lsbPerPass[K kv.Key](r *lsbPasses[K], ranges [][2]uint, threads int) {
 		})
 		if !r.skip || !digitTrivial(hists, n) {
 			r.pass(i, rg, func(sk, sv, dk, dv []K, fn pfunc.Radix[K]) {
-				if r.inCache {
-					part.NonInPlaceInCache(w, sk, sv, dk, dv, fn, hists[0])
-				} else {
-					part.ParallelScatter(w, sk, sv, dk, dv, fn, nil, hists, 0, bounds, ctl)
-				}
+				part.ParallelScatter(w, sk, sv, dk, dv, fn, nil, hists, 0, bounds, ctl)
 			})
 		}
 		w.PutMatrix(hists)

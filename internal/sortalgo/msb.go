@@ -70,14 +70,15 @@ func MSB[K kv.Key](keys, vals []K, opt Options) {
 // pairs (pairs holds 2·len(keys) of them). It deinterleaves pairs into
 // keys/vals, finding the keys' shared prefix in the same scan, runs the
 // first radix pass out of place from keys/vals into the two halves of
-// pairs through line buffers (Algorithm 3, which checkpoints every
-// hard.CkptTuples tuples), and copies the parts back, insertion-sorting
-// the trivial ones. The larger parts recurse as in MSB, their in-cache
-// levels scattering through pairs as well, so the sort draws from the
-// workspace only its line buffers, tables and, for a part that skew
-// leaves above the cache bound, a block permutation's buffers. pairs is
-// garbage afterwards. Every interruption point leaves keys/vals a
-// permutation of the pairs.
+// pairs (Algorithm 1, which checkpoints every hard.CkptTuples tuples),
+// and copies the parts back, insertion-sorting the trivial ones. That
+// pass is not Algorithm 3: its streaming stores would evict the pairs
+// buffer that the copy-back reads at once. The larger parts recurse as
+// in MSB, their in-cache levels scattering through pairs as well, so the
+// sort draws from the workspace only its tables and, for a part that
+// skew leaves above the cache bound, a block permutation's buffers.
+// pairs is garbage afterwards. Every interruption point leaves keys/vals
+// a permutation of the pairs.
 func MSBPairs[K kv.Key](pairs, keys, vals []K, opt Options) {
 	instrumentWS(opt.Stats, opt.Workspace, "msb", func() {
 		msbPairs(pairs, keys, vals, opt)
@@ -99,7 +100,7 @@ func msbPairs[K kv.Key](pairs, keys, vals []K, opt Options) {
 	}
 	ct := cacheTuples(opt, kv.Width[K]())
 	tail := msbTail[K]{keys: pairs[:n], vals: pairs[n : 2*n]}
-	msbScatterBack(opt.Workspace, &tail, keys, vals, tail.keys, tail.vals, hiBit, msbDigitBits(n, hiBit, ct), ct, true, opt.Ctl)
+	msbScatterBack(opt.Workspace, &tail, keys, vals, tail.keys, tail.vals, hiBit, msbDigitBits(n, hiBit, ct), ct, opt.Ctl)
 }
 
 // deinterleaveSpan splits pairs (k0 v0 k1 v1 ...) into keys/vals and
@@ -151,6 +152,9 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 		})
 		wall := time.Since(begin)
 		st.splitLocal(wall, int64(wall), tail.cacheNs)
+		if st != nil {
+			st.Passes += tail.deepest
+		}
 		return
 	}
 
@@ -226,11 +230,15 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 	r.next.Store(0)
 	r.busyNs.Store(0)
 	r.cacheNs.Store(0)
+	r.deepest.Store(0)
 	begin := time.Now()
 	timed(nil, "msb", phLocal, func() {
 		ws.RunWorkersCtl(w, t, r, ctl)
 	})
 	st.splitLocal(time.Since(begin), r.busyNs.Load(), r.cacheNs.Load())
+	if st != nil {
+		st.Passes += int(r.deepest.Load())
+	}
 	r.w, r.keys, r.vals, r.starts, r.singleKey = nil, nil, nil, nil, nil
 	r.ctl = nil
 	ws.PutScratch(w, ws.SlotMsbWork, r)
@@ -241,6 +249,7 @@ func msbRun[K kv.Key](keys, vals []K, opt Options) {
 // workers claim ranges off an atomic cursor (dynamic balancing without a
 // work channel) and recurse independently. With timed set, each worker
 // adds its busy time and the part of it spent in cache-resident subtrees.
+// deepest is the most local passes any worker's recursion stacked.
 type msbWorker[K kv.Key] struct {
 	w               *ws.Workspace
 	keys, vals      []K
@@ -252,6 +261,7 @@ type msbWorker[K kv.Key] struct {
 	timed           bool
 	next            atomic.Int64
 	busyNs, cacheNs atomic.Int64
+	deepest         atomic.Int64
 }
 
 func (r *msbWorker[K]) RunTask(wi int) {
@@ -281,6 +291,7 @@ func (r *msbWorker[K]) RunTask(wi int) {
 		r.busyNs.Add(int64(time.Since(begin)))
 		r.cacheNs.Add(tail.cacheNs)
 	}
+	storeMax(&r.deepest, int64(tail.deepest))
 	sp.EndN(done)
 }
 
@@ -377,37 +388,33 @@ func msbRecurse[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals []K, hiB
 	if n > cacheT {
 		fn := pfunc.NewRadix[K](uint(hiBit-b), uint(hiBit))
 		starts := part.BlockPermute(w, keys, vals, fn, memmodel.MSBLocalBlockTuples, 1, w.Ints(fn.Fanout()+1), nil, ctl)
+		tail.depth++
+		tail.deepest = max(tail.deepest, tail.depth)
 		for p := 0; p < fn.Fanout(); p++ {
 			if lo, hi := starts[p], starts[p+1]; hi-lo > 1 {
 				msbEnter(w, tail, keys[lo:hi], vals[lo:hi], hiBit-b, cacheT, ctl)
 			}
 		}
+		tail.depth--
 		w.PutInts(starts)
 		return
 	}
 	bufK, bufV := tail.get(w, n, cacheT)
-	msbScatterBack(w, tail, keys, vals, bufK, bufV, hiBit, b, cacheT, false, ctl)
+	msbScatterBack(w, tail, keys, vals, bufK, bufV, hiBit, b, cacheT, ctl)
 }
 
 // msbScatterBack runs one out-of-place level over the b bits below hiBit:
-// a histogram scan, a scatter of keys/vals into bufK/bufV — Algorithm 3
-// through line buffers when lines is set (it checkpoints every
-// hard.CkptTuples tuples and leaves keys/vals intact until it returns),
-// else Algorithm 1 — and a copy-back that insertion-sorts each part of at
-// most msbInsertionCutoff tuples into place and copies larger ones
-// verbatim. No interruption point lies between the scatter's end and the
-// last part's copy-back. The buffers then go back to the tail, and the
-// larger parts recurse.
-func msbScatterBack[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals, bufK, bufV []K, hiBit, b, cacheT int, lines bool, ctl *hard.Ctl) {
+// a histogram scan, a scatter of keys/vals into bufK/bufV with Algorithm
+// 1 (it checkpoints every hard.CkptTuples tuples and leaves keys/vals
+// intact until it returns), and a copy-back that insertion-sorts each
+// part of at most msbInsertionCutoff tuples into place and copies larger
+// ones verbatim. No interruption point lies between the scatter's end
+// and the last part's copy-back. The buffers then go back to the tail,
+// and the larger parts recurse.
+func msbScatterBack[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals, bufK, bufV []K, hiBit, b, cacheT int, ctl *hard.Ctl) {
 	fn := pfunc.NewRadix[K](uint(hiBit-b), uint(hiBit))
 	hist := part.HistogramInto(w.Ints(fn.Fanout()), keys, fn)
-	if lines {
-		starts, _ := part.StartsInto(w.Ints(len(hist)), hist)
-		part.NonInPlaceOutOfCache(w, keys, vals, bufK, bufV, fn, starts, ctl)
-		w.PutInts(starts)
-	} else {
-		part.NonInPlaceInCache(w, keys, vals, bufK, bufV, fn, hist)
-	}
+	part.NonInPlaceInCache(w, keys, vals, bufK, bufV, fn, hist, ctl)
 	lo := 0
 	for _, h := range hist {
 		hi := lo + h
@@ -430,8 +437,9 @@ func msbScatterBack[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals, buf
 	w.PutInts(hist)
 }
 
-// msbTail is one worker's in-cache buffer pair and, when its sort keeps
-// Stats (timed), the time its cache-resident subtrees took. A tail that
+// msbTail is one worker's in-cache buffer pair, the depth of its local
+// passes (depth now, deepest so far) and, when its sort keeps Stats
+// (timed), the time its cache-resident subtrees took. A tail that
 // starts out holding a pair (MSBPairs's spare array) serves every
 // segment from it. Otherwise, with a workspace each segment draws the
 // pair from the arena and returns it, so the ledger sees it; without one
@@ -440,9 +448,10 @@ func msbScatterBack[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals, buf
 // segment. A segment puts its pair back before recursing, so one pair
 // serves the worker's whole recursion.
 type msbTail[K kv.Key] struct {
-	keys, vals []K
-	timed      bool
-	cacheNs    int64
+	keys, vals     []K
+	depth, deepest int
+	timed          bool
+	cacheNs        int64
 }
 
 // get returns a key and a payload buffer of n ≤ cacheT tuples.

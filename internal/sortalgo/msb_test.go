@@ -311,9 +311,9 @@ func checkMSBPairs[K kv.Key](t *testing.T, keys []K, w *ws.Workspace) {
 
 // TestMSBPairsScratch pins what a bucket sort draws from a warm
 // workspace: for 2^16 uniform 64-bit pairs, whose first pass leaves
-// in-cache parts of ~256 tuples, only the first pass's line buffers and
-// tables (under 64 KiB), no block permutation and no buffer pair, and no
-// heap allocation.
+// in-cache parts of ~256 tuples, only its tables (under 8 KiB: the first
+// pass is Algorithm 1 and draws no line buffers), no block permutation
+// and no buffer pair, and no heap allocation.
 func TestMSBPairsScratch(t *testing.T) {
 	const n = 1 << 16
 	keys := gen.Uniform[uint64](n, 0, 9)
@@ -335,8 +335,8 @@ func TestMSBPairsScratch(t *testing.T) {
 	if !kv.IsSorted(outK) {
 		t.Fatal("not sorted")
 	}
-	if p := w.PeakAuxBytes(); p > 64<<10 {
-		t.Fatalf("peak aux %d B, want at most 64 KiB", p)
+	if p := w.PeakAuxBytes(); p > 8<<10 {
+		t.Fatalf("peak aux %d B, want at most 8 KiB", p)
 	}
 	t.Logf("peak aux %d B", w.PeakAuxBytes())
 }

@@ -1,6 +1,7 @@
 package sortalgo
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/hard"
@@ -21,6 +22,10 @@ type Stats struct {
 	LocalRadix time.Duration // subsequent local passes (radix or range)
 	CacheSort  time.Duration // in-cache comb-sort / insertion leaves
 
+	// Passes counts partitioning passes over the input: for LSB every
+	// scatter pass that ran, for MSB and CMP the out-of-cache passes on
+	// the deepest path (the first pass and the local passes below it;
+	// MSB's in-cache levels are not counted).
 	Passes      int
 	RemoteBytes uint64
 
@@ -128,6 +133,16 @@ func (s *Stats) splitLocal(wall time.Duration, busy, cache int64) {
 	c := time.Duration(float64(wall) * float64(min(cache, busy)) / float64(busy))
 	s.LocalRadix += wall - c
 	s.CacheSort += c
+}
+
+// storeMax raises a to v when v is larger.
+func storeMax(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // timed runs fn and charges its wall clock to phase p of s (nil-safe).

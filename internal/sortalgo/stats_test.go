@@ -183,3 +183,40 @@ func TestInstrumentCapturesDelta(t *testing.T) {
 		t.Fatalf("delta = %+v, want {77, ..., 5}", st.Counters)
 	}
 }
+
+// TestPassesCountDeepestLevel pins what Stats.Passes counts for the
+// recursive sorts: the out-of-cache passes on the deepest path. 2^20
+// uniform 64-bit pairs, with a 1024-tuple cache bound, take two levels
+// of byte-wide local passes on one MSB worker (4096-tuple parts, then
+// 16-tuple ones) and one 11-bit first pass on two; with a 2048-tuple
+// bound, a 360-way CMP pass and a 6-way one per ~2900-tuple partition.
+// CMP runs on one worker: its splitters are sampled by position, and a
+// parallel first pass lays a partition out differently from run to run,
+// so its sample, and now and then its depth, would vary.
+func TestPassesCountDeepestLevel(t *testing.T) {
+	const n = 1 << 20
+	keys := gen.Uniform[uint64](n, 0, 3)
+	vals := gen.RIDs[uint64](n)
+	for _, c := range []struct {
+		algo        string
+		threads, ct int
+		want        int
+	}{
+		{"msb", 1, 1 << 10, 2},
+		{"msb", 2, 1 << 10, 1},
+		{"cmp", 1, 1 << 11, 2},
+	} {
+		k, v := append([]uint64(nil), keys...), append([]uint64(nil), vals...)
+		var st Stats
+		opt := Options{Threads: c.threads, CacheTuples: c.ct, Stats: &st}
+		if c.algo == "msb" {
+			MSB(k, v, opt)
+		} else {
+			CMP(k, v, nil, nil, opt)
+		}
+		checkSorted(t, keys, vals, k, v, false)
+		if st.Passes != c.want {
+			t.Errorf("%s on %d threads: %d passes, want %d", c.algo, c.threads, st.Passes, c.want)
+		}
+	}
+}

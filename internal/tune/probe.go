@@ -196,10 +196,10 @@ func probeScatterIn[K kv.Key](w *ws.Workspace, keys []K, bits, reps int) float64
 	part.HistogramInto(hist, keys, fn)
 	const loops = 48 // ~200k tuples per measurement
 	// Warm-up.
-	part.NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist)
+	part.NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist, nil)
 	d := timeBest(reps, func() {
 		for l := 0; l < loops; l++ {
-			part.NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist)
+			part.NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist, nil)
 		}
 	})
 	probeSink += uint64(dstK[0])

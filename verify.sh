@@ -4,6 +4,9 @@
 set -eux
 
 go build ./...
+# The portable fallback of the streaming line flush (internal/part
+# stream_other.go) builds where the amd64 assembly does not.
+GOOS=linux GOARCH=arm64 go build ./...
 go vet ./...
 # Format lane: every Go file is gofmt-clean.
 test -z "$(gofmt -l .)"
@@ -26,6 +29,9 @@ go test -race -short -count=1 ./internal/extsort/
 go test -race -short -count=1 -run 'MSB' ./internal/sortalgo/
 go run ./cmd/figures -quick > /dev/null
 go run ./cmd/sortcli -n 100000 -algo lsb > /dev/null
+# LSB's single-worker passes out of cache (lsbSingle), whose full lines
+# go out as streaming stores, checked against the input multiset.
+go run ./cmd/sortcli -n 4194304 -algo lsb -dist dense -threads 1 -verify > /dev/null
 # NUMA-aware MSB end to end: the metered block permutation on 4 regions,
 # output checked against the input multiset.
 go run ./cmd/sortcli -n 200000 -algo msb -threads 4 -regions 4 -verify > /dev/null
