@@ -10,16 +10,16 @@ import (
 )
 
 // MachineProfile is the calibrated description of the host machine: the
-// Section 3.2 cost factors (sequential-read baseline, histogram
-// throughput, the in-cache versus out-of-cache scatter cost per fanout)
+// three Section 3.2 cost factors the sort model reads (sequential read
+// bandwidth, radix histogram throughput, out-of-cache scatter bandwidth),
 // measured by running this library's own kernels. Calibrate once, Save
 // the JSON, and reuse it across processes via SortOptions.Profile or
 // LoadMachineProfile. See README "Auto-tuning".
 type MachineProfile = tune.MachineProfile
 
-// SortPlan is the adaptive planner's output for one auto-tuned sort:
-// algorithm, radix bits per pass, range fanout, worker count, and the
-// modeled costs behind them. Auto-tuned runs record theirs in
+// SortPlan is the adaptive planner's output for one auto-tuned sort: the
+// algorithm and worker count, and the modeled pass count, wall-clock and
+// footprint behind them. Auto-tuned runs record theirs in
 // SortStats.Plan.
 type SortPlan = tune.Plan
 
@@ -105,11 +105,11 @@ func algoCode(a tune.Algo) uint64 {
 // autotune applies the adaptive planner to one AutoTune run: it samples
 // the key column, asks the planner for a plan under the entry point's
 // constraints, and returns effective options — a copy with AutoTune
-// cleared (so nested entry points do not re-plan) and only the
-// zero-valued knobs filled from the plan; knobs the caller set
-// explicitly always win. The plan is recorded in opt.Stats.Plan and
-// emitted as an obs "autotune-plan" meta event. Returns (opt, nil)
-// untouched when auto-tuning is off, and a nil plan below autotuneMinN.
+// cleared (so nested entry points do not re-plan) and Threads filled
+// from the plan when the caller left it zero. The plan is recorded in
+// opt.Stats.Plan and emitted as an obs "autotune-plan" meta event.
+// Returns (opt, nil) untouched when auto-tuning is off, and a nil plan
+// below autotuneMinN.
 func autotune[K Key](keys []K, opt *SortOptions, force tune.Algo, needStable, spaceTight bool) (*SortOptions, *SortPlan) {
 	if opt == nil || !opt.AutoTune {
 		return opt, nil
@@ -136,24 +136,15 @@ func autotune[K Key](keys []K, opt *SortOptions, force tune.Algo, needStable, sp
 	if eff.Threads == 0 {
 		eff.Threads = plan.Threads
 	}
-	if eff.RadixBits == 0 {
-		eff.RadixBits = plan.RadixBits
-	}
-	if eff.RangeFanout == 0 {
-		eff.RangeFanout = plan.RangeFanout
-	}
 	inPlace := uint64(0)
 	if plan.InPlace {
 		inPlace = 1
 	}
 	obs.Meta("autotune-plan", map[string]uint64{
 		"algo":         algoCode(plan.Algo),
-		"radix_bits":   uint64(plan.RadixBits),
-		"range_fanout": uint64(plan.RangeFanout),
 		"threads":      uint64(plan.Threads),
 		"passes":       uint64(plan.Passes),
 		"predicted_ns": uint64(plan.PredictedNs),
-		"baseline_ns":  uint64(plan.BaselineNs),
 		"in_place":     inPlace,
 		"aux_bytes":    uint64(plan.AuxBytes),
 	})

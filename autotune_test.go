@@ -29,11 +29,10 @@ func quickTestProfile() *MachineProfile {
 	return profileVal
 }
 
-// TestAutoTuneMatchesStatic is the agreement witness of the acceptance
-// criteria: on distinct keys (a permutation, so the sorted order of both
-// columns is unique) every algorithm must produce bit-for-bit the same
-// output auto-tuned as with the static defaults, whatever knobs the
-// planner picked.
+// TestAutoTuneMatchesStatic is the agreement witness: on distinct keys (a
+// permutation, so the sorted order of both columns is unique) every
+// algorithm must produce bit-for-bit the same output auto-tuned, on the
+// planned worker count, as with the static defaults.
 func TestAutoTuneMatchesStatic(t *testing.T) {
 	n := 1 << 15
 	baseKeys := gen.Permutation[uint64](n, 9)
@@ -61,7 +60,7 @@ func TestAutoTuneMatchesStatic(t *testing.T) {
 			if st.Plan == nil {
 				t.Fatal("auto-tuned run did not record its plan in Stats.Plan")
 			}
-			if st.Plan.RadixBits < 1 || st.Plan.RadixBits > 16 || st.Plan.Threads < 1 {
+			if string(st.Plan.Algo) != a.name || st.Plan.Threads < 1 {
 				t.Fatalf("recorded plan has invalid knobs: %+v", st.Plan)
 			}
 		})
@@ -118,6 +117,29 @@ func TestAutoTuneExplicitKnobsWin(t *testing.T) {
 	}
 }
 
+// TestSortPrefixedDenseKeys: dense keys behind a shared high prefix are
+// still dense. 2^20 32-bit keys below 2^16, OR'd with 0xFFFF0000, must
+// get the algorithm the bare keys get, from the static decision table
+// and from the planner: both read the key span, not the maximum.
+func TestSortPrefixedDenseKeys(t *testing.T) {
+	n := 1 << 20
+	bare := gen.Uniform[uint32](n, 1<<16, 5)
+	prefixed := slices.Clone(bare)
+	for i := range prefixed {
+		prefixed[i] |= 0xFFFF0000
+	}
+	for _, opt := range []*SortOptions{nil, {AutoTune: true, Profile: quickTestProfile()}} {
+		want := Sort(slices.Clone(bare), RIDs[uint32](n), false, false, opt)
+		keys := slices.Clone(prefixed)
+		if got := Sort(keys, RIDs[uint32](n), false, false, opt); got != want {
+			t.Errorf("AutoTune=%v: prefixed keys sorted with %v, bare keys with %v", opt != nil, got, want)
+		}
+		if !IsSorted(keys) {
+			t.Fatalf("AutoTune=%v: prefixed keys not sorted", opt != nil)
+		}
+	}
+}
+
 // TestAutoTuneSmallInputSkipsPlanning: below the planning threshold the
 // sort must still work and Stats.Plan stays nil (no sampling, no probe).
 func TestAutoTuneSmallInputSkipsPlanning(t *testing.T) {
@@ -163,7 +185,7 @@ func TestProfilePublicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadMachineProfile: %v", err)
 	}
-	if q.SeqReadGBps != p.SeqReadGBps || len(q.Scatter64) != len(p.Scatter64) {
+	if *q != *p {
 		t.Fatal("loaded profile differs from the calibrated one")
 	}
 	if err := SetMachineProfile(&MachineProfile{}); err == nil {

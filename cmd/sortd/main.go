@@ -19,7 +19,8 @@
 // are cancelled through their Try*Ctx rollback.
 //
 // Exit codes: 0 clean drain, 1 runtime failure, 2 bad flags (including
-// the removed -batch-window), 3 drain deadline forced cancellation. See
+// the removed -batch-window, -autotune and -profile), 3 drain deadline
+// forced cancellation. See
 // OPERATIONS.md for the full operator runbook.
 //
 // Example:
@@ -62,22 +63,12 @@ func run() int {
 		spillSegment = flag.Int("spill-segment", 0, "external-sort segment tuples override (0: planned)")
 		tenantCap    = flag.Int("tenant-cap", 0, "per-tenant admitted-request cap (0: uncapped)")
 		batchMax     = flag.Int("batch-max", 4096, "coalesce key-only requests up to this many keys (negative: disable)")
-		autotune     = flag.Bool("autotune", false, "engage the machine-calibrated planner per sort")
-		profilePath  = flag.String("profile", "", "machine profile JSON to load (see tunecli; empty: lazy quick calibration)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget before force-cancelling running sorts")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "sortd: unexpected arguments:", flag.Args())
 		return 2
-	}
-
-	if *profilePath != "" {
-		if _, err := partsort.LoadMachineProfile(*profilePath); err != nil {
-			fmt.Fprintln(os.Stderr, "sortd: load profile:", err)
-			return 2
-		}
-		fmt.Fprintln(os.Stderr, "sortd: machine profile loaded from", *profilePath)
 	}
 
 	// The obs session feeds the Section 3.2 event counters and the
@@ -108,7 +99,6 @@ func run() int {
 		SpillSegmentTuples: *spillSegment,
 		MaxPerTenant:       *tenantCap,
 		BatchMaxTuples:     *batchMax,
-		AutoTune:           *autotune,
 	})
 
 	httpLis, err := net.Listen("tcp", *addr)

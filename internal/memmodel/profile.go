@@ -136,17 +136,21 @@ func ModernProfile() Profile {
 // Calibrated returns a Profile whose machine-dependent cost constants come
 // from runtime measurements (internal/tune's calibration probes) instead of
 // the hard-coded 2014 evaluation platform: aggregate bandwidths, the
-// scalar-op cost, and the parallel shape are replaced, while the cache
-// geometry keeps ModernProfile's contemporary defaults (the probes measure
-// cost factors, not hardware topology). The copy bandwidth is derived as
-// the harmonic combination of read and write — a copy pays both.
+// scalar-op cost, and the parallel shape are replaced. The per-worker
+// cache is the sorts' WorkerCacheBytes budget, so Sort walks the passes
+// they run; the rest of the cache geometry keeps ModernProfile's
+// contemporary defaults (the probes measure cost factors, not hardware
+// topology). The copy bandwidth is derived as the harmonic combination of
+// read and write — a copy pays both.
 //
 // The calibrated profile keeps the analytic model (PartitionPass, Sort,
 // OptimalBits) usable on the machine the library actually runs on, which
 // is what the paper's Section 3.2 cost factors are for: predicting the
-// fanout/pass trade-off from measured machine constants.
+// fanout/pass trade-off from measured machine constants. The auto-tuning
+// planner prices every algorithm with Sort on it.
 func Calibrated(cores int, readGBps, writeGBps, scalarOpNs float64) Profile {
 	p := ModernProfile()
+	p.L2Bytes = WorkerCacheBytes
 	p.Sockets = 1
 	p.CoresPerSocket = max(cores, 1)
 	p.SMTPerCore = 1

@@ -30,7 +30,8 @@ func (a SortAlgo) String() string {
 }
 
 // SortPhases is the per-phase wall-clock breakdown of one sort run
-// (Figures 11 and 13), in seconds.
+// (Figures 11 and 13), in seconds, and the partitioning passes the model
+// walked.
 type SortPhases struct {
 	Alloc      float64
 	Histogram  float64
@@ -38,6 +39,11 @@ type SortPhases struct {
 	Shuffle    float64
 	LocalRadix float64
 	CacheSort  float64
+	// Passes counts the passes the way sortalgo.Stats.Passes does: every
+	// LSB digit; MSB's first pass and the deepest stack of its
+	// out-of-cache local passes; CMP's range passes, first pass included.
+	// The in-cache levels (MSB's tail, CMP's leaves) are not passes.
+	Passes int
 }
 
 // Total returns the summed wall-clock.
@@ -58,6 +64,13 @@ type SortConfig struct {
 	PreAllocated bool
 	ZipfTheta    float64
 }
+
+// WorkerCacheBytes is the per-worker cache budget: a segment of at most
+// WorkerCacheBytes of tuples (16384 64-bit or 32768 32-bit pairs) is
+// cache-resident. The sorts size their passes against it, Footprint
+// prices their scratch against it, and Calibrated takes it as the
+// per-worker cache, so Sort walks the passes the sorts run.
+const WorkerCacheBytes = 256 << 10
 
 // RangeFanout caps the fanout of a CMP range pass (CMPFanout): the
 // default of sortalgo.Options.RangeFanout, and the cap the planner and
@@ -231,13 +244,13 @@ func Sort(p Profile, cfg SortConfig) SortPhases {
 		if !cfg.PreAllocated {
 			ph.Alloc = float64(n) * tupleBytes / (allocBW * 1e9)
 		}
-		// The digit plan the runtime executes; a single-threaded in-cache
-		// sort scatters with Algorithm 1. The NUMA-aware first pass fuses
-		// the paper's C-way range split into its digit.
+		// The digit plan the runtime executes; a sort that fits in cache
+		// runs on one worker and scatters with Algorithm 1. The NUMA-aware
+		// first pass fuses the paper's C-way range split into its digit.
 		inCache := float64(n) <= cacheTuplesFor(p, kb)
 		variant := NonInPlaceOutOfCache
-		if inCache && t == 1 {
-			variant = NonInPlaceInCache
+		if inCache {
+			variant, t = NonInPlaceInCache, 1
 		}
 		ranges := 1
 		if cfg.NUMAAware && p.Sockets > 1 {
@@ -257,52 +270,55 @@ func Sort(p Profile, cfg SortConfig) SortPhases {
 				ph.LocalRadix += sec
 			}
 		}
+		ph.Passes = len(digits)
 		if cfg.NUMAAware && p.Sockets > 1 {
 			ph.Shuffle = PassSeconds(p, NonInPlaceOutOfCache, NUMAShuffle, p.Sockets, kb, t, n, 0)
 		}
 
 	case SortMSB:
-		// In-place: no allocation beyond O(P*B) scratch either way.
-		effBits := cfg.DomainBits
-		if lb := int(math.Ceil(math.Log2(float64(n + 1)))); lb < effBits {
-			effBits = lb // MSB covers log n bits, not log D (Section 4.2.2)
-		}
-		// First pass: with more than one worker, one parallel block
-		// permutation over the digit MSBFirstPass sizes from n (the
-		// NUMA-aware run's range split is priced the same); one worker
-		// starts with a local pass.
+		// In-place: no allocation beyond O(P*B) scratch either way. The
+		// digits cover the key span (DomainBits) from the top, and a
+		// segment's passes stop once it is cache-resident, so MSB covers
+		// log n bits, not log D (Section 4.2.2).
 		cacheT := cacheTuplesFor(p, kb)
-		first := min(MSBLocalBits, effBits)
-		if t > 1 {
-			first, _ = MSBFirstPass(n, effBits, int(cacheT), t)
+		bitsLeft, seg := cfg.DomainBits, float64(n)
+		if t > 1 && bitsLeft > 0 {
+			// First pass: one parallel block permutation over the digit
+			// MSBFirstPass sizes from n (the NUMA-aware run's range split
+			// is priced the same).
+			first, _ := MSBFirstPass(n, bitsLeft, int(cacheT), t)
+			ph.Histogram += float64(n) / Histogram(p, HistRadix, 1<<first, kb, t)
+			ph.Partition += PassSeconds(p, InPlaceOutOfCache, NUMALocal, 1<<first, kb, t, n, cfg.ZipfTheta)
+			if cfg.NUMAAware && p.Sockets > 1 {
+				// Block shuffle: up to 2 crossings per tuple (Section
+				// 3.3.2), expected (2x^2-3x+1)/x^2 = 1.3125 on 4 regions —
+				// 75% more than the (x-1)/x of the non-in-place shuffle.
+				x := float64(p.Sockets)
+				crossings := (2*x*x - 3*x + 1) / (x * x)
+				ph.Shuffle = float64(n) * tupleBytes * crossings / (0.8 * p.WriteBW * 1e9)
+			}
+			bitsLeft -= first
+			seg /= float64(int(1) << first)
+			ph.Passes++
 		}
-		ph.Histogram += float64(n) / Histogram(p, HistRadix, 1<<first, kb, t)
-		ph.Partition += PassSeconds(p, NonInPlaceOutOfCache, NUMALocal, 1<<first, kb, t, n, cfg.ZipfTheta)
-		if cfg.NUMAAware && p.Sockets > 1 {
-			// Block shuffle: up to 2 crossings per tuple (Section 3.3.2),
-			// expected (2x^2-3x+1)/x^2 = 1.3125 on 4 regions — 75% more
-			// than the (x-1)/x of the non-in-place shuffle.
-			x := float64(p.Sockets)
-			crossings := (2*x*x - 3*x + 1) / (x * x)
-			ph.Shuffle = float64(n) * tupleBytes * crossings / (0.8 * p.WriteBW * 1e9)
+		for bitsLeft > 0 && seg > cacheT {
+			// Local passes: byte-wide single-worker block permutations,
+			// whose classify scan counts the histogram. One worker starts
+			// here.
+			ph.LocalRadix += PassSeconds(p, InPlaceOutOfCache, NUMALocal, 1<<min(bitsLeft, MSBLocalBits), kb, t, n, cfg.ZipfTheta)
+			bitsLeft -= MSBLocalBits
+			seg /= 1 << MSBLocalBits
+			ph.Passes++
 		}
-		remaining := effBits - first
-		inCacheBits := int(math.Log2(cacheT)) - 2
-		for remaining > inCacheBits {
-			// Local passes are byte-wide block permutations like the
-			// first pass: their classify scan counts the histogram.
-			ph.LocalRadix += PassSeconds(p, NonInPlaceOutOfCache, NUMALocal, 1<<MSBLocalBits, kb, t, n, cfg.ZipfTheta)
-			remaining -= MSBLocalBits
-		}
-		if remaining > 0 {
+		if bitsLeft > 0 {
 			// One in-cache level: a histogram scan, then an Algorithm 1
-			// scatter over ~log n - 2 bits into a buffer pair of the
+			// scatter over ~log2 seg - 2 bits into a buffer pair of the
 			// segment's size, whose copy-back insertion-sorts the 4-8
 			// tuple parts (a read, a write and ~2 branch-free
 			// compare-exchanges per tuple). The buffer spans no more
 			// pages than the cache, so unlike PassSeconds' RAM-sized
 			// output the scatter takes no page walks.
-			fanout := 1 << max(1, remaining-2)
+			fanout := 1 << min(bitsLeft, max(1, bits.Len(uint(seg))-3))
 			lat := mlpInCache * p.randomAccessLat(2*float64(fanout))
 			perTuple := 16*p.ScalarOpNs + lat + p.L1Lat
 			ph.CacheSort = float64(n)/Histogram(p, HistRadix, fanout, kb, t) +
@@ -335,6 +351,7 @@ func Sort(p Profile, cfg SortConfig) SortPhases {
 			ph.Histogram += frac * float64(n) / Histogram(p, HistRangeIndex, fanout, kb, t)
 			ph.Partition += frac * PassSeconds(p, NonInPlaceOutOfCache, mode(i == 0), fanout, kb, t, n, cfg.ZipfTheta)
 			seg = (seg + fanout - 1) / fanout
+			ph.Passes++
 		}
 		if cfg.NUMAAware && p.Sockets > 1 {
 			ph.Shuffle = PassSeconds(p, NonInPlaceOutOfCache, NUMAShuffle, p.Sockets, kb, t, n, 0)

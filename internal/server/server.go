@@ -91,8 +91,6 @@ type Config struct {
 	// (nil: the default policy). The per-run Stats field is managed by
 	// the server; a caller-set Stats is ignored.
 	Retry *partsort.RetryPolicy
-	// AutoTune engages the machine-calibrated planner on every sort.
-	AutoTune bool
 	// Registry receives the server metric families (nil: the process
 	// registry behind ServeMetrics). Tests pass a private registry.
 	Registry *obs.Registry
@@ -629,7 +627,6 @@ func (s *Server) execute(j *job) (Result, error) {
 func (s *Server) options(j *job, w *partsort.Workspace) *partsort.SortOptions {
 	opt := &partsort.SortOptions{Threads: s.cfg.SortThreads, Workspace: w, MaxAuxBytes: j.est}
 	if !j.external {
-		opt.AutoTune = s.cfg.AutoTune
 		return opt
 	}
 	opt.TempDir = s.cfg.SpillDir

@@ -327,12 +327,12 @@ func msbSkewed[K kv.Key](sample []K, shift, t int) bool {
 }
 
 // cacheTuples returns the per-worker cache-resident segment size in
-// tuples (derived from a 256 KiB private L2 unless overridden).
+// tuples (memmodel.WorkerCacheBytes of pairs unless overridden).
 func cacheTuples(opt Options, width int) int {
 	if opt.CacheTuples > 0 {
 		return opt.CacheTuples
 	}
-	return (256 << 10) / (2 * width / 8)
+	return memmodel.WorkerCacheBytes / (2 * width / 8)
 }
 
 // msbDigitBits is the digit width of an MSB pass over n tuples whose

@@ -186,10 +186,46 @@ func TestCMPAuxCoversMeasuredPeak(t *testing.T) {
 
 // planProfile is a fixed machine profile for the planner's pass counts,
 // which do not depend on its timings.
-var planProfile = &tune.MachineProfile{
-	NumCPU: 2, SeqReadGBps: 10, ScatterGBps: 4, Hist32MKeys: 900, Hist64MKeys: 700,
-	Scatter32: []tune.ScatterPoint{{Bits: 4, InCacheNs: 1, OutCacheNs: 2}, {Bits: 8, InCacheNs: 1.5, OutCacheNs: 3}},
-	Scatter64: []tune.ScatterPoint{{Bits: 4, InCacheNs: 1.2, OutCacheNs: 2.5}, {Bits: 8, InCacheNs: 2, OutCacheNs: 4}},
+var planProfile = &tune.MachineProfile{NumCPU: 2, SeqReadGBps: 10, ScatterGBps: 4, Hist64MKeys: 700}
+
+// TestPlanPassesMatchRun checks, beside CMP's rows above, that a forced
+// LSB or MSB plan's Passes (memmodel.Sort's walk of the sort) equals the
+// Stats.Passes of the run on uniform keys: every digit for LSB; MSB's
+// first pass and its out-of-cache local passes. 2^15 64-bit pairs are
+// past the cache bound and 32-bit ones within it; 2^21 takes one
+// out-of-cache pass into cache-resident buckets.
+func TestPlanPassesMatchRun(t *testing.T) {
+	for _, n := range []int{1 << 15, 1 << 21} {
+		k64, k32 := gen.Uniform[uint64](n, 0, 3), gen.Uniform[uint32](n, 0, 3)
+		for _, algo := range []tune.Algo{tune.AlgoLSB, tune.AlgoMSB} {
+			for _, threads := range []int{1, 2} {
+				planPasses(t, algo, k64, threads)
+				planPasses(t, algo, k32, threads)
+			}
+		}
+	}
+}
+
+// planPasses plans algo for the sampled keys on at most threads workers,
+// sorts a copy of keys on the plan's workers, as an auto-tuned run does
+// (one below 2^16 tuples), and checks the run's Stats.Passes against the
+// plan's.
+func planPasses[K kv.Key](t *testing.T, algo tune.Algo, keys []K, threads int) {
+	t.Helper()
+	n := len(keys)
+	plan := tune.Choose(planProfile, tune.SampleKeys(keys, 0, 1),
+		tune.Requirements{KeyBits: kv.Width[K](), MaxThreads: threads, Force: algo})
+	k, v := append([]K(nil), keys...), gen.RIDs[K](n)
+	var st sortalgo.Stats
+	opt := sortalgo.Options{Threads: plan.Threads, Stats: &st}
+	if algo == tune.AlgoLSB {
+		sortalgo.LSB(k, v, make([]K, n), make([]K, n), opt)
+	} else {
+		sortalgo.MSB(k, v, opt)
+	}
+	if st.Passes != plan.Passes {
+		t.Errorf("%s n=%d %d-bit threads=%d: Stats.Passes %d, plan %d", algo, n, kv.Width[K](), threads, st.Passes, plan.Passes)
+	}
 }
 
 // checkFootprint applies the grid's bounds to one row's measured peak.

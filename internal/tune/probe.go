@@ -1,8 +1,8 @@
 // Calibration probes: short, self-timed microbenchmarks that measure the
 // host's Section 3.2 cost factors by running this repository's own
 // partitioning kernels — the sequential-read baseline, radix histogram
-// throughput, and the per-fanout in-cache versus out-of-cache scatter cost
-// that drives the paper's fanout/pass trade-off (Figures 3 and 6).
+// throughput, and the out-of-cache scatter bandwidth (Figures 3 and 6) —
+// the three numbers MachineProfile.Mem projects into the sort model.
 
 package tune
 
@@ -28,16 +28,10 @@ type Config struct {
 	Seed uint64
 }
 
-// probeBits is the set of radix fanouts the scatter probes measure; the
-// planner interpolates between them. 4..12 bits spans the in-cache sweet
-// spot through past the TLB cliff on any plausible machine (Figure 3).
-var probeBits = []int{4, 6, 8, 10, 12}
-
 // Probe working-set sizes in tuples.
 const (
 	outTuples      = 1 << 20 // out-of-cache probes: 16-32 MB working sets
 	outTuplesQuick = 1 << 17
-	inTuples       = 1 << 12 // in-cache probes: <=64 KB output per column pair
 )
 
 // Calibrate measures the host's cost factors and returns the profile. The
@@ -69,21 +63,13 @@ func Calibrate(cfg Config) *MachineProfile {
 	w := ws.New()
 	defer w.Close()
 
-	keys64 := randKeys[uint64](n, seed)
-	keys32 := randKeys[uint32](n, seed+1)
-
-	p.SeqReadGBps = probeSeqRead(keys64, reps)
-	p.Hist32MKeys = probeHistogram(w, keys32, reps)
-	p.Hist64MKeys = probeHistogram(w, keys64, reps)
-	p.Scatter32 = probeScatterCurve(w, keys32, reps)
-	p.Scatter64 = probeScatterCurve(w, keys64, reps)
-
+	keys := randKeys[uint64](n, seed)
+	p.SeqReadGBps = probeSeqRead(keys, reps)
+	p.Hist64MKeys = probeHistogram(w, keys, reps)
 	// One-way streaming write bandwidth of the canonical 8-bit buffered
 	// scatter: output bytes per second at the measured per-tuple cost.
-	tupleBytes := 16.0
-	out8 := p.scatterNs(64, 8, false)
-	if out8 > 0 {
-		p.ScatterGBps = tupleBytes / out8
+	if ns := probeScatterOut(w, keys, 8, reps); ns > 0 {
+		p.ScatterGBps = 16 / ns
 	}
 	return p
 }
@@ -93,9 +79,13 @@ func Calibrate(cfg Config) *MachineProfile {
 // constants with profile-driven ones: read bandwidth from the sequential
 // probe, write bandwidth from the buffered scatter probe, and the
 // scalar-op cost backed out of the histogram probe (the model prices a
-// radix histogram at ~3 scalar ops per key).
+// radix histogram at ~3 scalar ops per key). A missing measurement
+// keeps the model's default.
 func (p *MachineProfile) Mem() memmodel.Profile {
-	scalarNs := p.histNs(64) / 3
+	scalarNs := 0.0
+	if p.Hist64MKeys > 0 {
+		scalarNs = 1e3 / p.Hist64MKeys / 3
+	}
 	return memmodel.Calibrated(p.NumCPU, p.SeqReadGBps, p.ScatterGBps, scalarNs)
 }
 
@@ -165,49 +155,6 @@ func probeHistogram[K kv.Key](w *ws.Workspace, keys []K, reps int) float64 {
 	})
 	probeSink += uint64(hist[0])
 	return float64(len(keys)) / 1e6 / d.Seconds()
-}
-
-// probeScatterCurve measures the per-tuple scatter cost at every probed
-// fanout, in-cache (Algorithm 1 on a cache-resident working set) and
-// out-of-cache (Algorithm 3, software write-combining, on a working set
-// far beyond any cache).
-func probeScatterCurve[K kv.Key](w *ws.Workspace, keys []K, reps int) []ScatterPoint {
-	curve := make([]ScatterPoint, 0, len(probeBits))
-	for _, bits := range probeBits {
-		curve = append(curve, ScatterPoint{
-			Bits:       bits,
-			InCacheNs:  probeScatterIn(w, keys[:inTuples], bits, reps),
-			OutCacheNs: probeScatterOut(w, keys, bits, reps),
-		})
-	}
-	return curve
-}
-
-// probeScatterIn times Algorithm 1 (simple non-in-place scatter) over a
-// cache-resident input, looped to a stable measurement length.
-func probeScatterIn[K kv.Key](w *ws.Workspace, keys []K, bits, reps int) float64 {
-	n := len(keys)
-	fn := pfunc.NewRadix[K](0, uint(bits))
-	vals := ws.Keys[K](w, n)
-	dstK := ws.Keys[K](w, n)
-	dstV := ws.Keys[K](w, n)
-	hist := w.Ints(fn.Fanout())
-	copy(vals, keys)
-	part.HistogramInto(hist, keys, fn)
-	const loops = 48 // ~200k tuples per measurement
-	// Warm-up.
-	part.NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist, nil)
-	d := timeBest(reps, func() {
-		for l := 0; l < loops; l++ {
-			part.NonInPlaceInCache(w, keys, vals, dstK, dstV, fn, hist, nil)
-		}
-	})
-	probeSink += uint64(dstK[0])
-	w.PutInts(hist)
-	ws.PutKeys(w, vals)
-	ws.PutKeys(w, dstK)
-	ws.PutKeys(w, dstV)
-	return float64(d.Nanoseconds()) / float64(loops*n)
 }
 
 // probeScatterOut times Algorithm 3 (buffered, software write-combining

@@ -1,5 +1,5 @@
 // Workload sampling: a cheap uniform sample of the key column estimating
-// the workload descriptors the planner needs — domain bits, duplicate
+// the workload descriptors the planner needs — the key span, duplicate
 // density, and Zipf-ish head mass (the skew signal of Section 5).
 
 package tune
@@ -34,10 +34,12 @@ type WorkloadStats struct {
 	N int `json:"n"`
 	// SampleSize is the number of keys actually sampled (min(N, requested)).
 	SampleSize int `json:"sample_size"`
-	// DomainBits estimates the key domain width: the bit width of the
-	// largest sampled key. An underestimate is possible but the sorts
-	// rescan the true maximum themselves; the planner only needs the
-	// magnitude.
+	// DomainBits estimates the key span: the bit width of min ^ max over
+	// the sample, the bits below the prefix every sampled key shares (as
+	// kv.SpanBits reads it on the whole column), at least 1. Dense keys
+	// behind a shared high prefix read as dense. An underestimate is
+	// possible but the sorts rescan their keys themselves; the planner
+	// only needs the magnitude.
 	DomainBits int `json:"domain_bits"`
 	// DistinctFrac is the fraction of sampled keys that were distinct: ~1
 	// for permutation-like columns, small for heavily duplicated ones.
@@ -67,7 +69,7 @@ func SampleKeys[K kv.Key](keys []K, sampleSize int, seed uint64) WorkloadStats {
 		sampleSize = DefaultSampleSize
 	}
 
-	var maxKey uint64
+	minKey, maxKey := ^uint64(0), uint64(0)
 	freq := make(map[uint64]int, sampleSize)
 	if n <= sampleSize {
 		// Small column: use it whole, no sampling error.
@@ -75,9 +77,7 @@ func SampleKeys[K kv.Key](keys []K, sampleSize int, seed uint64) WorkloadStats {
 		for _, k := range keys {
 			u := uint64(k)
 			freq[u]++
-			if u > maxKey {
-				maxKey = u
-			}
+			minKey, maxKey = min(minKey, u), max(maxKey, u)
 		}
 	} else {
 		st.SampleSize = sampleSize
@@ -94,13 +94,11 @@ func SampleKeys[K kv.Key](keys []K, sampleSize int, seed uint64) WorkloadStats {
 			z ^= z >> 31
 			u := uint64(keys[z%uint64(n)])
 			freq[u]++
-			if u > maxKey {
-				maxKey = u
-			}
+			minKey, maxKey = min(minKey, u), max(maxKey, u)
 		}
 	}
 
-	if b := bits.Len64(maxKey); b > 0 {
+	if b := bits.Len64(minKey ^ maxKey); b > 0 {
 		st.DomainBits = b
 	}
 	st.DistinctFrac = float64(len(freq)) / float64(st.SampleSize)

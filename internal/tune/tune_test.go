@@ -23,16 +23,6 @@ func TestCalibrateProducesSaneProfile(t *testing.T) {
 	if p.NumCPU < 1 || p.GOARCH == "" || p.CalibratedAt == "" {
 		t.Fatalf("environment fields missing: %+v", p)
 	}
-	if len(p.Scatter32) != len(probeBits) || len(p.Scatter64) != len(probeBits) {
-		t.Fatalf("scatter curves incomplete: %d/%d points", len(p.Scatter32), len(p.Scatter64))
-	}
-	// The probes measure real kernels: out-of-cache cost at the widest
-	// probed fanout must be at least the in-cache cost at the narrowest —
-	// anything else means the probe harness timed the wrong thing.
-	last := p.Scatter64[len(p.Scatter64)-1]
-	if last.OutCacheNs <= 0 || p.Scatter64[0].InCacheNs <= 0 {
-		t.Fatalf("non-positive scatter measurements: %+v", p.Scatter64)
-	}
 }
 
 func TestMachineProfileJSONRoundTrip(t *testing.T) {
@@ -70,9 +60,7 @@ func TestLoadRejectsMalformedProfiles(t *testing.T) {
 func fixedProfile() *MachineProfile {
 	return &MachineProfile{
 		GoVersion: "go1.23", GOOS: "linux", GOARCH: "amd64", NumCPU: 2,
-		SeqReadGBps: 10, ScatterGBps: 4, Hist32MKeys: 900, Hist64MKeys: 700,
-		Scatter32: []ScatterPoint{{Bits: 4, InCacheNs: 1, OutCacheNs: 2}, {Bits: 8, InCacheNs: 1.5, OutCacheNs: 3}},
-		Scatter64: []ScatterPoint{{Bits: 4, InCacheNs: 1.2, OutCacheNs: 2.5}, {Bits: 8, InCacheNs: 2, OutCacheNs: 4}},
+		SeqReadGBps: 10, ScatterGBps: 4, Hist64MKeys: 700,
 	}
 }
 
@@ -89,13 +77,9 @@ func TestValidate(t *testing.T) {
 		{"NaN read bandwidth", func(p *MachineProfile) { p.SeqReadGBps = nan }, false},
 		{"+Inf scatter bandwidth", func(p *MachineProfile) { p.ScatterGBps = inf }, false},
 		{"-Inf scatter bandwidth", func(p *MachineProfile) { p.ScatterGBps = -inf }, false},
-		{"NaN 64-bit histogram", func(p *MachineProfile) { p.Hist64MKeys = nan }, false},
-		{"+Inf 32-bit histogram", func(p *MachineProfile) { p.Hist32MKeys = inf }, false},
-		{"NaN in-cache cost", func(p *MachineProfile) { p.Scatter32[1].InCacheNs = nan }, false},
-		{"+Inf out-of-cache cost", func(p *MachineProfile) { p.Scatter64[0].OutCacheNs = inf }, false},
-		{"zero out-of-cache cost", func(p *MachineProfile) { p.Scatter64[1].OutCacheNs = 0 }, false},
-		{"unordered bits", func(p *MachineProfile) { p.Scatter32[1].Bits = 4 }, false},
-		{"empty curve", func(p *MachineProfile) { p.Scatter64 = nil }, false},
+		{"NaN histogram", func(p *MachineProfile) { p.Hist64MKeys = nan }, false},
+		{"+Inf histogram", func(p *MachineProfile) { p.Hist64MKeys = inf }, false},
+		{"zero histogram", func(p *MachineProfile) { p.Hist64MKeys = 0 }, false},
 	}
 	for _, c := range cases {
 		p := fixedProfile()
@@ -122,6 +106,7 @@ func FuzzLoadMachineProfile(f *testing.F) {
 	f.Add([]byte(`{"seq_read_gbps": 1e999}`))
 	f.Add([]byte(`{"scatter32": [{"bits": 1, "in_cache_ns": 1, "out_cache_ns": 1}]}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(curveProfileJSON))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		in := filepath.Join(dir, "in.json")
@@ -165,25 +150,47 @@ func TestMemProjectsCalibratedConstants(t *testing.T) {
 	}
 }
 
-func TestScatterInterpolation(t *testing.T) {
-	p := &MachineProfile{
-		Scatter64: []ScatterPoint{
-			{Bits: 4, InCacheNs: 1, OutCacheNs: 2},
-			{Bits: 8, InCacheNs: 3, OutCacheNs: 6},
-		},
+// curveProfileJSON is a profile as Save wrote it while profiles also
+// carried per-fanout scatter curves and a 32-bit histogram throughput.
+const curveProfileJSON = `{
+  "go": "go1.24.0",
+  "goos": "linux",
+  "goarch": "amd64",
+  "num_cpu": 2,
+  "calibrated_at": "2026-10-19T12:00:00Z",
+  "quick": true,
+  "seq_read_gbps": 9.5,
+  "scatter_gbps": 1.8,
+  "hist32_mkeys": 850,
+  "hist64_mkeys": 640,
+  "scatter32": [
+    {"bits": 4, "in_cache_ns": 1.1, "out_cache_ns": 3.2},
+    {"bits": 8, "in_cache_ns": 1.6, "out_cache_ns": 5.9}
+  ],
+  "scatter64": [
+    {"bits": 4, "in_cache_ns": 1.3, "out_cache_ns": 4.4},
+    {"bits": 8, "in_cache_ns": 2.1, "out_cache_ns": 8.9}
+  ]
+}`
+
+// TestLoadCurveProfile loads a profile that also carries the scatter
+// curves and the 32-bit histogram throughput: it must validate and
+// project the Mem() its three read measurements give.
+func TestLoadCurveProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "profile.json")
+	if err := os.WriteFile(path, []byte(curveProfileJSON), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got := p.scatterNs(64, 4, false); got != 2 {
-		t.Fatalf("at probed point: %v", got)
+	p, err := Load(path)
+	if err != nil {
+		t.Fatalf("load: %v", err)
 	}
-	if got := p.scatterNs(64, 6, false); got != 4 {
-		t.Fatalf("midpoint: %v, want 4", got)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("validate: %v", err)
 	}
-	if got := p.scatterNs(64, 2, true); got != 1 {
-		t.Fatalf("below curve: %v, want clamp to 1", got)
-	}
-	// Beyond the curve the last slope extrapolates: 6 + (6-2)/4*4 = 10.
-	if got := p.scatterNs(64, 12, false); got != 10 {
-		t.Fatalf("beyond curve: %v, want 10", got)
+	want := memmodel.Calibrated(2, 9.5, 1.8, 1e3/640.0/3)
+	if got := p.Mem(); got != want {
+		t.Fatalf("Mem() = %+v, want %+v", got, want)
 	}
 }
 
@@ -220,10 +227,13 @@ func TestPlanKnobsAlwaysValid(t *testing.T) {
 	for _, w := range workloads {
 		for _, req := range reqs {
 			plan := Choose(quickProfile, w, req)
-			if plan.RadixBits < 1 || plan.RadixBits > 16 {
-				t.Fatalf("RadixBits %d out of range for %+v / %+v", plan.RadixBits, w, req)
+			// Past the cache bound every sort partitions at least once;
+			// within it MSB and CMP may stay in one in-cache leaf.
+			minPasses := 0
+			if w.N > memmodel.WorkerCacheBytes/(req.KeyBits/4) {
+				minPasses = 1
 			}
-			if plan.Threads < 1 || plan.RangeFanout < 2 || plan.Passes < 1 {
+			if plan.Threads < 1 || plan.Passes < minPasses {
 				t.Fatalf("invalid knobs %+v for %+v / %+v", plan, w, req)
 			}
 			if plan.PredictedNs < 0 {
@@ -294,6 +304,13 @@ func TestSamplerUniformVsZipf(t *testing.T) {
 	if ps.DomainBits < 16 || ps.DomainBits > 18 {
 		t.Fatalf("permutation domain estimate %d, want ~18", ps.DomainBits)
 	}
+	// The same keys behind a shared high prefix span the same bits.
+	for i := range perm {
+		perm[i] |= 0xFFFF_FFFF << 32
+	}
+	if pre := SampleKeys(perm, 0, 3); pre != ps {
+		t.Fatalf("prefixed permutation stats %+v, want the bare keys' %+v", pre, ps)
+	}
 
 	// Degenerate inputs.
 	if s := SampleKeys([]uint64{}, 0, 1); s.SampleSize != 0 || s.DomainBits != 1 {
@@ -306,49 +323,18 @@ func TestSamplerUniformVsZipf(t *testing.T) {
 }
 
 // TestLSBPricesDigitPlan pins the planner to the digits the runtime runs:
-// LSB's baseline is the working-set plan (two 11-bit passes over a 22-bit
-// domain out of cache, byte-wide digits in cache), and a plan that keeps
-// those digits reports their widest as its radix width.
+// a forced LSB plan counts the passes of LSB's digit plan
+// (memmodel.LSBDigits) over the sampled span, two 11-bit passes over a
+// 22-bit span out of cache and byte-wide digits in cache.
 func TestLSBPricesDigitPlan(t *testing.T) {
-	for _, w := range []WorkloadStats{
-		{N: 1 << 22, DomainBits: 22, SampleSize: 1024, DistinctFrac: 1},
-		{N: 1 << 12, DomainBits: 22, SampleSize: 1024, DistinctFrac: 1},
-	} {
-		base, passes := lsbCost(quickProfile, w, 32, lsbPlanBits, 1)
-		if want := len(lsbDigits(w, 32, lsbPlanBits)); passes != want {
-			t.Fatalf("N=%d: plan priced at %d passes, runtime runs %d", w.N, passes, want)
-		}
+	for _, c := range []struct{ n, passes int }{{1 << 22, 2}, {1 << 12, 3}} {
+		w := WorkloadStats{N: c.n, DomainBits: 22, SampleSize: 1024, DistinctFrac: 1}
 		plan := Choose(quickProfile, w, Requirements{KeyBits: 32, Force: AlgoLSB, MaxThreads: 1})
-		if plan.BaselineNs != base {
-			t.Fatalf("N=%d: BaselineNs %v, want the plan's %v", w.N, plan.BaselineNs, base)
+		if plan.Passes != c.passes {
+			t.Fatalf("N=%d: plan priced at %d passes, runtime runs %d", c.n, plan.Passes, c.passes)
 		}
-		if plan.PredictedNs == base && plan.RadixBits != int(lsbDigits(w, 32, lsbPlanBits)[0][1]) {
-			t.Fatalf("N=%d: kept plan reports RadixBits %d", w.N, plan.RadixBits)
+		if plan.PredictedNs <= 0 {
+			t.Fatalf("N=%d: predicted %v ns", c.n, plan.PredictedNs)
 		}
-	}
-	if _, passes := lsbCost(quickProfile, WorkloadStats{N: 1 << 22, DomainBits: 22}, 32, lsbPlanBits, 1); passes != 2 {
-		t.Fatalf("22-bit out-of-cache plan priced at %d passes, want 2", passes)
-	}
-}
-
-// TestLSBTunedDigitsFitBudget checks that the planner tunes LSB's digits
-// only within its budget: on a profile whose flat scatter curve makes
-// two 14-bit passes over a 28-bit domain beat three working-set passes,
-// the free plan takes the wide digits, and a budget of the working-set
-// plan's Footprint keeps that plan, whose tables fit it. sortd charges
-// an auto-tuned request that Footprint, so its run never outgrows it.
-func TestLSBTunedDigitsFitBudget(t *testing.T) {
-	p := fixedProfile()
-	p.Scatter32 = []ScatterPoint{{Bits: 4, InCacheNs: 2, OutCacheNs: 2}, {Bits: 14, InCacheNs: 2, OutCacheNs: 2}}
-	w := WorkloadStats{N: 1 << 17, SampleSize: 1024, DomainBits: 28, DistinctFrac: 1}
-	budget := Footprint(AlgoLSB, w.N, 32, 2)
-	free := Choose(p, w, Requirements{KeyBits: 32, Force: AlgoLSB, MaxThreads: 2})
-	if free.RadixBits <= memmodel.LSBOutOfCacheBits || free.AuxBytes <= budget {
-		t.Fatalf("free plan: %d-bit digits, %d B; want wider than the working-set plan and over %d B",
-			free.RadixBits, free.AuxBytes, budget)
-	}
-	tight := Choose(p, w, Requirements{KeyBits: 32, Force: AlgoLSB, MaxThreads: 2, MaxBytes: budget})
-	if tight.RadixBits > memmodel.LSBOutOfCacheBits || tight.AuxBytes > budget {
-		t.Fatalf("budgeted plan: %d-bit digits, %d B over a %d-B budget", tight.RadixBits, tight.AuxBytes, budget)
 	}
 }

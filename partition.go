@@ -115,15 +115,15 @@ func TryPartitionCtx[K Key, F PartitionFunc[K]](ctx context.Context, srcKeys, sr
 
 // PartitionInPlace partitions keys/vals in place (single goroutine) and
 // returns the histogram: Algorithm 2's swap cycles for cache-resident
-// inputs (at most cacheTuples tuples; pass 0 to use the default 256 KiB
-// threshold), and above that the single-worker block permutation MSB's
+// inputs (at most cacheTuples tuples; pass 0 to use the sorts' 256 KiB
+// per-worker budget, memmodel.WorkerCacheBytes), and above that the single-worker block permutation MSB's
 // out-of-cache passes run, whose classify scan also counts the histogram.
 // The block permutation holds fanout × 128 tuples of scratch per column.
 func PartitionInPlace[K Key, F PartitionFunc[K]](keys, vals []K, fn F, cacheTuples int) []int {
 	mustValid(validatePairs("PartitionInPlace", "keys", "vals", keys, vals))
 	mustValid(validateFanout("PartitionInPlace", fn.Fanout()))
 	if cacheTuples <= 0 {
-		cacheTuples = (256 << 10) / (2 * kv.Width[K]() / 8)
+		cacheTuples = memmodel.WorkerCacheBytes / (2 * kv.Width[K]() / 8)
 	}
 	if len(keys) <= cacheTuples {
 		hist := part.Histogram(keys, fn)

@@ -63,9 +63,7 @@ type Workload struct {
 //
 // The workload must be well-formed (see the Workload field ranges):
 // N >= 1, KeyBits one of 0/32/64, DomainBits in [0, 64]. Anything else
-// panics with an *ArgError naming the offending field — previously such
-// workloads were silently accepted and produced a recommendation based
-// on garbage.
+// panics with an *ArgError naming the offending field.
 func Recommend(w Workload) Algorithm {
 	mustValid(validateWorkload("Recommend", w))
 	if w.NeedStable {
@@ -95,7 +93,9 @@ func Recommend(w Workload) Algorithm {
 }
 
 // Sort runs the recommended algorithm for the workload it derives from the
-// input (domain detected by scanning) and the given requirements. An empty
+// input and the given requirements. The domain is the key span, read in
+// one scan as MSB reads it (the bits below the prefix every key shares,
+// at least 1), so dense keys behind a shared high prefix count as dense. An empty
 // input is trivially sorted: Sort returns LSB without consulting
 // Recommend. With opt.AutoTune set, the static decision table is replaced
 // by the machine-calibrated planner: the key column is sampled (no full
@@ -114,7 +114,7 @@ func Sort[K Key](keys, vals []K, needStable, spaceTight bool, opt *SortOptions) 
 	case plan == nil: // no AutoTune, or below the planning threshold
 		a = Recommend(Workload{
 			N:          len(keys),
-			DomainBits: kv.DomainBits(keys),
+			DomainBits: max(kv.SpanBits(keys), 1),
 			KeyBits:    kv.Width[K](),
 			SpaceTight: spaceTight,
 			NeedStable: needStable,

@@ -58,13 +58,13 @@ type SortOptions struct {
 	// floor (PlanSpill's MemBytes). Negative is invalid.
 	MaxAuxBytes int64
 	// AutoTune engages the machine-calibrated adaptive planner: the sort
-	// samples the key column, prices candidate configurations with the
-	// machine profile (Profile, or the process-wide one — see Calibrate),
-	// and fills every knob left at its zero value from the winning plan.
-	// Knobs set explicitly always win over the planner. The plan is
-	// recorded in Stats.Plan and, under an observability session, emitted
-	// as an "autotune-plan" meta event. Inputs smaller than ~4K tuples
-	// skip planning entirely.
+	// samples the key column, prices the candidate algorithms with the
+	// sort model on the machine profile (Profile, or the process-wide one
+	// — see Calibrate), and fills Threads, when left at zero, from the
+	// plan; Sort also takes the plan's algorithm. The plan is recorded in
+	// Stats.Plan and, under an observability session, emitted as an
+	// "autotune-plan" meta event. Inputs smaller than ~4K tuples skip
+	// planning entirely.
 	AutoTune bool
 	// Profile is the calibrated machine profile AutoTune plans against;
 	// nil selects the process-wide profile (installed by Calibrate,

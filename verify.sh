@@ -83,6 +83,10 @@ go test -run '^$' -fuzz '^FuzzRangeIndex$' -fuzztime 10s .
 # extent or a sealed run end in ErrCorrupt or a correct sort, never in a
 # panic, a wrong sort or a leaked temp file.
 go test -run '^$' -fuzz '^FuzzSpillReadback$' -fuzztime 10s ./internal/extsort
+# Machine profiles are an untrusted boundary: arbitrary bytes given to
+# tune.Load end in an error or a valid profile that round-trips through
+# Save, never in a panic.
+go test -run '^$' -fuzz '^FuzzLoadMachineProfile$' -fuzztime 10s ./internal/tune
 go run ./cmd/partcli -n 100000 -variant sync -threads 4 > /dev/null
 go run ./cmd/tracecli -n 65536 -fanout 512 > /dev/null
 go test -run xxx -bench 'Fig03|Fig09' -benchtime 0.2s . > /dev/null
