@@ -11,9 +11,8 @@ import (
 )
 
 // ExternalStats reports what one SortExternal run did: whether it
-// spilled, how many bytes moved through the spill files, segment and
-// merge counts, and the I/O-overlap split (IONs vs StallNs — see
-// OverlapRatio).
+// spilled, how many bytes moved through the spill file, the bucket count,
+// and the wall time of its two phases.
 type ExternalStats = extsort.Stats
 
 // ErrSpillBudget is wrapped by the *SpillError returned when an external
@@ -21,8 +20,7 @@ type ExternalStats = extsort.Stats
 var ErrSpillBudget = extsort.ErrDiskBudget
 
 // ErrSpillCorrupt is wrapped by the *SpillError returned when spill data
-// read back from disk fails its seal: a formation bucket's CRC32C, or a
-// sealed run's count or checksum.
+// read back from disk fails its seal: a formation bucket's CRC32C.
 var ErrSpillCorrupt = extsort.ErrCorrupt
 
 // SpillPlan is the external-sort shape PlanSpill derives from an input
@@ -34,13 +32,15 @@ type SpillPlan = tune.SpillPlan
 // budget of half the machine's available memory), for one worker
 // (SortOptions' default Threads; SortExternal plans for its own Threads):
 // whether the input must spill at all and, if so, the segment, fanout,
-// line, block, and merge shape plus the peak resident footprint MemBytes,
-// the largest of the pipeline's three phases (the sorter holds each
-// phase's buffers only while that phase runs). MemBytes is at least the
-// planner's floor (a few hundred KiB of minimum buffers), so for tiny
+// line and extent shape, the worker count of the in-place overflow sort,
+// and the peak resident footprint MemBytes, the largest of the pipeline's
+// three phases (the sorter holds each phase's buffers only while that
+// phase runs). MemBytes is at least the planner's floor (a few hundred KiB
+// of minimum buffers, growing by about n/32 bytes at large n for the
+// in-place sort of a bucket that holds the whole input), so for tiny
 // budgets it exceeds maxAux; SortExternal then runs at MemBytes.
 func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
-	return tune.PlanSpill(n, keyBits, maxAux, 1, nil)
+	return tune.PlanSpill(n, keyBits, maxAux, 1)
 }
 
 // SortExternal sorts (keys, vals) by key even when the working set
@@ -49,15 +49,16 @@ func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 // in a temp directory, planned so that each fits half an in-memory
 // segment; each bucket is read back once and sorted in memory straight
 // into its output range. A bucket that skew pushes past one segment is
-// cut into sorted runs that a pipelined file-backed W-way merge (prefetch
-// overlapped with merge compute) puts back in order. Inputs that fit one
+// read into its output range once its seals have been checked, and sorted
+// there in place by the in-place MSB radix-sort. Inputs that fit one
 // segment never touch disk. Not stable.
 //
 // Threads parallelizes both phases: formation scatters Threads slices of
 // the input, each through its own line buffers, and delivery sorts
-// Threads buckets at once, one thread each; the sorted runs of overflowing
-// buckets are cut and sorted on all Threads. The plan (PlanSpill's shape
-// at that worker count) prices the widest phase.
+// Threads buckets at once, one thread each; an overflowing bucket is
+// sorted on as many of the Threads as the budget fits beside the staging
+// buffer (the plan's OverflowThreads). The plan (PlanSpill's shape at
+// that worker count) prices the widest phase.
 //
 // A positive MaxAuxBytes below the plan's floor (PlanSpill's MemBytes)
 // is raised to it, with or without a Workspace, so a tiny budget still
@@ -66,7 +67,7 @@ func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 // Argument problems return *ArgError, spill I/O failures *SpillError
 // (disk budget overruns unwrap to ErrSpillBudget), contained worker
 // panics *InternalError. On error keys/vals hold a permutation of the
-// input and every temp file has been removed — except when a formation
+// input and the temp directory has been removed — except when a formation
 // bucket fails its seal or its read after delivery has overwritten part
 // of the input: that bucket's tuples then exist nowhere intact, its
 // output range is wrong (every other range is restored), and the error
@@ -105,31 +106,34 @@ func SortExternalCtx[K Key](ctx context.Context, keys, vals []K, opt *SortOption
 // externalOptions resolves the extsort configuration: tune.PlanSpill
 // shapes every knob from the memory budget, explicit Spill* overrides
 // win (an overridden fanout gets the line tune.SpillLineTuples sizes for
-// it), and a non-spilling plan widens the segment so the whole input
-// takes the in-memory path. It also returns the run's aux budget:
-// MaxAuxBytes raised to the plan's floor when set below it.
+// it, an overridden segment the overflow workers tune.OverflowThreads
+// fits beside its staging buffer), and a non-spilling plan widens the
+// segment so the whole input takes the in-memory path. It also returns
+// the run's aux budget: MaxAuxBytes raised to the plan's floor when set
+// below it.
 func externalOptions[K Key](opt *SortOptions, n int) (extsort.Options, int64) {
 	maxAux := optMaxAux(opt)
-	var prof *tune.MachineProfile
 	threads, radixBits := 1, 0
 	eo := extsort.Options{}
 	if opt != nil {
-		prof = opt.Profile
 		threads, radixBits = opt.Threads, opt.RadixBits
 		eo.TempDir = opt.TempDir
 		eo.MaxSpillBytes = opt.MaxSpillBytes
 	}
-	plan := tune.PlanSpill(n, kv.Width[K](), maxAux, threads, prof)
+	plan := tune.PlanSpill(n, kv.Width[K](), maxAux, threads)
 	eo.SegmentTuples = plan.SegmentTuples
 	eo.BucketBits = plan.BucketBits
-	eo.MergeWidth = plan.MergeWidth
 	eo.LineTuples = plan.LineTuples
-	eo.BlockTuples = plan.BlockTuples
+	eo.OverflowThreads = plan.OverflowThreads
 	eo.Threads = threads
 	eo.RadixBits = radixBits
+	if maxAux > 0 {
+		maxAux = max(maxAux, plan.MemBytes)
+	}
 	if opt != nil {
 		if opt.SpillSegmentTuples > 0 {
 			eo.SegmentTuples = opt.SpillSegmentTuples
+			eo.OverflowThreads = tune.OverflowThreads(n, kv.Width[K](), maxAux, eo.SegmentTuples, threads)
 		} else if !plan.Spill {
 			// The plan says the input fits the memory budget: make the
 			// segment cover it so Run takes the in-memory shortcut.
@@ -139,20 +143,8 @@ func externalOptions[K Key](opt *SortOptions, n int) (extsort.Options, int64) {
 			eo.BucketBits = opt.SpillBucketBits
 			eo.LineTuples = tune.SpillLineTuples(eo.BucketBits, kv.Width[K](), maxAux, threads)
 		}
-		if opt.SpillMergeWidth > 0 {
-			eo.MergeWidth = opt.SpillMergeWidth
-		}
 	} else if !plan.Spill {
 		eo.SegmentTuples = n
-	}
-	// A quarter segment per prefetch block keeps each sealed run several
-	// blocks deep, so the merge iterators genuinely double-buffer even
-	// when an override shrank the segments below the planned size.
-	if b := eo.SegmentTuples / 4; b < eo.BlockTuples {
-		eo.BlockTuples = b
-	}
-	if maxAux > 0 {
-		maxAux = max(maxAux, plan.MemBytes)
 	}
 	return eo, maxAux
 }

@@ -6,18 +6,17 @@ import (
 	"repro/internal/gen"
 )
 
-// benchExternal runs the spill pipeline b.N times at forced-spill
-// settings and reports throughput plus the I/O-lane metrics benchdiff
-// gates on: spill traffic rate (io-MB/s) and the fraction of prefetch
-// read time hidden behind merge compute (overlap).
-func benchExternal(b *testing.B, n, segTuples int) {
+// BenchmarkExternalSort is the whole spill pipeline at forced-spill
+// settings, formation and delivery of an input 16 segments deep, with its
+// throughput and spill traffic rate (io-MB/s).
+func BenchmarkExternalSort(b *testing.B) {
+	const n = 1 << 20
 	w := NewWorkspace()
 	defer w.Close()
 	opt := &SortOptions{
 		TempDir:            b.TempDir(),
-		SpillSegmentTuples: segTuples,
+		SpillSegmentTuples: 1 << 16,
 		SpillBucketBits:    2,
-		SpillMergeWidth:    8,
 		Threads:            4,
 		Workspace:          w,
 	}
@@ -25,7 +24,7 @@ func benchExternal(b *testing.B, n, segTuples int) {
 	baseV := RIDs[uint64](n)
 	keys := make([]uint64, n)
 	vals := make([]uint64, n)
-	var ioBytes, ready, stalled int64
+	var ioBytes int64
 	b.SetBytes(int64(n) * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,8 +40,6 @@ func benchExternal(b *testing.B, n, segTuples int) {
 			b.Fatalf("benchmark did not spill: %+v", st)
 		}
 		ioBytes += st.SpillBytes + st.ReadBytes
-		ready += st.BlocksReady
-		stalled += st.BlocksStalled
 	}
 	b.StopTimer()
 	sec := b.Elapsed().Seconds()
@@ -50,20 +47,4 @@ func benchExternal(b *testing.B, n, segTuples int) {
 		b.ReportMetric(float64(n)*float64(b.N)/sec/1e6, "Mtuples/s")
 		b.ReportMetric(float64(ioBytes)/(1<<20)/sec, "io-MB/s")
 	}
-	if total := ready + stalled; total > 0 {
-		b.ReportMetric(float64(ready)/float64(total), "overlap")
-	}
-}
-
-// BenchmarkExternalSort is the whole pipeline: formation, delivery, and
-// merge over an input 16 segments deep.
-func BenchmarkExternalSort(b *testing.B) {
-	benchExternal(b, 1<<20, 1<<16)
-}
-
-// BenchmarkExternalMerge pushes the fan-in up (64 segments in 8-wide
-// rounds) so the merge and its prefetch pipeline dominate; the overlap
-// metric reported here is the I/O-hiding acceptance gate.
-func BenchmarkExternalMerge(b *testing.B) {
-	benchExternal(b, 1<<20, 1<<14)
 }

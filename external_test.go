@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/kv"
+	"repro/internal/obs"
 	"repro/internal/tune"
 )
 
@@ -19,7 +21,6 @@ func extTestOpt(t *testing.T) *SortOptions {
 		TempDir:            t.TempDir(),
 		SpillSegmentTuples: 1 << 12,
 		SpillBucketBits:    3,
-		SpillMergeWidth:    4,
 		Threads:            2,
 	}
 }
@@ -58,7 +59,7 @@ func forcedSpill[K Key](t *testing.T, n int) {
 	if !SameMultiset(keys, vals, sumK, sumV) {
 		t.Fatal("output not a permutation of the input")
 	}
-	if st.SpillBytes == 0 || st.ReadBytes == 0 || st.RunsWritten == 0 {
+	if st.SpillBytes == 0 || st.ReadBytes == 0 {
 		t.Fatalf("spill stats empty: %+v", st)
 	}
 	if want := int64(n) * pairBytes; st.FormationBytes != want {
@@ -69,9 +70,9 @@ func forcedSpill[K Key](t *testing.T, n int) {
 
 // TestSortExternalOnePassPlan pins the planner's one-pass shape: uniform
 // 64-bit pairs under an eighth of their bytes, with no Spill* overrides,
-// spill and read back each byte once (no sealed run, no merge), and the
-// run reserves at most 1.25× the formation bytes of disk: MaxSpillBytes
-// refuses it past that. The second row's domain sits just above a power
+// spill and read back each byte once (no bucket overflows its segment,
+// which would read its bytes twice), and the run reserves at most 1.25×
+// the formation bytes of disk: MaxSpillBytes refuses it past that. The second row's domain sits just above a power
 // of two, where a digit taken by shifting alone would fill half the
 // buckets to twice the planned fill.
 func TestSortExternalOnePassPlan(t *testing.T) {
@@ -96,17 +97,16 @@ func TestSortExternalOnePassPlan(t *testing.T) {
 			t.Fatalf("domain %#x: formation %d, spilled %d, read %d bytes; want each byte once (%d)",
 				domain, st.FormationBytes, st.SpillBytes, st.ReadBytes, in)
 		}
-		if st.RunsWritten != 0 || st.MergeRounds != 0 {
-			t.Fatalf("domain %#x: %d buckets sealed %d runs in %d merges; the plan should deliver every bucket in one pass",
-				domain, st.Buckets, st.RunsWritten, st.MergeRounds)
-		}
 		base.Verify(t, nil, opt.TempDir)
 	}
 }
 
-// TestSortExternalSkewMerges keeps the merge path covered under planner
-// defaults: Zipf θ = 1 keys give the hottest key about 7% of the input,
-// far past one segment, so its bucket is cut into sealed runs and merged.
+// TestSortExternalSkewMerges keeps the overflow path covered under
+// planner defaults: Zipf θ = 1 keys give the hottest key about 7% of the
+// input, far past one segment, so its bucket is sorted in place in its
+// output range. The witness is its second read: the seal check reads an
+// overflowing bucket once before the read into its range, so ReadBytes
+// exceeds FormationBytes, while nothing but formation writes to disk.
 func TestSortExternalSkewMerges(t *testing.T) {
 	n := 1 << 20
 	keys := gen.ZipfKeys[uint64](n, 1<<20, 1.0, 12)
@@ -123,11 +123,70 @@ func TestSortExternalSkewMerges(t *testing.T) {
 	if !st.Spilled || !IsSorted(keys) || !SameMultiset(keys, vals, sumK, sumV) {
 		t.Fatalf("spilled=%v sorted=%v", st.Spilled, IsSorted(keys))
 	}
-	if st.MergeRounds == 0 || st.RunsWritten == 0 {
+	if st.ReadBytes <= st.FormationBytes {
 		t.Fatalf("no bucket overflowed its segment: %+v", st)
+	}
+	if st.SpillBytes != st.FormationBytes {
+		t.Fatalf("spilled %d bytes, want the formation copy alone (%d)", st.SpillBytes, st.FormationBytes)
 	}
 	base.Verify(t, nil, opt.TempDir)
 }
+
+// TestSortExternalOverflowWorkers checks that a bucket past one segment
+// is sorted on the plan's OverflowThreads workers, not on all Threads:
+// 2^20 pairs on four threads under 2 MiB fit two beside the staging
+// buffer. Every key lies in the top eighth of the domain, so every bucket
+// overflows its segment (each is read twice) and every worker span of the
+// run comes from the in-place sort.
+func TestSortExternalOverflowWorkers(t *testing.T) {
+	const n, threads = 1 << 20, 4
+	budget := int64(n) * 16 / 8
+	plan := tune.PlanSpill(n, 64, budget, threads)
+	if plan.OverflowThreads < 1 || plan.OverflowThreads >= threads {
+		t.Fatalf("plan fits %d overflow workers of %d; the test needs fewer than all", plan.OverflowThreads, threads)
+	}
+	keys := gen.Uniform[uint64](n, 1<<40, 23)
+	for i := range keys {
+		keys[i] |= 7 << 40
+	}
+	keys[0] = 8<<40 - 1 // the sampled maximum
+	vals := RIDs[uint64](n)
+	want := kv.ChecksumPairs(keys, vals)
+
+	sink := &workerSink{}
+	obs.Start(sink)
+	st, err := SortExternal(keys, vals, &SortOptions{Threads: threads, MaxAuxBytes: budget, TempDir: t.TempDir()})
+	_ = obs.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IsSorted(keys) || kv.ChecksumPairs(keys, vals) != want {
+		t.Fatalf("sorted=%v", IsSorted(keys))
+	}
+	if st.ReadBytes != 2*st.FormationBytes {
+		t.Fatalf("read %d of %d formation bytes; want every bucket read twice", st.ReadBytes, st.FormationBytes)
+	}
+	if sink.workers != plan.OverflowThreads {
+		t.Fatalf("the overflow sorts ran on %d workers, want the plan's %d", sink.workers, plan.OverflowThreads)
+	}
+}
+
+// workerSink is an obs sink that counts the workers whose spans it saw:
+// one more than the highest worker index.
+type workerSink struct {
+	mu      sync.Mutex
+	workers int
+}
+
+// Emit implements obs.Sink.
+func (s *workerSink) Emit(e obs.Event) {
+	s.mu.Lock()
+	s.workers = max(s.workers, e.Worker+1)
+	s.mu.Unlock()
+}
+
+// Close implements obs.Sink.
+func (s *workerSink) Close() error { return nil }
 
 // TestSortExternalInMemory checks that small inputs under a roomy budget
 // never touch disk, and still sort.
@@ -204,7 +263,6 @@ func TestSortExternalArgErrors(t *testing.T) {
 	bad := []SortOptions{
 		{SpillSegmentTuples: -1},
 		{SpillBucketBits: 17},
-		{SpillMergeWidth: -2},
 		{MaxSpillBytes: -5},
 	}
 	for _, opt := range bad {
@@ -237,22 +295,27 @@ func TestSortExternalSpillBudget(t *testing.T) {
 	base.Verify(t, nil, opt.TempDir)
 }
 
-// TestSortExternalFaultInjection checks that injected spill and merge
-// faults surface as *InternalError wrapping fault.Injected, with the input
-// a permutation and nothing left behind: no goroutine, descriptor, temp
-// resource or spill file.
+// TestSortExternalFaultInjection checks that injected faults in the spill
+// writers and in the in-place sort of an overflowing bucket surface as
+// *InternalError wrapping fault.Injected, with the input a permutation
+// and nothing left behind: no goroutine, descriptor, temp resource or
+// spill file. The msb/recurse row halves the segment, so every bucket
+// (~4096 tuples) overflows it and the fault strikes the in-place sort
+// after it has written its output range.
 func TestSortExternalFaultInjection(t *testing.T) {
 	defer fault.Disable()
 	n := 1 << 15
 	for _, c := range []struct {
 		site  fault.Site
 		after int
+		seg   int
 	}{
-		{fault.SiteExtSpill, 10},
-		{fault.SiteExtMerge, 0},
+		{fault.SiteExtSpill, 10, 1 << 12},
+		{fault.SiteMSBRecurse, 0, 1 << 11},
 	} {
 		t.Run(string(c.site), func(t *testing.T) {
 			opt := extTestOpt(t)
+			opt.SpillSegmentTuples = c.seg
 			keys := gen.Uniform[uint64](n, 0, 4)
 			vals := RIDs[uint64](n)
 			sumK := append([]uint64(nil), keys...)
@@ -305,7 +368,7 @@ func TestSortExternalWorkspace(t *testing.T) {
 }
 
 // TestSortExternalBudgetBelowPlannerFloor pins that both paths agree when
-// MaxAuxBytes is below PlanSpill's floor (its buffer clamps): with or
+// MaxAuxBytes is below PlanSpill's floor: with or
 // without a workspace the sort runs at the planned footprint and spills,
 // instead of the workspace ledger refusing the planner's own buffers.
 func TestSortExternalBudgetBelowPlannerFloor(t *testing.T) {
@@ -355,7 +418,7 @@ func TestPlanSpill(t *testing.T) {
 	if big.MemBytes > budget+budget/2 {
 		t.Fatalf("planned footprint %d far exceeds budget %d", big.MemBytes, budget)
 	}
-	if big.SegmentTuples < 1 || big.MergeWidth < 2 || big.BucketBits < 1 {
+	if big.SegmentTuples < 1 || big.OverflowThreads < 1 || big.BucketBits < 1 {
 		t.Fatalf("degenerate plan: %+v", big)
 	}
 }
@@ -365,8 +428,9 @@ func TestPlanSpill(t *testing.T) {
 // under a budget of an eighth of the pairs' bytes, and requires the
 // workspace's measured peak of checked-out bytes to stay within the plan's
 // MemBytes, and MemBytes within the budget. The Zipf rows send the hot
-// buckets down the overflow path (chunk sorts on all threads, then the
-// merge); the uniform rows deliver every bucket in one piece. The 2^23
+// buckets down the overflow path (the in-place sort on the plan's
+// OverflowThreads beside the staging buffer); the uniform rows deliver
+// every bucket in one piece. The 2^23
 // rows run only in full-length builds without the race detector. One
 // more 2^20 row, uniform on 8 threads under a budget of the pairs' whole
 // 16 MiB, has its peak set by delivery: the 8 workers' bucket buffers
@@ -395,7 +459,7 @@ func TestSpillPlanCoversMeasuredPeak(t *testing.T) {
 	for _, r := range rows {
 		n, dist, threads := r.n, r.dist, r.threads
 		budget := int64(n) * 16 / r.budgetDiv
-		plan := tune.PlanSpill(n, 64, budget, threads, nil)
+		plan := tune.PlanSpill(n, 64, budget, threads)
 		if plan.MemBytes > budget {
 			t.Fatalf("n=%d T=%d: MemBytes %d over the budget %d", n, threads, plan.MemBytes, budget)
 		}
@@ -418,6 +482,6 @@ func TestSpillPlanCoversMeasuredPeak(t *testing.T) {
 		if peak > plan.MemBytes {
 			t.Fatalf("n=%d %s T=%d: measured peak %d B over the plan's MemBytes %d B", n, dist, threads, peak, plan.MemBytes)
 		}
-		t.Logf("n=%d %s T=%d: peak %d B, MemBytes %d B, budget %d B, merges %d", n, dist, threads, peak, plan.MemBytes, budget, st.MergeRounds)
+		t.Logf("n=%d %s T=%d: peak %d B, MemBytes %d B, budget %d B, overflow T %d, read %d B of %d", n, dist, threads, peak, plan.MemBytes, budget, plan.OverflowThreads, st.ReadBytes, st.FormationBytes)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -70,7 +69,7 @@ func deliveryOpt(t *testing.T, threads int) *partsort.SortOptions {
 
 // TestDeliveryBucketShapes sorts every bucket shape of deliveryShapes at
 // 32 and 64 bits on one and two workers. Every bucket is delivered in one
-// piece (no sealed run), the output is sorted and a permutation of the
+// piece (each read once), the output is sorted and a permutation of the
 // input, and nothing is left behind. The part of bucket 4 above the
 // cache bound is the only block permutation the run makes, so the
 // sync-claims counter moves.
@@ -118,8 +117,9 @@ func checkDelivery[K partsort.Key](t *testing.T, keys []K, threads int, claims b
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Spilled || st.RunsWritten != 0 {
-		t.Fatalf("spilled=%v runs=%d, want a spill delivered in one-segment buckets", st.Spilled, st.RunsWritten)
+	if !st.Spilled || st.ReadBytes != st.FormationBytes {
+		t.Fatalf("spilled=%v, read %d of %d formation bytes; want a spill delivered in one-segment buckets, each read once",
+			st.Spilled, st.ReadBytes, st.FormationBytes)
 	}
 	if !partsort.IsSorted(keys) || kv.ChecksumPairs(keys, vals) != want {
 		t.Fatalf("sorted=%v, permutation=%v", partsort.IsSorted(keys), kv.ChecksumPairs(keys, vals) == want)
@@ -216,9 +216,9 @@ func TestDeliveryWorkerErrorReleasesScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		reset := extsort.SetReadbackHook(func(f *os.File, spans func(int) [][2]int64) {
-			if filepath.Base(f.Name()) == "buckets.spill" {
-				flipByte(t, f, spans(7), func(int64) int64 { return 100 })
+		reset := extsort.SetReadbackHook(func(f *os.File, d int, spans func(int) [][2]int64) {
+			if d < 0 {
+				extsort.FlipByte(t, f, spans(7), func(int64) int64 { return 100 })
 			}
 		})
 		base := fault.TakeBaseline()

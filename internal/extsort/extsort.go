@@ -1,7 +1,7 @@
 // Package extsort breaks the in-memory ceiling: it sorts key/payload
 // columns whose working set exceeds the auxiliary-memory budget by
-// spilling to disk and merging back, in three phases, each on
-// Options.Threads workers.
+// spilling them to disk once and reading them back into their output
+// ranges, in two phases, each on Options.Threads workers.
 //
 //  1. Run formation (one streaming pass, counting-free): each worker
 //     classifies its contiguous slice of the input by the keys' place in
@@ -23,20 +23,19 @@
 //     first radix pass, run out of place on the digits below the key
 //     prefix the whole bucket shares, and of its in-cache levels, so the
 //     sort holds no block-permutation buffers. Afterwards each larger
-//     bucket is cut into segment-sized chunks, each sorted in memory on
-//     all threads and sealed as a checksummed sorted run.
-//  3. Merge: a bucket's sealed segments are merged W at a time by the
-//     file-backed generalization of the CMP lane merge — double-buffered
-//     segment iterators whose prefetch goroutines overlap disk reads with
-//     merge compute.
+//     bucket is sorted in place in its output range, which delivery
+//     overwrites anyway: a read-only pass checks its seals, a second pass
+//     reads its chains into the range through one staging buffer, and the
+//     in-place MSB sort (the paper's Section 4.2.2) runs over the range on
+//     Options.OverflowThreads workers.
 //
 // Every buffer comes from the workspace arena, held only during its phase
 // (steady-state buffer acquisition allocates nothing). A worker's error
 // stops its siblings at their next checkpoint and is returned as is.
 // Panics and errors unwind through a restore handler that rebuilds the
 // input permutation from the phase-1 chains once delivery has overwritten
-// part of the input, and every temp file is registered on the fault
-// package's resource ledger so a containment that leaks one fails tests.
+// part of the input, and the spill file is registered on the fault
+// package's resource ledger so a containment that leaks it fails tests.
 package extsort
 
 import (
@@ -47,13 +46,12 @@ import (
 
 	"repro/internal/hard"
 	"repro/internal/kv"
-	"repro/internal/obs"
 	"repro/internal/sortalgo"
 	"repro/internal/tune"
 	"repro/internal/ws"
 )
 
-// TempResource is the fault-ledger kind under which live spill files are
+// TempResource is the fault-ledger kind under which the live spill file is
 // accounted; harnesses assert it drains to zero after containment.
 const TempResource = "extsort/tempfile"
 
@@ -64,25 +62,24 @@ const TempResource = "extsort/tempfile"
 type Options struct {
 	// TempDir is where the spill directory is created ("": os.TempDir()).
 	TempDir string
-	// SegmentTuples is the sealed-run granularity (and the in-memory
-	// shortcut threshold: inputs at most this large never touch disk).
+	// SegmentTuples is the largest bucket delivered in one piece, and the
+	// staging buffer of a larger one in pairs (and the in-memory shortcut
+	// threshold: inputs at most this large never touch disk).
 	SegmentTuples int
 	// BucketBits is the run-formation fanout in bits (fanout 1<<bits).
 	BucketBits int
-	// MergeWidth caps merge fan-in; wider buckets merge in rounds.
-	MergeWidth int
 	// LineTuples is the per-bucket write-combining buffer in tuples.
 	LineTuples int
-	// BlockTuples is the merge iterators' prefetch block in tuples.
-	BlockTuples int
 	// MaxSpillBytes caps total reserved spill-file bytes (0: unlimited).
 	MaxSpillBytes int64
 	// Threads is the worker count of both phases: formation scatters
-	// Threads input slices, delivery sorts Threads one-segment buckets at
-	// once (one thread each), and the chunk sorts of larger buckets run on
-	// all Threads. RadixBits configures the in-memory sorts.
-	Threads   int
-	RadixBits int
+	// Threads input slices, and delivery sorts Threads one-segment buckets
+	// at once (one thread each). OverflowThreads (0: Threads; at most
+	// Threads) sorts a bucket larger than one segment in place, the plan's
+	// tune.OverflowThreads. RadixBits configures the in-memory sorts.
+	Threads         int
+	OverflowThreads int
+	RadixBits       int
 }
 
 // Stats reports what one external sort did; the public entry points and
@@ -95,46 +92,32 @@ type Stats struct {
 	// the single-streaming-pass witness tests assert on.
 	FormationBytes  int64
 	FormationWrites int64
-	// RunsWritten counts sealed segments (delivery chunks + merge rounds).
-	RunsWritten int64
-	// SpillBytes/ReadBytes are total spill-file traffic in bytes.
+	// SpillBytes/ReadBytes are total spill-file traffic in bytes. Only
+	// formation writes, so SpillBytes is FormationBytes; a bucket larger
+	// than one segment is read twice (its seal check, then into its output
+	// range), so ReadBytes exceeds FormationBytes by those buckets' bytes.
 	SpillBytes int64
 	ReadBytes  int64
-	// Buckets is the number of non-empty formation buckets; MaxFanIn the
-	// widest single merge; MergeRounds the number of merge invocations.
-	Buckets     int
+	// Buckets is the number of non-empty formation buckets.
+	Buckets int
+	// RunsWritten, MaxFanIn, MergeRounds, IONs and StallNs read 0: the
+	// external sort writes no sorted run and merges nothing. They remain
+	// because the benchmark harness (bench/layers.go) reports them.
+	RunsWritten int64
 	MaxFanIn    int
 	MergeRounds int64
-	// IONs is prefetcher time spent in reads; StallNs is consumer time
-	// spent blocked waiting for one. On a multi-core host their gap is
-	// wall-clock I/O hidden behind compute; on a single core every
-	// page-cache read consumes the CPU during the consumer's wait, so the
-	// block counts below are the scheduling-independent overlap measure.
-	IONs    int64
-	StallNs int64
-	// BlocksReady counts prefetched blocks that were already waiting when
-	// the merge asked for them (their read completed entirely behind
-	// compute); BlocksStalled counts the ones the merge had to wait for —
-	// pipeline fills and prefetch misses.
-	BlocksReady   int64
-	BlocksStalled int64
+	IONs        int64
+	StallNs     int64
 	// FormNs and DeliverNs are the wall time of run formation and of
-	// delivery (one-segment buckets, then sealed runs and their merges).
+	// delivery (one-segment buckets, then the larger ones).
 	FormNs    int64
 	DeliverNs int64
 }
 
-// OverlapRatio is the prefetch-effectiveness of the merge pipeline: the
-// fraction of block handoffs whose read was finished before the merge
-// needed the data, i.e. I/O fully overlapped with compute. 0 when no
-// merge ran.
-func (st Stats) OverlapRatio() float64 {
-	total := st.BlocksReady + st.BlocksStalled
-	if total <= 0 {
-		return 0
-	}
-	return float64(st.BlocksReady) / float64(total)
-}
+// OverlapRatio reads 0: no merge runs whose reads could overlap its
+// compute. Like the zero counters in Stats, it remains for the benchmark
+// harness.
+func (st Stats) OverlapRatio() float64 { return 0 }
 
 // IOError is a spill-path failure: the operation, the file involved, and
 // the underlying error. The public surface wraps it as *SpillError.
@@ -157,8 +140,7 @@ func (e *IOError) Unwrap() error { return e.Err }
 var ErrDiskBudget = fmt.Errorf("disk spill budget exceeded")
 
 // ErrCorrupt is wrapped by the IOError returned when spill data read back
-// from disk fails its seal: a formation bucket its CRC32C, a sealed
-// segment its count or pair checksum.
+// from disk fails its seal: a formation bucket's CRC32C.
 var ErrCorrupt = fmt.Errorf("spill data failed its seal check")
 
 // Run sorts keys/vals (same length) through the external pipeline under
@@ -166,7 +148,7 @@ var ErrCorrupt = fmt.Errorf("spill data failed its seal check")
 // stats and the first I/O error, that of whichever worker hit it first;
 // injected faults, budget overruns, and cancellation unwind as panics for
 // the caller's containment, after the deferred handler here restored the
-// permutation from the phase-1 chains and removed the temp files. On
+// permutation from the phase-1 chains and removed the spill file. On
 // either path the workspace's checked-out bytes go back to their level at
 // entry. A bucket whose extents fail on the way back cannot be restored;
 // the error, or the re-raised unwind value, then says so (restoreFailed).
@@ -178,7 +160,7 @@ func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) 
 	if n <= opt.SegmentTuples {
 		// The input fits one segment: sort in memory, no spill.
 		if n > 1 {
-			sortChunk(ctl, keys, vals, w, opt)
+			sortChunk(ctl, keys, vals, w, opt.Threads, opt.RadixBits)
 		}
 		return Stats{Spilled: false}, nil
 	}
@@ -239,7 +221,6 @@ func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) 
 		return s.stats, err
 	}
 	s.stats.Spilled = true
-	obs.AddExtIO(s.stats.IONs, s.stats.StallNs, s.stats.BlocksReady, s.stats.BlocksStalled)
 	return s.stats, nil
 }
 
@@ -271,24 +252,14 @@ func (o Options) clamped() Options {
 	if o.LineTuples < 16 {
 		o.LineTuples = 16
 	}
-	if o.BlockTuples < 256 {
-		o.BlockTuples = 256
-	}
-	if o.MergeWidth < 2 {
-		o.MergeWidth = 2
-	}
-	if o.MergeWidth > maxMergeWidth {
-		o.MergeWidth = maxMergeWidth
-	}
 	if o.Threads < 1 {
 		o.Threads = 1
 	}
+	if o.OverflowThreads < 1 || o.OverflowThreads > o.Threads {
+		o.OverflowThreads = o.Threads
+	}
 	return o
 }
-
-// maxMergeWidth bounds merge fan-in (and so prefetch goroutines and
-// iterator buffers) per merge invocation.
-const maxMergeWidth = 16
 
 // Pipeline phases, recorded so the unwind handler knows whether the
 // output arrays have been partially overwritten: phaseDeliver starts at
@@ -299,12 +270,12 @@ const (
 	phaseDeliver
 )
 
-// sortChunk runs the in-memory MSB kernel over one chunk on all of the
-// external sort's threads, with its workspace and control.
-func sortChunk[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) {
+// sortChunk runs the in-place MSB sort over keys/vals on threads workers,
+// with the external sort's workspace and control.
+func sortChunk[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, threads, radixBits int) {
 	sortalgo.MSB(keys, vals, sortalgo.Options{
-		Threads:   opt.Threads,
-		RadixBits: opt.RadixBits,
+		Threads:   threads,
+		RadixBits: radixBits,
 		Workspace: w,
 		Ctl:       ctl,
 	})
@@ -325,14 +296,6 @@ func deinterleave[K kv.Key](pairs, outK, outV []K) {
 	for i := range outK {
 		outK[i] = pairs[2*i]
 		outV[i] = pairs[2*i+1]
-	}
-}
-
-// interleave packs columns into pairs.
-func interleave[K kv.Key](pairs, ks, vs []K) {
-	for i := range ks {
-		pairs[2*i] = ks[i]
-		pairs[2*i+1] = vs[i]
 	}
 }
 

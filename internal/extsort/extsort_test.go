@@ -5,14 +5,12 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/hard"
 	"repro/internal/kv"
-	"repro/internal/mergetest"
 	"repro/internal/ws"
 )
 
@@ -23,9 +21,7 @@ func testOpt(t *testing.T) Options {
 		TempDir:       t.TempDir(),
 		SegmentTuples: 1 << 10,
 		BucketBits:    3,
-		MergeWidth:    4,
 		LineTuples:    32,
-		BlockTuples:   256,
 		Threads:       2,
 	}
 }
@@ -171,24 +167,23 @@ func TestDiskBudget(t *testing.T) {
 	base.Verify(t, nil, opt.TempDir)
 }
 
-// TestFaultContainment arms each extsort injection site at depths that
-// strike every phase and checks the containment contract: the panic
-// carries the injected site, the input is restored to a permutation, and
-// no temp file or ledger entry survives.
+// TestFaultContainment arms injection sites at depths that strike both
+// phases and checks the containment contract: the panic carries the
+// injected site, the input is restored to a permutation, and no temp file
+// or ledger entry survives. Every bucket of this input (~2048 tuples)
+// overflows its 1024-tuple segment, so the msb/recurse rows fire inside
+// the in-place overflow sort, after its output range has been written.
 func TestFaultContainment(t *testing.T) {
 	cases := []struct {
 		name  string
 		site  fault.Site
 		after int
 	}{
-		// Formation makes between n/L = 512 and 512 + Threads·fanout
-		// flushes, 518 on this input; 522 lands the third case in the
-		// writeSegment calls of delivery.
 		{"spill-first-flush", fault.SiteExtSpill, 0},
 		{"spill-mid-formation", fault.SiteExtSpill, 50},
-		{"spill-segment-write", fault.SiteExtSpill, 522},
-		{"merge-first-probe", fault.SiteExtMerge, 0},
-		{"merge-deep", fault.SiteExtMerge, 5},
+		{"overflow-sort-first", fault.SiteMSBRecurse, 0},
+		{"overflow-sort-deep", fault.SiteMSBRecurse, 5},
+		{"overflow-sort-later-bucket", fault.SiteMSBRecurse, 40},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -251,110 +246,114 @@ func TestWorkspaceReuse(t *testing.T) {
 	base.Verify(t, w, opt.TempDir)
 }
 
-// TestSealDetectsCorruption flips a byte of a sealed run on disk and
-// checks the merge reports ErrCorrupt instead of emitting wrong data.
+// TestSealDetectsCorruption puts every key in one bucket, which then
+// overflows its segment, flips one byte inside the bucket between
+// formation and delivery, and sorts on one thread. The in-place path
+// checks the bucket's seals before it writes the output range, so the run
+// ends in ErrCorrupt with the input untouched, wherever the byte lies.
 func TestSealDetectsCorruption(t *testing.T) {
-	opt := testOpt(t).clamped()
-	s := getSorter[uint64](nil, 2048, opt)
-	t.Cleanup(func() { s.cleanup(); putSorter(nil, s) })
-	if err := s.open(); err != nil {
-		t.Fatal(err)
-	}
-	s.holdOverflow()
-	ck := make([]uint64, 1024)
-	cv := make([]uint64, 1024)
-	for i := range ck {
-		ck[i] = uint64(i)
-		cv[i] = uint64(i)
-	}
-	sg, err := s.writeSegment(ck, cv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.runsF.WriteAt([]byte{0xff}, sg.off+100); err != nil {
-		t.Fatal(err)
-	}
-	s.segs = append(s.segs[:0], sg)
-	outK := make([]uint64, 1024)
-	outV := make([]uint64, 1024)
-	err = s.mergeRounds(nil, outK, outV)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupted seal not detected: %v", err)
+	const n = 1 << 13
+	for _, c := range []struct {
+		name string
+		at   func(size int64) int64 // the byte of the bucket to flip
+	}{
+		{"first-byte", func(int64) int64 { return 0 }},
+		{"middle-byte", func(size int64) int64 { return size / 2 }},
+		{"last-byte", func(size int64) int64 { return size - 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opt := testOpt(t)
+			opt.Threads = 1
+			r := rand.New(rand.NewSource(3))
+			keys := make([]uint64, n)
+			vals := make([]uint64, n)
+			for i := range keys {
+				keys[i] = 7<<20 | uint64(r.Intn(1<<20)) // the top bucket's eighth of the domain
+				vals[i] = uint64(i)
+			}
+			keys[0] = 8<<20 - 1 // the sampled maximum
+			inK := append([]uint64(nil), keys...)
+			hit := false
+			readbackHook = func(f *os.File, d int, spans func(int) [][2]int64) {
+				if d < 0 {
+					hit = true
+					flipAt(t, f, spans(7), c.at)
+				}
+			}
+			defer func() { readbackHook = nil }()
+
+			base := fault.TakeBaseline()
+			st, err := Run(nil, keys, vals, nil, opt)
+			if !hit {
+				t.Fatal("the spill file was never read back")
+			}
+			if !errors.Is(err, ErrCorrupt) || strings.Contains(err.Error(), "restore failed") {
+				t.Fatalf("err = %v, want ErrCorrupt with nothing lost", err)
+			}
+			if st.Buckets != 1 {
+				t.Fatalf("%d buckets, want every key in one", st.Buckets)
+			}
+			for i := range keys {
+				if keys[i] != inK[i] || vals[i] != uint64(i) {
+					t.Fatalf("position %d holds (%d, %d), want the untouched input (%d, %d)", i, keys[i], vals[i], inK[i], i)
+				}
+			}
+			base.Verify(t, nil, opt.TempDir)
+		})
 	}
 }
 
-// fileMerge adapts the file-backed merge to the shared conformance
-// suite: each run is sealed as a segment, then mergeRounds drains them
-// through the prefetching iterators into memory.
-func fileMerge(runsK, runsV [][]uint64) ([]uint64, []uint64, error) {
-	n := 0
-	seg := 1
-	for _, r := range runsK {
-		n += len(r)
-		if len(r) > seg {
-			seg = len(r)
+// flipAt flips the byte at(size) of the bucket stored in spans (size is
+// the bucket's byte count), mapping that offset through the spans.
+func flipAt(t *testing.T, f *os.File, spans [][2]int64, at func(size int64) int64) {
+	pos := spanPos(spans, at)
+	b := []byte{0}
+	if _, err := f.ReadAt(b, pos); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b, pos); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// spanPos maps byte at(size) of the bucket stored in spans, size being
+// the bucket's byte count, to its offset in the spill file.
+func spanPos(spans [][2]int64, at func(size int64) int64) int64 {
+	var size int64
+	for _, sp := range spans {
+		size += sp[1]
+	}
+	pos := at(size)
+	for _, sp := range spans {
+		if pos < sp[1] {
+			return sp[0] + pos
 		}
+		pos -= sp[1]
 	}
-	opt := Options{
-		SegmentTuples: seg,
-		BucketBits:    1,
-		MergeWidth:    4, // exercise multi-round reduction beyond fan-in 4
-		LineTuples:    16,
-		BlockTuples:   256,
-		Threads:       1,
-	}.clamped()
-	s := getSorter[uint64](nil, n, opt)
-	defer func() {
-		s.cleanup()
-		putSorter(nil, s)
-	}()
-	if err := s.open(); err != nil {
-		return nil, nil, err
-	}
-	s.holdOverflow()
-	for i := range runsK {
-		sg, err := s.writeSegment(runsK[i], runsV[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		s.segs = append(s.segs, sg)
-	}
-	outK := make([]uint64, n)
-	outV := make([]uint64, n)
-	if err := s.mergeRounds(nil, outK, outV); err != nil {
-		return nil, nil, err
-	}
-	return outK, outV, nil
+	panic("extsort test: offset past the bucket's bytes")
 }
 
-// TestFileMergeConformance pins the file-backed merge to the same
-// conformance table as the CMP lane merge, at every fan-in boundary up
-// to the full MergeWidth cap (wider inputs reduce in rounds).
-func TestFileMergeConformance(t *testing.T) {
-	mergetest.Conformance(t, 16, fileMerge)
-}
-
-// FuzzBucketBoundaries drives the full pipeline over fuzzer-chosen sizes
-// and option shapes around segment and fan-in boundaries.
+// FuzzBucketBoundaries drives the full pipeline over fuzzer-chosen sizes,
+// fanouts and worker counts around the segment boundary, where buckets
+// switch between one-segment delivery and the in-place overflow sort.
 func FuzzBucketBoundaries(f *testing.F) {
-	f.Add(5000, 1024, 2, 2, uint64(1))
+	f.Add(5000, 1024, 2, 1, uint64(1))
 	f.Add(9000, 1024, 3, 4, uint64(99))
 	f.Add(4097, 4096, 1, 2, uint64(7))
-	f.Fuzz(func(t *testing.T, n, seg, bbits, width int, seed uint64) {
+	f.Fuzz(func(t *testing.T, n, seg, bbits, threads int, seed uint64) {
 		if n < 2 || n > 1<<15 || seg < 64 || seg > 1<<12 || n <= seg {
 			t.Skip()
 		}
-		if bbits < 1 || bbits > 6 || width < 2 || width > 8 {
+		if bbits < 1 || bbits > 6 || threads < 1 || threads > 4 {
 			t.Skip()
 		}
 		opt := Options{
 			TempDir:       t.TempDir(),
 			SegmentTuples: seg,
 			BucketBits:    bbits,
-			MergeWidth:    width,
 			LineTuples:    16,
-			BlockTuples:   256,
-			Threads:       1,
+			Threads:       threads,
 		}
 		keys := make([]uint64, n)
 		vals := make([]uint64, n)
@@ -369,24 +368,20 @@ func FuzzBucketBoundaries(f *testing.F) {
 			t.Fatalf("Run: %v", err)
 		}
 		if !st.Spilled || !kv.IsSorted(keys) || kv.ChecksumPairs(keys, vals) != want {
-			t.Fatalf("n=%d seg=%d bbits=%d w=%d: spilled=%v sorted=%v",
-				n, seg, bbits, width, st.Spilled, kv.IsSorted(keys))
+			t.Fatalf("n=%d seg=%d bbits=%d T=%d: spilled=%v sorted=%v",
+				n, seg, bbits, threads, st.Spilled, kv.IsSorted(keys))
 		}
 	})
 }
 
-// damage applies one fuzz-chosen fault to a spill file at rest: flip the
-// byte at at (mode 0), zero val+1 bytes from there (mode 1), or truncate
-// the file there (mode 2). Offsets wrap modulo the file size.
-func damage(t *testing.T, f *os.File, mode uint8, at uint32, val uint8) {
+// damage applies one fuzz-chosen fault to a spill file at rest, at byte
+// pos: flip it (mode 0), zero val+1 bytes from there (mode 1), or
+// truncate the file there (mode 2).
+func damage(t *testing.T, f *os.File, mode uint8, pos int64, val uint8) {
 	fi, err := f.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() == 0 {
-		return
-	}
-	pos := int64(at) % fi.Size()
 	switch mode % 3 {
 	case 0:
 		b := []byte{0}
@@ -405,15 +400,15 @@ func damage(t *testing.T, f *os.File, mode uint8, at uint32, val uint8) {
 	}
 }
 
-// FuzzSpillReadback damages spill data between its write and its first
-// read back: the formation file when delivery starts, or, on a shape
-// whose two buckets each overflow their segment, either file (the runs
-// file before the first merge). Every call must end in ErrCorrupt or in a
+// FuzzSpillReadback damages the spill file between its write and its
+// read back: anywhere in the file when delivery starts, or, with late on
+// a shape whose two buckets each overflow their segment, inside the
+// second of them just before it is read, when the first is already
+// sorted in its output range. Every call must end in ErrCorrupt or in a
 // sorted permutation of the input (the damage missed every byte read
-// back), never in a panic, a wrong sort or a leaked temp file. Damage to
-// a sealed run is rolled back from the formation extents, so the input is
-// then a permutation again; damage to a formation extent is too, unless
-// the error reports that the restore failed.
+// back), never in a panic, a wrong sort or a leaked temp file. After an
+// error the input is a permutation again unless the error reports that
+// the restore failed.
 func FuzzSpillReadback(f *testing.F) {
 	f.Add(false, false, uint8(0), uint32(100), uint8(1), uint64(1))
 	f.Add(false, false, uint8(1), uint32(70000), uint8(200), uint64(2))
@@ -423,7 +418,7 @@ func FuzzSpillReadback(f *testing.F) {
 	f.Add(true, true, uint8(2), uint32(70000), uint8(0), uint64(6))
 	f.Add(true, false, uint8(0), uint32(90000), uint8(4), uint64(7))
 	f.Add(true, false, uint8(2), uint32(20000), uint8(0), uint64(8))
-	f.Fuzz(func(t *testing.T, overflow, runs bool, mode uint8, at uint32, val uint8, seed uint64) {
+	f.Fuzz(func(t *testing.T, overflow, late bool, mode uint8, at uint32, val uint8, seed uint64) {
 		opt := testOpt(t)
 		opt.BucketBits = 4 // 8192 uniform tuples fill each bucket to half a segment
 		n := 1 << 13
@@ -433,54 +428,56 @@ func FuzzSpillReadback(f *testing.F) {
 		for i := range keys {
 			keys[i] = r.Uint64()
 			if overflow {
-				keys[i] %= 2 // two buckets of four segments each
+				keys[i] %= 2 // buckets 0 and 8, of four segments each
 			}
 			vals[i] = uint64(i)
 		}
-		if overflow {
-			opt.MergeWidth = 2 // four segments reduce through an intermediate round
-		}
-		runs = runs && overflow
+		late = late && overflow
 		want := kv.ChecksumPairs(keys, vals)
-		target := "buckets.spill"
-		if runs {
-			target = "runs.spill"
-		}
 		hit := false
-		readbackHook = func(f *os.File, _ func(int) [][2]int64) {
-			if !hit && filepath.Base(f.Name()) == target {
-				hit = true
-				damage(t, f, mode, at, val)
+		readbackHook = func(f *os.File, d int, spans func(int) [][2]int64) {
+			if hit || (late && d <= 0) || (!late && d >= 0) {
+				return
 			}
+			hit = true
+			fi, err := f.Stat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos := int64(at) % max(fi.Size(), 1)
+			if late {
+				pos = spanPos(spans(d), func(size int64) int64 { return int64(at) % size })
+			}
+			damage(t, f, mode, pos, val)
 		}
 		defer func() { readbackHook = nil }()
 
 		base := fault.TakeBaseline()
 		_, err := Run(nil, keys, vals, nil, opt)
 		if !hit {
-			t.Fatalf("%s was never read back", target)
+			t.Fatal("the spill file was never read back")
 		}
 		switch {
 		case err == nil:
 			if !kv.IsSorted(keys) || kv.ChecksumPairs(keys, vals) != want {
-				t.Fatalf("damaged %s: clean return with a wrong sort", target)
+				t.Fatal("damaged spill file: clean return with a wrong sort")
 			}
 		case !errors.Is(err, ErrCorrupt):
-			t.Fatalf("damaged %s: err = %v, want ErrCorrupt", target, err)
-		case kv.ChecksumPairs(keys, vals) != want && (runs || !strings.Contains(err.Error(), "restore failed")):
-			t.Fatalf("damaged %s: input not a permutation and no failed restore reported: %v", target, err)
+			t.Fatalf("damaged spill file: err = %v, want ErrCorrupt", err)
+		case kv.ChecksumPairs(keys, vals) != want && !strings.Contains(err.Error(), "restore failed"):
+			t.Fatalf("damaged spill file: input not a permutation and no failed restore reported: %v", err)
 		}
 		base.Verify(t, nil, opt.TempDir)
 	})
 }
 
 // TestRunUnwindReportsLostBucket damages the second of two overflowing
-// buckets, then unwinds Run from inside delivery, after the first bucket's
-// output was written (at its merge). The restore cannot give the damaged
-// bucket back, and the re-raised value must say so: a cancellation keeps
-// its context cause with ErrCorrupt beside it, a contained panic carries
-// both in its value. The first bucket's range is restored all the same,
-// and nothing is left behind.
+// buckets just before delivery reads it, when the first is already in its
+// output range, and unwinds Run from there. The restore cannot give the
+// damaged bucket back, and the re-raised value must say so: a
+// cancellation keeps its context cause with ErrCorrupt beside it, a
+// contained panic carries both in its value. The first bucket's range is
+// restored all the same, and nothing is left behind.
 func TestRunUnwindReportsLostBucket(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -511,23 +508,11 @@ func TestRunUnwindReportsLostBucket(t *testing.T) {
 				keys[i] = uint64(2 * i / n)
 				vals[i] = uint64(i)
 			}
-			var spill *os.File
-			readbackHook = func(f *os.File, spans func(int) [][2]int64) {
-				if filepath.Base(f.Name()) == "buckets.spill" {
-					spill = f
-					return
+			readbackHook = func(f *os.File, d int, spans func(int) [][2]int64) {
+				if d > 0 { // key 1's bucket; key 0's is sorted in its range
+					flipAt(t, f, spans(d), func(size int64) int64 { return size - 1 })
+					c.unwind()
 				}
-				// The last byte of the top non-empty bucket, key 1's.
-				var last [2]int64
-				for d := range 1 << opt.BucketBits {
-					if sp := spans(d); len(sp) > 0 {
-						last = sp[len(sp)-1]
-					}
-				}
-				if _, err := spill.WriteAt([]byte{0xff}, last[0]+last[1]-1); err != nil {
-					t.Fatal(err)
-				}
-				c.unwind()
 			}
 			defer func() { readbackHook = nil }()
 

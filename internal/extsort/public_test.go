@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -51,11 +50,10 @@ func TestSortExternalCorruptFormationExtent(t *testing.T) {
 						keys[i] = uint64(n - 1 - i)
 					}
 					vals := partsort.RIDs[uint64](n)
-					reset := extsort.SetReadbackHook(func(f *os.File, spans func(int) [][2]int64) {
-						if filepath.Base(f.Name()) != "buckets.spill" {
-							return
+					reset := extsort.SetReadbackHook(func(f *os.File, d int, spans func(int) [][2]int64) {
+						if d < 0 {
+							extsort.FlipByte(t, f, spans(c.bucket), c.at)
 						}
-						flipByte(t, f, spans(c.bucket), c.at)
 					})
 					defer reset()
 
@@ -94,38 +92,12 @@ func TestSortExternalCorruptFormationExtent(t *testing.T) {
 	}
 }
 
-// flipByte flips the byte at(size) of the bucket stored in spans (size
-// is the bucket's byte count), mapping that offset through the spans.
-func flipByte(t *testing.T, f *os.File, spans [][2]int64, at func(size int64) int64) {
-	var size int64
-	for _, sp := range spans {
-		size += sp[1]
-	}
-	pos := at(size)
-	for _, sp := range spans {
-		if pos >= sp[1] {
-			pos -= sp[1]
-			continue
-		}
-		b := []byte{0}
-		if _, err := f.ReadAt(b, sp[0]+pos); err != nil {
-			t.Fatal(err)
-		}
-		b[0] ^= 0x40
-		if _, err := f.WriteAt(b, sp[0]+pos); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	t.Fatalf("byte %d is past the bucket's %d bytes", pos, size)
-}
-
 // TestSortExternalErrorPathsTwoThreads drives the error paths of a
 // two-thread external sort through the public SortExternalCtx: a disk
 // budget too small for formation, and cancellations observed by the
-// one-segment delivery workers and, after they wrote their ranges, at
-// the next overflowing bucket. Six buckets fit one segment and two
-// overflow it. Each call returns the error itself — a *SpillError wrapping
+// one-segment delivery workers and, after they and the first overflowing
+// bucket wrote their ranges, at the second overflowing bucket. Six
+// buckets fit one segment and two overflow it. Each call returns the error itself — a *SpillError wrapping
 // ErrSpillBudget, or the context's error; never a sibling stop or an
 // *InternalError — leaves the input a permutation, and leaves nothing
 // behind.
@@ -134,11 +106,12 @@ func TestSortExternalErrorPathsTwoThreads(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		maxSpill int64
-		cancelAt string // the file whose readback cancels the context
+		cancel   bool
+		at       int // the readback hook's bucket that cancels the context (-1: delivery start)
 	}{
-		{"formation-disk-budget", 8 << 10, ""},
-		{"cancel-delivery-start", 0, "buckets.spill"},
-		{"cancel-after-writes", 0, "runs.spill"},
+		{"formation-disk-budget", 8 << 10, false, 0},
+		{"cancel-delivery-start", 0, true, -1},
+		{"cancel-after-writes", 0, true, 7},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(9))
@@ -157,8 +130,8 @@ func TestSortExternalErrorPathsTwoThreads(t *testing.T) {
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			reset := extsort.SetReadbackHook(func(f *os.File, _ func(int) [][2]int64) {
-				if filepath.Base(f.Name()) == c.cancelAt {
+			reset := extsort.SetReadbackHook(func(_ *os.File, d int, _ func(int) [][2]int64) {
+				if c.cancel && d == c.at {
 					cancel()
 				}
 			})
@@ -169,7 +142,7 @@ func TestSortExternalErrorPathsTwoThreads(t *testing.T) {
 				MaxSpillBytes: c.maxSpill, Threads: 2}
 			base := fault.TakeBaseline()
 			_, err := partsort.SortExternalCtx(ctx, keys, vals, opt)
-			if c.cancelAt == "" {
+			if !c.cancel {
 				var se *partsort.SpillError
 				if !errors.As(err, &se) || !errors.Is(err, partsort.ErrSpillBudget) {
 					t.Fatalf("err = %v, want *SpillError wrapping ErrSpillBudget", err)

@@ -6,8 +6,8 @@
 // touch; only the reservation against the file tail and the disk budget is
 // shared. Delivery sorts the buckets that fit one segment T at a time, one
 // worker and one thread each, from their read buffers straight into their
-// output ranges, and then cuts the buckets skew pushed past a segment into
-// sealed segments for the merge. Every chain is sealed by a CRC32C of the
+// output ranges, and then sorts each bucket skew pushed past a segment in
+// place in its output range. Every chain is sealed by a CRC32C of the
 // bytes formation wrote; delivery and restore recompute it on the way
 // back, so a corrupt extent fails with ErrCorrupt before any of its
 // bucket's tuples reach the output.
@@ -199,7 +199,7 @@ func (s *sorter[K]) extentFor(b *bucketState, nb int64) (*extent, error) {
 		}
 	}
 	size := max(s.extentB, nb)
-	off, err := s.reserve(size, s.spillF)
+	off, err := s.reserve(size)
 	if err != nil {
 		return nil, err
 	}
@@ -207,26 +207,28 @@ func (s *sorter[K]) extentFor(b *bucketState, nb int64) (*extent, error) {
 	return &b.extents[len(b.extents)-1], nil
 }
 
-// readbackHook, when non-nil, runs with a spill file just before the
-// sorter first reads back what it wrote there: the formation file when
-// delivery starts, the runs file before each merge. spans gives the byte
-// ranges of the formation file that hold bucket d. Only tests set it, to
-// damage spill data at rest.
-var readbackHook func(f *os.File, spans func(d int) [][2]int64)
+// readbackHook, when non-nil, runs with the spill file before delivery
+// reads it back: with d = -1 when delivery starts, and with d = the
+// bucket before each bucket larger than one segment is read (by then
+// every smaller bucket, and every larger one below d, is in its output
+// range). spans gives the byte ranges of the file that hold a bucket.
+// Only tests set it, to damage spill data at rest or to stop the run at a
+// chosen bucket.
+var readbackHook func(f *os.File, d int, spans func(d int) [][2]int64)
 
-// deliver is phases 2 and 3. The buckets that fit one segment go to the
-// workers one at a time; each is read back, CRC-checked and sorted from
-// its read buffer into its output range on one thread, so a bucket sort
-// never re-enters the pool and builds no range tree. The buckets skew
-// pushed past one segment follow in key order on the chunk → seal →
-// merge path, with the run's full thread count in the chunk sorts. Each
-// phase holds its own buffers only while it runs. A bucket's seals are
-// checked once all of it has been read and before its output range is
-// written; the phase turns to phaseDeliver (the unwind then restores the
-// input from the chains) only at the first such write, by any worker.
+// deliver is phase 2. The buckets that fit one segment go to the workers
+// one at a time; each is read back, CRC-checked and sorted from its read
+// buffer into its output range on one thread, so a bucket sort never
+// re-enters the pool and builds no range tree. The buckets skew pushed
+// past one segment follow in key order, each sorted in place in its
+// output range (deliverOverflow). Each part holds its own buffers only
+// while it runs. A bucket's seals are checked once all of it has been
+// read and before its output range is written; the phase turns to
+// phaseDeliver (the unwind then restores the input from the chains) only
+// at the first such write, by any worker.
 func (s *sorter[K]) deliver() error {
 	if readbackHook != nil {
-		readbackHook(s.spillF, s.spans)
+		readbackHook(s.spillF, -1, s.spans)
 	}
 	seg := s.opt.SegmentTuples
 	s.oneSeg = s.oneSeg[:0]
@@ -292,13 +294,8 @@ func (r deliverRunner[K]) RunTask(t int) {
 // passes (sortalgo.MSBPairs).
 func (s *sorter[K]) deliverBucket(wk *worker[K], d int) error {
 	lo, hi := s.starts[d], s.starts[d+1]
-	c := hi - lo
-	pairs := wk.pairs[:2*c]
-	r := s.reader(d, &wk.st)
-	if err := r.read(asBytes(pairs)[:int64(c)*s.pairB]); err != nil {
-		return err
-	}
-	if err := r.close(); err != nil {
+	pairs := wk.pairs[:2*(hi-lo)]
+	if err := s.readBucket(d, pairs, false, &wk.st); err != nil {
 		return err
 	}
 	s.phase.Store(phaseDeliver)
@@ -306,60 +303,26 @@ func (s *sorter[K]) deliverBucket(wk *worker[K], d int) error {
 	return nil
 }
 
-// deliverOverflow cuts bucket d, larger than one segment, into sorted
-// sealed segments and merges them into its output range. It starts with a
-// checkpoint: every range delivered so far is complete.
+// deliverOverflow sorts bucket d, larger than one segment, in place in
+// its output range. A read-only pass through the staging buffer checks
+// every chain's seal first, so no byte of the range is written before the
+// whole bucket has passed; a second pass reads the chains into the range
+// through the same buffer, and the in-place MSB sort runs over the range
+// on OverflowThreads workers. It starts with a checkpoint: every range
+// delivered so far is complete.
 func (s *sorter[K]) deliverOverflow(d int) error {
-	s.ctl.CheckpointNow()
-	lo, hi := s.starts[d], s.starts[d+1]
-	c := hi - lo
-	seg := s.opt.SegmentTuples
-	r := s.reader(d, &s.stats)
-	s.segs = s.segs[:0]
-	for done := 0; done < c; {
-		cn := min(c-done, seg)
-		ck, cv := s.chunkK[:cn], s.chunkV[:cn]
-		pairs := s.readBuf[:2*cn]
-		if err := r.read(asBytes(pairs)[:int64(cn)*s.pairB]); err != nil {
-			return err
-		}
-		deinterleave(pairs, ck, cv)
-		sortChunk(s.ctl, ck, cv, s.w, s.opt)
-		sg, err := s.writeSegment(ck, cv)
-		if err != nil {
-			return err
-		}
-		s.segs = append(s.segs, sg)
-		done += cn
+	if readbackHook != nil {
+		readbackHook(s.spillF, d, s.spans)
 	}
-	if err := r.close(); err != nil {
+	s.ctl.CheckpointNow()
+	if err := s.readBucket(d, s.stage, false, &s.stats); err != nil {
 		return err
 	}
 	s.phase.Store(phaseDeliver)
-	if readbackHook != nil {
-		readbackHook(s.runsF, s.spans)
+	if err := s.readBucket(d, s.stage, true, &s.stats); err != nil {
+		return err
 	}
-	return s.mergeRounds(s.ctl, s.keys[lo:hi], s.vals[lo:hi])
-}
-
-// writeSegment seals one sorted chunk: checksum, interleave, append to
-// the runs file in one streaming write.
-func (s *sorter[K]) writeSegment(ck, cv []K) (segment, error) {
-	nb := int64(len(ck)) * s.pairB
-	off, err := s.reserve(nb, s.runsF)
-	if err != nil {
-		return segment{}, err
-	}
-	sg := segment{off: off, count: int64(len(ck)), sum: kv.ChecksumPairs(ck, cv)}
-	pairs := s.readBuf[:2*len(ck)]
-	interleave(pairs, ck, cv)
-	fault.Inject(fault.SiteExtSpill)
-	if _, err := s.runsF.WriteAt(asBytes(pairs)[:nb], off); err != nil {
-		return segment{}, ioErr("write", s.runsF, err)
-	}
-	s.stats.RunsWritten++
-	s.stats.SpillBytes += nb
-	obs.AddExtRuns(1)
-	obs.AddExtSpillBytes(nb)
-	return sg, nil
+	lo, hi := s.starts[d], s.starts[d+1]
+	sortChunk(s.ctl, s.keys[lo:hi], s.vals[lo:hi], s.w, s.opt.OverflowThreads, s.opt.RadixBits)
+	return nil
 }

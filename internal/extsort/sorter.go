@@ -1,7 +1,7 @@
 // The sorter: per-run state, workspace-pooled so repeated external sorts
-// reuse chain tables, extent chains, iterator shells, and (through the
-// arena) every buffer. Temp-file lifecycle, the worker-phase runner, and
-// the permutation-restore handler live here.
+// reuse chain tables, extent chains, and (through the arena) every buffer.
+// Spill-file lifecycle, the worker-phase runner, the bucket reader and the
+// permutation-restore handler live here.
 
 package extsort
 
@@ -45,15 +45,6 @@ type bucketState struct {
 // instruction where the CPU has one.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// segment is one sealed sorted run: a contiguous pair region of the runs
-// file plus the seal (count and order-independent pair checksum) verified
-// when it is read back.
-type segment struct {
-	off   int64
-	count int64
-	sum   kv.Checksum
-}
-
 // worker is one worker's private state: its line slab during formation,
 // its pair buffer during one-segment delivery, and its share of the
 // traffic counters, folded into the run's Stats after each phase.
@@ -75,11 +66,9 @@ type sorter[K kv.Key] struct {
 	own        hard.Ctl  // stops sibling workers when the caller passes no control
 
 	dir       string
-	spillF    *os.File   // phase 1: bucket extent chains
-	runsF     *os.File   // phase 2+: sealed segments
-	mu        sync.Mutex // guards the tails: formation workers reserve concurrently
+	spillF    *os.File   // the bucket extent chains
+	mu        sync.Mutex // guards the tail: formation workers reserve concurrently
 	spillTail int64      // next unreserved byte of spillF
-	runsTail  int64      // next unreserved byte of runsF
 	extentB   int64      // formation extent reservation unit in bytes
 
 	fanout int
@@ -90,12 +79,7 @@ type sorter[K kv.Key] struct {
 	oneSeg []int         // buckets delivered in one piece, in key order
 	next   atomic.Int64  // one-segment delivery cursor into oneSeg
 
-	readBuf []K // the overflow path: one segment of interleaved pairs
-	chunkK  []K
-	chunkV  []K
-
-	segs, segsNext []segment     // merge-round scratch
-	iters          []*segIter[K] // pooled iterator shells (channels persist)
+	stage []K // the overflow path's staging buffer: one segment of pairs
 
 	errMu sync.Mutex
 	werr  error        // the first worker error of the running phase
@@ -115,9 +99,9 @@ func getSorter[K kv.Key](w *ws.Workspace, n int, opt Options) *sorter[K] {
 	s.extentB = int64(tune.ExtentTuples(n, opt.BucketBits, opt.LineTuples, opt.Threads)) * s.pairB
 	s.phase.Store(phaseForm)
 	s.stats = Stats{}
-	s.spillTail, s.runsTail = 0, 0
+	s.spillTail = 0
 	s.dir = ""
-	s.spillF, s.runsF = nil, nil
+	s.spillF = nil
 	s.werr = nil
 
 	s.fanout = 1 << opt.BucketBits
@@ -157,24 +141,18 @@ func putSorter[K kv.Key](w *ws.Workspace, s *sorter[K]) {
 	ws.PutScratch(w, ws.SlotExtSort, s)
 }
 
-// holdOverflow checks the overflow path's buffers out of the arena, if
-// not held yet.
+// holdOverflow checks the overflow path's staging buffer out of the
+// arena, if not held yet.
 func (s *sorter[K]) holdOverflow() {
-	if s.readBuf != nil {
-		return
+	if s.stage == nil {
+		s.stage = ws.Keys[K](s.w, 2*s.opt.SegmentTuples)
 	}
-	seg := s.opt.SegmentTuples
-	s.readBuf = ws.Keys[K](s.w, 2*seg)
-	s.chunkK = ws.Keys[K](s.w, seg)
-	s.chunkV = ws.Keys[K](s.w, seg)
 }
 
-// releaseOverflow returns the overflow path's buffers, if held.
+// releaseOverflow returns the staging buffer, if held.
 func (s *sorter[K]) releaseOverflow() {
-	ws.PutKeys(s.w, s.readBuf)
-	ws.PutKeys(s.w, s.chunkK)
-	ws.PutKeys(s.w, s.chunkV)
-	s.readBuf, s.chunkK, s.chunkV = nil, nil, nil
+	ws.PutKeys(s.w, s.stage)
+	s.stage = nil
 }
 
 // runPhase runs r on n workers and returns the first error a worker
@@ -223,65 +201,46 @@ func (s *sorter[K]) foldStats() {
 	}
 }
 
-// open creates the per-run spill directory and its two files, registering
-// each on the fault resource ledger.
+// open creates the per-run spill directory and its spill file,
+// registering the file on the fault resource ledger.
 func (s *sorter[K]) open() error {
 	dir, err := os.MkdirTemp(s.opt.TempDir, "partsort-ext-")
 	if err != nil {
 		return &IOError{Op: "mkdir", Path: s.opt.TempDir, Err: err}
 	}
 	s.dir = dir
-	if s.spillF, err = s.create("buckets.spill"); err != nil {
-		return err
-	}
-	if s.runsF, err = s.create("runs.spill"); err != nil {
-		return err
-	}
-	return nil
-}
-
-// create opens one spill file and accounts for it.
-func (s *sorter[K]) create(name string) (*os.File, error) {
-	f, err := os.OpenFile(s.dir+"/"+name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
-	if err != nil {
-		return nil, &IOError{Op: "create", Path: s.dir + "/" + name, Err: err}
+	name := dir + "/buckets.spill"
+	if s.spillF, err = os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600); err != nil {
+		return &IOError{Op: "create", Path: name, Err: err}
 	}
 	fault.AcquireResource(TempResource)
 	obs.AddExtTempFiles(1)
-	return f, nil
+	return nil
 }
 
-// reserve claims size bytes at the tail of f (the spill or the runs file)
-// against the disk budget and returns their offset.
-func (s *sorter[K]) reserve(size int64, f *os.File) (int64, error) {
+// reserve claims size bytes at the tail of the spill file against the
+// disk budget and returns their offset.
+func (s *sorter[K]) reserve(size int64) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.opt.MaxSpillBytes > 0 && s.spillTail+s.runsTail+size > s.opt.MaxSpillBytes {
-		return 0, ioErr("reserve", f, fmt.Errorf("%w: %d+%d reserved, +%d requested, budget %d",
-			ErrDiskBudget, s.spillTail, s.runsTail, size, s.opt.MaxSpillBytes))
+	if s.opt.MaxSpillBytes > 0 && s.spillTail+size > s.opt.MaxSpillBytes {
+		return 0, ioErr("reserve", s.spillF, fmt.Errorf("%w: %d reserved, +%d requested, budget %d",
+			ErrDiskBudget, s.spillTail, size, s.opt.MaxSpillBytes))
 	}
-	tail := &s.spillTail
-	if f == s.runsF {
-		tail = &s.runsTail
-	}
-	off := *tail
-	*tail += size
+	off := s.spillTail
+	s.spillTail += size
 	return off, nil
 }
 
-// cleanup closes and removes the spill files and the run directory,
-// releasing their ledger entries. Idempotent; called on every exit path.
+// cleanup closes and removes the spill file and the run directory,
+// releasing its ledger entry. Idempotent; called on every exit path.
 func (s *sorter[K]) cleanup() {
-	s.stopIters()
-	for _, f := range []**os.File{&s.spillF, &s.runsF} {
-		if *f == nil {
-			continue
-		}
-		(*f).Close()
-		os.Remove((*f).Name())
+	if s.spillF != nil {
+		s.spillF.Close()
+		os.Remove(s.spillF.Name())
 		fault.ReleaseResource(TempResource)
 		obs.AddExtTempFiles(-1)
-		*f = nil
+		s.spillF = nil
 	}
 	if s.dir != "" {
 		os.Remove(s.dir)
@@ -299,7 +258,7 @@ func (s *sorter[K]) cleanup() {
 // restore still walks every other bucket, so only that bucket's output
 // range is wrong, and returns the first such failure.
 func (s *sorter[K]) restore() error {
-	buf := s.readBuf
+	buf := s.stage
 	if buf == nil {
 		buf = s.wk[0].pairs // held by worker 0 whenever one-segment delivery runs
 	}
@@ -308,25 +267,29 @@ func (s *sorter[K]) restore() error {
 	}
 	var first error
 	for d := 0; d < s.fanout; d++ {
-		lo, hi := s.starts[d], s.starts[d+1]
-		if err := s.restoreBucket(d, buf, s.keys[lo:hi], s.vals[lo:hi]); err != nil && first == nil {
+		if err := s.readBucket(d, buf, true, nil); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// restoreBucket reads bucket d's tuples back into keys/vals through buf
-// and checks its seals.
-func (s *sorter[K]) restoreBucket(d int, buf, keys, vals []K) error {
-	r := s.reader(d, nil)
-	for pos := 0; pos < len(keys); {
-		cn := min(len(buf)/2, len(keys)-pos)
+// readBucket reads bucket d back through buf, len(buf)/2 pairs at a time,
+// and checks its seals, counting its reads in st (nil: off the books).
+// With into set it deinterleaves the tuples into the bucket's output
+// range; without, it only checks the seals and writes nothing.
+func (s *sorter[K]) readBucket(d int, buf []K, into bool, st *Stats) error {
+	lo, hi := s.starts[d], s.starts[d+1]
+	r := s.reader(d, st)
+	for pos := lo; pos < hi; {
+		cn := min(len(buf)/2, hi-pos)
 		pairs := buf[:2*cn]
 		if err := r.read(asBytes(pairs)[:int64(cn)*s.pairB]); err != nil {
 			return err
 		}
-		deinterleave(pairs, keys[pos:pos+cn], vals[pos:pos+cn])
+		if into {
+			deinterleave(pairs, s.keys[pos:pos+cn], s.vals[pos:pos+cn])
+		}
 		pos += cn
 	}
 	return r.close()

@@ -63,15 +63,11 @@ const (
 	// phase, after the permute loop has placed every full block but before
 	// partial buffer blocks are written into the gaps.
 	SiteBlockCleanup Site = "blocks/cleanup"
-	// SiteExtSpill fires in the external sort's spill writers — bucket
-	// line flushes during run formation and sealed-segment writes — with
-	// tuples durable on disk or still intact in the input, so containment
-	// can always restore the permutation and remove the temp files.
+	// SiteExtSpill fires in the external sort's spill writer, at each
+	// bucket line flush of run formation, with tuples durable on disk or
+	// still intact in the input, so containment can always restore the
+	// permutation and remove the temp files.
 	SiteExtSpill Site = "extsort/spill"
-	// SiteExtMerge fires inside the external sort's W-way merge loop at
-	// output-block boundaries, with every input tuple still recoverable
-	// from the phase-1 bucket extents.
-	SiteExtMerge Site = "extsort/merge"
 )
 
 // Sites returns the full catalogue of injection sites.
@@ -85,7 +81,6 @@ func Sites() []Site {
 		SiteBlockPermute,
 		SiteBlockCleanup,
 		SiteExtSpill,
-		SiteExtMerge,
 	}
 }
 

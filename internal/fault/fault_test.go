@@ -262,7 +262,7 @@ func TestSitesCatalogueComplete(t *testing.T) {
 		SiteLSBPass: true, SiteMSBRecurse: true, SiteCMPPass: true,
 		SiteWorkerStart: true, SiteShuffleStart: true,
 		SiteBlockPermute: true, SiteBlockCleanup: true,
-		SiteExtSpill: true, SiteExtMerge: true,
+		SiteExtSpill: true,
 	}
 	got := Sites()
 	if len(got) != len(want) {

@@ -45,14 +45,6 @@ func ReleaseResource(kind string) {
 	}
 }
 
-// LiveResources returns the number of currently live resources of one
-// kind.
-func LiveResources(kind string) int64 {
-	resLedger.Lock()
-	defer resLedger.Unlock()
-	return resLedger.live[kind]
-}
-
 // CheckResources is the cleanup assertion helper for containment tests:
 // it returns an error naming every resource kind with a non-zero live
 // count, or nil when the ledger is clean. Call it after a contained panic

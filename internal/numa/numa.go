@@ -1,6 +1,5 @@
 // Package numa simulates the NUMA layer of the paper's 4-socket platform:
-// a topology of C memory regions, arrays allocated either as per-region
-// contiguous segments or page-interleaved across regions, and transfer
+// a topology of C memory regions, per-region workers, and transfer
 // accounting that records every byte moved between regions.
 //
 // Substitution note (see DESIGN.md): this repository cannot pin threads or
@@ -20,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hard"
-	"repro/internal/kv"
 )
 
 // Region identifies one NUMA region (one CPU socket plus its local RAM).
@@ -137,118 +135,6 @@ func (m *Meter) Flush() {
 	}
 }
 
-// Placement describes how an Array's indices map to regions.
-type Placement int
-
-const (
-	// Segmented places the array as C contiguous segments, segment i local
-	// to region i (the NUMA-friendly allocation of Section 3.3).
-	Segmented Placement = iota
-	// Interleaved places consecutive pages round-robin across regions (the
-	// OS interleaved allocation used by NUMA-oblivious code).
-	Interleaved
-)
-
-// PageTuples is the simulated OS page size in tuples used by interleaved
-// placement. With 8-byte tuples this models a 4 KiB page.
-const PageTuples = 512
-
-// Array is a column of keys or payloads with a region placement. Segs give
-// per-region views for Segmented placement; Data is the whole backing slice.
-type Array[K kv.Key] struct {
-	Topo      *Topology
-	Data      []K
-	Placement Placement
-	bounds    []int // Segmented: start index of each region's segment, len c+1
-}
-
-// NewSegmented allocates an n-element array split into equal contiguous
-// segments, one per region.
-func NewSegmented[K kv.Key](t *Topology, n int) *Array[K] {
-	sizes := make([]int, t.c)
-	base := n / t.c
-	rem := n % t.c
-	for i := range sizes {
-		sizes[i] = base
-		if i < rem {
-			sizes[i]++
-		}
-	}
-	return NewSegmentedSizes[K](t, sizes)
-}
-
-// NewSegmentedSizes allocates a segmented array with the given per-region
-// segment sizes.
-func NewSegmentedSizes[K kv.Key](t *Topology, sizes []int) *Array[K] {
-	if len(sizes) != t.c {
-		panic(fmt.Sprintf("numa: %d sizes for %d regions", len(sizes), t.c))
-	}
-	n := 0
-	bounds := make([]int, t.c+1)
-	for i, s := range sizes {
-		bounds[i] = n
-		n += s
-	}
-	bounds[t.c] = n
-	return &Array[K]{Topo: t, Data: make([]K, n), Placement: Segmented, bounds: bounds}
-}
-
-// NewInterleaved allocates an n-element array with page-interleaved
-// placement.
-func NewInterleaved[K kv.Key](t *Topology, n int) *Array[K] {
-	return &Array[K]{Topo: t, Data: make([]K, n), Placement: Interleaved}
-}
-
-// WrapSegmented adopts an existing slice as a segmented array with the
-// given segment bounds (len = regions+1, bounds[0] = 0,
-// bounds[c] = len(data)).
-func WrapSegmented[K kv.Key](t *Topology, data []K, bounds []int) *Array[K] {
-	if len(bounds) != t.c+1 || bounds[0] != 0 || bounds[t.c] != len(data) {
-		panic("numa: invalid segment bounds")
-	}
-	return &Array[K]{Topo: t, Data: data, Placement: Segmented, bounds: bounds}
-}
-
-// Len returns the number of elements.
-func (a *Array[K]) Len() int {
-	return len(a.Data)
-}
-
-// Owner returns the region that owns index i under the array's placement.
-func (a *Array[K]) Owner(i int) Region {
-	if a.Placement == Interleaved {
-		return Region((i / PageTuples) % a.Topo.c)
-	}
-	// Segmented: binary scan over at most a handful of regions.
-	for r := 1; r <= a.Topo.c; r++ {
-		if i < a.bounds[r] {
-			return Region(r - 1)
-		}
-	}
-	return Region(a.Topo.c - 1)
-}
-
-// Segment returns region r's slice of the array (Segmented placement only).
-func (a *Array[K]) Segment(r Region) []K {
-	if a.Placement != Segmented {
-		panic("numa: Segment on interleaved array")
-	}
-	return a.Data[a.bounds[r]:a.bounds[r+1]]
-}
-
-// SegmentBounds returns the [start, end) index range of region r's segment.
-func (a *Array[K]) SegmentBounds(r Region) (int, int) {
-	if a.Placement != Segmented {
-		panic("numa: SegmentBounds on interleaved array")
-	}
-	return a.bounds[r], a.bounds[r+1]
-}
-
-// Bounds returns a copy of the segment boundary offsets.
-func (a *Array[K]) Bounds() []int {
-	return append([]int(nil), a.bounds...)
-}
-
 // Worker identifies one thread of the simulated machine: its NUMA region
 // and its index within the region.
 type Worker struct {
@@ -271,18 +157,6 @@ func RunPerRegion(t *Topology, threadsPerRegion int, fn func(w Worker)) {
 			id++
 			g.Go(func() { fn(w) })
 		}
-	}
-	g.Wait()
-}
-
-// RunWorkers runs n workers with sequential global ids (region assignment
-// round-robin) and waits for all of them, containing worker panics like
-// RunPerRegion.
-func RunWorkers(t *Topology, n int, fn func(w Worker)) {
-	g := hard.NewGroup(nil)
-	for i := 0; i < n; i++ {
-		w := Worker{Region: Region(i % t.c), Index: i / t.c, ID: i}
-		g.Go(func() { fn(w) })
 	}
 	g.Wait()
 }

@@ -84,68 +84,6 @@ func TestMeterBind(t *testing.T) {
 	}
 }
 
-func TestSegmentedOwnership(t *testing.T) {
-	topo := NewTopology(4)
-	a := NewSegmented[uint32](topo, 10) // segments of 3,3,2,2
-	wantBounds := []int{0, 3, 6, 8, 10}
-	for i, b := range a.Bounds() {
-		if b != wantBounds[i] {
-			t.Fatalf("Bounds = %v", a.Bounds())
-		}
-	}
-	owners := []Region{0, 0, 0, 1, 1, 1, 2, 2, 3, 3}
-	for i, want := range owners {
-		if got := a.Owner(i); got != want {
-			t.Fatalf("Owner(%d) = %d, want %d", i, got, want)
-		}
-	}
-	if got := len(a.Segment(0)); got != 3 {
-		t.Fatalf("Segment(0) len = %d", got)
-	}
-	lo, hi := a.SegmentBounds(3)
-	if lo != 8 || hi != 10 {
-		t.Fatalf("SegmentBounds(3) = %d,%d", lo, hi)
-	}
-}
-
-func TestSegmentsShareBacking(t *testing.T) {
-	topo := NewTopology(2)
-	a := NewSegmented[uint32](topo, 4)
-	a.Segment(1)[0] = 42
-	if a.Data[2] != 42 {
-		t.Fatal("segment view does not alias backing array")
-	}
-}
-
-func TestInterleavedOwnership(t *testing.T) {
-	topo := NewTopology(4)
-	a := NewInterleaved[uint32](topo, PageTuples*8)
-	if a.Owner(0) != 0 || a.Owner(PageTuples) != 1 || a.Owner(4*PageTuples) != 0 {
-		t.Fatal("interleaved ownership not round-robin by page")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Segment on interleaved array should panic")
-		}
-	}()
-	a.Segment(0)
-}
-
-func TestWrapSegmented(t *testing.T) {
-	topo := NewTopology(2)
-	data := make([]uint64, 10)
-	a := WrapSegmented(topo, data, []int{0, 4, 10})
-	if a.Owner(3) != 0 || a.Owner(4) != 1 {
-		t.Fatal("wrapped bounds not respected")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad bounds should panic")
-		}
-	}()
-	WrapSegmented(topo, data, []int{0, 4, 9})
-}
-
 func TestRunPerRegion(t *testing.T) {
 	topo := NewTopology(4)
 	var mu sync.Mutex
@@ -165,25 +103,6 @@ func TestRunPerRegion(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		if perRegion[Region(r)] != 2 {
 			t.Fatalf("region %d has %d workers", r, perRegion[Region(r)])
-		}
-	}
-}
-
-func TestRunWorkersRoundRobin(t *testing.T) {
-	topo := NewTopology(3)
-	var mu sync.Mutex
-	regions := map[int]Region{}
-	RunWorkers(topo, 7, func(w Worker) {
-		mu.Lock()
-		regions[w.ID] = w.Region
-		mu.Unlock()
-	})
-	if len(regions) != 7 {
-		t.Fatalf("ran %d workers", len(regions))
-	}
-	for id, r := range regions {
-		if r != Region(id%3) {
-			t.Fatalf("worker %d on region %d", id, r)
 		}
 	}
 }

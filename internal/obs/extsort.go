@@ -1,10 +1,10 @@
 // External-sort telemetry: process-wide atomics fed by internal/extsort's
-// spill and merge paths, exposed as the partsort_extsort_* metric families
-// on the default registry. Like the aux-bytes gauge these are process-wide
+// spill paths, exposed as the partsort_extsort_* metric families on the
+// default registry. Like the aux-bytes gauge these are process-wide
 // rather than per-session — spill traffic is an operator-facing disk/IO
 // concern that must stay visible between obs sessions. Updates are single
-// atomic adds on block-granular paths (line flushes, segment seals, merge
-// starts), never per tuple.
+// atomic adds on block-granular paths (line flushes, bucket reads), never
+// per tuple.
 
 package obs
 
@@ -13,19 +13,10 @@ import "sync/atomic"
 // extsort is the process-wide external-sort state behind the
 // partsort_extsort_* families.
 var extsort struct {
-	runs       atomic.Int64 // sealed sorted segments written
-	spillBytes atomic.Int64 // bytes written to spill files (formation + re-spill)
-	readBytes  atomic.Int64 // bytes read back from spill files
+	spillBytes atomic.Int64 // bytes written to the spill files
+	readBytes  atomic.Int64 // bytes read back from the spill files
 	tempFiles  atomic.Int64 // spill temp files currently live
-	ioNs       atomic.Int64 // prefetcher time spent in ReadAt
-	stallNs    atomic.Int64 // merge-consumer time blocked waiting on a prefetch
-	blkReady   atomic.Int64 // prefetched blocks that arrived before the merge needed them
-	blkStalled atomic.Int64 // prefetched blocks the merge had to wait for
 }
-
-// AddExtRuns records sealed segments written by run formation or merge
-// rounds.
-func AddExtRuns(n int64) { extsort.runs.Add(n) }
 
 // AddExtSpillBytes records bytes written to spill files.
 func AddExtSpillBytes(n int64) { extsort.spillBytes.Add(n) }
@@ -36,43 +27,9 @@ func AddExtReadBytes(n int64) { extsort.readBytes.Add(n) }
 // AddExtTempFiles tracks live spill temp files (negative on removal).
 func AddExtTempFiles(delta int64) { extsort.tempFiles.Add(delta) }
 
-// AddExtIO records one run's merge I/O accounting: ioNs is the total time
-// the prefetch goroutines spent in reads and stallNs the consumer time
-// blocked on one; ready and stalled count block handoffs that were,
-// respectively, fully hidden behind merge compute or waited for.
-func AddExtIO(ioNs, stallNs, ready, stalled int64) {
-	extsort.ioNs.Add(ioNs)
-	extsort.stallNs.Add(stallNs)
-	extsort.blkReady.Add(ready)
-	extsort.blkStalled.Add(stalled)
-}
-
-// ExtOverlapRatio returns the cumulative prefetch effectiveness of the
-// external merges: the fraction of prefetched blocks whose read finished
-// entirely behind merge compute; 0 before any merge ran.
-func ExtOverlapRatio() float64 {
-	ready := extsort.blkReady.Load()
-	total := ready + extsort.blkStalled.Load()
-	if total <= 0 {
-		return 0
-	}
-	return float64(ready) / float64(total)
-}
-
-// ObserveExtMergeFanin records the fan-in of one W-way merge on the
-// partsort_extsort_merge_fanin histogram.
-func ObserveExtMergeFanin(w int) {
-	DefaultRegistry().Histogram(metricPrefix+"extsort_merge_fanin",
-		"Fan-in (number of input segments) of each external-merge invocation.").
-		Observe(uint64(w), 0)
-}
-
 // registerExtsort registers the external-sort families on r; called from
 // DefaultRegistry's one-time build.
 func registerExtsort(r *Registry) {
-	r.CounterFunc(metricPrefix+"extsort_runs_total",
-		"Sealed sorted segments written by the external sort (run formation and merge rounds).",
-		func() uint64 { return uint64(extsort.runs.Load()) })
 	r.CounterFunc(metricPrefix+"extsort_spill_bytes_total",
 		"Bytes written to external-sort spill files.",
 		func() uint64 { return uint64(extsort.spillBytes.Load()) })
@@ -82,9 +39,4 @@ func registerExtsort(r *Registry) {
 	r.GaugeFunc(metricPrefix+"extsort_temp_files",
 		"External-sort spill temp files currently live.",
 		func() float64 { return float64(extsort.tempFiles.Load()) })
-	r.GaugeFunc(metricPrefix+"extsort_io_overlap_ratio",
-		"Cumulative fraction of prefetched merge blocks whose read finished behind compute.",
-		func() float64 { return ExtOverlapRatio() })
-	r.Histogram(metricPrefix+"extsort_merge_fanin",
-		"Fan-in (number of input segments) of each external-merge invocation.")
 }

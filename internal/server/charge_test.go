@@ -179,7 +179,7 @@ func TestFallbackStagesStayWithinCharge(t *testing.T) {
 // runs the spill plan it was admitted and charged for — planned at half
 // the ledger — and not a plan re-derived from its smaller charge, which
 // at this shape would fan out to a different bucket count: the run's
-// options carry the admitted segment, fanout and merge width, its aux
+// options carry the admitted segment and fanout, its aux
 // cap is its charge, and its disk cap the plan's DiskBytes.
 func TestExternalJobRunsAdmittedPlan(t *testing.T) {
 	const n = 1 << 18 // LSB charge ≈ 4.6 MB, past the 4 MiB ledger
@@ -192,12 +192,12 @@ func TestExternalJobRunsAdmittedPlan(t *testing.T) {
 
 	res, req := submitKeys(t, s, partsort.LSB, n, 64)
 	checkRequestSorted(t, req)
-	plan := tune.PlanSpill(n, 64, cfg.MaxAuxBytes/2, 1, nil)
+	plan := tune.PlanSpill(n, 64, cfg.MaxAuxBytes/2, 1)
 	if !res.Spilled || !ran.external || ran.plan != plan || ran.est != plan.MemBytes {
 		t.Fatalf("spilled=%v external=%v plan %+v charge %d; want the plan %+v charged its MemBytes",
 			res.Spilled, ran.external, ran.plan, ran.est, plan)
 	}
-	if re := tune.PlanSpill(n, 64, plan.MemBytes, 1, nil); re.BucketBits == plan.BucketBits {
+	if re := tune.PlanSpill(n, 64, plan.MemBytes, 1); re.BucketBits == plan.BucketBits {
 		t.Fatalf("re-planning at the charge keeps 2^%d buckets; the shape check below cannot tell the plans apart", re.BucketBits)
 	}
 	opt := s.options(ran, nil)

@@ -177,7 +177,7 @@ func TestHTTPOverBudget413(t *testing.T) {
 			cfg.MaxAuxBytes = 1 // any request overflows; no SpillDir
 		}, "spill-disabled"},
 		{"disk budget", func(cfg *Config, t *testing.T) {
-			cfg.MaxAuxBytes = 256 << 10
+			cfg.MaxAuxBytes = 1 << 20
 			cfg.SpillDir = t.TempDir()
 			cfg.MaxSpillBytes = 1 // the spill estimate can never fit
 		}, "disk-budget"},
@@ -191,9 +191,10 @@ func TestHTTPOverBudget413(t *testing.T) {
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
-			// 16384 keys are charged 327,680 B (one-thread MSB's tail
-			// pair), which overflows both ledgers above.
-			keys := make([]string, 16384)
+			// 65536 keys are charged 1,474,560 B (LSB's tmp pair and
+			// tables), which overflows both ledgers above; their spill
+			// plan (658,432 B) fits the 1 MiB one.
+			keys := make([]string, 1<<16)
 			for i := range keys {
 				keys[i] = strconv.Itoa(len(keys) - i)
 			}
@@ -222,15 +223,15 @@ func TestHTTPOverBudget413(t *testing.T) {
 // spilling enabled and expects a sorted 200 flagged spilled=true.
 func TestHTTPSpillDegradation(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxAuxBytes = 256 << 10
+	cfg.MaxAuxBytes = 1 << 20
 	cfg.SpillDir = t.TempDir()
-	cfg.SpillSegmentTuples = 1 << 10 // force real segments and a file-backed merge
+	cfg.SpillSegmentTuples = 1 << 10 // buckets of ~1024 tuples: some overflow and are sorted in place
 	s := New(cfg)
 	defer drainOK(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const n = 16384 // charged 327,680 B, past the 256 KiB ledger
+	const n = 1 << 16 // charged 1,474,560 B, past the 1 MiB ledger; the spill plan's 658,432 B fit
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = strconv.Itoa((i*2654435761 + 7) % 1000003)

@@ -405,7 +405,7 @@ func (s *Server) Submit(ctx context.Context, req *Request) (Result, error) {
 		// plan, not the input: charge the ledger what the run will
 		// actually hold, planned against half the budget so one spilling
 		// job cannot starve the in-memory traffic.
-		j.plan = tune.PlanSpill(n, width, s.cfg.MaxAuxBytes/2, s.cfg.SortThreads, nil)
+		j.plan = tune.PlanSpill(n, width, s.cfg.MaxAuxBytes/2, s.cfg.SortThreads)
 		j.external, j.coalesce = true, false
 		j.est = j.plan.MemBytes
 	}
@@ -621,7 +621,7 @@ func (s *Server) execute(j *job) (Result, error) {
 
 // options builds the SortOptions a job runs under. Its charge is its
 // aux cap. An external job runs the spill plan it was admitted on — its
-// segment, fanout and merge width — capped at that plan's DiskBytes; the
+// segment and fanout — capped at that plan's DiskBytes; the
 // retry supervisor does not apply to it (the external pipeline has its
 // own containment, and an input this size has no in-memory fallback).
 func (s *Server) options(j *job, w *partsort.Workspace) *partsort.SortOptions {
@@ -633,7 +633,6 @@ func (s *Server) options(j *job, w *partsort.Workspace) *partsort.SortOptions {
 	opt.MaxSpillBytes = j.plan.DiskBytes
 	opt.SpillSegmentTuples = cmp.Or(s.cfg.SpillSegmentTuples, j.plan.SegmentTuples)
 	opt.SpillBucketBits = j.plan.BucketBits
-	opt.SpillMergeWidth = j.plan.MergeWidth
 	return opt
 }
 

@@ -59,8 +59,8 @@ type Stats struct {
 	// events into their deltas; attribute with care.
 	Counters obs.CounterSnapshot
 
-	// Plan records the adaptive planner's decision — algorithm, radix
-	// bits, fanout, worker count, and the modeled costs behind them —
+	// Plan records the adaptive planner's decision — algorithm, worker
+	// count, predicted passes, predicted time and modeled footprint —
 	// when the run was auto-tuned (SortOptions.AutoTune); nil otherwise.
 	Plan *tune.Plan
 }

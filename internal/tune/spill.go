@@ -1,30 +1,29 @@
 // Spill planning: the external sort's counterpart of Choose. Given the
 // input size and the auxiliary-memory budget, PlanSpill decides whether
 // the sort must leave RAM at all and, if so, shapes the external pipeline
-// — segment granularity, run-formation fanout, merge fan-in, and buffer
-// sizes — so the whole pipeline's peak memory stays inside the budget the
-// in-memory planner would have refused. The fanout aims at one pass:
-// every byte is spilled and read back once unless skew overflows a
-// bucket past its segment.
+// — segment granularity, run-formation fanout, buffer sizes, and the
+// worker count of the in-place overflow sort — so the whole pipeline's
+// peak memory stays inside the budget the in-memory planner would have
+// refused. The fanout aims at one pass: every byte is spilled once and
+// read back once unless skew overflows a bucket past its segment, and
+// then that bucket's bytes are read once more.
 
 package tune
 
 import (
 	"math/bits"
-	"runtime"
 
 	"repro/internal/ws"
 )
 
-// Spill-plan clamps. Segments below minSegmentTuples would make the merge
-// fan-in explode for no memory win; a write-combining line below
+// Spill-plan clamps. A segment below minSegmentTuples would make delivery
+// read in tiny pieces for no memory win; a write-combining line below
 // minLineTuples turns formation into small writes; extents hold at least
 // minLinesPerExtent lines so the per-extent bookkeeping stays small.
 const (
 	minSegmentTuples  = 1 << 10
 	maxSegmentTuples  = 1 << 26
 	minLineTuples     = 64
-	maxMergeWidth     = 16
 	minLinesPerExtent = 8
 	spillSlackBytes   = 64 << 10
 )
@@ -36,94 +35,87 @@ const (
 const MaxBucketBits = 16
 
 // SpillPlan is the external sort's shape: how the one streaming
-// run-formation pass fans out, how large the in-memory sorted segments
-// are, and how wide the file-backed merge runs.
+// run-formation pass fans out, how large a bucket is delivered in one
+// piece, and how many workers sort a larger one in place.
 type SpillPlan struct {
 	// Spill reports whether the input exceeds the auxiliary budget at all;
 	// false means the in-memory paths fit and the external pipeline is
 	// unnecessary.
 	Spill bool `json:"spill"`
-	// SegmentTuples is the sealed-run granularity and the largest bucket
-	// delivered in one piece: a delivery worker's pair buffer, and the
-	// overflow path's sort columns and read buffer, are a segment each.
+	// SegmentTuples is the largest bucket delivered in one piece: a
+	// delivery worker's pair buffer, and the overflow path's staging
+	// buffer, hold one segment of pairs each.
 	SegmentTuples int `json:"segment_tuples"`
 	// BucketBits is the run-formation fanout in bits: one streaming pass
 	// scatters tuples into 1<<BucketBits key-range buckets whose file
 	// extents are reserved on first touch (no counting pre-pass). It is
 	// sized so the expected bucket fill is at most half a segment: a
-	// uniform input is then delivered without sealed runs or merges.
+	// uniform input then takes no overflow path.
 	BucketBits int `json:"bucket_bits"`
-	// MergeWidth caps the file-backed merge fan-in of a bucket that
-	// overflows one segment; wider ones merge in rounds.
-	MergeWidth int `json:"merge_width"`
 	// LineTuples is the per-bucket write-combining buffer in tuples; only
 	// full lines (and the final drain) reach the spill file.
 	LineTuples int `json:"line_tuples"`
 	// ExtentTuples is the bucket extent reservation unit in tuples
 	// (see ExtentTuples).
 	ExtentTuples int `json:"extent_tuples"`
-	// BlockTuples is each merge iterator's prefetch block in tuples (two
-	// blocks per iterator: one draining, one loading).
-	BlockTuples int `json:"block_tuples"`
+	// OverflowThreads is the worker count of the in-place MSB sort of a
+	// bucket that overflows one segment (see OverflowThreads).
+	OverflowThreads int `json:"overflow_threads"`
 	// MemBytes is the planned peak auxiliary footprint of the external
 	// pipeline, its largest phase's — what an admission ledger should
 	// charge for the run.
 	MemBytes int64 `json:"mem_bytes"`
-	// DiskBytes bounds a run's spill files — what a disk ledger should
-	// charge and cap it at: one part-filled extent per worker's chain per
-	// bucket, and five copies of the input: formation's, and under the
-	// worst skew the sealed segments and three merge rounds of re-spill.
-	// A uniform input writes the formation copy alone.
+	// DiskBytes bounds a run's spill file — what a disk ledger should
+	// charge and cap it at: the formation copy of the input plus one
+	// part-filled extent per worker's chain per bucket. Nothing else is
+	// written to disk.
 	DiskBytes int64 `json:"disk_bytes"`
 }
 
 // PlanSpill shapes the external pipeline for n tuples of keyBits-bit keys
 // sorted by threads workers under an auxiliary budget of maxAux bytes
-// (<=0: DefaultAuxBudget). The profile contributes the merge width via its
-// calibrated CPU count; a nil profile falls back to the live GOMAXPROCS.
-// The returned plan keeps MemBytes within the budget even when the budget
-// is far below the input — only degenerate budgets (below ~512 KiB, where
-// the buffer clamps dominate) are clamped up.
+// (<=0: DefaultAuxBudget). The returned plan keeps MemBytes within the
+// budget unless the budget is below the planner's floor: the buffer
+// clamps (about 512 KiB) or, at large n, the one-worker in-place sort of
+// a bucket that holds the whole input, whose block permutation labels
+// every 128-tuple slot and so grows the floor by about n/32 bytes
+// (PlanSpill(1<<24, 64, 1 MiB) plans about 1.18 MB).
 //
 // MemBytes is the largest of the three phases' footprints, because the
 // sorter holds each phase's buffers only during that phase: formation's
 // T line slabs; one-segment delivery's T pair buffers, each beside a
-// one-worker MSB sort of its bucket; and the overflow path's read buffer
-// and chunk columns beside either a T-worker chunk sort or the merge
-// blocks. When the widest phase does not fit, the segment halves (and the
+// one-worker MSB sort of its bucket; and the overflow path's staging
+// buffer beside the in-place MSB sort of a bucket, on OverflowThreads
+// workers, priced at n tuples because one bucket can hold the whole
+// input. When the widest phase does not fit, the segment halves (and the
 // fanout grows with it) until it does.
-func PlanSpill(n, keyBits int, maxAux int64, threads int, p *MachineProfile) SpillPlan {
+func PlanSpill(n, keyBits int, maxAux int64, threads int) SpillPlan {
 	if maxAux <= 0 {
 		maxAux = DefaultAuxBudget()
 	}
 	threads = max(threads, 1)
 	w8 := int64(keyBits / 8)
-	ncpu := runtime.GOMAXPROCS(0)
-	if p != nil && p.NumCPU > 0 {
-		ncpu = p.NumCPU
-	}
 
-	// Segment size: the overflow path holds one interleaved read buffer
-	// (segment pairs) plus the two deinterleaved sort columns — 4·seg·w8
-	// bytes — so it starts at a quarter of the budget.
+	// Segment size: start where a delivery worker's pair buffer (2·seg·w8
+	// bytes) is a quarter of the budget.
 	seg := clampInt64(maxAux/(16*w8), minSegmentTuples, maxSegmentTuples)
 	if int64(n) < seg {
 		seg = max(int64(n), 1)
 	}
-	pl := spillShape(n, keyBits, maxAux, threads, ncpu, seg)
+	pl := spillShape(n, keyBits, maxAux, threads, seg)
 	for pl.MemBytes > maxAux && seg > minSegmentTuples {
 		seg = max(seg/2, minSegmentTuples)
-		pl = spillShape(n, keyBits, maxAux, threads, ncpu, seg)
+		pl = spillShape(n, keyBits, maxAux, threads, seg)
 	}
 	// The in-memory paths budget roughly two extra columns per input
 	// column (scratch ping-pong plus codes); spill once that cannot fit.
 	pl.Spill = int64(n)*4*w8 > maxAux
-	pl.DiskBytes = (5*int64(n) + int64(threads)<<pl.BucketBits*int64(pl.ExtentTuples)) * 2 * w8
+	pl.DiskBytes = (int64(n) + int64(threads)<<pl.BucketBits*int64(pl.ExtentTuples)) * 2 * w8
 	return pl
 }
 
 // spillShape is PlanSpill at a fixed segment size.
-func spillShape(n, keyBits int, maxAux int64, threads, ncpu int, seg int64) SpillPlan {
+func spillShape(n, keyBits int, maxAux int64, threads int, seg int64) SpillPlan {
 	w8 := int64(keyBits / 8)
 	pair := 2 * w8
 	pl := SpillPlan{SegmentTuples: int(seg)}
@@ -131,10 +123,10 @@ func spillShape(n, keyBits int, maxAux int64, threads, ncpu int, seg int64) Spil
 	// Fanout: aim for one formation pass. The expected bucket fill gets
 	// variance headroom under one segment (at most seg/2), so delivery
 	// sorts each bucket straight into its output range and only buckets
-	// that skew overflows are cut into sealed runs and merged. The cap is
-	// each worker's formation slab (fanout × line × pair), which must fit
-	// an eighth of the budget (1/(2T) of it past four workers) with lines
-	// of at least minLineTuples.
+	// that skew overflows take the in-place path. The cap is each
+	// worker's formation slab (fanout × line × pair), which must fit an
+	// eighth of the budget (1/(2T) of it past four workers) with lines of
+	// at least minLineTuples.
 	buckets := ceilDiv64(max(int64(n), 1), max(seg/2, 1))
 	capBits := bits.Len64(uint64(maxAux/int64(max(8, 2*threads))/(minLineTuples*pair))) - 1
 	pl.BucketBits = clampInt(bits.Len64(uint64(buckets-1)), 1, clampInt(capBits, 1, MaxBucketBits))
@@ -142,30 +134,40 @@ func spillShape(n, keyBits int, maxAux int64, threads, ncpu int, seg int64) Spil
 	pl.LineTuples = SpillLineTuples(pl.BucketBits, keyBits, maxAux, threads)
 	line := int64(pl.LineTuples)
 	pl.ExtentTuples = ExtentTuples(n, pl.BucketBits, pl.LineTuples, threads)
-
-	// Merge: W iterators × 2 prefetch blocks × block pairs ≤ half the
-	// budget. The calibrated CPU count bounds useful prefetch concurrency.
-	w := clampInt(ncpu, 4, maxMergeWidth)
-	block := clampInt64(seg/4, 1<<10, 1<<16)
-	for block > 1<<10 && int64(w)*4*block*w8 > maxAux/2 {
-		block /= 2
-	}
-	for w > 2 && int64(w)*4*block*w8 > maxAux/2 {
-		w--
-	}
-	pl.MergeWidth = w
-	pl.BlockTuples = int(block)
+	pl.OverflowThreads = OverflowThreads(n, keyBits, maxAux, int(seg), threads)
 
 	// Every buffer is priced at the capacity the workspace arena hands
 	// out for it (ws.Capacity), which is what its ledger meters.
 	capB := func(elems int64) int64 { return int64(ws.Capacity(int(elems))) * w8 }
 	T := int64(threads)
-	msb := func(m int64, t int) int64 { return Footprint(AlgoMSB, int(m), keyBits, t) }
 	formation := T * capB(fanout*2*line)
-	delivery := T * (capB(2*seg) + msb(seg, 1))
-	overflow := capB(2*seg) + 2*capB(seg) + max(msb(seg, threads), int64(w)*capB(4*block))
+	delivery := T * (capB(2*seg) + Footprint(AlgoMSB, int(seg), keyBits, 1))
+	overflow := overflowBytes(n, keyBits, int(seg), pl.OverflowThreads)
 	pl.MemBytes = max(formation, delivery, overflow) + spillSlackBytes
 	return pl
+}
+
+// OverflowThreads is the overflow rule: the most workers, from 1 up to
+// threads, whose in-place MSB sort of n tuples of keyBits-bit keys fits
+// maxAux bytes (<=0: DefaultAuxBudget) beside a staging buffer of
+// segTuples pairs. The sort is priced at n tuples because one bucket can
+// hold the whole input. SortExternal applies it to an overridden segment
+// too.
+func OverflowThreads(n, keyBits int, maxAux int64, segTuples, threads int) int {
+	if maxAux <= 0 {
+		maxAux = DefaultAuxBudget()
+	}
+	t := max(threads, 1)
+	for t > 1 && overflowBytes(n, keyBits, segTuples, t)+spillSlackBytes > maxAux {
+		t--
+	}
+	return t
+}
+
+// overflowBytes is the overflow phase's footprint: the staging buffer of
+// segTuples pairs beside the in-place MSB sort of n tuples on t workers.
+func overflowBytes(n, keyBits, segTuples, t int) int64 {
+	return int64(ws.Capacity(2*segTuples))*int64(keyBits/8) + Footprint(AlgoMSB, n, keyBits, t)
 }
 
 // SpillLineTuples is the formation line rule for 1<<bucketBits buckets of

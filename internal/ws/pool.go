@@ -186,16 +186,11 @@ func (p *Pool) RunCtl(n int, r Runner, ctl *hard.Ctl) {
 	}
 }
 
-// GoRun is Run when no pool is available: n fresh goroutines, the
-// pre-workspace behavior. Callers use ws.RunWorkers to pick.
-func GoRun(n int, r Runner) {
-	GoRunCtl(n, r, nil)
-}
-
-// GoRunCtl is GoRun under containment and cancellation: each goroutine runs
-// inside a hard.Group, so a worker panic no longer kills the process (the
-// old GoRun spawned bare goroutines) and re-raises on the caller with the
-// worker's stack after every sibling has finished.
+// GoRunCtl is Run when no pool is available: n fresh goroutines under
+// containment and cancellation. Each runs inside a hard.Group, so a worker
+// panic does not kill the process but re-raises on the caller with the
+// worker's stack after every sibling has finished. Callers use
+// ws.RunWorkersCtl to pick.
 func GoRunCtl(n int, r Runner, ctl *hard.Ctl) {
 	if n <= 0 {
 		return

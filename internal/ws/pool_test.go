@@ -173,16 +173,6 @@ func TestNilPoolRunsSerially(t *testing.T) {
 	}
 }
 
-func TestGoRun(t *testing.T) {
-	r := &markRunner{marks: make([]atomic.Int32, 16)}
-	GoRun(16, r)
-	for i := range r.marks {
-		if r.marks[i].Load() != 1 {
-			t.Fatal("GoRun missed a task")
-		}
-	}
-}
-
 func TestRunWorkers(t *testing.T) {
 	r := &markRunner{marks: make([]atomic.Int32, 1)}
 	RunWorkers(nil, 1, r) // inline

@@ -75,17 +75,15 @@ type SortOptions struct {
 	// TempDir is where SortExternal creates its per-run spill directory
 	// ("" selects os.TempDir()). Ignored by the in-memory sorts.
 	TempDir string
-	// SpillSegmentTuples overrides the external sort's sealed-run
-	// granularity (0: planned from MaxAuxBytes). Inputs at most one
-	// segment long are sorted in memory without touching disk.
+	// SpillSegmentTuples overrides the external sort's segment (0:
+	// planned from MaxAuxBytes): the largest bucket delivered in one
+	// piece, and the staging buffer of a larger one in pairs. Inputs at
+	// most one segment long are sorted in memory without touching disk.
 	SpillSegmentTuples int
 	// SpillBucketBits overrides the external run-formation fanout in bits
 	// (0: planned; at most 16). The write-combining lines are sized for
 	// the overridden fanout, so formation stays within MaxAuxBytes.
 	SpillBucketBits int
-	// SpillMergeWidth overrides the external merge fan-in cap (0:
-	// planned; at most 16).
-	SpillMergeWidth int
 	// MaxSpillBytes caps SortExternal's total spill-file footprint on
 	// disk (0: unlimited). Exceeding it surfaces as a *SpillError
 	// wrapping ErrSpillBudget.

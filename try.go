@@ -71,10 +71,6 @@ func validateOptions(fn string, opt *SortOptions) *ArgError {
 		return &ArgError{Func: fn, Field: "SpillBucketBits",
 			Reason: fmt.Sprintf("%d; must be in [1, %d] (0 selects the planned fanout)", opt.SpillBucketBits, tune.MaxBucketBits)}
 	}
-	if opt.SpillMergeWidth < 0 || opt.SpillMergeWidth > 16 {
-		return &ArgError{Func: fn, Field: "SpillMergeWidth",
-			Reason: fmt.Sprintf("%d; must be in [2, 16] (0 selects the planned width)", opt.SpillMergeWidth)}
-	}
 	if opt.MaxSpillBytes < 0 {
 		return &ArgError{Func: fn, Field: "MaxSpillBytes",
 			Reason: fmt.Sprintf("%d; must be non-negative (0 means unlimited)", opt.MaxSpillBytes)}

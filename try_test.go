@@ -159,22 +159,23 @@ var faultMatrix = []faultCase{
 	{"cmp", fault.SiteCMPPass, 4, 2, 1 << 12},
 	{"cmp", fault.SiteShuffleStart, 4, 2, 1 << 12},
 	{"ext", fault.SiteExtSpill, 4, 1, 0},
-	{"ext", fault.SiteExtMerge, 4, 1, 0},
+	{"ext", fault.SiteMSBRecurse, 4, 1, 0},
 }
 
 // runFaultCase runs one matrix cell's sort on k/v. The "ext" cells run
 // SortExternalCtx in a forced-spill shape — segments far below n so the
-// run leaves RAM, a real bucket fanout, and merges deep enough to reach
-// the merge site — spilling into spillDir.
+// run leaves RAM, and a real bucket fanout whose buckets (~4096 tuples)
+// each overflow their 2048-tuple segment, so an msb/recurse fault strikes
+// the in-place overflow sort after it has written its output range —
+// spilling into spillDir.
 func runFaultCase(c faultCase, k, v []uint32, w *Workspace, spillDir string) error {
 	opt := &SortOptions{Threads: c.threads, Regions: c.regions, CacheTuples: c.cache, Workspace: w}
 	if c.algo != "ext" {
 		return algoByName(c.algo).run(context.Background(), k, v, opt)
 	}
 	opt.TempDir = spillDir
-	opt.SpillSegmentTuples = 1 << 12
+	opt.SpillSegmentTuples = 1 << 11
 	opt.SpillBucketBits = 3
-	opt.SpillMergeWidth = 4
 	_, err := SortExternalCtx(context.Background(), k, v, opt)
 	return err
 }

@@ -79,9 +79,10 @@ go run ./cmd/sortcli -n 6000000 -algo cmp -width 64 -threads 4 -regions 4 -verif
 go run ./cmd/sortcli -n 8388608 -algo cmp -width 64 -threads 2 -verify > /dev/null
 # Range index: Partition and LookupBatch fuzzed against binary search.
 go test -run '^$' -fuzz '^FuzzRangeIndex$' -fuzztime 10s .
-# Spill read-back: flipped, zeroed or truncated bytes in a formation
-# extent or a sealed run end in ErrCorrupt or a correct sort, never in a
-# panic, a wrong sort or a leaked temp file.
+# Spill read-back: flipped, zeroed or truncated bytes in the spill file,
+# at delivery start or just before an overflowing bucket is read, end in
+# ErrCorrupt or a correct sort, never in a panic, a wrong sort or a
+# leaked temp file.
 go test -run '^$' -fuzz '^FuzzSpillReadback$' -fuzztime 10s ./internal/extsort
 # Machine profiles are an untrusted boundary: arbitrary bytes given to
 # tune.Load end in an error or a valid profile that round-trips through
@@ -129,25 +130,22 @@ go run ./cmd/partcli -n 100000 -variant sync -threads 4 -stats > /dev/null
 go test -run xxx -bench ObsOverhead -benchtime 0.2s ./internal/part/ > /dev/null
 
 # Hardened execution: the fault-injection matrix (every site x every sort,
-# the external sort's spill and merge included) must contain worker panics
-# as *InternalError with the input left a permutation, no goroutine or temp
-# resource leaks and an empty spill dir, under the race detector too.
+# the external sort's spill writer and in-place overflow sort included)
+# must contain worker panics as *InternalError with the input left a
+# permutation, no goroutine or temp resource leaks and an empty spill
+# dir, under the race detector too.
 # TestTryFaultMSBLocalPass and TestTryCancelRace include one-thread MSB
 # rows that fault or cancel inside the in-cache branch's recursion.
 go test -race -short -count=1 -run 'TestTryFaultMatrix|TestTryFaultMSBLocalPass|TestTryCancelRace|TestTryPartitionFault' .
 
 # External sort: a forced spill several times the memory budget must
 # produce a sorted permutation with exactly one streaming formation pass,
-# and a cancelled or faulted (spill and merge) call must leave a
-# permutation; every call must leave an empty temp dir and no
-# fd/goroutine/temp-resource leaks. The merge pipeline's prefetch
-# effectiveness must keep the majority of block handoffs
-# ready-before-needed (overlap >= 0.5 — the block-level measure is
-# scheduling-independent, so it gates even on a single-core host where
-# wall-clock overlap cannot exist).
-go test -race -short -count=1 -run 'TestSortExternal' .
-go run ./cmd/benchjson -bench 'ExternalMerge' -benchtime 2x \
-    -require-extra 'overlap>=0.5' -out /dev/null
+# and a cancelled or faulted (spill writer and overflow sort) call must
+# leave a permutation; every call must leave an empty temp dir and no
+# fd/goroutine/temp-resource leaks. TestSpillPlanCoversMeasuredPeak runs
+# the in-place sort of overflowing buckets on the plan's worker count
+# (Zipf rows, 1 to 4 threads) and checks its peak against the plan.
+go test -race -short -count=1 -run 'TestSortExternal|TestSpillPlanCoversMeasuredPeak' .
 
 # Resilient execution: the seeded chaos matrix ({LSB, MSB, CMP} x
 # {workspace, none}, TestResilientChaosMatrix) must end every supervised
