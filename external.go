@@ -32,13 +32,13 @@ type SpillPlan = tune.SpillPlan
 // budget of half the machine's available memory), for one worker
 // (SortOptions' default Threads; SortExternal plans for its own Threads):
 // whether the input must spill at all and, if so, the segment, fanout,
-// line and extent shape, the worker count of the in-place overflow sort,
-// and the peak resident footprint MemBytes, the largest of the pipeline's
-// three phases (the sorter holds each phase's buffers only while that
-// phase runs). MemBytes is at least the planner's floor (a few hundred KiB
-// of minimum buffers, growing by about n/32 bytes at large n for the
-// in-place sort of a bucket that holds the whole input), so for tiny
-// budgets it exceeds maxAux; SortExternal then runs at MemBytes.
+// line and extent shape, the worker count and cache bound of the in-place
+// overflow sort, and the peak resident footprint MemBytes, the largest of
+// the pipeline's three phases (the sorter holds each phase's buffers only
+// while that phase runs). MemBytes is at least the planner's floor (the
+// minimum buffers, and the in-place sort of a bucket that holds the whole
+// input, which grows by about n/32 bytes at large n), so for tiny budgets
+// it exceeds maxAux; SortExternal then runs at MemBytes.
 func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 	return tune.PlanSpill(n, keyBits, maxAux, 1)
 }
@@ -56,9 +56,9 @@ func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 // Threads parallelizes both phases: formation scatters Threads slices of
 // the input, each through its own line buffers, and delivery sorts
 // Threads buckets at once, one thread each; an overflowing bucket is
-// sorted on as many of the Threads as the budget fits beside the staging
-// buffer (the plan's OverflowThreads). The plan (PlanSpill's shape at
-// that worker count) prices the widest phase.
+// sorted on as many of the Threads as the budget fits (the plan's
+// OverflowThreads). The plan (PlanSpill's shape at that worker count)
+// prices the widest phase.
 //
 // A positive MaxAuxBytes below the plan's floor (PlanSpill's MemBytes)
 // is raised to it, with or without a Workspace, so a tiny budget still
@@ -106,9 +106,9 @@ func SortExternalCtx[K Key](ctx context.Context, keys, vals []K, opt *SortOption
 // externalOptions resolves the extsort configuration: tune.PlanSpill
 // shapes every knob from the memory budget, explicit Spill* overrides
 // win (an overridden fanout gets the line tune.SpillLineTuples sizes for
-// it, an overridden segment the overflow workers tune.OverflowThreads
-// fits beside its staging buffer), and a non-spilling plan widens the
-// segment so the whole input takes the in-memory path. It also returns
+// it), and a non-spilling plan widens the segment so the whole input
+// takes the in-memory path. The overflow sort's shape comes from the
+// plan whatever the segment: it does not depend on it. It also returns
 // the run's aux budget: MaxAuxBytes raised to the plan's floor when set
 // below it.
 func externalOptions[K Key](opt *SortOptions, n int) (extsort.Options, int64) {
@@ -125,6 +125,7 @@ func externalOptions[K Key](opt *SortOptions, n int) (extsort.Options, int64) {
 	eo.BucketBits = plan.BucketBits
 	eo.LineTuples = plan.LineTuples
 	eo.OverflowThreads = plan.OverflowThreads
+	eo.OverflowCacheTuples = plan.OverflowCacheTuples
 	eo.Threads = threads
 	eo.RadixBits = radixBits
 	if maxAux > 0 {
@@ -133,7 +134,6 @@ func externalOptions[K Key](opt *SortOptions, n int) (extsort.Options, int64) {
 	if opt != nil {
 		if opt.SpillSegmentTuples > 0 {
 			eo.SegmentTuples = opt.SpillSegmentTuples
-			eo.OverflowThreads = tune.OverflowThreads(n, kv.Width[K](), maxAux, eo.SegmentTuples, threads)
 		} else if !plan.Spill {
 			// The plan says the input fits the memory budget: make the
 			// segment cover it so Run takes the in-memory shortcut.

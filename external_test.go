@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/kv"
+	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/tune"
 )
@@ -134,10 +135,10 @@ func TestSortExternalSkewMerges(t *testing.T) {
 
 // TestSortExternalOverflowWorkers checks that a bucket past one segment
 // is sorted on the plan's OverflowThreads workers, not on all Threads:
-// 2^20 pairs on four threads under 2 MiB fit two beside the staging
-// buffer. Every key lies in the top eighth of the domain, so every bucket
-// overflows its segment (each is read twice) and every worker span of the
-// run comes from the in-place sort.
+// 2^20 pairs on four threads under 2 MiB fit two overflow workers (the
+// plan prices each count at n tuples). Every key lies in the top eighth
+// of the domain, so every bucket overflows its segment (each is read
+// twice) and every worker span of the run comes from the in-place sort.
 func TestSortExternalOverflowWorkers(t *testing.T) {
 	const n, threads = 1 << 20, 4
 	budget := int64(n) * 16 / 8
@@ -429,19 +430,28 @@ func TestPlanSpill(t *testing.T) {
 // workspace's measured peak of checked-out bytes to stay within the plan's
 // MemBytes, and MemBytes within the budget. The Zipf rows send the hot
 // buckets down the overflow path (the in-place sort on the plan's
-// OverflowThreads beside the staging buffer); the uniform rows deliver
-// every bucket in one piece. The 2^23
+// OverflowThreads, after the staging buffer went back); the uniform rows
+// deliver every bucket in one piece. The 2^23
 // rows run only in full-length builds without the race detector. One
 // more 2^20 row, uniform on 8 threads under a budget of the pairs' whole
 // 16 MiB, has its peak set by delivery: the 8 workers' bucket buffers
 // alone hold half of it, so a plan that under-prices delivery fails
-// there in short and race builds too.
+// there in short and race builds too. The small Zipf rows run under a
+// tight budget: on one thread (2^14 pairs under their 256 KiB, 2^16 under
+// half their bytes) they fit it only with the overflow sort's cache
+// bound, and its local passes' blocks, below the default, and check that
+// a bucket overflowed and that the plan shrank the bound; 2^16 pairs on
+// two threads fit two overflow workers at the default bound. The "hot"
+// row puts 7/8 of 2^14 keys below 2^10 and the rest below 2^20, so one
+// bucket holds about 90% of the input: at the default cache bound its
+// in-cache buffer pair alone would be the whole 256 KiB budget.
 func TestSpillPlanCoversMeasuredPeak(t *testing.T) {
 	type row struct {
 		n         int
 		budgetDiv int64 // the budget is the pairs' bytes over budgetDiv
 		dist      string
 		threads   int
+		shrunk    bool // the overflow sort runs below the default cache bound
 	}
 	var rows []row
 	sizes := []int{1 << 20, 1 << 23}
@@ -451,11 +461,12 @@ func TestSpillPlanCoversMeasuredPeak(t *testing.T) {
 	for _, n := range sizes {
 		for _, dist := range []string{"uniform", "zipf"} {
 			for _, threads := range []int{1, 2, 4} {
-				rows = append(rows, row{n, 8, dist, threads})
+				rows = append(rows, row{n, 8, dist, threads, false})
 			}
 		}
 	}
-	rows = append(rows, row{1 << 20, 1, "uniform", 8})
+	rows = append(rows, row{1 << 20, 1, "uniform", 8, false},
+		row{1 << 14, 1, "zipf", 1, true}, row{1 << 14, 1, "hot", 1, true}, row{1 << 16, 2, "zipf", 1, true}, row{1 << 16, 2, "zipf", 2, false})
 	for _, r := range rows {
 		n, dist, threads := r.n, r.dist, r.threads
 		budget := int64(n) * 16 / r.budgetDiv
@@ -464,8 +475,14 @@ func TestSpillPlanCoversMeasuredPeak(t *testing.T) {
 			t.Fatalf("n=%d T=%d: MemBytes %d over the budget %d", n, threads, plan.MemBytes, budget)
 		}
 		keys := gen.Uniform[uint64](n, 0, 21)
-		if dist == "zipf" {
+		switch dist {
+		case "zipf":
 			keys = gen.ZipfKeys[uint64](n, 1<<20, 1.0, 22)
+		case "hot":
+			keys = gen.Uniform[uint64](n, 1<<10, 23)
+			for i, k := range gen.Uniform[uint64](n/8, 1<<20, 24) {
+				keys[8*i] = k
+			}
 		}
 		vals := RIDs[uint64](n)
 		want := kv.ChecksumPairs(keys, vals)
@@ -482,6 +499,10 @@ func TestSpillPlanCoversMeasuredPeak(t *testing.T) {
 		if peak > plan.MemBytes {
 			t.Fatalf("n=%d %s T=%d: measured peak %d B over the plan's MemBytes %d B", n, dist, threads, peak, plan.MemBytes)
 		}
-		t.Logf("n=%d %s T=%d: peak %d B, MemBytes %d B, budget %d B, overflow T %d, read %d B of %d", n, dist, threads, peak, plan.MemBytes, budget, plan.OverflowThreads, st.ReadBytes, st.FormationBytes)
+		if r.shrunk && (st.ReadBytes <= st.FormationBytes || plan.OverflowCacheTuples >= memmodel.WorkerCacheBytes/16) {
+			t.Fatalf("n=%d %s T=%d: read %d B of %d, overflow cache bound %d: want an overflow below the default bound",
+				n, dist, threads, st.ReadBytes, st.FormationBytes, plan.OverflowCacheTuples)
+		}
+		t.Logf("n=%d %s T=%d: peak %d B, MemBytes %d B, budget %d B, overflow T %d cache %d, read %d B of %d", n, dist, threads, peak, plan.MemBytes, budget, plan.OverflowThreads, plan.OverflowCacheTuples, st.ReadBytes, st.FormationBytes)
 	}
 }

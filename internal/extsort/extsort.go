@@ -74,12 +74,15 @@ type Options struct {
 	MaxSpillBytes int64
 	// Threads is the worker count of both phases: formation scatters
 	// Threads input slices, and delivery sorts Threads one-segment buckets
-	// at once (one thread each). OverflowThreads (0: Threads; at most
-	// Threads) sorts a bucket larger than one segment in place, the plan's
-	// tune.OverflowThreads. RadixBits configures the in-memory sorts.
-	Threads         int
-	OverflowThreads int
-	RadixBits       int
+	// at once (one thread each). A bucket larger than one segment is
+	// sorted in place on OverflowThreads workers (0: Threads; at most
+	// Threads) under a cache bound of OverflowCacheTuples (0: the sorts'
+	// default), the plan's (tune.SpillPlan). RadixBits configures the
+	// in-memory sorts.
+	Threads             int
+	OverflowThreads     int
+	OverflowCacheTuples int
+	RadixBits           int
 }
 
 // Stats reports what one external sort did; the public entry points and
@@ -160,7 +163,7 @@ func Run[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, opt Options) 
 	if n <= opt.SegmentTuples {
 		// The input fits one segment: sort in memory, no spill.
 		if n > 1 {
-			sortChunk(ctl, keys, vals, w, opt.Threads, opt.RadixBits)
+			sortChunk(ctl, keys, vals, w, opt.Threads, 0, opt.RadixBits)
 		}
 		return Stats{Spilled: false}, nil
 	}
@@ -270,14 +273,16 @@ const (
 	phaseDeliver
 )
 
-// sortChunk runs the in-place MSB sort over keys/vals on threads workers,
-// with the external sort's workspace and control.
-func sortChunk[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, threads, radixBits int) {
+// sortChunk runs the in-place MSB sort over keys/vals on threads workers
+// under a cache bound of cacheT tuples (0: default), with the external
+// sort's workspace and control.
+func sortChunk[K kv.Key](ctl *hard.Ctl, keys, vals []K, w *ws.Workspace, threads, cacheT, radixBits int) {
 	sortalgo.MSB(keys, vals, sortalgo.Options{
-		Threads:   threads,
-		RadixBits: radixBits,
-		Workspace: w,
-		Ctl:       ctl,
+		Threads:     threads,
+		RadixBits:   radixBits,
+		CacheTuples: cacheT,
+		Workspace:   w,
+		Ctl:         ctl,
 	})
 }
 

@@ -259,12 +259,10 @@ func (s *sorter[K]) deliver() error {
 		if s.starts[d+1]-s.starts[d] <= seg {
 			continue
 		}
-		s.holdOverflow()
 		if err := s.deliverOverflow(d); err != nil {
 			return err
 		}
 	}
-	s.releaseOverflow()
 	return nil
 }
 
@@ -307,14 +305,16 @@ func (s *sorter[K]) deliverBucket(wk *worker[K], d int) error {
 // its output range. A read-only pass through the staging buffer checks
 // every chain's seal first, so no byte of the range is written before the
 // whole bucket has passed; a second pass reads the chains into the range
-// through the same buffer, and the in-place MSB sort runs over the range
-// on OverflowThreads workers. It starts with a checkpoint: every range
+// through the same buffer. The buffer then goes back, and the in-place
+// MSB sort runs over the range on OverflowThreads workers under a cache
+// bound of OverflowCacheTuples. It starts with a checkpoint: every range
 // delivered so far is complete.
 func (s *sorter[K]) deliverOverflow(d int) error {
 	if readbackHook != nil {
 		readbackHook(s.spillF, d, s.spans)
 	}
 	s.ctl.CheckpointNow()
+	s.holdOverflow()
 	if err := s.readBucket(d, s.stage, false, &s.stats); err != nil {
 		return err
 	}
@@ -322,7 +322,8 @@ func (s *sorter[K]) deliverOverflow(d int) error {
 	if err := s.readBucket(d, s.stage, true, &s.stats); err != nil {
 		return err
 	}
+	s.releaseOverflow()
 	lo, hi := s.starts[d], s.starts[d+1]
-	sortChunk(s.ctl, s.keys[lo:hi], s.vals[lo:hi], s.w, s.opt.OverflowThreads, s.opt.RadixBits)
+	sortChunk(s.ctl, s.keys[lo:hi], s.vals[lo:hi], s.w, s.opt.OverflowThreads, s.opt.OverflowCacheTuples, s.opt.RadixBits)
 	return nil
 }

@@ -142,7 +142,9 @@ func putSorter[K kv.Key](w *ws.Workspace, s *sorter[K]) {
 }
 
 // holdOverflow checks the overflow path's staging buffer out of the
-// arena, if not held yet.
+// arena, if not held yet. It is held only while a bucket is read, so the
+// in-place sort that follows does not sit beside it; putSorter returns it
+// when a read unwinds.
 func (s *sorter[K]) holdOverflow() {
 	if s.stage == nil {
 		s.stage = ws.Keys[K](s.w, 2*s.opt.SegmentTuples)

@@ -50,6 +50,25 @@ func TestBlockTuples(t *testing.T) {
 	}
 }
 
+// TestMSBLocalBlock pins the local passes' block: 128 tuples at the
+// default cache bound of 64- and 32-bit pairs, halved with a smaller
+// bound until the 256 × B-tuple buffers hold at most 2·cacheT tuples,
+// floored at 16.
+func TestMSBLocalBlock(t *testing.T) {
+	for _, c := range []struct{ cacheT, want int }{
+		{WorkerCacheBytes / 16, 128},
+		{WorkerCacheBytes / 8, 128},
+		{8192, 64},
+		{4096, 32},
+		{2048, 16},
+		{1024, 16},
+	} {
+		if got := MSBLocalBlock(c.cacheT); got != c.want {
+			t.Errorf("MSBLocalBlock(%d) = %d, want %d", c.cacheT, got, c.want)
+		}
+	}
+}
+
 // TestCMPFanout pins CMP's per-pass fanout, ⌈4n/cacheT⌉ within [2, cap],
 // on 64-bit pairs (cacheT 16384): capped at 2^21 and for the first pass
 // of 2^23, small for the second pass of 2^23 (a ~23k-tuple partition),

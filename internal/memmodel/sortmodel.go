@@ -87,9 +87,10 @@ const (
 )
 
 // MSB's out-of-cache local passes: byte-wide digits, each run as one
-// single-worker block permutation with B = MSBLocalBlockTuples. A worker's
-// buffer blocks, 2^MSBLocalBits × B tuples, are the scratch the planner
-// and sortd's admission estimate charge for them. MSBLocalBlockTuples is
+// single-worker block permutation with B = MSBLocalBlock(cacheT), which
+// is MSBLocalBlockTuples at the default cache bound. A worker's buffer
+// blocks, 2^MSBLocalBits × B tuples, are the scratch the planner and
+// sortd's admission estimate charge for them. MSBLocalBlockTuples is
 // also the largest block of every other block permutation of the sorts
 // (BlockTuples): MSB's parallel first pass (MSBFirstPass, over a digit of
 // up to MSBFirstMaxBits), its range split and CMP's range passes.
@@ -98,6 +99,21 @@ const (
 	MSBLocalBlockTuples = 128
 	MSBFirstMaxBits     = 11
 )
+
+// MSBLocalBlock is the block of MSB's local passes under a cache bound of
+// cacheT tuples: MSBLocalBlockTuples, halved (floored at 16) until the
+// pass's buffer blocks, 2^MSBLocalBits × B tuples, hold at most twice
+// cacheT, as many as the in-cache tail's buffer pair. At the default
+// bound (WorkerCacheBytes of pairs) it is MSBLocalBlockTuples for 32- and
+// 64-bit keys; a sort given a smaller bound, the external sort's in-place
+// overflow sort under a tight budget, gets smaller buffers with it.
+func MSBLocalBlock(cacheT int) int {
+	b := MSBLocalBlockTuples
+	for b > minBlockTuples && b<<MSBLocalBits > 2*cacheT {
+		b >>= 1
+	}
+	return b
+}
 
 // minBlockTuples floors BlockTuples: below it the claim counters and
 // slot labels cost more than the block moves they schedule.

@@ -166,7 +166,8 @@ func TestHTTPAdmissionRejectionCarriesRetryAfter(t *testing.T) {
 
 // TestHTTPOverBudget413 is the structured-reason table: a request whose
 // aux charge exceeds the memory ledger and cannot spill answers 413
-// with code "over-budget" and the reason that closed the door.
+// with code "over-budget", the reason that closed the door, and no
+// Retry-After: waiting cannot admit it.
 func TestHTTPOverBudget413(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -177,7 +178,7 @@ func TestHTTPOverBudget413(t *testing.T) {
 			cfg.MaxAuxBytes = 1 // any request overflows; no SpillDir
 		}, "spill-disabled"},
 		{"disk budget", func(cfg *Config, t *testing.T) {
-			cfg.MaxAuxBytes = 1 << 20
+			cfg.MaxAuxBytes = 256 << 10
 			cfg.SpillDir = t.TempDir()
 			cfg.MaxSpillBytes = 1 // the spill estimate can never fit
 		}, "disk-budget"},
@@ -191,10 +192,9 @@ func TestHTTPOverBudget413(t *testing.T) {
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
-			// 65536 keys are charged 1,474,560 B (LSB's tmp pair and
-			// tables), which overflows both ledgers above; their spill
-			// plan (658,432 B) fits the 1 MiB one.
-			keys := make([]string, 1<<16)
+			// 16384 keys are charged 327,680 B (one-thread MSB's tail
+			// pair), which overflows both ledgers above.
+			keys := make([]string, 16384)
 			for i := range keys {
 				keys[i] = strconv.Itoa(len(keys) - i)
 			}
@@ -207,6 +207,9 @@ func TestHTTPOverBudget413(t *testing.T) {
 			if resp.StatusCode != http.StatusRequestEntityTooLarge {
 				msg, _ := io.ReadAll(resp.Body)
 				t.Fatalf("HTTP %d, want 413: %s", resp.StatusCode, msg)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != "" {
+				t.Fatalf("terminal 413 carries Retry-After %q", ra)
 			}
 			var ej ErrorJSON
 			if err := json.NewDecoder(resp.Body).Decode(&ej); err != nil {
@@ -223,7 +226,7 @@ func TestHTTPOverBudget413(t *testing.T) {
 // spilling enabled and expects a sorted 200 flagged spilled=true.
 func TestHTTPSpillDegradation(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxAuxBytes = 1 << 20
+	cfg.MaxAuxBytes = 256 << 10
 	cfg.SpillDir = t.TempDir()
 	cfg.SpillSegmentTuples = 1 << 10 // buckets of ~1024 tuples: some overflow and are sorted in place
 	s := New(cfg)
@@ -231,7 +234,7 @@ func TestHTTPSpillDegradation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const n = 1 << 16 // charged 1,474,560 B, past the 1 MiB ledger; the spill plan's 658,432 B fit
+	const n = 16384 // charged 327,680 B, past the 256 KiB ledger
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = strconv.Itoa((i*2654435761 + 7) % 1000003)

@@ -88,13 +88,13 @@ func drainOK(t *testing.T, s *Server) {
 // disk ledger.
 func TestSubmitSpillsOverBudgetRequest(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxAuxBytes = 1 << 20
+	cfg.MaxAuxBytes = 256 << 10
 	cfg.SpillDir = t.TempDir()
 	cfg.SpillSegmentTuples = 1 << 10 // buckets of ~1024 tuples: some overflow and are sorted in place
 	s := New(cfg)
 	defer drainOK(t, s)
 
-	const n = 1 << 16 // charged 1,474,560 B, past the 1 MiB ledger; the spill plan's 658,432 B fit
+	const n = 16384 // charged 327,680 B (one-thread MSB's tail pair), past the 256 KiB ledger
 	keys := randKeys(n, 99)
 	vals := make([]uint64, n)
 	for i, k := range keys {

@@ -365,8 +365,8 @@ func msbEnter[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals []K, hiBit
 // permutation's buffers) from the workspace. Segments above cacheT run one
 // single-worker block permutation (part.BlockPermute) over a byte-wide
 // digit, whose classify phase also derives the histogram; its buffer
-// blocks (256 × 128 tuples, 512 KiB for 64-bit pairs) are the recursion's
-// largest scratch. A cache-resident segment of n tuples takes one
+// blocks (256 × 128 tuples, 512 KiB for 64-bit pairs, at the default
+// cacheT; memmodel.MSBLocalBlock) are the recursion's largest scratch. A cache-resident segment of n tuples takes one
 // out-of-place level (msbScatterBack) through the tail's buffer pair of n
 // tuples. Every interruption point keeps the arrays a permutation of the
 // input: the checkpoint and fault site at recursion entry sit where every
@@ -387,7 +387,7 @@ func msbRecurse[K kv.Key](w *ws.Workspace, tail *msbTail[K], keys, vals []K, hiB
 	b := msbDigitBits(n, hiBit, cacheT)
 	if n > cacheT {
 		fn := pfunc.NewRadix[K](uint(hiBit-b), uint(hiBit))
-		starts := part.BlockPermute(w, keys, vals, fn, memmodel.MSBLocalBlockTuples, 1, w.Ints(fn.Fanout()+1), nil, ctl)
+		starts := part.BlockPermute(w, keys, vals, fn, memmodel.MSBLocalBlock(cacheT), 1, w.Ints(fn.Fanout()+1), nil, ctl)
 		tail.depth++
 		tail.deepest = max(tail.deepest, tail.depth)
 		for p := 0; p < fn.Fanout(); p++ {

@@ -171,36 +171,46 @@ func Footprint(algo Algo, n, keyBits, threads int) int64 {
 		rec := blockPermAux(m, f2, memmodel.BlockTuples(m, f2, 1, memmodel.MSBLocalBlockTuples), 1, tuple)
 		return max(pass, capI(f+1)+int64(threads)*rec)
 	case AlgoMSB:
-		// With more than one worker, the first pass: a block permutation
-		// over the digit and block of memmodel.MSBFirstPass, whose buffers
-		// go back before the recursion starts. Then each worker's larger
-		// holding of two, beside the pass's starts. Its in-cache segments,
-		// m tuples up to the sort's cache bound (256 KiB of tuples),
-		// scatter through a key and a payload buffer of m tuples with a
-		// histogram and a cursor table of at most m/4 counts. One worker
-		// starts there with m = min(n, bound); past the first pass m is
-		// the larger of twice the mean digit bucket and a range of the
-		// skew fallback's split (n/4T). A segment past the cache bound
-		// runs a one-worker permutation per byte digit over its share of
-		// the input. A worker never holds both: BlockPermute returns its
-		// blocks before the recursion, and the pair goes back before the
-		// in-cache branch recurses. A narrower span narrows the digit.
-		seg, pass, starts := n, int64(0), int64(0)
-		if threads > 1 {
-			digit, block := memmodel.MSBFirstPass(n, keyBits, bound, threads)
-			pass = blockPermAux(n, 1<<digit, block, min(threads, max(1, n/block)), tuple)
-			seg = max(2*n>>digit, ceilDiv(n, 4*threads))
-			starts = capI(1<<digit + 1)
-		}
-		m := min(seg, bound)
-		worker := int64(ws.Capacity(m))*tuple + 2*capI(max(1, m/4))
-		if seg > bound {
-			worker = max(worker, blockPermAux(ceilDiv(n, threads), 1<<memmodel.MSBLocalBits, memmodel.MSBLocalBlockTuples, 1, tuple))
-		}
-		return max(pass, starts+int64(threads)*worker)
+		return msbFootprint(n, keyBits, threads, bound)
 	default:
 		return lsbFootprint(n, keyBits, threads, bound)
 	}
+}
+
+// msbFootprint is Footprint's MSB arm for a sort whose cache bound is
+// bound tuples (sortalgo.Options.CacheTuples; Footprint passes the
+// default, memmodel.WorkerCacheBytes of tuples, and the spill planner
+// the overflow sort's smaller one).
+func msbFootprint(n, keyBits, threads, bound int) int64 {
+	tuple := 2 * int64(keyBits/8)
+	capI := func(elems int) int64 { return int64(ws.Capacity(elems)) * 8 }
+	// With more than one worker, the first pass: a block permutation
+	// over the digit and block of memmodel.MSBFirstPass, whose buffers
+	// go back before the recursion starts. Then each worker's larger
+	// holding of two, beside the pass's starts. Its in-cache segments,
+	// m tuples up to the cache bound,
+	// scatter through a key and a payload buffer of m tuples with a
+	// histogram and a cursor table of at most m/4 counts. One worker
+	// starts there with m = min(n, bound); past the first pass m is
+	// the larger of twice the mean digit bucket and a range of the
+	// skew fallback's split (n/4T). A segment past the cache bound
+	// runs a one-worker permutation per byte digit over its share of
+	// the input, its block memmodel.MSBLocalBlock(bound). A worker never holds both: BlockPermute returns its
+	// blocks before the recursion, and the pair goes back before the
+	// in-cache branch recurses. A narrower span narrows the digit.
+	seg, pass, starts := n, int64(0), int64(0)
+	if threads > 1 {
+		digit, block := memmodel.MSBFirstPass(n, keyBits, bound, threads)
+		pass = blockPermAux(n, 1<<digit, block, min(threads, max(1, n/block)), tuple)
+		seg = max(2*n>>digit, ceilDiv(n, 4*threads))
+		starts = capI(1<<digit + 1)
+	}
+	m := min(seg, bound)
+	worker := int64(ws.Capacity(m))*tuple + 2*capI(max(1, m/4))
+	if seg > bound {
+		worker = max(worker, blockPermAux(ceilDiv(n, threads), 1<<memmodel.MSBLocalBits, memmodel.MSBLocalBlock(bound), 1, tuple))
+	}
+	return max(pass, starts+int64(threads)*worker)
 }
 
 // lsbFootprint is Footprint's LSB arm for the digits LSB runs on a

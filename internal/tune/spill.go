@@ -13,6 +13,7 @@ package tune
 import (
 	"math/bits"
 
+	"repro/internal/memmodel"
 	"repro/internal/ws"
 )
 
@@ -36,7 +37,7 @@ const MaxBucketBits = 16
 
 // SpillPlan is the external sort's shape: how the one streaming
 // run-formation pass fans out, how large a bucket is delivered in one
-// piece, and how many workers sort a larger one in place.
+// piece, and how a larger one is sorted in place.
 type SpillPlan struct {
 	// Spill reports whether the input exceeds the auxiliary budget at all;
 	// false means the in-memory paths fit and the external pipeline is
@@ -44,7 +45,8 @@ type SpillPlan struct {
 	Spill bool `json:"spill"`
 	// SegmentTuples is the largest bucket delivered in one piece: a
 	// delivery worker's pair buffer, and the overflow path's staging
-	// buffer, hold one segment of pairs each.
+	// buffer, hold one segment of pairs each. The staging buffer goes
+	// back before the bucket is sorted.
 	SegmentTuples int `json:"segment_tuples"`
 	// BucketBits is the run-formation fanout in bits: one streaming pass
 	// scatters tuples into 1<<BucketBits key-range buckets whose file
@@ -58,9 +60,11 @@ type SpillPlan struct {
 	// ExtentTuples is the bucket extent reservation unit in tuples
 	// (see ExtentTuples).
 	ExtentTuples int `json:"extent_tuples"`
-	// OverflowThreads is the worker count of the in-place MSB sort of a
-	// bucket that overflows one segment (see OverflowThreads).
-	OverflowThreads int `json:"overflow_threads"`
+	// OverflowThreads and OverflowCacheTuples are the worker count and
+	// the cache bound (sortalgo.Options.CacheTuples) of the in-place MSB
+	// sort of a bucket that overflows one segment (see overflowSort).
+	OverflowThreads     int `json:"overflow_threads"`
+	OverflowCacheTuples int `json:"overflow_cache_tuples"`
 	// MemBytes is the planned peak auxiliary footprint of the external
 	// pipeline, its largest phase's — what an admission ledger should
 	// charge for the run.
@@ -76,19 +80,20 @@ type SpillPlan struct {
 // sorted by threads workers under an auxiliary budget of maxAux bytes
 // (<=0: DefaultAuxBudget). The returned plan keeps MemBytes within the
 // budget unless the budget is below the planner's floor: the buffer
-// clamps (about 512 KiB) or, at large n, the one-worker in-place sort of
-// a bucket that holds the whole input, whose block permutation labels
-// every 128-tuple slot and so grows the floor by about n/32 bytes
-// (PlanSpill(1<<24, 64, 1 MiB) plans about 1.18 MB).
+// clamps and, growing with n, the one-worker in-place sort of a bucket
+// that holds the whole input, whose block permutation labels every slot
+// (n/32 bytes at the default 128-tuple blocks: PlanSpill(1<<24, 64,
+// 1 MiB) plans about 1.16 MB, where 16384 pairs fit 256 KiB).
 //
 // MemBytes is the largest of the three phases' footprints, because the
 // sorter holds each phase's buffers only during that phase: formation's
 // T line slabs; one-segment delivery's T pair buffers, each beside a
-// one-worker MSB sort of its bucket; and the overflow path's staging
-// buffer beside the in-place MSB sort of a bucket, on OverflowThreads
-// workers, priced at n tuples because one bucket can hold the whole
-// input. When the widest phase does not fit, the segment halves (and the
-// fanout grows with it) until it does.
+// one-worker MSB sort of its bucket; and the overflow path, whose staging
+// buffer reads a bucket into its output range and goes back before the
+// in-place MSB sort of the range, priced at n tuples because one bucket
+// can hold the whole input (overflowSort). When a phase that depends on
+// the segment does not fit, the segment halves (and the fanout grows with
+// it) until it does.
 func PlanSpill(n, keyBits int, maxAux int64, threads int) SpillPlan {
 	if maxAux <= 0 {
 		maxAux = DefaultAuxBudget()
@@ -107,6 +112,11 @@ func PlanSpill(n, keyBits int, maxAux int64, threads int) SpillPlan {
 		seg = max(seg/2, minSegmentTuples)
 		pl = spillShape(n, keyBits, maxAux, threads, seg)
 	}
+	// The overflow sort does not depend on the segment, so a smaller one
+	// cannot make it fit.
+	var overflow int64
+	pl.OverflowThreads, pl.OverflowCacheTuples, overflow = overflowSort(n, keyBits, maxAux, threads)
+	pl.MemBytes = max(pl.MemBytes, overflow+spillSlackBytes)
 	// The in-memory paths budget roughly two extra columns per input
 	// column (scratch ping-pong plus codes); spill once that cannot fit.
 	pl.Spill = int64(n)*4*w8 > maxAux
@@ -114,7 +124,8 @@ func PlanSpill(n, keyBits int, maxAux int64, threads int) SpillPlan {
 	return pl
 }
 
-// spillShape is PlanSpill at a fixed segment size.
+// spillShape is PlanSpill at a fixed segment size, before the overflow
+// sort is priced.
 func spillShape(n, keyBits int, maxAux int64, threads int, seg int64) SpillPlan {
 	w8 := int64(keyBits / 8)
 	pair := 2 * w8
@@ -134,7 +145,6 @@ func spillShape(n, keyBits int, maxAux int64, threads int, seg int64) SpillPlan 
 	pl.LineTuples = SpillLineTuples(pl.BucketBits, keyBits, maxAux, threads)
 	line := int64(pl.LineTuples)
 	pl.ExtentTuples = ExtentTuples(n, pl.BucketBits, pl.LineTuples, threads)
-	pl.OverflowThreads = OverflowThreads(n, keyBits, maxAux, int(seg), threads)
 
 	// Every buffer is priced at the capacity the workspace arena hands
 	// out for it (ws.Capacity), which is what its ledger meters.
@@ -142,32 +152,39 @@ func spillShape(n, keyBits int, maxAux int64, threads int, seg int64) SpillPlan 
 	T := int64(threads)
 	formation := T * capB(fanout*2*line)
 	delivery := T * (capB(2*seg) + Footprint(AlgoMSB, int(seg), keyBits, 1))
-	overflow := overflowBytes(n, keyBits, int(seg), pl.OverflowThreads)
-	pl.MemBytes = max(formation, delivery, overflow) + spillSlackBytes
+	pl.MemBytes = max(formation, delivery, capB(2*seg)) + spillSlackBytes
 	return pl
 }
 
-// OverflowThreads is the overflow rule: the most workers, from 1 up to
-// threads, whose in-place MSB sort of n tuples of keyBits-bit keys fits
-// maxAux bytes (<=0: DefaultAuxBudget) beside a staging buffer of
-// segTuples pairs. The sort is priced at n tuples because one bucket can
-// hold the whole input. SortExternal applies it to an overridden segment
-// too.
-func OverflowThreads(n, keyBits int, maxAux int64, segTuples, threads int) int {
+// overflowSort is the overflow rule: the worker count t and cache bound
+// cacheT of the in-place MSB sort of a bucket larger than one segment,
+// and its footprint, priced at n tuples of keyBits-bit keys because one
+// bucket can hold the whole input. It takes the most workers, up to
+// threads, whose sort at the default cache bound fits maxAux
+// (<=0: DefaultAuxBudget) beside the slack. When even one worker does not
+// fit, the one worker's cache bound halves, down to minSegmentTuples, and
+// shrinks its in-cache buffer pair and its local passes' blocks
+// (memmodel.MSBLocalBlock) with it; the first bound that fits is kept,
+// or else the one with the smallest footprint (more slot labels can
+// outweigh smaller blocks at large n).
+func overflowSort(n, keyBits int, maxAux int64, threads int) (t, cacheT int, bytes int64) {
 	if maxAux <= 0 {
 		maxAux = DefaultAuxBudget()
 	}
-	t := max(threads, 1)
-	for t > 1 && overflowBytes(n, keyBits, segTuples, t)+spillSlackBytes > maxAux {
-		t--
+	fits := func(b int64) bool { return b+spillSlackBytes <= maxAux }
+	bound := memmodel.WorkerCacheBytes / (keyBits / 4)
+	for t = max(threads, 1); t > 1; t-- {
+		if bytes = msbFootprint(n, keyBits, t, bound); fits(bytes) {
+			return t, bound, bytes
+		}
 	}
-	return t
-}
-
-// overflowBytes is the overflow phase's footprint: the staging buffer of
-// segTuples pairs beside the in-place MSB sort of n tuples on t workers.
-func overflowBytes(n, keyBits, segTuples, t int) int64 {
-	return int64(ws.Capacity(2*segTuples))*int64(keyBits/8) + Footprint(AlgoMSB, n, keyBits, t)
+	cacheT, bytes = bound, msbFootprint(n, keyBits, 1, bound)
+	for c := bound / 2; !fits(bytes) && c >= minSegmentTuples; c /= 2 {
+		if b := msbFootprint(n, keyBits, 1, c); b < bytes {
+			cacheT, bytes = c, b
+		}
+	}
+	return 1, cacheT, bytes
 }
 
 // SpillLineTuples is the formation line rule for 1<<bucketBits buckets of

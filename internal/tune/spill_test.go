@@ -11,8 +11,8 @@ import (
 // Above the planner's floor MemBytes stays inside the budget, and above
 // 512 KiB, where the buffer clamps stop binding, each worker's formation
 // slab inside an eighth of it. The floor is the larger of 512 KiB and the
-// overflow phase at its least: a one-segment staging buffer at the
-// smallest segment beside the one-worker in-place sort of all n tuples.
+// overflow phase at its least: the one-worker in-place sort of all n
+// tuples at the cache bound that makes it smallest.
 // Everywhere the overflow sort's workers number 1 to T, lines hold at
 // least 64 tuples,
 // and the expected bucket fill is at most half a segment unless the
@@ -27,7 +27,8 @@ func TestPlanSpillShape(t *testing.T) {
 			for lg := 16; lg <= 28; lg++ {
 				n := 1 << lg
 				in := int64(n) * pair
-				floor := max(clampFloor, overflowBytes(n, keyBits, minSegmentTuples, 1)+spillSlackBytes)
+				_, _, least := overflowSort(n, keyBits, 1, 1) // nothing fits: the least footprint
+				floor := max(clampFloor, least+spillSlackBytes)
 				for _, maxAux := range []int64{256 << 10, clampFloor, 4 << 20, 64 << 20, 1 << 30, in / 8, in / 64} {
 					pl := PlanSpill(n, keyBits, maxAux, threads)
 					fanout := int64(1) << pl.BucketBits
