@@ -19,9 +19,9 @@
 // are cancelled through their Try*Ctx rollback.
 //
 // Exit codes: 0 clean drain, 1 runtime failure, 2 bad flags (including
-// the removed -batch-window, -autotune and -profile), 3 drain deadline
-// forced cancellation. See
-// OPERATIONS.md for the full operator runbook.
+// the removed -batch-window, -autotune, -profile and -spill-segment), 3
+// drain deadline forced cancellation. See OPERATIONS.md for the full
+// operator runbook.
 //
 // Example:
 //
@@ -60,7 +60,6 @@ func run() int {
 		maxTuples    = flag.Int("max-tuples", 0, "per-request key-count cap (0: default 1<<26)")
 		spillDir     = flag.String("spill-dir", "", "spill directory for over-budget requests (empty: reject them with 413)")
 		maxSpill     = flag.Int64("max-spill-bytes", 0, "disk ledger shared by spilling requests in bytes (0: unlimited)")
-		spillSegment = flag.Int("spill-segment", 0, "external-sort segment tuples override (0: planned)")
 		tenantCap    = flag.Int("tenant-cap", 0, "per-tenant admitted-request cap (0: uncapped)")
 		batchMax     = flag.Int("batch-max", 4096, "coalesce key-only requests up to this many keys (negative: disable)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget before force-cancelling running sorts")
@@ -89,16 +88,15 @@ func run() int {
 	}
 
 	srv := server.New(server.Config{
-		QueueDepth:         *queueDepth,
-		Workers:            *workers,
-		SortThreads:        *sortThreads,
-		MaxAuxBytes:        *maxAux,
-		MaxTuples:          *maxTuples,
-		SpillDir:           *spillDir,
-		MaxSpillBytes:      *maxSpill,
-		SpillSegmentTuples: *spillSegment,
-		MaxPerTenant:       *tenantCap,
-		BatchMaxTuples:     *batchMax,
+		QueueDepth:     *queueDepth,
+		Workers:        *workers,
+		SortThreads:    *sortThreads,
+		MaxAuxBytes:    *maxAux,
+		MaxTuples:      *maxTuples,
+		SpillDir:       *spillDir,
+		MaxSpillBytes:  *maxSpill,
+		MaxPerTenant:   *tenantCap,
+		BatchMaxTuples: *batchMax,
 	})
 
 	httpLis, err := net.Listen("tcp", *addr)

@@ -60,9 +60,10 @@ func PlanSpill(n, keyBits int, maxAux int64) SpillPlan {
 // OverflowThreads). The plan (PlanSpill's shape at that worker count)
 // prices the widest phase.
 //
-// A positive MaxAuxBytes below the plan's floor (PlanSpill's MemBytes)
-// is raised to it, with or without a Workspace, so a tiny budget still
-// spills rather than failing.
+// The spill's shape comes only from the plan. A positive MaxAuxBytes
+// caps the run at the plan's MemBytes: at most MaxAuxBytes, and raised
+// to the plan's floor when MaxAuxBytes is below it, with or without a
+// Workspace, so a tiny budget still spills rather than failing.
 //
 // Argument problems return *ArgError, spill I/O failures *SpillError
 // (disk budget overruns unwrap to ErrSpillBudget), contained worker
@@ -104,47 +105,28 @@ func SortExternalCtx[K Key](ctx context.Context, keys, vals []K, opt *SortOption
 }
 
 // externalOptions resolves the extsort configuration: tune.PlanSpill
-// shapes every knob from the memory budget, explicit Spill* overrides
-// win (an overridden fanout gets the line tune.SpillLineTuples sizes for
-// it), and a non-spilling plan widens the segment so the whole input
-// takes the in-memory path. The overflow sort's shape comes from the
-// plan whatever the segment: it does not depend on it. It also returns
-// the run's aux budget: MaxAuxBytes raised to the plan's floor when set
-// below it.
+// shapes every knob from the memory budget, and a non-spilling plan
+// widens the segment so the whole input takes the in-memory path. It also
+// returns the run's aux cap: when MaxAuxBytes is set, the plan's
+// MemBytes, which is at most MaxAuxBytes unless that is below the
+// planner's floor.
 func externalOptions[K Key](opt *SortOptions, n int) (extsort.Options, int64) {
 	maxAux := optMaxAux(opt)
-	threads, radixBits := 1, 0
-	eo := extsort.Options{}
+	eo := extsort.Options{Threads: 1}
 	if opt != nil {
-		threads, radixBits = opt.Threads, opt.RadixBits
-		eo.TempDir = opt.TempDir
-		eo.MaxSpillBytes = opt.MaxSpillBytes
+		eo.Threads, eo.RadixBits = opt.Threads, opt.RadixBits
+		eo.TempDir, eo.MaxSpillBytes = opt.TempDir, opt.MaxSpillBytes
 	}
-	plan := tune.PlanSpill(n, kv.Width[K](), maxAux, threads)
-	eo.SegmentTuples = plan.SegmentTuples
-	eo.BucketBits = plan.BucketBits
-	eo.LineTuples = plan.LineTuples
-	eo.OverflowThreads = plan.OverflowThreads
-	eo.OverflowCacheTuples = plan.OverflowCacheTuples
-	eo.Threads = threads
-	eo.RadixBits = radixBits
-	if maxAux > 0 {
-		maxAux = max(maxAux, plan.MemBytes)
-	}
-	if opt != nil {
-		if opt.SpillSegmentTuples > 0 {
-			eo.SegmentTuples = opt.SpillSegmentTuples
-		} else if !plan.Spill {
-			// The plan says the input fits the memory budget: make the
-			// segment cover it so Run takes the in-memory shortcut.
-			eo.SegmentTuples = n
-		}
-		if opt.SpillBucketBits > 0 {
-			eo.BucketBits = opt.SpillBucketBits
-			eo.LineTuples = tune.SpillLineTuples(eo.BucketBits, kv.Width[K](), maxAux, threads)
-		}
-	} else if !plan.Spill {
+	plan := tune.PlanSpill(n, kv.Width[K](), maxAux, eo.Threads)
+	eo.SegmentTuples, eo.BucketBits, eo.LineTuples = plan.SegmentTuples, plan.BucketBits, plan.LineTuples
+	eo.OverflowThreads, eo.OverflowCacheTuples = plan.OverflowThreads, plan.OverflowCacheTuples
+	if !plan.Spill {
+		// The plan says the input fits the memory budget: make the
+		// segment cover it so Run takes the in-memory shortcut.
 		eo.SegmentTuples = n
+	}
+	if maxAux > 0 {
+		maxAux = plan.MemBytes
 	}
 	return eo, maxAux
 }

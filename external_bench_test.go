@@ -6,20 +6,14 @@ import (
 	"repro/internal/gen"
 )
 
-// BenchmarkExternalSort is the whole spill pipeline at forced-spill
-// settings, formation and delivery of an input 16 segments deep, with its
-// throughput and spill traffic rate (io-MB/s).
+// BenchmarkExternalSort is the whole spill pipeline, formation and
+// delivery, on 2^20 uniform pairs on four threads under an eighth of
+// their bytes, with its throughput and spill traffic rate (io-MB/s).
 func BenchmarkExternalSort(b *testing.B) {
 	const n = 1 << 20
 	w := NewWorkspace()
 	defer w.Close()
-	opt := &SortOptions{
-		TempDir:            b.TempDir(),
-		SpillSegmentTuples: 1 << 16,
-		SpillBucketBits:    2,
-		Threads:            4,
-		Workspace:          w,
-	}
+	opt := &SortOptions{TempDir: b.TempDir(), MaxAuxBytes: n * 16 / 8, Threads: 4, Workspace: w}
 	base := gen.Uniform[uint64](n, 0, 42)
 	baseV := RIDs[uint64](n)
 	keys := make([]uint64, n)

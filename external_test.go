@@ -16,14 +16,14 @@ import (
 	"repro/internal/tune"
 )
 
-// extTestOpt forces the spill path at unit-test sizes.
+// extTestOpt spills at unit-test sizes: on two threads under 128 KiB,
+// below the planner's floor for 2^15 64-bit pairs (a quarter of their
+// bytes), the plan caps the fanout at 16 buckets of about 2048 tuples
+// over 1024-tuple segments, so every bucket of a uniform input takes the
+// in-place overflow sort (TestSortExternalFaultInjection checks that
+// shape).
 func extTestOpt(t *testing.T) *SortOptions {
-	return &SortOptions{
-		TempDir:            t.TempDir(),
-		SpillSegmentTuples: 1 << 12,
-		SpillBucketBits:    3,
-		Threads:            2,
-	}
+	return &SortOptions{TempDir: t.TempDir(), MaxAuxBytes: 128 << 10, Threads: 2}
 }
 
 // TestSortExternalForcedSpill sorts an input four times the configured
@@ -70,12 +70,12 @@ func forcedSpill[K Key](t *testing.T, n int) {
 }
 
 // TestSortExternalOnePassPlan pins the planner's one-pass shape: uniform
-// 64-bit pairs under an eighth of their bytes, with no Spill* overrides,
-// spill and read back each byte once (no bucket overflows its segment,
-// which would read its bytes twice), and the run reserves at most 1.25×
-// the formation bytes of disk: MaxSpillBytes refuses it past that. The second row's domain sits just above a power
-// of two, where a digit taken by shifting alone would fill half the
-// buckets to twice the planned fill.
+// 64-bit pairs under an eighth of their bytes spill and read back each
+// byte once (no bucket overflows its segment, which would read its bytes
+// twice), and the run reserves at most 1.25× the formation bytes of
+// disk: MaxSpillBytes refuses it past that. The second row's domain sits
+// just above a power of two, where a digit taken by shifting alone would
+// fill half the buckets to twice the planned fill.
 func TestSortExternalOnePassPlan(t *testing.T) {
 	for _, domain := range []uint64{0, 1<<40 + 1<<33} {
 		n := 1 << 20
@@ -262,8 +262,7 @@ func TestSortExternalArgErrors(t *testing.T) {
 		t.Fatalf("mismatched vals: %v", err)
 	}
 	bad := []SortOptions{
-		{SpillSegmentTuples: -1},
-		{SpillBucketBits: 17},
+		{MaxAuxBytes: -1},
 		{MaxSpillBytes: -5},
 	}
 	for _, opt := range bad {
@@ -300,23 +299,26 @@ func TestSortExternalSpillBudget(t *testing.T) {
 // writers and in the in-place sort of an overflowing bucket surface as
 // *InternalError wrapping fault.Injected, with the input a permutation
 // and nothing left behind: no goroutine, descriptor, temp resource or
-// spill file. The msb/recurse row halves the segment, so every bucket
-// (~4096 tuples) overflows it and the fault strikes the in-place sort
-// after it has written its output range.
+// spill file. Under extTestOpt's plan every bucket (~2048 tuples)
+// overflows its segment, so the msb/recurse fault strikes the in-place
+// sort after it has written its output range.
 func TestSortExternalFaultInjection(t *testing.T) {
 	defer fault.Disable()
 	n := 1 << 15
+	opt := extTestOpt(t)
+	if plan := tune.PlanSpill(n, 64, opt.MaxAuxBytes, opt.Threads); n>>plan.BucketBits <= plan.SegmentTuples {
+		t.Fatalf("plan %+v: expected buckets of %d tuples fit a segment; the msb/recurse row needs them to overflow",
+			plan, n>>plan.BucketBits)
+	}
 	for _, c := range []struct {
 		site  fault.Site
 		after int
-		seg   int
 	}{
-		{fault.SiteExtSpill, 10, 1 << 12},
-		{fault.SiteMSBRecurse, 0, 1 << 11},
+		{fault.SiteExtSpill, 10},
+		{fault.SiteMSBRecurse, 0},
 	} {
 		t.Run(string(c.site), func(t *testing.T) {
 			opt := extTestOpt(t)
-			opt.SpillSegmentTuples = c.seg
 			keys := gen.Uniform[uint64](n, 0, 4)
 			vals := RIDs[uint64](n)
 			sumK := append([]uint64(nil), keys...)

@@ -12,9 +12,37 @@ import (
 	partsort "repro"
 	"repro/internal/extsort"
 	"repro/internal/fault"
+	"repro/internal/hard"
 	"repro/internal/kv"
 	"repro/internal/obs"
+	"repro/internal/ws"
 )
+
+// runShape runs extsort.Run at an explicit shape, one the planner never
+// picks (SortExternal takes its shape only from tune.PlanSpill), under
+// the containment SortExternalCtx gives it: a control armed under ctx,
+// and an unwind that comes back as an error — a cancellation as its
+// cause, a contained panic as its *hard.PanicError.
+func runShape[K kv.Key](ctx context.Context, keys, vals []K, w *ws.Workspace, opt extsort.Options) (st extsort.Stats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if cause, ok := hard.BailCause(r); ok {
+				err = cause
+			} else {
+				err = r.(*hard.PanicError)
+			}
+		}
+	}()
+	return extsort.Run(hard.NewCtl(ctx), keys, vals, w, opt)
+}
+
+// shapeOpt is the shape of 1<<bits buckets over seg-tuple segments on
+// threads workers, spilling into a test temp dir through the 8 KiB lines
+// of K pairs the planner gives a roomy budget.
+func shapeOpt[K kv.Key](t *testing.T, seg, bits, threads int) extsort.Options {
+	return extsort.Options{TempDir: t.TempDir(), SegmentTuples: seg, BucketBits: bits,
+		LineTuples: 8 << 10 / (kv.Width[K]() / 4), Threads: threads}
+}
 
 // deliveryShapes returns an input whose eight formation buckets (bucket d
 // holds the keys d<<24 | low; the sampled maximum 8<<24-1 sits at index 0,
@@ -61,10 +89,10 @@ func deliveryShapes[K partsort.Key](seed int64) []K {
 	return keys
 }
 
-// deliveryOpt spills deliveryShapes into eight buckets of one segment
-// each on threads workers.
-func deliveryOpt(t *testing.T, threads int) *partsort.SortOptions {
-	return &partsort.SortOptions{TempDir: t.TempDir(), SpillSegmentTuples: 1 << 17, SpillBucketBits: 3, Threads: threads}
+// deliveryOpt spills deliveryShapes of K into eight buckets of one
+// 2^17-tuple segment each on threads workers.
+func deliveryOpt[K kv.Key](t *testing.T, threads int) extsort.Options {
+	return shapeOpt[K](t, 1<<17, 3, threads)
 }
 
 // TestDeliveryBucketShapes sorts every bucket shape of deliveryShapes at
@@ -109,11 +137,11 @@ func TestDeliveryUniformClaimsNoBlocks(t *testing.T) {
 func checkDelivery[K partsort.Key](t *testing.T, keys []K, threads int, claims bool) {
 	vals := partsort.RIDs[K](len(keys))
 	want := kv.ChecksumPairs(keys, vals)
-	opt := deliveryOpt(t, threads)
+	opt := deliveryOpt[K](t, threads)
 	s := obs.Start(nil)
 	defer func() { _ = obs.Stop() }()
 	base := fault.TakeBaseline()
-	st, err := partsort.SortExternal(keys, vals, opt)
+	st, err := runShape(context.Background(), keys, vals, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +161,8 @@ func checkDelivery[K partsort.Key](t *testing.T, keys []K, threads int, claims b
 // TestDeliveryFaultAndCancel interrupts one-segment delivery of
 // deliveryShapes: an msb/recurse fault inside a bucket sort, and a
 // context cancelled when the first bucket sort has written its range.
-// Each ends in its typed error — an *InternalError wrapping the injected
-// fault, or context.Canceled itself — with the input restored to a
+// Each ends in its typed error — the contained panic wrapping the
+// injected fault, or context.Canceled itself — with the input restored to a
 // permutation and nothing left behind.
 func TestDeliveryFaultAndCancel(t *testing.T) {
 	for _, threads := range []int{1, 2} {
@@ -142,15 +170,15 @@ func TestDeliveryFaultAndCancel(t *testing.T) {
 			keys := deliveryShapes[uint64](6)
 			vals := partsort.RIDs[uint64](len(keys))
 			want := kv.ChecksumPairs(keys, vals)
-			opt := deliveryOpt(t, threads)
+			opt := deliveryOpt[uint64](t, threads)
 			base := fault.TakeBaseline()
 			fault.Enable(fault.SiteMSBRecurse, 40)
-			_, err := partsort.SortExternal(keys, vals, opt)
+			_, err := runShape(context.Background(), keys, vals, nil, opt)
 			fired := fault.Fired()
 			fault.Disable()
-			var ie *partsort.InternalError
-			if !fired || !errors.As(err, &ie) || !errors.Is(err, fault.Injected{Site: fault.SiteMSBRecurse}) {
-				t.Fatalf("fired=%v err = %v, want *InternalError wrapping the msb/recurse fault", fired, err)
+			var pe *hard.PanicError
+			if !fired || !errors.As(err, &pe) || !errors.Is(err, fault.Injected{Site: fault.SiteMSBRecurse}) {
+				t.Fatalf("fired=%v err = %v, want the contained msb/recurse fault", fired, err)
 			}
 			if kv.ChecksumPairs(keys, vals) != want {
 				t.Fatal("input not a permutation after the fault")
@@ -161,13 +189,13 @@ func TestDeliveryFaultAndCancel(t *testing.T) {
 			keys := deliveryShapes[uint64](7)
 			vals := partsort.RIDs[uint64](len(keys))
 			want := kv.ChecksumPairs(keys, vals)
-			opt := deliveryOpt(t, threads)
+			opt := deliveryOpt[uint64](t, threads)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			obs.Start(&cancelOnSort{cancel: cancel})
 			defer func() { _ = obs.Stop() }()
 			base := fault.TakeBaseline()
-			_, err := partsort.SortExternalCtx(ctx, keys, vals, opt)
+			_, err := runShape(ctx, keys, vals, nil, opt)
 			if err != context.Canceled {
 				t.Fatalf("err = %v, want context.Canceled itself", err)
 			}
@@ -200,19 +228,19 @@ func (c *cancelOnSort) Close() error { return nil }
 // TestDeliveryWorkerErrorReleasesScratch damages the last bucket of
 // deliveryShapes on two workers with a warm workspace. The damage stops
 // the other worker wherever it is, often inside a bucket sort with
-// scratch checked out; the call still returns ErrSpillCorrupt with every
+// scratch checked out; the call still returns ErrCorrupt with every
 // byte back on the workspace's ledger and nothing else left behind.
 func TestDeliveryWorkerErrorReleasesScratch(t *testing.T) {
-	w := partsort.NewWorkspace()
+	w := ws.New()
 	defer w.Close()
+	ctx := context.Background()
 	for seed := range int64(5) {
 		keys := deliveryShapes[uint64](10 + seed)
 		vals := partsort.RIDs[uint64](len(keys))
-		opt := deliveryOpt(t, 2)
-		opt.Workspace = w
+		opt := deliveryOpt[uint64](t, 2)
 		if seed == 0 {
 			warm := append([]uint64(nil), keys...)
-			if _, err := partsort.SortExternal(warm, partsort.RIDs[uint64](len(warm)), opt); err != nil {
+			if _, err := runShape(ctx, warm, partsort.RIDs[uint64](len(warm)), w, opt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -222,10 +250,10 @@ func TestDeliveryWorkerErrorReleasesScratch(t *testing.T) {
 			}
 		})
 		base := fault.TakeBaseline()
-		_, err := partsort.SortExternal(keys, vals, opt)
+		_, err := runShape(ctx, keys, vals, w, opt)
 		reset()
-		if !errors.Is(err, partsort.ErrSpillCorrupt) {
-			t.Fatalf("seed %d: err = %v, want ErrSpillCorrupt", seed, err)
+		if !errors.Is(err, extsort.ErrCorrupt) {
+			t.Fatalf("seed %d: err = %v, want ErrCorrupt", seed, err)
 		}
 		base.Verify(t, w, opt.TempDir)
 	}

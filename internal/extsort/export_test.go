@@ -3,8 +3,8 @@ package extsort
 import "os"
 
 // SetReadbackHook installs fn as the readback hook for the external test
-// package, which drives the pipeline through the public SortExternal, and
-// returns a function that removes it. fn receives the spill file before
+// package, which drives the pipeline through Run at explicit shapes
+// (runShape), and returns a function that removes it. fn receives the spill file before
 // delivery reads it back: with d = -1 when delivery starts, and with the
 // bucket d before each bucket larger than one segment is read. spans gives
 // the byte ranges (offset, length) that hold a bucket, wherever its

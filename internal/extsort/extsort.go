@@ -56,9 +56,8 @@ import (
 const TempResource = "extsort/tempfile"
 
 // Options shapes one external sort. The caller (the public SortExternal
-// entry points) fills every field from tune.PlanSpill plus explicit
-// SortOptions overrides; extsort itself applies no defaults beyond
-// clamping obvious zeroes.
+// entry points) fills every field from tune.PlanSpill; extsort itself
+// applies no defaults beyond clamping obvious zeroes.
 type Options struct {
 	// TempDir is where the spill directory is created ("": os.TempDir()).
 	TempDir string

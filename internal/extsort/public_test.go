@@ -17,8 +17,9 @@ import (
 // TestSortExternalCorruptFormationExtent flips one byte of one bucket in
 // the formation file between formation and delivery, located through the
 // readback hook's spans wherever the bucket's extents landed, and sorts
-// through the public SortExternal. Wherever the byte lies, the call fails
-// with a *SpillError wrapping ErrSpillCorrupt and leaves nothing behind.
+// eight buckets of one 4096-tuple segment each under runShape. Wherever
+// the byte lies, the call fails with an *IOError wrapping ErrCorrupt and
+// leaves nothing behind.
 //
 // On one thread buckets are delivered in key order. Damage in bucket 0 is
 // found before any output is written and leaves the input as it was.
@@ -57,13 +58,12 @@ func TestSortExternalCorruptFormationExtent(t *testing.T) {
 					})
 					defer reset()
 
-					dir := t.TempDir()
-					opt := &partsort.SortOptions{TempDir: dir, SpillSegmentTuples: 1 << 12, SpillBucketBits: 3, Threads: threads}
+					opt := shapeOpt[uint64](t, 1<<12, 3, threads)
 					base := fault.TakeBaseline()
-					_, err := partsort.SortExternal(keys, vals, opt)
-					var se *partsort.SpillError
-					if !errors.As(err, &se) || !errors.Is(err, partsort.ErrSpillCorrupt) {
-						t.Fatalf("err = %v, want *SpillError wrapping ErrSpillCorrupt", err)
+					_, err := runShape(context.Background(), keys, vals, nil, opt)
+					var ioe *extsort.IOError
+					if !errors.As(err, &ioe) || !errors.Is(err, extsort.ErrCorrupt) {
+						t.Fatalf("err = %v, want *IOError wrapping ErrCorrupt", err)
 					}
 					lost := -1 // bucket whose output range the restore cannot rebuild
 					if strings.Contains(err.Error(), "permutation restore failed") {
@@ -85,7 +85,7 @@ func TestSortExternalCorruptFormationExtent(t *testing.T) {
 							seen[k] = true
 						}
 					}
-					base.Verify(t, nil, dir)
+					base.Verify(t, nil, opt.TempDir)
 				})
 			}
 		})
@@ -93,13 +93,13 @@ func TestSortExternalCorruptFormationExtent(t *testing.T) {
 }
 
 // TestSortExternalErrorPathsTwoThreads drives the error paths of a
-// two-thread external sort through the public SortExternalCtx: a disk
-// budget too small for formation, and cancellations observed by the
-// one-segment delivery workers and, after they and the first overflowing
-// bucket wrote their ranges, at the second overflowing bucket. Six
-// buckets fit one segment and two overflow it. Each call returns the error itself — a *SpillError wrapping
-// ErrSpillBudget, or the context's error; never a sibling stop or an
-// *InternalError — leaves the input a permutation, and leaves nothing
+// two-thread external sort under runShape: a disk budget too small for
+// formation, and cancellations observed by the one-segment delivery
+// workers and, after they and the first overflowing bucket wrote their
+// ranges, at the second overflowing bucket. Six buckets fit one segment
+// and two overflow it. Each call returns the error itself — an *IOError
+// wrapping ErrDiskBudget, or the context's error; never a sibling stop or
+// a contained panic — leaves the input a permutation, and leaves nothing
 // behind.
 func TestSortExternalErrorPathsTwoThreads(t *testing.T) {
 	const n = 1 << 15
@@ -137,15 +137,14 @@ func TestSortExternalErrorPathsTwoThreads(t *testing.T) {
 			})
 			defer reset()
 
-			dir := t.TempDir()
-			opt := &partsort.SortOptions{TempDir: dir, SpillSegmentTuples: 1 << 12, SpillBucketBits: 3,
-				MaxSpillBytes: c.maxSpill, Threads: 2}
+			opt := shapeOpt[uint64](t, 1<<12, 3, 2)
+			opt.MaxSpillBytes = c.maxSpill
 			base := fault.TakeBaseline()
-			_, err := partsort.SortExternalCtx(ctx, keys, vals, opt)
+			_, err := runShape(ctx, keys, vals, nil, opt)
 			if !c.cancel {
-				var se *partsort.SpillError
-				if !errors.As(err, &se) || !errors.Is(err, partsort.ErrSpillBudget) {
-					t.Fatalf("err = %v, want *SpillError wrapping ErrSpillBudget", err)
+				var ioe *extsort.IOError
+				if !errors.As(err, &ioe) || !errors.Is(err, extsort.ErrDiskBudget) {
+					t.Fatalf("err = %v, want *IOError wrapping ErrDiskBudget", err)
 				}
 			} else if err != context.Canceled {
 				t.Fatalf("err = %v, want context.Canceled itself", err)
@@ -153,7 +152,7 @@ func TestSortExternalErrorPathsTwoThreads(t *testing.T) {
 			if !partsort.SameMultiset(keys, vals, sumK, sumV) {
 				t.Fatal("input not a permutation after the error")
 			}
-			base.Verify(t, nil, dir)
+			base.Verify(t, nil, opt.TempDir)
 		})
 	}
 }

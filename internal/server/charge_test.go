@@ -134,13 +134,14 @@ func TestChargeTracksMeasuredPeak(t *testing.T) {
 }
 
 // TestFallbackStagesStayWithinCharge injects transient faults into the
-// first attempts of a two-thread request, so the retry supervisor
-// finishes it on a later stage of the same warm arena: the algorithm on
-// one thread (stage 1), or one-thread MSB (stage 2), reached when every
-// attempt that passes the algorithm's own site faults. MSB's stage 2
-// runs the plan of its stage 1, so it is covered there. The charge covers
-// every stage, so none may meet a resource error, which would show as a
-// degraded run.
+// first attempts of a two-thread request, so the retry supervisor, two
+// attempts a stage, finishes it on a later stage of the same warm arena:
+// the algorithm on one thread (stage 1), reached when every worker
+// fan-out faults, which only stage 0's two-thread attempts make; or
+// one-thread MSB (stage 2), reached when every attempt that passes the
+// algorithm's own site faults. MSB's stage 2 runs the plan of its stage
+// 1, so it is covered there. The charge covers every stage, so none may meet a
+// resource error, which would show as a degraded run.
 func TestFallbackStagesStayWithinCharge(t *testing.T) {
 	const n = 1 << 17
 	sites := map[partsort.Algorithm]fault.Site{
@@ -148,7 +149,6 @@ func TestFallbackStagesStayWithinCharge(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.SortThreads = 2
-	cfg.Retry = &partsort.RetryPolicy{AttemptsPerStage: 1, InitialBackoff: 1}
 	s := New(cfg)
 	defer drainOK(t, s)
 	defer fault.Disable()
@@ -158,16 +158,16 @@ func TestFallbackStagesStayWithinCharge(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%v/stage%d", algo, stage), func(t *testing.T) {
-				if stage == 1 {
-					fault.Enable(sites[algo], 2) // past the first tables of stage 0
-				} else {
-					fault.Arm(fault.NewSchedule(1, map[fault.Site]fault.SiteConfig{sites[algo]: {Prob: 1}}))
+				site := fault.SiteWorkerStart
+				if stage == 2 {
+					site = sites[algo]
 				}
+				fault.Arm(fault.NewSchedule(1, map[fault.Site]fault.SiteConfig{site: {Prob: 1}}))
 				res, req := submitKeys(t, s, algo, n, 64)
 				fault.Disable()
-				if res.Stage != stage || res.Attempts != stage+1 || res.Degraded {
+				if want := 2*stage + 1; res.Stage != stage || res.Attempts != want || res.Degraded {
 					t.Fatalf("stage %d after %d attempts, degraded=%v; want stage %d after %d clean of resource errors",
-						res.Stage, res.Attempts, res.Degraded, stage, stage+1)
+						res.Stage, res.Attempts, res.Degraded, stage, want)
 				}
 				checkRequestSorted(t, req)
 			})
@@ -175,12 +175,16 @@ func TestFallbackStagesStayWithinCharge(t *testing.T) {
 	}
 }
 
-// TestExternalJobRunsAdmittedPlan checks that an over-ledger request
-// runs the spill plan it was admitted and charged for — planned at half
-// the ledger — and not a plan re-derived from its smaller charge, which
-// at this shape would fan out to a different bucket count: the run's
-// options carry the admitted segment and fanout, its aux
-// cap is its charge, and its disk cap the plan's DiskBytes.
+// TestExternalJobRunsAdmittedPlan checks from the outside that an
+// over-ledger request runs the spill plan it was admitted and charged
+// for, planned at half the ledger. The run's options carry that budget,
+// from which PlanSpill re-derives the admitted plan (not the plan at the
+// smaller charge, which at this shape fans out to a different bucket
+// count), and the plan's DiskBytes as the disk cap. A sort with those
+// options on a workspace fills the plan's 1<<BucketBits buckets and
+// succeeds, and it runs capped at the plan's MemBytes, which is the
+// job's charge: an arena peak past the charge would fail it with a
+// *ResourceError.
 func TestExternalJobRunsAdmittedPlan(t *testing.T) {
 	const n = 1 << 18 // LSB charge ≈ 4.6 MB, past the 4 MiB ledger
 	cfg := testConfig()
@@ -200,10 +204,12 @@ func TestExternalJobRunsAdmittedPlan(t *testing.T) {
 	if re := tune.PlanSpill(n, 64, plan.MemBytes, 1); re.BucketBits == plan.BucketBits {
 		t.Fatalf("re-planning at the charge keeps 2^%d buckets; the shape check below cannot tell the plans apart", re.BucketBits)
 	}
-	opt := s.options(ran, nil)
-	if opt.MaxAuxBytes != plan.MemBytes || opt.MaxSpillBytes != plan.DiskBytes {
-		t.Fatalf("run capped at %d B aux and %d B disk, want the charges %d and %d",
-			opt.MaxAuxBytes, opt.MaxSpillBytes, plan.MemBytes, plan.DiskBytes)
+	w := partsort.NewWorkspace()
+	defer w.Close()
+	opt := s.options(ran, w)
+	if re := tune.PlanSpill(n, 64, opt.MaxAuxBytes, opt.Threads); re != plan || opt.MaxSpillBytes != plan.DiskBytes {
+		t.Fatalf("run options re-derive the plan %+v under a %d B disk cap, want the admitted %+v and %d B",
+			re, opt.MaxSpillBytes, plan, plan.DiskBytes)
 	}
 	st, err := partsort.SortExternal(randKeys(n, n+64), partsort.RIDs[uint64](n), opt)
 	if err != nil {

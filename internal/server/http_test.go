@@ -223,12 +223,12 @@ func TestHTTPOverBudget413(t *testing.T) {
 }
 
 // TestHTTPSpillDegradation submits a request past the memory ledger with
-// spilling enabled and expects a sorted 200 flagged spilled=true.
+// spilling enabled (hot keys, so a bucket overflows and is sorted in
+// place) and expects a sorted 200 flagged spilled=true.
 func TestHTTPSpillDegradation(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxAuxBytes = 256 << 10
 	cfg.SpillDir = t.TempDir()
-	cfg.SpillSegmentTuples = 1 << 10 // buckets of ~1024 tuples: some overflow and are sorted in place
 	s := New(cfg)
 	defer drainOK(t, s)
 	ts := httptest.NewServer(s.Handler())
@@ -236,8 +236,8 @@ func TestHTTPSpillDegradation(t *testing.T) {
 
 	const n = 16384 // charged 327,680 B, past the 256 KiB ledger
 	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = strconv.Itoa((i*2654435761 + 7) % 1000003)
+	for i, k := range hotKeys(t, n, cfg.MaxAuxBytes) {
+		keys[i] = strconv.FormatUint(k, 10)
 	}
 	body := `{"algo":"lsb","keys":[` + strings.Join(keys, ",") + `]}`
 	resp, err := http.Post(ts.URL+"/v1/sort", "application/json", strings.NewReader(body))

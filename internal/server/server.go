@@ -16,7 +16,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -65,11 +64,6 @@ type Config struct {
 	// *OverBudgetError, never queued — disk, unlike the queue, does not
 	// drain on a retry-later timescale.
 	MaxSpillBytes int64
-	// SpillSegmentTuples overrides the external sort's sealed-run
-	// granularity (0: the admitted plan's). Mostly a test hook to force
-	// deep file-backed merges on small inputs; a smaller segment only
-	// shrinks the run below its charge.
-	SpillSegmentTuples int
 	// MaxPerTenant caps one tenant's admitted-but-unfinished requests
 	// (0: no per-tenant cap).
 	MaxPerTenant int
@@ -79,22 +73,20 @@ type Config struct {
 	// disables coalescing). A request that finds an executor idle starts
 	// at once, unbatched.
 	BatchMaxTuples int
-	// BatchMaxRequests caps the requests one merged run takes (default
-	// 64).
-	BatchMaxRequests int
-	// BatchMaxTotal caps one merged run's key count (default 1<<16).
-	BatchMaxTotal int
-	// ArenasPerClass is how many idle workspace arenas each size class
-	// keeps pooled (default 4; excess arenas are closed on release).
-	ArenasPerClass int
-	// Retry is the resilient-supervisor policy template for every job
-	// (nil: the default policy). The per-run Stats field is managed by
-	// the server; a caller-set Stats is ignored.
-	Retry *partsort.RetryPolicy
 	// Registry receives the server metric families (nil: the process
 	// registry behind ServeMetrics). Tests pass a private registry.
 	Registry *obs.Registry
 }
+
+// Fixed server shapes, beside the Config defaults Normalize fills in: a
+// merged run takes at most batchMaxRequests requests and batchMaxTotal
+// keys, and each arena size class keeps arenasPerClass idle arenas
+// pooled (excess arenas are closed on release).
+const (
+	batchMaxRequests = 64
+	batchMaxTotal    = 1 << 16
+	arenasPerClass   = 4
+)
 
 // Normalize fills zero-valued fields with the documented defaults.
 func (c *Config) Normalize() {
@@ -115,15 +107,6 @@ func (c *Config) Normalize() {
 	}
 	if c.BatchMaxTuples == 0 {
 		c.BatchMaxTuples = 4096
-	}
-	if c.BatchMaxRequests <= 0 {
-		c.BatchMaxRequests = 64
-	}
-	if c.BatchMaxTotal <= 0 {
-		c.BatchMaxTotal = 1 << 16
-	}
-	if c.ArenasPerClass <= 0 {
-		c.ArenasPerClass = 4
 	}
 	if c.Registry == nil {
 		c.Registry = obs.DefaultRegistry()
@@ -324,10 +307,10 @@ func newServer(cfg Config, popHook func(*job)) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:         cfg,
-		q:           newQueue(cfg.BatchMaxRequests, cfg.BatchMaxTotal),
+		q:           newQueue(batchMaxRequests, batchMaxTotal),
 		popHook:     popHook,
 		readTimeout: obs.ReadHeaderTimeout,
-		arenas:      newArenaPool(cfg.ArenasPerClass),
+		arenas:      newArenaPool(arenasPerClass),
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 		cancels:     make(map[uint64]context.CancelFunc),
@@ -403,9 +386,8 @@ func (s *Server) Submit(ctx context.Context, req *Request) (Result, error) {
 		}
 		// The external pipeline's resident footprint is bounded by its
 		// plan, not the input: charge the ledger what the run will
-		// actually hold, planned against half the budget so one spilling
-		// job cannot starve the in-memory traffic.
-		j.plan = tune.PlanSpill(n, width, s.cfg.MaxAuxBytes/2, s.cfg.SortThreads)
+		// actually hold.
+		j.plan = tune.PlanSpill(n, width, spillBudget(s.cfg.MaxAuxBytes), s.cfg.SortThreads)
 		j.external, j.coalesce = true, false
 		j.est = j.plan.MemBytes
 	}
@@ -594,12 +576,8 @@ func (s *Server) execute(j *job) (Result, error) {
 	defer s.arenas.release(arena)
 
 	opt := s.options(j, arena.pub())
-	var pol partsort.RetryPolicy
-	if s.cfg.Retry != nil {
-		pol = *s.cfg.Retry
-	}
 	rs := partsort.RetryStats{Attempts: 1} // the external sort runs once
-	pol.Stats = &rs
+	pol := partsort.RetryPolicy{Stats: &rs}
 	start := time.Now()
 	var spilled bool
 	var err error
@@ -619,22 +597,28 @@ func (s *Server) execute(j *job) (Result, error) {
 	return Result{SortTime: dur, Attempts: rs.Attempts, Stage: rs.Stage, Degraded: rs.Degraded, Spilled: spilled}, err
 }
 
-// options builds the SortOptions a job runs under. Its charge is its
-// aux cap. An external job runs the spill plan it was admitted on — its
-// segment and fanout — capped at that plan's DiskBytes; the
-// retry supervisor does not apply to it (the external pipeline has its
-// own containment, and an input this size has no in-memory fallback).
+// options builds the SortOptions a job runs under. An in-memory job's
+// charge is its aux cap. An external job gets the budget its spill plan
+// was admitted on, half the ledger, from which SortExternal re-derives
+// that plan and caps itself at its MemBytes, the job's charge; its disk
+// cap is the plan's DiskBytes. The retry supervisor does not apply to it
+// (the external pipeline has its own containment, and an input this size
+// has no in-memory fallback).
 func (s *Server) options(j *job, w *partsort.Workspace) *partsort.SortOptions {
 	opt := &partsort.SortOptions{Threads: s.cfg.SortThreads, Workspace: w, MaxAuxBytes: j.est}
 	if !j.external {
 		return opt
 	}
+	opt.MaxAuxBytes = spillBudget(s.cfg.MaxAuxBytes)
 	opt.TempDir = s.cfg.SpillDir
 	opt.MaxSpillBytes = j.plan.DiskBytes
-	opt.SpillSegmentTuples = cmp.Or(s.cfg.SpillSegmentTuples, j.plan.SegmentTuples)
-	opt.SpillBucketBits = j.plan.BucketBits
 	return opt
 }
+
+// spillBudget is the memory an external job plans its spill against:
+// half the ledger, so one spilling job cannot starve the in-memory
+// traffic.
+func spillBudget(ledger int64) int64 { return ledger / 2 }
 
 // sortJob runs j on the key and payload columns cols picks out of a
 // request: a batch container's merged run, an external job's spill sort,

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"errors"
@@ -82,20 +83,44 @@ func drainOK(t *testing.T, s *Server) {
 	}
 }
 
+// hotKeys returns n keys below 2^20, seven in eight of them below 2^10,
+// and checks that they overflow a bucket when spilled under the plan a
+// server with the given memory ledger makes for them: the plan's
+// buckets split the sampled domain evenly, so about 90% of the keys land
+// in one bucket, past its segment, and take the in-place overflow sort
+// (its seal check reads the bucket a second time).
+func hotKeys(t *testing.T, n int, ledger int64) []uint64 {
+	t.Helper()
+	keys := randKeys(n, 99)
+	for i := range keys {
+		keys[i] %= 1 << 20
+		if i%8 != 0 {
+			keys[i] %= 1 << 10
+		}
+	}
+	probe := append([]uint64(nil), keys...)
+	st, err := partsort.SortExternal(probe, partsort.RIDs[uint64](n),
+		&partsort.SortOptions{MaxAuxBytes: spillBudget(ledger), TempDir: t.TempDir()})
+	if err != nil || !st.Spilled || st.ReadBytes <= st.FormationBytes {
+		t.Fatalf("hot keys under a %d B ledger: err %v, spilled %v, read %d of %d formation bytes; want an overflowing bucket",
+			ledger, err, st.Spilled, st.ReadBytes, st.FormationBytes)
+	}
+	return keys
+}
+
 // TestSubmitSpillsOverBudgetRequest drives the degradation path end to
 // end: a request too big for the memory ledger runs through the external
-// sort, keeps its payloads attached, reports Spilled, and settles the
-// disk ledger.
+// sort (hot keys, so a bucket overflows and is sorted in place), keeps
+// its payloads attached, reports Spilled, and settles the disk ledger.
 func TestSubmitSpillsOverBudgetRequest(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxAuxBytes = 256 << 10
 	cfg.SpillDir = t.TempDir()
-	cfg.SpillSegmentTuples = 1 << 10 // buckets of ~1024 tuples: some overflow and are sorted in place
 	s := New(cfg)
 	defer drainOK(t, s)
 
 	const n = 16384 // charged 327,680 B (one-thread MSB's tail pair), past the 256 KiB ledger
-	keys := randKeys(n, 99)
+	keys := hotKeys(t, n, cfg.MaxAuxBytes)
 	vals := make([]uint64, n)
 	for i, k := range keys {
 		vals[i] = k ^ 0xabcdef
@@ -595,9 +620,10 @@ func TestQueuePriorityOrdering(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{BatchMaxRequests: tc.maxReqs, BatchMaxTotal: tc.maxTotal, Registry: obs.NewRegistry()}
+			cfg := Config{Registry: obs.NewRegistry()}
 			cfg.Normalize()
-			q := newQueue(cfg.BatchMaxRequests, cfg.BatchMaxTotal)
+			maxReqs, maxTotal := cmp.Or(tc.maxReqs, batchMaxRequests), cmp.Or(tc.maxTotal, batchMaxTotal)
+			q := newQueue(maxReqs, maxTotal)
 			for i, sp := range tc.jobs {
 				req := &Request{}
 				if sp.width == 64 {
@@ -637,7 +663,7 @@ func TestQueuePriorityOrdering(t *testing.T) {
 			if !slices.Equal(got, tc.take) {
 				t.Fatalf("pop took %v, want %v", got, tc.take)
 			}
-			if len(got) > cfg.BatchMaxRequests || len(got) > 1 && total > cfg.BatchMaxTotal {
+			if len(got) > maxReqs || len(got) > 1 && total > maxTotal {
 				t.Fatalf("batch of %d requests, %d keys exceeds the caps", len(got), total)
 			}
 

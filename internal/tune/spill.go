@@ -142,7 +142,7 @@ func spillShape(n, keyBits int, maxAux int64, threads int, seg int64) SpillPlan 
 	capBits := bits.Len64(uint64(maxAux/int64(max(8, 2*threads))/(minLineTuples*pair))) - 1
 	pl.BucketBits = clampInt(bits.Len64(uint64(buckets-1)), 1, clampInt(capBits, 1, MaxBucketBits))
 	fanout := int64(1) << pl.BucketBits
-	pl.LineTuples = SpillLineTuples(pl.BucketBits, keyBits, maxAux, threads)
+	pl.LineTuples = spillLineTuples(pl.BucketBits, keyBits, maxAux, threads)
 	line := int64(pl.LineTuples)
 	pl.ExtentTuples = ExtentTuples(n, pl.BucketBits, pl.LineTuples, threads)
 
@@ -187,15 +187,11 @@ func overflowSort(n, keyBits int, maxAux int64, threads int) (t, cacheT int, byt
 	return 1, cacheT, bytes
 }
 
-// SpillLineTuples is the formation line rule for 1<<bucketBits buckets of
-// keyBits-bit pairs under maxAux bytes (<=0: DefaultAuxBudget) on threads
-// workers: 8 KiB of pairs per bucket, halved down to 64 tuples until one
-// worker's slab fits its share of the budget. SortExternal applies it to
-// an overridden fanout too.
-func SpillLineTuples(bucketBits, keyBits int, maxAux int64, threads int) int {
-	if maxAux <= 0 {
-		maxAux = DefaultAuxBudget()
-	}
+// spillLineTuples is the formation line rule for 1<<bucketBits buckets
+// of keyBits-bit pairs under maxAux bytes on threads workers: 8 KiB of
+// pairs per bucket, halved down to 64 tuples until one worker's slab fits
+// its share of the budget.
+func spillLineTuples(bucketBits, keyBits int, maxAux int64, threads int) int {
 	pair := int64(keyBits / 4)
 	line := clampInt64((8<<10)/pair, minLineTuples, 4096)
 	for line > minLineTuples && int64(1)<<bucketBits*line*pair > maxAux/int64(max(8, 2*threads)) {

@@ -1,13 +1,13 @@
-// The resilient execution supervisor: retry with capped exponential
-// backoff on contained worker failures, then degrade along a fallback
-// chain of ever more conservative plans, ending at a guaranteed-progress
+// The resilient execution supervisor: retry with exponential backoff on
+// contained worker failures, then degrade along a fallback chain of ever
+// more conservative plans, ending at a guaranteed-progress
 // single-threaded in-place sort. Retry-in-place is sound because the
 // hardened attempt (sortOnce) restores the columns to a permutation of
 // the input before returning any *InternalError — re-sorting a
 // permutation yields the same sorted output (stability of
-// already-disturbed equal-key runs is the one casualty; see
-// RetryPolicy.NoFallback for callers that need stability over
-// availability).
+// already-disturbed equal-key runs is the one casualty; callers that need
+// stability over availability make one attempt, RetryPolicy{MaxAttempts:
+// 1}).
 
 package partsort
 
@@ -19,58 +19,35 @@ import (
 	"repro/internal/tune"
 )
 
-// RetryClass is the supervisor's verdict on one failed attempt: give up,
-// try again, or degrade to a cheaper plan.
-type RetryClass int
+// retryVerdict is the supervisor's verdict on one failed attempt: give
+// up, try again, or degrade to a cheaper plan.
+type retryVerdict int
 
-// The three verdicts of ClassifyError.
 const (
-	// RetryFatal: the error cannot be fixed by re-running — invalid
-	// arguments, context cancellation, deadline expiry. The supervisor
-	// returns it immediately.
-	RetryFatal RetryClass = iota
-	// RetryTransient: a contained worker failure worth re-attempting —
-	// re-running the same plan (or a more conservative one) may succeed.
-	RetryTransient
-	// RetryDegrade: the plan exceeded its auxiliary-memory budget.
-	// Repeating it is pointless; the supervisor skips directly to the
-	// in-place fallback stage with a freshly measured budget.
-	RetryDegrade
+	// retryFatal: re-running cannot fix the error — invalid arguments,
+	// context cancellation, deadline expiry, an unknown error type.
+	retryFatal retryVerdict = iota
+	// retryTransient: a contained worker failure; re-running the same
+	// plan (or a more conservative one) may succeed.
+	retryTransient
+	// retryDegrade: the plan exceeded its auxiliary-memory budget.
+	// Repeating it is pointless; the supervisor skips to the in-place
+	// stage with a freshly measured budget.
+	retryDegrade
 )
 
-// String implements fmt.Stringer.
-func (c RetryClass) String() string {
-	switch c {
-	case RetryFatal:
-		return "fatal"
-	case RetryTransient:
-		return "transient"
-	case RetryDegrade:
-		return "degrade"
-	}
-	return "unknown"
-}
-
-// ClassifyError is the default error classifier of RetryPolicy: nil and
-// *ArgError are fatal (retrying cannot change a validation verdict),
-// context cancellation and deadline expiry are fatal (the caller gave
-// up), *ResourceError degrades, *InternalError — a contained worker
-// panic — is transient. Unknown error types are conservatively fatal.
-func ClassifyError(err error) RetryClass {
+// classifyError is the supervisor's classifier: *ResourceError degrades,
+// *InternalError (a contained worker panic) is transient, and anything
+// else — nil, *ArgError, context cancellation and deadline expiry, an
+// unknown error — is fatal.
+func classifyError(err error) retryVerdict {
 	switch err.(type) {
-	case nil:
-		return RetryFatal
-	case *ArgError:
-		return RetryFatal
 	case *ResourceError:
-		return RetryDegrade
+		return retryDegrade
 	case *InternalError:
-		return RetryTransient
+		return retryTransient
 	}
-	if err == context.Canceled || err == context.DeadlineExceeded {
-		return RetryFatal
-	}
-	return RetryFatal
+	return retryFatal
 }
 
 // RetryStats reports what the supervisor did on one SortResilientCtx run,
@@ -90,132 +67,32 @@ type RetryStats struct {
 	Backoff time.Duration
 }
 
-// RetryPolicy configures SortResilientCtx. The zero value is a working
-// policy: 2 attempts per stage, the full three-stage fallback chain,
-// 1 ms initial backoff doubling to a 100 ms cap, default classifier.
+// RetryPolicy configures SortResilientCtx. The zero value (or nil) runs
+// the supervisor's one policy: two attempts on each of the three
+// fallback stages, with a backoff before each retry that starts at 1 ms
+// and doubles.
 type RetryPolicy struct {
-	// AttemptsPerStage is how many times each fallback stage is tried
-	// before moving to the next (default 2; negative is invalid).
-	AttemptsPerStage int
 	// MaxAttempts caps total attempts across all stages (0: no cap
-	// beyond stages × AttemptsPerStage; negative is invalid). 1 makes
-	// one hardened attempt with no retry, fallback, or backoff.
+	// beyond the chain's six; negative is invalid). 1 makes one hardened
+	// attempt with no retry, fallback, or backoff: the setting for
+	// callers that need stability or their exact plan more than
+	// availability.
 	MaxAttempts int
-	// InitialBackoff is the sleep before the second attempt (default
-	// 1 ms; negative is invalid). Zero selects the default; to retry
-	// with no sleep, set it to a sub-microsecond positive duration.
-	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 100 ms; negative
-	// is invalid).
-	MaxBackoff time.Duration
-	// Multiplier is the backoff growth factor (default 2; values below 1
-	// are invalid).
-	Multiplier float64
-	// JitterSeed seeds the deterministic backoff jitter so tests can
-	// reproduce exact sleep sequences (default: a fixed seed).
-	JitterSeed uint64
-	// NoFallback confines the supervisor to the caller's own plan:
-	// transient failures still retry AttemptsPerStage times, but no
-	// conservative or in-place stage ever runs, and RetryDegrade errors
-	// return immediately. Set it when stability or an exact plan matters
-	// more than availability.
-	NoFallback bool
-	// Classify overrides the error classifier (default ClassifyError).
-	// It is never called with a nil error.
-	Classify func(error) RetryClass
 	// Stats, when non-nil, receives the supervisor's outcome.
 	Stats *RetryStats
 }
 
-// retryStages is the length of the fallback chain: the caller's plan,
-// the conservative sequential plan, the single-threaded in-place sort.
-const retryStages = 3
-
-// Defaults for the zero-value RetryPolicy.
+// The fallback chain: the caller's plan, the conservative sequential
+// plan, the single-threaded in-place sort, each tried attemptsPerStage
+// times.
 const (
-	defaultAttemptsPerStage = 2
-	defaultInitialBackoff   = time.Millisecond
-	defaultMaxBackoff       = 100 * time.Millisecond
-	defaultMultiplier       = 2.0
-	defaultJitterSeed       = 0x9e3779b97f4a7c15
+	retryStages      = 3
+	attemptsPerStage = 2
 )
 
-// validate reports the first invalid field, nil-safe.
-func (p *RetryPolicy) validate(fn string) error {
-	if p == nil {
-		return nil
-	}
-	if p.AttemptsPerStage < 0 {
-		return &ArgError{Func: fn, Field: "AttemptsPerStage", Reason: "must be non-negative"}
-	}
-	if p.MaxAttempts < 0 {
-		return &ArgError{Func: fn, Field: "MaxAttempts", Reason: "must be non-negative"}
-	}
-	if p.InitialBackoff < 0 {
-		return &ArgError{Func: fn, Field: "InitialBackoff", Reason: "must be non-negative"}
-	}
-	if p.MaxBackoff < 0 {
-		return &ArgError{Func: fn, Field: "MaxBackoff", Reason: "must be non-negative"}
-	}
-	if p.Multiplier != 0 && p.Multiplier < 1 {
-		return &ArgError{Func: fn, Field: "Multiplier", Reason: "must be at least 1"}
-	}
-	return nil
-}
-
-// retrySplitmix is splitmix64, the jitter PRNG step.
-func retrySplitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// backoffFor computes the sleep before attempt i (i >= 1): capped
-// exponential growth with deterministic half-width jitter in
-// [backoff/2, backoff).
-func (p *RetryPolicy) backoffFor(i int) time.Duration {
-	initial, maxB, mult, seed := defaultInitialBackoff, defaultMaxBackoff, defaultMultiplier, uint64(defaultJitterSeed)
-	if p != nil {
-		if p.InitialBackoff > 0 {
-			initial = p.InitialBackoff
-		}
-		if p.MaxBackoff > 0 {
-			maxB = p.MaxBackoff
-		}
-		if p.Multiplier >= 1 {
-			mult = p.Multiplier
-		}
-		if p.JitterSeed != 0 {
-			seed = p.JitterSeed
-		}
-	}
-	b := float64(initial)
-	for k := 1; k < i && b < float64(maxB); k++ {
-		b *= mult
-	}
-	if b > float64(maxB) {
-		b = float64(maxB)
-	}
-	u := float64(retrySplitmix(seed^uint64(i))>>11) / (1 << 53)
-	return time.Duration(b * (0.5 + 0.5*u))
-}
-
-// attemptsPerStage resolves the per-stage attempt budget.
-func (p *RetryPolicy) attemptsPerStage() int {
-	if p != nil && p.AttemptsPerStage > 0 {
-		return p.AttemptsPerStage
-	}
-	return defaultAttemptsPerStage
-}
-
-// classify applies the configured or default classifier.
-func (p *RetryPolicy) classify(err error) RetryClass {
-	if p != nil && p.Classify != nil {
-		return p.Classify(err)
-	}
-	return ClassifyError(err)
-}
+// retryBackoff is the sleep before the second attempt; each later sleep
+// doubles it. A variable so in-package tests can change it.
+var retryBackoff = time.Millisecond
 
 // resilientOp names SortResilientCtx in the errors it returns.
 const resilientOp = "SortResilientCtx"
@@ -231,10 +108,9 @@ const resilientOp = "SortResilientCtx"
 // warm Workspace a clean first attempt allocates nothing. On a
 // contained worker failure (*InternalError) the attempt is retried in
 // place — sound because containment restored the columns to a
-// permutation — with capped exponential backoff between attempts; after
-// AttemptsPerStage
-// failures the supervisor degrades along the fallback chain: the
-// caller's plan, then a conservative sequential plan (parallelism,
+// permutation — with exponential backoff between attempts; after two
+// failures on a stage the supervisor degrades along the fallback chain:
+// the caller's plan, then a conservative sequential plan (parallelism,
 // NUMA layout, and tuning overrides stripped), then a single-threaded
 // in-place MSB radix-sort that needs no auxiliary arrays and always
 // makes progress. A *ResourceError skips directly to the in-place
@@ -242,10 +118,10 @@ const resilientOp = "SortResilientCtx"
 // (memory pressure that appeared after process start is honoured).
 // *ArgError and context cancellation never retry. The final stage's
 // in-place sort is unstable; callers that must keep equal-key payload
-// order set RetryPolicy.NoFallback and handle the error themselves.
+// order set RetryPolicy{MaxAttempts: 1} and handle the error themselves.
 func SortResilientCtx[K Key](ctx context.Context, algo Algorithm, keys, vals []K, opt *SortOptions, pol *RetryPolicy) error {
-	if err := pol.validate(resilientOp); err != nil {
-		return err
+	if pol != nil && pol.MaxAttempts < 0 {
+		return &ArgError{Func: resilientOp, Field: "MaxAttempts", Reason: "must be non-negative"}
 	}
 	switch algo {
 	case LSB, MSB, CMP:
@@ -303,41 +179,36 @@ func sortResilientSlow[K Key](ctx context.Context, algo Algorithm, keys, vals []
 			*pol.Stats = st
 		}
 	}()
-	perStage := pol.attemptsPerStage()
-	maxTotal := retryStages * perStage
-	noFallback := pol != nil && pol.NoFallback
-	if noFallback {
-		maxTotal = perStage
-	}
-	if pol != nil && pol.MaxAttempts > 0 && pol.MaxAttempts < maxTotal {
-		maxTotal = pol.MaxAttempts
+	maxTotal := retryStages * attemptsPerStage
+	if pol != nil && pol.MaxAttempts > 0 {
+		maxTotal = min(maxTotal, pol.MaxAttempts)
 	}
 	stage, inStage := 0, 1 // attempts consumed in the current stage
 	for {
-		class := pol.classify(err)
+		class := classifyError(err)
 		// The cap is checked before any transition: a run that stops here
 		// records no fallback or degradation it never attempted.
-		if class == RetryFatal || st.Attempts >= maxTotal {
+		if class == retryFatal || st.Attempts >= maxTotal {
 			return err
 		}
 		next, degraded := stage, false
 		switch class {
-		case RetryDegrade:
-			if noFallback || stage >= retryStages-1 {
+		case retryDegrade:
+			if stage >= retryStages-1 {
 				// Even the in-place stage cannot fit the budget: no
 				// further attempt can change that arithmetic.
 				return err
 			}
 			next, degraded = retryStages-1, true
-		case RetryTransient:
-			if inStage >= perStage {
-				if noFallback || stage >= retryStages-1 {
+		case retryTransient:
+			if inStage >= attemptsPerStage {
+				if stage >= retryStages-1 {
 					return err
 				}
 				next++
 			}
 		}
-		if serr := retrySleep(ctx, pol.backoffFor(st.Attempts), &st); serr != nil {
+		if serr := retrySleep(ctx, retryBackoff<<(st.Attempts-1), &st); serr != nil {
 			return err
 		}
 		if next != stage {
@@ -372,9 +243,6 @@ func sortResilientSlow[K Key](ctx context.Context, algo Algorithm, keys, vals []
 // already done, or its deadline cannot accommodate the sleep, the
 // supervisor stops burning attempts the caller can no longer use.
 func retrySleep(ctx context.Context, d time.Duration, st *RetryStats) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= d {
 		return context.DeadlineExceeded
 	}

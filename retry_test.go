@@ -13,7 +13,13 @@ import (
 	"repro/internal/gen"
 )
 
-// TestRetryPolicyValidation drives SortResilientCtx through every invalid
+func init() {
+	// Retries in this package's tests sleep microseconds, so the suites
+	// that retry add no milliseconds per attempt to the test time.
+	retryBackoff = time.Microsecond
+}
+
+// TestRetryPolicyValidation drives SortResilientCtx through the invalid
 // policy field and the invalid algorithm value: each must come back as an
 // *ArgError naming the offending field, before any sorting happens.
 func TestRetryPolicyValidation(t *testing.T) {
@@ -25,11 +31,7 @@ func TestRetryPolicyValidation(t *testing.T) {
 		pol   *RetryPolicy
 		field string
 	}{
-		{"negative-attempts-per-stage", LSB, &RetryPolicy{AttemptsPerStage: -1}, "AttemptsPerStage"},
 		{"negative-max-attempts", LSB, &RetryPolicy{MaxAttempts: -3}, "MaxAttempts"},
-		{"negative-initial-backoff", LSB, &RetryPolicy{InitialBackoff: -time.Millisecond}, "InitialBackoff"},
-		{"negative-max-backoff", LSB, &RetryPolicy{MaxBackoff: -1}, "MaxBackoff"},
-		{"shrinking-multiplier", LSB, &RetryPolicy{Multiplier: 0.5}, "Multiplier"},
 		{"bad-algorithm", Algorithm(42), nil, "algo"},
 	}
 	for _, c := range cases {
@@ -44,9 +46,8 @@ func TestRetryPolicyValidation(t *testing.T) {
 			}
 		})
 	}
-	// Legal zero-ish policies must sort: nil policy, zero-value policy,
-	// nil classifier, zero backoff (selects defaults).
-	for _, pol := range []*RetryPolicy{nil, {}, {Classify: nil, InitialBackoff: 0, MaxBackoff: 0}} {
+	// Legal zero-ish policies must sort: nil policy, zero-value policy.
+	for _, pol := range []*RetryPolicy{nil, {}} {
 		k := []uint64{3, 1, 2}
 		v := []uint64{0, 1, 2}
 		if err := SortResilientCtx(context.Background(), LSB, k, v, nil, pol); err != nil {
@@ -58,32 +59,24 @@ func TestRetryPolicyValidation(t *testing.T) {
 	}
 }
 
-// TestClassifyError pins the default classifier's taxonomy.
+// TestClassifyError pins the supervisor classifier's taxonomy.
 func TestClassifyError(t *testing.T) {
 	cases := []struct {
 		name string
 		err  error
-		want RetryClass
+		want retryVerdict
 	}{
-		{"nil", nil, RetryFatal},
-		{"arg", &ArgError{Func: "f", Field: "x", Reason: "r"}, RetryFatal},
-		{"resource", &ResourceError{Op: "SortLSB"}, RetryDegrade},
-		{"internal", &InternalError{Op: "SortLSB", Value: "boom"}, RetryTransient},
-		{"canceled", context.Canceled, RetryFatal},
-		{"deadline", context.DeadlineExceeded, RetryFatal},
-		{"unknown", errors.New("mystery"), RetryFatal},
+		{"nil", nil, retryFatal},
+		{"arg", &ArgError{Func: "f", Field: "x", Reason: "r"}, retryFatal},
+		{"resource", &ResourceError{Op: "SortLSB"}, retryDegrade},
+		{"internal", &InternalError{Op: "SortLSB", Value: "boom"}, retryTransient},
+		{"canceled", context.Canceled, retryFatal},
+		{"deadline", context.DeadlineExceeded, retryFatal},
+		{"unknown", errors.New("mystery"), retryFatal},
 	}
 	for _, c := range cases {
-		if got := ClassifyError(c.err); got != c.want {
-			t.Errorf("ClassifyError(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-	for _, c := range []struct {
-		cl   RetryClass
-		want string
-	}{{RetryFatal, "fatal"}, {RetryTransient, "transient"}, {RetryDegrade, "degrade"}, {RetryClass(9), "unknown"}} {
-		if got := c.cl.String(); got != c.want {
-			t.Errorf("RetryClass(%d).String() = %q, want %q", int(c.cl), got, c.want)
+		if got := classifyError(c.err); got != c.want {
+			t.Errorf("classifyError(%s) = %d, want %d", c.name, got, c.want)
 		}
 	}
 }
@@ -120,7 +113,7 @@ func TestResilientRetriesTransient(t *testing.T) {
 
 	fault.Enable(fault.SiteLSBPass, 0)
 	var st RetryStats
-	pol := &RetryPolicy{InitialBackoff: time.Microsecond, Stats: &st}
+	pol := &RetryPolicy{Stats: &st}
 	err := SortResilientCtx(context.Background(), LSB, keys, vals, nil, pol)
 	fault.Disable()
 	if err != nil {
@@ -150,7 +143,7 @@ func TestResilientFallbackChain(t *testing.T) {
 		fault.SiteLSBPass: {Prob: 1, Budget: 4},
 	}))
 	var st RetryStats
-	pol := &RetryPolicy{InitialBackoff: time.Microsecond, Stats: &st}
+	pol := &RetryPolicy{Stats: &st}
 	err := SortResilientCtx(context.Background(), LSB, keys, vals, nil, pol)
 	fault.Disable()
 	if err != nil {
@@ -174,7 +167,7 @@ func TestResilientDegradeOnResourceError(t *testing.T) {
 	vals := RIDs[uint64](n)
 
 	var st RetryStats
-	pol := &RetryPolicy{InitialBackoff: time.Microsecond, Stats: &st}
+	pol := &RetryPolicy{Stats: &st}
 	// 256 KiB: far below the ~1 MiB of tmp columns LSB wants for 64K
 	// 64-bit pairs, comfortably above the in-place MSB histograms.
 	err := SortResilientCtx(context.Background(), LSB, keys, vals, &SortOptions{MaxAuxBytes: 256 << 10}, pol)
@@ -188,41 +181,6 @@ func TestResilientDegradeOnResourceError(t *testing.T) {
 		t.Fatalf("stats = %+v, want exactly one degraded re-attempt", st)
 	}
 	checkSortedPermutation(t, keys, vals, ref)
-
-	// The same squeeze under NoFallback must surface the *ResourceError.
-	keys2 := append([]uint64(nil), ref...)
-	vals2 := RIDs[uint64](n)
-	err = SortResilientCtx(context.Background(), LSB, keys2, vals2, &SortOptions{MaxAuxBytes: 256 << 10},
-		&RetryPolicy{NoFallback: true, InitialBackoff: time.Microsecond})
-	var re *ResourceError
-	if !errors.As(err, &re) || re.Budget != 256<<10 {
-		t.Fatalf("NoFallback err = %v (%T), want *ResourceError on the 256 KiB budget", err, err)
-	}
-}
-
-// TestResilientNoFallback pins the confinement contract: a persistent
-// transient failure under NoFallback returns the *InternalError after
-// AttemptsPerStage tries, never touching another stage.
-func TestResilientNoFallback(t *testing.T) {
-	defer fault.Disable()
-	n := 1 << 13
-	keys := gen.Uniform[uint64](n, 0, 17)
-	vals := RIDs[uint64](n)
-
-	fault.Arm(fault.NewSchedule(2, map[fault.Site]fault.SiteConfig{
-		fault.SiteLSBPass: {Prob: 1}, // unlimited budget: every attempt dies
-	}))
-	var st RetryStats
-	err := SortResilientCtx(context.Background(), LSB, keys, vals, nil,
-		&RetryPolicy{NoFallback: true, InitialBackoff: time.Microsecond, Stats: &st})
-	fault.Disable()
-	var ie *InternalError
-	if !errors.As(err, &ie) {
-		t.Fatalf("err = %v (%T), want *InternalError", err, err)
-	}
-	if st.Attempts != 2 || st.Stage != 0 {
-		t.Fatalf("stats = %+v, want 2 attempts confined to stage 0", st)
-	}
 }
 
 // TestResilientMaxAttempts caps the total attempt budget below the
@@ -239,7 +197,7 @@ func TestResilientMaxAttempts(t *testing.T) {
 	}))
 	var st RetryStats
 	err := SortResilientCtx(context.Background(), LSB, keys, vals, nil,
-		&RetryPolicy{MaxAttempts: 3, InitialBackoff: time.Microsecond, Stats: &st})
+		&RetryPolicy{MaxAttempts: 3, Stats: &st})
 	fault.Disable()
 	if err == nil {
 		t.Fatal("every site armed with prob 1: the sort cannot have succeeded")
@@ -268,15 +226,17 @@ func TestResilientContextFatal(t *testing.T) {
 		t.Fatalf("cancelled context was retried: %+v", st)
 	}
 
-	// A deadline shorter than the first backoff: the supervisor must not
-	// sleep past it; the original failure surfaces.
+	// A deadline shorter than the first backoff, raised to an hour here:
+	// the supervisor must not sleep past it; the original failure
+	// surfaces.
+	defer func(d time.Duration) { retryBackoff = d }(retryBackoff)
+	retryBackoff = time.Hour
 	fault.Arm(fault.NewSchedule(4, map[fault.Site]fault.SiteConfig{
 		fault.SiteLSBPass: {Prob: 1},
 	}))
 	dctx, dcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer dcancel()
-	err = SortResilientCtx(dctx, LSB, keys, vals, nil,
-		&RetryPolicy{InitialBackoff: time.Hour, MaxBackoff: time.Hour})
+	err = SortResilientCtx(dctx, LSB, keys, vals, nil, nil)
 	fault.Disable()
 	var ie *InternalError
 	if !errors.As(err, &ie) {
@@ -305,7 +265,7 @@ func TestResilientAllAlgorithms(t *testing.T) {
 			base := fault.TakeBaseline()
 			fault.Enable(c.site, 0)
 			err := SortResilientCtx(context.Background(), c.algo, keys, vals,
-				&SortOptions{Threads: 4}, &RetryPolicy{InitialBackoff: time.Microsecond})
+				&SortOptions{Threads: 4}, nil)
 			fault.Disable()
 			if err != nil {
 				t.Fatalf("supervised %v failed: %v", c.algo, err)
@@ -359,8 +319,7 @@ func TestResilientChaosMatrix(t *testing.T) {
 		copy(vals, rids)
 		base := fault.TakeBaseline()
 		fault.Arm(sched)
-		err := SortResilientCtx(context.Background(), algo, keys, vals, &SortOptions{Threads: threads, Workspace: w},
-			&RetryPolicy{InitialBackoff: 50 * time.Microsecond, MaxBackoff: 200 * time.Microsecond, JitterSeed: seed})
+		err := SortResilientCtx(context.Background(), algo, keys, vals, &SortOptions{Threads: threads, Workspace: w}, nil)
 		fault.Disable()
 		var ie *InternalError
 		var re *ResourceError
@@ -447,7 +406,7 @@ func TestResilientCapBeforeTransition(t *testing.T) {
 	}))
 	before = ObservedCounters()
 	err = SortResilientCtx(context.Background(), LSB, keys, vals, nil,
-		&RetryPolicy{MaxAttempts: 2, InitialBackoff: time.Microsecond, Stats: &st})
+		&RetryPolicy{MaxAttempts: 2, Stats: &st})
 	fault.Disable()
 	var ie *InternalError
 	if !errors.As(err, &ie) {

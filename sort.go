@@ -54,8 +54,9 @@ type SortOptions struct {
 	// with a *ResourceError. The cap does not pick the comparison sort's
 	// layout: that is in place unless the NUMA-aware layout is engaged.
 	// The AutoTune planner budgets its algorithm choice against the same
-	// cap. SortExternal raises a cap below its planner's floor to that
-	// floor (PlanSpill's MemBytes). Negative is invalid.
+	// cap. SortExternal shapes its spill from the cap and runs under
+	// its plan's footprint (PlanSpill's MemBytes): at most the cap, or
+	// the planner's floor when the cap is below it. Negative is invalid.
 	MaxAuxBytes int64
 	// AutoTune engages the machine-calibrated adaptive planner: the sort
 	// samples the key column, prices the candidate algorithms with the
@@ -75,15 +76,6 @@ type SortOptions struct {
 	// TempDir is where SortExternal creates its per-run spill directory
 	// ("" selects os.TempDir()). Ignored by the in-memory sorts.
 	TempDir string
-	// SpillSegmentTuples overrides the external sort's segment (0:
-	// planned from MaxAuxBytes): the largest bucket delivered in one
-	// piece, and the staging buffer of a larger one in pairs. Inputs at
-	// most one segment long are sorted in memory without touching disk.
-	SpillSegmentTuples int
-	// SpillBucketBits overrides the external run-formation fanout in bits
-	// (0: planned; at most 16). The write-combining lines are sized for
-	// the overridden fanout, so formation stays within MaxAuxBytes.
-	SpillBucketBits int
 	// MaxSpillBytes caps SortExternal's total spill-file footprint on
 	// disk (0: unlimited). Exceeding it surfaces as a *SpillError
 	// wrapping ErrSpillBudget.

@@ -63,14 +63,6 @@ func validateOptions(fn string, opt *SortOptions) *ArgError {
 			return &ArgError{Func: fn, Field: "Profile", Reason: err.Error()}
 		}
 	}
-	if opt.SpillSegmentTuples < 0 {
-		return &ArgError{Func: fn, Field: "SpillSegmentTuples",
-			Reason: fmt.Sprintf("%d; must be non-negative (0 selects the planned size)", opt.SpillSegmentTuples)}
-	}
-	if opt.SpillBucketBits < 0 || opt.SpillBucketBits > tune.MaxBucketBits {
-		return &ArgError{Func: fn, Field: "SpillBucketBits",
-			Reason: fmt.Sprintf("%d; must be in [1, %d] (0 selects the planned fanout)", opt.SpillBucketBits, tune.MaxBucketBits)}
-	}
 	if opt.MaxSpillBytes < 0 {
 		return &ArgError{Func: fn, Field: "MaxSpillBytes",
 			Reason: fmt.Sprintf("%d; must be non-negative (0 means unlimited)", opt.MaxSpillBytes)}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
+	"repro/internal/tune"
 )
 
 // once is the single-attempt policy: SortResilientCtx under it makes one
@@ -162,20 +164,23 @@ var faultMatrix = []faultCase{
 	{"ext", fault.SiteMSBRecurse, 4, 1, 0},
 }
 
+// extFaultBudget is the "ext" cells' MaxAuxBytes: below the planner's
+// floor for 2^15 32-bit pairs on four threads, where the plan caps the
+// fanout at 16 buckets of about 2048 tuples over 1024-tuple segments, so
+// every bucket overflows and an msb/recurse fault strikes the in-place
+// overflow sort after it has written its output range (TestTryFaultMatrix
+// checks that shape).
+const extFaultBudget = 64 << 10
+
 // runFaultCase runs one matrix cell's sort on k/v. The "ext" cells run
-// SortExternalCtx in a forced-spill shape — segments far below n so the
-// run leaves RAM, and a real bucket fanout whose buckets (~4096 tuples)
-// each overflow their 2048-tuple segment, so an msb/recurse fault strikes
-// the in-place overflow sort after it has written its output range —
-// spilling into spillDir.
+// SortExternalCtx under extFaultBudget, spilling into spillDir.
 func runFaultCase(c faultCase, k, v []uint32, w *Workspace, spillDir string) error {
 	opt := &SortOptions{Threads: c.threads, Regions: c.regions, CacheTuples: c.cache, Workspace: w}
 	if c.algo != "ext" {
 		return algoByName(c.algo).run(context.Background(), k, v, opt)
 	}
 	opt.TempDir = spillDir
-	opt.SpillSegmentTuples = 1 << 11
-	opt.SpillBucketBits = 3
+	opt.MaxAuxBytes = extFaultBudget
 	_, err := SortExternalCtx(context.Background(), k, v, opt)
 	return err
 }
@@ -210,6 +215,10 @@ func TestTryFaultMatrix(t *testing.T) {
 		if !covered[s] {
 			t.Fatalf("site %s has no matrix cell", s)
 		}
+	}
+	if plan := tune.PlanSpill(n, 32, extFaultBudget, 4); n>>plan.BucketBits <= plan.SegmentTuples {
+		t.Fatalf("ext cells' plan %+v: expected buckets of %d tuples fit a segment; they must overflow it",
+			plan, n>>plan.BucketBits)
 	}
 
 	for _, withWS := range []bool{false, true} {
@@ -543,23 +552,37 @@ func TestTryPreCancelled(t *testing.T) {
 
 // FuzzTryOptions is the satellite no-panic fuzzer: whatever the option
 // fields, lengths and context state, one hardened attempt (and
-// TryPartitionCtx) must return an error or succeed — never panic — and a nil error means a sorted
-// permutation.
+// TryPartitionCtx) must return an error or succeed — never panic — and a
+// nil error means a sorted permutation. Its fifth case runs
+// SortExternalCtx on up to 2^14 tuples on a workspace under a fuzzed
+// MaxAuxBytes, below the planner's floor too: a tiny budget still spills
+// rather than failing, so the run sorts or returns an *ArgError or the
+// context's error, never a *ResourceError, and leaves its spill directory
+// empty.
 func FuzzTryOptions(f *testing.F) {
-	f.Add(64, 64, 4, 2, 8, 360, 0, uint8(0), false)
-	f.Add(100, 99, 1, 1, 0, 0, 0, uint8(1), false)
-	f.Add(0, 0, 0, 0, -1, 0, 0, uint8(2), true)
-	f.Add(4096, 4096, 16, 4, 16, 7, 33, uint8(3), false)
-	f.Add(17, 17, -5, -5, 99, -1, -1, uint8(0), true)
-	f.Fuzz(func(t *testing.T, nKeys, nVals, threads, regions, radixBits, rangeFanout, cacheTuples int, algo uint8, cancelled bool) {
+	f.Add(64, 64, 4, 2, 8, 360, 0, uint8(0), false, int64(0))
+	f.Add(100, 99, 1, 1, 0, 0, 0, uint8(1), false, int64(0))
+	f.Add(0, 0, 0, 0, -1, 0, 0, uint8(2), true, int64(0))
+	f.Add(4096, 4096, 16, 4, 16, 7, 33, uint8(3), false, int64(0))
+	f.Add(17, 17, -5, -5, 99, -1, -1, uint8(0), true, int64(0))
+	f.Add(1<<14, 1<<14, 4, 0, 0, 0, 0, uint8(4), false, int64(4<<10))
+	f.Add(9000, 9000, 1, 0, 0, 0, 0, uint8(4), false, int64(96<<10))
+	w := NewWorkspace()
+	f.Cleanup(func() { w.Close() })
+	f.Fuzz(func(t *testing.T, nKeys, nVals, threads, regions, radixBits, rangeFanout, cacheTuples int, algo uint8, cancelled bool, maxAux int64) {
+		external := algo%5 == 4
+		limit := 4097
+		if external {
+			limit = 1<<14 + 1
+		}
 		if nKeys < 0 {
 			nKeys = -nKeys
 		}
 		if nVals < 0 {
 			nVals = -nVals
 		}
-		nKeys %= 4097
-		nVals %= 4097
+		nKeys %= limit
+		nVals %= limit
 		if threads > 16 {
 			threads %= 17
 		}
@@ -584,13 +607,24 @@ func FuzzTryOptions(f *testing.F) {
 			defer cancel()
 		}
 		var err error
-		switch algo % 4 {
+		switch algo % 5 {
 		case 0, 1, 2:
-			err = tryAlgos[algo%4].run(ctx, keys, vals, opt)
+			err = tryAlgos[algo%5].run(ctx, keys, vals, opt)
 		case 3:
 			dstK := make([]uint32, nKeys)
 			dstV := make([]uint32, nVals)
 			_, err = TryPartitionCtx(ctx, keys, vals, dstK, dstV, Radix[uint32](0, 6), threads)
+		case 4:
+			opt.MaxAuxBytes, opt.Workspace, opt.TempDir = maxAux, w, t.TempDir()
+			_, err = SortExternalCtx(ctx, keys, vals, opt)
+			var ae *ArgError
+			if err != nil && !errors.As(err, &ae) && !errors.Is(err, context.Canceled) {
+				t.Fatalf("n=%d threads=%d MaxAuxBytes=%d: err = %v (%T), want nil, *ArgError or context.Canceled",
+					nKeys, threads, maxAux, err, err)
+			}
+			if left, _ := os.ReadDir(opt.TempDir); len(left) != 0 {
+				t.Fatalf("n=%d threads=%d MaxAuxBytes=%d: %d entries left in the spill dir", nKeys, threads, maxAux, len(left))
+			}
 		}
 		if nKeys != nVals {
 			var ae *ArgError
@@ -599,7 +633,7 @@ func FuzzTryOptions(f *testing.F) {
 			}
 			return
 		}
-		if err == nil && algo%4 != 3 {
+		if err == nil && algo%5 != 3 {
 			if !IsSorted(keys) {
 				t.Fatal("nil error but not sorted")
 			}

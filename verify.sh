@@ -88,6 +88,18 @@ go test -run '^$' -fuzz '^FuzzSpillReadback$' -fuzztime 10s ./internal/extsort
 # tune.Load end in an error or a valid profile that round-trips through
 # Save, never in a panic.
 go test -run '^$' -fuzz '^FuzzLoadMachineProfile$' -fuzztime 10s ./internal/tune
+# Every option field through one hardened attempt, and SortExternalCtx
+# on a workspace under fuzzed budgets, below the spill planner's floor
+# too: a sorted permutation or a typed error, never a panic, never a
+# *ResourceError from a spill capped at its plan's MemBytes, and an empty
+# spill dir.
+go test -run '^$' -fuzz '^FuzzTryOptions$' -fuzztime 10s -parallel 2 .
+# sortd's two untrusted decoders: the /v1/sort JSON codec, diffed
+# against encoding/json, and the raw-TCP frame reader; arbitrary bytes
+# end in a request or a typed rejection, never in a panic. A 2 s
+# minimization keeps a new input from stalling the lane for a minute.
+go test -run '^$' -fuzz '^FuzzDecodeSortRequest$' -fuzztime 10s -fuzzminimizetime 2s -parallel 1 ./internal/server
+go test -run '^$' -fuzz '^FuzzReadTCPRequest$' -fuzztime 10s -fuzzminimizetime 2s -parallel 1 ./internal/server
 go run ./cmd/partcli -n 100000 -variant sync -threads 4 > /dev/null
 go run ./cmd/tracecli -n 65536 -fanout 512 > /dev/null
 go test -run xxx -bench 'Fig03|Fig09' -benchtime 0.2s . > /dev/null
